@@ -253,7 +253,7 @@ def cmd_search(args) -> int:
             resume_from=args.resume,
             threads=args.threads,
         )
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         raise UsageError(str(e)) from None
     print(json.dumps(result.to_json(), indent=2))
     return 0 if result.uniqueness_confirmed else 1
@@ -312,9 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit reports as JSON")
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="seed for sampled verification"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", help="emit the five-letter witness DFA")

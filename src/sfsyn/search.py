@@ -26,6 +26,18 @@ a greedy matching of mutually exclusive candidate pairs: pairs whose
 accumulated masks clash outright, and pairs whose products escape the
 admissible family.
 
+Isomorphism classes are told apart by a canonical form: the
+lexicographically least sorted tuple of letter conjugates over every
+state permutation.  It is computed without scanning the n!
+permutations.  A branch-and-bound labelling finds each letter's least
+conjugate together with every labelling that reaches it; the sorted
+tuple must start with the least of those one-letter forms, so only
+labellings giving some letter that form are tried on the whole tuple.
+One search_max call keeps a memo of the one-letter results, shared by
+all of its canonicalizations and dropped when it returns; canonicalize,
+extend, checkpoint parsing and worker processes each start with an
+empty one, so no call ever starts warm.
+
 The hot paths work on transformations encoded as length-n byte
 strings: composition is one bytes.translate call, and admissibility
 and pair masks are table lookups precomputed per n.
@@ -43,7 +55,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .collisions import colliding_pairs_of, focused_pairs_of, verify_suffix_free_consistency
@@ -96,19 +108,107 @@ def _conjugate(t: RawMap, perm: Sequence[int]) -> RawMap:
     return bytes(out)
 
 
-@lru_cache(maxsize=8)
-def _all_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(n)))
+def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
+    """The least conjugate of one letter, with every labelling (a perm
+    in _conjugate's sense) that produces it.
+
+    Names go out in output order: position k reads the image of the
+    state named k.  That state is either already named, as an earlier
+    image, or a free choice among the unnamed states, of which only
+    those with the least output are tried; an unnamed image must take
+    the next free name, since any larger one loses at this position.
+    Branches whose output prefix exceeds the incumbent's are cut, and
+    the labellings that tie the minimum form a coset of the letter's
+    automorphism group."""
+    n = len(t)
+    name = [-1] * n  # name[q]: the name given to state q, -1 while unnamed
+    state = [0] * n  # state[k]: the state carrying name k
+    out = bytearray(n)
+    best = b""
+    labellings: list[tuple[int, ...]] = []
+
+    def walk(k: int, m: int, tight: bool) -> None:
+        # names 0..m-1 are given out; tight means out[:k] == best[:k]
+        nonlocal best, labellings
+        if k == n:
+            if tight:
+                labellings.append(tuple(name))
+            else:
+                best = bytes(out)
+                labellings = [tuple(name)]
+            return
+        if k < m:
+            choices = [state[k]]
+        else:
+            # a fresh state's output is the name of an earlier image, its
+            # own name k, or the next one; only the least can win
+            rank = {
+                q: name[t[q]] if name[t[q]] >= 0 else k + (t[q] != q)
+                for q in range(n)
+                if name[q] < 0
+            }
+            low = min(rank.values())
+            choices = [q for q, r in rank.items() if r == low]
+        for s in choices:
+            if k == m:
+                name[s] = k
+                state[k] = s
+                m1 = k + 1
+            else:
+                m1 = m
+            img = t[s]
+            v = name[img]
+            if v < 0:
+                v = name[img] = m1
+                state[m1] = img
+                m2 = m1 + 1
+            else:
+                m2 = m1
+            if not (tight and v > best[k]):
+                out[k] = v
+                walk(k + 1, m2, tight and v == best[k])
+                # a branch below the incumbent always reaches a leaf and
+                # replaces it, so from here on the prefix ties it
+                tight = True
+            if m2 > m1:
+                name[img] = -1
+            if m1 > m:
+                name[s] = -1
+
+    walk(0, 0, False)
+    return best, tuple(labellings)
 
 
-def _canonical_letters(letters: Sequence[RawMap], n: int) -> tuple[RawMap, ...]:
-    # n <= 6 keeps n! small enough to scan outright; the incumbent
-    # comparison prunes most permutations after a few letters
+class _LetterForms(dict):
+    """Memo of _letter_form by letter, filled on demand; lives only as
+    long as the call that creates it."""
+
+    def __missing__(self, t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
+        form = self[t] = _letter_form(t)
+        return form
+
+
+def _canonical_letters(
+    letters: Sequence[RawMap], forms: _LetterForms | None = None
+) -> tuple[RawMap, ...]:
+    # the least sorted conjugate tuple starts with the least one-letter
+    # form over the letters, so only labellings giving some letter that
+    # form can win
+    if forms is None:
+        forms = _LetterForms()
+    least = min(forms[t][0] for t in letters)
+    distinct = dict.fromkeys(letters)
+    if len(distinct) == 1:
+        return (least,) * len(letters)
     best: list[RawMap] | None = None
-    for perm in _all_perms(n):
-        cand = sorted(_conjugate(t, perm) for t in letters)
-        if best is None or cand < best:
-            best = cand
+    for t in distinct:
+        form, labellings = forms[t]
+        if form != least:
+            continue
+        for perm in labellings:
+            cand = sorted(_conjugate(u, perm) for u in letters)
+            if best is None or cand < best:
+                best = cand
     assert best is not None
     return tuple(best)
 
@@ -130,7 +230,7 @@ def canonicalize(sa: Semiautomaton | Sequence[Transformation]) -> CanonicalSemia
     for t in delta:
         if t.n != n:
             raise ValueError(f"mixed state counts: {t.n} vs {n}")
-    canon = _canonical_letters([bytes(t.images) for t in delta], n)
+    canon = _canonical_letters([bytes(t.images) for t in delta])
     return CanonicalSemiautomaton(
         n=n,
         letters=tuple(Transformation(tuple(t)) for t in canon),
@@ -160,7 +260,7 @@ def parse_fingerprint(fp: bytes) -> CanonicalSemiautomaton:
     Rejects bytes that do not decode to a canonical form.
     """
     n, letters = _decode_fp(fp)
-    if _canonical_letters(letters, n) != letters:
+    if _canonical_letters(letters) != letters:
         raise ValueError("fingerprint is not in canonical form")
     return CanonicalSemiautomaton(
         n=n,
@@ -547,7 +647,7 @@ def initial_level(n: int) -> tuple[CanonicalSemiautomaton, ...]:
     ctx = _context(n)
     seen: dict[bytes, tuple[RawMap, ...]] = {}
     for g in ctx.pool:
-        canon = _canonical_letters([g], n)
+        canon = _canonical_letters([g])
         seen.setdefault(_fingerprint(canon, n), canon)
     return tuple(
         CanonicalSemiautomaton(
@@ -614,6 +714,7 @@ def extend(level: Iterable[CanonicalSemiautomaton]) -> tuple[CanonicalSemiautoma
     when every letter is needed to generate the joint semigroup.
     """
     grown: dict[bytes, tuple[RawMap, ...]] = {}
+    forms = _LetterForms()
     n = None
     for sa in level:
         n = sa.n
@@ -634,7 +735,7 @@ def extend(level: Iterable[CanonicalSemiautomaton]) -> tuple[CanonicalSemiautoma
                 for g in ctx.pool:
                     if g in aligned:
                         continue
-                    canon = _canonical_letters(sorted(aligned + (g,)), n)
+                    canon = _canonical_letters(sorted(aligned + (g,)), forms)
                     grown.setdefault(_fingerprint(canon, n), canon)
     out = []
     for fp in sorted(grown):
@@ -731,13 +832,16 @@ class SearchResult:
         }
 
 
-def _expand_one(args: tuple[bytes, int, int, bool]) -> dict:
+def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None = None) -> dict:
     """Judge one canonical semiautomaton: every (initial, empty)
     selection, aligned to (0, n-1), yields either a rejection, a
     terminal branch, a prune, or a viable branch with its admissible
     additions turned into canonical extensions.  Runs in worker
-    processes, so takes and returns plain picklable data."""
+    processes, so takes and returns plain picklable data; there each
+    call fills a letter-form memo of its own."""
     fp, n, target, prune = args
+    if forms is None:
+        forms = _LetterForms()
     ctx = _context(n)
     _, raw = _decode_fp(fp)
     counters = {"selections": 0, "rejected": 0, "terminal": 0, "pruned": 0}
@@ -913,7 +1017,7 @@ def _expand_one(args: tuple[bytes, int, int, bool]) -> dict:
                     continue
             viable = True
             for g in additions:
-                canon = _canonical_letters(sorted(aligned + (g,)), n)
+                canon = _canonical_letters(sorted(aligned + (g,)), forms)
                 extensions.setdefault(_fingerprint(canon, n), None)
     return {
         "fp": fp,
@@ -995,9 +1099,12 @@ def load_checkpoint(path: str) -> tuple[int, int, tuple[CanonicalSemiautomaton, 
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or not lines[0].startswith("# sfsyn-search "):
         raise ValueError(f"{path} is not a search checkpoint")
-    fields = dict(part.split("=", 1) for part in lines[0][2:].split()[1:])
-    n = int(fields["n"])
-    level_index = int(fields["level"])
+    fields = dict(part.partition("=")[::2] for part in lines[0][2:].split()[1:])
+    try:
+        n = int(fields["n"])
+        level_index = int(fields["level"])
+    except (KeyError, ValueError):
+        raise ValueError(f"{path}: checkpoint header needs integer n= and level= fields") from None
     sas = tuple(parse_fingerprint(bytes.fromhex(line)) for line in lines[1:])
     for sa in sas:
         if sa.n != n:
@@ -1060,6 +1167,9 @@ def search_max(
     level_sizes: list[int] = []
     others: dict[bytes, SemigroupRecord] = {}
     capped = False
+    # letter forms shared by every canonicalization of this call only,
+    # so no later call starts warm
+    forms = _LetterForms()
 
     while level:
         if level_index > max_letters:
@@ -1083,7 +1193,7 @@ def search_max(
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 results = list(pool.map(_expand_one, work, chunksize=max(1, len(work) // (threads * 4))))
         else:
-            results = [_expand_one(item) for item in work]
+            results = [_expand_one(item, forms) for item in work]
 
         next_fps: dict[bytes, None] = {}
         for res in results:
@@ -1102,7 +1212,7 @@ def search_max(
                 kind = _classify_other(members, ctx)
                 if kind != "other":
                     continue  # the known families are confirmed separately
-                key = _fingerprint(_canonical_letters(sorted(members), n), n)
+                key = _fingerprint(_canonical_letters(sorted(members), forms), n)
                 if key not in others:
                     letters = tuple(Transformation(tuple(t)) for t in record["letters"])
                     sg = closure(

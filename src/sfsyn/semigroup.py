@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .transform import Transformation
 
@@ -314,10 +314,3 @@ def semigroup_to_json(sg: TransitionSemigroup, names: Sequence[str] | None = Non
             entry["word"] = word_string(sg.witness_words[t], names)
         data["elements"].append(entry)
     return data
-
-
-def elements_of(source: TransitionSemigroup | Iterable[Transformation]) -> tuple[Transformation, ...]:
-    """Accept either a semigroup or a bare iterable of transformations."""
-    if isinstance(source, TransitionSemigroup):
-        return source.elements
-    return tuple(source)

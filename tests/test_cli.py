@@ -200,6 +200,24 @@ def test_search_range_is_a_usage_error(capsys):
     assert "4 <= n <= 6" in err
 
 
+def test_search_resume_from_missing_file_is_a_usage_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "nope.txt")
+    assert main(["search", "--n", "4", "--resume", path]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "nope.txt" in err
+
+
+def test_search_resume_from_malformed_header_is_a_usage_error(tmp_path, capsys):
+    path = os.path.join(tmp_path, "level_01.txt")
+    with open(path, "w") as fh:
+        fh.write("# sfsyn-search level=1\n")
+    assert main(["search", "--n", "4", "--resume", path]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: ")
+    assert "n= and level=" in err
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     path = os.path.join(tmp_path, "nope.dfa")
     assert main(["phi", path]) == 2

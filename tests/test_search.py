@@ -1,7 +1,9 @@
 """Canonical semiautomata, the conflict machinery, and the maximality search."""
+import gc
 import itertools
 import json
 import os
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,10 +25,12 @@ from sfsyn.collisions import (
     verify_suffix_free_consistency,
 )
 from sfsyn.dfa import Semiautomaton, witness
+import sfsyn.search as search_module
 from sfsyn.search import (
     CanonicalSemiautomaton,
     ConflictGraph,
     _canonical_letters,
+    _conjugate,
     _context,
     _fingerprint,
     allowed_additions,
@@ -51,7 +55,19 @@ def conjugated(t: Transformation, perm) -> Transformation:
     return Transformation(out)
 
 
-maps4 = st.builds(Transformation, st.tuples(*[st.integers(0, 3)] * 4))
+def raw_maps(n):
+    return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(bytes)
+
+
+def brute_canonical_letters(letters, n):
+    # reference: the least sorted conjugate tuple, scanning all n!
+    # state permutations
+    best = None
+    for perm in itertools.permutations(range(n)):
+        cand = sorted(_conjugate(t, perm) for t in letters)
+        if best is None or cand < best:
+            best = cand
+    return tuple(best)
 
 
 # --------------------------------------------------------- canonical form
@@ -78,14 +94,52 @@ def test_canonical_letters_are_sorted():
 
 
 @settings(deadline=None, max_examples=60)
-@given(
-    letters=st.lists(maps4, min_size=1, max_size=3),
-    perm=st.permutations(range(4)),
-)
-def test_canonicalize_invariant_under_relabeling(letters, perm):
+@given(data=st.data(), n=st.sampled_from((4, 6, 7, 8)))
+def test_canonicalize_invariant_under_relabeling(data, n):
+    maps = st.builds(Transformation, st.tuples(*[st.integers(0, n - 1)] * n))
+    letters = data.draw(st.lists(maps, min_size=1, max_size=3))
+    perm = data.draw(st.permutations(range(n)))
     direct = canonicalize(letters)
     relabeled = canonicalize([conjugated(t, perm) for t in reversed(letters)])
     assert relabeled.fingerprint == direct.fingerprint
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_canonical_letters_match_brute_force_on_every_candidate_map(n):
+    for t in enumerate_bsf(n):
+        raw = bytes(t.images)
+        assert _canonical_letters([raw]) == brute_canonical_letters([raw], n)
+
+
+def test_canonical_letters_match_brute_force_on_all_four_state_maps():
+    for images in itertools.product(range(4), repeat=4):
+        raw = bytes(images)
+        assert _canonical_letters([raw]) == brute_canonical_letters([raw], 4)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(4, 6))
+def test_canonical_letters_match_brute_force_on_letter_sets(data, n):
+    letters = data.draw(st.lists(raw_maps(n), min_size=1, max_size=4))
+    assert _canonical_letters(letters) == brute_canonical_letters(letters, n)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_canonical_letters_match_brute_force_on_symmetric_letters(n):
+    # identity and constants have the largest automorphism groups;
+    # duplicates must survive as repeated entries
+    identity = bytes(range(n))
+    const = bytes([n - 1] * n)
+    shift = bytes([*range(1, n), n - 1])
+    for letters in (
+        [identity],
+        [const],
+        [identity, identity],
+        [const, identity, const],
+        [shift, shift, identity],
+        [shift, const, shift],
+    ):
+        assert _canonical_letters(letters) == brute_canonical_letters(letters, n)
 
 
 def test_single_letter_classes_on_three_states():
@@ -306,6 +360,7 @@ def test_search_four_state_maximum_is_the_injective_family():
     assert r.uniqueness_confirmed
     assert r.stats.level_sizes == (5,)
     assert r.stats.visited == 5
+    assert r.stats.selections == 53
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 13}
     (rec,) = r.maximal_semigroups
@@ -333,8 +388,45 @@ def test_search_five_state_maximum_is_the_injective_family():
     assert r.others == ()
     assert r.uniqueness_confirmed
     assert r.stats.level_sizes == (17,)
+    assert r.stats.selections == 272
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 73}
+
+
+def test_search_five_state_below_target_pins_every_count():
+    # one under the maximum the search reaches level 2, where the
+    # stage-2/3 pruning and the conflict matching run; a wrong canonical
+    # form would change the level sizes and every count after them
+    r = search_max(5, 72, max_letters=2)
+    assert r.max_size_found == 73
+    assert r.others == ()
+    assert r.stats.capped
+    assert not r.uniqueness_confirmed
+    assert r.stats.visited == 618
+    assert r.stats.selections == 11997
+    assert r.stats.rejected_selections == 11336
+    assert r.stats.terminal_selections == 94
+    assert r.stats.pruned_selections == 187
+    assert r.stats.pruned == 277
+    assert r.stats.extensions == 10467
+    assert r.stats.level_sizes == (17, 601)
+
+
+def test_no_letter_form_memo_survives_a_search(monkeypatch):
+    created = []
+
+    class Tracked(search_module._LetterForms):
+        def __init__(self):
+            super().__init__()
+            created.append(weakref.ref(self))
+
+    monkeypatch.setattr(search_module, "_LetterForms", Tracked)
+    # level 2 is reached, so extensions are canonicalized through the memo
+    r = search_max(4, target=3, prune=False, max_letters=2)
+    assert r.stats.level_sizes[1:] and r.stats.extensions
+    gc.collect()
+    assert created
+    assert all(ref() is None for ref in created)
 
 
 def test_search_result_json_shape():
@@ -381,10 +473,17 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
     path = os.path.join(tmp_path, "stray.txt")
-    with open(path, "w") as fh:
-        fh.write("not a checkpoint\n")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    for text in (
+        "not a checkpoint\n",
+        "# sfsyn-search level=1\n",
+        "# sfsyn-search n=4\n",
+        "# sfsyn-search level=one n=4\n",
+        "# sfsyn-search level n=4\n",
+    ):
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
 
 
 def test_search_writes_and_resumes_checkpoints(tmp_path):
@@ -405,6 +504,7 @@ def test_search_six_state_maximum_is_the_collapsing_family():
     # confines it to a confirmed family or counts it out
     assert r.stats.level_sizes == (53,)
     assert r.stats.visited == 53
+    assert r.stats.selections == 1190
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"wsf": 629}
 
@@ -421,7 +521,7 @@ def test_search_enumeration_matches_brute_force():
 
     def canon_key(sg):
         members = sorted(bytes(e.images) for e in sg.elements)
-        return _fingerprint(_canonical_letters(members, n), n)
+        return _fingerprint(_canonical_letters(members), n)
 
     expected = {}
     for k in range(1, len(pool) + 1):
