@@ -23,6 +23,7 @@ from .dfa import (
     format_dfa,
     is_minimal,
     parse_dfa,
+    renumber_initial_empty,
     suffix_free_violation,
     to_dot,
     transition_semigroup,
@@ -208,10 +209,17 @@ def cmd_phi(args) -> int:
     report.assertions.append(
         same("input language is suffix-free", True, True)
     )
-    report.assertions.append(same("input automaton is minimal", True, is_minimal(d)))
-    if not is_minimal(d):
+    minimal = is_minimal(d)
+    report.assertions.append(same("input automaton is minimal", True, minimal))
+    if not minimal:
         report.timings["total"] = time.perf_counter() - started
         return _emit(report, args.json)
+    # the pair and embedding layers assume initial state 0 and empty
+    # state n-1; renumbering leaves the language unchanged
+    try:
+        d = renumber_initial_empty(d)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     sg = transition_semigroup(d)
     inj = verify_injective(sg)
     report.assertions.append(

@@ -39,35 +39,49 @@ class PairStatus:
         return bool(self.focused_by)
 
 
-def colliding_pairs_of(t: Transformation) -> frozenset[tuple[int, int]]:
-    """Pairs this single transformation makes colliding: {0t, rt} for
-    every interior r with both images interior and distinct."""
-    n = t.n
-    p = t[0]
-    if not 1 <= p <= n - 2:
-        return frozenset()
-    out = set()
+def colliding_pairs(images: Sequence[int]) -> list[tuple[int, int]]:
+    """The one colliding-pair rule, on an image sequence (a tuple or a
+    raw byte map): {0t, rt} for every interior r whose image is
+    interior and differs from the interior image of 0.  A pair repeats
+    when two such r share an image."""
+    n = len(images)
+    p = images[0]
+    if not 0 < p < n - 1:
+        return []
+    out = []
     for r in range(1, n - 1):
-        q = t[r]
-        if 1 <= q <= n - 2 and q != p:
-            out.add((min(p, q), max(p, q)))
-    return frozenset(out)
+        q = images[r]
+        if 0 < q < n - 1 and q != p:
+            out.append((p, q) if p < q else (q, p))
+    return out
+
+
+def focused_triples(images: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The one focused-pair rule, on an image sequence: (p, q, r) for
+    interior p < q both sent to the interior state r.  Three or more
+    sources of one image give every pair among them."""
+    n = len(images)
+    sources: dict[int, list[int]] = {}
+    out = []
+    for q in range(1, n - 1):
+        r = images[q]
+        if 0 < r < n - 1:
+            earlier = sources.setdefault(r, [])
+            for p in earlier:
+                out.append((p, q, r))
+            earlier.append(q)
+    return out
+
+
+def colliding_pairs_of(t: Transformation) -> frozenset[tuple[int, int]]:
+    """Pairs this single transformation makes colliding."""
+    return frozenset(colliding_pairs(t.images))
 
 
 def focused_pairs_of(t: Transformation) -> frozenset[tuple[int, int, int]]:
     """Triples (p, q, r) with p < q interior, both mapped by t to the
     interior state r."""
-    n = t.n
-    by_image: dict[int, list[int]] = {}
-    for q in range(1, n - 1):
-        img = t[q]
-        if 1 <= img <= n - 2:
-            by_image.setdefault(img, []).append(q)
-    out = set()
-    for r, states in by_image.items():
-        for p, q in combinations(states, 2):
-            out.add((p, q, r))
-    return frozenset(out)
+    return frozenset(focused_triples(t.images))
 
 
 def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
@@ -80,16 +94,19 @@ def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
     if n < 4:
         raise ValueError("pair analysis needs n >= 4")
     for t in sg.elements:
-        if t[n - 1] != n - 1:
+        if t.images[n - 1] != n - 1:
             raise StructureError(
                 f"element {format_transformation(t)} does not fix state {n - 1}"
             )
     colliders: dict[tuple[int, int], Transformation] = {}
     focusers: dict[tuple[int, int], list[tuple[Transformation, int]]] = {}
     for t in sg.elements:
-        for pair in colliding_pairs_of(t):
+        images = t.images
+        for pair in colliding_pairs(images):
             colliders.setdefault(pair, t)
-        for p, q, r in sorted(focused_pairs_of(t)):
+        # one element sends a pair to one target, so each pair gets at
+        # most one entry per element
+        for p, q, r in focused_triples(images):
             focusers.setdefault((p, q), []).append((t, r))
     return tuple(
         PairStatus(

@@ -38,9 +38,19 @@ all of its canonicalizations and dropped when it returns; canonicalize,
 extend, checkpoint parsing and worker processes each start with an
 empty one, so no call ever starts warm.
 
-The hot paths work on transformations encoded as length-n byte
-strings: composition is one bytes.translate call, and admissibility
-and pair masks are table lookups precomputed per n.
+Each selection is closed once, letters and semiconstants together,
+and rejected when that closure leaves the admissible family.  Nothing
+is lost by not retrying with fewer semiconstants, by this lemma: the
+letters close inside b_sf if and only if the letters plus all
+semiconstants do.  Proof: the "if" is immediate.  For "only if", a
+semiconstant fixes a state or sends it to n-1, and every map fixes
+n-1, so under any word w each state lands on n-1 or where w' sends it,
+w' being w with its semiconstants deleted; deleting them commutes with
+taking powers.  Semiconstants send no state to 0 and no letter has 0
+in its image, so w has no preimage of 0.  A merge of 0 with an
+interior q at an interior state under w^j is then already a merge
+under w'^j, and w' lies in the letters' closure, inside b_sf.  If w'
+is empty, 0 w = n-1 and nothing merges.  So w is in b_sf.
 
 Everything here is deterministic: pools, selections, and level merges
 are ordered, so two runs (any thread count) produce the same result.
@@ -58,13 +68,17 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .collisions import colliding_pairs_of, focused_pairs_of, verify_suffix_free_consistency
+from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
 from .dfa import Dfa, Semiautomaton, is_suffix_free
 from .semigroup import (
+    RawMap,
     TransitionSemigroup,
+    close_raw,
     closure,
     enumerate_bsf,
     enumerate_wsf,
+    irreducible_raw,
+    raw_table,
     semiconstant_family,
     vsf_generators,
     witness_letters,
@@ -73,10 +87,6 @@ from .semigroup import (
 from .transform import Transformation
 
 logger = logging.getLogger(__name__)
-
-# raw transformations travel as length-n byte strings so composition
-# can run through bytes.translate
-RawMap = bytes
 
 DEFAULT_MAX_LETTERS = 10
 
@@ -276,37 +286,15 @@ def _pair_bits(n: int) -> dict[tuple[int, int], int]:
     return {pair: 1 << i for i, pair in enumerate(combinations(range(1, n - 1), 2))}
 
 
-def _masks_of(t: Sequence[int], n: int, pair_bit: dict[tuple[int, int], int]) -> tuple[int, int]:
-    # colliding pairs {t[0], t[r]} and focused pairs {p, q} with
-    # t[p] == t[q] interior, as bitmasks over the interior pairs
+def _masks_of(t: Sequence[int], pair_bit: dict[tuple[int, int], int]) -> tuple[int, int]:
+    # the collisions module's pair rules as bitmasks over the interior pairs
     coll = 0
-    p0 = t[0]
-    if 1 <= p0 <= n - 2:
-        for r in range(1, n - 1):
-            q = t[r]
-            if 1 <= q <= n - 2 and q != p0:
-                coll |= pair_bit[(min(p0, q), max(p0, q))]
+    for pair in colliding_pairs(t):
+        coll |= pair_bit[pair]
     foc = 0
-    by_image: dict[int, int] = {}
-    for q in range(1, n - 1):
-        img = t[q]
-        if 1 <= img <= n - 2:
-            prev = by_image.get(img)
-            if prev is None:
-                by_image[img] = q
-            else:
-                foc |= pair_bit[(prev, q)]
-                # more than two sources per image: pair each with the first
-                for other in range(prev + 1, q):
-                    if t[other] == img:
-                        foc |= pair_bit[(other, q)]
+    for p, q, _ in focused_triples(t):
+        foc |= pair_bit[(p, q)]
     return coll, foc
-
-
-def _table(g: RawMap) -> bytes:
-    # 256-entry translation table; the padding bytes are unreachable
-    # because every composed value stays below n
-    return g + bytes(range(len(g), 256))
 
 
 # ------------------------------------------------------------ shared context
@@ -341,8 +329,8 @@ def _context(n: int) -> _Context:
         pool=pool,
         semiconstants=tuple(sorted(semi)),
         bsf_set=bsf,
-        masks={t: _masks_of(t, n, pair_bit) for t in bsf},
-        tables={t: _table(t) for t in bsf},
+        masks={t: _masks_of(t, pair_bit) for t in bsf},
+        tables={t: raw_table(t) for t in bsf},
         vsf_elements=vsf,
         wsf_elements=wsf,
     )
@@ -352,41 +340,27 @@ def _context(n: int) -> _Context:
 
 
 def _close_all_admissible(
-    gens: Sequence[RawMap], ctx: _Context
+    seeds: Iterable[RawMap],
+    tables: Sequence[bytes],
+    ctx: _Context,
+    base: frozenset[RawMap] = frozenset(),
+    coll: int = 0,
+    foc: int = 0,
 ) -> tuple[frozenset[RawMap], int, int] | None:
-    """Close the generators, refusing the moment an element leaves the
-    admissible sink family.  Returns the elements plus the union
-    colliding and focused pair masks, or None on refusal."""
-    bsf = ctx.bsf_set
+    """Close the seeds under the tables, refusing the moment an element
+    leaves the admissible sink family.  Returns the elements plus the
+    union colliding and focused pair masks, or None on refusal.  A base
+    already closed under the tables, with its masks, is extended rather
+    than walked again."""
+    fresh = close_raw(seeds, tables, known=base, within=ctx.bsf_set)
+    if fresh is None:
+        return None
     masks = ctx.masks
-    elems: set[RawMap] = set()
-    order: list[RawMap] = []
-    coll = foc = 0
-    for g in gens:
-        if g not in elems:
-            if g not in bsf:
-                return None
-            elems.add(g)
-            order.append(g)
-            c, f = masks[g]
-            coll |= c
-            foc |= f
-    tables = [ctx.tables[g] for g in dict.fromkeys(gens)]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for tb in tables:
-            y = x.translate(tb)
-            if y not in elems:
-                if y not in bsf:
-                    return None
-                elems.add(y)
-                order.append(y)
-                c, f = masks[y]
-                coll |= c
-                foc |= f
-    return frozenset(elems), coll, foc
+    for y in fresh:
+        c, f = masks[y]
+        coll |= c
+        foc |= f
+    return base.union(fresh), coll, foc
 
 
 def _extend_closure(
@@ -397,46 +371,13 @@ def _extend_closure(
     gen_tables: Sequence[bytes],
     ctx: _Context,
 ) -> tuple[frozenset[RawMap], int, int] | None:
-    """Closure of base plus t, where base is already closed under the
-    generators behind gen_tables.  Only products involving t are
-    walked: t itself, x then t for every x in base, and onward
-    compositions with every generator and t.  Refuses like
-    _close_all_admissible."""
-    bsf = ctx.bsf_set
-    if t not in bsf:
-        return None
-    masks = ctx.masks
+    """Closure of base plus the admissible t, where base is already
+    closed under the generators behind gen_tables.  Every new element
+    is a product u t v with u in base or empty, so the seeds are t and
+    x then t for every x in base.  Refuses like _close_all_admissible."""
     t_table = ctx.tables[t]
-    elems = set(base)
-    fresh: list[RawMap] = []
-
-    if t not in elems:
-        elems.add(t)
-        fresh.append(t)
-    for x in base:
-        y = x.translate(t_table)
-        if y not in elems:
-            if y not in bsf:
-                return None
-            elems.add(y)
-            fresh.append(y)
-    tables = list(gen_tables) + [t_table]
-    i = 0
-    while i < len(fresh):
-        x = fresh[i]
-        i += 1
-        for tb in tables:
-            y = x.translate(tb)
-            if y not in elems:
-                if y not in bsf:
-                    return None
-                elems.add(y)
-                fresh.append(y)
-    for y in fresh:
-        c, f = masks[y]
-        coll |= c
-        foc |= f
-    return frozenset(elems), coll, foc
+    seeds = [t, *(x.translate(t_table) for x in base)]
+    return _close_all_admissible(seeds, [*gen_tables, t_table], ctx, base, coll, foc)
 
 
 # ------------------------------------------------------------ conflict test
@@ -459,8 +400,8 @@ def conflict(t: Transformation, u: Transformation) -> bool:
     colliding: set[tuple[int, int]] = set()
     focused: set[tuple[int, int]] = set()
     for e in sg.elements:
-        colliding |= colliding_pairs_of(e)
-        focused |= {(p, q) for p, q, _ in focused_pairs_of(e)}
+        colliding.update(colliding_pairs(e.images))
+        focused.update((p, q) for p, q, _ in focused_triples(e.images))
     every = set(combinations(range(1, n - 1), 2))
     if colliding & focused:
         return True
@@ -617,10 +558,10 @@ def allowed_additions(sg: TransitionSemigroup) -> frozenset[Transformation]:
     members = frozenset(bytes(e.images) for e in sg.elements)
     coll = foc = 0
     for e in members:
-        c, f = _masks_of(e, n, ctx.pair_bit)
+        c, f = _masks_of(e, ctx.pair_bit)
         coll |= c
         foc |= f
-    gen_tables = [_table(bytes(g.images)) for g in sg.generators]
+    gen_tables = [raw_table(bytes(g.images)) for g in sg.generators]
     out = []
     for raw in sorted(ctx.bsf_set):
         if raw in members:
@@ -673,38 +614,6 @@ def _alignment(i: int, e: int, n: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _irreducible_raw(letters: Sequence[RawMap]) -> bool:
-    # same notion as is_irreducibly_generated, on raw byte maps, with
-    # an early exit the moment the left-out letter shows up
-    for i, g in enumerate(letters):
-        rest = [h for j, h in enumerate(letters) if j != i]
-        if not rest:
-            continue
-        seen = set(rest)
-        if g in seen:
-            return False
-        tables = [_table(h) for h in rest]
-        queue = list(seen)
-        found = False
-        while queue and not found:
-            nxt = []
-            for x in queue:
-                for tb in tables:
-                    y = x.translate(tb)
-                    if y not in seen:
-                        if y == g:
-                            found = True
-                            break
-                        seen.add(y)
-                        nxt.append(y)
-                if found:
-                    break
-            queue = nxt
-        if found:
-            return False
-    return True
-
-
 def extend(level: Iterable[CanonicalSemiautomaton]) -> tuple[CanonicalSemiautomaton, ...]:
     """Every canonical one-letter extension of the level.
 
@@ -739,7 +648,7 @@ def extend(level: Iterable[CanonicalSemiautomaton]) -> tuple[CanonicalSemiautoma
                     grown.setdefault(_fingerprint(canon, n), canon)
     out = []
     for fp in sorted(grown):
-        if _irreducible_raw(grown[fp]):
+        if irreducible_raw(grown[fp]):
             letters = tuple(Transformation(tuple(t)) for t in grown[fp])
             out.append(CanonicalSemiautomaton(n=n, letters=letters, fingerprint=fp))
     return tuple(out)
@@ -871,13 +780,15 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
             if not all(t in bsf for t in aligned):
                 counters["rejected"] += 1
                 continue
-            gen_raws: tuple[RawMap, ...] = aligned + ctx.semiconstants
-            closed = _close_all_admissible(gen_raws, ctx)
+            # the one closure of the branch; by the semiconstant lemma in
+            # the module docstring a refusal here means the letters alone
+            # already leave the admissible family
+            gens = aligned + ctx.semiconstants
+            gen_tables = [ctx.tables[g] for g in gens]
+            closed = _close_all_admissible(gens, gen_tables, ctx)
             if closed is None:
-                if _close_all_admissible(aligned, ctx) is None:
-                    counters["rejected"] += 1
-                    continue
-                closed, gen_raws = _absorb_semiconstants(aligned, ctx)
+                counters["rejected"] += 1
+                continue
             members, coll, foc = closed
             assert not coll & foc, "pair both colliding and focused survived the closure"
             if len(members) >= target:
@@ -975,7 +886,6 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
                     continue
             # stage three: the exact additions, each checked by closure,
             # carrying the closure's full pair masks
-            gen_tables = [ctx.tables[g] for g in gen_raws]
             additions: list[RawMap] = []
             add_c: list[int] = []
             add_f: list[int] = []
@@ -1026,30 +936,6 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
         "others": others,
         "dead": not viable and not others,
     }
-
-
-def _absorb_semiconstants(
-    aligned: tuple[RawMap, ...], ctx: _Context
-) -> tuple[tuple[frozenset[RawMap], int, int], tuple[RawMap, ...]]:
-    # fallback when folding the whole semiconstant family in at once
-    # fails: absorb them one at a time, in image order, keeping each
-    # only if the closure stays admissible.  Requires that the aligned
-    # letters alone already close admissibly.
-    logger.debug("semiconstant family not absorbed wholesale for %s", aligned)
-    state = _close_all_admissible(aligned, ctx)
-    assert state is not None
-    gens = list(aligned)
-    gen_tables = [ctx.tables[g] for g in aligned]
-    for s in ctx.semiconstants:
-        members, coll, foc = state
-        if s in members:
-            continue
-        grown = _extend_closure(members, coll, foc, s, gen_tables, ctx)
-        if grown is not None:
-            gens.append(s)
-            gen_tables.append(ctx.tables[s])
-            state = grown
-    return state, tuple(gens)
 
 
 def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
@@ -1230,7 +1116,7 @@ def search_max(
         next_level = []
         for fp in sorted(next_fps):
             _, letters = _decode_fp(fp)
-            if _irreducible_raw(letters):
+            if irreducible_raw(letters):
                 next_level.append(
                     CanonicalSemiautomaton(
                         n=n,

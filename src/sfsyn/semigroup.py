@@ -15,16 +15,29 @@ For the fixed conventions (initial state 0, empty state n-1):
 
 Composition of words is left to right throughout, so the witness word
 of a product x * g is the witness word of x followed by g.
+
+Inside the package a map on at most 256 states also travels as a
+RawMap: the bytes of its images, so byte q is the image of q.  With
+raw_table(g) the product x * g is one x.translate call.  Every closure
+runs through one kernel, close_raw: a breadth-first pass that
+right-multiplies a queue of raw maps by a list of tables until nothing
+new appears (Froidure and Pin's right Cayley graph walk).  It returns
+the finds in discovery order, can refuse the moment a find leaves a
+given set, can extend a set already closed under the tables, and can
+record each find's parent and table, from which closure() rebuilds the
+shortest witness words.  Transformation objects are made only at the
+edge, by closure().
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import AbstractSet, Container, Iterable, Sequence
 
 from .transform import Transformation
 
 Word = tuple[int, ...]  # generator indices
+RawMap = bytes  # a map as its image string: byte q is the image of q
 
 
 @dataclass(frozen=True)
@@ -51,49 +64,116 @@ class TransitionSemigroup:
         return t in self.element_set
 
 
-def _close_tuples(gens: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], dict[tuple[int, ...], Word]]:
-    """Breadth-first closure over raw image tuples.
+_IDENTITY_256 = bytes(range(256))
 
-    Returns elements in discovery order plus a shortest witness word per
-    element.  Duplicated generators keep the word of their first copy.
-    """
-    words: dict[tuple[int, ...], Word] = {}
-    order: list[tuple[int, ...]] = []
-    for i, g in enumerate(gens):
-        if g not in words:
-            words[g] = (i,)
-            order.append(g)
-    queue = list(order)
-    while queue:
-        next_queue: list[tuple[int, ...]] = []
-        for x in queue:
-            wx = words[x]
-            for i, g in enumerate(gens):
-                y = tuple(g[v] for v in x)
-                if y not in words:
-                    words[y] = wx + (i,)
-                    order.append(y)
-                    next_queue.append(y)
-        queue = next_queue
-    return order, words
+
+def raw_table(g: RawMap) -> bytes:
+    """The 256-entry bytes.translate table of g, so that
+    x.translate(raw_table(g)) is x followed by g.  The padding past
+    len(g) is never read: every composed value stays below n."""
+    return g + _IDENTITY_256[len(g) :]
+
+
+def close_raw(
+    seeds: Iterable[RawMap],
+    tables: Sequence[bytes],
+    *,
+    known: AbstractSet[RawMap] = frozenset(),
+    within: Container[RawMap] | None = None,
+    edges: list[tuple[int, int]] | None = None,
+) -> list[RawMap] | None:
+    """The closure kernel: every map reachable from the seeds by right
+    multiplication with the tables, minus the known maps.
+
+    Seeds come first, duplicates and known maps dropped; then the queue
+    of finds is walked front to back, each map times each table in
+    table order, so the list returned is the breadth-first discovery
+    order.  Known maps count as found but are never walked: a set
+    already closed under the tables extends by seeding only the
+    products that involve the new map.  With within given, the pass
+    stops and returns None the moment a seed or a find is not in it.
+    With edges given, one (parent position, table index) pair is
+    appended per returned map, parent -1 and the seed's own index for
+    a seed; the shortest words follow from these links."""
+    seen = set(known)
+    order: list[RawMap] = []
+    for i, s in enumerate(seeds):
+        if s not in seen:
+            if within is not None and s not in within:
+                return None
+            seen.add(s)
+            order.append(s)
+            if edges is not None:
+                edges.append((-1, i))
+    i = 0
+    while i < len(order):
+        x = order[i]
+        for k, tb in enumerate(tables):
+            y = x.translate(tb)
+            if y not in seen:
+                if within is not None and y not in within:
+                    return None
+                seen.add(y)
+                order.append(y)
+                if edges is not None:
+                    edges.append((i, k))
+        i += 1
+    return order
+
+
+class _AllBut:
+    # every map but one: makes close_raw stop the moment it appears
+    __slots__ = ("g",)
+
+    def __init__(self, g: RawMap) -> None:
+        self.g = g
+
+    def __contains__(self, y: object) -> bool:
+        return y != self.g
+
+
+def irreducible_raw(letters: Sequence[RawMap]) -> bool:
+    """True iff no letter lies in the closure of the others; a repeated
+    letter is never irreducible.  Each closure stops as soon as the
+    letter left out shows up."""
+    tables = [raw_table(g) for g in letters]
+    for i, g in enumerate(letters):
+        rest = [*letters[:i], *letters[i + 1 :]]
+        if not rest:
+            continue  # a single letter is never redundant
+        if close_raw(rest, tables[:i] + tables[i + 1 :], within=_AllBut(g)) is None:
+            return False
+    return True
+
+
+def _raw_generators(generators: Sequence[Transformation], what: str) -> list[RawMap]:
+    if not generators:
+        raise ValueError(f"{what} needs at least one generator")
+    n = generators[0].n
+    if n > 256:
+        raise ValueError(f"{what} works on at most 256 states, got {n}")
+    for g in generators:
+        if g.n != n:
+            raise ValueError(f"mixed state counts in generators: {g.n} vs {n}")
+    return [bytes(g.images) for g in generators]
 
 
 def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     """Close a non-empty generator list under composition."""
-    if not generators:
-        raise ValueError("closure needs at least one generator")
-    n = generators[0].n
-    for g in generators:
-        if g.n != n:
-            raise ValueError(f"mixed state counts in generators: {g.n} vs {n}")
-    order, words = _close_tuples([g.images for g in generators])
-    elements = tuple(Transformation(t) for t in order)
+    raws = _raw_generators(generators, "closure")
+    edges: list[tuple[int, int]] = []
+    order = close_raw(raws, [raw_table(g) for g in raws], edges=edges)
+    words: list[Word] = []
+    for parent, k in edges:
+        words.append((k,) if parent < 0 else words[parent] + (k,))
+    del edges  # about a tenth of the peak memory at n = 8
+    elements = tuple(Transformation(tuple(t)) for t in order)
     return TransitionSemigroup(
-        n=n,
+        n=generators[0].n,
         elements=elements,
         generators=tuple(generators),
         element_set=frozenset(elements),
-        witness_words={e: words[e.images] for e in elements},
+        witness_words=dict(zip(elements, words)),
     )
 
 
@@ -170,12 +250,9 @@ def enumerate_bsf(n: int) -> tuple[Transformation, ...]:
     return tuple(out)
 
 
-def vsf_generators(n: int) -> tuple[Transformation, ...]:
-    """The n generators of v_sf(n): the interior cycle a, the interior
-    transposition b, and for each interior p the map sending 0 to p and
-    p to n-1."""
-    if n < 4:
-        raise ValueError("v_sf generators need n >= 4")
+def _cycle_and_swap(n: int) -> tuple[Transformation, Transformation]:
+    # the letters shared by v_sf's generators and the witness: a cycles
+    # the interior states, b swaps 1 and 2; both send 0 to n-1
     a = list(range(n))
     a[0] = n - 1
     for q in range(1, n - 2):
@@ -183,7 +260,16 @@ def vsf_generators(n: int) -> tuple[Transformation, ...]:
     a[n - 2] = 1
     b = list(range(n))
     b[0], b[1], b[2] = n - 1, 2, 1
-    gens = [Transformation(tuple(a)), Transformation(tuple(b))]
+    return Transformation(tuple(a)), Transformation(tuple(b))
+
+
+def vsf_generators(n: int) -> tuple[Transformation, ...]:
+    """The n generators of v_sf(n): the interior cycle a, the interior
+    transposition b, and for each interior p the map sending 0 to p and
+    p to n-1."""
+    if n < 4:
+        raise ValueError("v_sf generators need n >= 4")
+    gens = list(_cycle_and_swap(n))
     for p in range(1, n - 1):
         c = list(range(n))
         c[0], c[p] = p, n - 1
@@ -208,24 +294,17 @@ def witness_letters(n: int) -> tuple[tuple[str, ...], tuple[Transformation, ...]
     letters a and b coincide and the alphabet is b, c, d, e."""
     if n < 4:
         raise ValueError("witness letters need n >= 4")
-    a = list(range(n))
-    a[0] = n - 1
-    for q in range(1, n - 2):
-        a[q] = q + 1
-    a[n - 2] = 1
-    b = list(range(n))
-    b[0], b[1], b[2] = n - 1, 2, 1
     c = list(range(n))
     c[0], c[n - 2] = n - 1, 1
     d = list(range(n))
     d[0], d[1] = n - 1, n - 1
     e = [n - 1] * n
     e[0] = 1
-    letters = [Transformation(tuple(x)) for x in (a, b, c, d, e)]
+    letters = _cycle_and_swap(n) + tuple(Transformation(tuple(x)) for x in (c, d, e))
     names = ("a", "b", "c", "d", "e")
     if n == 4:
-        return names[1:], tuple(letters[1:])
-    return names, tuple(letters)
+        return names[1:], letters[1:]
+    return names, letters
 
 
 def enumerate_wsf(n: int) -> TransitionSemigroup:
@@ -274,16 +353,7 @@ def is_irreducibly_generated(generators: Sequence[Transformation]) -> bool:
 
     A list with a duplicated generator is never irreducible.
     """
-    if not generators:
-        raise ValueError("irreducibility needs at least one generator")
-    for i, g in enumerate(generators):
-        others = [h for j, h in enumerate(generators) if j != i]
-        if not others:
-            continue  # a single generator is never redundant
-        rest, _ = _close_tuples([h.images for h in others])
-        if g.images in set(rest):
-            return False
-    return True
+    return irreducible_raw(_raw_generators(generators, "irreducibility"))
 
 
 def word_string(word: Word, names: Sequence[str] | None = None) -> str:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from sfsyn.cli import main
-from sfsyn.dfa import format_dfa, parse_dfa, witness
+from sfsyn.dfa import format_dfa, parse_dfa, relabel, witness
 
 # ab* is suffix-free; a* accepts the empty word and everything above it
 AB_STAR = "n=3 letters=a,b initial=0 finals=1\na: 1 2 2\nb: 2 1 2\n"
@@ -132,6 +132,19 @@ def test_phi_on_the_seven_state_witness(tmp_path, capsys):
     assert "PASS semigroup size within the bound: expected <= 7781, actual 7781" in out
     assert "note case_counts: {'1': 7781}" in out
     assert "overall: PASS" in out
+
+
+def test_phi_renumbers_a_relabelled_witness(tmp_path, capsys):
+    # same language with the initial and empty states moved off 0 and n-1
+    path = os.path.join(tmp_path, "r7.dfa")
+    with open(path, "w") as fh:
+        fh.write(format_dfa(relabel(witness(7), [3, 1, 2, 0, 4, 6, 5])))
+    code = main(["--json", "phi", path])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    assert doc["details"]["case_counts"] == {"1": 7781}
 
 
 def test_phi_needs_seven_states(tmp_path, capsys):

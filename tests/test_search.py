@@ -1,5 +1,6 @@
 """Canonical semiautomata, the conflict machinery, and the maximality search."""
 import gc
+import hashlib
 import itertools
 import json
 import os
@@ -10,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from sfsyn.transform import Transformation
 from sfsyn.semigroup import (
+    close_raw,
     closure,
     enumerate_bsf,
     enumerate_wsf,
     in_bsf,
     is_irreducibly_generated,
+    raw_table,
     semiconstant_family,
     vsf_generators,
     wsf_bound,
@@ -30,8 +33,10 @@ from sfsyn.search import (
     CanonicalSemiautomaton,
     ConflictGraph,
     _canonical_letters,
+    _close_all_admissible,
     _conjugate,
     _context,
+    _extend_closure,
     _fingerprint,
     allowed_additions,
     build_conflict_graph,
@@ -57,6 +62,11 @@ def conjugated(t: Transformation, perm) -> Transformation:
 
 def raw_maps(n):
     return st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(bytes)
+
+
+def report_digest(result) -> str:
+    doc = result.to_json(include_timing=False)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def brute_canonical_letters(letters, n):
@@ -313,6 +323,56 @@ def test_allowed_additions_against_brute_force():
         assert allowed_additions(sg) == oracle_additions(sg)
 
 
+# ------------------------------------------------------------ closures
+
+
+def closes_admissibly(letters, ctx) -> bool:
+    return close_raw(letters, [raw_table(g) for g in letters], within=ctx.bsf_set) is not None
+
+
+@pytest.mark.parametrize("n, size, admissible", [(4, 2, 112), (5, 2, 5308), (6, 1, 1169)])
+def test_semiconstants_never_decide_admissibility(n, size, admissible):
+    # the lemma behind the search's single closure per selection: letters
+    # close inside the admissible family exactly when they still do with
+    # the whole semiconstant family added
+    ctx = _context(n)
+    semis = list(ctx.semiconstants)
+    closing = 0
+    for letters in itertools.combinations_with_replacement(sorted(ctx.bsf_set), size):
+        alone = closes_admissibly(list(letters), ctx)
+        assert closes_admissibly(list(letters) + semis, ctx) == alone, letters
+        closing += alone
+    assert closing == admissible
+
+
+def assert_extension_matches_scratch(letters, t, ctx):
+    gens = list(letters) + list(ctx.semiconstants)
+    tables = [ctx.tables[g] for g in gens]
+    base = _close_all_admissible(gens, tables, ctx)
+    if base is None:
+        return
+    members, coll, foc = base
+    grown = _extend_closure(members, coll, foc, t, tables, ctx)
+    scratch = _close_all_admissible(gens + [t], tables + [ctx.tables[t]], ctx)
+    assert grown == scratch
+
+
+def test_extend_closure_matches_scratch_closure_on_every_four_state_branch():
+    ctx = _context(4)
+    for g in ctx.pool:
+        for t in ctx.pool:
+            assert_extension_matches_scratch([g], t, ctx)
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.sampled_from((5, 6)))
+def test_extend_closure_matches_scratch_closure_on_sampled_branches(data, n):
+    ctx = _context(n)
+    letters = data.draw(st.lists(st.sampled_from(ctx.pool), min_size=1, max_size=2, unique=True))
+    t = data.draw(st.sampled_from(ctx.pool))
+    assert_extension_matches_scratch(letters, t, ctx)
+
+
 # ------------------------------------------------------- level operations
 
 
@@ -363,6 +423,7 @@ def test_search_four_state_maximum_is_the_injective_family():
     assert r.stats.selections == 53
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 13}
+    assert report_digest(r) == "fc464defb96c850e852254b80466a8b2884ea48ce8ac2315c5e675c176f99dda"
     (rec,) = r.maximal_semigroups
     assert closure(list(rec.letters)).size == 13
 
@@ -391,6 +452,7 @@ def test_search_five_state_maximum_is_the_injective_family():
     assert r.stats.selections == 272
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 73}
+    assert report_digest(r) == "ce2dab4d773e784727c273f6bc7c6417aec4308cc54a60fac6475acc9b2a753c"
 
 
 def test_search_five_state_below_target_pins_every_count():
@@ -410,6 +472,7 @@ def test_search_five_state_below_target_pins_every_count():
     assert r.stats.pruned == 277
     assert r.stats.extensions == 10467
     assert r.stats.level_sizes == (17, 601)
+    assert report_digest(r) == "7ed06715e4226dcda9e2438822027dff309fd53f54444c46802fa9149d084f9c"
 
 
 def test_no_letter_form_memo_survives_a_search(monkeypatch):
@@ -507,6 +570,7 @@ def test_search_six_state_maximum_is_the_collapsing_family():
     assert r.stats.selections == 1190
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"wsf": 629}
+    assert report_digest(r) == "a6029404ddb11201321603d70548a713cb836996034d37a012fa5313f5a59e13"
 
 
 def test_search_enumeration_matches_brute_force():

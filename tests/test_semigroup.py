@@ -5,7 +5,9 @@ independent oracles: a set-fixpoint closure, a brute-force scan of all
 n^n maps for family membership, and exhaustive short-word search for
 witness minimality.
 """
+import hashlib
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +39,42 @@ def naive_closure(gens):
         if not new:
             return out
         out |= new
+
+
+def close_tuples(gens):
+    # the tuple closure the kernel replaced, kept as its oracle: level by
+    # level, each element times each generator in generator order;
+    # duplicated generators keep the word of their first copy
+    words = {}
+    order = []
+    for i, g in enumerate(gens):
+        if g not in words:
+            words[g] = (i,)
+            order.append(g)
+    queue = list(order)
+    while queue:
+        next_queue = []
+        for x in queue:
+            wx = words[x]
+            for i, g in enumerate(gens):
+                y = tuple(g[v] for v in x)
+                if y not in words:
+                    words[y] = wx + (i,)
+                    order.append(y)
+                    next_queue.append(y)
+        queue = next_queue
+    return order, words
+
+
+def assert_closure_matches_tuple_oracle(gens):
+    sg = closure(gens)
+    order, words = close_tuples([g.images for g in gens])
+    assert [e.images for e in sg.elements] == order
+    assert {e.images: w for e, w in sg.witness_words.items()} == words
+
+
+def report_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def naive_in_bsf(t: Transformation) -> bool:
@@ -112,6 +150,41 @@ def test_duplicate_generator_keeps_first_word():
     a = Transformation((1, 2, 0))
     sg = closure([a, a])
     assert sg.witness_words[a] == (0,)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_closure_order_and_words_match_tuple_oracle_on_vsf(n):
+    assert_closure_matches_tuple_oracle(list(vsf_generators(n)))
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_closure_order_and_words_match_tuple_oracle_on_witness(n):
+    assert_closure_matches_tuple_oracle(list(witness_letters(n)[1]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), n=st.integers(3, 6))
+def test_closure_order_and_words_match_tuple_oracle_on_random_lists(data, n):
+    # drawing the list from a smaller pool makes duplicated generators common
+    maps = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(
+        lambda imgs: Transformation(tuple(imgs))
+    )
+    pool = data.draw(st.lists(maps, min_size=1, max_size=3))
+    gens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    assert_closure_matches_tuple_oracle(gens)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (6, "08bbed837cccc76278ad650f4c25478fadd06f4d6c8bf7dbedf86858cef7b327"),
+        (7, "6b8ea6dccba3b6c379e0702828829acdada149fd995f054284abee048efb3969"),
+    ],
+)
+def test_witness_semigroup_report_bytes_pinned(n, digest):
+    # element order, images and witness words of the whole report
+    names, letters = witness_letters(n)
+    assert report_digest(semigroup_to_json(closure(list(letters)), names)) == digest
 
 
 # ------------------------------------------------------------ families
