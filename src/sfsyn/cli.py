@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -320,6 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit reports as JSON")
     parser.add_argument("--threads", type=int, default=1, help="worker processes")
+    levels = ("debug", "info", "warning", "error")
+    parser.add_argument("--log-level", choices=levels, default="warning", help="stderr log threshold")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", help="emit the five-letter witness DFA")
@@ -359,6 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # bare messages, as Python's last-resort handler writes them: stderr is unchanged by default
+    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(), format="%(message)s")
     try:
         return args.func(args)
     except UsageError as e:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .collisions import colliding_pairs_of, focused_pairs_of, pair_statuses
-from .semigroup import TransitionSemigroup, in_bsf, in_wsf, wsf_bound
+from .collisions import colliding_pairs, focused_triples, pair_statuses
+from .semigroup import TransitionSemigroup, collapses, in_bsf_images, in_wsf, wsf_bound
 from .transform import (
     Transformation,
     cycles,
@@ -54,7 +54,7 @@ class PhiContext:
     def from_semigroup(cls, sg: TransitionSemigroup) -> "PhiContext":
         pairs: set[tuple[int, int]] = set()
         for t in sg.elements:
-            pairs |= colliding_pairs_of(t)
+            pairs.update(colliding_pairs(t.images))
         return cls(n=sg.n, colliding=frozenset(pairs))
 
 
@@ -90,7 +90,7 @@ def _guard(t: Transformation, ctx: PhiContext) -> None:
         raise ValueError("the embedding needs n >= 7")
     if t.n != ctx.n:
         raise ValueError(f"transformation on {t.n} states, context has {ctx.n}")
-    if not in_bsf(t):
+    if not in_bsf_images(t.images):
         n = t.n
         zp = zero_path(t)
         if not zp.is_aperiodic:
@@ -121,10 +121,11 @@ def _interior_fixed(t: Transformation) -> list[int]:
 
 def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
     """First matching case in order; the final case is the fall-through
-    and anything outside it is a hard structural error."""
+    and anything outside it is a hard structural error.  The guard has
+    checked b_sf, so case 1 (w_sf) is the collapse condition alone."""
     _guard(t, ctx)
     n = t.n
-    if in_wsf(t):
+    if collapses(t.images):
         return PhiCase(1)
     p = t[0]
     if cycles(t):
@@ -194,15 +195,10 @@ def _build(t: Transformation, case: PhiCase) -> Transformation:
     if num == 1:
         return t
     imgs[0] = n - 1
-    if num == 2:
+    if num in (2, 3):
+        # reverse the walk of 0; p goes to the least cycle state or stays
         chain = _zero_chain(t)
-        r = min(q for c in cycles(t) for q in c)
-        imgs[p] = r
-        for i in range(1, len(chain)):
-            imgs[chain[i]] = chain[i - 1]
-    elif num == 3:
-        chain = _zero_chain(t)
-        imgs[p] = p
+        imgs[p] = min(q for c in cycles(t) for q in c) if num == 2 else p
         for i in range(1, len(chain)):
             imgs[chain[i]] = chain[i - 1]
     elif num == 4:
@@ -249,13 +245,7 @@ def _build(t: Transformation, case: PhiCase) -> Transformation:
         imgs[r] = q
         imgs[q] = p
         imgs[f] = r
-    elif num == 10:
-        q = _eligible_movers(t)[0]
-        r = t[q]
-        imgs[p] = q
-        imgs[r] = q
-        imgs[q] = n - 1
-    elif num == 11:
+    elif num in (10, 11):
         q = _eligible_movers(t)[0]
         r = t[q]
         imgs[p] = q
@@ -291,12 +281,13 @@ def phi(t: Transformation, ctx: PhiContext) -> PhiOutcome:
 
 
 def _focused_colliding(s: Transformation, ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
-    out = [
+    if not ctx.colliding:
+        return []  # only colliding pairs are kept
+    return [
         ((x, y), z)
-        for x, y, z in sorted(focused_pairs_of(s))
+        for x, y, z in sorted(focused_triples(s.images))
         if (x, y) in ctx.colliding
     ]
-    return out
 
 
 def _rebuild_chain(s: Transformation, p: int, ctx: PhiContext) -> Transformation:
@@ -357,6 +348,15 @@ def phi_inverse(s: Transformation, ctx: PhiContext) -> Transformation:
     return _invert_acyclic(s, ctx, fc)
 
 
+def _restore(s: Transformation, p: int, moves: dict[int, int]) -> Transformation:
+    # s with the walk of 0 put back, 0 to p to n-1, then the moves applied
+    imgs = list(s.images)
+    imgs[0], imgs[p] = p, s.n - 1
+    for q, v in moves.items():
+        imgs[q] = v
+    return Transformation(tuple(imgs))
+
+
 def _invert_with_cycles(s, ctx, fc, cycs) -> Transformation:
     # the reversed walk of 0 may focus extra colliding pairs, because
     # its attachment state can take ordinary traffic too; the reliable
@@ -383,11 +383,7 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Transformation:
             r1, r2 = cycs[0]
             if z != r2 or r1 != on:
                 raise NotInImageError("2-cycle pair does not fit the swap shape")
-            p = x + y - r1
-            imgs = list(s.images)
-            imgs[0], imgs[p] = p, n - 1
-            imgs[r1], imgs[r2] = r1, r2
-            return Transformation(tuple(imgs))
+            return _restore(s, x + y - r1, {r1: r1, r2: r2})
         if len(cycs) == 1 and len(cycs[0]) == 3:
             # case 9: 3-cycle through the walk start
             p = on
@@ -396,11 +392,7 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Transformation:
             q = s[r]
             if s[p] != r or s[q] != p:
                 raise NotInImageError("3-cycle does not run start-target-carrier")
-            imgs = list(s.images)
-            imgs[0], imgs[p] = p, n - 1
-            imgs[q], imgs[r] = r, n - 1
-            imgs[f] = f
-            return Transformation(tuple(imgs))
+            return _restore(s, p, {q: r, r: n - 1, f: f})
         raise NotInImageError("focused pair targets an unexpected cycle")
     if any(z in cyc_states for _, z in fc):
         raise NotInImageError("cycle focus without a split pair")
@@ -409,20 +401,13 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Transformation:
         raise NotInImageError("cycle shape fits no case")
     (x, y), z = fc[0]
     r1, r2 = cycs[0]
-    imgs = list(s.images)
     if z in (x, y) and s[z] == z:
         # case 12: target is the surviving fixed point
-        p = x + y - z
-        imgs[0], imgs[p] = p, n - 1
-        imgs[r1], imgs[r2] = n - 1, n - 1
-        return Transformation(tuple(imgs))
+        return _restore(s, x + y - z, {r1: n - 1, r2: n - 1})
     if s[z] == n - 1:
         # case 11(ii): the swap marks the larger walk start
-        p, r = max(x, y), min(x, y)
-        imgs[0], imgs[p] = p, n - 1
-        imgs[r], imgs[z] = n - 1, r
-        imgs[r1], imgs[r2] = n - 1, n - 1
-        return Transformation(tuple(imgs))
+        r = min(x, y)
+        return _restore(s, max(x, y), {r: n - 1, z: r, r1: n - 1, r2: n - 1})
     raise NotInImageError("focused pair beside a cycle fits no case")
 
 
@@ -438,10 +423,7 @@ def _invert_acyclic(s, ctx, fc) -> Transformation:
         if deg == 2:
             return _rebuild_chain(s, z, ctx)  # case 3
         if deg >= 3:
-            p = x + y - z  # case 4
-            imgs = list(s.images)
-            imgs[0], imgs[p] = p, n - 1
-            return Transformation(tuple(imgs))
+            return _restore(s, x + y - z, {})  # case 4
         raise NotInImageError("fixed focus target with in-degree 1")
     if len(fc) > 1:
         # case 5 with several pairs: the walk start is their intersection
@@ -450,10 +432,7 @@ def _invert_acyclic(s, ctx, fc) -> Transformation:
             common &= set(pair)
         if len(common) != 1:
             raise NotInImageError("focused pairs share no single state")
-        p = common.pop()
-        imgs = list(s.images)
-        imgs[0], imgs[p] = p, n - 1
-        return Transformation(tuple(imgs))
+        return _restore(s, common.pop(), {})
     # a single focused pair whose target is not a fixed point of the pair
     (x, y), z = fc[0]
     hops, w = 0, z
@@ -464,48 +443,29 @@ def _invert_acyclic(s, ctx, fc) -> Transformation:
         # case 6: two-step descent through the former shared preimages
         q1, q2 = z, s[z]
         p, r = (min(x, y), max(x, y)) if q1 < q2 else (max(x, y), min(x, y))
-        imgs = list(s.images)
-        imgs[0], imgs[p] = p, n - 1
-        imgs[q1], imgs[q2] = r, r
-        imgs[r] = n - 1
-        return Transformation(tuple(imgs))
+        return _restore(s, p, {q1: r, q2: r, r: n - 1})
     if hops == 3:
         # case 7(ii)
-        p, r1 = max(x, y), min(x, y)
-        imgs = list(s.images)
-        imgs[0], imgs[p] = p, n - 1
-        imgs[r1], imgs[z] = n - 1, r1
-        return Transformation(tuple(imgs))
+        r1 = min(x, y)
+        return _restore(s, max(x, y), {r1: n - 1, z: r1})
     if hops != 1:
         raise NotInImageError("focus target walks too far")
     dx, dy = in_degree(s, x), in_degree(s, y)
     if (dx == 0) != (dy == 0):
         # case 5 with one pair: the walk start took no traffic
-        p = x if dx == 0 else y
-        imgs = list(s.images)
-        imgs[0], imgs[p] = p, n - 1
-        return Transformation(tuple(imgs))
+        return _restore(s, x if dx == 0 else y, {})
     if dx != 0:
         raise NotInImageError("both pair states receive traffic")
     movers = [
         w for w in _interior(n) if w not in (x, y) and s[w] != w and s[w] != n - 1
     ]
-    imgs = list(s.images)
-    if movers:
-        # case 7(i)
-        p, r1 = min(x, y), max(x, y)
-        imgs[0], imgs[p] = p, n - 1
-        imgs[r1], imgs[z] = n - 1, r1
-        return Transformation(tuple(imgs))
-    if _interior_fixed(s):
+    if movers or not _interior_fixed(s):
+        # cases 7(i) and 11(i)
+        p, r = min(x, y), max(x, y)
+    else:
         # case 10
         p, r = max(x, y), min(x, y)
-    else:
-        # case 11(i)
-        p, r = min(x, y), max(x, y)
-    imgs[0], imgs[p] = p, n - 1
-    imgs[r], imgs[z] = n - 1, r
-    return Transformation(tuple(imgs))
+    return _restore(s, p, {r: n - 1, z: r})
 
 
 # ------------------------------------------------------------- verification

@@ -1026,6 +1026,8 @@ def search_max(
     """
     if not 4 <= n <= 6:
         raise ValueError(f"the exhaustive search supports 4 <= n <= 6, got {n}")
+    if target is not None and target < 1:
+        raise ValueError("target must be positive")
     if max_letters < 1:
         raise ValueError("max_letters must be positive")
     if threads < 1:

@@ -7,6 +7,10 @@ For the fixed conventions (initial state 0, empty state n-1):
   semigroup of a minimal suffix-free DFA.  No state maps to 0, state
   n-1 is fixed, and the image of 0 under any power never meets the
   image of an interior state under the same power except at n-1.
+  One O(n^2) walk decides it: follow 0 t^j beside (interior) t^j until
+  0 t^j reaches n-1 (b_sf) or meets the set (not).  A walk of 0 that
+  loops among interior states meets an interior state's walk, so that
+  of a b_sf map reaches n-1 within n-1 steps.
 * v_sf: the b_sf maps that are injective except for collapsing into
   n-1.  Their closure is the largest attainable semigroup for n <= 5.
 * w_sf: the b_sf maps that either send 0 to n-1 or send every interior
@@ -177,32 +181,42 @@ def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     )
 
 
-def _bsf_tuple(t: tuple[int, ...], n: int) -> bool:
-    # raw-tuple core of in_bsf, shared with the search hot path
-    if t[n - 1] != n - 1:
+def in_bsf_images(images: Sequence[int]) -> bool:
+    """b_sf membership of an image sequence (a tuple or a raw byte map):
+    w = 0t^j and S = (interior)t^j move one power at a time until w is
+    n-1 (accept) or in S (reject).  No set is built when 0t = n-1."""
+    last = len(images) - 1
+    if images[last] != last or 0 in images:
         return False
-    if 0 in t:
-        return False
-    cur = t
-    for _ in range(n):
-        z = cur[0]
-        if z != n - 1:
-            for q in range(1, n - 1):
-                if cur[q] == z:
-                    return False
-        cur = tuple(t[v] for v in cur)
-    return True
+    w = images[0]
+    reach: Iterable[int] = range(1, last)
+    for _ in range(last):
+        if w == last:
+            return True
+        reach = {images[q] for q in reach}
+        if w in reach:
+            return False
+        w = images[w]
+    return False
+
+
+def collapses(images: Sequence[int]) -> bool:
+    """The w_sf condition beyond b_sf: 0 or every interior state maps to n-1."""
+    last = len(images) - 1
+    return images[0] == last or all(images[q] == last for q in range(1, last))
 
 
 def in_bsf(t: Transformation) -> bool:
     """Membership in b_sf(n): no preimage of 0, n-1 fixed, and for every
     j >= 1 either 0 t^j = n-1 or 0 t^j differs from q t^j for all
-    interior q.  Checking j <= n suffices: once the walk of 0 merges
-    with the walk of some q the two stay merged, and both walks reach
-    their final loop within n steps."""
+    interior q.  The walk of 0 decides it within n-1 steps: n-1 is
+    fixed, so once reached every later power passes; a walk entering an
+    interior loop at power k meets, at every power from k on, the walk
+    of the loop state q = 0 t^m with m >= k a multiple of the loop
+    length (q is interior, as 0 has no preimage)."""
     if t.n < 2:
         raise ValueError("b_sf membership needs n >= 2")
-    return _bsf_tuple(t.images, t.n)
+    return in_bsf_images(t.images)
 
 
 def in_vsf(t: Transformation) -> bool:
@@ -226,12 +240,7 @@ def in_wsf(t: Transformation) -> bool:
     interior state maps to n-1."""
     if t.n < 4:
         raise ValueError("w_sf membership needs n >= 4")
-    if not in_bsf(t):
-        return False
-    n = t.n
-    if t.images[0] == n - 1:
-        return True
-    return all(t.images[q] == n - 1 for q in range(1, n - 1))
+    return collapses(t.images) and in_bsf_images(t.images)
 
 
 def enumerate_bsf(n: int) -> tuple[Transformation, ...]:
@@ -245,7 +254,7 @@ def enumerate_bsf(n: int) -> tuple[Transformation, ...]:
     out = []
     for prefix in product(range(1, n), repeat=n - 1):
         t = prefix + (n - 1,)
-        if _bsf_tuple(t, n):
+        if in_bsf_images(t):
             out.append(Transformation(t))
     return tuple(out)
 

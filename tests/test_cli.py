@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, report rendering, JSON shapes."""
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from sfsyn.cli import main
 from sfsyn.dfa import format_dfa, parse_dfa, relabel, witness
+from sfsyn.search import search_max
 
 # ab* is suffix-free; a* accepts the empty word and everything above it
 AB_STAR = "n=3 letters=a,b initial=0 finals=1\na: 1 2 2\nb: 2 1 2\n"
@@ -211,6 +214,57 @@ def test_search_range_is_a_usage_error(capsys):
     assert main(["search", "--n", "3"]) == 2
     _, err = capsys.readouterr()
     assert "4 <= n <= 6" in err
+
+
+def test_search_target_below_one_is_a_usage_error(capsys):
+    assert main(["search", "--n", "4", "--target", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: target must be positive\n"
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter: logging is configured once per process, and
+    # the test runner's own handlers would otherwise take the records
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sfsyn.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=False,
+    )
+
+
+def without_timing(doc: dict) -> dict:
+    del doc["statistics"]["wall_time_s"]
+    return doc
+
+
+def test_log_level_info_shows_the_search_progress():
+    quiet = run_cli("search", "--n", "4")
+    loud = run_cli("--log-level", "info", "search", "--n", "4")
+    assert quiet.returncode == loud.returncode == 0
+    assert quiet.stderr == ""
+    assert loud.stderr == "level 1: 5 semiautomata, 0 extension candidates\n"
+    expected = search_max(4).to_json(include_timing=False)
+    assert without_timing(json.loads(quiet.stdout)) == expected
+    assert without_timing(json.loads(loud.stdout)) == expected
+
+
+def test_default_log_level_writes_warnings_as_bare_messages():
+    # the letter cap warning reads as it did before the flag existed
+    done = run_cli("search", "--n", "4", "--target", "5", "--max-letters", "1")
+    assert done.returncode == 1
+    assert done.stderr == (
+        "letter cap 1 reached with 25 semiautomata unexplored; "
+        "the uniqueness conclusion is not established\n"
+    )
+    quiet = run_cli("--log-level", "error", "search", "--n", "4", "--target", "5", "--max-letters", "1")
+    assert quiet.stderr == ""
+    assert json.loads(quiet.stdout)["statistics"]["capped"] is True
 
 
 def test_search_resume_from_missing_file_is_a_usage_error(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Tests for the case-by-case embedding and its inverse."""
+import hashlib
+import json
 import random
 
 import pytest
@@ -11,18 +13,23 @@ from sfsyn.injection import (
     PhiCase,
     PhiContext,
     PreconditionError,
+    _build,
     classify,
     phi,
     phi_inverse,
     strict_bound_witness,
     verify_injective,
 )
-from sfsyn.semigroup import closure, in_bsf, in_wsf, vsf_generators, wsf_bound
+from sfsyn.semigroup import closure, enumerate_bsf, in_bsf, in_wsf, vsf_generators, wsf_bound
 from sfsyn.transform import Transformation
 
 
 def T(*images):
     return Transformation(tuple(images))
+
+
+def report_digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def own_ctx(t: Transformation) -> PhiContext:
@@ -219,6 +226,11 @@ def test_case_census_is_stable(v7):
         "11(ii)": 30,
         "12": 20,
     }
+    # every byte of the report: verdicts, census and counterexample text
+    assert (
+        report_digest(report.to_json())
+        == "99849e86acff3c4cd8dfc86d77d4fe3d0866274e7c0501cafc87477378a6d658"
+    )
 
 
 def test_collapsing_family_maps_to_itself():
@@ -227,6 +239,40 @@ def test_collapsing_family_maps_to_itself():
     assert report.passed
     assert report.case_counts == {"1": 7781}
     assert report.size == wsf_bound(7)
+    # no colliding pair, so the inverse takes the empty-context path
+    assert PhiContext.from_semigroup(sg).colliding == frozenset()
+    assert (
+        report_digest(report.to_json())
+        == "6e875ab0efb1e888605367ccbf8802ce64c69182bdd76770718acd2544592f02"
+    )
+
+
+def test_forward_map_over_all_of_bsf_seven():
+    # classify and _build over every b_sf map on 7 states: no case runs
+    # out and every image collapses
+    ctx = PhiContext(7, frozenset())
+    counts: dict[str, int] = {}
+    for t in enumerate_bsf(7):
+        case = classify(t, ctx)
+        assert in_wsf(_build(t, case)), t
+        counts[case.label] = counts.get(case.label, 0) + 1
+    assert counts == {
+        "1": 7781,
+        "2": 1365,
+        "3": 3660,
+        "4": 1100,
+        "5": 540,
+        "6(p<r)": 70,
+        "6(p>r)": 70,
+        "7(i)": 30,
+        "7(ii)": 30,
+        "8": 115,
+        "9": 60,
+        "10": 60,
+        "11(i)": 30,
+        "11(ii)": 30,
+        "12": 20,
+    }
 
 
 def test_in_degree_two_letters_round_trip():

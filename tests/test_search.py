@@ -412,6 +412,12 @@ def test_search_rejects_out_of_range_sizes():
         search_max(7)
 
 
+@pytest.mark.parametrize("target", [0, -1])
+def test_search_rejects_a_target_below_one(target):
+    with pytest.raises(ValueError, match="target must be positive"):
+        search_max(4, target)
+
+
 def test_search_four_state_maximum_is_the_injective_family():
     r = search_max(4)
     assert r.target == 13

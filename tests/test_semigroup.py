@@ -19,6 +19,7 @@ from sfsyn.semigroup import (
     enumerate_wsf,
     format_semigroup,
     in_bsf,
+    in_bsf_images,
     in_vsf,
     in_wsf,
     is_irreducibly_generated,
@@ -75,6 +76,24 @@ def assert_closure_matches_tuple_oracle(gens):
 
 def report_digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def bsf_powers(t: tuple[int, ...], n: int) -> bool:
+    # the power test the walk replaced, kept as its oracle: n tuple
+    # powers of t, each checked for 0 meeting an interior state
+    if t[n - 1] != n - 1:
+        return False
+    if 0 in t:
+        return False
+    cur = t
+    for _ in range(n):
+        z = cur[0]
+        if z != n - 1:
+            for q in range(1, n - 1):
+                if cur[q] == z:
+                    return False
+        cur = tuple(t[v] for v in cur)
+    return True
 
 
 def naive_in_bsf(t: Transformation) -> bool:
@@ -204,8 +223,24 @@ def test_in_bsf_power_cutoff_suffices(prefix):
     assert in_bsf(t) == naive_in_bsf(t)
 
 
+def assert_walk_matches_power_oracle(imgs):
+    expected = bsf_powers(imgs, len(imgs))
+    assert in_bsf(Transformation(imgs)) == expected, imgs
+    assert in_bsf_images(bytes(imgs)) == expected, imgs
+
+
+def test_in_bsf_matches_power_oracle_exhaustively():
+    # every map on 2..6 states, then every candidate on 7 states (n-1
+    # fixed, 0 not an image), as tuples and as raw byte maps
+    for n in range(2, 7):
+        for imgs in itertools.product(range(n), repeat=n):
+            assert_walk_matches_power_oracle(imgs)
+    for prefix in itertools.product(range(1, 7), repeat=6):
+        assert_walk_matches_power_oracle(prefix + (6,))
+
+
 def test_bsf_counts_frozen():
-    assert [len(enumerate_bsf(n)) for n in (2, 3, 4, 5, 6)] == [1, 3, 15, 115, 1169]
+    assert [len(enumerate_bsf(n)) for n in (2, 3, 4, 5, 6, 7)] == [1, 3, 15, 115, 1169, 14961]
 
 
 def test_bsf_members_and_non_members():
