@@ -73,17 +73,6 @@ def focused_triples(images: Sequence[int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def colliding_pairs_of(t: Transformation) -> frozenset[tuple[int, int]]:
-    """Pairs this single transformation makes colliding."""
-    return frozenset(colliding_pairs(t.images))
-
-
-def focused_pairs_of(t: Transformation) -> frozenset[tuple[int, int, int]]:
-    """Triples (p, q, r) with p < q interior, both mapped by t to the
-    interior state r."""
-    return frozenset(focused_triples(t.images))
-
-
 def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
     """Status of every unordered interior pair, in lexicographic order.
 

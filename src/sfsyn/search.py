@@ -4,13 +4,13 @@ semigroups of suffix-free DFAs.
 Semiautomata are enumerated level by level, one letter at a time, up
 to isomorphism.  For each semiautomaton every (initial, empty) state
 selection is relabeled to (0, n-1) and judged: the letters and the
-closure they generate must stay inside the admissible sink family,
-the full semiconstant family is folded into the generated semigroup X,
-and a branch survives only while |X| + |Y| - |M| can still reach the
-target, where Y collects the transformations that may still be added
-and M is a greedy matching in their conflict graph.
+closure they generate must stay inside the admissible sink family, and
+the full semiconstant family is folded into the generated semigroup X.
+Stage one then keeps the pool maps outside X whose colliding and
+focused pair masks clash with none of X's, and the branch ends when
+|X| plus their number cannot reach the target.
 
-Branches are closed off by a per-pair case analysis.  A consistent
+Branches are also closed off by a per-pair case analysis.  A consistent
 semigroup must, for every interior pair, avoid all of the pair's
 colliders or all of its focusers, so each way of choosing sides caps
 any extension of the branch by the candidates surviving that choice.
@@ -21,10 +21,20 @@ generators; a choice whose survivor count cannot reach the target is
 dead.  When every choice falls to one of the two, the branch ends.
 The family cutoff applies only while the target is at least the
 containing family's size, so a search for smaller semigroups still
-walks those branches.  Surviving branches are further bounded through
-a greedy matching of mutually exclusive candidate pairs: pairs whose
-accumulated masks clash outright, and pairs whose products escape the
-admissible family.
+walks those branches.
+
+A branch left open passes its candidates through one filter, and each
+survivor, appended to the letters and canonicalized, joins the next
+level: t survives when its one-step products with the branch, t t and
+x t, t x for every x in X, stay admissible, and their masks together
+with t's and X's still clash nowhere.  Every such product lies in the
+closure of X plus t, so the survivors include every exact addition,
+every t whose closure with X stays admissible and consistent.  No
+closure per survivor is needed to make the level exact: a survivor
+that is no addition only adds a semiautomaton to the next level, whose
+selections are each judged afresh by their own closure, so no verdict
+changes.  On every search the test suite and the benchmark run, exact
+closures reject none of the survivors.
 
 Isomorphism classes are told apart by a canonical form: the
 lexicographically least sorted tuple of letter conjugates over every
@@ -35,8 +45,8 @@ tuple must start with the least of those one-letter forms, so only
 labellings giving some letter that form are tried on the whole tuple.
 One search_max call keeps a memo of the one-letter results, shared by
 all of its canonicalizations and dropped when it returns; canonicalize,
-extend, checkpoint parsing and worker processes each start with an
-empty one, so no call ever starts warm.
+checkpoint parsing and worker processes each start with an empty one,
+so no call ever starts warm.
 
 Each selection is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -59,7 +69,6 @@ from __future__ import annotations
 
 import logging
 import os
-import string
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -72,7 +81,6 @@ from .collisions import colliding_pairs, focused_triples, verify_suffix_free_con
 from .dfa import Dfa, Semiautomaton, is_suffix_free
 from .semigroup import (
     RawMap,
-    TransitionSemigroup,
     close_raw,
     closure,
     enumerate_bsf,
@@ -104,11 +112,6 @@ class CanonicalSemiautomaton:
     n: int
     letters: tuple[Transformation, ...]
     fingerprint: bytes
-
-    @property
-    def semiautomaton(self) -> Semiautomaton:
-        names = tuple(string.ascii_lowercase[i] for i in range(len(self.letters)))
-        return Semiautomaton(n=self.n, letters=names, delta=self.letters)
 
 
 def _conjugate(t: RawMap, perm: Sequence[int]) -> RawMap:
@@ -336,151 +339,75 @@ def _context(n: int) -> _Context:
     )
 
 
-# ------------------------------------------------------------ closures
+# ------------------------------------------------------------ candidates
 
 
 def _close_all_admissible(
-    seeds: Iterable[RawMap],
-    tables: Sequence[bytes],
-    ctx: _Context,
-    base: frozenset[RawMap] = frozenset(),
-    coll: int = 0,
-    foc: int = 0,
+    seeds: Iterable[RawMap], tables: Sequence[bytes], ctx: _Context
 ) -> tuple[frozenset[RawMap], int, int] | None:
     """Close the seeds under the tables, refusing the moment an element
     leaves the admissible sink family.  Returns the elements plus the
-    union colliding and focused pair masks, or None on refusal.  A base
-    already closed under the tables, with its masks, is extended rather
-    than walked again."""
-    fresh = close_raw(seeds, tables, known=base, within=ctx.bsf_set)
-    if fresh is None:
+    union colliding and focused pair masks, or None on refusal."""
+    found = close_raw(seeds, tables, within=ctx.bsf_set)
+    if found is None:
         return None
+    coll = foc = 0
     masks = ctx.masks
-    for y in fresh:
+    for y in found:
         c, f = masks[y]
         coll |= c
         foc |= f
-    return base.union(fresh), coll, foc
+    return frozenset(found), coll, foc
 
 
-def _extend_closure(
-    base: frozenset[RawMap],
-    coll: int,
-    foc: int,
-    t: RawMap,
-    gen_tables: Sequence[bytes],
-    ctx: _Context,
-) -> tuple[frozenset[RawMap], int, int] | None:
-    """Closure of base plus the admissible t, where base is already
-    closed under the generators behind gen_tables.  Every new element
-    is a product u t v with u in base or empty, so the seeds are t and
-    x then t for every x in base.  Refuses like _close_all_admissible."""
-    t_table = ctx.tables[t]
-    seeds = [t, *(x.translate(t_table) for x in base)]
-    return _close_all_admissible(seeds, [*gen_tables, t_table], ctx, base, coll, foc)
-
-
-# ------------------------------------------------------------ conflict test
-
-
-def conflict(t: Transformation, u: Transformation) -> bool:
-    """Sufficient test that t and u cannot share a suffix-free DFA.
-
-    Closes {t, u} and answers true when some pair is both colliding in
-    the closure and focused by a closure element, or when every
-    interior pair is colliding, or every one is focused.  The closure
-    embeds in any semigroup containing both and all three conditions
-    persist under adding elements, so a true answer is final; a false
-    answer is only "no conflict visible from these two alone".
-    """
-    if t.n != u.n:
-        raise ValueError(f"mixed state counts: {t.n} vs {u.n}")
-    n = t.n
-    sg = closure([t, u])
-    colliding: set[tuple[int, int]] = set()
-    focused: set[tuple[int, int]] = set()
-    for e in sg.elements:
-        colliding.update(colliding_pairs(e.images))
-        focused.update((p, q) for p, q, _ in focused_triples(e.images))
-    every = set(combinations(range(1, n - 1), 2))
-    if colliding & focused:
-        return True
-    return colliding == every or focused == every
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """Conflict graph over a transformation set: vertices in ascending
-    image order, edges as index pairs i < j.  Built by
-    build_conflict_graph, which checks each edge."""
-
-    vertices: tuple[Transformation, ...]
-    edges: frozenset[tuple[int, int]]
-
-
-def build_conflict_graph(
-    transformations: Iterable[Transformation], test=conflict
-) -> ConflictGraph:
-    vertices = tuple(sorted(set(transformations), key=lambda t: t.images))
-    edges = set()
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            if test(vertices[i], vertices[j]):
-                edges.add((i, j))
-    return ConflictGraph(vertices=vertices, edges=frozenset(edges))
-
-
-def greedy_matching(graph: ConflictGraph) -> int:
-    """Size of the maximal matching grown greedily: vertices in
-    ascending image order, each matched to its least unmatched
-    conflicting neighbour."""
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(graph.vertices))}
-    for i, j in graph.edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    matched: set[int] = set()
-    size = 0
-    for i in range(len(graph.vertices)):
-        if i in matched:
+def _mask_candidates(members: frozenset[RawMap], coll: int, foc: int, ctx: _Context) -> list[RawMap]:
+    """Stage one: the pool maps outside the branch whose own pair masks
+    clash with none of the branch's, with no closure work at all."""
+    masks = ctx.masks
+    out = []
+    for t in ctx.pool:
+        if t in members:
             continue
-        for j in sorted(adjacency[i]):
-            if j not in matched:
-                matched.add(i)
-                matched.add(j)
-                size += 1
-                break
-    return size
+        tc, tf = masks[t]
+        if not (coll | tc) & (foc | tf):
+            out.append(t)
+    return out
 
 
-def _conflict_matching(
-    cands: Sequence[RawMap], cmasks: Sequence[int], fmasks: Sequence[int], ctx: _Context
-) -> int:
-    """Greedy matching over candidate pairs that cannot coexist in any
-    consistent extension: pairs whose accumulated masks clash, and
-    pairs with a product outside the admissible family.  Every edge is
-    a genuine mutual exclusion, so the matching size soundly lowers
-    how many candidates a single extension can absorb."""
-    k = len(cands)
-    matched = bytearray(k)
-    bsf = ctx.bsf_set
+def _one_step_filter(
+    candidates: Sequence[RawMap], members: frozenset[RawMap], coll: int, foc: int, ctx: _Context
+) -> list[RawMap]:
+    """The candidates t whose one-step products with the branch, t t
+    and x t, t x for every member x, all stay admissible, with masks
+    that together with t's and the branch's still clash nowhere.  Each
+    product lies in the closure of the branch plus t, so every exact
+    addition survives."""
+    masks = ctx.masks
     tables = ctx.tables
-    size = 0
-    for i in range(k):
-        if matched[i]:
-            continue
-        ci, fi, ti = cmasks[i], fmasks[i], cands[i]
-        ti_table = tables[ti]
-        for j in range(i + 1, k):
-            if matched[j]:
-                continue
-            if not ((ci & fmasks[j]) or (fi & cmasks[j])):
-                tj = cands[j]
-                if ti.translate(tables[tj]) in bsf and tj.translate(ti_table) in bsf:
-                    continue
-            matched[i] = matched[j] = 1
-            size += 1
-            break
-    return size
+    mem = [(x, tables[x]) for x in members]
+
+    def products(t: RawMap, t_table: bytes) -> Iterable[RawMap]:
+        yield t.translate(t_table)
+        for x, x_table in mem:
+            yield x.translate(t_table)
+            yield t.translate(x_table)
+
+    out = []
+    for t in candidates:
+        c, f = masks[t]
+        for y in products(t, tables[t]):
+            m = masks.get(y)  # keyed by the admissible maps
+            if m is None:
+                break
+            c |= m[0]
+            f |= m[1]
+        else:
+            if not (coll | c) & (foc | f):
+                out.append(t)
+    return out
+
+
+# ------------------------------------------------------------ case analysis
 
 
 def _leaf_verdict(
@@ -536,49 +463,6 @@ def _leaf_verdict(
     return "terminal" if saw_family else "pruned"
 
 
-def prune_bound(x, y, matching_size: int) -> int:
-    """The branch bound |X| + |Y| - |M|: a conflict-free superset of X
-    inside X union Y loses at least one member per matched edge."""
-    if matching_size < 0 or matching_size * 2 > len(y):
-        raise ValueError(f"matching of size {matching_size} cannot live on {len(y)} vertices")
-    return len(x) + len(y) - matching_size
-
-
-def allowed_additions(sg: TransitionSemigroup) -> frozenset[Transformation]:
-    """The transformations outside sg whose addition keeps the closure
-    inside the admissible sink family with no pair both colliding and
-    focused, and keeps at least one interior pair free of collisions
-    and at least one free of focusing.  The two excluded extremes pin
-    the semigroup inside a known maximal family, so branches through
-    them need no further additions."""
-    n = sg.n
-    if n < 4:
-        raise ValueError("the addition pool needs n >= 4")
-    ctx = _context(n)
-    members = frozenset(bytes(e.images) for e in sg.elements)
-    coll = foc = 0
-    for e in members:
-        c, f = _masks_of(e, ctx.pair_bit)
-        coll |= c
-        foc |= f
-    gen_tables = [raw_table(bytes(g.images)) for g in sg.generators]
-    out = []
-    for raw in sorted(ctx.bsf_set):
-        if raw in members:
-            continue
-        tc, tf = ctx.masks[raw]
-        if (coll | tc) & (foc | tf):
-            continue
-        grown = _extend_closure(members, coll, foc, raw, gen_tables, ctx)
-        if grown is None:
-            continue
-        _, c2, f2 = grown
-        if c2 & f2 or c2 == ctx.all_pairs or f2 == ctx.all_pairs:
-            continue
-        out.append(Transformation(tuple(raw)))
-    return frozenset(out)
-
-
 # ------------------------------------------------------------ level expansion
 
 
@@ -612,46 +496,6 @@ def _alignment(i: int, e: int, n: int) -> tuple[int, ...]:
             perm[q] = k
             k += 1
     return tuple(perm)
-
-
-def extend(level: Iterable[CanonicalSemiautomaton]) -> tuple[CanonicalSemiautomaton, ...]:
-    """Every canonical one-letter extension of the level.
-
-    For each alignment of each semiautomaton that keeps all letters in
-    the admissible family, each non-semiconstant admissible letter is
-    appended; results are canonicalized, deduplicated, and kept only
-    when every letter is needed to generate the joint semigroup.
-    """
-    grown: dict[bytes, tuple[RawMap, ...]] = {}
-    forms = _LetterForms()
-    n = None
-    for sa in level:
-        n = sa.n
-        ctx = _context(n)
-        raw = tuple(bytes(t.images) for t in sa.letters)
-        seen_aligned: set[tuple[RawMap, ...]] = set()
-        for i in range(n):
-            for e in range(n):
-                if e == i:
-                    continue
-                perm = _alignment(i, e, n)
-                aligned = tuple(sorted(_conjugate(t, perm) for t in raw))
-                if aligned in seen_aligned:
-                    continue
-                seen_aligned.add(aligned)
-                if not all(t in ctx.bsf_set for t in aligned):
-                    continue
-                for g in ctx.pool:
-                    if g in aligned:
-                        continue
-                    canon = _canonical_letters(sorted(aligned + (g,)), forms)
-                    grown.setdefault(_fingerprint(canon, n), canon)
-    out = []
-    for fp in sorted(grown):
-        if irreducible_raw(grown[fp]):
-            letters = tuple(Transformation(tuple(t)) for t in grown[fp])
-            out.append(CanonicalSemiautomaton(n=n, letters=letters, fingerprint=fp))
-    return tuple(out)
 
 
 # ------------------------------------------------------------ search proper
@@ -744,8 +588,8 @@ class SearchResult:
 def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None = None) -> dict:
     """Judge one canonical semiautomaton: every (initial, empty)
     selection, aligned to (0, n-1), yields either a rejection, a
-    terminal branch, a prune, or a viable branch with its admissible
-    additions turned into canonical extensions.  Runs in worker
+    terminal branch, a prune, or a viable branch whose filtered
+    candidates turn into canonical extensions.  Runs in worker
     processes, so takes and returns plain picklable data; there each
     call fills a letter-form memo of its own."""
     fp, n, target, prune = args
@@ -758,7 +602,6 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
     others: list[dict] = []
     viable = False
     seen_aligned: set[tuple[RawMap, ...]] = set()
-    bsf = ctx.bsf_set
     masks = ctx.masks
     vsf = ctx.vsf_elements
     wsf = ctx.wsf_elements
@@ -777,15 +620,14 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
                 continue
             seen_aligned.add(aligned)
             counters["selections"] += 1
-            if not all(t in bsf for t in aligned):
+            if not all(t in ctx.bsf_set for t in aligned):
                 counters["rejected"] += 1
                 continue
             # the one closure of the branch; by the semiconstant lemma in
             # the module docstring a refusal here means the letters alone
             # already leave the admissible family
             gens = aligned + ctx.semiconstants
-            gen_tables = [ctx.tables[g] for g in gens]
-            closed = _close_all_admissible(gens, gen_tables, ctx)
+            closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
             if closed is None:
                 counters["rejected"] += 1
                 continue
@@ -795,18 +637,7 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
                 others.append(
                     {"size": len(members), "letters": list(aligned), "members": sorted(members)}
                 )
-            x_in_v = members <= vsf
-            x_in_w = members <= wsf
-            # stage one: mask-compatible candidates over-approximate the
-            # admissible additions with no closure work at all
-            candidates: list[RawMap] = []
-            for t in ctx.pool:
-                if t in members:
-                    continue
-                tc, tf = masks[t]
-                if (coll | tc) & (foc | tf):
-                    continue
-                candidates.append(t)
+            candidates = _mask_candidates(members, coll, foc, ctx)
             if prune and len(members) + len(candidates) < target:
                 counters["pruned"] += 1
                 continue
@@ -814,119 +645,21 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
                 (masks[t][0], masks[t][1], t in vsf, t in wsf) for t in candidates
             )
             verdict = _leaf_verdict(
-                len(members), x_in_v, x_in_w, sigs, n_bits, target, vsf_closed, wsf_closed, prune
+                len(members),
+                members <= vsf,
+                members <= wsf,
+                sigs,
+                n_bits,
+                target,
+                vsf_closed,
+                wsf_closed,
+                prune,
             )
             if verdict:
                 counters[verdict] += 1
                 continue
-            if prune:
-                m = _conflict_matching(
-                    candidates,
-                    [masks[t][0] for t in candidates],
-                    [masks[t][1] for t in candidates],
-                    ctx,
-                )
-                if len(members) + len(candidates) - m < target:
-                    counters["pruned"] += 1
-                    continue
-            # stage two: drop candidates whose one-step products against
-            # the branch already escape, and enrich the masks of the
-            # rest with those products; still a superset of the true
-            # additions, with far sharper conflict edges
-            mem_list = sorted(members)
-            mem_tables = [ctx.tables[x] for x in mem_list]
-            near: list[RawMap] = []
-            near_c: list[int] = []
-            near_f: list[int] = []
-            for t in candidates:
-                t_table = ctx.tables[t]
-                c, f = masks[t]
-                y = t.translate(t_table)
-                ok = y in bsf
-                if ok:
-                    yc, yf = masks[y]
-                    c |= yc
-                    f |= yf
-                    for x, xt in zip(mem_list, mem_tables):
-                        y = x.translate(t_table)
-                        if y not in bsf:
-                            ok = False
-                            break
-                        yc, yf = masks[y]
-                        c |= yc
-                        f |= yf
-                        y = t.translate(xt)
-                        if y not in bsf:
-                            ok = False
-                            break
-                        yc, yf = masks[y]
-                        c |= yc
-                        f |= yf
-                if not ok or (coll | c) & (foc | f):
-                    continue
-                near.append(t)
-                near_c.append(c)
-                near_f.append(f)
-            if prune and len(members) + len(near) < target:
-                counters["pruned"] += 1
-                continue
-            sigs = Counter(
-                (c, f, t in vsf, t in wsf) for t, c, f in zip(near, near_c, near_f)
-            )
-            verdict = _leaf_verdict(
-                len(members), x_in_v, x_in_w, sigs, n_bits, target, vsf_closed, wsf_closed, prune
-            )
-            if verdict:
-                counters[verdict] += 1
-                continue
-            if prune:
-                m = _conflict_matching(near, near_c, near_f, ctx)
-                if len(members) + len(near) - m < target:
-                    counters["pruned"] += 1
-                    continue
-            # stage three: the exact additions, each checked by closure,
-            # carrying the closure's full pair masks
-            additions: list[RawMap] = []
-            add_c: list[int] = []
-            add_f: list[int] = []
-            cut_short = False
-            for idx, t in enumerate(near):
-                if prune and len(members) + len(additions) + (len(near) - idx) < target:
-                    # even admitting every remaining candidate cannot
-                    # reach the target
-                    cut_short = True
-                    break
-                grown = _extend_closure(members, coll, foc, t, gen_tables, ctx)
-                if grown is None:
-                    continue
-                _, c2, f2 = grown
-                if c2 & f2:
-                    continue
-                additions.append(t)
-                add_c.append(c2)
-                add_f.append(f2)
-            if cut_short:
-                counters["pruned"] += 1
-                continue
-            if prune and len(members) + len(additions) < target:
-                counters["pruned"] += 1
-                continue
-            sigs = Counter(
-                (c, f, t in vsf, t in wsf) for t, c, f in zip(additions, add_c, add_f)
-            )
-            verdict = _leaf_verdict(
-                len(members), x_in_v, x_in_w, sigs, n_bits, target, vsf_closed, wsf_closed, prune
-            )
-            if verdict:
-                counters[verdict] += 1
-                continue
-            if prune:
-                m = _conflict_matching(additions, add_c, add_f, ctx)
-                if len(members) + len(additions) - m < target:
-                    counters["pruned"] += 1
-                    continue
             viable = True
-            for g in additions:
+            for g in _one_step_filter(candidates, members, coll, foc, ctx):
                 canon = _canonical_letters(sorted(aligned + (g,)), forms)
                 extensions.setdefault(_fingerprint(canon, n), None)
     return {
@@ -1013,12 +746,13 @@ def search_max(
 
     Levels of canonical semiautomata grow one letter at a time.  Each
     semiautomaton is judged under every (initial, empty) selection;
-    surviving selections contribute their admissible additions as the
+    each selection left open contributes the candidates passing the
+    one-step product filter, a superset of its exact additions, as the
     next level.  The two known maximal families are confirmed from
     their generators and the search reports any semigroup at or above
-    the target that is neither of them.  With prune=False the bound is
-    ignored and the admissible space is walked in full, which is only
-    tractable for n=4.
+    the target that is neither of them.  With prune=False no branch is
+    cut for its count, only by the family cutoff, and the admissible
+    space is walked in full, which is only tractable for n=4.
 
     A resumed run re-explores from the checkpointed level on; records
     from earlier levels are not replayed, which is harmless for the

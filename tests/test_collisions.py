@@ -9,8 +9,8 @@ from sfsyn.collisions import (
     CollisionFreeBoundReport,
     StructureError,
     check_collision_free_bound,
-    colliding_pairs_of,
-    focused_pairs_of,
+    colliding_pairs,
+    focused_triples,
     pair_statuses,
     pair_statuses_json,
     verify_suffix_free_consistency,
@@ -28,19 +28,20 @@ def fixing_last(n: int):
 
 
 def test_colliding_pairs_of_examples():
-    # 0 -> 1, 1 -> 2 and 3 -> 3: makes {1,2} and {1,3} colliding
-    assert colliding_pairs_of(Transformation((1, 2, 2, 3, 4))) == {(1, 2), (1, 3)}
+    # 0 -> 1, 1 -> 2, 2 -> 2 and 3 -> 3: makes {1,2} (twice) and {1,3}
+    # colliding
+    assert colliding_pairs(Transformation((1, 2, 2, 3, 4)).images) == [(1, 2), (1, 2), (1, 3)]
     # 0 -> 4 is the empty state: nothing collides
-    assert colliding_pairs_of(Transformation((4, 2, 3, 1, 4))) == frozenset()
+    assert colliding_pairs(Transformation((4, 2, 3, 1, 4)).images) == []
     # images of interior states at 0t itself do not pair with themselves
-    assert colliding_pairs_of(Transformation((2, 2, 2, 2, 4))) == frozenset()
+    assert colliding_pairs(Transformation((2, 2, 2, 2, 4)).images) == []
 
 
 def test_focused_pairs_of_examples():
     # 1 and 2 both land on 2: focused triple (1, 2, 2)
-    assert focused_pairs_of(Transformation((1, 2, 2, 3, 4))) == {(1, 2, 2)}
+    assert focused_triples(Transformation((1, 2, 2, 3, 4)).images) == [(1, 2, 2)]
     # landing together on n-1 is not a focus
-    assert focused_pairs_of(Transformation((1, 4, 4, 4, 4))) == frozenset()
+    assert focused_triples(Transformation((1, 4, 4, 4, 4)).images) == []
 
 
 # ----------------------------------------------------------- pair status

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sfsyn.collisions import colliding_pairs_of, verify_suffix_free_consistency
+from sfsyn.collisions import verify_suffix_free_consistency
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.injection import (
     CaseExhaustionError,

@@ -1,4 +1,5 @@
-"""Canonical semiautomata, the conflict machinery, and the maximality search."""
+"""Canonical semiautomata, the search's candidate filter against the
+exact-additions oracle, and the maximality search."""
 import gc
 import hashlib
 import itertools
@@ -22,32 +23,23 @@ from sfsyn.semigroup import (
     vsf_generators,
     wsf_bound,
 )
-from sfsyn.collisions import (
-    colliding_pairs_of,
-    focused_pairs_of,
-    verify_suffix_free_consistency,
-)
+from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
 from sfsyn.dfa import Semiautomaton, witness
 import sfsyn.search as search_module
 from sfsyn.search import (
-    CanonicalSemiautomaton,
-    ConflictGraph,
+    _alignment,
     _canonical_letters,
     _close_all_admissible,
     _conjugate,
     _context,
-    _extend_closure,
     _fingerprint,
-    allowed_additions,
-    build_conflict_graph,
+    _mask_candidates,
+    _masks_of,
+    _one_step_filter,
     canonicalize,
-    conflict,
-    extend,
-    greedy_matching,
     initial_level,
     load_checkpoint,
     parse_fingerprint,
-    prune_bound,
     save_checkpoint,
     search_max,
 )
@@ -190,91 +182,58 @@ def test_parse_fingerprint_rejects_bad_bytes():
         parse_fingerprint(swapped)  # letters out of order: not canonical
 
 
-# --------------------------------------------------------------- conflict
+# ------------------------------------------------ exact-additions oracle
 
 
-def test_conflict_requires_matching_state_counts():
-    with pytest.raises(ValueError):
-        conflict(Transformation((1, 3, 3, 3)), Transformation((1, 4, 4, 4, 4)))
+def extend_closure(base, coll, foc, t, gen_tables, ctx):
+    """Closure of base plus the admissible t, with its pair masks, where
+    base (masks coll, foc) is already closed under the generators behind
+    gen_tables; None once an element leaves the admissible family.
+    Every new element is a product u t v with u in base or empty, so
+    the seeds are t and x then t for every x in base."""
+    t_table = ctx.tables[t]
+    seeds = [t, *(x.translate(t_table) for x in base)]
+    fresh = close_raw(seeds, [*gen_tables, t_table], known=base, within=ctx.bsf_set)
+    if fresh is None:
+        return None
+    for y in fresh:
+        c, f = ctx.masks[y]
+        coll |= c
+        foc |= f
+    return base.union(fresh), coll, foc
 
 
-def test_conflict_is_symmetric():
-    t = Transformation((1, 2, 5, 5, 5, 5))
-    u = Transformation((5, 2, 2, 5, 5, 5))
-    assert conflict(t, u)
-    assert conflict(u, t)
+def exact_additions(members, coll, foc, gen_tables, ctx):
+    """Every admissible t outside the closed branch whose closure with
+    the branch stays admissible with no pair both colliding and
+    focused, mapped to the grown colliding and focused masks."""
+    out = {}
+    for t in sorted(ctx.bsf_set - members):
+        grown = extend_closure(members, coll, foc, t, gen_tables, ctx)
+        if grown is not None and not grown[1] & grown[2]:
+            out[t] = grown[1:]
+    return out
 
 
-def test_sink_letter_fixing_interior_conflicts_nothing():
-    # 0 to the sink, identity elsewhere: collides and focuses no pair
-    benign = Transformation((4, 1, 2, 3, 4))
-    assert not conflict(benign, benign)
-
-
-def test_letter_focusing_every_pair_conflicts_even_with_itself():
-    # every interior state to 1: all three pairs focused at once
-    allfoc = Transformation((4, 1, 1, 1, 4))
-    assert conflict(allfoc, allfoc)
-
-
-def test_witness_letters_do_not_conflict():
-    d = witness(5)
-    assert not conflict(d.delta[0], d.delta[1])
-
-
-# --------------------------------------------------- graph and matching
-
-
-def edge_test_from(pairs):
-    keyed = {frozenset(p) for p in pairs}
-    return lambda t, u: frozenset((t.images, u.images)) in keyed
-
-
-def tiny(*imgs):
-    return Transformation(imgs)
-
-
-def test_build_conflict_graph_orders_and_dedupes_vertices():
-    a, b = tiny(0, 0), tiny(1, 1)
-    g = build_conflict_graph([b, a, b], test=lambda t, u: False)
-    assert g.vertices == (a, b)
-    assert g.edges == frozenset()
-
-
-def test_greedy_matching_sizes():
-    a, b, c, d = tiny(0, 0), tiny(0, 1), tiny(1, 0), tiny(1, 1)
-    none = build_conflict_graph([a, b, c, d], test=lambda t, u: False)
-    assert greedy_matching(none) == 0
-    one = build_conflict_graph([a, b], test=edge_test_from([(a.images, b.images)]))
-    assert greedy_matching(one) == 1
-    path = build_conflict_graph(
-        [a, b, c], test=edge_test_from([(a.images, b.images), (b.images, c.images)])
+def allowed_additions(sg):
+    """The transformations outside sg whose addition keeps the closure
+    inside the admissible family with no pair both colliding and
+    focused, and keeps at least one interior pair free of collisions
+    and at least one free of focusing.  The two excluded extremes pin
+    the semigroup inside a known maximal family."""
+    ctx = _context(sg.n)
+    members = frozenset(bytes(e.images) for e in sg.elements)
+    coll = foc = 0
+    for e in members:
+        c, f = _masks_of(e, ctx.pair_bit)
+        coll |= c
+        foc |= f
+    gen_tables = [raw_table(bytes(g.images)) for g in sg.generators]
+    return frozenset(
+        Transformation(tuple(t))
+        for t, (c2, f2) in exact_additions(members, coll, foc, gen_tables, ctx).items()
+        if c2 != ctx.all_pairs and f2 != ctx.all_pairs
     )
-    assert greedy_matching(path) == 1
-    triangle = build_conflict_graph(
-        [a, b, c],
-        test=edge_test_from(
-            [(a.images, b.images), (b.images, c.images), (a.images, c.images)]
-        ),
-    )
-    assert greedy_matching(triangle) == 1
-    disjoint = build_conflict_graph(
-        [a, b, c, d], test=edge_test_from([(a.images, b.images), (c.images, d.images)])
-    )
-    assert greedy_matching(disjoint) == 2
-
-
-def test_prune_bound_values_and_guards():
-    x = list(range(10))
-    assert prune_bound(x, [], 0) == 10
-    assert prune_bound(x, list(range(6)), 2) == 14
-    with pytest.raises(ValueError):
-        prune_bound(x, [], -1)
-    with pytest.raises(ValueError):
-        prune_bound(x, [1, 2, 3], 2)  # a 2-matching needs 4 vertices
-
-
-# ------------------------------------------------------ allowed additions
 
 
 def test_both_known_families_are_saturated():
@@ -309,8 +268,8 @@ def oracle_additions(sg):
             continue
         colliding, focused = set(), set()
         for e in grown.elements:
-            colliding |= colliding_pairs_of(e)
-            focused |= {(p, q) for p, q, _ in focused_pairs_of(e)}
+            colliding.update(colliding_pairs(e.images))
+            focused.update((p, q) for p, q, _ in focused_triples(e.images))
         if colliding == every or focused == every:
             continue
         out.add(t)
@@ -352,7 +311,7 @@ def assert_extension_matches_scratch(letters, t, ctx):
     if base is None:
         return
     members, coll, foc = base
-    grown = _extend_closure(members, coll, foc, t, tables, ctx)
+    grown = extend_closure(members, coll, foc, t, tables, ctx)
     scratch = _close_all_admissible(gens + [t], tables + [ctx.tables[t]], ctx)
     assert grown == scratch
 
@@ -391,15 +350,69 @@ def test_initial_level_covers_exactly_the_pool_classes():
     assert pool_fps == level_fps
 
 
-def test_extend_grows_canonically_and_irreducibly():
-    level2 = extend(initial_level(4))
-    assert len(level2) == 29
+def four_state_level_two(tmp_path):
+    search_max(4, target=3, prune=False, max_letters=2, checkpoint_dir=str(tmp_path))
+    n, index, level = load_checkpoint(os.path.join(tmp_path, "level_02.txt"))
+    assert (n, index) == (4, 2)
+    return level
+
+
+def test_search_level_two_grows_canonically_and_irreducibly(tmp_path):
+    level2 = four_state_level_two(tmp_path)
+    assert len(level2) == 25
     fps = [sa.fingerprint for sa in level2]
     assert fps == sorted(fps)
     for sa in level2:
         assert len(sa.letters) == 2
         assert parse_fingerprint(sa.fingerprint) == sa
         assert is_irreducibly_generated(sa.letters)
+
+
+# ------------------------------------------------------- candidate filter
+
+
+def admissible_branches(level, ctx):
+    # every distinct aligned selection of the level whose letters close
+    # admissibly with the semiconstants: its tables and that closure
+    n = ctx.n
+    for sa in level:
+        raw = [bytes(t.images) for t in sa.letters]
+        seen = set()
+        for i, e in itertools.permutations(range(n), 2):
+            aligned = tuple(sorted(_conjugate(t, _alignment(i, e, n)) for t in raw))
+            if aligned in seen or not set(aligned) <= ctx.bsf_set:
+                continue
+            seen.add(aligned)
+            gens = aligned + ctx.semiconstants
+            tables = [ctx.tables[g] for g in gens]
+            closed = _close_all_admissible(gens, tables, ctx)
+            if closed is not None:
+                yield tables, closed
+
+
+def filter_census(level, ctx):
+    # the stage-one candidates and the filter's survivors must keep
+    # every exact addition of every branch
+    branches = additions = kept_total = 0
+    for tables, (members, coll, foc) in admissible_branches(level, ctx):
+        candidates = _mask_candidates(members, coll, foc, ctx)
+        kept = _one_step_filter(candidates, members, coll, foc, ctx)
+        exact = exact_additions(members, coll, foc, tables, ctx)
+        assert exact.keys() <= set(kept), sorted(exact.keys() - set(kept))
+        branches += 1
+        additions += len(exact)
+        kept_total += len(kept)
+    return branches, additions, kept_total
+
+
+def test_filter_keeps_every_exact_addition_at_four_states(tmp_path):
+    ctx = _context(4)
+    assert filter_census(initial_level(4), ctx) == (6, 45, 45)
+    assert filter_census(four_state_level_two(tmp_path), ctx) == (25, 127, 127)
+
+
+def test_filter_keeps_every_exact_addition_at_five_states():
+    assert filter_census(initial_level(5), _context(5)) == (23, 1790, 1790)
 
 
 # ------------------------------------------------------------ the search
@@ -446,6 +459,20 @@ def test_search_four_state_unpruned_agrees():
     assert full.stats.pruned_selections == 0
     assert full.stats.terminal_selections == 6
     assert full.uniqueness_confirmed
+
+
+@pytest.mark.parametrize(
+    "target, others",
+    zip(range(1, 14), (36, 36, 36, 36, 36, 34, 29, 24, 17, 10, 4, 1, 0)),
+)
+def test_pruning_changes_no_four_state_verdict(target, others):
+    # the bound may only cut branches that cannot reach the target
+    on = search_max(4, target)
+    off = search_max(4, target, prune=False)
+    assert on.max_size_found == off.max_size_found == 13
+    assert on.others == off.others
+    assert len(on.others) == others
+    assert on.uniqueness_confirmed == off.uniqueness_confirmed == (target == 13)
 
 
 def test_search_five_state_maximum_is_the_injective_family():
