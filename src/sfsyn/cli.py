@@ -362,8 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # bare messages, as Python's last-resort handler writes them: stderr is unchanged by default
-    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(), format="%(message)s")
+    # one handler on the package logger, replacing any a previous main()
+    # attached; bare messages, as Python's last-resort handler wrote them
+    logger = logging.getLogger("sfsyn")
+    for old in [h for h in logger.handlers if h.get_name() == "sfsyn.cli"]:
+        logger.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("sfsyn.cli")
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
+    logger.propagate = False
     try:
         return args.func(args)
     except UsageError as e:

@@ -9,6 +9,11 @@ yield two words, one a proper suffix of the other, both accepted.
 
 Mapping both members to the empty state n-1 is never a focus; the
 target must be interior.
+
+Each semigroup is scanned once, over its raw maps, and keeps the scan:
+each relation keeps its first witness in discovery order, the focus
+part stops once every pair has one, and only witnesses become
+Transformation objects.
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .semigroup import TransitionSemigroup, in_wsf, wsf_bound, word_string
+from .semigroup import RawMap, TransitionSemigroup, collapses, in_bsf_images, wsf_bound, word_string
 from .transform import Transformation, format_transformation
 
 
@@ -26,6 +31,10 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class PairStatus:
+    """One interior pair with the first element in discovery order that
+    makes it colliding, and the first that focuses it (with its target):
+    focused_by holds at most one entry."""
+
     pair: tuple[int, int]  # p < q, both interior
     colliding_by: Transformation | None
     focused_by: tuple[tuple[Transformation, int], ...]
@@ -73,37 +82,53 @@ def focused_triples(images: Sequence[int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
-    """Status of every unordered interior pair, in lexicographic order.
+@dataclass(frozen=True)
+class PairScan:
+    """Per pair the first colliding and the first focusing map (with its
+    target) in discovery order, and the first map moving n-1, if any."""
 
-    Witnesses are deterministic: the first element in discovery order
-    that makes the pair colliding, and focus entries in discovery order.
-    """
+    colliding_by: dict[tuple[int, int], RawMap]
+    focused_by: dict[tuple[int, int], tuple[RawMap, int]]
+    unfixed: RawMap | None
+
+
+def scan_pairs(raw: Sequence[RawMap], n: int) -> PairScan:
+    """The one pair scan, run once per semigroup by its pair_scan."""
+    last = n - 1
+    pairs = (n - 2) * (n - 3) // 2
+    colliders: dict[tuple[int, int], RawMap] = {}
+    focusers: dict[tuple[int, int], tuple[RawMap, int]] = {}
+    unfixed = None
+    for x in raw:
+        if x[last] != last and unfixed is None:
+            unfixed = x
+        if 0 < x[0] < last:
+            for pair in colliding_pairs(x):
+                colliders.setdefault(pair, x)
+        if len(focusers) < pairs:
+            for p, q, r in focused_triples(x):
+                focusers.setdefault((p, q), (x, r))
+    return PairScan(colliders, focusers, unfixed)
+
+
+def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
+    """Status of every unordered interior pair, in lexicographic order,
+    each relation with its first witness in discovery order."""
     n = sg.n
     if n < 4:
         raise ValueError("pair analysis needs n >= 4")
-    for t in sg.elements:
-        if t.images[n - 1] != n - 1:
-            raise StructureError(
-                f"element {format_transformation(t)} does not fix state {n - 1}"
-            )
-    colliders: dict[tuple[int, int], Transformation] = {}
-    focusers: dict[tuple[int, int], list[tuple[Transformation, int]]] = {}
-    for t in sg.elements:
-        images = t.images
-        for pair in colliding_pairs(images):
-            colliders.setdefault(pair, t)
-        # one element sends a pair to one target, so each pair gets at
-        # most one entry per element
-        for p, q, r in focused_triples(images):
-            focusers.setdefault((p, q), []).append((t, r))
+    scan = sg.pair_scan
+    if scan.unfixed is not None:
+        raise StructureError(
+            f"element {format_transformation(scan.unfixed)} does not fix state {n - 1}"
+        )
     return tuple(
         PairStatus(
-            pair=(p, q),
-            colliding_by=colliders.get((p, q)),
-            focused_by=tuple(focusers.get((p, q), ())),
+            pair=pair,
+            colliding_by=Transformation(tuple(x)) if (x := scan.colliding_by.get(pair)) else None,
+            focused_by=((Transformation(tuple(f[0])), f[1]),) if (f := scan.focused_by.get(pair)) else (),
         )
-        for p, q in combinations(range(1, n - 1), 2)
+        for pair in combinations(range(1, n - 1), 2)
     )
 
 
@@ -130,23 +155,14 @@ class CollisionFreeBoundReport:
 
 
 def check_collision_free_bound(sg: TransitionSemigroup) -> CollisionFreeBoundReport:
-    statuses = pair_statuses(sg)
-    applicable = all(not s.colliding for s in statuses)
+    applicable = not any(s.colliding for s in pair_statuses(sg))
     bound = wsf_bound(sg.n)
-    if not applicable:
-        return CollisionFreeBoundReport(
-            applicable=False,
-            size=sg.size,
-            bound=bound,
-            size_within_bound=sg.size <= bound,
-            all_elements_wsf=False,
-        )
     return CollisionFreeBoundReport(
-        applicable=True,
+        applicable=applicable,
         size=sg.size,
         bound=bound,
         size_within_bound=sg.size <= bound,
-        all_elements_wsf=all(in_wsf(t) for t in sg.elements),
+        all_elements_wsf=applicable and all(collapses(x) and in_bsf_images(x) for x in sg.raw),
     )
 
 

@@ -88,10 +88,6 @@ class Semiautomaton:
             if t.n != self.n:
                 raise ValueError(f"letter {name!r} acts on {t.n} states, semiautomaton has {self.n}")
 
-    @classmethod
-    def from_dfa(cls, dfa: Dfa) -> "Semiautomaton":
-        return cls(n=dfa.n, letters=dfa.letters, delta=dfa.delta)
-
 
 def witness(n: int) -> Dfa:
     """The n-state witness DFA: initial 0, single final state 1, and
@@ -324,7 +320,7 @@ def check_zero_path_structure(dfa: Dfa) -> ZeroPathReport:
     if sink is None:
         failures.append("no empty state")
     else:
-        for t in transition_semigroup(d).elements:
+        for t in transition_semigroup(d).raw:
             zp = zero_path(t)
             if not zp.is_aperiodic:
                 aperiodic = False

@@ -12,14 +12,18 @@ rewiring case by case.
 The embedding is what bounds the semigroup size by
 (n-1)^(n-2) + n - 2; a strict-inequality witness exists whenever the
 semigroup has a colliding pair at all.
+
+One implementation works on image sequences (tuples or raw byte maps)
+and names cases by label; verify_injective runs it on raw maps, and
+phi, classify and phi_inverse wrap it for Transformation objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
-from .collisions import colliding_pairs, focused_triples, pair_statuses
-from .semigroup import TransitionSemigroup, collapses, in_bsf_images, in_wsf, wsf_bound
+from .collisions import focused_triples, pair_statuses
+from .semigroup import RawMap, TransitionSemigroup, collapses, in_bsf_images, in_wsf, wsf_bound
 from .transform import (
     Transformation,
     cycles,
@@ -52,10 +56,7 @@ class PhiContext:
 
     @classmethod
     def from_semigroup(cls, sg: TransitionSemigroup) -> "PhiContext":
-        pairs: set[tuple[int, int]] = set()
-        for t in sg.elements:
-            pairs.update(colliding_pairs(t.images))
-        return cls(n=sg.n, colliding=frozenset(pairs))
+        return cls(n=sg.n, colliding=frozenset(sg.pair_scan.colliding_by))
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,13 @@ def _interior(n: int) -> range:
     return range(1, n - 1)
 
 
-def _guard(t: Transformation, ctx: PhiContext) -> None:
+def _guard(t: Sequence[int], ctx: PhiContext) -> None:
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
-    if t.n != ctx.n:
-        raise ValueError(f"transformation on {t.n} states, context has {ctx.n}")
-    if not in_bsf_images(t.images):
-        n = t.n
+    n = len(t)
+    if n != ctx.n:
+        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+    if not in_bsf_images(t):
         zp = zero_path(t)
         if not zp.is_aperiodic:
             detail = "the walk of 0 enters a cycle"
@@ -99,7 +100,7 @@ def _guard(t: Transformation, ctx: PhiContext) -> None:
             detail = f"the walk of 0 ends at {zp.states[-1]}, not at {n - 1}"
         elif t[n - 1] != n - 1:
             detail = f"state {n - 1} is not fixed"
-        elif 0 in t.images:
+        elif 0 in t:
             detail = "some state maps to 0"
         else:
             detail = "the walk of 0 merges with the walk of an interior state"
@@ -109,36 +110,46 @@ def _guard(t: Transformation, ctx: PhiContext) -> None:
         )
 
 
-def _eligible_movers(t: Transformation) -> list[int]:
+def _eligible_movers(t: Sequence[int]) -> list[int]:
     # interior states that are not fixed and whose image is not n-1
-    n = t.n
+    n = len(t)
     return [q for q in _interior(n) if t[q] != q and t[q] != n - 1]
 
 
-def _interior_fixed(t: Transformation) -> list[int]:
-    return [q for q in _interior(t.n) if t[q] == q]
+def _interior_fixed(t: Sequence[int]) -> list[int]:
+    return [q for q in _interior(len(t)) if t[q] == q]
+
+
+def _as_case(label: str) -> PhiCase:
+    number, _, sub = label.partition("(")
+    return PhiCase(int(number), sub.rstrip(")") or None)
 
 
 def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
     """First matching case in order; the final case is the fall-through
-    and anything outside it is a hard structural error.  The guard has
-    checked b_sf, so case 1 (w_sf) is the collapse condition alone."""
+    and anything outside it is a hard structural error."""
+    return _as_case(_case(t.images, ctx))
+
+
+def _case(t: Sequence[int], ctx: PhiContext) -> str:
+    # classify on an image sequence, by label; the guard has checked
+    # b_sf, so case 1 (w_sf) is the collapse condition alone
     _guard(t, ctx)
-    n = t.n
-    if collapses(t.images):
-        return PhiCase(1)
+    n = len(t)
+    if collapses(t):
+        return "1"
     p = t[0]
     if cycles(t):
-        return PhiCase(2)
+        return "2"
     if t[p] != n - 1:
-        return PhiCase(3)
+        return "3"
     if any(in_degree(t, r) >= 2 for r in _interior_fixed(t)):
-        return PhiCase(4)
+        return "4"
     if any(
         in_degree(t, r) >= 1 and t[r] != r and t[r] != n - 1
         for r in _interior(n)
     ):
-        return PhiCase(5)
+        return "5"
     heavy = [r for r in _interior(n) if in_degree(t, r) >= 2]
     if heavy:
         r = heavy[0]
@@ -147,14 +158,14 @@ def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
                 f"{format_transformation(t)}: state {p} reached from 0 has "
                 "in-degree >= 2, impossible under suffix-freeness"
             )
-        return PhiCase(6, "p<r" if p < r else "p>r")
+        return "6(p<r)" if p < r else "6(p>r)"
     movers = _eligible_movers(t)
     if len(movers) >= 2:
         r1 = t[movers[0]]
-        return PhiCase(7, "i" if p < r1 else "ii")
+        return "7(i)" if p < r1 else "7(ii)"
     isolated = [r for r in _interior_fixed(t) if in_degree(t, r) == 1]
     if len(isolated) >= 2:
-        return PhiCase(8)
+        return "8"
     if len(movers) == 1:
         q = movers[0]
         r = t[q]
@@ -164,8 +175,8 @@ def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
                 f"{p}, which only 0 may reach under suffix-freeness"
             )
         if _interior_fixed(t):
-            return PhiCase(9) if p < r else PhiCase(10)
-        return PhiCase(11, "i" if p < r else "ii")
+            return "9" if p < r else "10"
+        return "11(i)" if p < r else "11(ii)"
     # fall-through: exactly one isolated fixed point, all else collapsed
     fixed = _interior_fixed(t)
     collapsed = all(
@@ -176,35 +187,35 @@ def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
             f"{format_transformation(t)} matches no structural case; "
             f"fixed interior states {fixed}, walk target {t[p]}"
         )
-    return PhiCase(12)
+    return "12"
 
 
 # ----------------------------------------------------------- the forward map
 
 
-def _zero_chain(t: Transformation) -> list[int]:
+def _zero_chain(t: Sequence[int]) -> list[int]:
     # p, pt, ..., pt^k: the interior stretch of the walk of 0
     return list(zero_path(t).states[1:-1])
 
 
-def _build(t: Transformation, case: PhiCase) -> Transformation:
-    n = t.n
-    p = t[0]
-    imgs = list(t.images)
-    num = case.case_number
-    if num == 1:
+def _build(t: Sequence[int], case: str) -> Sequence[int]:
+    # the image of t under its case, of the same sequence type as t
+    if case == "1":
         return t
+    n = len(t)
+    p = t[0]
+    imgs = list(t)
     imgs[0] = n - 1
-    if num in (2, 3):
+    if case in ("2", "3"):
         # reverse the walk of 0; p goes to the least cycle state or stays
         chain = _zero_chain(t)
-        imgs[p] = min(q for c in cycles(t) for q in c) if num == 2 else p
+        imgs[p] = min(q for c in cycles(t) for q in c) if case == "2" else p
         for i in range(1, len(chain)):
             imgs[chain[i]] = chain[i - 1]
-    elif num == 4:
+    elif case == "4":
         r = min(q for q in _interior_fixed(t) if in_degree(t, q) >= 2)
         imgs[p] = r
-    elif num == 5:
+    elif case == "5":
         r = min(
             q
             for q in _interior(n)
@@ -214,10 +225,10 @@ def _build(t: Transformation, case: PhiCase) -> Transformation:
             and t[t[q]] == n - 1
         )
         imgs[p] = t[r]
-    elif num == 6:
+    elif case.startswith("6"):
         r = min(q for q in _interior(n) if in_degree(t, q) >= 2)
         pre = sorted(q for q in range(n) if t[q] == r)
-        if case.sub_case == "p<r":
+        if case == "6(p<r)":
             q1, q2 = pre[0], pre[1]
         else:
             q1, q2 = pre[1], pre[0]
@@ -225,19 +236,19 @@ def _build(t: Transformation, case: PhiCase) -> Transformation:
         imgs[r] = q1
         imgs[q1] = q2
         imgs[q2] = n - 1
-    elif num == 7:
+    elif case.startswith("7"):
         q1, q2 = _eligible_movers(t)[:2]
         r1 = t[q1]
         imgs[p] = q1
         imgs[r1] = q1
-        imgs[q1] = n - 1 if case.sub_case == "i" else q2
-    elif num == 8:
+        imgs[q1] = n - 1 if case == "7(i)" else q2
+    elif case == "8":
         isolated = [r for r in _interior_fixed(t) if in_degree(t, r) == 1]
         r1, r2 = isolated[0], isolated[1]
         imgs[p] = r2
         imgs[r1] = r2
         imgs[r2] = r1
-    elif num == 9:
+    elif case == "9":
         q = _eligible_movers(t)[0]
         r = t[q]
         f = _interior_fixed(t)[0]
@@ -245,13 +256,13 @@ def _build(t: Transformation, case: PhiCase) -> Transformation:
         imgs[r] = q
         imgs[q] = p
         imgs[f] = r
-    elif num in (10, 11):
+    elif case in ("10", "11(i)", "11(ii)"):
         q = _eligible_movers(t)[0]
         r = t[q]
         imgs[p] = q
         imgs[r] = q
         imgs[q] = n - 1
-        if case.sub_case == "ii":
+        if case == "11(ii)":
             r1, r2 = sorted(set(_interior(n)) - {p, q, r})[:2]
             imgs[r1] = r2
             imgs[r2] = r1
@@ -261,43 +272,49 @@ def _build(t: Transformation, case: PhiCase) -> Transformation:
         r1, r2 = sorted(set(_interior(n)) - {p, f})[:2]
         imgs[r1] = r2
         imgs[r2] = r1
-    return Transformation(tuple(imgs))
+    return type(t)(imgs)
 
 
 def phi(t: Transformation, ctx: PhiContext) -> PhiOutcome:
     """Embed t and immediately undo the embedding as a self-check."""
-    case = classify(t, ctx)
+    case, image = _phi(t.images, ctx)
+    return PhiOutcome(t=t, case=_as_case(case), image=Transformation(image), reconstruction=t)
+
+
+def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
+    # phi on an image sequence: the case label and the image
+    case = _case(t, ctx)
     image = _build(t, case)
-    back = phi_inverse(image, ctx)
+    back = _inverse(image, ctx)
     if back != t:
         raise CaseExhaustionError(
             f"round trip failed for {format_transformation(t)} "
-            f"(case {case.label}): reconstructed {format_transformation(back)}"
+            f"(case {case}): reconstructed {format_transformation(back)}"
         )
-    return PhiOutcome(t=t, case=case, image=image, reconstruction=back)
+    return case, image
 
 
 # ----------------------------------------------------------- the inverse map
 
 
-def _focused_colliding(s: Transformation, ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
+def _focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
     if not ctx.colliding:
         return []  # only colliding pairs are kept
     return [
         ((x, y), z)
-        for x, y, z in sorted(focused_triples(s.images))
+        for x, y, z in sorted(focused_triples(s))
         if (x, y) in ctx.colliding
     ]
 
 
-def _rebuild_chain(s: Transformation, p: int, ctx: PhiContext) -> Transformation:
+def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
     """Shared reconstruction of the walk of 0 for the two chain cases.
 
     The first chain state is the unique other preimage of p; each next
     one is the unique preimage of the current state that collides with
     the state two steps back.
     """
-    n = s.n
+    n = len(s)
     chain = [p]
     pre = [w for w in range(n) if w != p and s[w] == p]
     if len(pre) > 1:
@@ -320,12 +337,12 @@ def _rebuild_chain(s: Transformation, p: int, ctx: PhiContext) -> Transformation
             chain.append(cands[0])
         else:
             raise NotInImageError("chain does not terminate")
-    imgs = list(s.images)
+    imgs = list(s)
     imgs[0] = p
     for i in range(len(chain) - 1):
         imgs[chain[i]] = chain[i + 1]
     imgs[chain[-1]] = n - 1
-    return Transformation(tuple(imgs))
+    return type(s)(imgs)
 
 
 def phi_inverse(s: Transformation, ctx: PhiContext) -> Transformation:
@@ -334,9 +351,14 @@ def phi_inverse(s: Transformation, ctx: PhiContext) -> Transformation:
     Raises NotInImageError when s cannot be the image of any t, which
     is exactly what proves the bound strict for colliding semigroups.
     """
+    return Transformation(_inverse(s.images, ctx))
+
+
+def _inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
+    # phi_inverse on an image sequence
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
-    n = s.n
+    n = len(s)
     if n != ctx.n:
         raise ValueError(f"transformation on {n} states, context has {ctx.n}")
     fc = _focused_colliding(s, ctx)
@@ -348,22 +370,22 @@ def phi_inverse(s: Transformation, ctx: PhiContext) -> Transformation:
     return _invert_acyclic(s, ctx, fc)
 
 
-def _restore(s: Transformation, p: int, moves: dict[int, int]) -> Transformation:
+def _restore(s: Sequence[int], p: int, moves: dict[int, int]) -> Sequence[int]:
     # s with the walk of 0 put back, 0 to p to n-1, then the moves applied
-    imgs = list(s.images)
-    imgs[0], imgs[p] = p, s.n - 1
+    imgs = list(s)
+    imgs[0], imgs[p] = p, len(s) - 1
     for q, v in moves.items():
         imgs[q] = v
-    return Transformation(tuple(imgs))
+    return type(s)(imgs)
 
 
-def _invert_with_cycles(s, ctx, fc, cycs) -> Transformation:
+def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
     # the reversed walk of 0 may focus extra colliding pairs, because
     # its attachment state can take ordinary traffic too; the reliable
     # marker is the pair split by a cycle, one member on it and one
     # off.  Pairs the preimage already focused are never colliding, so
     # a consistent semigroup keeps that marker unique.
-    n = s.n
+    n = len(s)
     cyc_states = {q for c in cycs for q in c}
     split = [
         ((x, y), z)
@@ -411,8 +433,8 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Transformation:
     raise NotInImageError("focused pair beside a cycle fits no case")
 
 
-def _invert_acyclic(s, ctx, fc) -> Transformation:
-    n = s.n
+def _invert_acyclic(s, ctx, fc) -> Sequence[int]:
+    n = len(s)
     on_fixed = [(pair, z) for pair, z in fc if z in pair and s[z] == z]
     if on_fixed:
         # fixed target inside the pair: cases 3 and 4
@@ -509,51 +531,46 @@ class InjectivityReport:
 
 
 def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
-    """Run the embedding over a whole semigroup and check all of its
-    promises: images collapse, no duplicates, round-trips, size bound."""
+    """Run the embedding over a whole semigroup's raw maps and check all
+    of its promises: images collapse, no duplicates, round-trips, size
+    bound."""
     ctx = PhiContext.from_semigroup(sg)
     counts: dict[str, int] = {}
-    images: list[Transformation] = []
+    first: dict[RawMap, RawMap] = {}  # each image and the first map sent to it
+    duplicate = None
     all_wsf = True
     round_trips = True
     counterexample = None
-    for t in sg.elements:
+    for t in sg.raw:
         try:
-            outcome = phi(t, ctx)
+            case, image = _phi(t, ctx)
         except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
             counterexample = f"{format_transformation(t)}: {e}"
             round_trips = False
             break
-        counts[outcome.case.label] = counts.get(outcome.case.label, 0) + 1
-        images.append(outcome.image)
-        if not in_wsf(outcome.image):
+        counts[case] = counts.get(case, 0) + 1
+        earlier = first.setdefault(image, t)
+        if earlier != t and duplicate is None:
+            duplicate = (
+                f"{format_transformation(earlier)} and {format_transformation(t)} "
+                f"share the image {format_transformation(image)}"
+            )
+        if not (collapses(image) and in_bsf_images(image)):
             all_wsf = False
             counterexample = (
                 f"{format_transformation(t)} maps to "
-                f"{format_transformation(outcome.image)}, which does not collapse"
+                f"{format_transformation(image)}, which does not collapse"
             )
-    distinct = len(set(images)) == len(images)
-    if not distinct and counterexample is None:
-        seen: dict[Transformation, Transformation] = {}
-        for t, img in zip(sg.elements, images):
-            if img in seen:
-                counterexample = (
-                    f"{format_transformation(seen[img])} and "
-                    f"{format_transformation(t)} share the image "
-                    f"{format_transformation(img)}"
-                )
-                break
-            seen[img] = t
     return InjectivityReport(
         n=sg.n,
         size=sg.size,
         bound=wsf_bound(sg.n),
         case_counts=counts,
         all_images_collapsing=all_wsf,
-        images_distinct=distinct,
+        images_distinct=duplicate is None,
         round_trips=round_trips,
         within_bound=sg.size <= wsf_bound(sg.n),
-        counterexample=counterexample,
+        counterexample=counterexample or duplicate,
     )
 
 

@@ -323,8 +323,6 @@ def _context(n: int) -> _Context:
     bsf = frozenset(bytes(t.images) for t in enumerate_bsf(n))
     semi = frozenset(bytes(t.images) for t in semiconstant_family(n))
     pool = tuple(sorted(bsf - semi))
-    vsf = frozenset(bytes(e.images) for e in closure(list(vsf_generators(n))).elements)
-    wsf = frozenset(bytes(e.images) for e in enumerate_wsf(n).elements)
     return _Context(
         n=n,
         pair_bit=pair_bit,
@@ -334,8 +332,8 @@ def _context(n: int) -> _Context:
         bsf_set=bsf,
         masks={t: _masks_of(t, pair_bit) for t in bsf},
         tables={t: raw_table(t) for t in bsf},
-        vsf_elements=vsf,
-        wsf_elements=wsf,
+        vsf_elements=closure(list(vsf_generators(n))).raw_set,
+        wsf_elements=enumerate_wsf(n).raw_set,
     )
 
 

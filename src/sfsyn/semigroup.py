@@ -28,17 +28,23 @@ right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
 given set, can extend a set already closed under the tables, and can
-record each find's parent and table, from which closure() rebuilds the
-shortest witness words.  Transformation objects are made only at the
-edge, by closure().
+record each find's parent and table.  A TransitionSemigroup holds raw
+maps in discovery order with those links, builds Transformation objects
+and shortest witness words only on first access, and caches its one
+pair scan.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import AbstractSet, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, Sequence
 
 from .transform import Transformation
+
+if TYPE_CHECKING:
+    from .collisions import PairScan
 
 Word = tuple[int, ...]  # generator indices
 RawMap = bytes  # a map as its image string: byte q is the image of q
@@ -47,25 +53,51 @@ RawMap = bytes  # a map as its image string: byte q is the image of q
 @dataclass(frozen=True)
 class TransitionSemigroup:
     """A finite transformation semigroup with a distinguished generator
-    list.  Elements are kept in breadth-first discovery order; witness
-    words map each element to a shortest generating word (ties broken
-    by generator order)."""
+    list, its elements kept as raw maps in breadth-first discovery order.
+    Transformation objects and witness words (a shortest generating word
+    per element, ties broken by generator order, rebuilt from each one's
+    parent position and last letter) are built on first access."""
 
     n: int
-    elements: tuple[Transformation, ...]
+    raw: tuple[RawMap, ...]
     generators: tuple[Transformation, ...]
-    element_set: frozenset[Transformation]
-    witness_words: dict[Transformation, Word] | None = None
+    raw_set: frozenset[RawMap]
+    parents: array | None = None
+    letters: array | None = None
+
+    @cached_property
+    def elements(self) -> tuple[Transformation, ...]:
+        return tuple(Transformation(tuple(t)) for t in self.raw)
+
+    @cached_property
+    def element_set(self) -> frozenset[Transformation]:
+        return frozenset(self.elements)
+
+    @cached_property
+    def witness_words(self) -> dict[Transformation, Word] | None:
+        if self.parents is None:
+            return None
+        words: list[Word] = []
+        for parent, k in zip(self.parents, self.letters):
+            words.append((k,) if parent < 0 else words[parent] + (k,))
+        return dict(zip(self.elements, words))
+
+    @cached_property
+    def pair_scan(self) -> "PairScan":
+        """The one pair scan (collisions.scan_pairs), run on first access."""
+        from .collisions import scan_pairs  # collisions imports this module
+
+        return scan_pairs(self.raw, self.n)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.raw)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.raw)
 
     def __contains__(self, t: Transformation) -> bool:
-        return t in self.element_set
+        return t.n == self.n and bytes(t.images) in self.raw_set
 
 
 _IDENTITY_256 = bytes(range(256))
@@ -84,7 +116,7 @@ def close_raw(
     *,
     known: AbstractSet[RawMap] = frozenset(),
     within: Container[RawMap] | None = None,
-    edges: list[tuple[int, int]] | None = None,
+    edges: tuple[array, array] | None = None,
 ) -> list[RawMap] | None:
     """The closure kernel: every map reachable from the seeds by right
     multiplication with the tables, minus the known maps.
@@ -96,19 +128,21 @@ def close_raw(
     already closed under the tables extends by seeding only the
     products that involve the new map.  With within given, the pass
     stops and returns None the moment a seed or a find is not in it.
-    With edges given, one (parent position, table index) pair is
-    appended per returned map, parent -1 and the seed's own index for
-    a seed; the shortest words follow from these links."""
+    With edges = (parents, indices) given, one parent position and one
+    table index are appended per returned map, parent -1 and the seed's
+    own index for a seed; the shortest words follow from these links."""
     seen = set(known)
     order: list[RawMap] = []
+    parents, indices = edges if edges is not None else (None, None)
     for i, s in enumerate(seeds):
         if s not in seen:
             if within is not None and s not in within:
                 return None
             seen.add(s)
             order.append(s)
-            if edges is not None:
-                edges.append((-1, i))
+            if parents is not None:
+                parents.append(-1)
+                indices.append(i)
     i = 0
     while i < len(order):
         x = order[i]
@@ -119,8 +153,9 @@ def close_raw(
                     return None
                 seen.add(y)
                 order.append(y)
-                if edges is not None:
-                    edges.append((i, k))
+                if parents is not None:
+                    parents.append(i)
+                    indices.append(k)
         i += 1
     return order
 
@@ -165,19 +200,16 @@ def _raw_generators(generators: Sequence[Transformation], what: str) -> list[Raw
 def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     """Close a non-empty generator list under composition."""
     raws = _raw_generators(generators, "closure")
-    edges: list[tuple[int, int]] = []
-    order = close_raw(raws, [raw_table(g) for g in raws], edges=edges)
-    words: list[Word] = []
-    for parent, k in edges:
-        words.append((k,) if parent < 0 else words[parent] + (k,))
-    del edges  # about a tenth of the peak memory at n = 8
-    elements = tuple(Transformation(tuple(t)) for t in order)
+    parents = array("i")
+    letters = array("B" if len(raws) <= 256 else "i")
+    order = close_raw(raws, [raw_table(g) for g in raws], edges=(parents, letters))
     return TransitionSemigroup(
         n=generators[0].n,
-        elements=elements,
+        raw=tuple(order),
         generators=tuple(generators),
-        element_set=frozenset(elements),
-        witness_words=dict(zip(elements, words)),
+        raw_set=frozenset(order),
+        parents=parents,
+        letters=letters,
     )
 
 
@@ -189,6 +221,8 @@ def in_bsf_images(images: Sequence[int]) -> bool:
     if images[last] != last or 0 in images:
         return False
     w = images[0]
+    if w == last:
+        return True  # most of w_sf
     reach: Iterable[int] = range(1, last)
     for _ in range(last):
         if w == last:
@@ -323,21 +357,11 @@ def enumerate_wsf(n: int) -> TransitionSemigroup:
     else to n-1."""
     if n < 4:
         raise ValueError("w_sf enumeration needs n >= 4")
-    elems: list[Transformation] = []
-    for mid in product(range(1, n), repeat=n - 2):
-        elems.append(Transformation((n - 1,) + mid + (n - 1,)))
-    for p in range(1, n - 1):
-        t = [n - 1] * n
-        t[0] = p
-        elems.append(Transformation(tuple(t)))
+    last = n - 1
+    raw = [bytes((last, *mid, last)) for mid in product(range(1, n), repeat=n - 2)]
+    raw += [bytes((p,) + (last,) * last) for p in range(1, last)]
     _, gens = witness_letters(n)
-    return TransitionSemigroup(
-        n=n,
-        elements=tuple(elems),
-        generators=gens,
-        element_set=frozenset(elems),
-        witness_words=None,
-    )
+    return TransitionSemigroup(n=n, raw=tuple(raw), generators=gens, raw_set=frozenset(raw))
 
 
 def semiconstant_family(n: int) -> tuple[Transformation, ...]:

@@ -5,6 +5,9 @@ images, so ``t[q]`` is the image of state q.  Composition is read left
 to right: ``q (s * t) = (q s) t``, matching the way a word uv acts on a
 DFA state (first u, then v).
 
+format_transformation, in_degree, cycles and zero_path also take a
+bare image sequence: a tuple, or a raw byte map.
+
 Throughout the package state 0 is reserved for the initial state of a
 DFA and state n-1 for its empty (sink) state; several predicates in
 other modules depend on that convention, but nothing here does.
@@ -12,6 +15,7 @@ other modules depend on that convention, but nothing here does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,48 +75,54 @@ def parse_transformation(text: str) -> Transformation:
     return Transformation(images)
 
 
-def format_transformation(t: Transformation) -> str:
-    return " ".join(str(i) for i in t.images)
+def _images(t: Transformation | Sequence[int]) -> Sequence[int]:
+    return t.images if isinstance(t, Transformation) else t
+
+
+def format_transformation(t: Transformation | Sequence[int]) -> str:
+    return " ".join(str(i) for i in _images(t))
 
 
 def fixed_points(t: Transformation) -> tuple[int, ...]:
     return tuple(q for q in range(t.n) if t.images[q] == q)
 
 
-def in_degree(t: Transformation, q: int) -> int:
+def in_degree(t: Transformation | Sequence[int], q: int) -> int:
     """Number of states mapped onto q by t."""
-    if not 0 <= q < t.n:
-        raise ValueError(f"state {q} out of range for n={t.n}")
-    return sum(1 for img in t.images if img == q)
+    images = _images(t)
+    if not 0 <= q < len(images):
+        raise ValueError(f"state {q} out of range for n={len(images)}")
+    return images.count(q)
 
 
-def cycles(t: Transformation) -> tuple[tuple[int, ...], ...]:
+def cycles(t: Transformation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All cycles of length >= 2, rotated to start at their least state.
 
     Fixed points are deliberately not returned here; use fixed_points.
     The cycles are ordered by their least state.
     """
-    cyc_states = _cyclic_states(t)
+    images = _images(t)
+    cyc_states = _cyclic_states(images)
     seen: set[int] = set()
     out: list[tuple[int, ...]] = []
     for q in sorted(cyc_states):
         if q in seen:
             continue
         cyc = [q]
-        cur = t.images[q]
+        cur = images[q]
         while cur != q:
             cyc.append(cur)
-            cur = t.images[cur]
+            cur = images[cur]
         seen.update(cyc)
         if len(cyc) >= 2:
             out.append(tuple(cyc))
     return tuple(out)
 
 
-def _cyclic_states(t: Transformation) -> set[int]:
+def _cyclic_states(images: Sequence[int]) -> set[int]:
     # A state is cyclic iff repeated application of t returns to it.
     # Walk each tail once, marking the states on the terminal loop.
-    n = t.n
+    n = len(images)
     color = [0] * n  # 0 unvisited, 1 in progress, 2 done
     cyclic: set[int] = set()
     for start in range(n):
@@ -123,7 +133,7 @@ def _cyclic_states(t: Transformation) -> set[int]:
         while color[cur] == 0:
             color[cur] = 1
             path.append(cur)
-            cur = t.images[cur]
+            cur = images[cur]
         if color[cur] == 1:
             # found a new loop; everything from cur onwards in path is cyclic
             idx = path.index(cur)
@@ -131,69 +141,6 @@ def _cyclic_states(t: Transformation) -> set[int]:
         for q in path:
             color[q] = 2
     return cyclic
-
-
-@dataclass(frozen=True, slots=True)
-class OrbitClass:
-    """One weakly-connected component of the functional graph of t.
-
-    Exactly one of the two holds: the class contains a single cycle of
-    length >= 2, or a single fixed point (a cycle of length 1).
-    """
-
-    states: frozenset[int]
-    cycle: tuple[int, ...]
-
-    @property
-    def is_fixed_point(self) -> bool:
-        return len(self.cycle) == 1
-
-
-@dataclass(frozen=True, slots=True)
-class OrbitPartition:
-    classes: tuple[OrbitClass, ...]
-
-    def class_of(self, q: int) -> OrbitClass:
-        for cls in self.classes:
-            if q in cls.states:
-                return cls
-        raise ValueError(f"state {q} not covered by the partition")
-
-
-def orbits(t: Transformation) -> OrbitPartition:
-    """Partition Q into orbits: p and q share an orbit iff their forward
-    images under powers of t eventually meet."""
-    n = t.n
-    # union-find over the edges q -> t[q]
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for q in range(n):
-        a, b = find(q), find(t.images[q])
-        if a != b:
-            parent[a] = b
-
-    groups: dict[int, list[int]] = {}
-    for q in range(n):
-        groups.setdefault(find(q), []).append(q)
-
-    cyc_states = _cyclic_states(t)
-    classes = []
-    for members in sorted(groups.values(), key=min):
-        in_cycle = sorted(set(members) & cyc_states)
-        head = in_cycle[0]
-        cyc = [head]
-        cur = t.images[head]
-        while cur != head:
-            cyc.append(cur)
-            cur = t.images[cur]
-        classes.append(OrbitClass(states=frozenset(members), cycle=tuple(cyc)))
-    return OrbitPartition(classes=tuple(classes))
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,21 +160,16 @@ class ZeroPath:
         return self.period == 1
 
 
-def zero_path(t: Transformation) -> ZeroPath:
+def zero_path(t: Transformation | Sequence[int]) -> ZeroPath:
+    images = _images(t)
     seen: dict[int, int] = {}
     cur = 0
     path: list[int] = []
     while cur not in seen:
         seen[cur] = len(path)
         path.append(cur)
-        cur = t.images[cur]
+        cur = images[cur]
     return ZeroPath(states=tuple(path), period=len(path) - seen[cur])
-
-
-def is_initially_aperiodic(t: Transformation) -> bool:
-    """True iff the walk of state 0 under t never enters a cycle of
-    length >= 2, i.e. it stabilises on a fixed point."""
-    return zero_path(t).period == 1
 
 
 @dataclass(frozen=True, slots=True)

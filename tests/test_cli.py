@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report rendering, JSON shapes."""
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -223,9 +224,20 @@ def test_search_target_below_one_is_a_usage_error(capsys):
     assert err == "error: target must be positive\n"
 
 
+@pytest.fixture(autouse=True)
+def restore_package_logger():
+    # main() leaves its stderr handler on the sfsyn logger; drop it after
+    # each test, so no later test logs into a closed capture stream
+    logger = logging.getLogger("sfsyn")
+    handlers, propagate, level = logger.handlers[:], logger.propagate, logger.level
+    yield
+    logger.handlers[:] = handlers
+    logger.propagate = propagate
+    logger.setLevel(level)
+
+
 def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    # a fresh interpreter: logging is configured once per process, and
-    # the test runner's own handlers would otherwise take the records
+    # a fresh interpreter, as the command is run from a shell
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -252,6 +264,21 @@ def test_log_level_info_shows_the_search_progress():
     expected = search_max(4).to_json(include_timing=False)
     assert without_timing(json.loads(quiet.stdout)) == expected
     assert without_timing(json.loads(loud.stdout)) == expected
+
+
+def test_log_level_works_in_process(capfd):
+    # the test runner's handlers sit on the root logger, where
+    # logging.basicConfig would have done nothing; a second main()
+    # replaces the handler rather than stacking another
+    expected = search_max(4).to_json(include_timing=False)
+    for _ in range(2):
+        assert main(["--log-level", "info", "search", "--n", "4"]) == 0
+        out, err = capfd.readouterr()
+        assert err == "level 1: 5 semiautomata, 0 extension candidates\n"
+        assert without_timing(json.loads(out)) == expected
+    assert main(["search", "--n", "4"]) == 0
+    assert capfd.readouterr().err == ""
+    assert [h.get_name() for h in logging.getLogger("sfsyn").handlers] == ["sfsyn.cli"]
 
 
 def test_default_log_level_writes_warnings_as_bare_messages():

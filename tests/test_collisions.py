@@ -2,6 +2,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from itertools import combinations
+
 from sfsyn.transform import Transformation, identity
 from sfsyn.semigroup import closure, enumerate_wsf, vsf_generators
 from sfsyn.dfa import witness, transition_semigroup
@@ -22,6 +24,33 @@ def fixing_last(n: int):
     return st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1).map(
         lambda xs: Transformation(tuple(xs) + (n - 1,))
     )
+
+
+def full_pair_statuses(sg):
+    # the full-list scan the one-pass scan replaced, kept as its oracle:
+    # (pair, first collider, every focuser with its target) per pair,
+    # all in discovery order
+    n = sg.n
+    colliders, focusers = {}, {}
+    for t in sg.elements:
+        for pair in colliding_pairs(t.images):
+            colliders.setdefault(pair, t)
+        for p, q, r in focused_triples(t.images):
+            focusers.setdefault((p, q), []).append((t, r))
+    return [
+        (pair, colliders.get(pair), tuple(focusers.get(pair, ())))
+        for pair in combinations(range(1, n - 1), 2)
+    ]
+
+
+def assert_scan_matches_oracle(sg):
+    oracle = full_pair_statuses(sg)
+    statuses = pair_statuses(sg)
+    assert [s.pair for s in statuses] == [pair for pair, _, _ in oracle]
+    for s, (pair, collider, focusers) in zip(statuses, oracle):
+        assert s.colliding_by == collider, pair
+        assert s.focused == bool(focusers), pair
+        assert s.focused_by == focusers[:1], pair
 
 
 # ----------------------------------------------------- per-element facts
@@ -88,6 +117,35 @@ def test_structure_error_when_last_state_moves():
         pair_statuses(sg)
     with pytest.raises(ValueError):
         pair_statuses(closure([identity(3)]))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_scan_matches_full_list_oracle_on_witness(n):
+    assert_scan_matches_oracle(transition_semigroup(witness(n)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_scan_matches_full_list_oracle_on_vsf(n):
+    assert_scan_matches_oracle(closure(list(vsf_generators(n))))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_scan_matches_full_list_oracle_on_wsf(n):
+    assert_scan_matches_oracle(enumerate_wsf(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(4, 6))
+def test_scan_matches_full_list_oracle_on_random_closures(data, n):
+    gens = data.draw(st.lists(fixing_last(n), min_size=1, max_size=3))
+    assert_scan_matches_oracle(closure(gens))
+
+
+def test_pair_scan_runs_once_per_semigroup():
+    sg = closure(list(vsf_generators(5)))
+    scan = sg.pair_scan
+    assert pair_statuses(sg) == pair_statuses(sg)
+    assert sg.pair_scan is scan
 
 
 # ------------------------------------------------------------ consistency

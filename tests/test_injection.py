@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from sfsyn.collisions import verify_suffix_free_consistency
+from sfsyn import injection
+from sfsyn.collisions import pair_statuses, verify_suffix_free_consistency
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.injection import (
     CaseExhaustionError,
@@ -247,6 +248,47 @@ def test_collapsing_family_maps_to_itself():
     )
 
 
+def test_raw_hot_path_leaves_elements_unbuilt():
+    # the pair scan and the embedding run on raw maps: no Transformation
+    # per element and no witness words
+    sg = transition_semigroup(witness(7))
+    assert verify_injective(sg).passed
+    assert not any(s.colliding for s in pair_statuses(sg))
+    assert strict_bound_witness(sg) is None
+    assert "elements" not in vars(sg)
+    assert "element_set" not in vars(sg)
+    assert "witness_words" not in vars(sg)
+
+
+def test_duplicate_images_are_reported(monkeypatch):
+    # a broken forward map sending two elements onto a third one's
+    # image: the report names the first element whose image repeats
+    sg = transition_semigroup(witness(7))
+    real = injection._phi
+    index = {t: i for i, t in enumerate(sg.raw)}
+
+    def clashing(t, ctx):
+        case, image = real(t, ctx)
+        return case, sg.raw[3] if index[t] in (5, 9) else image
+
+    monkeypatch.setattr(injection, "_phi", clashing)
+    report = verify_injective(sg)
+    assert not report.images_distinct and report.all_images_collapsing and report.round_trips
+    assert report.counterexample == (
+        "6 6 2 3 4 5 6 and 6 3 4 5 1 2 6 share the image 6 6 2 3 4 5 6"
+    )
+
+
+def test_non_collapsing_images_are_reported(v7, monkeypatch):
+    # a broken forward map keeping every element as its own image: the
+    # v_sf elements outside w_sf are caught, the last one is reported
+    real = injection._phi
+    monkeypatch.setattr(injection, "_phi", lambda t, ctx: (real(t, ctx)[0], t))
+    report = verify_injective(v7)
+    assert not report.all_images_collapsing and report.images_distinct
+    assert report.counterexample == "1 6 6 5 3 4 6 maps to 1 6 6 5 3 4 6, which does not collapse"
+
+
 def test_forward_map_over_all_of_bsf_seven():
     # classify and _build over every b_sf map on 7 states: no case runs
     # out and every image collapses
@@ -254,7 +296,7 @@ def test_forward_map_over_all_of_bsf_seven():
     counts: dict[str, int] = {}
     for t in enumerate_bsf(7):
         case = classify(t, ctx)
-        assert in_wsf(_build(t, case)), t
+        assert in_wsf(Transformation(_build(t.images, case.label))), t
         counts[case.label] = counts.get(case.label, 0) + 1
     assert counts == {
         "1": 7781,

@@ -12,6 +12,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.transform import Transformation, compose, identity
 from sfsyn.semigroup import (
     closure,
@@ -204,6 +205,29 @@ def test_witness_semigroup_report_bytes_pinned(n, digest):
     # element order, images and witness words of the whole report
     names, letters = witness_letters(n)
     assert report_digest(semigroup_to_json(closure(list(letters)), names)) == digest
+
+
+def test_witness_eight_raw_elements_pinned():
+    # images and discovery order of the whole witness(8) closure
+    sg = transition_semigroup(witness(8))
+    assert len(sg.raw) == len(sg.raw_set) == wsf_bound(8)
+    assert (
+        hashlib.sha256(b"".join(sg.raw)).hexdigest()
+        == "8bedeff8d83d1cfb7df34ea196675cade7fd803dde582a88f2f0902175d4f28e"
+    )
+
+
+def test_elements_and_words_are_built_on_first_access():
+    sg = closure(list(witness_letters(5)[1]))
+    assert "elements" not in vars(sg) and "witness_words" not in vars(sg)
+    assert [bytes(e.images) for e in sg.elements] == list(sg.raw)
+    assert sg.elements is sg.elements
+    assert set(sg.witness_words) == sg.element_set
+    wsf = enumerate_wsf(5)
+    assert wsf.witness_words is None
+    assert wsf.raw_set == sg.raw_set
+    assert all(t in sg for t in wsf.elements)
+    assert Transformation((3, 3, 3, 3)) not in sg  # wrong state count
 
 
 # ------------------------------------------------------------ families

@@ -1,9 +1,8 @@
-"""Transformation layer: composition, orbits, zero-path, shapes.
+"""Transformation layer: composition, cycles, zero-path, shapes.
 
-The oracles here are deliberately naive re-derivations.  Orbit
-equivalence is checked against forward-walk intersection, the zero
-path against a step-by-step walk, cyclic states against n-step
-reachability from themselves.
+The oracles here are deliberately naive re-derivations.  The zero
+path is checked against a step-by-step walk, cyclic states against
+n-step reachability from themselves.
 """
 import itertools
 
@@ -11,7 +10,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sfsyn.transform import (
-    OrbitClass,
     Shape,
     Transformation,
     ZeroPath,
@@ -22,8 +20,6 @@ from sfsyn.transform import (
     format_transformation,
     identity,
     in_degree,
-    is_initially_aperiodic,
-    orbits,
     parse_transformation,
     power,
     zero_path,
@@ -169,51 +165,6 @@ def test_in_degree_frozen_example():
     assert in_degree(a, 0) == 0
 
 
-# ------------------------------------------------------------- orbits
-
-
-def _forward_closure(t: Transformation, q: int) -> set[int]:
-    seen = {q}
-    while t[q] not in seen:
-        q = t[q]
-        seen.add(q)
-    return seen
-
-
-def _same_orbit_oracle(t: Transformation, p: int, q: int) -> bool:
-    return bool(_forward_closure(t, p) & _forward_closure(t, q))
-
-
-def test_orbits_against_walk_intersection_exhaustive_n4():
-    for t in all_maps(4):
-        part = orbits(t)
-        states = [q for cls in part.classes for q in cls.states]
-        assert sorted(states) == list(range(4))  # a partition
-        for p in range(4):
-            for q in range(4):
-                same = part.class_of(p) is part.class_of(q)
-                assert same == _same_orbit_oracle(t, p, q)
-        for cls in part.classes:
-            cyc = set(cls.cycle)
-            assert cyc <= cls.states
-            assert cyc == _cyclic_oracle(t) & cls.states  # one loop per class
-
-
-def test_orbits_single_class_example():
-    t = Transformation((1, 2, 6, 6, 6, 6, 6))
-    part = orbits(t)
-    assert len(part.classes) == 1
-    cls = part.classes[0]
-    assert cls.states == frozenset(range(7))
-    assert cls.cycle == (6,)
-    assert cls.is_fixed_point
-
-
-def test_orbit_class_of_rejects_foreign_state():
-    with pytest.raises(ValueError):
-        orbits(Transformation((0, 1))).class_of(5)
-
-
 # ---------------------------------------------------------- zero path
 
 
@@ -232,7 +183,6 @@ def test_zero_path_matches_walk_oracle(t):
     assert list(zp.states) == walk
     assert zp.period == period
     assert zp.is_aperiodic == (period == 1)
-    assert is_initially_aperiodic(t) == (period == 1)
 
 
 def test_zero_path_frozen_examples():
