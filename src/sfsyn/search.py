@@ -2,13 +2,17 @@
 semigroups of suffix-free DFAs.
 
 Semiautomata are enumerated level by level, one letter at a time, up
-to isomorphism.  For each semiautomaton every (initial, empty) state
-selection is relabeled to (0, n-1) and judged: the letters and the
-closure they generate must stay inside the admissible sink family, and
-the full semiconstant family is folded into the generated semigroup X.
-Stage one then keeps the pool maps outside X whose colliding and
-focused pair masks clash with none of X's, and the branch ends when
-|X| plus their number cannot reach the target.
+to pointed isomorphism: state 0 is the initial state and n-1 the empty
+state throughout, and two letter sets are one branch when a relabelling
+of the interior states 1..n-2 carries one onto the other.  A DFA with
+any other initial or empty state is a relabelling of one enumerated
+here, so each semiautomaton has exactly one selection, itself, and is
+judged once: its letters and the closure they generate must stay
+inside the admissible sink family, and the full semiconstant family is
+folded into the generated semigroup X.  Stage one then keeps the pool
+maps outside X whose colliding and focused pair masks clash with none
+of X's, and the branch ends when |X| plus their number cannot reach
+the target.
 
 Branches are also closed off by a per-pair case analysis.  A consistent
 semigroup must, for every interior pair, avoid all of the pair's
@@ -31,24 +35,39 @@ with t's and X's still clash nowhere.  Every such product lies in the
 closure of X plus t, so the survivors include every exact addition,
 every t whose closure with X stays admissible and consistent.  No
 closure per survivor is needed to make the level exact: a survivor
-that is no addition only adds a semiautomaton to the next level, whose
-selections are each judged afresh by their own closure, so no verdict
-changes.  On every search the test suite and the benchmark run, exact
-closures reject none of the survivors.
+that is no addition only adds a semiautomaton to the next level, which
+is judged afresh by its own closure, so no verdict changes.  On every
+search the test suite and the benchmark run, exact closures reject
+none of the survivors.
 
-Isomorphism classes are told apart by a canonical form: the
+Pointed classes are told apart by a canonical form: the
 lexicographically least sorted tuple of letter conjugates over every
-state permutation.  It is computed without scanning the n!
-permutations.  A branch-and-bound labelling finds each letter's least
-conjugate together with every labelling that reaches it; the sorted
-tuple must start with the least of those one-letter forms, so only
-labellings giving some letter that form are tried on the whole tuple.
-One search_max call keeps a memo of the one-letter results, shared by
-all of its canonicalizations and dropped when it returns; canonicalize,
-checkpoint parsing and worker processes each start with an empty one,
-so no call ever starts warm.
+permutation of the interior states.  It is computed without scanning
+the (n-2)! permutations.  A branch-and-bound labelling finds each
+letter's least conjugate together with every labelling that reaches
+it; the sorted tuple must start with the least of those one-letter
+forms, so only labellings giving some letter that form are tried on
+the whole tuple.  One search_max call keeps a memo of the one-letter
+results, shared by all of its canonicalizations and dropped when it
+returns; canonicalize, checkpoint parsing and worker processes each
+start with an empty one, so no call ever starts warm.
 
-Each selection is closed once, letters and semiconstants together,
+Reported semigroups are told apart by the same form of their members,
+and there pointed and full isomorphism agree.  Such a semigroup holds
+every semiconstant.  State 0 is the only state outside every image:
+no admissible map has 0 in its image, while the semiconstant sending
+only 0 to n-1 has every other state in its image.  And the
+semiconstant sending every state to n-1 is the only constant map in
+it, since every admissible map fixes n-1.  A state permutation
+conjugating one such semigroup onto another keeps the states outside
+every image and sends constants to constants, so it fixes 0 and n-1.
+
+The statistics count per semiautomaton: selections equals visited,
+rejected_selections counts closures refused for leaving the admissible
+family, and terminal_selections and pruned_selections count branches
+the case analysis or the count bound ended.
+
+Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
 is lost by not retrying with fewer semiconstants, by this lemma: the
 letters close inside b_sf if and only if the letters plus all
@@ -62,7 +81,7 @@ interior q at an interior state under w^j is then already a merge
 under w'^j, and w' lies in the letters' closure, inside b_sf.  If w'
 is empty, 0 w = n-1 and nothing merges.  So w is in b_sf.
 
-Everything here is deterministic: pools, selections, and level merges
+Everything here is deterministic: pools, levels, and level merges
 are ordered, so two runs (any thread count) produce the same result.
 """
 from __future__ import annotations
@@ -105,9 +124,10 @@ DEFAULT_MAX_LETTERS = 10
 @dataclass(frozen=True)
 class CanonicalSemiautomaton:
     """A semiautomaton in canonical form: the letter list that is
-    lexicographically least over every state permutation combined with
-    every letter reordering.  Two semiautomata are isomorphic iff their
-    fingerprints are equal."""
+    lexicographically least over every permutation of the interior
+    states 1..n-2 combined with every letter reordering.  Two
+    semiautomata are isomorphic by a relabelling fixing 0 and n-1 iff
+    their fingerprints are equal."""
 
     n: int
     letters: tuple[Transformation, ...]
@@ -122,20 +142,23 @@ def _conjugate(t: RawMap, perm: Sequence[int]) -> RawMap:
 
 
 def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
-    """The least conjugate of one letter, with every labelling (a perm
-    in _conjugate's sense) that produces it.
+    """The least conjugate of one letter under the relabellings that fix
+    0 and n-1, with every such labelling (a perm in _conjugate's sense)
+    that produces it.
 
-    Names go out in output order: position k reads the image of the
-    state named k.  That state is either already named, as an earlier
-    image, or a free choice among the unnamed states, of which only
-    those with the least output are tried; an unnamed image must take
-    the next free name, since any larger one loses at this position.
-    Branches whose output prefix exceeds the incumbent's are cut, and
-    the labellings that tie the minimum form a coset of the letter's
-    automorphism group."""
+    States 0 and n-1 keep their names; the interior names 1..n-2 go out
+    in output order: position k reads the image of the state named k.
+    That state is either already named, as 0 or an earlier image, or a
+    free choice among the unnamed interior states, of which only those
+    with the least output are tried; an unnamed image must take the
+    next free name, since any larger one loses at this position.
+    Position n-1 reads the image of n-1.  Branches whose output prefix
+    exceeds the incumbent's are cut, and the labellings that tie the
+    minimum form a coset of the letter's pointed automorphism group."""
     n = len(t)
     name = [-1] * n  # name[q]: the name given to state q, -1 while unnamed
     state = [0] * n  # state[k]: the state carrying name k
+    name[0], name[n - 1], state[n - 1] = 0, n - 1, n - 1
     out = bytearray(n)
     best = b""
     labellings: list[tuple[int, ...]] = []
@@ -150,7 +173,7 @@ def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
                 best = bytes(out)
                 labellings = [tuple(name)]
             return
-        if k < m:
+        if k < m or k == n - 1:
             choices = [state[k]]
         else:
             # a fresh state's output is the name of an earlier image, its
@@ -163,7 +186,7 @@ def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
             low = min(rank.values())
             choices = [q for q, r in rank.items() if r == low]
         for s in choices:
-            if k == m:
+            if k == m < n - 1:
                 name[s] = k
                 state[k] = s
                 m1 = k + 1
@@ -188,7 +211,7 @@ def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
             if m1 > m:
                 name[s] = -1
 
-    walk(0, 0, False)
+    walk(0, 1, False)
     return best, tuple(labellings)
 
 
@@ -231,10 +254,12 @@ def _fingerprint(letters: Sequence[RawMap], n: int) -> bytes:
 
 
 def canonicalize(sa: Semiautomaton | Sequence[Transformation]) -> CanonicalSemiautomaton:
-    """Canonical form under state permutation and letter reordering.
+    """Canonical form under permutation of the interior states, which
+    keeps 0 and n-1 in place, and letter reordering.
 
     Accepts a Semiautomaton or a plain sequence of letter
-    transformations.  Idempotent, and invariant under relabeling.
+    transformations.  Idempotent, and invariant under relabeling of
+    the interior states.
     """
     delta = sa.delta if isinstance(sa, Semiautomaton) else tuple(sa)
     if not delta:
@@ -465,8 +490,9 @@ def _leaf_verdict(
 
 
 def initial_level(n: int) -> tuple[CanonicalSemiautomaton, ...]:
-    """A1: the single-letter semiautomata, one per conjugacy class of
-    the non-semiconstant admissible transformations."""
+    """A1: the single-letter semiautomata, one per class of the
+    non-semiconstant admissible transformations under permutation of
+    the interior states."""
     ctx = _context(n)
     seen: dict[bytes, tuple[RawMap, ...]] = {}
     for g in ctx.pool:
@@ -480,20 +506,6 @@ def initial_level(n: int) -> tuple[CanonicalSemiautomaton, ...]:
         )
         for fp in sorted(seen)
     )
-
-
-def _alignment(i: int, e: int, n: int) -> tuple[int, ...]:
-    # relabel so the chosen initial state becomes 0 and the chosen
-    # empty state becomes n-1, keeping the rest in ascending order
-    perm = [0] * n
-    perm[i] = 0
-    perm[e] = n - 1
-    k = 1
-    for q in range(n):
-        if q != i and q != e:
-            perm[q] = k
-            k += 1
-    return tuple(perm)
 
 
 # ------------------------------------------------------------ search proper
@@ -584,89 +596,57 @@ class SearchResult:
 
 
 def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None = None) -> dict:
-    """Judge one canonical semiautomaton: every (initial, empty)
-    selection, aligned to (0, n-1), yields either a rejection, a
-    terminal branch, a prune, or a viable branch whose filtered
-    candidates turn into canonical extensions.  Runs in worker
-    processes, so takes and returns plain picklable data; there each
-    call fills a letter-form memo of its own."""
+    """Judge one canonical semiautomaton, with initial state 0 and empty
+    state n-1.  Its outcome is "rejected" when its closure leaves the
+    admissible family, "pruned" or "terminal" when the count bound or
+    the case analysis ends the branch, and "open" otherwise; an open
+    branch's filtered candidates turn into canonical extensions.  Runs
+    in worker processes, so takes and returns plain picklable data;
+    there each call fills a letter-form memo of its own."""
     fp, n, target, prune = args
     if forms is None:
         forms = _LetterForms()
     ctx = _context(n)
-    _, raw = _decode_fp(fp)
-    counters = {"selections": 0, "rejected": 0, "terminal": 0, "pruned": 0}
+    _, letters = _decode_fp(fp)
+    # the one closure of the branch; by the semiconstant lemma in the
+    # module docstring a refusal here means the letters alone already
+    # leave the admissible family
+    gens = letters + ctx.semiconstants
+    closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
+    if closed is None:
+        return {"outcome": "rejected", "extensions": [], "other": None}
+    members, coll, foc = closed
+    assert not coll & foc, "pair both colliding and focused survived the closure"
+    other = None
+    if len(members) >= target:
+        other = {"size": len(members), "letters": list(letters), "members": sorted(members)}
+    candidates = _mask_candidates(members, coll, foc, ctx)
+    if prune and len(members) + len(candidates) < target:
+        outcome = "pruned"
+    else:
+        masks = ctx.masks
+        vsf = ctx.vsf_elements
+        wsf = ctx.wsf_elements
+        sigs = Counter((masks[t][0], masks[t][1], t in vsf, t in wsf) for t in candidates)
+        # a branch confined to one of the two families is only allowed to
+        # end there when no proper subset of the family could still matter
+        outcome = _leaf_verdict(
+            len(members),
+            members <= vsf,
+            members <= wsf,
+            sigs,
+            len(ctx.pair_bit),
+            target,
+            target >= len(vsf),
+            target >= len(wsf),
+            prune,
+        ) or "open"
     extensions: dict[bytes, None] = {}
-    others: list[dict] = []
-    viable = False
-    seen_aligned: set[tuple[RawMap, ...]] = set()
-    masks = ctx.masks
-    vsf = ctx.vsf_elements
-    wsf = ctx.wsf_elements
-    n_bits = len(ctx.pair_bit)
-    # a branch confined to one of the two families is only allowed to
-    # end there when no proper subset of the family could still matter
-    vsf_closed = target >= len(vsf)
-    wsf_closed = target >= len(wsf)
-    for i in range(n):
-        for e in range(n):
-            if e == i:
-                continue
-            perm = _alignment(i, e, n)
-            aligned = tuple(sorted(_conjugate(t, perm) for t in raw))
-            if aligned in seen_aligned:
-                continue
-            seen_aligned.add(aligned)
-            counters["selections"] += 1
-            if not all(t in ctx.bsf_set for t in aligned):
-                counters["rejected"] += 1
-                continue
-            # the one closure of the branch; by the semiconstant lemma in
-            # the module docstring a refusal here means the letters alone
-            # already leave the admissible family
-            gens = aligned + ctx.semiconstants
-            closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
-            if closed is None:
-                counters["rejected"] += 1
-                continue
-            members, coll, foc = closed
-            assert not coll & foc, "pair both colliding and focused survived the closure"
-            if len(members) >= target:
-                others.append(
-                    {"size": len(members), "letters": list(aligned), "members": sorted(members)}
-                )
-            candidates = _mask_candidates(members, coll, foc, ctx)
-            if prune and len(members) + len(candidates) < target:
-                counters["pruned"] += 1
-                continue
-            sigs = Counter(
-                (masks[t][0], masks[t][1], t in vsf, t in wsf) for t in candidates
-            )
-            verdict = _leaf_verdict(
-                len(members),
-                members <= vsf,
-                members <= wsf,
-                sigs,
-                n_bits,
-                target,
-                vsf_closed,
-                wsf_closed,
-                prune,
-            )
-            if verdict:
-                counters[verdict] += 1
-                continue
-            viable = True
-            for g in _one_step_filter(candidates, members, coll, foc, ctx):
-                canon = _canonical_letters(sorted(aligned + (g,)), forms)
-                extensions.setdefault(_fingerprint(canon, n), None)
-    return {
-        "fp": fp,
-        "counters": counters,
-        "extensions": list(extensions),
-        "others": others,
-        "dead": not viable and not others,
-    }
+    if outcome == "open":
+        for g in _one_step_filter(candidates, members, coll, foc, ctx):
+            canon = _canonical_letters(sorted(letters + (g,)), forms)
+            extensions.setdefault(_fingerprint(canon, n), None)
+    return {"outcome": outcome, "extensions": list(extensions), "other": other}
 
 
 def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
@@ -700,9 +680,19 @@ def _classify_other(members: frozenset[RawMap], ctx: _Context) -> str:
     return "other"
 
 
+# the tag names the pointed form, so a level written in any other
+# canonical form is refused rather than resumed in part
+_CHECKPOINT_TAG = "sfsyn-pointed-search"
+
+
+def _check_size(n: int) -> None:
+    if not 4 <= n <= 7:
+        raise ValueError(f"the exhaustive search supports 4 <= n <= 7, got {n}")
+
+
 def save_checkpoint(path: str, level_index: int, n: int, level: Iterable[CanonicalSemiautomaton]) -> None:
     """One fingerprint per line under a level header, written atomically."""
-    lines = [f"# sfsyn-search level={level_index} n={n}"]
+    lines = [f"# {_CHECKPOINT_TAG} level={level_index} n={n}"]
     lines.extend(sa.fingerprint.hex() for sa in sorted(level, key=lambda s: s.fingerprint))
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
@@ -711,21 +701,27 @@ def save_checkpoint(path: str, level_index: int, n: int, level: Iterable[Canonic
 
 
 def load_checkpoint(path: str) -> tuple[int, int, tuple[CanonicalSemiautomaton, ...]]:
-    """Read a checkpoint back: (n, level index, semiautomata)."""
+    """Read a checkpoint back: (n, level index, semiautomata).  Every
+    letter must be a pool map, as the search only ever writes those."""
     with open(path, encoding="ascii") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith("# sfsyn-search "):
-        raise ValueError(f"{path} is not a search checkpoint")
+    if not lines or not lines[0].startswith(f"# {_CHECKPOINT_TAG} "):
+        raise ValueError(f"{path} is not a pointed search checkpoint")
     fields = dict(part.partition("=")[::2] for part in lines[0][2:].split()[1:])
     try:
         n = int(fields["n"])
         level_index = int(fields["level"])
     except (KeyError, ValueError):
         raise ValueError(f"{path}: checkpoint header needs integer n= and level= fields") from None
+    _check_size(n)
+    pool = frozenset(_context(n).pool)
     sas = tuple(parse_fingerprint(bytes.fromhex(line)) for line in lines[1:])
     for sa in sas:
         if sa.n != n:
             raise ValueError(f"checkpoint mixes state counts: {sa.n} vs {n}")
+        for t in sa.letters:
+            if bytes(t.images) not in pool:
+                raise ValueError(f"{path}: letter {list(t.images)} is not in the search pool")
     return n, level_index, sas
 
 
@@ -742,22 +738,23 @@ def search_max(
     """Search every suffix-free DFA shape on n states for transition
     semigroups of at least the target size.
 
-    Levels of canonical semiautomata grow one letter at a time.  Each
-    semiautomaton is judged under every (initial, empty) selection;
-    each selection left open contributes the candidates passing the
+    Levels of canonical semiautomata, with initial state 0 and empty
+    state n-1, grow one letter at a time.  Each semiautomaton is judged
+    once; each one left open contributes the candidates passing the
     one-step product filter, a superset of its exact additions, as the
-    next level.  The two known maximal families are confirmed from
-    their generators and the search reports any semigroup at or above
-    the target that is neither of them.  With prune=False no branch is
-    cut for its count, only by the family cutoff, and the admissible
-    space is walked in full, which is only tractable for n=4.
+    next level.  The level past max_letters is not built: the search
+    stops there, capped when some candidate is irreducible.  The two
+    known maximal families are confirmed from their generators and the
+    search reports any semigroup at or above the target that is neither
+    of them.  With prune=False no branch is cut for its count, only by
+    the family cutoff, and the admissible space is walked in full,
+    which is only tractable for n=4.
 
     A resumed run re-explores from the checkpointed level on; records
     from earlier levels are not replayed, which is harmless for the
     uniqueness question since confirmations are recomputed.
     """
-    if not 4 <= n <= 6:
-        raise ValueError(f"the exhaustive search supports 4 <= n <= 6, got {n}")
+    _check_size(n)
     if target is not None and target < 1:
         raise ValueError("target must be positive")
     if max_letters < 1:
@@ -779,27 +776,18 @@ def search_max(
 
     visited = 0
     pruned = 0
-    selections = 0
-    rejected = 0
-    terminal = 0
-    pruned_sel = 0
+    outcomes: Counter = Counter()
     extensions_total = 0
     level_sizes: list[int] = []
     others: dict[bytes, SemigroupRecord] = {}
-    capped = False
+    unexplored = 0
     # letter forms shared by every canonicalization of this call only,
     # so no later call starts warm
     forms = _LetterForms()
 
     while level:
-        if level_index > max_letters:
-            capped = True
-            logger.warning(
-                "letter cap %d reached with %d semiautomata unexplored; "
-                "the uniqueness conclusion is not established",
-                max_letters,
-                len(level),
-            )
+        if level_index > max_letters:  # only a resumed level starts past the cap
+            unexplored = len(level)
             break
         if checkpoint_dir is not None:
             os.makedirs(checkpoint_dir, exist_ok=True)
@@ -818,35 +806,38 @@ def search_max(
         next_fps: dict[bytes, None] = {}
         for res in results:
             visited += 1
-            c = res["counters"]
-            selections += c["selections"]
-            rejected += c["rejected"]
-            terminal += c["terminal"]
-            pruned_sel += c["pruned"]
-            if res["dead"]:
+            outcomes[res["outcome"]] += 1
+            record = res["other"]
+            if res["outcome"] != "open" and record is None:
                 pruned += 1
             for fp in res["extensions"]:
                 next_fps.setdefault(fp, None)
-            for record in res["others"]:
-                members = frozenset(record["members"])
-                kind = _classify_other(members, ctx)
-                if kind != "other":
-                    continue  # the known families are confirmed separately
-                key = _fingerprint(_canonical_letters(sorted(members), forms), n)
-                if key not in others:
-                    letters = tuple(Transformation(tuple(t)) for t in record["letters"])
-                    sg = closure(
-                        list(letters)
-                        + [Transformation(tuple(s)) for s in ctx.semiconstants]
-                    )
-                    if not verify_suffix_free_consistency(sg):
-                        raise RuntimeError("search admitted an inconsistent semigroup")
-                    others[key] = SemigroupRecord(
-                        kind="other", size=record["size"], letters=letters, level=level_index
-                    )
+            if record is None:
+                continue
+            members = frozenset(record["members"])
+            if _classify_other(members, ctx) != "other":
+                continue  # the known families are confirmed separately
+            key = _fingerprint(_canonical_letters(sorted(members), forms), n)
+            if key not in others:
+                letters = tuple(Transformation(tuple(t)) for t in record["letters"])
+                sg = closure(
+                    list(letters)
+                    + [Transformation(tuple(s)) for s in ctx.semiconstants]
+                )
+                if not verify_suffix_free_consistency(sg):
+                    raise RuntimeError("search admitted an inconsistent semigroup")
+                others[key] = SemigroupRecord(
+                    kind="other", size=record["size"], letters=letters, level=level_index
+                )
         logger.info(
             "level %d: %d semiautomata, %d extension candidates", level_index, len(level), len(next_fps)
         )
+        if level_index == max_letters:
+            # the capped level is not built: one irreducible candidate
+            # is enough to know it is not empty
+            if any(irreducible_raw(_decode_fp(fp)[1]) for fp in sorted(next_fps)):
+                unexplored = len(next_fps)
+            break
         next_level = []
         for fp in sorted(next_fps):
             _, letters = _decode_fp(fp)
@@ -862,6 +853,14 @@ def search_max(
         level = tuple(next_level)
         level_index += 1
 
+    capped = unexplored > 0
+    if capped:
+        logger.warning(
+            "letter cap %d reached with %d candidates unexplored; "
+            "the uniqueness conclusion is not established",
+            max_letters,
+            unexplored,
+        )
     confirmations = _confirmed_extremes(n, target)
     other_records = tuple(others[k] for k in sorted(others))
     sizes = [r.size for r in confirmations] + [r.size for r in other_records]
@@ -874,10 +873,10 @@ def search_max(
         stats=SearchStats(
             visited=visited,
             pruned=pruned,
-            selections=selections,
-            rejected_selections=rejected,
-            terminal_selections=terminal,
-            pruned_selections=pruned_sel,
+            selections=visited,
+            rejected_selections=outcomes["rejected"],
+            terminal_selections=outcomes["terminal"],
+            pruned_selections=outcomes["pruned"],
             extensions=extensions_total,
             level_sizes=tuple(level_sizes),
             capped=capped,

@@ -53,6 +53,7 @@ CENSUS_S = 1.0
 SAMPLED_SUITE_S = 300.0
 SEARCH_SMALL_S = 300.0
 SEARCH_SIX_S = 7200.0
+SEARCH_SEVEN_S = 120.0
 LETTER_DROPS_S = 60.0
 
 
@@ -227,7 +228,7 @@ def test_criterion_07_suffix_freeness_oracle(small_corpus):
 
 
 def test_criterion_08_maximality_search():
-    with _verdict(8, "exhaustive search finds a unique maximum at n = 4, 5, 6"):
+    with _verdict(8, "exhaustive search finds a unique maximum at n = 4, 5, 6, 7"):
         for n, target, kind in ((4, 13, "vsf"), (5, 73, "vsf")):
             result = search_max(n, target)
             assert result.max_size_found == target
@@ -243,6 +244,13 @@ def test_criterion_08_maximality_search():
         kinds = {c.kind: c.size for c in result.confirmations}
         assert kinds == {"wsf": 629}
         assert result.stats.wall_time_s < SEARCH_SIX_S
+        result = search_max(7, 7781)
+        assert result.max_size_found == 7781
+        assert result.uniqueness_confirmed
+        assert result.others == ()
+        kinds = {c.kind: c.size for c in result.confirmations}
+        assert kinds == {"wsf": 7781}
+        assert result.stats.wall_time_s < SEARCH_SEVEN_S
 
 
 def test_criterion_09_letter_necessity():

@@ -214,7 +214,7 @@ def test_search_checkpoints_via_environment(tmp_path, monkeypatch, capsys):
 def test_search_range_is_a_usage_error(capsys):
     assert main(["search", "--n", "3"]) == 2
     _, err = capsys.readouterr()
-    assert "4 <= n <= 6" in err
+    assert "4 <= n <= 7" in err
 
 
 def test_search_target_below_one_is_a_usage_error(capsys):
@@ -260,7 +260,7 @@ def test_log_level_info_shows_the_search_progress():
     loud = run_cli("--log-level", "info", "search", "--n", "4")
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == ""
-    assert loud.stderr == "level 1: 5 semiautomata, 0 extension candidates\n"
+    assert loud.stderr == "level 1: 6 semiautomata, 0 extension candidates\n"
     expected = search_max(4).to_json(include_timing=False)
     assert without_timing(json.loads(quiet.stdout)) == expected
     assert without_timing(json.loads(loud.stdout)) == expected
@@ -274,7 +274,7 @@ def test_log_level_works_in_process(capfd):
     for _ in range(2):
         assert main(["--log-level", "info", "search", "--n", "4"]) == 0
         out, err = capfd.readouterr()
-        assert err == "level 1: 5 semiautomata, 0 extension candidates\n"
+        assert err == "level 1: 6 semiautomata, 0 extension candidates\n"
         assert without_timing(json.loads(out)) == expected
     assert main(["search", "--n", "4"]) == 0
     assert capfd.readouterr().err == ""
@@ -286,7 +286,7 @@ def test_default_log_level_writes_warnings_as_bare_messages():
     done = run_cli("search", "--n", "4", "--target", "5", "--max-letters", "1")
     assert done.returncode == 1
     assert done.stderr == (
-        "letter cap 1 reached with 25 semiautomata unexplored; "
+        "letter cap 1 reached with 26 candidates unexplored; "
         "the uniqueness conclusion is not established\n"
     )
     quiet = run_cli("--log-level", "error", "search", "--n", "4", "--target", "5", "--max-letters", "1")
@@ -305,11 +305,38 @@ def test_search_resume_from_missing_file_is_a_usage_error(tmp_path, capsys):
 def test_search_resume_from_malformed_header_is_a_usage_error(tmp_path, capsys):
     path = os.path.join(tmp_path, "level_01.txt")
     with open(path, "w") as fh:
-        fh.write("# sfsyn-search level=1\n")
+        fh.write("# sfsyn-pointed-search level=1\n")
     assert main(["search", "--n", "4", "--resume", path]) == 2
     _, err = capsys.readouterr()
     assert err.startswith("error: ")
     assert "n= and level=" in err
+
+
+def test_search_resume_from_full_permutation_checkpoint_is_a_usage_error(tmp_path, capsys):
+    # a level written by the earlier search, whose classes ran over
+    # every state permutation, is refused rather than resumed in part
+    path = os.path.join(tmp_path, "level_01.txt")
+    with open(path, "w") as fh:
+        fh.write("# sfsyn-search level=1 n=4\n040100000102\n")
+    assert main(["search", "--n", "4", "--resume", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "level_01.txt" in err
+    assert "Traceback" not in err
+
+
+def test_search_resume_with_a_letter_outside_the_pool_is_a_usage_error(tmp_path, capsys):
+    # the semiconstant 3 1 2 3 is admissible but never a search letter
+    path = os.path.join(tmp_path, "level_01.txt")
+    with open(path, "w") as fh:
+        fh.write("# sfsyn-pointed-search level=1 n=4\n040103010203\n")
+    assert main(["search", "--n", "4", "--resume", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "not in the search pool" in err
+    assert "Traceback" not in err
 
 
 def test_missing_file_is_a_usage_error(tmp_path, capsys):

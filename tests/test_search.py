@@ -27,7 +27,6 @@ from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_fre
 from sfsyn.dfa import Semiautomaton, witness
 import sfsyn.search as search_module
 from sfsyn.search import (
-    _alignment,
     _canonical_letters,
     _close_all_admissible,
     _conjugate,
@@ -61,15 +60,29 @@ def report_digest(result) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def pointed(interior, n):
+    # the state permutation fixing 0 and n-1 that moves the interior
+    # states as the given permutation of 1..n-2 does
+    return (0, *interior, n - 1)
+
+
 def brute_canonical_letters(letters, n):
-    # reference: the least sorted conjugate tuple, scanning all n!
-    # state permutations
+    # reference: the least sorted conjugate tuple, scanning all (n-2)!
+    # permutations of the interior states
     best = None
-    for perm in itertools.permutations(range(n)):
-        cand = sorted(_conjugate(t, perm) for t in letters)
+    for interior in itertools.permutations(range(1, n - 1)):
+        cand = sorted(_conjugate(t, pointed(interior, n)) for t in letters)
         if best is None or cand < best:
             best = cand
     return tuple(best)
+
+
+def full_class(members, n):
+    # the least sorted conjugate tuple over all n! state permutations
+    return min(
+        sorted(_conjugate(t, perm) for t in members)
+        for perm in itertools.permutations(range(n))
+    )
 
 
 # --------------------------------------------------------- canonical form
@@ -100,7 +113,7 @@ def test_canonical_letters_are_sorted():
 def test_canonicalize_invariant_under_relabeling(data, n):
     maps = st.builds(Transformation, st.tuples(*[st.integers(0, n - 1)] * n))
     letters = data.draw(st.lists(maps, min_size=1, max_size=3))
-    perm = data.draw(st.permutations(range(n)))
+    perm = pointed(data.draw(st.permutations(range(1, n - 1))), n)
     direct = canonicalize(letters)
     relabeled = canonicalize([conjugated(t, perm) for t in reversed(letters)])
     assert relabeled.fingerprint == direct.fingerprint
@@ -120,7 +133,7 @@ def test_canonical_letters_match_brute_force_on_all_four_state_maps():
 
 
 @settings(deadline=None, max_examples=200)
-@given(data=st.data(), n=st.integers(4, 6))
+@given(data=st.data(), n=st.integers(4, 7))
 def test_canonical_letters_match_brute_force_on_letter_sets(data, n):
     letters = data.draw(st.lists(raw_maps(n), min_size=1, max_size=4))
     assert _canonical_letters(letters) == brute_canonical_letters(letters, n)
@@ -145,14 +158,18 @@ def test_canonical_letters_match_brute_force_on_symmetric_letters(n):
 
 
 def test_single_letter_classes_on_three_states():
-    # all 27 maps on three states fall into 7 classes
+    # three states leave one interior state, so each of the 27 maps is
+    # a class of its own; on four states swapping 1 and 2 fixes 16 of
+    # the 256 maps, which leaves (256 + 16) / 2 = 136 classes
     fps = {
         canonicalize([Transformation((a, b, c))]).fingerprint
         for a in range(3)
         for b in range(3)
         for c in range(3)
     }
-    assert len(fps) == 7
+    assert len(fps) == 27
+    fps = {canonicalize([Transformation(t)]).fingerprint for t in itertools.product(range(4), repeat=4)}
+    assert len(fps) == 136
 
 
 def test_canonicalize_rejects_empty_and_mixed():
@@ -336,8 +353,9 @@ def test_extend_closure_matches_scratch_closure_on_sampled_branches(data, n):
 
 
 def test_initial_level_counts():
-    assert len(initial_level(4)) == 5
-    assert len(initial_level(5)) == 17
+    assert len(initial_level(4)) == 6
+    assert len(initial_level(5)) == 22
+    assert len(initial_level(6)) == 70
 
 
 def test_initial_level_covers_exactly_the_pool_classes():
@@ -372,22 +390,14 @@ def test_search_level_two_grows_canonically_and_irreducibly(tmp_path):
 
 
 def admissible_branches(level, ctx):
-    # every distinct aligned selection of the level whose letters close
-    # admissibly with the semiconstants: its tables and that closure
-    n = ctx.n
+    # every semiautomaton of the level whose letters close admissibly
+    # with the semiconstants: its tables and that closure
     for sa in level:
-        raw = [bytes(t.images) for t in sa.letters]
-        seen = set()
-        for i, e in itertools.permutations(range(n), 2):
-            aligned = tuple(sorted(_conjugate(t, _alignment(i, e, n)) for t in raw))
-            if aligned in seen or not set(aligned) <= ctx.bsf_set:
-                continue
-            seen.add(aligned)
-            gens = aligned + ctx.semiconstants
-            tables = [ctx.tables[g] for g in gens]
-            closed = _close_all_admissible(gens, tables, ctx)
-            if closed is not None:
-                yield tables, closed
+        gens = tuple(bytes(t.images) for t in sa.letters) + ctx.semiconstants
+        tables = [ctx.tables[g] for g in gens]
+        closed = _close_all_admissible(gens, tables, ctx)
+        if closed is not None:
+            yield tables, closed
 
 
 def filter_census(level, ctx):
@@ -412,7 +422,7 @@ def test_filter_keeps_every_exact_addition_at_four_states(tmp_path):
 
 
 def test_filter_keeps_every_exact_addition_at_five_states():
-    assert filter_census(initial_level(5), _context(5)) == (23, 1790, 1790)
+    assert filter_census(initial_level(5), _context(5)) == (22, 1706, 1706)
 
 
 # ------------------------------------------------------------ the search
@@ -422,7 +432,7 @@ def test_search_rejects_out_of_range_sizes():
     with pytest.raises(ValueError):
         search_max(3)
     with pytest.raises(ValueError):
-        search_max(7)
+        search_max(8)
 
 
 @pytest.mark.parametrize("target", [0, -1])
@@ -437,12 +447,12 @@ def test_search_four_state_maximum_is_the_injective_family():
     assert r.max_size_found == 13
     assert r.others == ()
     assert r.uniqueness_confirmed
-    assert r.stats.level_sizes == (5,)
-    assert r.stats.visited == 5
-    assert r.stats.selections == 53
+    assert r.stats.level_sizes == (6,)
+    assert r.stats.visited == 6
+    assert r.stats.selections == 6
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 13}
-    assert report_digest(r) == "fc464defb96c850e852254b80466a8b2884ea48ce8ac2315c5e675c176f99dda"
+    assert report_digest(r) == "19737ca642ec168624432532bc08499d8524b86fe7f51027aefeb9188cd5dc72"
     (rec,) = r.maximal_semigroups
     assert closure(list(rec.letters)).size == 13
 
@@ -455,7 +465,7 @@ def test_search_four_state_unpruned_agrees():
     # the family-containment rule, not the counting bound, closes every
     # branch here: with pruning off nothing is cut by the bound yet the
     # tree still ends at the first level
-    assert full.stats.level_sizes == (5,)
+    assert full.stats.level_sizes == (6,)
     assert full.stats.pruned_selections == 0
     assert full.stats.terminal_selections == 6
     assert full.uniqueness_confirmed
@@ -481,31 +491,33 @@ def test_search_five_state_maximum_is_the_injective_family():
     assert r.max_size_found == 73
     assert r.others == ()
     assert r.uniqueness_confirmed
-    assert r.stats.level_sizes == (17,)
-    assert r.stats.selections == 272
+    assert r.stats.level_sizes == (22,)
+    assert r.stats.selections == 22
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 73}
-    assert report_digest(r) == "ce2dab4d773e784727c273f6bc7c6417aec4308cc54a60fac6475acc9b2a753c"
+    assert report_digest(r) == "667facc440d317325b69ba92ad20ebb86f1c06263f08a0ac6712e260daac0d63"
 
 
 def test_search_five_state_below_target_pins_every_count():
-    # one under the maximum the search reaches level 2, where the
-    # stage-2/3 pruning and the conflict matching run; a wrong canonical
-    # form would change the level sizes and every count after them
+    # one under the maximum the search reaches level 2, where the case
+    # analysis and the candidate filter run on two-letter branches; a
+    # wrong canonical form would change the level sizes and every count
+    # after them.  The level past the cap is not built, so extensions
+    # counts level 2 alone
     r = search_max(5, 72, max_letters=2)
     assert r.max_size_found == 73
     assert r.others == ()
     assert r.stats.capped
     assert not r.uniqueness_confirmed
-    assert r.stats.visited == 618
-    assert r.stats.selections == 11997
-    assert r.stats.rejected_selections == 11336
+    assert r.stats.visited == 655
+    assert r.stats.selections == 655
+    assert r.stats.rejected_selections == 0
     assert r.stats.terminal_selections == 94
     assert r.stats.pruned_selections == 187
-    assert r.stats.pruned == 277
-    assert r.stats.extensions == 10467
-    assert r.stats.level_sizes == (17, 601)
-    assert report_digest(r) == "7ed06715e4226dcda9e2438822027dff309fd53f54444c46802fa9149d084f9c"
+    assert r.stats.pruned == 281
+    assert r.stats.extensions == 633
+    assert r.stats.level_sizes == (22, 633)
+    assert report_digest(r) == "8c0e0565eb4e6353337740ebe9c6048bc95751e4c180d4e33e235c866ffd2915"
 
 
 def test_no_letter_form_memo_survives_a_search(monkeypatch):
@@ -548,12 +560,24 @@ def test_letter_cap_disables_the_uniqueness_claim():
     # cap actually bites after the first level
     r = search_max(4, target=3, prune=False, max_letters=1)
     assert r.stats.capped
-    assert r.stats.visited == 5
+    assert r.stats.visited == 6
     assert not r.uniqueness_confirmed
     # the known families are still confirmed directly
     assert r.max_size_found == 13
     with pytest.raises(ValueError):
         search_max(4, max_letters=0)
+
+
+def test_resuming_past_the_letter_cap_explores_nothing(tmp_path):
+    level2 = four_state_level_two(tmp_path)
+    r = search_max(
+        4, target=3, prune=False, max_letters=1, resume_from=os.path.join(tmp_path, "level_02.txt")
+    )
+    assert len(level2) == 25
+    assert r.stats.capped
+    assert r.stats.visited == 0
+    assert r.stats.level_sizes == ()
+    assert not r.uniqueness_confirmed
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -571,15 +595,41 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     path = os.path.join(tmp_path, "stray.txt")
     for text in (
         "not a checkpoint\n",
-        "# sfsyn-search level=1\n",
-        "# sfsyn-search n=4\n",
-        "# sfsyn-search level=one n=4\n",
-        "# sfsyn-search level n=4\n",
+        "# sfsyn-pointed-search level=1\n",
+        "# sfsyn-pointed-search n=4\n",
+        "# sfsyn-pointed-search level=one n=4\n",
+        "# sfsyn-pointed-search level n=4\n",
+        "# sfsyn-pointed-search level=1 n=8\n",
     ):
         with open(path, "w") as fh:
             fh.write(text)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def test_checkpoint_of_full_permutation_classes_is_refused(tmp_path):
+    # a level of the earlier search, which took letters up to every
+    # state permutation, must not resume as a partial pointed level
+    path = os.path.join(tmp_path, "level_01.txt")
+    fps = "\n".join(sa.fingerprint.hex() for sa in initial_level(4))
+    with open(path, "w") as fh:
+        fh.write(f"# sfsyn-search level=1 n=4\n{fps}\n")
+    with pytest.raises(ValueError, match="level_01.txt"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "letter",
+    [(3, 1, 2, 3), (3, 3, 3, 3), (0, 1, 2, 3), (1, 2, 0, 3)],
+    ids=["semiconstant", "constant", "identity", "not-admissible"],
+)
+def test_checkpoint_rejects_letters_outside_the_pool(tmp_path, letter):
+    path = os.path.join(tmp_path, "level_01.txt")
+    fp = canonicalize([Transformation(letter)]).fingerprint.hex()
+    with open(path, "w") as fh:
+        fh.write(f"# sfsyn-pointed-search level=1 n=4\n{fp}\n")
+    with pytest.raises(ValueError, match="not in the search pool"):
+        load_checkpoint(path)
 
 
 def test_search_writes_and_resumes_checkpoints(tmp_path):
@@ -598,12 +648,39 @@ def test_search_six_state_maximum_is_the_collapsing_family():
     assert r.uniqueness_confirmed
     # every branch closes on the first level: the case analysis either
     # confines it to a confirmed family or counts it out
-    assert r.stats.level_sizes == (53,)
-    assert r.stats.visited == 53
-    assert r.stats.selections == 1190
+    assert r.stats.level_sizes == (70,)
+    assert r.stats.visited == 70
+    assert r.stats.selections == 70
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"wsf": 629}
-    assert report_digest(r) == "a6029404ddb11201321603d70548a713cb836996034d37a012fa5313f5a59e13"
+    assert report_digest(r) == "b94e812c2001613f5181f46b6b38380a4306b68c6d8aab7955eebff8b8e10305"
+
+
+def test_search_seven_state_maximum_is_the_collapsing_family():
+    r = search_max(7)
+    assert r.target == wsf_bound(7) == 7781
+    assert r.max_size_found == 7781
+    assert r.others == ()
+    assert r.uniqueness_confirmed
+    assert r.stats.level_sizes == (205,)
+    assert r.stats.terminal_selections == 144
+    assert r.stats.pruned_selections == 61
+    assert r.stats.rejected_selections == 0
+    assert {c.kind: c.size for c in r.confirmations} == {"wsf": 7781}
+
+
+def test_reported_others_are_distinct_under_every_state_permutation():
+    # others are told apart by the pointed form of their members; on
+    # semigroups holding every semiconstant that must agree with the
+    # form over all n! permutations, so no two reports are isomorphic
+    r = search_max(4, 1)
+    semis = list(_context(4).semiconstants)
+    classes = set()
+    for rec in r.others:
+        gens = [bytes(t.images) for t in rec.letters] + semis
+        members = close_raw(gens, [raw_table(g) for g in gens])
+        classes.add(tuple(full_class(members, 4)))
+    assert len(r.others) == len(classes) == 36
 
 
 def test_search_enumeration_matches_brute_force():
