@@ -32,7 +32,7 @@ from .dfa import (
 )
 from .injection import strict_bound_witness, verify_injective
 from .search import search_max
-from .semigroup import closure, wsf_bound
+from .semigroup import MAX_STATES, closure, wsf_bound
 
 
 class UsageError(Exception):
@@ -158,6 +158,8 @@ def cmd_witness(args) -> int:
 def cmd_verify_bound(args) -> int:
     if args.n < 4:
         raise UsageError("the bound is defined from n=4 up")
+    if args.n > MAX_STATES:
+        raise UsageError(f"closure works on at most {MAX_STATES} states, got n={args.n}")
     if args.n > 8 and not args.allow_slow:
         raise UsageError(
             f"n={args.n} closes a semigroup of {wsf_bound(args.n)} elements; "
@@ -192,6 +194,8 @@ def cmd_phi(args) -> int:
     d = _load_dfa(args.dfa)
     if d.n < 7:
         raise UsageError("the embedding needs at least 7 states")
+    if d.n > MAX_STATES:
+        raise UsageError(f"the embedding works on at most {MAX_STATES} states, got {d.n}")
     started = time.perf_counter()
     report = VerificationReport(command="phi", inputs={"dfa": args.dfa, "n": d.n})
     violation = suffix_free_violation(d)

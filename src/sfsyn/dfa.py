@@ -7,7 +7,6 @@ setting, the empty state sits at n-1 after renumber_initial_empty.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -107,17 +106,16 @@ def transition_semigroup(dfa: Dfa) -> TransitionSemigroup:
 def reachable_states(dfa: Dfa) -> tuple[int, ...]:
     """States reachable from the initial state, in breadth-first order
     with letters tried in alphabet order."""
-    seen = {dfa.initial}
+    rows = [t.images for t in dfa.delta]
+    seen = [False] * dfa.n
+    seen[dfa.initial] = True
     order = [dfa.initial]
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for t in dfa.delta:
-            r = t[q]
-            if r not in seen:
-                seen.add(r)
+    for q in order:  # the list grows while it is walked
+        for row in rows:
+            r = row[q]
+            if not seen[r]:
+                seen[r] = True
                 order.append(r)
-                queue.append(r)
     return tuple(order)
 
 
@@ -145,16 +143,14 @@ def trim(dfa: Dfa) -> Dfa:
 
 
 def _moore_blocks(dfa: Dfa) -> list[int]:
-    # block id per state; refine {F, Q-F} by transition signatures
+    # block id per state; refine {F, Q-F} by transition signatures, a
+    # new id per signature in order of first occurrence
+    rows = [t.images for t in dfa.delta]
     block = [1 if q in dfa.finals else 0 for q in range(dfa.n)]
     while True:
-        sig = {}
-        new = [0] * dfa.n
-        for q in range(dfa.n):
-            key = (block[q],) + tuple(block[t[q]] for t in dfa.delta)
-            if key not in sig:
-                sig[key] = len(sig)
-            new[q] = sig[key]
+        sig: dict[tuple[int, ...], int] = {}
+        moved = ([block[r] for r in row] for row in rows)
+        new = [sig.setdefault(key, len(sig)) for key in zip(block, *moved)]
         if new == block:
             return block
         block = new
@@ -202,47 +198,68 @@ def suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
     second track must start at the initial state, so the seed pairs are
     (r, initial) for every state r reachable by a non-empty word.
     Both searches are breadth-first, so the witness words are shortest.
+
+    The DFA is not trimmed first: both searches start at the initial
+    state, so they meet reachable states only, and the order in which
+    they find states and pairs depends on the letter order alone, never
+    on state names.  The witness is the one the trimmed DFA gives.  The
+    searches read each letter's image row directly; a pair (p, q) is
+    the code p*n + q into flat lists of n*n entries.
     """
-    d = trim(dfa)
-    ini = d.initial
-    # shortest non-empty word to each state
-    word_to: dict[int, str] = {}
-    frontier = deque()
-    for name, t in zip(d.letters, d.delta):
-        r = t[ini]
-        if r not in word_to:
-            word_to[r] = name
-            frontier.append(r)
-    while frontier:
-        q = frontier.popleft()
-        for name, t in zip(d.letters, d.delta):
-            r = t[q]
-            if r not in word_to:
-                word_to[r] = word_to[q] + name
-                frontier.append(r)
-    # synchronized pair search
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
-    pairs = deque()
-    for r in word_to:
-        pair = (r, ini)
-        if pair not in parent:
-            parent[pair] = None
-            pairs.append(pair)
-    while pairs:
-        pair = pairs.popleft()
-        p, q = pair
-        if p in d.finals and q in d.finals:
+    n = dfa.n
+    ini = dfa.initial
+    names = dfa.letters
+    rows = [t.images for t in dfa.delta]
+    # shortest non-empty word to each state, as a parent state (-1 for
+    # the initial state read by one letter) and a last letter
+    parent = [-2] * n  # -2: not reached
+    letter = [0] * n
+    found: list[int] = []
+    for k, row in enumerate(rows):
+        r = row[ini]
+        if parent[r] == -2:
+            parent[r] = -1
+            letter[r] = k
+            found.append(r)
+    for q in found:  # the list grows while it is walked
+        for k, row in enumerate(rows):
+            r = row[q]
+            if parent[r] == -2:
+                parent[r] = q
+                letter[r] = k
+                found.append(r)
+    # synchronized pair search; step[c] is -1 for an unseen pair, -2
+    # for a seed, else the code of the pair it came from times the
+    # number of letters, plus the letter
+    final = [False] * n
+    for f in dfa.finals:
+        final[f] = True
+    both_final = [a and b for a in final for b in final]
+    width = len(rows)
+    letter_rows = list(enumerate(zip([[r * n for r in row] for row in rows], rows)))
+    step = [-1] * (n * n)
+    pairs = [r * n + ini for r in found]
+    for c in pairs:
+        step[c] = -2
+    for c in pairs:  # the list grows while it is walked
+        if both_final[c]:
             v = ""
-            node: tuple[int, int] = pair
-            while parent[node] is not None:
-                node, name = parent[node]
-                v = name + v
-            return word_to[node[0]], v
-        for name, t in zip(d.letters, d.delta):
-            nxt = (t[p], t[q])
-            if nxt not in parent:
-                parent[nxt] = (pair, name)
-                pairs.append(nxt)
+            while step[c] != -2:
+                c, k = divmod(step[c], width)
+                v = names[k] + v
+            w = ""
+            r = c // n
+            while r != -1:
+                w = names[letter[r]] + w
+                r = parent[r]
+            return w, v
+        p, q = divmod(c, n)
+        base = c * width
+        for k, (row_n, row) in letter_rows:
+            d = row_n[p] + row[q]
+            if step[d] == -1:
+                step[d] = base + k
+                pairs.append(d)
     return None
 
 
@@ -260,10 +277,9 @@ def empty_state(dfa: Dfa) -> int | None:
     """The least non-final state that every letter maps to itself.  In
     a minimal DFA this sink is unique when it exists; rejecting is
     automatic since the sink is not final."""
+    rows = [t.images for t in dfa.delta]
     for q in range(dfa.n):
-        if q in dfa.finals:
-            continue
-        if all(t[q] == q for t in dfa.delta):
+        if q not in dfa.finals and all(row[q] == q for row in rows):
             return q
     return None
 

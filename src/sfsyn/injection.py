@@ -536,12 +536,14 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     bound."""
     ctx = PhiContext.from_semigroup(sg)
     counts: dict[str, int] = {}
-    first: dict[RawMap, RawMap] = {}  # each image and the first map sent to it
+    # each image unequal to its own map, and the first map sent to it;
+    # an image equal to its map needs no entry, as the maps are distinct
+    moved: dict[RawMap, RawMap] = {}
     duplicate = None
     all_wsf = True
     round_trips = True
     counterexample = None
-    for t in sg.raw:
+    for i, t in enumerate(sg.raw):
         try:
             case, image = _phi(t, ctx)
         except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
@@ -549,12 +551,28 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
             round_trips = False
             break
         counts[case] = counts.get(case, 0) + 1
-        earlier = first.setdefault(image, t)
-        if earlier != t and duplicate is None:
-            duplicate = (
-                f"{format_transformation(earlier)} and {format_transformation(t)} "
-                f"share the image {format_transformation(image)}"
-            )
+        if duplicate is None:  # no two maps before t share an image
+            if image == t:
+                earlier = moved.get(t)  # no other map is sent to itself
+            else:
+                earlier = moved.setdefault(image, t)
+                if earlier == t:
+                    # the one other candidate is the map equal to image,
+                    # if it came before t and was sent to itself.  A
+                    # working embedding sends no map onto another element
+                    # (that element collapses, so is sent to itself), so
+                    # only a broken one scans for the position
+                    fixed_before = (
+                        image in sg.raw_set
+                        and sg.raw.index(image) < i
+                        and _phi(image, ctx)[1] == image
+                    )
+                    earlier = image if fixed_before else None
+            if earlier is not None:
+                duplicate = (
+                    f"{format_transformation(earlier)} and {format_transformation(t)} "
+                    f"share the image {format_transformation(image)}"
+                )
         if not (collapses(image) and in_bsf_images(image)):
             all_wsf = False
             counterexample = (

@@ -94,7 +94,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
 from .dfa import Dfa, Semiautomaton, is_suffix_free
@@ -338,8 +338,8 @@ class _Context:
     bsf_set: frozenset[RawMap]
     masks: dict[RawMap, tuple[int, int]]
     tables: dict[RawMap, bytes]
-    vsf_elements: frozenset[RawMap]
-    wsf_elements: frozenset[RawMap]
+    vsf_elements: AbstractSet[RawMap]
+    wsf_elements: AbstractSet[RawMap]
 
 
 @lru_cache(maxsize=4)

@@ -27,8 +27,8 @@ runs through one kernel, close_raw: a breadth-first pass that
 right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
-given set, can extend a set already closed under the tables, and can
-record each find's parent and table.  A TransitionSemigroup holds raw
+given set, can hand back the set of finds it built, and can record
+each find's parent and table.  A TransitionSemigroup holds raw
 maps in discovery order with those links, builds Transformation objects
 and shortest witness words only on first access, and caches its one
 pair scan.
@@ -48,6 +48,7 @@ if TYPE_CHECKING:
 
 Word = tuple[int, ...]  # generator indices
 RawMap = bytes  # a map as its image string: byte q is the image of q
+MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class TransitionSemigroup:
     n: int
     raw: tuple[RawMap, ...]
     generators: tuple[Transformation, ...]
-    raw_set: frozenset[RawMap]
+    raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
     parents: array | None = None
     letters: array | None = None
 
@@ -114,24 +115,25 @@ def close_raw(
     seeds: Iterable[RawMap],
     tables: Sequence[bytes],
     *,
-    known: AbstractSet[RawMap] = frozenset(),
+    seen: set[RawMap] | None = None,
     within: Container[RawMap] | None = None,
     edges: tuple[array, array] | None = None,
 ) -> list[RawMap] | None:
     """The closure kernel: every map reachable from the seeds by right
-    multiplication with the tables, minus the known maps.
+    multiplication with the tables.
 
-    Seeds come first, duplicates and known maps dropped; then the queue
-    of finds is walked front to back, each map times each table in
-    table order, so the list returned is the breadth-first discovery
-    order.  Known maps count as found but are never walked: a set
-    already closed under the tables extends by seeding only the
-    products that involve the new map.  With within given, the pass
-    stops and returns None the moment a seed or a find is not in it.
-    With edges = (parents, indices) given, one parent position and one
-    table index are appended per returned map, parent -1 and the seed's
-    own index for a seed; the shortest words follow from these links."""
-    seen = set(known)
+    Seeds come first, duplicates dropped; then the queue of finds is
+    walked front to back, each map times each table in table order, so
+    the list returned is the breadth-first discovery order.  With seen
+    given, every find is added to that set, so the caller keeps the set
+    of the closure without building another; a map already in it counts
+    as found and is never walked.  With within given, the pass stops
+    and returns None the moment a seed or a find is not in it.  With
+    edges = (parents, indices) given, one parent position and one table
+    index are appended per returned map, parent -1 and the seed's own
+    index for a seed; the shortest words follow from these links."""
+    if seen is None:
+        seen = set()
     order: list[RawMap] = []
     parents, indices = edges if edges is not None else (None, None)
     for i, s in enumerate(seeds):
@@ -189,8 +191,8 @@ def _raw_generators(generators: Sequence[Transformation], what: str) -> list[Raw
     if not generators:
         raise ValueError(f"{what} needs at least one generator")
     n = generators[0].n
-    if n > 256:
-        raise ValueError(f"{what} works on at most 256 states, got {n}")
+    if n > MAX_STATES:
+        raise ValueError(f"{what} works on at most {MAX_STATES} states, got {n}")
     for g in generators:
         if g.n != n:
             raise ValueError(f"mixed state counts in generators: {g.n} vs {n}")
@@ -202,12 +204,14 @@ def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     raws = _raw_generators(generators, "closure")
     parents = array("i")
     letters = array("B" if len(raws) <= 256 else "i")
-    order = close_raw(raws, [raw_table(g) for g in raws], edges=(parents, letters))
+    members: set[RawMap] = set()
+    tables = [raw_table(g) for g in raws]
+    order = close_raw(raws, tables, seen=members, edges=(parents, letters))
     return TransitionSemigroup(
         n=generators[0].n,
         raw=tuple(order),
         generators=tuple(generators),
-        raw_set=frozenset(order),
+        raw_set=members,
         parents=parents,
         letters=letters,
     )

@@ -8,8 +8,17 @@ import sys
 import pytest
 
 from sfsyn.cli import main
-from sfsyn.dfa import format_dfa, parse_dfa, relabel, witness
+from sfsyn.dfa import (
+    Dfa,
+    format_dfa,
+    is_minimal,
+    parse_dfa,
+    relabel,
+    suffix_free_violation,
+    witness,
+)
 from sfsyn.search import search_max
+from sfsyn.transform import Transformation
 
 # ab* is suffix-free; a* accepts the empty word and everything above it
 AB_STAR = "n=3 letters=a,b initial=0 finals=1\na: 1 2 2\nb: 2 1 2\n"
@@ -102,6 +111,14 @@ def test_verify_bound_guards(capsys):
     assert "--allow-slow" in err
 
 
+def test_verify_bound_beyond_raw_maps_is_a_usage_error(capsys):
+    # raw maps hold one byte per image, so closure stops at 256 states
+    assert main(["verify-bound", "--n", "300", "--allow-slow"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: closure works on at most 256 states, got n=300\n"
+
+
 def test_letters_five_drop_sizes(capsys):
     code = main(["letters", "--n", "5"])
     out, _ = capsys.readouterr()
@@ -158,6 +175,21 @@ def test_phi_needs_seven_states(tmp_path, capsys):
     assert main(["phi", path]) == 2
     _, err = capsys.readouterr()
     assert "7 states" in err
+
+
+def test_phi_beyond_raw_maps_is_a_usage_error(tmp_path, capsys):
+    # the minimal DFA of the one word a^298: a chain into the empty state
+    n = 300
+    chain = Transformation(tuple(min(q + 1, n - 1) for q in range(n)))
+    d = Dfa(n, ("a",), (chain,), 0, frozenset({n - 2}))
+    assert is_minimal(d) and suffix_free_violation(d) is None
+    path = os.path.join(tmp_path, "chain300.dfa")
+    with open(path, "w") as fh:
+        fh.write(format_dfa(d))
+    assert main(["phi", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the embedding works on at most 256 states, got 300\n"
 
 
 def test_phi_flags_a_suffix_violation_first(tmp_path, capsys):

@@ -6,6 +6,7 @@ relations on small machines, and an exact pair-reachability product
 for language equivalence.
 """
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,80 @@ def test_suffix_freeness_matches_word_oracle(d):
         w, v = suffix_free_violation(d)
         assert w
         assert d.accepts(w + v) and d.accepts(v)
+
+
+def trimmed_suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
+    """The product search as it ran on the trimmed DFA, through
+    Transformation lookups and tuple-keyed pairs: the oracle for the
+    image-row search, which must return the same (w, v) or None."""
+    d = trim(dfa)
+    ini = d.initial
+    # shortest non-empty word to each state
+    word_to: dict[int, str] = {}
+    frontier = deque()
+    for name, t in zip(d.letters, d.delta):
+        r = t[ini]
+        if r not in word_to:
+            word_to[r] = name
+            frontier.append(r)
+    while frontier:
+        q = frontier.popleft()
+        for name, t in zip(d.letters, d.delta):
+            r = t[q]
+            if r not in word_to:
+                word_to[r] = word_to[q] + name
+                frontier.append(r)
+    # synchronized pair search
+    parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
+    pairs = deque()
+    for r in word_to:
+        pair = (r, ini)
+        if pair not in parent:
+            parent[pair] = None
+            pairs.append(pair)
+    while pairs:
+        pair = pairs.popleft()
+        p, q = pair
+        if p in d.finals and q in d.finals:
+            v = ""
+            node: tuple[int, int] = pair
+            while parent[node] is not None:
+                node, name = parent[node]
+                v = name + v
+            return word_to[node[0]], v
+        for name, t in zip(d.letters, d.delta):
+            nxt = (t[p], t[q])
+            if nxt not in parent:
+                parent[nxt] = (pair, name)
+                pairs.append(nxt)
+    return None
+
+
+def test_suffix_free_violation_matches_trimmed_oracle_exhaustively():
+    # every DFA on 1-3 states over 1-2 letters, every initial state and
+    # every final set: unreachable states and initial states other than
+    # 0 included
+    checked = violations = 0
+    for n in range(1, 4):
+        maps = [Transformation(images) for images in itertools.product(range(n), repeat=n)]
+        for k in (1, 2):
+            names = tuple("ab"[:k])
+            for delta in itertools.product(maps, repeat=k):
+                for initial in range(n):
+                    for mask in range(1 << n):
+                        finals = frozenset(q for q in range(n) if mask >> q & 1)
+                        d = Dfa(n, names, delta, initial, finals)
+                        got = suffix_free_violation(d)
+                        assert got == trimmed_suffix_free_violation(d), d
+                        checked += 1
+                        violations += got is not None
+    assert (checked, violations) == (18308, 14128)
+
+
+@settings(max_examples=300)
+@given(random_dfas())
+def test_suffix_free_violation_matches_trimmed_oracle(d):
+    assert suffix_free_violation(d) == trimmed_suffix_free_violation(d)
 
 
 # ------------------------------------------------------------ empty state

@@ -22,7 +22,7 @@ from sfsyn.injection import (
     verify_injective,
 )
 from sfsyn.semigroup import closure, enumerate_bsf, in_bsf, in_wsf, vsf_generators, wsf_bound
-from sfsyn.transform import Transformation
+from sfsyn.transform import Transformation, format_transformation
 
 
 def T(*images):
@@ -260,23 +260,57 @@ def test_raw_hot_path_leaves_elements_unbuilt():
     assert "witness_words" not in vars(sg)
 
 
+def rewired(sg, monkeypatch, targets):
+    # a broken forward map sending element i to element targets[i]
+    real = injection._phi
+    index = {t: i for i, t in enumerate(sg.raw)}
+
+    def phi(t, ctx):
+        case, image = real(t, ctx)
+        i = index[t]
+        return case, sg.raw[targets[i]] if i in targets else image
+
+    monkeypatch.setattr(injection, "_phi", phi)
+    return verify_injective(sg)
+
+
 def test_duplicate_images_are_reported(monkeypatch):
     # a broken forward map sending two elements onto a third one's
     # image: the report names the first element whose image repeats
     sg = transition_semigroup(witness(7))
-    real = injection._phi
-    index = {t: i for i, t in enumerate(sg.raw)}
-
-    def clashing(t, ctx):
-        case, image = real(t, ctx)
-        return case, sg.raw[3] if index[t] in (5, 9) else image
-
-    monkeypatch.setattr(injection, "_phi", clashing)
-    report = verify_injective(sg)
+    report = rewired(sg, monkeypatch, {5: 3, 9: 3})
     assert not report.images_distinct and report.all_images_collapsing and report.round_trips
     assert report.counterexample == (
         "6 6 2 3 4 5 6 and 6 3 4 5 1 2 6 share the image 6 6 2 3 4 5 6"
     )
+
+
+@pytest.mark.parametrize(
+    "targets, first, second, image",
+    [
+        # 3 and 5 both move onto element 20, which itself moves onto 3:
+        # two moved images repeat, none equal to its own map
+        ({3: 20, 5: 20, 20: 3}, 3, 5, 20),
+        # 3 moves onto element 9, which comes later and keeps its image
+        ({3: 9}, 3, 9, 9),
+    ],
+)
+def test_rewired_elements_sharing_an_image_are_reported(monkeypatch, targets, first, second, image):
+    sg = transition_semigroup(witness(7))
+    report = rewired(sg, monkeypatch, targets)
+    assert not report.images_distinct and report.all_images_collapsing and report.round_trips
+    assert report.counterexample == (
+        f"{format_transformation(sg.raw[first])} and {format_transformation(sg.raw[second])} "
+        f"share the image {format_transformation(sg.raw[image])}"
+    )
+
+
+def test_rewired_elements_in_a_cycle_stay_distinct(monkeypatch):
+    # moving 3 -> 5 -> 9 -> 3 permutes the images: no repeat, even
+    # though each moved image is another element's
+    sg = transition_semigroup(witness(7))
+    report = rewired(sg, monkeypatch, {3: 5, 5: 9, 9: 3})
+    assert report.passed and report.counterexample is None
 
 
 def test_non_collapsing_images_are_reported(v7, monkeypatch):

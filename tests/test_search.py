@@ -210,7 +210,7 @@ def extend_closure(base, coll, foc, t, gen_tables, ctx):
     the seeds are t and x then t for every x in base."""
     t_table = ctx.tables[t]
     seeds = [t, *(x.translate(t_table) for x in base)]
-    fresh = close_raw(seeds, [*gen_tables, t_table], known=base, within=ctx.bsf_set)
+    fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base), within=ctx.bsf_set)
     if fresh is None:
         return None
     for y in fresh:
