@@ -12,20 +12,33 @@ inside the admissible sink family, and the full semiconstant family is
 folded into the generated semigroup X.  Stage one then keeps the pool
 maps outside X whose colliding and focused pair masks clash with none
 of X's, and the branch ends when |X| plus their number cannot reach
-the target.
+the target.  Candidate sets are ints over pool positions, bit i for
+the i-th pool map.  Neither X's masks nor a pool map's own masks
+clash: a map t colliding {p, q} (0t = p, rt = q for an interior r) and
+focusing it (pt = qt interior) merges 0 and r at an interior state
+under t t, so it is not admissible.  A pool map t therefore passes
+exactly when no pair t collides is focused in X and no pair t focuses
+collides in X.  The context holds, for each interior pair, the pool
+maps colliding it and the pool maps focusing it, so stage one is a few
+big-int operations: the pool minus X, minus the colliders of X's
+focused pairs, minus the focusers of X's colliding pairs.
 
 Branches are also closed off by a per-pair case analysis.  A consistent
 semigroup must, for every interior pair, avoid all of the pair's
 colliders or all of its focusers, so each way of choosing sides caps
-any extension of the branch by the candidates surviving that choice.
-A choice whose survivors sit, together with the branch, inside the
-injective-off-sink family or the collapsing family can only produce
-that family itself, which is confirmed directly from its known
+any extension of the branch by the candidates surviving that choice:
+the candidate set minus the chosen colliders and focusers, one AND per
+pair.  Only pairs that some candidate collides and some candidate
+focuses offer a real choice.  A choice whose survivors sit, together
+with the branch, inside the injective-off-sink family or the
+collapsing family (no survivor among the pool maps outside it) can only
+produce that family itself, which is confirmed directly from its known
 generators; a choice whose survivor count cannot reach the target is
 dead.  When every choice falls to one of the two, the branch ends.
 The family cutoff applies only while the target is at least the
 containing family's size, so a search for smaller semigroups still
-walks those branches.
+walks those branches.  Only a branch left open turns its candidate set
+back into maps, in pool order.
 
 A branch left open passes its candidates through one filter, and each
 survivor, appended to the letters and canonicalized, joins the next
@@ -65,7 +78,10 @@ every image and sends constants to constants, so it fixes 0 and n-1.
 The statistics count per semiautomaton: selections equals visited,
 rejected_selections counts closures refused for leaving the admissible
 family, and terminal_selections and pruned_selections count branches
-the case analysis or the count bound ended.
+the case analysis or the count bound ended.  At info level each
+finished level logs its size, its census of rejected, pruned, terminal
+and open semiautomata and its wall time; none of that enters the
+report.
 
 Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -93,7 +109,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from typing import AbstractSet, Iterable, Sequence
 
 from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
@@ -328,6 +344,16 @@ def _masks_of(t: Sequence[int], pair_bit: dict[tuple[int, int], int]) -> tuple[i
 # ------------------------------------------------------------ shared context
 
 
+def _bits(positions: Iterable[int], size: int) -> int:
+    """The set of pool positions as an int, bit i for position i, parsed
+    from one digit string rather than ORed together bit by bit."""
+    digits = bytearray(b"0" * size)
+    for i in positions:
+        digits[i] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
+
+
 @dataclass(frozen=True)
 class _Context:
     n: int
@@ -340,6 +366,20 @@ class _Context:
     tables: dict[RawMap, bytes]
     vsf_elements: AbstractSet[RawMap]
     wsf_elements: AbstractSet[RawMap]
+    # candidate sets are ints over pool positions: bit index[t] stands
+    # for the pool map t
+    index: dict[RawMap, int]
+    # per interior pair bit b: the pool maps whose colliding mask has b,
+    # and the pool maps whose focused mask has b
+    coll_by_bit: tuple[int, ...]
+    foc_by_bit: tuple[int, ...]
+    # every pool position; no pool map's own masks clash (see the module
+    # docstring), so any of them may be a candidate
+    pool_bits: int
+    # the pool maps outside the injective-off-sink family, and those
+    # outside the collapsing family
+    not_v: int
+    not_w: int
 
 
 @lru_cache(maxsize=4)
@@ -348,6 +388,14 @@ def _context(n: int) -> _Context:
     bsf = frozenset(bytes(t.images) for t in enumerate_bsf(n))
     semi = frozenset(bytes(t.images) for t in semiconstant_family(n))
     pool = tuple(sorted(bsf - semi))
+    masks = {t: _masks_of(t, pair_bit) for t in bsf}
+    vsf = closure(list(vsf_generators(n))).raw_set
+    wsf = enumerate_wsf(n).raw_set
+    size = len(pool)
+
+    def where(test) -> int:
+        return _bits((i for i, t in enumerate(pool) if test(t)), size)
+
     return _Context(
         n=n,
         pair_bit=pair_bit,
@@ -355,10 +403,16 @@ def _context(n: int) -> _Context:
         pool=pool,
         semiconstants=tuple(sorted(semi)),
         bsf_set=bsf,
-        masks={t: _masks_of(t, pair_bit) for t in bsf},
+        masks=masks,
         tables={t: raw_table(t) for t in bsf},
-        vsf_elements=closure(list(vsf_generators(n))).raw_set,
-        wsf_elements=enumerate_wsf(n).raw_set,
+        vsf_elements=vsf,
+        wsf_elements=wsf,
+        index={t: i for i, t in enumerate(pool)},
+        coll_by_bit=tuple(where(lambda t: masks[t][0] >> b & 1) for b in range(len(pair_bit))),
+        foc_by_bit=tuple(where(lambda t: masks[t][1] >> b & 1) for b in range(len(pair_bit))),
+        pool_bits=(1 << size) - 1,
+        not_v=where(lambda t: t not in vsf),
+        not_w=where(lambda t: t not in wsf),
     )
 
 
@@ -383,18 +437,23 @@ def _close_all_admissible(
     return frozenset(found), coll, foc
 
 
-def _mask_candidates(members: frozenset[RawMap], coll: int, foc: int, ctx: _Context) -> list[RawMap]:
-    """Stage one: the pool maps outside the branch whose own pair masks
-    clash with none of the branch's, with no closure work at all."""
-    masks = ctx.masks
-    out = []
-    for t in ctx.pool:
-        if t in members:
-            continue
-        tc, tf = masks[t]
-        if not (coll | tc) & (foc | tf):
-            out.append(t)
-    return out
+def _candidate_bits(members: AbstractSet[RawMap], coll: int, foc: int, ctx: _Context) -> int:
+    """Stage one as a set of pool positions: the pool maps outside the
+    branch whose own pair masks clash with none of the branch's."""
+    killed = 0
+    for b, (colliders, focusers) in enumerate(zip(ctx.coll_by_bit, ctx.foc_by_bit)):
+        if (foc >> b) & 1:
+            killed |= colliders
+        if (coll >> b) & 1:
+            killed |= focusers
+    index = ctx.index
+    killed |= _bits((index[t] for t in members if t in index), len(ctx.pool))
+    return ctx.pool_bits & ~killed
+
+
+def _pool_maps(bits: int, ctx: _Context) -> list[RawMap]:
+    """The pool maps of a candidate set, in pool order."""
+    return list(compress(ctx.pool, map("1".__eq__, bin(bits)[:1:-1])))
 
 
 def _one_step_filter(
@@ -434,53 +493,34 @@ def _one_step_filter(
 
 
 def _leaf_verdict(
-    x_size: int,
-    x_in_vsf: bool,
-    x_in_wsf: bool,
-    sigs: Counter,
-    n_bits: int,
-    target: int,
-    vsf_closed: bool,
-    wsf_closed: bool,
-    use_count: bool,
+    cand: int, members: AbstractSet[RawMap], target: int, use_count: bool, ctx: _Context
 ) -> str | None:
     """Case analysis over the interior pairs: a consistent semigroup
     omits, for each pair, all of its colliders or all of its focusers,
-    so every branch outcome lives inside one of the side-choices.
-    sigs counts candidates by (colliding mask, focused mask, in the
-    injective-off-sink family, in the collapsing family).  Returns
-    "terminal" when every choice is confined to a directly confirmed
-    family or (with use_count) cannot reach the target, "pruned" when
-    the count alone closes every choice, and None when some choice
-    stays open."""
-    has_c = 0
-    has_f = 0
-    for c, f, _, _ in sigs:
-        has_c |= c
-        has_f |= f
-    free = [1 << b for b in range(n_bits) if (has_c >> b) & 1 and (has_f >> b) & 1]
+    so every branch outcome lives inside one of the side-choices.  cand
+    is the branch's candidate set.  Returns "terminal" when every choice
+    is confined to a directly confirmed family or (with use_count)
+    cannot reach the target, "pruned" when the count alone closes every
+    choice, and None when some choice stays open."""
+    # a branch confined to one of the two families is only allowed to
+    # end there when no proper subset of the family could still matter
+    in_v = target >= len(ctx.vsf_elements) and members <= ctx.vsf_elements
+    in_w = target >= len(ctx.wsf_elements) and members <= ctx.wsf_elements
+    need = target - len(members)
+    # the survivors of every side choice; a pair that no candidate
+    # collides, or that none focuses, offers no choice
+    survivors = [cand]
+    for colliders, focusers in zip(ctx.coll_by_bit, ctx.foc_by_bit):
+        if cand & colliders and cand & focusers:
+            no_colliders = cand & ~colliders
+            no_focusers = cand & ~focusers
+            survivors = [s & keep for s in survivors for keep in (no_colliders, no_focusers)]
     saw_family = False
-    for choice in range(1 << len(free)):
-        omit_c = 0
-        omit_f = 0
-        for k, bit in enumerate(free):
-            if (choice >> k) & 1:
-                omit_c |= bit
-            else:
-                omit_f |= bit
-        count = 0
-        all_v = x_in_vsf
-        all_w = x_in_wsf
-        for (c, f, in_v, in_w), mult in sigs.items():
-            if c & omit_c or f & omit_f:
-                continue
-            count += mult
-            all_v = all_v and in_v
-            all_w = all_w and in_w
-        if (vsf_closed and all_v) or (wsf_closed and all_w):
+    for surv in survivors:
+        if (in_v and not surv & ctx.not_v) or (in_w and not surv & ctx.not_w):
             saw_family = True
             continue
-        if use_count and x_size + count < target:
+        if use_count and surv.bit_count() < need:
             continue
         return None
     return "terminal" if saw_family else "pruned"
@@ -620,30 +660,14 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
     other = None
     if len(members) >= target:
         other = {"size": len(members), "letters": list(letters), "members": sorted(members)}
-    candidates = _mask_candidates(members, coll, foc, ctx)
-    if prune and len(members) + len(candidates) < target:
+    cand = _candidate_bits(members, coll, foc, ctx)
+    if prune and len(members) + cand.bit_count() < target:
         outcome = "pruned"
     else:
-        masks = ctx.masks
-        vsf = ctx.vsf_elements
-        wsf = ctx.wsf_elements
-        sigs = Counter((masks[t][0], masks[t][1], t in vsf, t in wsf) for t in candidates)
-        # a branch confined to one of the two families is only allowed to
-        # end there when no proper subset of the family could still matter
-        outcome = _leaf_verdict(
-            len(members),
-            members <= vsf,
-            members <= wsf,
-            sigs,
-            len(ctx.pair_bit),
-            target,
-            target >= len(vsf),
-            target >= len(wsf),
-            prune,
-        ) or "open"
+        outcome = _leaf_verdict(cand, members, target, prune, ctx) or "open"
     extensions: dict[bytes, None] = {}
     if outcome == "open":
-        for g in _one_step_filter(candidates, members, coll, foc, ctx):
+        for g in _one_step_filter(_pool_maps(cand, ctx), members, coll, foc, ctx):
             canon = _canonical_letters(sorted(letters + (g,)), forms)
             extensions.setdefault(_fingerprint(canon, n), None)
     return {"outcome": outcome, "extensions": list(extensions), "other": other}
@@ -748,7 +772,9 @@ def search_max(
     search reports any semigroup at or above the target that is neither
     of them.  With prune=False no branch is cut for its count, only by
     the family cutoff, and the admissible space is walked in full,
-    which is only tractable for n=4.
+    which is only tractable for n=4.  threads worker processes judge
+    each level; more than os.cpu_count() are refused before any starts,
+    as the pool forks every worker at once.
 
     A resumed run re-explores from the checkpointed level on; records
     from earlier levels are not replayed, which is harmless for the
@@ -761,6 +787,9 @@ def search_max(
         raise ValueError("max_letters must be positive")
     if threads < 1:
         raise ValueError("threads must be positive")
+    cpus = os.cpu_count() or 1
+    if threads > cpus:
+        raise ValueError(f"threads must be at most the CPU count {cpus}, got {threads}")
     ctx = _context(n)
     if target is None:
         target = max(len(ctx.vsf_elements), wsf_bound(n))
@@ -794,6 +823,7 @@ def search_max(
             save_checkpoint(
                 os.path.join(checkpoint_dir, f"level_{level_index:02d}.txt"), level_index, n, level
             )
+        level_started = time.perf_counter()
         level = tuple(sorted(level, key=lambda sa: sa.fingerprint))
         level_sizes.append(len(level))
         work = [(sa.fingerprint, n, target, prune) for sa in level]
@@ -803,10 +833,11 @@ def search_max(
         else:
             results = [_expand_one(item, forms) for item in work]
 
+        census = Counter(res["outcome"] for res in results)
+        outcomes.update(census)
         next_fps: dict[bytes, None] = {}
         for res in results:
             visited += 1
-            outcomes[res["outcome"]] += 1
             record = res["other"]
             if res["outcome"] != "open" and record is None:
                 pruned += 1
@@ -830,7 +861,16 @@ def search_max(
                     kind="other", size=record["size"], letters=letters, level=level_index
                 )
         logger.info(
-            "level %d: %d semiautomata, %d extension candidates", level_index, len(level), len(next_fps)
+            "level %d: %d semiautomata, %d extension candidates"
+            " (%d rejected, %d pruned, %d terminal, %d open) in %.3f s",
+            level_index,
+            len(level),
+            len(next_fps),
+            census["rejected"],
+            census["pruned"],
+            census["terminal"],
+            census["open"],
+            time.perf_counter() - level_started,
         )
         if level_index == max_letters:
             # the capped level is not built: one irreducible candidate

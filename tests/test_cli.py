@@ -2,6 +2,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -249,6 +250,14 @@ def test_search_range_is_a_usage_error(capsys):
     assert "4 <= n <= 7" in err
 
 
+def test_search_with_more_threads_than_cpus_is_a_usage_error(capsys):
+    threads = (os.cpu_count() or 1) + 1
+    assert main(["--threads", str(threads), "search", "--n", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: threads must be at most the CPU count")
+
+
 def test_search_target_below_one_is_a_usage_error(capsys):
     assert main(["search", "--n", "4", "--target", "0"]) == 2
     out, err = capsys.readouterr()
@@ -287,12 +296,22 @@ def without_timing(doc: dict) -> dict:
     return doc
 
 
+# one info line per level: its size, the next level's candidates, the
+# outcome census and the level's wall time
+LEVEL_LINE = re.compile(
+    r"level (\d+): (\d+) semiautomata, (\d+) extension candidates "
+    r"\((\d+) rejected, (\d+) pruned, (\d+) terminal, (\d+) open\) in \d+\.\d{3} s"
+)
+FOUR_STATE_LEVEL = "level 1: 6 semiautomata, 0 extension candidates (0 rejected, 1 pruned, 5 terminal, 0 open) in "
+
+
 def test_log_level_info_shows_the_search_progress():
     quiet = run_cli("search", "--n", "4")
     loud = run_cli("--log-level", "info", "search", "--n", "4")
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == ""
-    assert loud.stderr == "level 1: 6 semiautomata, 0 extension candidates\n"
+    assert loud.stderr.startswith(FOUR_STATE_LEVEL)
+    assert LEVEL_LINE.fullmatch(loud.stderr.rstrip("\n"))
     expected = search_max(4).to_json(include_timing=False)
     assert without_timing(json.loads(quiet.stdout)) == expected
     assert without_timing(json.loads(loud.stdout)) == expected
@@ -306,11 +325,38 @@ def test_log_level_works_in_process(capfd):
     for _ in range(2):
         assert main(["--log-level", "info", "search", "--n", "4"]) == 0
         out, err = capfd.readouterr()
-        assert err == "level 1: 6 semiautomata, 0 extension candidates\n"
+        assert err.startswith(FOUR_STATE_LEVEL)
+        assert LEVEL_LINE.fullmatch(err.rstrip("\n"))
         assert without_timing(json.loads(out)) == expected
     assert main(["search", "--n", "4"]) == 0
     assert capfd.readouterr().err == ""
     assert [h.get_name() for h in logging.getLogger("sfsyn").handlers] == ["sfsyn.cli"]
+
+
+def test_log_level_info_reports_each_level_census():
+    # the census lines add up to the level sizes and the report's
+    # counts, and switching them on changes neither stdout nor the
+    # default stderr
+    argv = ("search", "--n", "4", "--target", "12")
+    quiet = run_cli(*argv)
+    loud = run_cli("--log-level", "info", *argv)
+    assert quiet.returncode == loud.returncode == 1
+    assert quiet.stderr == ""
+    doc = without_timing(json.loads(loud.stdout))
+    assert without_timing(json.loads(quiet.stdout)) == doc == search_max(4, 12).to_json(include_timing=False)
+    lines = [LEVEL_LINE.fullmatch(line) for line in loud.stderr.splitlines()]
+    assert all(lines)
+    rows = [[int(g) for g in m.groups()] for m in lines]
+    stats = doc["statistics"]
+    assert [row[0] for row in rows] == list(range(1, len(stats["level_sizes"]) + 1))
+    assert [row[1] for row in rows] == stats["level_sizes"]
+    for row in rows:
+        assert sum(row[3:]) == row[1]
+    rejected, pruned, terminal, opened = (sum(col) for col in zip(*(row[3:] for row in rows)))
+    assert rejected == stats["rejected_selections"]
+    assert pruned == stats["pruned_selections"]
+    assert terminal == stats["terminal_selections"]
+    assert (pruned, opened) == (21, 45)
 
 
 def test_default_log_level_writes_warnings_as_bare_messages():

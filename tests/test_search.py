@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,14 +28,16 @@ from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_fre
 from sfsyn.dfa import Semiautomaton, witness
 import sfsyn.search as search_module
 from sfsyn.search import (
+    _candidate_bits,
     _canonical_letters,
     _close_all_admissible,
     _conjugate,
     _context,
     _fingerprint,
-    _mask_candidates,
+    _leaf_verdict,
     _masks_of,
     _one_step_filter,
+    _pool_maps,
     canonicalize,
     initial_level,
     load_checkpoint,
@@ -405,7 +408,7 @@ def filter_census(level, ctx):
     # every exact addition of every branch
     branches = additions = kept_total = 0
     for tables, (members, coll, foc) in admissible_branches(level, ctx):
-        candidates = _mask_candidates(members, coll, foc, ctx)
+        candidates = _pool_maps(_candidate_bits(members, coll, foc, ctx), ctx)
         kept = _one_step_filter(candidates, members, coll, foc, ctx)
         exact = exact_additions(members, coll, foc, tables, ctx)
         assert exact.keys() <= set(kept), sorted(exact.keys() - set(kept))
@@ -423,6 +426,146 @@ def test_filter_keeps_every_exact_addition_at_four_states(tmp_path):
 
 def test_filter_keeps_every_exact_addition_at_five_states():
     assert filter_census(initial_level(5), _context(5)) == (22, 1706, 1706)
+
+
+# ------------------------------------------- stage one and case analysis
+
+
+def mask_candidates(members, coll, foc, ctx):
+    """Reference stage one: walk the pool and keep each map outside the
+    branch whose masks clash with none of the branch's."""
+    out = []
+    for t in ctx.pool:
+        if t in members:
+            continue
+        tc, tf = ctx.masks[t]
+        if not (coll | tc) & (foc | tf):
+            out.append(t)
+    return out
+
+
+def leaf_verdict(x_size, x_in_vsf, x_in_wsf, sigs, n_bits, target, vsf_closed, wsf_closed, use_count):
+    """Reference case analysis: for each side choice, rescan a Counter of
+    candidate signatures (colliding mask, focused mask, in the
+    injective-off-sink family, in the collapsing family)."""
+    has_c = 0
+    has_f = 0
+    for c, f, _, _ in sigs:
+        has_c |= c
+        has_f |= f
+    free = [1 << b for b in range(n_bits) if (has_c >> b) & 1 and (has_f >> b) & 1]
+    saw_family = False
+    for choice in range(1 << len(free)):
+        omit_c = 0
+        omit_f = 0
+        for k, bit in enumerate(free):
+            if (choice >> k) & 1:
+                omit_c |= bit
+            else:
+                omit_f |= bit
+        count = 0
+        all_v = x_in_vsf
+        all_w = x_in_wsf
+        for (c, f, in_v, in_w), mult in sigs.items():
+            if c & omit_c or f & omit_f:
+                continue
+            count += mult
+            all_v = all_v and in_v
+            all_w = all_w and in_w
+        if (vsf_closed and all_v) or (wsf_closed and all_w):
+            saw_family = True
+            continue
+        if use_count and x_size + count < target:
+            continue
+        return None
+    return "terminal" if saw_family else "pruned"
+
+
+def reference_verdict(candidates, members, target, use_count, ctx):
+    vsf, wsf = ctx.vsf_elements, ctx.wsf_elements
+    sigs = Counter((*ctx.masks[t], t in vsf, t in wsf) for t in candidates)
+    return leaf_verdict(
+        len(members),
+        members <= vsf,
+        members <= wsf,
+        sigs,
+        len(ctx.pair_bit),
+        target,
+        target >= len(vsf),
+        target >= len(wsf),
+        use_count,
+    )
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_no_pool_map_both_collides_and_focuses_a_pair(n):
+    # stage one relies on it: only the branch's masks can clash with a
+    # candidate's
+    ctx = _context(n)
+    assert not any(ctx.masks[t][0] & ctx.masks[t][1] for t in ctx.pool)
+    assert ctx.pool_bits.bit_count() == len(ctx.pool)
+
+
+def assert_branch_matches_references(members, coll, foc, target, use_count, ctx):
+    bits = _candidate_bits(members, coll, foc, ctx)
+    candidates = mask_candidates(members, coll, foc, ctx)
+    assert _pool_maps(bits, ctx) == candidates
+    assert bits.bit_count() == len(candidates)
+    got = _leaf_verdict(bits, members, target, use_count, ctx)
+    assert got == reference_verdict(candidates, members, target, use_count, ctx)
+    return got
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, census",
+    [
+        ((4,), {}, {"terminal": 5}),
+        ((5,), {}, {"terminal": 18, "pruned": 2}),
+        ((6,), {}, {"terminal": 54, "pruned": 11}),
+        ((5, 72), {"max_letters": 2}, {"terminal": 94, "pruned": 79, None: 374}),
+    ],
+    ids=["n4", "n5", "n6", "n5-t72-l2"],
+)
+def test_bitsets_match_the_references_on_every_searched_branch(monkeypatch, args, kwargs, census):
+    # every branch the search judges, with the search's own target and
+    # pruning flag: the bitset stage one must decode to the reference
+    # list, in pool order, and the bitset verdict must be the reference's
+    stage_ones = []
+    verdicts = Counter()
+
+    def stage_one(members, coll, foc, ctx):
+        stage_ones.append(members)
+        bits = _candidate_bits(members, coll, foc, ctx)
+        assert _pool_maps(bits, ctx) == mask_candidates(members, coll, foc, ctx)
+        return bits
+
+    def verdict(cand, members, target, use_count, ctx):
+        got = _leaf_verdict(cand, members, target, use_count, ctx)
+        assert got == reference_verdict(_pool_maps(cand, ctx), members, target, use_count, ctx)
+        verdicts[got] += 1
+        return got
+
+    monkeypatch.setattr(search_module, "_candidate_bits", stage_one)
+    monkeypatch.setattr(search_module, "_leaf_verdict", verdict)
+    r = search_max(*args, **kwargs)
+    assert len(stage_ones) == r.stats.visited - r.stats.rejected_selections
+    # branches the count prune ends never reach the case analysis
+    assert verdicts == census
+
+
+@settings(deadline=None, max_examples=120)
+@given(data=st.data(), n=st.sampled_from((4, 5, 6)), use_count=st.booleans())
+def test_bitsets_match_the_references_on_drawn_branches_and_targets(data, n, use_count):
+    ctx = _context(n)
+    letters = data.draw(st.lists(st.sampled_from(ctx.pool), min_size=1, max_size=2, unique=True))
+    gens = tuple(letters) + ctx.semiconstants
+    closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
+    if closed is None:
+        return
+    members, coll, foc = closed
+    # targets on both sides of the family sizes, where the cutoff turns on
+    target = data.draw(st.integers(1, max(len(ctx.vsf_elements), len(ctx.wsf_elements)) + 5))
+    assert_branch_matches_references(members, coll, foc, target, use_count, ctx)
 
 
 # ------------------------------------------------------------ the search
@@ -520,6 +663,24 @@ def test_search_five_state_below_target_pins_every_count():
     assert report_digest(r) == "8c0e0565eb4e6353337740ebe9c6048bc95751e4c180d4e33e235c866ffd2915"
 
 
+@pytest.mark.parametrize(
+    "target, visited, digest",
+    [
+        (65, 763, "5330f1014cf78377b5f7f309edea8b1442790501f7c228c2d0efded5ef5539bb"),
+        (68, 756, "ad95f955f4316f2b80fa90e9b0a6ad76b08faed44717a9a095e17e2ac26ec867"),
+    ],
+)
+def test_search_five_state_low_targets_pin_the_count_check(target, visited, digest):
+    # at these targets the case analysis's count check decides branches
+    # whose survivors reach the target exactly, so closing a choice at
+    # equality instead would change both reports
+    r = search_max(5, target, max_letters=2)
+    assert r.max_size_found == 73
+    assert r.stats.capped
+    assert r.stats.visited == visited
+    assert report_digest(r) == digest
+
+
 def test_no_letter_form_memo_survives_a_search(monkeypatch):
     created = []
 
@@ -553,6 +714,17 @@ def test_search_threads_match_single_thread():
     solo = search_max(5, threads=1).to_json(include_timing=False)
     duo = search_max(5, threads=2).to_json(include_timing=False)
     assert solo == duo
+
+
+def test_search_refuses_more_threads_than_cpus(monkeypatch):
+    # a process pool forks every worker at once, so the count is checked
+    # before any pool exists
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(search_module, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match="threads must be at most the CPU count"):
+        search_max(4, threads=(os.cpu_count() or 1) + 1)
 
 
 def test_letter_cap_disables_the_uniqueness_claim():
