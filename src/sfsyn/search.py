@@ -53,6 +53,36 @@ is judged afresh by its own closure, so no verdict changes.  On every
 search the test suite and the benchmark run, exact closures reject
 none of the survivors.
 
+The filter reads product rows over pool positions, a product table in
+the sense of Froidure and Pin, "Algorithms for computing finite
+semigroups" (1997), with one row per member map.  The row of x holds
+the pool maps t for which x t and t x are both admissible and, for each
+interior pair, the t for which one of the two collides the pair and
+the t for which one focuses it; one square row holds the same for t t,
+with t's own masks ORed in.  A branch's survivors are its candidates
+ANDed with the admissible sets of the square row and of every member's
+row, minus, for each pair, the t that are both among its colliders and
+among its focusers, each ORed over those rows; the whole pool stands in
+for the colliders of a pair X collides and for the focusers of a pair X
+focuses.  That is the product-by-product test above, done a row at a
+time, so the survivors, and with them every exact addition, are the
+same.  Either whole-pool rule alone already gives those survivors.
+Say y in X collides {p, q} and a product z of t focuses it: for z = t
+or z = x t, y t or (y x) t merges 0 with an interior state; otherwise
+y t merges or collides {p t, q t}, which t focuses when z = t t (so t
+is among that pair's colliders in y's row and its focusers in the
+square row) and x focuses when z = t x.  The focusing side is the
+mirror image.  Dropping both rules changes the survivors.
+
+A row depends on x alone, so it is built the first time some branch
+holds x and serves every later branch of the same search_max call; with
+worker processes each chunk of a level builds its own.  The memo is
+dropped when the call returns.  Rows grow with every member map the
+search meets, up to one per admissible map, each 21 ints of 14,929 bits
+at n = 7, and a memo that outlived the call would make a second search
+in one process cheaper than the first, which is all a command-line run
+ever gets.
+
 Pointed classes are told apart by a canonical form: the
 lexicographically least sorted tuple of letter conjugates over every
 permutation of the interior states.  It is computed without scanning
@@ -62,8 +92,8 @@ it; the sorted tuple must start with the least of those one-letter
 forms, so only labellings giving some letter that form are tried on
 the whole tuple.  One search_max call keeps a memo of the one-letter
 results, shared by all of its canonicalizations and dropped when it
-returns; canonicalize, checkpoint parsing and worker processes each
-start with an empty one, so no call ever starts warm.
+returns; canonicalize, checkpoint parsing and each chunk of work in a
+worker process start with an empty one, so no call ever starts warm.
 
 Reported semigroups are told apart by the same form of their members,
 and there pointed and full isomorphism agree.  Such a semigroup holds
@@ -80,7 +110,9 @@ rejected_selections counts closures refused for leaving the admissible
 family, and terminal_selections and pruned_selections count branches
 the case analysis or the count bound ended.  At info level each
 finished level logs its size, its census of rejected, pruned, terminal
-and open semiautomata and its wall time; none of that enters the
+and open semiautomata, its wall time, and the seconds its semiautomata
+spent being judged (closure through filter) and canonicalizing their
+extensions, summed over worker processes; none of that enters the
 report.
 
 Each semiautomaton is closed once, letters and semiconstants together,
@@ -108,9 +140,10 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress
-from typing import AbstractSet, Iterable, Sequence
+from operator import or_
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
 from .dfa import Dfa, Semiautomaton, is_suffix_free
@@ -456,37 +489,107 @@ def _pool_maps(bits: int, ctx: _Context) -> list[RawMap]:
     return list(compress(ctx.pool, map("1".__eq__, bin(bits)[:1:-1])))
 
 
+class _ProductRow(NamedTuple):
+    """One-step products with every pool map t, as sets of pool
+    positions: ok holds the t whose products are all admissible, and
+    coll[b] / foc[b] the t for which some product collides / focuses
+    interior pair bit b."""
+
+    ok: int
+    coll: tuple[int, ...]
+    foc: tuple[int, ...]
+
+
+def _product_row(found: Iterable[tuple[int, int] | None], ctx: _Context) -> _ProductRow:
+    """A row from the union pair masks of each pool map's products, in
+    pool order, None where some product is not admissible."""
+    size = len(ctx.pool)
+    pairs = range(len(ctx.pair_bit))
+    ok: list[int] = []
+    coll: list[list[int]] = [[] for _ in pairs]
+    foc: list[list[int]] = [[] for _ in pairs]
+    for i, masks in enumerate(found):
+        if masks is None:
+            continue
+        ok.append(i)
+        c, f = masks
+        while c:  # one step per set bit
+            low = c & -c
+            coll[low.bit_length() - 1].append(i)
+            c ^= low
+        while f:
+            low = f & -f
+            foc[low.bit_length() - 1].append(i)
+            f ^= low
+    return _ProductRow(
+        _bits(ok, size),
+        tuple(_bits(p, size) for p in coll),
+        tuple(_bits(p, size) for p in foc),
+    )
+
+
+class _ProductRows(dict):
+    """Memo of the one-step product rows of one search_max call: by
+    member map x, the products x t and t x with every pool map t, filled
+    on demand; and the square row, t t with t's own masks ORed in.  Lives
+    only as long as the call that creates it."""
+
+    def __init__(self, ctx: _Context) -> None:
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, x: RawMap) -> _ProductRow:
+        masks, tables = self.ctx.masks, self.ctx.tables
+        x_table = tables[x]
+
+        def both(t: RawMap) -> tuple[int, int] | None:
+            left = masks.get(x.translate(tables[t]))  # keyed by the admissible maps
+            right = masks.get(t.translate(x_table))
+            if left is None or right is None:
+                return None
+            return left[0] | right[0], left[1] | right[1]
+
+        row = self[x] = _product_row(map(both, self.ctx.pool), self.ctx)
+        return row
+
+    @cached_property
+    def square(self) -> _ProductRow:
+        masks, tables = self.ctx.masks, self.ctx.tables
+
+        def own(t: RawMap) -> tuple[int, int] | None:
+            m = masks.get(t.translate(tables[t]))
+            if m is None:
+                return None
+            c, f = masks[t]
+            return c | m[0], f | m[1]
+
+        return _product_row(map(own, self.ctx.pool), self.ctx)
+
+
 def _one_step_filter(
-    candidates: Sequence[RawMap], members: frozenset[RawMap], coll: int, foc: int, ctx: _Context
-) -> list[RawMap]:
+    cand: int, members: AbstractSet[RawMap], coll: int, foc: int, rows: _ProductRows
+) -> int:
     """The candidates t whose one-step products with the branch, t t
     and x t, t x for every member x, all stay admissible, with masks
     that together with t's and the branch's still clash nowhere.  Each
     product lies in the closure of the branch plus t, so every exact
-    addition survives."""
-    masks = ctx.masks
-    tables = ctx.tables
-    mem = [(x, tables[x]) for x in members]
-
-    def products(t: RawMap, t_table: bytes) -> Iterable[RawMap]:
-        yield t.translate(t_table)
-        for x, x_table in mem:
-            yield x.translate(t_table)
-            yield t.translate(x_table)
-
-    out = []
-    for t in candidates:
-        c, f = masks[t]
-        for y in products(t, tables[t]):
-            m = masks.get(y)  # keyed by the admissible maps
-            if m is None:
-                break
-            c |= m[0]
-            f |= m[1]
-        else:
-            if not (coll | c) & (foc | f):
-                out.append(t)
-    return out
+    addition survives.  A pair the branch collides counts as collided by
+    every t, and one it focuses as focused by every t."""
+    square = rows.square
+    member_rows = [rows[x] for x in members]
+    ok = cand & square.ok
+    for row in member_rows:
+        ok &= row.ok
+    whole = rows.ctx.pool_bits
+    killed = 0
+    for b in range(len(square.coll)):
+        colliders = focusers = whole
+        if not coll >> b & 1:
+            colliders = reduce(or_, (r.coll[b] for r in member_rows), square.coll[b])
+        if not foc >> b & 1:
+            focusers = reduce(or_, (r.foc[b] for r in member_rows), square.foc[b])
+        killed |= colliders & focusers
+    return ok & ~killed
 
 
 # ------------------------------------------------------------ case analysis
@@ -635,17 +738,18 @@ class SearchResult:
         }
 
 
-def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None = None) -> dict:
+def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _ProductRows) -> dict:
     """Judge one canonical semiautomaton, with initial state 0 and empty
     state n-1.  Its outcome is "rejected" when its closure leaves the
     admissible family, "pruned" or "terminal" when the count bound or
     the case analysis ends the branch, and "open" otherwise; an open
-    branch's filtered candidates turn into canonical extensions.  Runs
-    in worker processes, so takes and returns plain picklable data;
-    there each call fills a letter-form memo of its own."""
+    branch's filtered candidates turn into canonical extensions.  Takes
+    and returns plain picklable data, as it also runs in worker
+    processes, where each chunk of work shares one letter-form memo and
+    one product-row memo (see _expand_chunk).  judge_s and canon_s are
+    the seconds spent judging and canonicalizing extensions."""
+    started = time.perf_counter()
     fp, n, target, prune = args
-    if forms is None:
-        forms = _LetterForms()
     ctx = _context(n)
     _, letters = _decode_fp(fp)
     # the one closure of the branch; by the semiconstant lemma in the
@@ -654,7 +758,8 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
     gens = letters + ctx.semiconstants
     closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
     if closed is None:
-        return {"outcome": "rejected", "extensions": [], "other": None}
+        judge_s = time.perf_counter() - started
+        return {"outcome": "rejected", "extensions": [], "other": None, "judge_s": judge_s, "canon_s": 0.0}
     members, coll, foc = closed
     assert not coll & foc, "pair both colliding and focused survived the closure"
     other = None
@@ -665,12 +770,28 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms | None =
         outcome = "pruned"
     else:
         outcome = _leaf_verdict(cand, members, target, prune, ctx) or "open"
+    survivors = _one_step_filter(cand, members, coll, foc, rows) if outcome == "open" else 0
+    judged = time.perf_counter()
     extensions: dict[bytes, None] = {}
-    if outcome == "open":
-        for g in _one_step_filter(_pool_maps(cand, ctx), members, coll, foc, ctx):
-            canon = _canonical_letters(sorted(letters + (g,)), forms)
-            extensions.setdefault(_fingerprint(canon, n), None)
-    return {"outcome": outcome, "extensions": list(extensions), "other": other}
+    for g in _pool_maps(survivors, ctx):
+        canon = _canonical_letters(sorted(letters + (g,)), forms)
+        extensions.setdefault(_fingerprint(canon, n), None)
+    return {
+        "outcome": outcome,
+        "extensions": list(extensions),
+        "other": other,
+        "judge_s": judged - started,
+        "canon_s": time.perf_counter() - judged,
+    }
+
+
+def _expand_chunk(work: Sequence[tuple[bytes, int, int, bool]]) -> list[dict]:
+    """_expand_one over a chunk of one level in a worker process, with a
+    letter-form memo and a product-row memo shared by the chunk only."""
+    n = work[0][1]
+    forms = _LetterForms()
+    rows = _ProductRows(_context(n))
+    return [_expand_one(item, forms, rows) for item in work]
 
 
 def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
@@ -810,9 +931,11 @@ def search_max(
     level_sizes: list[int] = []
     others: dict[bytes, SemigroupRecord] = {}
     unexplored = 0
-    # letter forms shared by every canonicalization of this call only,
+    # letter forms shared by every canonicalization of this call, and
+    # product rows shared by every filtered branch, for this call only,
     # so no later call starts warm
     forms = _LetterForms()
+    rows = _ProductRows(ctx)
 
     while level:
         if level_index > max_letters:  # only a resumed level starts past the cap
@@ -828,10 +951,12 @@ def search_max(
         level_sizes.append(len(level))
         work = [(sa.fingerprint, n, target, prune) for sa in level]
         if threads > 1:
+            size = max(1, len(work) // (threads * 4))
+            chunks = [work[i : i + size] for i in range(0, len(work), size)]
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(_expand_one, work, chunksize=max(1, len(work) // (threads * 4))))
+                results = [res for part in pool.map(_expand_chunk, chunks) for res in part]
         else:
-            results = [_expand_one(item, forms) for item in work]
+            results = [_expand_one(item, forms, rows) for item in work]
 
         census = Counter(res["outcome"] for res in results)
         outcomes.update(census)
@@ -862,7 +987,8 @@ def search_max(
                 )
         logger.info(
             "level %d: %d semiautomata, %d extension candidates"
-            " (%d rejected, %d pruned, %d terminal, %d open) in %.3f s",
+            " (%d rejected, %d pruned, %d terminal, %d open) in %.3f s"
+            " (judging %.3f s, canonical forms %.3f s)",
             level_index,
             len(level),
             len(next_fps),
@@ -871,6 +997,8 @@ def search_max(
             census["terminal"],
             census["open"],
             time.perf_counter() - level_started,
+            sum(res["judge_s"] for res in results),
+            sum(res["canon_s"] for res in results),
         )
         if level_index == max_letters:
             # the capped level is not built: one irreducible candidate

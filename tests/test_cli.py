@@ -297,10 +297,12 @@ def without_timing(doc: dict) -> dict:
 
 
 # one info line per level: its size, the next level's candidates, the
-# outcome census and the level's wall time
+# outcome census, the level's wall time and the time spent judging its
+# semiautomata and canonicalizing their extensions
 LEVEL_LINE = re.compile(
     r"level (\d+): (\d+) semiautomata, (\d+) extension candidates "
-    r"\((\d+) rejected, (\d+) pruned, (\d+) terminal, (\d+) open\) in \d+\.\d{3} s"
+    r"\((\d+) rejected, (\d+) pruned, (\d+) terminal, (\d+) open\) in (\d+\.\d{3}) s "
+    r"\(judging (\d+\.\d{3}) s, canonical forms (\d+\.\d{3}) s\)"
 )
 FOUR_STATE_LEVEL = "level 1: 6 semiautomata, 0 extension candidates (0 rejected, 1 pruned, 5 terminal, 0 open) in "
 
@@ -346,12 +348,17 @@ def test_log_level_info_reports_each_level_census():
     assert without_timing(json.loads(quiet.stdout)) == doc == search_max(4, 12).to_json(include_timing=False)
     lines = [LEVEL_LINE.fullmatch(line) for line in loud.stderr.splitlines()]
     assert all(lines)
-    rows = [[int(g) for g in m.groups()] for m in lines]
+    rows = [[int(g) for g in m.groups()[:7]] for m in lines]
     stats = doc["statistics"]
     assert [row[0] for row in rows] == list(range(1, len(stats["level_sizes"]) + 1))
     assert [row[1] for row in rows] == stats["level_sizes"]
     for row in rows:
         assert sum(row[3:]) == row[1]
+    # one process judges and canonicalizes inside the level's wall time;
+    # each of the three is rounded to the millisecond
+    for m in lines:
+        wall, judging, canonical = (float(g) for g in m.groups()[7:])
+        assert judging + canonical <= wall + 0.002
     rejected, pruned, terminal, opened = (sum(col) for col in zip(*(row[3:] for row in rows)))
     assert rejected == stats["rejected_selections"]
     assert pruned == stats["pruned_selections"]

@@ -28,6 +28,7 @@ from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_fre
 from sfsyn.dfa import Semiautomaton, witness
 import sfsyn.search as search_module
 from sfsyn.search import (
+    _bits,
     _candidate_bits,
     _canonical_letters,
     _close_all_admissible,
@@ -38,6 +39,7 @@ from sfsyn.search import (
     _masks_of,
     _one_step_filter,
     _pool_maps,
+    _ProductRows,
     canonicalize,
     initial_level,
     load_checkpoint,
@@ -403,13 +405,45 @@ def admissible_branches(level, ctx):
             yield tables, closed
 
 
+def one_step_filter(candidates, members, coll, foc, ctx):
+    """Reference filter: multiply each candidate t by itself and by every
+    member on both sides, one product at a time, and keep t when every
+    product is admissible and their masks, t's and the branch's clash
+    nowhere."""
+    masks = ctx.masks
+    tables = ctx.tables
+    mem = [(x, tables[x]) for x in members]
+
+    def products(t, t_table):
+        yield t.translate(t_table)
+        for x, x_table in mem:
+            yield x.translate(t_table)
+            yield t.translate(x_table)
+
+    out = []
+    for t in candidates:
+        c, f = masks[t]
+        for y in products(t, tables[t]):
+            m = masks.get(y)  # keyed by the admissible maps
+            if m is None:
+                break
+            c |= m[0]
+            f |= m[1]
+        else:
+            if not (coll | c) & (foc | f):
+                out.append(t)
+    return out
+
+
 def filter_census(level, ctx):
     # the stage-one candidates and the filter's survivors must keep
-    # every exact addition of every branch
+    # every exact addition of every branch; the branches share one row
+    # memo, as in a search
+    rows = _ProductRows(ctx)
     branches = additions = kept_total = 0
     for tables, (members, coll, foc) in admissible_branches(level, ctx):
-        candidates = _pool_maps(_candidate_bits(members, coll, foc, ctx), ctx)
-        kept = _one_step_filter(candidates, members, coll, foc, ctx)
+        cand = _candidate_bits(members, coll, foc, ctx)
+        kept = _pool_maps(_one_step_filter(cand, members, coll, foc, rows), ctx)
         exact = exact_additions(members, coll, foc, tables, ctx)
         assert exact.keys() <= set(kept), sorted(exact.keys() - set(kept))
         branches += 1
@@ -426,6 +460,64 @@ def test_filter_keeps_every_exact_addition_at_four_states(tmp_path):
 
 def test_filter_keeps_every_exact_addition_at_five_states():
     assert filter_census(initial_level(5), _context(5)) == (22, 1706, 1706)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, opened",
+    [
+        ((5, 72), {"max_letters": 2}, 374),
+        ((5, 68), {"max_letters": 2}, 602),
+        ((5, 65), {"max_letters": 2}, 763),
+        ((5, 60), {"max_letters": 2}, 763),
+        ((6, 600), {"max_letters": 1}, 41),
+    ],
+    ids=["n5-t72", "n5-t68", "n5-t65", "n5-t60", "n6-t600"],
+)
+def test_row_filter_matches_the_reference_on_every_open_branch(monkeypatch, args, kwargs, opened):
+    # every branch the search leaves open, with the search's own row memo
+    calls = []
+
+    def checked(cand, members, coll, foc, rows):
+        got = _one_step_filter(cand, members, coll, foc, rows)
+        expected = one_step_filter(_pool_maps(cand, rows.ctx), members, coll, foc, rows.ctx)
+        assert _pool_maps(got, rows.ctx) == expected
+        calls.append(members)
+        return got
+
+    monkeypatch.setattr(search_module, "_one_step_filter", checked)
+    search_max(*args, **kwargs)
+    assert len(calls) == opened
+
+
+@pytest.fixture(scope="module")
+def product_rows():
+    # one row memo per state count, shared by the drawn branches: rows
+    # depend on the member map alone, never on the branch
+    return {n: _ProductRows(_context(n)) for n in (4, 5, 6)}
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data(), n=st.sampled_from((4, 5, 6)))
+def test_row_filter_matches_the_reference_on_drawn_branches(product_rows, data, n):
+    ctx = _context(n)
+    letters = data.draw(st.lists(st.sampled_from(ctx.pool), min_size=1, max_size=2, unique=True))
+    gens = tuple(letters) + ctx.semiconstants
+    closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
+    if closed is None:
+        return
+    members, coll, foc = closed
+    rows = product_rows[n]
+    # the stage-one candidates, and every pool map outside the branch,
+    # where a clash with the branch's own masks must also kill
+    outside = ctx.pool_bits & ~_bits((ctx.index[t] for t in members if t in ctx.index), len(ctx.pool))
+    for cand in (_candidate_bits(members, coll, foc, ctx), outside):
+        got = _one_step_filter(cand, members, coll, foc, rows)
+        assert _pool_maps(got, ctx) == one_step_filter(_pool_maps(cand, ctx), members, coll, foc, ctx)
+        # the branch's masks enter only through the whole-pool rules, and
+        # either rule alone gives the same survivors (module docstring),
+        # so a filter dropping one of them is an equivalent mutant
+        assert _one_step_filter(cand, members, 0, foc, rows) == got
+        assert _one_step_filter(cand, members, coll, 0, rows) == got
 
 
 # ------------------------------------------- stage one and case analysis
@@ -628,6 +720,19 @@ def test_pruning_changes_no_four_state_verdict(target, others):
     assert on.uniqueness_confirmed == off.uniqueness_confirmed == (target == 13)
 
 
+@pytest.mark.parametrize("target", (60, 62, 64, 66, 68, 70, 72))
+def test_count_prunes_change_no_five_state_verdict(target):
+    # both count prunes, stage one's and the case analysis's, checked on
+    # verdicts rather than pinned bytes: on two-letter branches, where
+    # both cut, the search must find the same semigroups with them off.
+    # They fire only near the maximum, where few semigroups reach the
+    # target, so a prune off by a few elements can still pass
+    on = search_max(5, target, max_letters=2)
+    off = search_max(5, target, max_letters=2, prune=False)
+    assert on.max_size_found == off.max_size_found == 73
+    assert on.others == off.others
+
+
 def test_search_five_state_maximum_is_the_injective_family():
     r = search_max(5)
     assert r.target == 73
@@ -698,6 +803,28 @@ def test_no_letter_form_memo_survives_a_search(monkeypatch):
     assert all(ref() is None for ref in created)
 
 
+def test_no_product_row_memo_survives_a_search(monkeypatch):
+    created = []
+    filled = []
+
+    class Tracked(search_module._ProductRows):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            created.append(weakref.ref(self))
+
+        def __missing__(self, x):
+            filled.append(x)
+            return super().__missing__(x)
+
+    monkeypatch.setattr(search_module, "_ProductRows", Tracked)
+    # level 1 leaves branches open, so the filter fills the memo
+    r = search_max(4, target=3, prune=False, max_letters=2)
+    assert r.stats.level_sizes[1:]
+    gc.collect()
+    assert created and filled
+    assert all(ref() is None for ref in created)
+
+
 def test_search_result_json_shape():
     r = search_max(4)
     doc = r.to_json(include_timing=False)
@@ -713,6 +840,15 @@ def test_search_result_json_shape():
 def test_search_threads_match_single_thread():
     solo = search_max(5, threads=1).to_json(include_timing=False)
     duo = search_max(5, threads=2).to_json(include_timing=False)
+    assert solo == duo
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+def test_search_threads_match_single_thread_through_the_filter():
+    # level 1 leaves branches open, so each worker chunk filters them
+    # through a row memo of its own
+    solo = search_max(5, 72, max_letters=2, threads=1).to_json(include_timing=False)
+    duo = search_max(5, 72, max_letters=2, threads=2).to_json(include_timing=False)
     assert solo == duo
 
 
