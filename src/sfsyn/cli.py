@@ -124,6 +124,8 @@ def _load_dfa(path: str) -> Dfa:
             text = fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"{path}: {e}") from None
     try:
         return parse_dfa(text)
     except ValueError as e:

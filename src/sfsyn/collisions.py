@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .semigroup import RawMap, TransitionSemigroup, collapses, in_bsf_images, wsf_bound, word_string
+from .semigroup import RawMap, TransitionSemigroup
 from .transform import Transformation, format_transformation
 
 
@@ -135,55 +135,3 @@ def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
 def verify_suffix_free_consistency(sg: TransitionSemigroup) -> bool:
     """True iff no interior pair is both colliding and focused."""
     return all(not (s.colliding and s.focused) for s in pair_statuses(sg))
-
-
-@dataclass(frozen=True)
-class CollisionFreeBoundReport:
-    """When a semigroup has no colliding pair at all, it must fit inside
-    the collapsing family: size at most (n-1)^(n-2) + n - 2 and every
-    element in w_sf(n)."""
-
-    applicable: bool
-    size: int
-    bound: int
-    size_within_bound: bool
-    all_elements_wsf: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.applicable and self.size_within_bound and self.all_elements_wsf
-
-
-def check_collision_free_bound(sg: TransitionSemigroup) -> CollisionFreeBoundReport:
-    applicable = not any(s.colliding for s in pair_statuses(sg))
-    bound = wsf_bound(sg.n)
-    return CollisionFreeBoundReport(
-        applicable=applicable,
-        size=sg.size,
-        bound=bound,
-        size_within_bound=sg.size <= bound,
-        all_elements_wsf=applicable and all(collapses(x) and in_bsf_images(x) for x in sg.raw),
-    )
-
-
-def _witness_text(sg: TransitionSemigroup, t: Transformation, names: Sequence[str] | None) -> str:
-    if sg.witness_words is not None:
-        return word_string(sg.witness_words[t], names)
-    return format_transformation(t)
-
-
-def pair_statuses_json(sg: TransitionSemigroup, names: Sequence[str] | None = None) -> list[dict]:
-    """JSON-friendly pair report: colliding flag with witness word and
-    focus targets with witness words.  Falls back to image tuples when
-    the semigroup was enumerated directly and has no words."""
-    out = []
-    for s in pair_statuses(sg):
-        entry: dict = {"pair": list(s.pair), "colliding": s.colliding}
-        if s.colliding_by is not None:
-            entry["colliding_by"] = _witness_text(sg, s.colliding_by, names)
-        entry["focused"] = s.focused
-        entry["focus_targets"] = [
-            {"target": r, "by": _witness_text(sg, u, names)} for u, r in s.focused_by
-        ]
-        out.append(entry)
-    return out

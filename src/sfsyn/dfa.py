@@ -65,29 +65,6 @@ class Dfa:
         return self.run(word) in self.finals
 
 
-@dataclass(frozen=True)
-class Semiautomaton:
-    """A Dfa stripped of its initial and final designations: just the
-    state count and the letter actions."""
-
-    n: int
-    letters: tuple[str, ...]
-    delta: tuple[Transformation, ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("a semiautomaton needs at least one state")
-        if not self.letters:
-            raise ValueError("a semiautomaton needs at least one letter")
-        if len(set(self.letters)) != len(self.letters):
-            raise ValueError("duplicate letter names")
-        if len(self.delta) != len(self.letters):
-            raise ValueError("each letter needs exactly one transformation")
-        for name, t in zip(self.letters, self.delta):
-            if t.n != self.n:
-                raise ValueError(f"letter {name!r} acts on {t.n} states, semiautomaton has {self.n}")
-
-
 def witness(n: int) -> Dfa:
     """The n-state witness DFA: initial 0, single final state 1, and
     the letter set from witness_letters.  Its transition semigroup is

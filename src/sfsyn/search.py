@@ -95,6 +95,14 @@ results, shared by all of its canonicalizations and dropped when it
 returns; canonicalize, checkpoint parsing and each chunk of work in a
 worker process start with an empty one, so no call ever starts warm.
 
+A class travels as its fingerprint: the bytes of n, the letter count
+and the canonical letters' images.  A level is the sorted tuple of its
+fingerprints from initial_level through the level loop to the
+checkpoint files, which also carry the level index, the letter count
+of every fingerprint in the file.  Only canonicalize and
+parse_fingerprint build CanonicalSemiautomaton objects, with
+Transformation letters.
+
 Reported semigroups are told apart by the same form of their members,
 and there pointed and full isomorphism agree.  Such a semigroup holds
 every semiconstant.  State 0 is the only state outside every image:
@@ -146,7 +154,7 @@ from operator import or_
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
-from .dfa import Dfa, Semiautomaton, is_suffix_free
+from .dfa import Dfa, is_suffix_free
 from .semigroup import (
     RawMap,
     close_raw,
@@ -302,15 +310,12 @@ def _fingerprint(letters: Sequence[RawMap], n: int) -> bytes:
     return bytes([n, len(letters)]) + b"".join(letters)
 
 
-def canonicalize(sa: Semiautomaton | Sequence[Transformation]) -> CanonicalSemiautomaton:
-    """Canonical form under permutation of the interior states, which
-    keeps 0 and n-1 in place, and letter reordering.
-
-    Accepts a Semiautomaton or a plain sequence of letter
-    transformations.  Idempotent, and invariant under relabeling of
-    the interior states.
+def canonicalize(letters: Sequence[Transformation]) -> CanonicalSemiautomaton:
+    """Canonical form of a letter list under permutation of the interior
+    states, which keeps 0 and n-1 in place, and letter reordering.
+    Idempotent, and invariant under relabeling of the interior states.
     """
-    delta = sa.delta if isinstance(sa, Semiautomaton) else tuple(sa)
+    delta = tuple(letters)
     if not delta:
         raise ValueError("canonicalization needs at least one letter")
     n = delta[0].n
@@ -339,6 +344,13 @@ def _decode_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
     return n, letters
 
 
+def _decode_canonical_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
+    n, letters = _decode_fp(fp)
+    if _canonical_letters(letters) != letters:
+        raise ValueError("fingerprint is not in canonical form")
+    return n, letters
+
+
 def parse_fingerprint(fp: bytes) -> CanonicalSemiautomaton:
     """Rebuild a canonical semiautomaton from its fingerprint bytes.
 
@@ -346,9 +358,7 @@ def parse_fingerprint(fp: bytes) -> CanonicalSemiautomaton:
     image tables, so the fingerprint alone carries the whole object.
     Rejects bytes that do not decode to a canonical form.
     """
-    n, letters = _decode_fp(fp)
-    if _canonical_letters(letters) != letters:
-        raise ValueError("fingerprint is not in canonical form")
+    n, letters = _decode_canonical_fp(fp)
     return CanonicalSemiautomaton(
         n=n,
         letters=tuple(Transformation(tuple(t)) for t in letters),
@@ -632,23 +642,11 @@ def _leaf_verdict(
 # ------------------------------------------------------------ level expansion
 
 
-def initial_level(n: int) -> tuple[CanonicalSemiautomaton, ...]:
-    """A1: the single-letter semiautomata, one per class of the
-    non-semiconstant admissible transformations under permutation of
-    the interior states."""
-    ctx = _context(n)
-    seen: dict[bytes, tuple[RawMap, ...]] = {}
-    for g in ctx.pool:
-        canon = _canonical_letters([g])
-        seen.setdefault(_fingerprint(canon, n), canon)
-    return tuple(
-        CanonicalSemiautomaton(
-            n=n,
-            letters=tuple(Transformation(tuple(t)) for t in seen[fp]),
-            fingerprint=fp,
-        )
-        for fp in sorted(seen)
-    )
+def initial_level(n: int) -> tuple[bytes, ...]:
+    """A1: the sorted fingerprints of the single-letter semiautomata,
+    one per class of the non-semiconstant admissible transformations
+    under permutation of the interior states."""
+    return tuple(sorted({_fingerprint(_canonical_letters([g]), n) for g in _context(n).pool}))
 
 
 # ------------------------------------------------------------ search proper
@@ -697,11 +695,6 @@ class SearchResult:
     stats: SearchStats
 
     @property
-    def maximal_semigroups(self) -> tuple[SemigroupRecord, ...]:
-        pool = self.confirmations + self.others
-        return tuple(r for r in pool if r.size == self.max_size_found)
-
-    @property
     def uniqueness_confirmed(self) -> bool:
         return bool(self.confirmations) and not self.others and not self.stats.capped
 
@@ -739,10 +732,11 @@ class SearchResult:
 
 
 def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _ProductRows) -> dict:
-    """Judge one canonical semiautomaton, with initial state 0 and empty
-    state n-1.  Its outcome is "rejected" when its closure leaves the
-    admissible family, "pruned" or "terminal" when the count bound or
-    the case analysis ends the branch, and "open" otherwise; an open
+    """Judge one canonical semiautomaton, given by its fingerprint, with
+    initial state 0 and empty state n-1.  Its outcome is "rejected" when
+    its closure leaves the admissible family, "pruned" or "terminal"
+    when the count bound or the case analysis ends the branch, and
+    "open" otherwise; an open
     branch's filtered candidates turn into canonical extensions.  Takes
     and returns plain picklable data, as it also runs in worker
     processes, where each chunk of work shares one letter-form memo and
@@ -795,25 +789,25 @@ def _expand_chunk(work: Sequence[tuple[bytes, int, int, bool]]) -> list[dict]:
 
 
 def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
-    # the two known maximal families, realized by explicit DFAs; only
-    # the ones actually reaching the target belong in the report
+    # the two known maximal families, realized by explicit DFAs and each
+    # closed once, for its size and its consistency; only the ones
+    # actually reaching the target belong in the report
     out = []
     vsf_gens = vsf_generators(n)
-    vsf = closure(list(vsf_gens))
     names, wit = witness_letters(n)
-    wsf = enumerate_wsf(n)
-    for kind, size, letters, letter_names in (
-        ("vsf", vsf.size, vsf_gens, tuple(f"g{i}" for i in range(len(vsf_gens)))),
-        ("wsf", wsf.size, wit, names),
+    for kind, letters, letter_names in (
+        ("vsf", vsf_gens, tuple(f"g{i}" for i in range(len(vsf_gens)))),
+        ("wsf", wit, names),
     ):
-        if size < target:
+        sg = closure(list(letters))
+        if sg.size < target:
             continue
         dfa = Dfa(n=n, letters=letter_names, delta=letters, initial=0, finals=frozenset({1}))
         if not is_suffix_free(dfa):
             raise RuntimeError(f"confirmation DFA for {kind} is not suffix-free")
-        if not verify_suffix_free_consistency(closure(list(letters))):
+        if not verify_suffix_free_consistency(sg):
             raise RuntimeError(f"confirmation semigroup for {kind} is inconsistent")
-        out.append(SemigroupRecord(kind=kind, size=size, letters=tuple(letters), level=None))
+        out.append(SemigroupRecord(kind=kind, size=sg.size, letters=tuple(letters), level=None))
     return tuple(out)
 
 
@@ -835,19 +829,20 @@ def _check_size(n: int) -> None:
         raise ValueError(f"the exhaustive search supports 4 <= n <= 7, got {n}")
 
 
-def save_checkpoint(path: str, level_index: int, n: int, level: Iterable[CanonicalSemiautomaton]) -> None:
+def save_checkpoint(path: str, level_index: int, n: int, level: Iterable[bytes]) -> None:
     """One fingerprint per line under a level header, written atomically."""
     lines = [f"# {_CHECKPOINT_TAG} level={level_index} n={n}"]
-    lines.extend(sa.fingerprint.hex() for sa in sorted(level, key=lambda s: s.fingerprint))
+    lines.extend(fp.hex() for fp in sorted(level))
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str) -> tuple[int, int, tuple[CanonicalSemiautomaton, ...]]:
-    """Read a checkpoint back: (n, level index, semiautomata).  Every
-    letter must be a pool map, as the search only ever writes those."""
+def load_checkpoint(path: str) -> tuple[int, int, tuple[bytes, ...]]:
+    """Read a checkpoint back: (n, level index, fingerprints).  Level k
+    holds k-letter semiautomata, and every letter must be a pool map, as
+    the search only ever writes those."""
     with open(path, encoding="ascii") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or not lines[0].startswith(f"# {_CHECKPOINT_TAG} "):
@@ -859,15 +854,22 @@ def load_checkpoint(path: str) -> tuple[int, int, tuple[CanonicalSemiautomaton, 
     except (KeyError, ValueError):
         raise ValueError(f"{path}: checkpoint header needs integer n= and level= fields") from None
     _check_size(n)
+    if level_index < 1:
+        raise ValueError(f"{path}: checkpoint level must be at least 1, got {level_index}")
     pool = frozenset(_context(n).pool)
-    sas = tuple(parse_fingerprint(bytes.fromhex(line)) for line in lines[1:])
-    for sa in sas:
-        if sa.n != n:
-            raise ValueError(f"checkpoint mixes state counts: {sa.n} vs {n}")
-        for t in sa.letters:
-            if bytes(t.images) not in pool:
-                raise ValueError(f"{path}: letter {list(t.images)} is not in the search pool")
-    return n, level_index, sas
+    fps = tuple(bytes.fromhex(line) for line in lines[1:])
+    for fp in fps:
+        fp_n, letters = _decode_canonical_fp(fp)
+        if fp_n != n:
+            raise ValueError(f"checkpoint mixes state counts: {fp_n} vs {n}")
+        if len(letters) != level_index:
+            raise ValueError(
+                f"{path}: level {level_index} holds a semiautomaton with {len(letters)} letters"
+            )
+        for t in letters:
+            if t not in pool:
+                raise ValueError(f"{path}: letter {list(t)} is not in the search pool")
+    return n, level_index, fps
 
 
 def search_max(
@@ -884,10 +886,11 @@ def search_max(
     semigroups of at least the target size.
 
     Levels of canonical semiautomata, with initial state 0 and empty
-    state n-1, grow one letter at a time.  Each semiautomaton is judged
-    once; each one left open contributes the candidates passing the
-    one-step product filter, a superset of its exact additions, as the
-    next level.  The level past max_letters is not built: the search
+    state n-1, grow one letter at a time; a level is the sorted tuple of
+    their fingerprints.  Each semiautomaton is judged once; each one
+    left open contributes the candidates passing the one-step product
+    filter, a superset of its exact additions, as the next level.  The
+    level past max_letters is not built: the search
     stops there, capped when some candidate is irreducible.  The two
     known maximal families are confirmed from their generators and the
     search reports any semigroup at or above the target that is neither
@@ -947,9 +950,9 @@ def search_max(
                 os.path.join(checkpoint_dir, f"level_{level_index:02d}.txt"), level_index, n, level
             )
         level_started = time.perf_counter()
-        level = tuple(sorted(level, key=lambda sa: sa.fingerprint))
+        level = tuple(sorted(level))
         level_sizes.append(len(level))
-        work = [(sa.fingerprint, n, target, prune) for sa in level]
+        work = [(fp, n, target, prune) for fp in level]
         if threads > 1:
             size = max(1, len(work) // (threads * 4))
             chunks = [work[i : i + size] for i in range(0, len(work), size)]
@@ -1006,19 +1009,8 @@ def search_max(
             if any(irreducible_raw(_decode_fp(fp)[1]) for fp in sorted(next_fps)):
                 unexplored = len(next_fps)
             break
-        next_level = []
-        for fp in sorted(next_fps):
-            _, letters = _decode_fp(fp)
-            if irreducible_raw(letters):
-                next_level.append(
-                    CanonicalSemiautomaton(
-                        n=n,
-                        letters=tuple(Transformation(tuple(t)) for t in letters),
-                        fingerprint=fp,
-                    )
-                )
-        extensions_total += len(next_level)
-        level = tuple(next_level)
+        level = tuple(fp for fp in sorted(next_fps) if irreducible_raw(_decode_fp(fp)[1]))
+        extensions_total += len(level)
         level_index += 1
 
     capped = unexplored > 0

@@ -17,9 +17,6 @@ For the fixed conventions (initial state 0, empty state n-1):
   state to n-1.  Their closure is the largest attainable semigroup for
   n >= 6 and has exactly (n-1)^(n-2) + n - 2 elements.
 
-Composition of words is left to right throughout, so the witness word
-of a product x * g is the witness word of x followed by g.
-
 Inside the package a map on at most 256 states also travels as a
 RawMap: the bytes of its images, so byte q is the image of q.  With
 raw_table(g) the product x * g is one x.translate call.  Every closure
@@ -27,15 +24,13 @@ runs through one kernel, close_raw: a breadth-first pass that
 right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
-given set, can hand back the set of finds it built, and can record
-each find's parent and table.  A TransitionSemigroup holds raw
-maps in discovery order with those links, builds Transformation objects
-and shortest witness words only on first access, and caches its one
-pair scan.
+given set, and can hand back the set of finds it built.  A
+TransitionSemigroup holds raw maps in discovery order, builds
+Transformation objects only on first access, and caches its one pair
+scan.
 """
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -46,7 +41,6 @@ from .transform import Transformation
 if TYPE_CHECKING:
     from .collisions import PairScan
 
-Word = tuple[int, ...]  # generator indices
 RawMap = bytes  # a map as its image string: byte q is the image of q
 MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
 
@@ -55,16 +49,12 @@ MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
 class TransitionSemigroup:
     """A finite transformation semigroup with a distinguished generator
     list, its elements kept as raw maps in breadth-first discovery order.
-    Transformation objects and witness words (a shortest generating word
-    per element, ties broken by generator order, rebuilt from each one's
-    parent position and last letter) are built on first access."""
+    Transformation objects are built on first access."""
 
     n: int
     raw: tuple[RawMap, ...]
     generators: tuple[Transformation, ...]
     raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
-    parents: array | None = None
-    letters: array | None = None
 
     @cached_property
     def elements(self) -> tuple[Transformation, ...]:
@@ -73,15 +63,6 @@ class TransitionSemigroup:
     @cached_property
     def element_set(self) -> frozenset[Transformation]:
         return frozenset(self.elements)
-
-    @cached_property
-    def witness_words(self) -> dict[Transformation, Word] | None:
-        if self.parents is None:
-            return None
-        words: list[Word] = []
-        for parent, k in zip(self.parents, self.letters):
-            words.append((k,) if parent < 0 else words[parent] + (k,))
-        return dict(zip(self.elements, words))
 
     @cached_property
     def pair_scan(self) -> "PairScan":
@@ -117,7 +98,6 @@ def close_raw(
     *,
     seen: set[RawMap] | None = None,
     within: Container[RawMap] | None = None,
-    edges: tuple[array, array] | None = None,
 ) -> list[RawMap] | None:
     """The closure kernel: every map reachable from the seeds by right
     multiplication with the tables.
@@ -128,36 +108,26 @@ def close_raw(
     given, every find is added to that set, so the caller keeps the set
     of the closure without building another; a map already in it counts
     as found and is never walked.  With within given, the pass stops
-    and returns None the moment a seed or a find is not in it.  With
-    edges = (parents, indices) given, one parent position and one table
-    index are appended per returned map, parent -1 and the seed's own
-    index for a seed; the shortest words follow from these links."""
+    and returns None the moment a seed or a find is not in it."""
     if seen is None:
         seen = set()
     order: list[RawMap] = []
-    parents, indices = edges if edges is not None else (None, None)
-    for i, s in enumerate(seeds):
+    for s in seeds:
         if s not in seen:
             if within is not None and s not in within:
                 return None
             seen.add(s)
             order.append(s)
-            if parents is not None:
-                parents.append(-1)
-                indices.append(i)
     i = 0
     while i < len(order):
         x = order[i]
-        for k, tb in enumerate(tables):
+        for tb in tables:
             y = x.translate(tb)
             if y not in seen:
                 if within is not None and y not in within:
                     return None
                 seen.add(y)
                 order.append(y)
-                if parents is not None:
-                    parents.append(i)
-                    indices.append(k)
         i += 1
     return order
 
@@ -202,18 +172,14 @@ def _raw_generators(generators: Sequence[Transformation], what: str) -> list[Raw
 def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     """Close a non-empty generator list under composition."""
     raws = _raw_generators(generators, "closure")
-    parents = array("i")
-    letters = array("B" if len(raws) <= 256 else "i")
     members: set[RawMap] = set()
     tables = [raw_table(g) for g in raws]
-    order = close_raw(raws, tables, seen=members, edges=(parents, letters))
+    order = close_raw(raws, tables, seen=members)
     return TransitionSemigroup(
         n=generators[0].n,
         raw=tuple(order),
         generators=tuple(generators),
         raw_set=members,
-        parents=parents,
-        letters=letters,
     )
 
 
@@ -255,22 +221,6 @@ def in_bsf(t: Transformation) -> bool:
     if t.n < 2:
         raise ValueError("b_sf membership needs n >= 2")
     return in_bsf_images(t.images)
-
-
-def in_vsf(t: Transformation) -> bool:
-    """Membership in v_sf(n): b_sf and injective except into n-1."""
-    if t.n < 4:
-        raise ValueError("v_sf membership needs n >= 4")
-    if not in_bsf(t):
-        return False
-    n = t.n
-    seen: set[int] = set()
-    for img in t.images:
-        if img != n - 1:
-            if img in seen:
-                return False
-            seen.add(img)
-    return True
 
 
 def in_wsf(t: Transformation) -> bool:
@@ -391,33 +341,3 @@ def is_irreducibly_generated(generators: Sequence[Transformation]) -> bool:
     A list with a duplicated generator is never irreducible.
     """
     return irreducible_raw(_raw_generators(generators, "irreducibility"))
-
-
-def word_string(word: Word, names: Sequence[str] | None = None) -> str:
-    """Render a generator word; with no names, generators print as g0, g1, ..."""
-    if names is None:
-        return ".".join(f"g{i}" for i in word)
-    return "".join(names[i] for i in word)
-
-
-def format_semigroup(sg: TransitionSemigroup) -> str:
-    lines = [f"n={sg.n} size={sg.size}"]
-    for t in sg.elements:
-        lines.append(" ".join(str(i) for i in t.images))
-    return "\n".join(lines) + "\n"
-
-
-def semigroup_to_json(sg: TransitionSemigroup, names: Sequence[str] | None = None) -> dict:
-    """JSON-friendly dict with generators, size and witness words."""
-    data: dict = {
-        "n": sg.n,
-        "size": sg.size,
-        "generators": [" ".join(str(i) for i in g.images) for g in sg.generators],
-        "elements": [],
-    }
-    for t in sg.elements:
-        entry: dict = {"images": " ".join(str(i) for i in t.images)}
-        if sg.witness_words is not None:
-            entry["word"] = word_string(sg.witness_words[t], names)
-        data["elements"].append(entry)
-    return data

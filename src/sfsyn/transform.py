@@ -83,10 +83,6 @@ def format_transformation(t: Transformation | Sequence[int]) -> str:
     return " ".join(str(i) for i in _images(t))
 
 
-def fixed_points(t: Transformation) -> tuple[int, ...]:
-    return tuple(q for q in range(t.n) if t.images[q] == q)
-
-
 def in_degree(t: Transformation | Sequence[int], q: int) -> int:
     """Number of states mapped onto q by t."""
     images = _images(t)
@@ -98,8 +94,8 @@ def in_degree(t: Transformation | Sequence[int], q: int) -> int:
 def cycles(t: Transformation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All cycles of length >= 2, rotated to start at their least state.
 
-    Fixed points are deliberately not returned here; use fixed_points.
-    The cycles are ordered by their least state.
+    Fixed points are not returned.  The cycles are ordered by their
+    least state.
     """
     images = _images(t)
     cyc_states = _cyclic_states(images)
@@ -170,37 +166,3 @@ def zero_path(t: Transformation | Sequence[int]) -> ZeroPath:
         path.append(cur)
         cur = images[cur]
     return ZeroPath(states=tuple(path), period=len(path) - seen[cur])
-
-
-@dataclass(frozen=True, slots=True)
-class Shape:
-    """Coarse structural label for a transformation.
-
-    kind is one of identity, constant, unitary, semiconstant, other.
-    ``moved`` lists the states whose image differs from themselves and
-    ``target`` is their common image where the kind implies one.
-    """
-
-    kind: str
-    moved: tuple[int, ...] = ()
-    target: int | None = None
-
-
-def classify_shape(t: Transformation) -> Shape:
-    """Label t as identity, constant, unitary (one state moved),
-    semiconstant (all moved states share one image, rest fixed), or other.
-
-    The labels are mutually exclusive: identity and constant win over
-    the degenerate semiconstant readings, unitary over semiconstant.
-    """
-    moved = tuple(q for q in range(t.n) if t.images[q] != q)
-    if not moved:
-        return Shape(kind="identity")
-    targets = {t.images[q] for q in moved}
-    if len(set(t.images)) == 1:
-        return Shape(kind="constant", moved=moved, target=t.images[0])
-    if len(moved) == 1:
-        return Shape(kind="unitary", moved=moved, target=t.images[moved[0]])
-    if len(targets) == 1:
-        return Shape(kind="semiconstant", moved=moved, target=next(iter(targets)))
-    return Shape(kind="other", moved=moved)

@@ -424,6 +424,35 @@ def test_search_resume_with_a_letter_outside_the_pool_is_a_usage_error(tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("index, letters", [("-3", 1), ("1", 2)])
+def test_search_resume_from_a_mislabelled_level_is_a_usage_error(tmp_path, capsys, index, letters):
+    # a level header disagreeing with its fingerprints' letter count
+    search_max(4, target=3, prune=False, max_letters=2, checkpoint_dir=str(tmp_path))
+    with open(os.path.join(tmp_path, f"level_{letters:02d}.txt")) as fh:
+        fingerprints = fh.read().splitlines()[1:]
+    path = os.path.join(tmp_path, "relabelled.txt")
+    with open(path, "w") as fh:
+        fh.write("\n".join([f"# sfsyn-pointed-search level={index} n=4", *fingerprints]) + "\n")
+    assert main(["search", "--n", "4", "--max-letters", "2", "--resume", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "relabelled.txt" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["phi", "suffix-free"])
+def test_undecodable_dfa_file_is_a_usage_error(tmp_path, capsys, command):
+    path = os.path.join(tmp_path, "latin1.dfa")
+    with open(path, "wb") as fh:
+        fh.write("n=3 letters=\u00e4 initial=0 finals=1\n".encode("latin-1"))
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     path = os.path.join(tmp_path, "nope.dfa")
     assert main(["phi", path]) == 2

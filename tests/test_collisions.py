@@ -5,16 +5,13 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations
 
 from sfsyn.transform import Transformation, identity
-from sfsyn.semigroup import closure, enumerate_wsf, vsf_generators
+from sfsyn.semigroup import closure, enumerate_wsf, in_wsf, vsf_generators, wsf_bound
 from sfsyn.dfa import witness, transition_semigroup
 from sfsyn.collisions import (
-    CollisionFreeBoundReport,
     StructureError,
-    check_collision_free_bound,
     colliding_pairs,
     focused_triples,
     pair_statuses,
-    pair_statuses_json,
     verify_suffix_free_consistency,
 )
 
@@ -178,44 +175,29 @@ def test_colliding_is_monotone_under_generator_growth(gens, extra):
 # --------------------------------------------------------- the size bound
 
 
+def assert_collision_free_bound(sg):
+    # the lemma: a semigroup with no colliding pair lies inside the
+    # collapsing family, so every element is in w_sf(n) and its size is
+    # at most (n-1)^(n-2) + n - 2
+    assert not any(s.colliding for s in pair_statuses(sg))
+    assert all(in_wsf(t) for t in sg.elements)
+    assert sg.size <= wsf_bound(sg.n)
+
+
 def test_bound_report_collapsing_family():
-    rep = check_collision_free_bound(enumerate_wsf(5))
-    assert rep.passed
-    assert rep.applicable
-    assert rep.size == 67 and rep.bound == 67
+    sg = enumerate_wsf(5)
+    assert_collision_free_bound(sg)
+    assert sg.size == wsf_bound(5) == 67
 
 
 def test_bound_report_letter_subsemigroup():
     w = witness(5)
     sub = closure([w.transformation(x) for x in "ade"])
-    rep = check_collision_free_bound(sub)
-    assert rep.passed
-    assert rep.size == 25
-    assert rep.size < rep.bound
+    assert_collision_free_bound(sub)
+    assert sub.size == 25
 
 
 def test_bound_report_inapplicable_with_collisions():
-    rep = check_collision_free_bound(closure(list(vsf_generators(4))))
-    assert not rep.applicable
-    assert not rep.passed
-
-
-# ------------------------------------------------------------ JSON report
-
-
-def test_pair_report_json_with_words():
-    e = Transformation((1, 4, 4, 4, 4))
-    u = Transformation((1, 2, 2, 3, 4))
-    data = pair_statuses_json(closure([e, u]), names=("e", "u"))
-    entry = next(d for d in data if d["pair"] == [1, 2])
-    assert entry["colliding"] and entry["focused"]
-    assert entry["colliding_by"] == "u"
-    assert {"target": 2, "by": "u"} in entry["focus_targets"]
-
-
-def test_pair_report_json_falls_back_to_images():
-    data = pair_statuses_json(enumerate_wsf(4))
-    assert all(not d["colliding"] for d in data)
-    focused = [d for d in data if d["focus_targets"]]
-    assert focused
-    assert all(" " in t["by"] for d in focused for t in d["focus_targets"])
+    sg = closure(list(vsf_generators(4)))
+    assert any(s.colliding for s in pair_statuses(sg))
+    assert not all(in_wsf(t) for t in sg.elements)

@@ -250,14 +250,13 @@ def test_collapsing_family_maps_to_itself():
 
 def test_raw_hot_path_leaves_elements_unbuilt():
     # the pair scan and the embedding run on raw maps: no Transformation
-    # per element and no witness words
+    # per element
     sg = transition_semigroup(witness(7))
     assert verify_injective(sg).passed
     assert not any(s.colliding for s in pair_statuses(sg))
     assert strict_bound_witness(sg) is None
     assert "elements" not in vars(sg)
     assert "element_set" not in vars(sg)
-    assert "witness_words" not in vars(sg)
 
 
 def rewired(sg, monkeypatch, targets):

@@ -25,7 +25,7 @@ from sfsyn.semigroup import (
     wsf_bound,
 )
 from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
-from sfsyn.dfa import Semiautomaton, witness
+from sfsyn.dfa import witness
 import sfsyn.search as search_module
 from sfsyn.search import (
     _bits,
@@ -34,6 +34,7 @@ from sfsyn.search import (
     _close_all_admissible,
     _conjugate,
     _context,
+    _decode_fp,
     _fingerprint,
     _leaf_verdict,
     _masks_of,
@@ -98,13 +99,6 @@ def test_canonicalize_idempotent():
     again = canonicalize(sa.letters)
     assert again == sa
     assert again.fingerprint == sa.fingerprint
-
-
-def test_canonicalize_accepts_semiautomaton():
-    letters = tuple(witness(5).delta)
-    plain = canonicalize(letters)
-    wrapped = canonicalize(Semiautomaton(5, ("a", "b", "c", "d", "e"), letters))
-    assert wrapped == plain
 
 
 def test_canonical_letters_are_sorted():
@@ -368,7 +362,7 @@ def test_initial_level_covers_exactly_the_pool_classes():
     # level, and each level entry is hit by at least one of them
     semi = set(semiconstant_family(4))
     pool = [t for t in enumerate_bsf(4) if t not in semi]
-    level_fps = {sa.fingerprint for sa in initial_level(4)}
+    level_fps = set(initial_level(4))
     pool_fps = {canonicalize([t]).fingerprint for t in pool}
     assert pool_fps == level_fps
 
@@ -383,11 +377,10 @@ def four_state_level_two(tmp_path):
 def test_search_level_two_grows_canonically_and_irreducibly(tmp_path):
     level2 = four_state_level_two(tmp_path)
     assert len(level2) == 25
-    fps = [sa.fingerprint for sa in level2]
-    assert fps == sorted(fps)
-    for sa in level2:
+    assert list(level2) == sorted(level2)
+    for fp in level2:
+        sa = parse_fingerprint(fp)  # refuses a non-canonical fingerprint
         assert len(sa.letters) == 2
-        assert parse_fingerprint(sa.fingerprint) == sa
         assert is_irreducibly_generated(sa.letters)
 
 
@@ -397,8 +390,8 @@ def test_search_level_two_grows_canonically_and_irreducibly(tmp_path):
 def admissible_branches(level, ctx):
     # every semiautomaton of the level whose letters close admissibly
     # with the semiconstants: its tables and that closure
-    for sa in level:
-        gens = tuple(bytes(t.images) for t in sa.letters) + ctx.semiconstants
+    for fp in level:
+        gens = _decode_fp(fp)[1] + ctx.semiconstants
         tables = [ctx.tables[g] for g in gens]
         closed = _close_all_admissible(gens, tables, ctx)
         if closed is not None:
@@ -688,7 +681,7 @@ def test_search_four_state_maximum_is_the_injective_family():
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 13}
     assert report_digest(r) == "19737ca642ec168624432532bc08499d8524b86fe7f51027aefeb9188cd5dc72"
-    (rec,) = r.maximal_semigroups
+    (rec,) = r.confirmations
     assert closure(list(rec.letters)).size == 13
 
 
@@ -890,13 +883,32 @@ def test_resuming_past_the_letter_cap_explores_nothing(tmp_path):
 
 def test_checkpoint_roundtrip(tmp_path):
     level = initial_level(4)
-    path = os.path.join(tmp_path, "level_03.txt")
-    save_checkpoint(path, 3, 4, level)
-    n, idx, sas = load_checkpoint(path)
-    assert (n, idx) == (4, 3)
-    assert tuple(sorted(sas, key=lambda s: s.fingerprint)) == tuple(
-        sorted(level, key=lambda s: s.fingerprint)
-    )
+    path = os.path.join(tmp_path, "level_01.txt")
+    save_checkpoint(path, 1, 4, level)
+    n, idx, fps = load_checkpoint(path)
+    assert (n, idx) == (4, 1)
+    assert sorted(fps) == sorted(level)
+
+
+@pytest.mark.parametrize("index", [0, -3])
+def test_checkpoint_refuses_a_level_below_one(tmp_path, index):
+    path = os.path.join(tmp_path, "level_01.txt")
+    fps = "\n".join(fp.hex() for fp in initial_level(4))
+    with open(path, "w") as fh:
+        fh.write(f"# sfsyn-pointed-search level={index} n=4\n{fps}\n")
+    with pytest.raises(ValueError, match="at least 1"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_refuses_letter_counts_other_than_its_level(tmp_path):
+    # level k holds k-letter semiautomata; a relabelled level would
+    # resume past the letter cap or record others at the wrong level
+    level2 = four_state_level_two(tmp_path)
+    for index, level in ((1, level2), (2, initial_level(4)), (3, level2)):
+        path = os.path.join(tmp_path, f"level_{index:02d}.txt")
+        save_checkpoint(path, index, 4, level)
+        with pytest.raises(ValueError, match=f"level {index} holds a semiautomaton with"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_rejects_foreign_files(tmp_path):
@@ -919,7 +931,7 @@ def test_checkpoint_of_full_permutation_classes_is_refused(tmp_path):
     # a level of the earlier search, which took letters up to every
     # state permutation, must not resume as a partial pointed level
     path = os.path.join(tmp_path, "level_01.txt")
-    fps = "\n".join(sa.fingerprint.hex() for sa in initial_level(4))
+    fps = "\n".join(fp.hex() for fp in initial_level(4))
     with open(path, "w") as fh:
         fh.write(f"# sfsyn-search level=1 n=4\n{fps}\n")
     with pytest.raises(ValueError, match="level_01.txt"):

@@ -1,13 +1,12 @@
 """Closure engine and the three transformation families.
 
 Counts that matter downstream are frozen here after being derived from
-independent oracles: a set-fixpoint closure, a brute-force scan of all
-n^n maps for family membership, and exhaustive short-word search for
-witness minimality.
+independent oracles: a set-fixpoint closure, a tuple closure for the
+discovery order, and a brute-force scan of all n^n maps for family
+membership.
 """
 import hashlib
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,23 +17,19 @@ from sfsyn.semigroup import (
     closure,
     enumerate_bsf,
     enumerate_wsf,
-    format_semigroup,
     in_bsf,
     in_bsf_images,
-    in_vsf,
     in_wsf,
     is_irreducibly_generated,
     semiconstant_family,
-    semigroup_to_json,
     vsf_generators,
     wsf_bound,
     witness_letters,
-    word_string,
 )
 
 
 def naive_closure(gens):
-    # set fixpoint, no ordering or words: S := S union S.G until stable
+    # set fixpoint, no ordering: S := S union S.G until stable
     out = set(gens)
     while True:
         new = {compose(x, g) for x in out for g in gens} - out
@@ -46,37 +41,32 @@ def naive_closure(gens):
 def close_tuples(gens):
     # the tuple closure the kernel replaced, kept as its oracle: level by
     # level, each element times each generator in generator order;
-    # duplicated generators keep the word of their first copy
-    words = {}
-    order = []
-    for i, g in enumerate(gens):
-        if g not in words:
-            words[g] = (i,)
-            order.append(g)
+    # duplicated generators count once, at their first copy
+    order = list(dict.fromkeys(gens))
+    seen = set(order)
     queue = list(order)
     while queue:
         next_queue = []
         for x in queue:
-            wx = words[x]
-            for i, g in enumerate(gens):
+            for g in gens:
                 y = tuple(g[v] for v in x)
-                if y not in words:
-                    words[y] = wx + (i,)
+                if y not in seen:
+                    seen.add(y)
                     order.append(y)
                     next_queue.append(y)
         queue = next_queue
-    return order, words
+    return order
 
 
 def assert_closure_matches_tuple_oracle(gens):
     sg = closure(gens)
-    order, words = close_tuples([g.images for g in gens])
-    assert [e.images for e in sg.elements] == order
-    assert {e.images: w for e, w in sg.witness_words.items()} == words
+    assert [e.images for e in sg.elements] == close_tuples([g.images for g in gens])
 
 
-def report_digest(doc) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+def in_vsf(t: Transformation) -> bool:
+    # v_sf as defined: b_sf, and no two states share an image but n-1
+    kept = [img for img in t.images if img != t.n - 1]
+    return in_bsf(t) and len(kept) == len(set(kept))
 
 
 def bsf_powers(t: tuple[int, ...], n: int) -> bool:
@@ -138,40 +128,6 @@ def test_closure_input_validation():
         closure([identity(3), identity(4)])
 
 
-def test_witness_words_evaluate_and_are_shortest():
-    gens = list(vsf_generators(4))
-    sg = closure(gens)
-    # exhaustive short-word table as the minimality oracle
-    best: dict[Transformation, int] = {}
-    for length in range(1, 6):
-        for word in itertools.product(range(len(gens)), repeat=length):
-            t = gens[word[0]]
-            for i in word[1:]:
-                t = compose(t, gens[i])
-            best.setdefault(t, length)
-    for t in sg.elements:
-        word = sg.witness_words[t]
-        value = gens[word[0]]
-        for i in word[1:]:
-            value = compose(value, gens[i])
-        assert value == t
-        assert len(word) == best[t]
-
-
-def test_witness_word_tie_breaks_by_generator_order():
-    a = Transformation((1, 2, 0))
-    b = Transformation((2, 0, 1))  # a squared
-    sg = closure([a, b])
-    # identity arises as both ab and ba; a's expansion runs first
-    assert sg.witness_words[identity(3)] == (0, 1)
-
-
-def test_duplicate_generator_keeps_first_word():
-    a = Transformation((1, 2, 0))
-    sg = closure([a, a])
-    assert sg.witness_words[a] == (0,)
-
-
 @pytest.mark.parametrize("n", (4, 5, 6))
 def test_closure_order_and_words_match_tuple_oracle_on_vsf(n):
     assert_closure_matches_tuple_oracle(list(vsf_generators(n)))
@@ -197,14 +153,16 @@ def test_closure_order_and_words_match_tuple_oracle_on_random_lists(data, n):
 @pytest.mark.parametrize(
     "n, digest",
     [
-        (6, "08bbed837cccc76278ad650f4c25478fadd06f4d6c8bf7dbedf86858cef7b327"),
-        (7, "6b8ea6dccba3b6c379e0702828829acdada149fd995f054284abee048efb3969"),
+        (6, "b236e997bc137fa996f0901b9ea7e9f48a0fca15b05a46b24304bacfce1010f1"),
+        (7, "6215865d7494e5e40a2baefa03b4e0c028e91615bb4090ffdb2e4d910b26f141"),
     ],
+    ids=("6", "7"),
 )
-def test_witness_semigroup_report_bytes_pinned(n, digest):
-    # element order, images and witness words of the whole report
-    names, letters = witness_letters(n)
-    assert report_digest(semigroup_to_json(closure(list(letters)), names)) == digest
+def test_witness_raw_elements_pinned(n, digest):
+    # images and discovery order of the whole witness closure
+    sg = closure(list(witness_letters(n)[1]))
+    assert len(sg.raw) == wsf_bound(n)
+    assert hashlib.sha256(b"".join(sg.raw)).hexdigest() == digest
 
 
 def test_witness_eight_raw_elements_pinned():
@@ -219,12 +177,10 @@ def test_witness_eight_raw_elements_pinned():
 
 def test_elements_and_words_are_built_on_first_access():
     sg = closure(list(witness_letters(5)[1]))
-    assert "elements" not in vars(sg) and "witness_words" not in vars(sg)
+    assert "elements" not in vars(sg)
     assert [bytes(e.images) for e in sg.elements] == list(sg.raw)
     assert sg.elements is sg.elements
-    assert set(sg.witness_words) == sg.element_set
     wsf = enumerate_wsf(5)
-    assert wsf.witness_words is None
     assert wsf.raw_set == sg.raw_set
     assert all(t in sg for t in wsf.elements)
     assert Transformation((3, 3, 3, 3)) not in sg  # wrong state count
@@ -276,11 +232,8 @@ def test_bsf_members_and_non_members():
 
 
 def test_family_guards():
-    t = Transformation((2, 2, 2))
     with pytest.raises(ValueError):
-        in_vsf(t)
-    with pytest.raises(ValueError):
-        in_wsf(t)
+        in_wsf(Transformation((2, 2, 2)))
     with pytest.raises(ValueError):
         vsf_generators(3)
     with pytest.raises(ValueError):
@@ -388,32 +341,3 @@ def test_single_generator_is_irreducible():
     assert is_irreducibly_generated([identity(3)])
     with pytest.raises(ValueError):
         is_irreducibly_generated([])
-
-
-# ------------------------------------------------------------- exports
-
-
-def test_format_semigroup_layout():
-    sg = closure([Transformation((1, 2, 0))])
-    text = format_semigroup(sg)
-    lines = text.splitlines()
-    assert lines[0] == "n=3 size=3"
-    assert lines[1] == "1 2 0"
-    assert len(lines) == 4
-    assert text.endswith("\n")
-
-
-def test_semigroup_json_shape():
-    _, letters = witness_letters(4)
-    sg = closure(list(letters))
-    data = semigroup_to_json(sg, names=("b", "c", "d", "e"))
-    assert data["n"] == 4 and data["size"] == 11
-    assert len(data["generators"]) == 4
-    assert all(set(e) == {"images", "word"} for e in data["elements"])
-    first = data["elements"][0]
-    assert first["images"] == "3 2 1 3" and first["word"] == "b"
-
-
-def test_word_string_fallback_names():
-    assert word_string((0, 2, 1)) == "g0.g2.g1"
-    assert word_string((0, 2), names=("a", "b", "c")) == "ac"

@@ -1,4 +1,4 @@
-"""Transformation layer: composition, cycles, zero-path, shapes.
+"""Transformation layer: composition, cycles, zero-path.
 
 The oracles here are deliberately naive re-derivations.  The zero
 path is checked against a step-by-step walk, cyclic states against
@@ -10,13 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sfsyn.transform import (
-    Shape,
     Transformation,
     ZeroPath,
-    classify_shape,
     compose,
     cycles,
-    fixed_points,
     format_transformation,
     identity,
     in_degree,
@@ -122,10 +119,6 @@ def test_in_degrees_sum_to_n(t):
     assert sum(in_degree(t, q) for q in range(t.n)) == t.n
 
 
-def test_fixed_points_example():
-    assert fixed_points(Transformation((0, 2, 2, 4, 4))) == (0, 2, 4)
-
-
 def _cyclic_oracle(t: Transformation) -> set[int]:
     # q is cyclic iff it reappears on its own forward walk
     out = set()
@@ -144,7 +137,7 @@ def test_cycles_against_walk_oracle_exhaustive_n4():
         got = cycles(t)
         cyc_states = {q for c in got for q in c}
         oracle = _cyclic_oracle(t)
-        assert cyc_states == oracle - set(fixed_points(t))
+        assert cyc_states == oracle - {q for q in range(t.n) if t[q] == q}
         for c in got:
             assert len(c) >= 2
             assert c[0] == min(c)  # rotated to least state
@@ -192,45 +185,3 @@ def test_zero_path_frozen_examples():
     zp2 = zero_path(Transformation((1, 2, 1, 4, 4)))
     assert zp2 == ZeroPath(states=(0, 1, 2), period=2)
     assert not zp2.is_aperiodic
-
-
-# ------------------------------------------------------------- shapes
-
-
-def test_shape_frozen_examples():
-    assert classify_shape(identity(4)).kind == "identity"
-    assert classify_shape(Transformation((2, 2, 2, 2))) == Shape(
-        kind="constant", moved=(0, 1, 3), target=2
-    )
-    assert classify_shape(Transformation((2, 1, 2))) == Shape(
-        kind="unitary", moved=(0,), target=2
-    )
-    assert classify_shape(Transformation((4, 4, 2, 3, 4))) == Shape(
-        kind="semiconstant", moved=(0, 1), target=4
-    )
-    assert classify_shape(Transformation((4, 2, 3, 1, 4))).kind == "other"
-
-
-def test_shape_precedence_constant_beats_unitary():
-    # on two states the unique non-identity idempotent is both constant
-    # and unitary; constant is reported
-    assert classify_shape(Transformation((1, 1))).kind == "constant"
-
-
-def test_shape_exhaustive_n3():
-    for t in all_maps(3):
-        shape = classify_shape(t)
-        moved = tuple(q for q in range(3) if t[q] != q)
-        if not moved:
-            assert shape.kind == "identity"
-        elif len(set(t.images)) == 1:
-            assert shape.kind == "constant"
-            assert shape.target == t[0]
-        elif len(moved) == 1:
-            assert shape.kind == "unitary"
-            assert shape.moved == moved and shape.target == t[moved[0]]
-        elif len({t[q] for q in moved}) == 1:
-            assert shape.kind == "semiconstant"
-        else:
-            assert shape.kind == "other"
-        assert shape.moved == moved or shape.kind == "identity"
