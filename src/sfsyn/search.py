@@ -95,6 +95,18 @@ results, shared by all of its canonicalizations and dropped when it
 returns; canonicalize, checkpoint parsing and each chunk of work in a
 worker process start with an empty one, so no call ever starts warm.
 
+Level 1 needs no canonical form at all.  For one letter the form is
+the least conjugate, and the pool is closed under conjugation by the
+interior permutations (admissibility and being semiconstant are both
+kept by a relabelling fixing 0 and n-1).  So in one pass over the
+sorted pool the first map not yet seen is the least of its orbit, that
+is its own form; its (n-2)! conjugates are marked seen and no later map
+of the orbit is looked at again.  Each orbit is listed once and no
+element's form is computed, as in McKay, "Isomorph-free exhaustive
+generation" (1998), and the level is the same sorted tuple the
+per-letter forms give.  It is rebuilt on every search_max call, like
+the memos above, and logged at info level once built.
+
 A class travels as its fingerprint: the bytes of n, the letter count
 and the canonical letters' images.  A level is the sorted tuple of its
 fingerprints from initial_level through the level loop to the
@@ -149,8 +161,8 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, compress
-from operator import or_
+from itertools import combinations, compress, permutations
+from operator import itemgetter, or_
 from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
@@ -435,6 +447,8 @@ def _context(n: int) -> _Context:
     vsf = closure(list(vsf_generators(n))).raw_set
     wsf = enumerate_wsf(n).raw_set
     size = len(pool)
+    # every pool map's own masks, one set-bit pass over the pool
+    columns = _product_row((masks[t] for t in pool), size, len(pair_bit))
 
     def where(test) -> int:
         return _bits((i for i, t in enumerate(pool) if test(t)), size)
@@ -451,8 +465,8 @@ def _context(n: int) -> _Context:
         vsf_elements=vsf,
         wsf_elements=wsf,
         index={t: i for i, t in enumerate(pool)},
-        coll_by_bit=tuple(where(lambda t: masks[t][0] >> b & 1) for b in range(len(pair_bit))),
-        foc_by_bit=tuple(where(lambda t: masks[t][1] >> b & 1) for b in range(len(pair_bit))),
+        coll_by_bit=columns.coll,
+        foc_by_bit=columns.foc,
         pool_bits=(1 << size) - 1,
         not_v=where(lambda t: t not in vsf),
         not_w=where(lambda t: t not in wsf),
@@ -510,11 +524,14 @@ class _ProductRow(NamedTuple):
     foc: tuple[int, ...]
 
 
-def _product_row(found: Iterable[tuple[int, int] | None], ctx: _Context) -> _ProductRow:
+def _product_row(
+    found: Iterable[tuple[int, int] | None], size: int, pair_count: int
+) -> _ProductRow:
     """A row from the union pair masks of each pool map's products, in
-    pool order, None where some product is not admissible."""
-    size = len(ctx.pool)
-    pairs = range(len(ctx.pair_bit))
+    pool order (size maps, pair_count interior pairs), None where some
+    product is not admissible.  Fed the pool maps' own masks, it gives
+    the context's per-pair columns."""
+    pairs = range(pair_count)
     ok: list[int] = []
     coll: list[list[int]] = [[] for _ in pairs]
     foc: list[list[int]] = [[] for _ in pairs]
@@ -548,6 +565,11 @@ class _ProductRows(dict):
         super().__init__()
         self.ctx = ctx
 
+    def _row(self, products) -> _ProductRow:
+        # products: pool map -> the union masks of its products, or None
+        ctx = self.ctx
+        return _product_row(map(products, ctx.pool), len(ctx.pool), len(ctx.pair_bit))
+
     def __missing__(self, x: RawMap) -> _ProductRow:
         masks, tables = self.ctx.masks, self.ctx.tables
         x_table = tables[x]
@@ -559,7 +581,7 @@ class _ProductRows(dict):
                 return None
             return left[0] | right[0], left[1] | right[1]
 
-        row = self[x] = _product_row(map(both, self.ctx.pool), self.ctx)
+        row = self[x] = self._row(both)
         return row
 
     @cached_property
@@ -573,7 +595,7 @@ class _ProductRows(dict):
             c, f = masks[t]
             return c | m[0], f | m[1]
 
-        return _product_row(map(own, self.ctx.pool), self.ctx)
+        return self._row(own)
 
 
 def _one_step_filter(
@@ -645,8 +667,24 @@ def _leaf_verdict(
 def initial_level(n: int) -> tuple[bytes, ...]:
     """A1: the sorted fingerprints of the single-letter semiautomata,
     one per class of the non-semiconstant admissible transformations
-    under permutation of the interior states."""
-    return tuple(sorted({_fingerprint(_canonical_letters([g]), n) for g in _context(n).pool}))
+    under permutation of the interior states.  One pass over the sorted
+    pool lists them an orbit at a time: the pool is closed under those
+    relabellings, so the first map not yet seen is its orbit's least,
+    its canonical form (see the module docstring)."""
+    # t conjugated by perm maps perm[q] to perm[q t]: translate t by
+    # perm, then read position k at the state perm sends to k
+    moves = []
+    for interior in permutations(range(1, n - 1)):
+        perm = (0, *interior, n - 1)
+        inverse = sorted(range(n), key=perm.__getitem__)
+        moves.append((raw_table(bytes(perm)), itemgetter(*inverse)))
+    seen: set[RawMap] = set()
+    level = []
+    for t in _context(n).pool:
+        if t not in seen:
+            level.append(_fingerprint((t,), n))
+            seen.update(bytes(read(t.translate(table))) for table, read in moves)
+    return tuple(level)
 
 
 # ------------------------------------------------------------ search proper
@@ -791,7 +829,8 @@ def _expand_chunk(work: Sequence[tuple[bytes, int, int, bool]]) -> list[dict]:
 def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
     # the two known maximal families, realized by explicit DFAs and each
     # closed once, for its size and its consistency; only the ones
-    # actually reaching the target belong in the report
+    # actually reaching the target belong in the report.  The context
+    # already holds v_sf, so its size alone rules it out below the target
     out = []
     vsf_gens = vsf_generators(n)
     names, wit = witness_letters(n)
@@ -799,6 +838,8 @@ def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
         ("vsf", vsf_gens, tuple(f"g{i}" for i in range(len(vsf_gens)))),
         ("wsf", wit, names),
     ):
+        if kind == "vsf" and len(_context(n).vsf_elements) < target:
+            continue
         sg = closure(list(letters))
         if sg.size < target:
             continue
@@ -926,6 +967,12 @@ def search_max(
     else:
         level_index = 1
         level = initial_level(n)
+        logger.info(
+            "level 1 built: %d classes of %d pool maps in %.3f s",
+            len(level),
+            len(ctx.pool),
+            time.perf_counter() - started,
+        )
 
     visited = 0
     pruned = 0

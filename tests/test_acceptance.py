@@ -53,7 +53,7 @@ CENSUS_S = 1.0
 SAMPLED_SUITE_S = 300.0
 SEARCH_SMALL_S = 300.0
 SEARCH_SIX_S = 7200.0
-SEARCH_SEVEN_S = 30.0
+SEARCH_SEVEN_S = 10.0
 LETTER_DROPS_S = 60.0
 
 

@@ -305,6 +305,18 @@ LEVEL_LINE = re.compile(
     r"\(judging (\d+\.\d{3}) s, canonical forms (\d+\.\d{3}) s\)"
 )
 FOUR_STATE_LEVEL = "level 1: 6 semiautomata, 0 extension candidates (0 rejected, 1 pruned, 5 terminal, 0 open) in "
+# a fresh search logs level 1 once built: its classes, the pool maps
+# they partition, and the seconds taken
+BUILT_LINE = re.compile(r"level 1 built: (\d+) classes of (\d+) pool maps in (\d+\.\d{3}) s")
+FOUR_STATE_BUILT = "level 1 built: 6 classes of 11 pool maps in "
+
+
+def assert_four_state_progress(stderr):
+    built, level = stderr.rstrip("\n").split("\n")
+    assert built.startswith(FOUR_STATE_BUILT)
+    assert BUILT_LINE.fullmatch(built)
+    assert level.startswith(FOUR_STATE_LEVEL)
+    assert LEVEL_LINE.fullmatch(level)
 
 
 def test_log_level_info_shows_the_search_progress():
@@ -312,8 +324,7 @@ def test_log_level_info_shows_the_search_progress():
     loud = run_cli("--log-level", "info", "search", "--n", "4")
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == ""
-    assert loud.stderr.startswith(FOUR_STATE_LEVEL)
-    assert LEVEL_LINE.fullmatch(loud.stderr.rstrip("\n"))
+    assert_four_state_progress(loud.stderr)
     expected = search_max(4).to_json(include_timing=False)
     assert without_timing(json.loads(quiet.stdout)) == expected
     assert without_timing(json.loads(loud.stdout)) == expected
@@ -327,8 +338,7 @@ def test_log_level_works_in_process(capfd):
     for _ in range(2):
         assert main(["--log-level", "info", "search", "--n", "4"]) == 0
         out, err = capfd.readouterr()
-        assert err.startswith(FOUR_STATE_LEVEL)
-        assert LEVEL_LINE.fullmatch(err.rstrip("\n"))
+        assert_four_state_progress(err)
         assert without_timing(json.loads(out)) == expected
     assert main(["search", "--n", "4"]) == 0
     assert capfd.readouterr().err == ""
@@ -346,7 +356,9 @@ def test_log_level_info_reports_each_level_census():
     assert quiet.stderr == ""
     doc = without_timing(json.loads(loud.stdout))
     assert without_timing(json.loads(quiet.stdout)) == doc == search_max(4, 12).to_json(include_timing=False)
-    lines = [LEVEL_LINE.fullmatch(line) for line in loud.stderr.splitlines()]
+    built, *rest = loud.stderr.splitlines()
+    assert BUILT_LINE.fullmatch(built)
+    lines = [LEVEL_LINE.fullmatch(line) for line in rest]
     assert all(lines)
     rows = [[int(g) for g in m.groups()[:7]] for m in lines]
     stats = doc["statistics"]

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import json
+import logging
 import os
 import weakref
 from collections import Counter
@@ -22,6 +23,7 @@ from sfsyn.semigroup import (
     raw_table,
     semiconstant_family,
     vsf_generators,
+    witness_letters,
     wsf_bound,
 )
 from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
@@ -32,6 +34,7 @@ from sfsyn.search import (
     _candidate_bits,
     _canonical_letters,
     _close_all_admissible,
+    _confirmed_extremes,
     _conjugate,
     _context,
     _decode_fp,
@@ -41,6 +44,7 @@ from sfsyn.search import (
     _one_step_filter,
     _pool_maps,
     _ProductRows,
+    SemigroupRecord,
     canonicalize,
     initial_level,
     load_checkpoint,
@@ -351,10 +355,42 @@ def test_extend_closure_matches_scratch_closure_on_sampled_branches(data, n):
 # ------------------------------------------------------- level operations
 
 
+def per_letter_initial_level(n):
+    # reference: canonicalize every pool letter on its own and keep the
+    # distinct forms
+    return tuple(sorted({_fingerprint(_canonical_letters([g]), n) for g in _context(n).pool}))
+
+
 def test_initial_level_counts():
     assert len(initial_level(4)) == 6
     assert len(initial_level(5)) == 22
     assert len(initial_level(6)) == 70
+    assert len(initial_level(7)) == 205
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_initial_level_by_orbits_matches_the_per_letter_forms(n):
+    assert initial_level(n) == per_letter_initial_level(n)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_pool_is_closed_under_interior_conjugation(n):
+    # the premise of level 1 by orbits: the first pool map of an orbit
+    # met in pool order is the orbit's least
+    pool = _context(n).pool
+    members = set(pool)
+    for interior in itertools.permutations(range(1, n - 1)):
+        perm = pointed(interior, n)
+        assert all(_conjugate(t, perm) in members for t in pool)
+
+
+def test_search_logs_level_one_once_built(caplog):
+    with caplog.at_level(logging.INFO, logger="sfsyn.search"):
+        search_max(5, 73)
+    built = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level 1 built")]
+    assert len(built) == 1
+    assert built[0].startswith("level 1 built: 22 classes of 107 pool maps in ")
+    assert built[0].endswith(" s")
 
 
 def test_initial_level_covers_exactly_the_pool_classes():
@@ -582,6 +618,18 @@ def reference_verdict(candidates, members, target, use_count, ctx):
     )
 
 
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_mask_columns_match_a_scan_per_pair(n):
+    ctx = _context(n)
+
+    def where(test):
+        return _bits((i for i, t in enumerate(ctx.pool) if test(t)), len(ctx.pool))
+
+    pairs = range(len(ctx.pair_bit))
+    assert ctx.coll_by_bit == tuple(where(lambda t: ctx.masks[t][0] >> b & 1) for b in pairs)
+    assert ctx.foc_by_bit == tuple(where(lambda t: ctx.masks[t][1] >> b & 1) for b in pairs)
+
+
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_no_pool_map_both_collides_and_focuses_a_pair(n):
     # stage one relies on it: only the branch's masks can clash with a
@@ -737,6 +785,24 @@ def test_search_five_state_maximum_is_the_injective_family():
     kinds = {c.kind: c.size for c in r.confirmations}
     assert kinds == {"vsf": 73}
     assert report_digest(r) == "667facc440d317325b69ba92ad20ebb86f1c06263f08a0ac6712e260daac0d63"
+
+
+def closed_extremes(n, target):
+    # reference: close both families' generators on every call and keep
+    # the ones reaching the target
+    out = []
+    for kind, letters in (("vsf", vsf_generators(n)), ("wsf", witness_letters(n)[1])):
+        size = closure(list(letters)).size
+        if size >= target:
+            out.append(SemigroupRecord(kind=kind, size=size, letters=tuple(letters), level=None))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("target, kinds", [(72, ("vsf",)), (73, ("vsf",)), (74, ())])
+def test_confirmed_extremes_match_closing_both_families(target, kinds):
+    got = _confirmed_extremes(5, target)
+    assert got == closed_extremes(5, target)
+    assert tuple(r.kind for r in got) == kinds
 
 
 def test_search_five_state_below_target_pins_every_count():
