@@ -91,9 +91,24 @@ letter's least conjugate together with every labelling that reaches
 it; the sorted tuple must start with the least of those one-letter
 forms, so only labellings giving some letter that form are tried on
 the whole tuple.  One search_max call keeps a memo of the one-letter
-results, shared by all of its canonicalizations and dropped when it
-returns; canonicalize, checkpoint parsing and each chunk of work in a
-worker process start with an empty one, so no call ever starts warm.
+results and of the conjugator of each labelling they name, shared by
+all of its canonicalizations and dropped when it returns; canonicalize,
+checkpoint parsing and each chunk of work in a worker process start
+with an empty one, so no call ever starts warm.
+
+An open branch's extensions are canonicalized together, and the work
+done on the branch serves all of them.  The least one-letter form of
+the branch plus g is the lesser of the branch's least form and g's
+form f, so the labellings to try split into the branch's, those giving
+some branch letter its least form, and g's own: the branch's alone when
+f is larger, g's alone when f is smaller, both on a tie.  Those are
+exactly the labellings the whole letter list would try by itself.
+Under each labelling, the branch's conjugates are sorted once per
+branch, and each g inserts its one conjugate into them; a labelling of
+g's own conjugates the branch the first time some g needs it.  So
+every extension gets the very form the letter list would get alone,
+and a lone letter list is canonicalized the same way, as the branch of
+all but its last letter with that letter as its one extension.
 
 Level 1 needs no canonical form at all.  For one letter the form is
 the least conjugate, and the pool is closed under conjugation by the
@@ -115,13 +130,15 @@ of every fingerprint in the file.  Only canonicalize and
 parse_fingerprint build CanonicalSemiautomaton objects, with
 Transformation letters.
 
-Reported semigroups are told apart by the same form of their members,
-and there pointed and full isomorphism agree.  Such a semigroup holds
-every semiconstant.  State 0 is the only state outside every image:
-no admissible map has 0 in its image, while the semiconstant sending
-only 0 to n-1 has every other state in its image.  And the
-semiconstant sending every state to n-1 is the only constant map in
-it, since every admissible map fixes n-1.  A state permutation
+Reported semigroups are told apart by their size and the same form of
+their members, not by a fingerprint, whose count byte cannot hold a
+semigroup of 256 or more members; below that size the pair sorts as
+the fingerprint does.  There pointed and full isomorphism agree.  Such
+a semigroup holds every semiconstant.  State 0 is the only state
+outside every image: no admissible map has 0 in its image, while the
+semiconstant sending only 0 to n-1 has every other state in its image.
+And the semiconstant sending every state to n-1 is the only constant
+map in it, since every admissible map fixes n-1.  A state permutation
 conjugating one such semigroup onto another keeps the states outside
 every image and sends constants to constants, so it fixes 0 and n-1.
 
@@ -157,13 +174,14 @@ from __future__ import annotations
 import logging
 import os
 import time
+from bisect import bisect_left
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress, permutations
 from operator import itemgetter, or_
-from typing import AbstractSet, Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
 from .dfa import Dfa, is_suffix_free
@@ -203,16 +221,18 @@ class CanonicalSemiautomaton:
     fingerprint: bytes
 
 
-def _conjugate(t: RawMap, perm: Sequence[int]) -> RawMap:
-    out = bytearray(len(t))
-    for q, img in enumerate(t):
-        out[perm[q]] = perm[img]
-    return bytes(out)
+def _conjugator(perm: Sequence[int]) -> tuple[bytes, itemgetter]:
+    """The pair conjugating a map t by perm, a state permutation sending
+    q to perm[q]: bytes(read(t.translate(table))) maps perm[q] to
+    perm[q t].  Translating by the table renames the images; the reader
+    then takes position k from the state perm sends to k."""
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return raw_table(bytes(perm)), itemgetter(*inverse)
 
 
 def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
     """The least conjugate of one letter under the relabellings that fix
-    0 and n-1, with every such labelling (a perm in _conjugate's sense)
+    0 and n-1, with every such labelling (a perm in _conjugator's sense)
     that produces it.
 
     States 0 and n-1 keep their names; the interior names 1..n-2 go out
@@ -284,38 +304,81 @@ def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
     return best, tuple(labellings)
 
 
+class _Conjugators(dict):
+    """Memo of _conjugator by labelling, filled on demand; owned by one
+    _LetterForms and gone with it."""
+
+    def __missing__(self, perm: tuple[int, ...]) -> tuple[bytes, itemgetter]:
+        pair = self[perm] = _conjugator(perm)
+        return pair
+
+
 class _LetterForms(dict):
-    """Memo of _letter_form by letter, filled on demand; lives only as
-    long as the call that creates it."""
+    """Memo of _letter_form by letter, filled on demand, with the
+    conjugators of their labellings; lives only as long as the call that
+    creates it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.conjugators = _Conjugators()
 
     def __missing__(self, t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
         form = self[t] = _letter_form(t)
         return form
 
 
+def _canonical_extensions(
+    letters: Sequence[RawMap], additions: Sequence[RawMap], forms: _LetterForms
+) -> Iterator[tuple[RawMap, ...]]:
+    """The canonical letters of letters plus g, for each g of additions in
+    turn.  The branch's least letter form and the labellings reaching it
+    are found once; each g then tries the branch's labellings when its
+    own form is above that least form, its own when below, and both on a
+    tie, each time inserting g's one conjugate into the sorted conjugated
+    branch, which is built once per labelling.  A branch closed without
+    additions costs nothing, not even its letters' forms."""
+    if not additions:
+        return
+    conjugators = forms.conjugators
+    bases: dict[tuple[int, ...], tuple[RawMap, ...]] = {}
+    shared: tuple[tuple[int, ...], ...] = ()
+    least = None
+    if letters:
+        least = min(forms[t][0] for t in letters)
+        # distinct letters reach a form by disjoint labellings
+        shared = tuple(
+            perm for t in dict.fromkeys(letters) if forms[t][0] == least for perm in forms[t][1]
+        )
+    for g in additions:
+        form, own = forms[g]
+        if least is None or form < least:
+            perms = own
+        elif form == least:
+            perms = shared + own
+        else:
+            perms = shared
+        best = None
+        for perm in perms:
+            table, read = conjugators[perm]
+            base = bases.get(perm)
+            if base is None:
+                base = bases[perm] = tuple(sorted(bytes(read(u.translate(table))) for u in letters))
+            x = bytes(read(g.translate(table)))
+            i = bisect_left(base, x)
+            cand = base[:i] + (x,) + base[i:]
+            if best is None or cand < best:
+                best = cand
+        assert best is not None
+        yield best
+
+
 def _canonical_letters(
     letters: Sequence[RawMap], forms: _LetterForms | None = None
 ) -> tuple[RawMap, ...]:
-    # the least sorted conjugate tuple starts with the least one-letter
-    # form over the letters, so only labellings giving some letter that
-    # form can win
+    # the last letter is canonicalized as the branch's one extension
     if forms is None:
         forms = _LetterForms()
-    least = min(forms[t][0] for t in letters)
-    distinct = dict.fromkeys(letters)
-    if len(distinct) == 1:
-        return (least,) * len(letters)
-    best: list[RawMap] | None = None
-    for t in distinct:
-        form, labellings = forms[t]
-        if form != least:
-            continue
-        for perm in labellings:
-            cand = sorted(_conjugate(u, perm) for u in letters)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return tuple(best)
+    return next(_canonical_extensions(letters[:-1], letters[-1:], forms))
 
 
 def _fingerprint(letters: Sequence[RawMap], n: int) -> bytes:
@@ -671,13 +734,7 @@ def initial_level(n: int) -> tuple[bytes, ...]:
     pool lists them an orbit at a time: the pool is closed under those
     relabellings, so the first map not yet seen is its orbit's least,
     its canonical form (see the module docstring)."""
-    # t conjugated by perm maps perm[q] to perm[q t]: translate t by
-    # perm, then read position k at the state perm sends to k
-    moves = []
-    for interior in permutations(range(1, n - 1)):
-        perm = (0, *interior, n - 1)
-        inverse = sorted(range(n), key=perm.__getitem__)
-        moves.append((raw_table(bytes(perm)), itemgetter(*inverse)))
+    moves = [_conjugator((0, *interior, n - 1)) for interior in permutations(range(1, n - 1))]
     seen: set[RawMap] = set()
     level = []
     for t in _context(n).pool:
@@ -805,8 +862,7 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _
     survivors = _one_step_filter(cand, members, coll, foc, rows) if outcome == "open" else 0
     judged = time.perf_counter()
     extensions: dict[bytes, None] = {}
-    for g in _pool_maps(survivors, ctx):
-        canon = _canonical_letters(sorted(letters + (g,)), forms)
+    for canon in _canonical_extensions(letters, _pool_maps(survivors, ctx), forms):
         extensions.setdefault(_fingerprint(canon, n), None)
     return {
         "outcome": outcome,
@@ -979,7 +1035,9 @@ def search_max(
     outcomes: Counter = Counter()
     extensions_total = 0
     level_sizes: list[int] = []
-    others: dict[bytes, SemigroupRecord] = {}
+    # keyed by size and the members' canonical tuple, not a fingerprint,
+    # whose count byte stops at 255 members
+    others: dict[tuple[int, tuple[RawMap, ...]], SemigroupRecord] = {}
     unexplored = 0
     # letter forms shared by every canonicalization of this call, and
     # product rows shared by every filtered branch, for this call only,
@@ -1023,7 +1081,7 @@ def search_max(
             members = frozenset(record["members"])
             if _classify_other(members, ctx) != "other":
                 continue  # the known families are confirmed separately
-            key = _fingerprint(_canonical_letters(sorted(members), forms), n)
+            key = (len(members), _canonical_letters(sorted(members), forms))
             if key not in others:
                 letters = tuple(Transformation(tuple(t)) for t in record["letters"])
                 sg = closure(
@@ -1053,7 +1111,7 @@ def search_max(
         if level_index == max_letters:
             # the capped level is not built: one irreducible candidate
             # is enough to know it is not empty
-            if any(irreducible_raw(_decode_fp(fp)[1]) for fp in sorted(next_fps)):
+            if any(irreducible_raw(_decode_fp(fp)[1]) for fp in next_fps):
                 unexplored = len(next_fps)
             break
         level = tuple(fp for fp in sorted(next_fps) if irreducible_raw(_decode_fp(fp)[1]))

@@ -244,6 +244,20 @@ def test_search_checkpoints_via_environment(tmp_path, monkeypatch, capsys):
     assert "level_01.txt" in os.listdir(tmp_path)
 
 
+def test_search_reporting_an_other_past_255_members_exits_one(tmp_path, capsys):
+    # one of the level-2 semiautomata of --n 6 --target 500
+    # --max-letters 2 whose closure holds 545 maps, resumed alone
+    # instead of the whole level
+    path = tmp_path / "level_02.txt"
+    path.write_text("# sfsyn-pointed-search level=2 n=6\n0602050101020305050204010305\n")
+    argv = ["search", "--n", "6", "--target", "500", "--max-letters", "2", "--resume", str(path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not err.startswith("error: ")
+    others = json.loads(out)["others"]
+    assert [(o["kind"], o["size"], o["level"]) for o in others] == [("other", 545, 2)]
+
+
 def test_search_range_is_a_usage_error(capsys):
     assert main(["search", "--n", "3"]) == 2
     _, err = capsys.readouterr()

@@ -32,14 +32,15 @@ import sfsyn.search as search_module
 from sfsyn.search import (
     _bits,
     _candidate_bits,
+    _canonical_extensions,
     _canonical_letters,
     _close_all_admissible,
     _confirmed_extremes,
-    _conjugate,
     _context,
     _decode_fp,
     _fingerprint,
     _leaf_verdict,
+    _LetterForms,
     _masks_of,
     _one_step_filter,
     _pool_maps,
@@ -52,6 +53,14 @@ from sfsyn.search import (
     save_checkpoint,
     search_max,
 )
+
+
+def conjugate_raw(t: bytes, perm) -> bytes:
+    # t relabelled by the state permutation q -> perm[q], one state at a time
+    out = bytearray(len(t))
+    for q, img in enumerate(t):
+        out[perm[q]] = perm[img]
+    return bytes(out)
 
 
 def conjugated(t: Transformation, perm) -> Transformation:
@@ -81,7 +90,7 @@ def brute_canonical_letters(letters, n):
     # permutations of the interior states
     best = None
     for interior in itertools.permutations(range(1, n - 1)):
-        cand = sorted(_conjugate(t, pointed(interior, n)) for t in letters)
+        cand = sorted(conjugate_raw(t, pointed(interior, n)) for t in letters)
         if best is None or cand < best:
             best = cand
     return tuple(best)
@@ -90,7 +99,7 @@ def brute_canonical_letters(letters, n):
 def full_class(members, n):
     # the least sorted conjugate tuple over all n! state permutations
     return min(
-        sorted(_conjugate(t, perm) for t in members)
+        sorted(conjugate_raw(t, perm) for t in members)
         for perm in itertools.permutations(range(n))
     )
 
@@ -352,6 +361,100 @@ def test_extend_closure_matches_scratch_closure_on_sampled_branches(data, n):
     assert_extension_matches_scratch(letters, t, ctx)
 
 
+# ------------------------------------------- extensions canonicalized together
+
+
+def per_extension_canonical_letters(letters, forms):
+    """Reference: one letter list canonicalized on its own, every
+    labelling that gives some letter the least one-letter form tried on
+    the whole tuple, each letter conjugated one state at a time."""
+    least = min(forms[t][0] for t in letters)
+    best = None
+    for t in dict.fromkeys(letters):
+        form, labellings = forms[t]
+        if form != least:
+            continue
+        for perm in labellings:
+            cand = sorted(conjugate_raw(u, perm) for u in letters)
+            if best is None or cand < best:
+                best = cand
+    return tuple(best)
+
+
+def assert_extensions_match_the_oracle(letters, additions, forms):
+    """The routine's canonical letters for each addition must be the
+    reference's for the branch plus that addition.  Returns how the
+    additions' letter forms sit against the branch's least form."""
+    got = list(_canonical_extensions(letters, additions, forms))
+    reference = _LetterForms()
+    expected = [
+        per_extension_canonical_letters(sorted((*letters, g)), reference) for g in additions
+    ]
+    assert got == expected
+    least = min(forms[t][0] for t in letters)
+    return Counter(
+        "below" if forms[g][0] < least else "tie" if forms[g][0] == least else "above"
+        for g in additions
+    )
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, opened",
+    [
+        ((4,), {}, 0),
+        ((5,), {}, 0),
+        ((6,), {}, 0),
+        ((7,), {}, 0),
+        ((5, 72), {"max_letters": 2}, 374),
+        ((5, 65), {"max_letters": 2}, 763),
+        ((6, 600), {"max_letters": 1}, 41),
+    ],
+    ids=["n4", "n5", "n6", "n7", "n5-t72", "n5-t65", "n6-t600"],
+)
+def test_extensions_match_the_per_extension_oracle_on_every_open_branch(
+    monkeypatch, args, kwargs, opened
+):
+    # every open branch of the search, with the search's own memo
+    branches = []
+    sides = Counter()
+
+    def checked(letters, additions, forms):
+        additions = list(additions)
+        if additions:
+            branches.append(letters)
+            sides.update(assert_extensions_match_the_oracle(letters, additions, forms))
+        return _canonical_extensions(letters, additions, forms)
+
+    monkeypatch.setattr(search_module, "_canonical_extensions", checked)
+    search_max(*args, **kwargs)
+    assert len(branches) == opened
+    # survivors below, tied with and above the branch's least form
+    assert set(sides) == ({"below", "tie", "above"} if opened else set())
+
+
+def test_extensions_match_the_oracle_on_every_five_state_letter_and_pool_map():
+    # each level-1 class as a branch, the whole pool as its additions
+    sides = Counter()
+    pool = _context(5).pool
+    for fp in initial_level(5):
+        sides.update(assert_extensions_match_the_oracle(_decode_fp(fp)[1], pool, _LetterForms()))
+    assert set(sides) == {"below", "tie", "above"}
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data(), n=st.integers(5, 7))
+def test_extensions_match_the_oracle_on_drawn_branches(data, n):
+    pool = _context(n).pool
+    letters = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    additions = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    # relabelled branch letters tie or undercut the branch's least form
+    # when their letter has it, and add repeats of the branch's classes
+    for t in data.draw(st.lists(st.sampled_from(letters), max_size=3)):
+        perm = pointed(data.draw(st.permutations(range(1, n - 1))), n)
+        additions.append(conjugate_raw(t, perm))
+    assert_extensions_match_the_oracle(tuple(letters), additions, _LetterForms())
+
+
 # ------------------------------------------------------- level operations
 
 
@@ -381,7 +484,7 @@ def test_pool_is_closed_under_interior_conjugation(n):
     members = set(pool)
     for interior in itertools.permutations(range(1, n - 1)):
         perm = pointed(interior, n)
-        assert all(_conjugate(t, perm) in members for t in pool)
+        assert all(conjugate_raw(t, perm) in members for t in pool)
 
 
 def test_search_logs_level_one_once_built(caplog):
@@ -862,6 +965,25 @@ def test_no_letter_form_memo_survives_a_search(monkeypatch):
     assert all(ref() is None for ref in created)
 
 
+def test_no_conjugator_memo_survives_a_search(monkeypatch):
+    created = []
+
+    class Tracked(search_module._Conjugators):
+        def __init__(self):
+            super().__init__()
+            created.append(self)
+
+    monkeypatch.setattr(search_module, "_Conjugators", Tracked)
+    # level 2 is reached, so extensions are conjugated through the memo
+    r = search_max(4, target=3, prune=False, max_letters=2)
+    assert r.stats.level_sizes[1:] and r.stats.extensions
+    assert created and all(created)
+    refs = [weakref.ref(c) for c in created]
+    created.clear()
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
 def test_no_product_row_memo_survives_a_search(monkeypatch):
     created = []
     filled = []
@@ -1024,6 +1146,21 @@ def test_search_writes_and_resumes_checkpoints(tmp_path):
     assert written == ["level_01.txt"]
     resumed = search_max(5, resume_from=os.path.join(tmp_path, "level_01.txt"))
     assert resumed.to_json(include_timing=False) == fresh.to_json(include_timing=False)
+
+
+# one of the twelve level-2 semiautomata on 6 states whose closure holds
+# 545 maps, found by search_max(6, 500, max_letters=2)
+FIVE_FORTY_FIVE = "0602050101020305050204010305"
+
+
+def test_an_other_of_more_than_255_members_is_reported(tmp_path):
+    # a report key with its size in one byte overflowed past 255 members
+    path = tmp_path / "level_02.txt"
+    path.write_text(f"# sfsyn-pointed-search level=2 n=6\n{FIVE_FORTY_FIVE}\n")
+    r = search_max(6, 500, max_letters=2, resume_from=str(path))
+    assert [(o.kind, o.size, o.level) for o in r.others] == [("other", 545, 2)]
+    assert r.max_size_found == 629
+    assert not r.uniqueness_confirmed
 
 
 def test_search_six_state_maximum_is_the_collapsing_family():
