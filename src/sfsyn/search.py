@@ -42,16 +42,16 @@ back into maps, in pool order.
 
 A branch left open passes its candidates through one filter, and each
 survivor, appended to the letters and canonicalized, joins the next
-level: t survives when its one-step products with the branch, t t and
-x t, t x for every x in X, stay admissible, and their masks together
-with t's and X's still clash nowhere.  Every such product lies in the
-closure of X plus t, so the survivors include every exact addition,
-every t whose closure with X stays admissible and consistent.  No
-closure per survivor is needed to make the level exact: a survivor
-that is no addition only adds a semiautomaton to the next level, which
-is judged afresh by its own closure, so no verdict changes.  On every
-search the test suite and the benchmark run, exact closures reject
-none of the survivors.
+level, unless the branch sits at the letter cap: t survives when its
+one-step products with the branch, t t and x t, t x for every x in X,
+stay admissible, and their masks together with t's and X's still clash
+nowhere.  Every such product lies in the closure of X plus t, so the
+survivors include every exact addition, every t whose closure with X
+stays admissible and consistent.  No closure per survivor is needed to
+make the level exact: a survivor that is no addition only adds a
+semiautomaton to the next level, which is judged afresh by its own
+closure, so no verdict changes.  On every search the test suite and the
+benchmark run, exact closures reject none of the survivors.
 
 The filter reads product rows over pool positions, a product table in
 the sense of Froidure and Pin, "Algorithms for computing finite
@@ -122,6 +122,12 @@ generation" (1998), and the level is the same sorted tuple the
 per-letter forms give.  It is rebuilt on every search_max call, like
 the memos above, and logged at info level once built.
 
+The level at the letter cap needs none either: its survivors are never
+expanded, only asked whether some open branch plus one of them is
+irreducible.  A survivor lies outside the branch, so it repeats no
+letter, and a canonical form only relabels and reorders the same
+letters, which keeps irreducibility.
+
 A class travels as its fingerprint: the bytes of n, the letter count
 and the canonical letters' images.  A level is the sorted tuple of its
 fingerprints from initial_level through the level loop to the
@@ -146,11 +152,13 @@ The statistics count per semiautomaton: selections equals visited,
 rejected_selections counts closures refused for leaving the admissible
 family, and terminal_selections and pruned_selections count branches
 the case analysis or the count bound ended.  At info level each
-finished level logs its size, its census of rejected, pruned, terminal
-and open semiautomata, its wall time, and the seconds its semiautomata
-spent being judged (closure through filter) and canonicalizing their
-extensions, summed over worker processes; none of that enters the
-report.
+finished level logs its size, its extension candidates (the survivors
+summed over its open branches), its census of rejected, pruned,
+terminal and open semiautomata, its wall time, and the seconds its
+semiautomata spent being judged (closure through filter) and
+canonicalizing their extensions, summed over worker processes; none of
+that enters the report.  The letter-cap warning gives the capped
+level's candidates, or a resumed level's size if it starts past the cap.
 
 Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -335,10 +343,7 @@ def _canonical_extensions(
     are found once; each g then tries the branch's labellings when its
     own form is above that least form, its own when below, and both on a
     tie, each time inserting g's one conjugate into the sorted conjugated
-    branch, which is built once per labelling.  A branch closed without
-    additions costs nothing, not even its letters' forms."""
-    if not additions:
-        return
+    branch, which is built once per labelling."""
     conjugators = forms.conjugators
     bases: dict[tuple[int, ...], tuple[RawMap, ...]] = {}
     shared: tuple[tuple[int, ...], ...] = ()
@@ -826,19 +831,22 @@ class SearchResult:
         }
 
 
-def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _ProductRows) -> dict:
+def _expand_one(
+    args: tuple[bytes, int, int, bool, bool], forms: _LetterForms, rows: _ProductRows
+) -> dict:
     """Judge one canonical semiautomaton, given by its fingerprint, with
     initial state 0 and empty state n-1.  Its outcome is "rejected" when
     its closure leaves the admissible family, "pruned" or "terminal"
     when the count bound or the case analysis ends the branch, and
-    "open" otherwise; an open
-    branch's filtered candidates turn into canonical extensions.  Takes
-    and returns plain picklable data, as it also runs in worker
-    processes, where each chunk of work shares one letter-form memo and
-    one product-row memo (see _expand_chunk).  judge_s and canon_s are
-    the seconds spent judging and canonicalizing extensions."""
+    "open" otherwise.  survivors is an open branch's filtered candidate
+    set, 0 for any other; below the letter cap they turn into canonical
+    extensions, on the capped level into none.  Takes and returns plain
+    picklable data, as it also runs in worker processes, where each
+    chunk of work shares one letter-form memo and one product-row memo
+    (see _expand_chunk).  judge_s and canon_s are the seconds spent
+    judging and canonicalizing extensions."""
     started = time.perf_counter()
-    fp, n, target, prune = args
+    fp, n, target, prune, at_cap = args
     ctx = _context(n)
     _, letters = _decode_fp(fp)
     # the one closure of the branch; by the semiconstant lemma in the
@@ -848,7 +856,14 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _
     closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
     if closed is None:
         judge_s = time.perf_counter() - started
-        return {"outcome": "rejected", "extensions": [], "other": None, "judge_s": judge_s, "canon_s": 0.0}
+        return {
+            "outcome": "rejected",
+            "survivors": 0,
+            "extensions": [],
+            "other": None,
+            "judge_s": judge_s,
+            "canon_s": 0.0,
+        }
     members, coll, foc = closed
     assert not coll & foc, "pair both colliding and focused survived the closure"
     other = None
@@ -862,10 +877,14 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _
     survivors = _one_step_filter(cand, members, coll, foc, rows) if outcome == "open" else 0
     judged = time.perf_counter()
     extensions: dict[bytes, None] = {}
-    for canon in _canonical_extensions(letters, _pool_maps(survivors, ctx), forms):
-        extensions.setdefault(_fingerprint(canon, n), None)
+    # a branch closed without survivors costs nothing, not even its
+    # letters' forms
+    if survivors and not at_cap:
+        for canon in _canonical_extensions(letters, _pool_maps(survivors, ctx), forms):
+            extensions.setdefault(_fingerprint(canon, n), None)
     return {
         "outcome": outcome,
+        "survivors": survivors,
         "extensions": list(extensions),
         "other": other,
         "judge_s": judged - started,
@@ -873,13 +892,26 @@ def _expand_one(args: tuple[bytes, int, int, bool], forms: _LetterForms, rows: _
     }
 
 
-def _expand_chunk(work: Sequence[tuple[bytes, int, int, bool]]) -> list[dict]:
+def _expand_chunk(work: Sequence[tuple[bytes, int, int, bool, bool]]) -> list[dict]:
     """_expand_one over a chunk of one level in a worker process, with a
     letter-form memo and a product-row memo shared by the chunk only."""
     n = work[0][1]
     forms = _LetterForms()
     rows = _ProductRows(_context(n))
     return [_expand_one(item, forms, rows) for item in work]
+
+
+def _some_irreducible(level: Sequence[bytes], results: Sequence[dict], ctx: _Context) -> bool:
+    """Whether some open branch of the level plus one of its survivors is
+    irreducible, tried in level order and pool order until one is; no
+    canonical form is needed (see the module docstring)."""
+    for fp, res in zip(level, results):
+        if res["survivors"]:
+            letters = _decode_fp(fp)[1]
+            for g in _pool_maps(res["survivors"], ctx):
+                if irreducible_raw((*letters, g)):
+                    return True
+    return False
 
 
 def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
@@ -987,8 +1019,9 @@ def search_max(
     their fingerprints.  Each semiautomaton is judged once; each one
     left open contributes the candidates passing the one-step product
     filter, a superset of its exact additions, as the next level.  The
-    level past max_letters is not built: the search
-    stops there, capped when some candidate is irreducible.  The two
+    level at max_letters is judged and filtered but not expanded: the
+    search stops there, capped when some open branch plus one of its
+    candidates is irreducible.  The two
     known maximal families are confirmed from their generators and the
     search reports any semigroup at or above the target that is neither
     of them.  With prune=False no branch is cut for its count, only by
@@ -1057,7 +1090,8 @@ def search_max(
         level_started = time.perf_counter()
         level = tuple(sorted(level))
         level_sizes.append(len(level))
-        work = [(fp, n, target, prune) for fp in level]
+        at_cap = level_index == max_letters
+        work = [(fp, n, target, prune, at_cap) for fp in level]
         if threads > 1:
             size = max(1, len(work) // (threads * 4))
             chunks = [work[i : i + size] for i in range(0, len(work), size)]
@@ -1068,6 +1102,8 @@ def search_max(
 
         census = Counter(res["outcome"] for res in results)
         outcomes.update(census)
+        # the filtered (branch, letter) pairs, before canonical forms merge them
+        candidates = sum(res["survivors"].bit_count() for res in results)
         next_fps: dict[bytes, None] = {}
         for res in results:
             visited += 1
@@ -1099,7 +1135,7 @@ def search_max(
             " (judging %.3f s, canonical forms %.3f s)",
             level_index,
             len(level),
-            len(next_fps),
+            candidates,
             census["rejected"],
             census["pruned"],
             census["terminal"],
@@ -1108,11 +1144,11 @@ def search_max(
             sum(res["judge_s"] for res in results),
             sum(res["canon_s"] for res in results),
         )
-        if level_index == max_letters:
-            # the capped level is not built: one irreducible candidate
-            # is enough to know it is not empty
-            if any(irreducible_raw(_decode_fp(fp)[1]) for fp in next_fps):
-                unexplored = len(next_fps)
+        if at_cap:
+            # the level past the cap is not built: one irreducible
+            # candidate is enough to know it is not empty
+            if _some_irreducible(level, results, ctx):
+                unexplored = candidates
             break
         level = tuple(fp for fp in sorted(next_fps) if irreducible_raw(_decode_fp(fp)[1]))
         extensions_total += len(level)

@@ -310,9 +310,10 @@ def without_timing(doc: dict) -> dict:
     return doc
 
 
-# one info line per level: its size, the next level's candidates, the
-# outcome census, the level's wall time and the time spent judging its
-# semiautomata and canonicalizing their extensions
+# one info line per level: its size, its open branches' filtered
+# (branch, letter) pairs, the outcome census, the level's wall time and
+# the time spent judging its semiautomata and canonicalizing their
+# extensions
 LEVEL_LINE = re.compile(
     r"level (\d+): (\d+) semiautomata, (\d+) extension candidates "
     r"\((\d+) rejected, (\d+) pruned, (\d+) terminal, (\d+) open\) in (\d+\.\d{3}) s "
@@ -393,11 +394,12 @@ def test_log_level_info_reports_each_level_census():
 
 
 def test_default_log_level_writes_warnings_as_bare_messages():
-    # the letter cap warning reads as it did before the flag existed
+    # the letter cap warning reads as it did before the flag existed;
+    # its count is the filtered (branch, letter) pairs of the capped level
     done = run_cli("search", "--n", "4", "--target", "5", "--max-letters", "1")
     assert done.returncode == 1
     assert done.stderr == (
-        "letter cap 1 reached with 26 candidates unexplored; "
+        "letter cap 1 reached with 45 candidates unexplored; "
         "the uniqueness conclusion is not established\n"
     )
     quiet = run_cli("--log-level", "error", "search", "--n", "4", "--target", "5", "--max-letters", "1")

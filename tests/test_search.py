@@ -414,22 +414,49 @@ def assert_extensions_match_the_oracle(letters, additions, forms):
 def test_extensions_match_the_per_extension_oracle_on_every_open_branch(
     monkeypatch, args, kwargs, opened
 ):
-    # every open branch of the search, with the search's own memo
+    # every open branch of the search and its filtered candidates, the
+    # capped level's too, though the search itself builds no canonical
+    # form there, checked with the search's own memo
     branches = []
     sides = Counter()
+    judged = []
+    expand_one, one_step_filter = search_module._expand_one, search_module._one_step_filter
 
-    def checked(letters, additions, forms):
-        additions = list(additions)
-        if additions:
+    def expanding(item, forms, rows):
+        judged.append((_decode_fp(item[0])[1], forms))
+        return expand_one(item, forms, rows)
+
+    def filtered(cand, members, coll, foc, rows):
+        survivors = one_step_filter(cand, members, coll, foc, rows)
+        if survivors:
+            letters, forms = judged[-1]
             branches.append(letters)
+            additions = _pool_maps(survivors, rows.ctx)
             sides.update(assert_extensions_match_the_oracle(letters, additions, forms))
-        return _canonical_extensions(letters, additions, forms)
+        return survivors
 
-    monkeypatch.setattr(search_module, "_canonical_extensions", checked)
+    monkeypatch.setattr(search_module, "_expand_one", expanding)
+    monkeypatch.setattr(search_module, "_one_step_filter", filtered)
     search_max(*args, **kwargs)
     assert len(branches) == opened
     # survivors below, tied with and above the branch's least form
     assert set(sides) == ({"below", "tie", "above"} if opened else set())
+
+
+def test_the_capped_level_builds_no_canonical_form(monkeypatch):
+    # level 1 canonicalizes the extensions of its 14 open branches; the
+    # 360 open branches of level 2, the capped one, decide the cap from
+    # their raw survivors alone
+    calls = []
+
+    def counted(letters, additions, forms):
+        calls.append(letters)
+        return _canonical_extensions(letters, additions, forms)
+
+    monkeypatch.setattr(search_module, "_canonical_extensions", counted)
+    r = search_max(5, 72, max_letters=2)
+    assert r.stats.capped
+    assert [len(letters) for letters in calls] == [1] * 14
 
 
 def test_extensions_match_the_oracle_on_every_five_state_letter_and_pool_map():
@@ -875,6 +902,20 @@ def test_count_prunes_change_no_five_state_verdict(target):
     off = search_max(5, target, max_letters=2, prune=False)
     assert on.max_size_found == off.max_size_found == 73
     assert on.others == off.others
+
+
+@pytest.mark.parametrize("target, others", [(72, []), (60, [(60, 3), (61, 2), (64, 3), (64, 3)])])
+def test_count_prunes_change_no_three_letter_verdict(target, others):
+    # a third letter gives the count prunes semigroups just short of the
+    # target to cut: a prune a few elements too eager drops the level-3
+    # semigroup of size 60, or leaves no irreducible candidate at the
+    # letter cap, which the two-letter differential above cannot see
+    on = search_max(5, target, max_letters=3)
+    off = search_max(5, target, max_letters=3, prune=False)
+    assert on.max_size_found == off.max_size_found == 73
+    assert on.others == off.others
+    assert [(r.size, r.level) for r in on.others] == others
+    assert on.stats.capped and off.stats.capped
 
 
 def test_search_five_state_maximum_is_the_injective_family():
