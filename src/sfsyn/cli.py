@@ -31,7 +31,7 @@ from .dfa import (
     witness,
 )
 from .injection import strict_bound_witness, verify_injective
-from .search import search_max
+from .search import DEFAULT_MAX_LETTERS, search_max
 from .semigroup import MAX_STATES, closure, wsf_bound
 
 
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive maximality search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--max-letters", type=int, default=10)
+    p.add_argument("--max-letters", type=int, default=DEFAULT_MAX_LETTERS)
     p.add_argument("--resume", default=None, help="checkpoint file to resume from")
     p.set_defaults(func=cmd_search)
 

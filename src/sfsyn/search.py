@@ -85,16 +85,17 @@ ever gets.
 
 Pointed classes are told apart by a canonical form: the
 lexicographically least sorted tuple of letter conjugates over every
-permutation of the interior states.  It is computed without scanning
-the (n-2)! permutations.  A branch-and-bound labelling finds each
-letter's least conjugate together with every labelling that reaches
-it; the sorted tuple must start with the least of those one-letter
-forms, so only labellings giving some letter that form are tried on
-the whole tuple.  One search_max call keeps a memo of the one-letter
-results and of the conjugator of each labelling they name, shared by
-all of its canonicalizations and dropped when it returns; canonicalize,
-checkpoint parsing and each chunk of work in a worker process start
-with an empty one, so no call ever starts warm.
+permutation of the interior states.  Each letter's least conjugate,
+with every labelling that reaches it, comes from a scan of all (n-2)!
+labellings: one table per n holds the conjugator of each, constant
+data built once and kept, like the context, for letters on 2 to 8
+states.  The sorted tuple must start with the least of those
+one-letter forms, so only labellings giving some letter that form are
+tried on the whole tuple.  One search_max call keeps a memo of the
+one-letter results, shared by all of its canonicalizations and dropped
+when it returns; canonicalize, parse_fingerprint and each chunk of
+work in a worker process start with an empty one, and a checkpoint
+load keeps one for its whole file.
 
 An open branch's extensions are canonicalized together, and the work
 done on the branch serves all of them.  The least one-letter form of
@@ -115,12 +116,12 @@ the least conjugate, and the pool is closed under conjugation by the
 interior permutations (admissibility and being semiconstant are both
 kept by a relabelling fixing 0 and n-1).  So in one pass over the
 sorted pool the first map not yet seen is the least of its orbit, that
-is its own form; its (n-2)! conjugates are marked seen and no later map
-of the orbit is looked at again.  Each orbit is listed once and no
-element's form is computed, as in McKay, "Isomorph-free exhaustive
-generation" (1998), and the level is the same sorted tuple the
-per-letter forms give.  It is rebuilt on every search_max call, like
-the memos above, and logged at info level once built.
+is its own form; its conjugates under the table's (n-2)! labellings
+are marked seen and no later map of the orbit is looked at again.
+Each orbit is listed once and no element's form is computed, as in
+McKay, "Isomorph-free exhaustive generation" (1998), and the level is
+the same sorted tuple the per-letter forms give.  It is rebuilt on
+every search_max call and logged at info level once built.
 
 The level at the letter cap needs none either: its survivors are never
 expanded, only asked whether some open branch plus one of them is
@@ -238,100 +239,28 @@ def _conjugator(perm: Sequence[int]) -> tuple[bytes, itemgetter]:
     return raw_table(bytes(perm)), itemgetter(*inverse)
 
 
-def _letter_form(t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
-    """The least conjugate of one letter under the relabellings that fix
-    0 and n-1, with every such labelling (a perm in _conjugator's sense)
-    that produces it.
-
-    States 0 and n-1 keep their names; the interior names 1..n-2 go out
-    in output order: position k reads the image of the state named k.
-    That state is either already named, as 0 or an earlier image, or a
-    free choice among the unnamed interior states, of which only those
-    with the least output are tried; an unnamed image must take the
-    next free name, since any larger one loses at this position.
-    Position n-1 reads the image of n-1.  Branches whose output prefix
-    exceeds the incumbent's are cut, and the labellings that tie the
-    minimum form a coset of the letter's pointed automorphism group."""
-    n = len(t)
-    name = [-1] * n  # name[q]: the name given to state q, -1 while unnamed
-    state = [0] * n  # state[k]: the state carrying name k
-    name[0], name[n - 1], state[n - 1] = 0, n - 1, n - 1
-    out = bytearray(n)
-    best = b""
-    labellings: list[tuple[int, ...]] = []
-
-    def walk(k: int, m: int, tight: bool) -> None:
-        # names 0..m-1 are given out; tight means out[:k] == best[:k]
-        nonlocal best, labellings
-        if k == n:
-            if tight:
-                labellings.append(tuple(name))
-            else:
-                best = bytes(out)
-                labellings = [tuple(name)]
-            return
-        if k < m or k == n - 1:
-            choices = [state[k]]
-        else:
-            # a fresh state's output is the name of an earlier image, its
-            # own name k, or the next one; only the least can win
-            rank = {
-                q: name[t[q]] if name[t[q]] >= 0 else k + (t[q] != q)
-                for q in range(n)
-                if name[q] < 0
-            }
-            low = min(rank.values())
-            choices = [q for q, r in rank.items() if r == low]
-        for s in choices:
-            if k == m < n - 1:
-                name[s] = k
-                state[k] = s
-                m1 = k + 1
-            else:
-                m1 = m
-            img = t[s]
-            v = name[img]
-            if v < 0:
-                v = name[img] = m1
-                state[m1] = img
-                m2 = m1 + 1
-            else:
-                m2 = m1
-            if not (tight and v > best[k]):
-                out[k] = v
-                walk(k + 1, m2, tight and v == best[k])
-                # a branch below the incumbent always reaches a leaf and
-                # replaces it, so from here on the prefix ties it
-                tight = True
-            if m2 > m1:
-                name[img] = -1
-            if m1 > m:
-                name[s] = -1
-
-    walk(0, 1, False)
-    return best, tuple(labellings)
-
-
-class _Conjugators(dict):
-    """Memo of _conjugator by labelling, filled on demand; owned by one
-    _LetterForms and gone with it."""
-
-    def __missing__(self, perm: tuple[int, ...]) -> tuple[bytes, itemgetter]:
-        pair = self[perm] = _conjugator(perm)
-        return pair
+@lru_cache(maxsize=None)
+def _conjugators(n: int) -> dict[tuple[int, ...], tuple[bytes, itemgetter]]:
+    """_conjugator of every relabelling fixing 0 and n-1, keyed by the
+    perm, in the order of permutations of the interior states; constant
+    per-n data, built once and kept, like the search context."""
+    if not 2 <= n <= 8:
+        raise ValueError(f"canonical forms need letters on 2 to 8 states, got {n}")
+    perms = ((0, *interior, n - 1) for interior in permutations(range(1, n - 1)))
+    return {perm: _conjugator(perm) for perm in perms}
 
 
 class _LetterForms(dict):
-    """Memo of _letter_form by letter, filled on demand, with the
-    conjugators of their labellings; lives only as long as the call that
-    creates it."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.conjugators = _Conjugators()
+    """Memo, by letter, of its least conjugate under the relabellings
+    that fix 0 and n-1 and of every perm producing it, found by scanning
+    the conjugator table; filled on demand, and lives only as long as
+    the call that creates it."""
 
     def __missing__(self, t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
-        form = self[t] = _letter_form(t)
+        conjugators = _conjugators(len(t))
+        images = [bytes(read(t.translate(table))) for table, read in conjugators.values()]
+        least = min(images)
+        form = self[t] = least, tuple(compress(conjugators, map(least.__eq__, images)))
         return form
 
 
@@ -339,12 +268,14 @@ def _canonical_extensions(
     letters: Sequence[RawMap], additions: Sequence[RawMap], forms: _LetterForms
 ) -> Iterator[tuple[RawMap, ...]]:
     """The canonical letters of letters plus g, for each g of additions in
-    turn.  The branch's least letter form and the labellings reaching it
-    are found once; each g then tries the branch's labellings when its
-    own form is above that least form, its own when below, and both on a
-    tie, each time inserting g's one conjugate into the sorted conjugated
-    branch, which is built once per labelling."""
-    conjugators = forms.conjugators
+    turn; additions must not be empty.  The branch's least letter form
+    and the labellings reaching it are found once; each g then tries the
+    branch's labellings when its own form is above that least form, its
+    own when below, and both on a tie.  A labelling conjugates by its
+    entry in the per-n table the letter forms scan; the conjugated
+    branch is sorted once per labelling, and each g inserts its one
+    conjugate into it."""
+    conjugators = _conjugators(len(additions[0]))
     bases: dict[tuple[int, ...], tuple[RawMap, ...]] = {}
     shared: tuple[tuple[int, ...], ...] = ()
     least = None
@@ -424,11 +355,9 @@ def _decode_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
     return n, letters
 
 
-def _decode_canonical_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
-    n, letters = _decode_fp(fp)
-    if _canonical_letters(letters) != letters:
+def _check_canonical(letters: tuple[RawMap, ...], forms: _LetterForms | None = None) -> None:
+    if _canonical_letters(letters, forms) != letters:
         raise ValueError("fingerprint is not in canonical form")
-    return n, letters
 
 
 def parse_fingerprint(fp: bytes) -> CanonicalSemiautomaton:
@@ -438,7 +367,8 @@ def parse_fingerprint(fp: bytes) -> CanonicalSemiautomaton:
     image tables, so the fingerprint alone carries the whole object.
     Rejects bytes that do not decode to a canonical form.
     """
-    n, letters = _decode_canonical_fp(fp)
+    n, letters = _decode_fp(fp)
+    _check_canonical(letters)
     return CanonicalSemiautomaton(
         n=n,
         letters=tuple(Transformation(tuple(t)) for t in letters),
@@ -736,10 +666,11 @@ def initial_level(n: int) -> tuple[bytes, ...]:
     """A1: the sorted fingerprints of the single-letter semiautomata,
     one per class of the non-semiconstant admissible transformations
     under permutation of the interior states.  One pass over the sorted
-    pool lists them an orbit at a time: the pool is closed under those
-    relabellings, so the first map not yet seen is its orbit's least,
-    its canonical form (see the module docstring)."""
-    moves = [_conjugator((0, *interior, n - 1)) for interior in permutations(range(1, n - 1))]
+    pool lists them an orbit at a time, conjugating by the whole
+    conjugator table: the pool is closed under those relabellings, so
+    the first map not yet seen is its orbit's least, its canonical form
+    (see the module docstring)."""
+    moves = _conjugators(n).values()
     seen: set[RawMap] = set()
     level = []
     for t in _context(n).pool:
@@ -971,7 +902,9 @@ def save_checkpoint(path: str, level_index: int, n: int, level: Iterable[bytes])
 def load_checkpoint(path: str) -> tuple[int, int, tuple[bytes, ...]]:
     """Read a checkpoint back: (n, level index, fingerprints).  Level k
     holds k-letter semiautomata, and every letter must be a pool map, as
-    the search only ever writes those."""
+    the search only ever writes those.  A file without fingerprints is
+    refused: the search never writes an empty level, and resuming one
+    would judge nothing."""
     with open(path, encoding="ascii") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or not lines[0].startswith(f"# {_CHECKPOINT_TAG} "):
@@ -987,10 +920,14 @@ def load_checkpoint(path: str) -> tuple[int, int, tuple[bytes, ...]]:
         raise ValueError(f"{path}: checkpoint level must be at least 1, got {level_index}")
     pool = frozenset(_context(n).pool)
     fps = tuple(bytes.fromhex(line) for line in lines[1:])
+    if not fps:
+        raise ValueError(f"{path}: checkpoint holds no semiautomata")
+    forms = _LetterForms()
     for fp in fps:
-        fp_n, letters = _decode_canonical_fp(fp)
+        fp_n, letters = _decode_fp(fp)
         if fp_n != n:
             raise ValueError(f"checkpoint mixes state counts: {fp_n} vs {n}")
+        _check_canonical(letters, forms)
         if len(letters) != level_index:
             raise ValueError(
                 f"{path}: level {level_index} holds a semiautomaton with {len(letters)} letters"

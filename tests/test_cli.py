@@ -452,6 +452,26 @@ def test_search_resume_with_a_letter_outside_the_pool_is_a_usage_error(tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [("", "holds no semiautomata"), (bytes([12, 1, 2, *[11] * 11]).hex(), "mixes state counts")],
+    ids=["empty", "twelve-states"],
+)
+def test_search_resume_from_a_level_it_cannot_judge_is_a_usage_error(
+    tmp_path, capsys, body, message
+):
+    # an empty level would confirm uniqueness without judging anything
+    path = os.path.join(tmp_path, "level_01.txt")
+    with open(path, "w") as fh:
+        fh.write(f"# sfsyn-pointed-search level=1 n=5\n{body}\n")
+    assert main(["search", "--n", "5", "--resume", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("index, letters", [("-3", 1), ("1", 2)])
 def test_search_resume_from_a_mislabelled_level_is_a_usage_error(tmp_path, capsys, index, letters):
     # a level header disagreeing with its fingerprints' letter count

@@ -189,6 +189,39 @@ def test_canonicalize_rejects_empty_and_mixed():
         canonicalize([])
     with pytest.raises(ValueError):
         canonicalize([Transformation((1, 3, 3, 3)), Transformation((1, 4, 4, 4, 4))])
+    # the conjugator tables serve letters on 2 to 8 states
+    for n in (1, 9):
+        with pytest.raises(ValueError, match=f"2 to 8 states, got {n}"):
+            canonicalize([Transformation((n - 1,) * n)])
+
+
+def assert_letter_form_is_the_least_conjugate(t, forms):
+    # the least conjugate over every pointed relabelling, each applied
+    # one state at a time, and exactly the relabellings reaching it
+    n = len(t)
+    images = {
+        perm: conjugate_raw(t, perm)
+        for perm in (pointed(interior, n) for interior in itertools.permutations(range(1, n - 1)))
+    }
+    least = min(images.values())
+    form, labellings = forms[t]
+    assert form == least
+    assert len(set(labellings)) == len(labellings)
+    assert set(labellings) == {perm for perm, image in images.items() if image == least}
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_letter_forms_of_every_bsf_letter(n):
+    ctx = _context(n)
+    forms = _LetterForms()
+    for t in ctx.pool + ctx.semiconstants:
+        assert_letter_form_is_the_least_conjugate(t, forms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(data=st.data(), n=st.sampled_from((7, 8)))
+def test_letter_forms_of_drawn_maps(data, n):
+    assert_letter_form_is_the_least_conjugate(data.draw(raw_maps(n)), _LetterForms())
 
 
 def test_fingerprint_roundtrip():
@@ -1006,25 +1039,6 @@ def test_no_letter_form_memo_survives_a_search(monkeypatch):
     assert all(ref() is None for ref in created)
 
 
-def test_no_conjugator_memo_survives_a_search(monkeypatch):
-    created = []
-
-    class Tracked(search_module._Conjugators):
-        def __init__(self):
-            super().__init__()
-            created.append(self)
-
-    monkeypatch.setattr(search_module, "_Conjugators", Tracked)
-    # level 2 is reached, so extensions are conjugated through the memo
-    r = search_max(4, target=3, prune=False, max_letters=2)
-    assert r.stats.level_sizes[1:] and r.stats.extensions
-    assert created and all(created)
-    refs = [weakref.ref(c) for c in created]
-    created.clear()
-    gc.collect()
-    assert all(ref() is None for ref in refs)
-
-
 def test_no_product_row_memo_survives_a_search(monkeypatch):
     created = []
     filled = []
@@ -1154,6 +1168,27 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
             fh.write(text)
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+def test_checkpoint_without_fingerprints_is_refused(tmp_path):
+    # the search never writes an empty level, and resuming one would
+    # judge nothing yet confirm uniqueness
+    path = os.path.join(tmp_path, "level_01.txt")
+    with open(path, "w") as fh:
+        fh.write("# sfsyn-pointed-search level=1 n=5\n")
+    with pytest.raises(ValueError, match="level_01.txt: checkpoint holds no semiautomata"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_checks_state_counts_before_canonical_form(tmp_path):
+    # a 12-state letter, not in canonical form, in a 5-state level is
+    # refused for its state count before any letter form is computed
+    path = os.path.join(tmp_path, "level_01.txt")
+    fp = bytes([12, 1, 2, *[11] * 11]).hex()
+    with open(path, "w") as fh:
+        fh.write(f"# sfsyn-pointed-search level=1 n=5\n{fp}\n")
+    with pytest.raises(ValueError, match="mixes state counts: 12 vs 5"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_of_full_permutation_classes_is_refused(tmp_path):
