@@ -16,6 +16,8 @@ import logging
 import os
 import sys
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .collisions import pair_statuses
@@ -104,6 +106,14 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
+@contextmanager
+def _timed(report: VerificationReport, phase: str) -> Iterator[None]:
+    # one "# timing" entry: the wall time of the phase in the with block
+    start = time.perf_counter()
+    yield
+    report.timings[phase] = time.perf_counter() - start
+
+
 def _plain(value):
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
@@ -170,9 +180,10 @@ def cmd_verify_bound(args) -> int:
     if args.n > 8:
         print(f"warning: n={args.n} may take a long time", file=sys.stderr)
     started = time.perf_counter()
-    d = witness(args.n)
-    sg = transition_semigroup(d)
     report = VerificationReport(command="verify-bound", inputs={"n": args.n})
+    d = witness(args.n)
+    with _timed(report, "closure"):
+        sg = transition_semigroup(d)
     report.assertions.append(
         same("semigroup size reaches the bound", wsf_bound(args.n), sg.size)
     )
@@ -180,10 +191,12 @@ def cmd_verify_bound(args) -> int:
         same("witness language is suffix-free", True, suffix_free_violation(d) is None)
     )
     report.assertions.append(same("witness automaton is minimal", True, is_minimal(d)))
-    colliding = sum(1 for s in pair_statuses(sg) if s.colliding)
+    with _timed(report, "pairs"):
+        colliding = sum(1 for s in pair_statuses(sg) if s.colliding)
     report.assertions.append(same("no interior pair collides", 0, colliding))
     if args.n >= 7:
-        inj = verify_injective(sg)
+        with _timed(report, "embedding"):
+            inj = verify_injective(sg)
         report.assertions.append(
             same("embedding is injective on the witness semigroup", True, inj.passed)
         )
@@ -227,8 +240,15 @@ def cmd_phi(args) -> int:
         d = renumber_initial_empty(d)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    sg = transition_semigroup(d)
-    inj = verify_injective(sg)
+    with _timed(report, "closure"):
+        sg = transition_semigroup(d)
+    # the pair scan runs here, before the embedding reads its cached
+    # result, so that each phase's timing holds only its own work
+    with _timed(report, "pairs"):
+        colliding = any(s.colliding for s in pair_statuses(sg))
+    with _timed(report, "embedding"):
+        inj = verify_injective(sg)
+        gap = strict_bound_witness(sg)
     report.assertions.append(
         same("every image collapses its interior", True, inj.all_images_collapsing)
     )
@@ -240,8 +260,6 @@ def cmd_phi(args) -> int:
     if inj.counterexample:
         report.details["counterexample"] = inj.counterexample
     report.details["case_counts"] = dict(sorted(inj.case_counts.items()))
-    colliding = any(s.colliding for s in pair_statuses(sg))
-    gap = strict_bound_witness(sg)
     if colliding:
         report.assertions.append(
             Assertion(

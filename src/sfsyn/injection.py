@@ -16,6 +16,11 @@ semigroup has a colliding pair at all.
 One implementation works on image sequences (tuples or raw byte maps)
 and names cases by label; verify_injective runs it on raw maps, and
 phi, classify and phi_inverse wrap it for Transformation objects.
+Case 1, where phi is the identity, is one w_sf test on the raw map
+(in_wsf_images); only a map outside w_sf runs the b_sf guard and has
+its in-degrees and interior fixed points read, once.  A semigroup
+with no colliding pair focuses nothing onto one, so under its empty
+collision context the inverse returns its input at once.
 """
 from __future__ import annotations
 
@@ -23,14 +28,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .collisions import focused_triples, pair_statuses
-from .semigroup import RawMap, TransitionSemigroup, collapses, in_bsf_images, in_wsf, wsf_bound
-from .transform import (
-    Transformation,
-    cycles,
-    format_transformation,
-    in_degree,
-    zero_path,
-)
+from .semigroup import RawMap, TransitionSemigroup, in_bsf_images, in_wsf_images, wsf_bound
+from .transform import Transformation, cycles, format_transformation, zero_path
 
 
 class PreconditionError(ValueError):
@@ -86,13 +85,10 @@ def _interior(n: int) -> range:
     return range(1, n - 1)
 
 
-def _guard(t: Sequence[int], ctx: PhiContext) -> None:
-    if ctx.n < 7:
-        raise ValueError("the embedding needs n >= 7")
-    n = len(t)
-    if n != ctx.n:
-        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+def _guard(t: Sequence[int]) -> None:
+    # a map outside w_sf must still be b_sf
     if not in_bsf_images(t):
+        n = len(t)
         zp = zero_path(t)
         if not zp.is_aperiodic:
             detail = "the walk of 0 enters a cycle"
@@ -108,6 +104,14 @@ def _guard(t: Sequence[int], ctx: PhiContext) -> None:
             f"{format_transformation(t)} cannot occur in a suffix-free "
             f"transition semigroup: {detail}"
         )
+
+
+def _in_degrees(t: Sequence[int]) -> list[int]:
+    # the in-degree of every state, in one pass over the images
+    deg = [0] * len(t)
+    for v in t:
+        deg[v] += 1
+    return deg
 
 
 def _eligible_movers(t: Sequence[int]) -> list[int]:
@@ -132,25 +136,29 @@ def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
 
 
 def _case(t: Sequence[int], ctx: PhiContext) -> str:
-    # classify on an image sequence, by label; the guard has checked
-    # b_sf, so case 1 (w_sf) is the collapse condition alone
-    _guard(t, ctx)
+    # classify on an image sequence, by label.  Case 1 is w_sf itself,
+    # one test on the raw map; only a map outside it runs the b_sf
+    # guard and has its in-degrees and interior fixed points read, once
+    if ctx.n < 7:
+        raise ValueError("the embedding needs n >= 7")
     n = len(t)
-    if collapses(t):
+    if n != ctx.n:
+        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+    if in_wsf_images(t):
         return "1"
+    _guard(t)
     p = t[0]
     if cycles(t):
         return "2"
     if t[p] != n - 1:
         return "3"
-    if any(in_degree(t, r) >= 2 for r in _interior_fixed(t)):
+    deg = _in_degrees(t)
+    fixed = _interior_fixed(t)
+    if any(deg[r] >= 2 for r in fixed):
         return "4"
-    if any(
-        in_degree(t, r) >= 1 and t[r] != r and t[r] != n - 1
-        for r in _interior(n)
-    ):
+    if any(deg[r] and t[r] != r and t[r] != n - 1 for r in _interior(n)):
         return "5"
-    heavy = [r for r in _interior(n) if in_degree(t, r) >= 2]
+    heavy = [r for r in _interior(n) if deg[r] >= 2]
     if heavy:
         r = heavy[0]
         if r == p:
@@ -163,8 +171,7 @@ def _case(t: Sequence[int], ctx: PhiContext) -> str:
     if len(movers) >= 2:
         r1 = t[movers[0]]
         return "7(i)" if p < r1 else "7(ii)"
-    isolated = [r for r in _interior_fixed(t) if in_degree(t, r) == 1]
-    if len(isolated) >= 2:
+    if sum(deg[r] == 1 for r in fixed) >= 2:
         return "8"
     if len(movers) == 1:
         q = movers[0]
@@ -174,15 +181,15 @@ def _case(t: Sequence[int], ctx: PhiContext) -> str:
                 f"{format_transformation(t)}: the moving state {q} maps to "
                 f"{p}, which only 0 may reach under suffix-freeness"
             )
-        if _interior_fixed(t):
+        if fixed:
             return "9" if p < r else "10"
         return "11(i)" if p < r else "11(ii)"
     # fall-through: exactly one isolated fixed point, all else collapsed
-    fixed = _interior_fixed(t)
+    # (case 3 has taken every map with t[p] != n-1)
     collapsed = all(
         t[q] == n - 1 for q in _interior(n) if q not in fixed and q != p
     )
-    if len(fixed) != 1 or not collapsed or t[p] != n - 1:
+    if len(fixed) != 1 or not collapsed:
         raise CaseExhaustionError(
             f"{format_transformation(t)} matches no structural case; "
             f"fixed interior states {fixed}, walk target {t[p]}"
@@ -204,30 +211,28 @@ def _build(t: Sequence[int], case: str) -> Sequence[int]:
         return t
     n = len(t)
     p = t[0]
+    deg = _in_degrees(t)
+    fixed = _interior_fixed(t)
     imgs = list(t)
     imgs[0] = n - 1
     if case in ("2", "3"):
         # reverse the walk of 0; p goes to the least cycle state or stays
         chain = _zero_chain(t)
-        imgs[p] = min(q for c in cycles(t) for q in c) if case == "2" else p
+        imgs[p] = cycles(t)[0][0] if case == "2" else p
         for i in range(1, len(chain)):
             imgs[chain[i]] = chain[i - 1]
     elif case == "4":
-        r = min(q for q in _interior_fixed(t) if in_degree(t, q) >= 2)
-        imgs[p] = r
+        imgs[p] = min(q for q in fixed if deg[q] >= 2)
     elif case == "5":
         r = min(
             q
             for q in _interior(n)
-            if in_degree(t, q) >= 1
-            and t[q] != q
-            and t[q] != n - 1
-            and t[t[q]] == n - 1
+            if deg[q] and t[q] != q and t[q] != n - 1 and t[t[q]] == n - 1
         )
         imgs[p] = t[r]
     elif case.startswith("6"):
-        r = min(q for q in _interior(n) if in_degree(t, q) >= 2)
-        pre = sorted(q for q in range(n) if t[q] == r)
+        r = min(q for q in _interior(n) if deg[q] >= 2)
+        pre = [q for q in range(n) if t[q] == r]
         if case == "6(p<r)":
             q1, q2 = pre[0], pre[1]
         else:
@@ -243,15 +248,14 @@ def _build(t: Sequence[int], case: str) -> Sequence[int]:
         imgs[r1] = q1
         imgs[q1] = n - 1 if case == "7(i)" else q2
     elif case == "8":
-        isolated = [r for r in _interior_fixed(t) if in_degree(t, r) == 1]
-        r1, r2 = isolated[0], isolated[1]
+        r1, r2 = [r for r in fixed if deg[r] == 1][:2]
         imgs[p] = r2
         imgs[r1] = r2
         imgs[r2] = r1
     elif case == "9":
         q = _eligible_movers(t)[0]
         r = t[q]
-        f = _interior_fixed(t)[0]
+        f = fixed[0]
         imgs[p] = r
         imgs[r] = q
         imgs[q] = p
@@ -267,7 +271,7 @@ def _build(t: Sequence[int], case: str) -> Sequence[int]:
             imgs[r1] = r2
             imgs[r2] = r1
     else:  # case 12
-        f = _interior_fixed(t)[0]
+        f = fixed[0]
         imgs[p] = f
         r1, r2 = sorted(set(_interior(n)) - {p, f})[:2]
         imgs[r1] = r2
@@ -298,8 +302,6 @@ def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
 
 
 def _focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
-    if not ctx.colliding:
-        return []  # only colliding pairs are kept
     return [
         ((x, y), z)
         for x, y, z in sorted(focused_triples(s))
@@ -355,12 +357,15 @@ def phi_inverse(s: Transformation, ctx: PhiContext) -> Transformation:
 
 
 def _inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
-    # phi_inverse on an image sequence
+    # phi_inverse on an image sequence.  With no colliding pair in the
+    # context no focused pair of s is colliding, so s reads as case 1
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
     n = len(s)
     if n != ctx.n:
         raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+    if not ctx.colliding:
+        return s
     fc = _focused_colliding(s, ctx)
     if not fc:
         return s  # case 1
@@ -441,7 +446,7 @@ def _invert_acyclic(s, ctx, fc) -> Sequence[int]:
         if len(on_fixed) != 1:
             raise NotInImageError("several focused colliding pairs hit fixed points")
         (x, y), z = on_fixed[0]
-        deg = in_degree(s, z)
+        deg = s.count(z)
         if deg == 2:
             return _rebuild_chain(s, z, ctx)  # case 3
         if deg >= 3:
@@ -472,7 +477,7 @@ def _invert_acyclic(s, ctx, fc) -> Sequence[int]:
         return _restore(s, max(x, y), {r1: n - 1, z: r1})
     if hops != 1:
         raise NotInImageError("focus target walks too far")
-    dx, dy = in_degree(s, x), in_degree(s, y)
+    dx, dy = s.count(x), s.count(y)
     if (dx == 0) != (dy == 0):
         # case 5 with one pair: the walk start took no traffic
         return _restore(s, x if dx == 0 else y, {})
@@ -573,7 +578,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
                     f"{format_transformation(earlier)} and {format_transformation(t)} "
                     f"share the image {format_transformation(image)}"
                 )
-        if not (collapses(image) and in_bsf_images(image)):
+        if not in_wsf_images(image):
             all_wsf = False
             counterexample = (
                 f"{format_transformation(t)} maps to "
@@ -609,7 +614,10 @@ def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
             imgs[r] = r
             r1, r2, r3 = spares
             imgs[r1], imgs[r2], imgs[r3] = r2, r3, r1
-            s = Transformation(tuple(imgs))
-            assert in_wsf(s)
-            return s
+            if not in_wsf_images(imgs):
+                raise CaseExhaustionError(
+                    f"strict-bound witness {format_transformation(imgs)} "
+                    f"is not in w_sf({n})"
+                )
+            return Transformation(tuple(imgs))
     return None

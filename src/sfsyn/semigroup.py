@@ -204,10 +204,20 @@ def in_bsf_images(images: Sequence[int]) -> bool:
     return False
 
 
-def collapses(images: Sequence[int]) -> bool:
-    """The w_sf condition beyond b_sf: 0 or every interior state maps to n-1."""
+def in_wsf_images(images: Sequence[int]) -> bool:
+    """w_sf membership of an image sequence (a tuple or a raw byte map),
+    in three C-level steps: n-1 fixed, 0 not an image, and 0 sent to
+    n-1 or exactly n-1 states sent to n-1 (n-1 itself and every
+    interior state, as 0 is not).  No b_sf walk is needed: when 0t =
+    n-1 it ends at once, and when every interior state maps to n-1 the
+    walk of 0 reaches n-1 one power after the interior walks, which
+    hold nothing else by then."""
     last = len(images) - 1
-    return images[0] == last or all(images[q] == last for q in range(1, last))
+    return (
+        images[last] == last
+        and 0 not in images
+        and (images[0] == last or images.count(last) == last)
+    )
 
 
 def in_bsf(t: Transformation) -> bool:
@@ -228,7 +238,7 @@ def in_wsf(t: Transformation) -> bool:
     interior state maps to n-1."""
     if t.n < 4:
         raise ValueError("w_sf membership needs n >= 4")
-    return collapses(t.images) and in_bsf_images(t.images)
+    return in_wsf_images(t.images)
 
 
 def enumerate_bsf(n: int) -> tuple[Transformation, ...]:

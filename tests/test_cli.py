@@ -103,6 +103,27 @@ def test_verify_bound_json_shape(capsys):
     assert "total" in doc["timings"]
 
 
+def test_verify_bound_times_each_phase(capsys):
+    # per-phase timings sit beside the total, outside the assertions
+    assert main(["--json", "verify-bound", "--n", "7"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["timings"]) == ["closure", "pairs", "embedding", "total"]
+    assert all(v >= 0 for v in doc["timings"].values())
+    assert len(doc["assertions"]) == 5
+    assert "timings" not in doc["details"]
+    # below 7 states there is no embedding to time
+    assert main(["--json", "verify-bound", "--n", "5"]) == 0
+    assert list(json.loads(capsys.readouterr().out)["timings"]) == ["closure", "pairs", "total"]
+    assert main(["verify-bound", "--n", "7"]) == 0
+    tail = capsys.readouterr().out.splitlines()[-4:]
+    assert [line.split(":")[0] for line in tail] == [
+        "# timing closure",
+        "# timing pairs",
+        "# timing embedding",
+        "# timing total",
+    ]
+
+
 def test_verify_bound_guards(capsys):
     assert main(["verify-bound", "--n", "3"]) == 2
     capsys.readouterr()
@@ -154,6 +175,16 @@ def test_phi_on_the_seven_state_witness(tmp_path, capsys):
     assert "PASS semigroup size within the bound: expected <= 7781, actual 7781" in out
     assert "note case_counts: {'1': 7781}" in out
     assert "overall: PASS" in out
+
+
+def test_phi_times_each_phase(tmp_path, capsys):
+    path = os.path.join(tmp_path, "w7.dfa")
+    with open(path, "w") as fh:
+        fh.write(format_dfa(witness(7)))
+    assert main(["--json", "phi", path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["timings"]) == ["closure", "pairs", "embedding", "total"]
+    assert list(doc["details"]) == ["case_counts"]
 
 
 def test_phi_renumbers_a_relabelled_witness(tmp_path, capsys):

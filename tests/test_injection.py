@@ -1,12 +1,14 @@
 """Tests for the case-by-case embedding and its inverse."""
 import hashlib
+import itertools
 import json
 import random
+from typing import Sequence
 
 import pytest
 
 from sfsyn import injection
-from sfsyn.collisions import pair_statuses, verify_suffix_free_consistency
+from sfsyn.collisions import focused_triples, pair_statuses, verify_suffix_free_consistency
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.injection import (
     CaseExhaustionError,
@@ -15,14 +17,33 @@ from sfsyn.injection import (
     PhiContext,
     PreconditionError,
     _build,
+    _case,
+    _eligible_movers,
+    _interior,
+    _interior_fixed,
+    _inverse,
+    _invert_with_cycles,
+    _rebuild_chain,
+    _restore,
+    _zero_chain,
     classify,
     phi,
     phi_inverse,
     strict_bound_witness,
     verify_injective,
 )
-from sfsyn.semigroup import closure, enumerate_bsf, in_bsf, in_wsf, vsf_generators, wsf_bound
-from sfsyn.transform import Transformation, format_transformation
+from sfsyn.semigroup import (
+    closure,
+    enumerate_bsf,
+    enumerate_wsf,
+    in_bsf,
+    in_bsf_images,
+    in_wsf,
+    vsf_generators,
+    wsf_bound,
+)
+from sfsyn.transform import Transformation, cycles, format_transformation, in_degree, zero_path
+from test_acceptance import draw_seven_state_dfas
 
 
 def T(*images):
@@ -442,3 +463,314 @@ def test_sampled_consistent_semigroups_embed():
         report = verify_injective(sg)
         assert report.passed, report.counterexample
         assert report.size <= wsf_bound(7)
+
+
+def test_strict_bound_witness_outside_wsf_is_a_case_exhaustion(v7, monkeypatch):
+    # the witness's w_sf check is explicit, so it also runs under -O
+    monkeypatch.setattr(injection, "in_wsf_images", lambda images: False)
+    with pytest.raises(CaseExhaustionError, match=r"6 2 2 4 5 3 6 is not in w_sf\(7\)"):
+        strict_bound_witness(v7)
+
+
+# ----------------------------------- the per-map kernel against its oracle
+#
+# The kernel as it stood before case 1 became one w_sf test on the raw
+# map: the b_sf guard first, then the collapse condition, in_degree
+# counts per state and test, and an inverse that scans the focused
+# pairs even under an empty collision context.  The helpers it calls
+# from the module (_interior, _eligible_movers, _interior_fixed,
+# _zero_chain, _rebuild_chain, _restore, _invert_with_cycles) are
+# unchanged since.
+
+
+def collapses(images):
+    last = len(images) - 1
+    return images[0] == last or all(images[q] == last for q in range(1, last))
+
+
+def old_guard(t: Sequence[int], ctx: PhiContext) -> None:
+    if ctx.n < 7:
+        raise ValueError("the embedding needs n >= 7")
+    n = len(t)
+    if n != ctx.n:
+        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+    if not in_bsf_images(t):
+        zp = zero_path(t)
+        if not zp.is_aperiodic:
+            detail = "the walk of 0 enters a cycle"
+        elif zp.states[-1] != n - 1:
+            detail = f"the walk of 0 ends at {zp.states[-1]}, not at {n - 1}"
+        elif t[n - 1] != n - 1:
+            detail = f"state {n - 1} is not fixed"
+        elif 0 in t:
+            detail = "some state maps to 0"
+        else:
+            detail = "the walk of 0 merges with the walk of an interior state"
+        raise PreconditionError(
+            f"{format_transformation(t)} cannot occur in a suffix-free "
+            f"transition semigroup: {detail}"
+        )
+
+
+def old_case(t: Sequence[int], ctx: PhiContext) -> str:
+    # classify on an image sequence, by label; the guard has checked
+    # b_sf, so case 1 (w_sf) is the collapse condition alone
+    old_guard(t, ctx)
+    n = len(t)
+    if collapses(t):
+        return "1"
+    p = t[0]
+    if cycles(t):
+        return "2"
+    if t[p] != n - 1:
+        return "3"
+    if any(in_degree(t, r) >= 2 for r in _interior_fixed(t)):
+        return "4"
+    if any(
+        in_degree(t, r) >= 1 and t[r] != r and t[r] != n - 1
+        for r in _interior(n)
+    ):
+        return "5"
+    heavy = [r for r in _interior(n) if in_degree(t, r) >= 2]
+    if heavy:
+        r = heavy[0]
+        if r == p:
+            raise CaseExhaustionError(
+                f"{format_transformation(t)}: state {p} reached from 0 has "
+                "in-degree >= 2, impossible under suffix-freeness"
+            )
+        return "6(p<r)" if p < r else "6(p>r)"
+    movers = _eligible_movers(t)
+    if len(movers) >= 2:
+        r1 = t[movers[0]]
+        return "7(i)" if p < r1 else "7(ii)"
+    isolated = [r for r in _interior_fixed(t) if in_degree(t, r) == 1]
+    if len(isolated) >= 2:
+        return "8"
+    if len(movers) == 1:
+        q = movers[0]
+        r = t[q]
+        if r == p:
+            raise CaseExhaustionError(
+                f"{format_transformation(t)}: the moving state {q} maps to "
+                f"{p}, which only 0 may reach under suffix-freeness"
+            )
+        if _interior_fixed(t):
+            return "9" if p < r else "10"
+        return "11(i)" if p < r else "11(ii)"
+    # fall-through: exactly one isolated fixed point, all else collapsed
+    fixed = _interior_fixed(t)
+    collapsed = all(
+        t[q] == n - 1 for q in _interior(n) if q not in fixed and q != p
+    )
+    if len(fixed) != 1 or not collapsed or t[p] != n - 1:
+        raise CaseExhaustionError(
+            f"{format_transformation(t)} matches no structural case; "
+            f"fixed interior states {fixed}, walk target {t[p]}"
+        )
+    return "12"
+
+
+def old_build(t: Sequence[int], case: str) -> Sequence[int]:
+    # the image of t under its case, of the same sequence type as t
+    if case == "1":
+        return t
+    n = len(t)
+    p = t[0]
+    imgs = list(t)
+    imgs[0] = n - 1
+    if case in ("2", "3"):
+        # reverse the walk of 0; p goes to the least cycle state or stays
+        chain = _zero_chain(t)
+        imgs[p] = min(q for c in cycles(t) for q in c) if case == "2" else p
+        for i in range(1, len(chain)):
+            imgs[chain[i]] = chain[i - 1]
+    elif case == "4":
+        r = min(q for q in _interior_fixed(t) if in_degree(t, q) >= 2)
+        imgs[p] = r
+    elif case == "5":
+        r = min(
+            q
+            for q in _interior(n)
+            if in_degree(t, q) >= 1
+            and t[q] != q
+            and t[q] != n - 1
+            and t[t[q]] == n - 1
+        )
+        imgs[p] = t[r]
+    elif case.startswith("6"):
+        r = min(q for q in _interior(n) if in_degree(t, q) >= 2)
+        pre = sorted(q for q in range(n) if t[q] == r)
+        if case == "6(p<r)":
+            q1, q2 = pre[0], pre[1]
+        else:
+            q1, q2 = pre[1], pre[0]
+        imgs[p] = q1
+        imgs[r] = q1
+        imgs[q1] = q2
+        imgs[q2] = n - 1
+    elif case.startswith("7"):
+        q1, q2 = _eligible_movers(t)[:2]
+        r1 = t[q1]
+        imgs[p] = q1
+        imgs[r1] = q1
+        imgs[q1] = n - 1 if case == "7(i)" else q2
+    elif case == "8":
+        isolated = [r for r in _interior_fixed(t) if in_degree(t, r) == 1]
+        r1, r2 = isolated[0], isolated[1]
+        imgs[p] = r2
+        imgs[r1] = r2
+        imgs[r2] = r1
+    elif case == "9":
+        q = _eligible_movers(t)[0]
+        r = t[q]
+        f = _interior_fixed(t)[0]
+        imgs[p] = r
+        imgs[r] = q
+        imgs[q] = p
+        imgs[f] = r
+    elif case in ("10", "11(i)", "11(ii)"):
+        q = _eligible_movers(t)[0]
+        r = t[q]
+        imgs[p] = q
+        imgs[r] = q
+        imgs[q] = n - 1
+        if case == "11(ii)":
+            r1, r2 = sorted(set(_interior(n)) - {p, q, r})[:2]
+            imgs[r1] = r2
+            imgs[r2] = r1
+    else:  # case 12
+        f = _interior_fixed(t)[0]
+        imgs[p] = f
+        r1, r2 = sorted(set(_interior(n)) - {p, f})[:2]
+        imgs[r1] = r2
+        imgs[r2] = r1
+    return type(t)(imgs)
+
+
+def old_focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
+    if not ctx.colliding:
+        return []  # only colliding pairs are kept
+    return [
+        ((x, y), z)
+        for x, y, z in sorted(focused_triples(s))
+        if (x, y) in ctx.colliding
+    ]
+
+
+def old_inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
+    # phi_inverse on an image sequence
+    if ctx.n < 7:
+        raise ValueError("the embedding needs n >= 7")
+    n = len(s)
+    if n != ctx.n:
+        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+    fc = old_focused_colliding(s, ctx)
+    if not fc:
+        return s  # case 1
+    cycs = cycles(s)
+    if cycs:
+        return _invert_with_cycles(s, ctx, fc, cycs)
+    return old_invert_acyclic(s, ctx, fc)
+
+
+def old_invert_acyclic(s, ctx, fc) -> Sequence[int]:
+    n = len(s)
+    on_fixed = [(pair, z) for pair, z in fc if z in pair and s[z] == z]
+    if on_fixed:
+        # fixed target inside the pair: cases 3 and 4
+        if len(on_fixed) != 1:
+            raise NotInImageError("several focused colliding pairs hit fixed points")
+        (x, y), z = on_fixed[0]
+        deg = in_degree(s, z)
+        if deg == 2:
+            return _rebuild_chain(s, z, ctx)  # case 3
+        if deg >= 3:
+            return _restore(s, x + y - z, {})  # case 4
+        raise NotInImageError("fixed focus target with in-degree 1")
+    if len(fc) > 1:
+        # case 5 with several pairs: the walk start is their intersection
+        common = set(fc[0][0])
+        for pair, _ in fc[1:]:
+            common &= set(pair)
+        if len(common) != 1:
+            raise NotInImageError("focused pairs share no single state")
+        return _restore(s, common.pop(), {})
+    # a single focused pair whose target is not a fixed point of the pair
+    (x, y), z = fc[0]
+    hops, w = 0, z
+    while w != n - 1 and hops <= n:
+        w = s[w]
+        hops += 1
+    if hops == 2:
+        # case 6: two-step descent through the former shared preimages
+        q1, q2 = z, s[z]
+        p, r = (min(x, y), max(x, y)) if q1 < q2 else (max(x, y), min(x, y))
+        return _restore(s, p, {q1: r, q2: r, r: n - 1})
+    if hops == 3:
+        # case 7(ii)
+        r1 = min(x, y)
+        return _restore(s, max(x, y), {r1: n - 1, z: r1})
+    if hops != 1:
+        raise NotInImageError("focus target walks too far")
+    dx, dy = in_degree(s, x), in_degree(s, y)
+    if (dx == 0) != (dy == 0):
+        # case 5 with one pair: the walk start took no traffic
+        return _restore(s, x if dx == 0 else y, {})
+    if dx != 0:
+        raise NotInImageError("both pair states receive traffic")
+    movers = [
+        w for w in _interior(n) if w not in (x, y) and s[w] != w and s[w] != n - 1
+    ]
+    if movers or not _interior_fixed(s):
+        # cases 7(i) and 11(i)
+        p, r = min(x, y), max(x, y)
+    else:
+        # case 10
+        p, r = max(x, y), min(x, y)
+    return _restore(s, p, {r: n - 1, z: r})
+
+
+def outcome(f, *args):
+    # a result, or the type and message of what f raised
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - every raise is compared
+        return type(e), str(e)
+
+
+def assert_kernel_matches_oracle(maps, ctx):
+    # label, image and inverse of each map, or the same exception
+    for t in maps:
+        case = outcome(_case, t, ctx)
+        assert case == outcome(old_case, t, ctx), t
+        if isinstance(case, str):
+            image = _build(t, case)
+            assert image == old_build(t, case), t
+            assert outcome(_inverse, image, ctx) == outcome(old_inverse, image, ctx), t
+
+
+def test_kernel_matches_oracle_on_bsf_seven_and_near_wsf_maps():
+    # every b_sf map, then every map with n-1 fixed that sends 0 or all
+    # interior states to n-1: those with 0 among their images fail the
+    # guard, and a w_sf test that forgot 0 would call them case 1
+    ctx = PhiContext(7, frozenset())
+    assert_kernel_matches_oracle([t.images for t in enumerate_bsf(7)], ctx)
+    near = [(6, *mid, 6) for mid in itertools.product(range(7), repeat=5)]
+    near += [(p, 6, 6, 6, 6, 6, 6) for p in range(6)]
+    assert sum(0 in t for t in near) > 0
+    assert_kernel_matches_oracle(near, ctx)
+    assert_kernel_matches_oracle([bytes(t) for t in near], ctx)
+
+
+def test_kernel_matches_oracle_on_vsf_seven(v7, v7_ctx):
+    assert_kernel_matches_oracle(v7.raw, v7_ctx)
+    # every w_sf map through the inverse: most are no image at all
+    for s in enumerate_wsf(7).raw:
+        assert outcome(_inverse, s, v7_ctx) == outcome(old_inverse, s, v7_ctx), s
+
+
+def test_kernel_matches_oracle_on_criterion_five_samples():
+    for d in draw_seven_state_dfas():
+        sg = transition_semigroup(d)
+        assert_kernel_matches_oracle(sg.raw, PhiContext.from_semigroup(sg))

@@ -20,6 +20,7 @@ from sfsyn.semigroup import (
     in_bsf,
     in_bsf_images,
     in_wsf,
+    in_wsf_images,
     is_irreducibly_generated,
     semiconstant_family,
     vsf_generators,
@@ -217,6 +218,39 @@ def test_in_bsf_matches_power_oracle_exhaustively():
             assert_walk_matches_power_oracle(imgs)
     for prefix in itertools.product(range(1, 7), repeat=6):
         assert_walk_matches_power_oracle(prefix + (6,))
+
+
+def collapses_and_bsf(images):
+    # the two-step w_sf test in_wsf_images replaced: 0 or every
+    # interior state maps to n-1, and the b_sf walk passes
+    last = len(images) - 1
+    collapses = images[0] == last or all(images[q] == last for q in range(1, last))
+    return collapses and in_bsf_images(images)
+
+
+def test_in_wsf_images_matches_collapse_and_bsf_exhaustively():
+    # every one of the n^n maps on 1..6 states, as tuples and as raw
+    # byte maps
+    members = []
+    for n in range(1, 7):
+        count = 0
+        for imgs in itertools.product(range(n), repeat=n):
+            expected = collapses_and_bsf(imgs)
+            assert in_wsf_images(imgs) == expected, imgs
+            assert in_wsf_images(bytes(imgs)) == expected, imgs
+            count += expected
+        members.append(count)
+    # w_sf(n) has (n-1)^(n-2) + n - 2 maps from n = 2 on
+    assert members == [0, 1, 3, 11, 67, 629]
+
+
+def test_in_wsf_unchanged_on_bsf_seven():
+    kept = 0
+    for t in enumerate_bsf(7):
+        expected = collapses_and_bsf(t.images)
+        assert in_wsf(t) == expected, t
+        kept += expected
+    assert kept == wsf_bound(7)
 
 
 def test_bsf_counts_frozen():
