@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 import time
 from collections.abc import Iterator
@@ -276,17 +275,11 @@ def cmd_phi(args) -> int:
 
 
 def cmd_search(args) -> int:
-    checkpoint_dir = os.environ.get("SFSYN_CHECKPOINT_DIR") or None
     try:
         result = search_max(
-            args.n,
-            args.target,
-            max_letters=args.max_letters,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=args.resume,
-            threads=args.threads,
+            args.n, args.target, max_letters=args.max_letters, threads=args.threads
         )
-    except (ValueError, OSError) as e:
+    except ValueError as e:
         raise UsageError(str(e)) from None
     print(json.dumps(result.to_json(), indent=2))
     return 0 if result.uniqueness_confirmed else 1
@@ -369,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--max-letters", type=int, default=DEFAULT_MAX_LETTERS)
-    p.add_argument("--resume", default=None, help="checkpoint file to resume from")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("letters", help="evidence that every witness letter is needed")

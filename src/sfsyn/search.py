@@ -93,9 +93,8 @@ states.  The sorted tuple must start with the least of those
 one-letter forms, so only labellings giving some letter that form are
 tried on the whole tuple.  One search_max call keeps a memo of the
 one-letter results, shared by all of its canonicalizations and dropped
-when it returns; canonicalize, parse_fingerprint and each chunk of
-work in a worker process start with an empty one, and a checkpoint
-load keeps one for its whole file.
+when it returns; canonicalize and each chunk of work in a worker
+process start with an empty one.
 
 An open branch's extensions are canonicalized together, and the work
 done on the branch serves all of them.  The least one-letter form of
@@ -131,11 +130,10 @@ letters, which keeps irreducibility.
 
 A class travels as its fingerprint: the bytes of n, the letter count
 and the canonical letters' images.  A level is the sorted tuple of its
-fingerprints from initial_level through the level loop to the
-checkpoint files, which also carry the level index, the letter count
-of every fingerprint in the file.  Only canonicalize and
-parse_fingerprint build CanonicalSemiautomaton objects, with
-Transformation letters.
+fingerprints from initial_level through the level loop.  Every
+fingerprint the search decodes is one it made itself, so decoding only
+slices it.  Only canonicalize builds CanonicalSemiautomaton objects,
+with Transformation letters.
 
 Reported semigroups are told apart by their size and the same form of
 their members, not by a fingerprint, whose count byte cannot hold a
@@ -159,7 +157,7 @@ terminal and open semiautomata, its wall time, and the seconds its
 semiautomata spent being judged (closure through filter) and
 canonicalizing their extensions, summed over worker processes; none of
 that enters the report.  The letter-cap warning gives the capped
-level's candidates, or a resumed level's size if it starts past the cap.
+level's candidates.
 
 Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -342,38 +340,9 @@ def canonicalize(letters: Sequence[Transformation]) -> CanonicalSemiautomaton:
 
 
 def _decode_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
-    if len(fp) < 2:
-        raise ValueError("fingerprint too short")
+    # the inverse of _fingerprint, the only source of the bytes it reads
     n, count = fp[0], fp[1]
-    body = fp[2:]
-    if len(body) != n * count or count == 0:
-        raise ValueError(f"fingerprint length {len(fp)} does not match n={n}, letters={count}")
-    letters = tuple(body[i * n : (i + 1) * n] for i in range(count))
-    for t in letters:
-        if any(v >= n for v in t):
-            raise ValueError("fingerprint contains an out-of-range state")
-    return n, letters
-
-
-def _check_canonical(letters: tuple[RawMap, ...], forms: _LetterForms | None = None) -> None:
-    if _canonical_letters(letters, forms) != letters:
-        raise ValueError("fingerprint is not in canonical form")
-
-
-def parse_fingerprint(fp: bytes) -> CanonicalSemiautomaton:
-    """Rebuild a canonical semiautomaton from its fingerprint bytes.
-
-    The encoding is [n, letter count] followed by the concatenated
-    image tables, so the fingerprint alone carries the whole object.
-    Rejects bytes that do not decode to a canonical form.
-    """
-    n, letters = _decode_fp(fp)
-    _check_canonical(letters)
-    return CanonicalSemiautomaton(
-        n=n,
-        letters=tuple(Transformation(tuple(t)) for t in letters),
-        fingerprint=bytes(fp),
-    )
+    return n, tuple(fp[i : i + n] for i in range(2, 2 + n * count, n))
 
 
 # ------------------------------------------------------------ pair machinery
@@ -879,72 +848,11 @@ def _classify_other(members: frozenset[RawMap], ctx: _Context) -> str:
     return "other"
 
 
-# the tag names the pointed form, so a level written in any other
-# canonical form is refused rather than resumed in part
-_CHECKPOINT_TAG = "sfsyn-pointed-search"
-
-
-def _check_size(n: int) -> None:
-    if not 4 <= n <= 7:
-        raise ValueError(f"the exhaustive search supports 4 <= n <= 7, got {n}")
-
-
-def save_checkpoint(path: str, level_index: int, n: int, level: Iterable[bytes]) -> None:
-    """One fingerprint per line under a level header, written atomically."""
-    lines = [f"# {_CHECKPOINT_TAG} level={level_index} n={n}"]
-    lines.extend(fp.hex() for fp in sorted(level))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def load_checkpoint(path: str) -> tuple[int, int, tuple[bytes, ...]]:
-    """Read a checkpoint back: (n, level index, fingerprints).  Level k
-    holds k-letter semiautomata, and every letter must be a pool map, as
-    the search only ever writes those.  A file without fingerprints is
-    refused: the search never writes an empty level, and resuming one
-    would judge nothing."""
-    with open(path, encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or not lines[0].startswith(f"# {_CHECKPOINT_TAG} "):
-        raise ValueError(f"{path} is not a pointed search checkpoint")
-    fields = dict(part.partition("=")[::2] for part in lines[0][2:].split()[1:])
-    try:
-        n = int(fields["n"])
-        level_index = int(fields["level"])
-    except (KeyError, ValueError):
-        raise ValueError(f"{path}: checkpoint header needs integer n= and level= fields") from None
-    _check_size(n)
-    if level_index < 1:
-        raise ValueError(f"{path}: checkpoint level must be at least 1, got {level_index}")
-    pool = frozenset(_context(n).pool)
-    fps = tuple(bytes.fromhex(line) for line in lines[1:])
-    if not fps:
-        raise ValueError(f"{path}: checkpoint holds no semiautomata")
-    forms = _LetterForms()
-    for fp in fps:
-        fp_n, letters = _decode_fp(fp)
-        if fp_n != n:
-            raise ValueError(f"checkpoint mixes state counts: {fp_n} vs {n}")
-        _check_canonical(letters, forms)
-        if len(letters) != level_index:
-            raise ValueError(
-                f"{path}: level {level_index} holds a semiautomaton with {len(letters)} letters"
-            )
-        for t in letters:
-            if t not in pool:
-                raise ValueError(f"{path}: letter {list(t)} is not in the search pool")
-    return n, level_index, fps
-
-
 def search_max(
     n: int,
     target: int | None = None,
     *,
     max_letters: int = DEFAULT_MAX_LETTERS,
-    checkpoint_dir: str | None = None,
-    resume_from: str | None = None,
     threads: int = 1,
     prune: bool = True,
 ) -> SearchResult:
@@ -966,12 +874,9 @@ def search_max(
     which is only tractable for n=4.  threads worker processes judge
     each level; more than os.cpu_count() are refused before any starts,
     as the pool forks every worker at once.
-
-    A resumed run re-explores from the checkpointed level on; records
-    from earlier levels are not replayed, which is harmless for the
-    uniqueness question since confirmations are recomputed.
     """
-    _check_size(n)
+    if not 4 <= n <= 7:
+        raise ValueError(f"the exhaustive search supports 4 <= n <= 7, got {n}")
     if target is not None and target < 1:
         raise ValueError("target must be positive")
     if max_letters < 1:
@@ -985,20 +890,14 @@ def search_max(
     if target is None:
         target = max(len(ctx.vsf_elements), wsf_bound(n))
     started = time.perf_counter()
-    if resume_from is not None:
-        file_n, level_index, level = load_checkpoint(resume_from)
-        if file_n != n:
-            raise ValueError(f"checkpoint is for n={file_n}, search asked for n={n}")
-        logger.info("resuming at level %d with %d semiautomata", level_index, len(level))
-    else:
-        level_index = 1
-        level = initial_level(n)
-        logger.info(
-            "level 1 built: %d classes of %d pool maps in %.3f s",
-            len(level),
-            len(ctx.pool),
-            time.perf_counter() - started,
-        )
+    level_index = 1
+    level = initial_level(n)
+    logger.info(
+        "level 1 built: %d classes of %d pool maps in %.3f s",
+        len(level),
+        len(ctx.pool),
+        time.perf_counter() - started,
+    )
 
     visited = 0
     pruned = 0
@@ -1016,16 +915,7 @@ def search_max(
     rows = _ProductRows(ctx)
 
     while level:
-        if level_index > max_letters:  # only a resumed level starts past the cap
-            unexplored = len(level)
-            break
-        if checkpoint_dir is not None:
-            os.makedirs(checkpoint_dir, exist_ok=True)
-            save_checkpoint(
-                os.path.join(checkpoint_dir, f"level_{level_index:02d}.txt"), level_index, n, level
-            )
         level_started = time.perf_counter()
-        level = tuple(sorted(level))
         level_sizes.append(len(level))
         at_cap = level_index == max_letters
         work = [(fp, n, target, prune, at_cap) for fp in level]

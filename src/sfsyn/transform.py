@@ -5,8 +5,8 @@ images, so ``t[q]`` is the image of state q.  Composition is read left
 to right: ``q (s * t) = (q s) t``, matching the way a word uv acts on a
 DFA state (first u, then v).
 
-format_transformation, in_degree, cycles and zero_path also take a
-bare image sequence: a tuple, or a raw byte map.
+format_transformation, cycles and zero_path also take a bare image
+sequence: a tuple, or a raw byte map.
 
 Throughout the package state 0 is reserved for the initial state of a
 DFA and state n-1 for its empty (sink) state; several predicates in
@@ -81,14 +81,6 @@ def _images(t: Transformation | Sequence[int]) -> Sequence[int]:
 
 def format_transformation(t: Transformation | Sequence[int]) -> str:
     return " ".join(str(i) for i in _images(t))
-
-
-def in_degree(t: Transformation | Sequence[int], q: int) -> int:
-    """Number of states mapped onto q by t."""
-    images = _images(t)
-    if not 0 <= q < len(images):
-        raise ValueError(f"state {q} out of range for n={len(images)}")
-    return images.count(q)
 
 
 def cycles(t: Transformation | Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -18,6 +18,7 @@ from sfsyn.dfa import (
     suffix_free_violation,
     witness,
 )
+import sfsyn.search as search_module
 from sfsyn.search import search_max
 from sfsyn.transform import Transformation
 
@@ -267,21 +268,12 @@ def test_search_four_emits_json_and_succeeds(capsys):
     assert doc["others"] == []
 
 
-def test_search_checkpoints_via_environment(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SFSYN_CHECKPOINT_DIR", str(tmp_path))
-    code = main(["search", "--n", "4"])
-    capsys.readouterr()
-    assert code == 0
-    assert "level_01.txt" in os.listdir(tmp_path)
-
-
-def test_search_reporting_an_other_past_255_members_exits_one(tmp_path, capsys):
-    # one of the level-2 semiautomata of --n 6 --target 500
-    # --max-letters 2 whose closure holds 545 maps, resumed alone
-    # instead of the whole level
-    path = tmp_path / "level_02.txt"
-    path.write_text("# sfsyn-pointed-search level=2 n=6\n0602050101020305050204010305\n")
-    argv = ["search", "--n", "6", "--target", "500", "--max-letters", "2", "--resume", str(path)]
+def test_search_reporting_an_other_past_255_members_exits_one(monkeypatch, capsys):
+    # the level-1 branch of --n 6 --target 500 --max-letters 2 whose
+    # extensions close to 545 maps, searched alone instead of all 70
+    branch = bytes.fromhex("0601050101020305")
+    monkeypatch.setattr(search_module, "initial_level", lambda n: (branch,))
+    argv = ["search", "--n", "6", "--target", "545", "--max-letters", "2"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert not err.startswith("error: ")
@@ -293,6 +285,17 @@ def test_search_range_is_a_usage_error(capsys):
     assert main(["search", "--n", "3"]) == 2
     _, err = capsys.readouterr()
     assert "4 <= n <= 7" in err
+
+
+def test_search_has_no_resume_option(capsys):
+    # an unknown option is argparse's usage error, not a traceback
+    with pytest.raises(SystemExit) as raised:
+        main(["search", "--n", "4", "--resume", "x"])
+    assert raised.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --resume x" in err
+    assert "Traceback" not in err
 
 
 def test_search_with_more_threads_than_cpus_is_a_usage_error(capsys):
@@ -436,88 +439,6 @@ def test_default_log_level_writes_warnings_as_bare_messages():
     quiet = run_cli("--log-level", "error", "search", "--n", "4", "--target", "5", "--max-letters", "1")
     assert quiet.stderr == ""
     assert json.loads(quiet.stdout)["statistics"]["capped"] is True
-
-
-def test_search_resume_from_missing_file_is_a_usage_error(tmp_path, capsys):
-    path = os.path.join(tmp_path, "nope.txt")
-    assert main(["search", "--n", "4", "--resume", path]) == 2
-    _, err = capsys.readouterr()
-    assert err.startswith("error: ")
-    assert "nope.txt" in err
-
-
-def test_search_resume_from_malformed_header_is_a_usage_error(tmp_path, capsys):
-    path = os.path.join(tmp_path, "level_01.txt")
-    with open(path, "w") as fh:
-        fh.write("# sfsyn-pointed-search level=1\n")
-    assert main(["search", "--n", "4", "--resume", path]) == 2
-    _, err = capsys.readouterr()
-    assert err.startswith("error: ")
-    assert "n= and level=" in err
-
-
-def test_search_resume_from_full_permutation_checkpoint_is_a_usage_error(tmp_path, capsys):
-    # a level written by the earlier search, whose classes ran over
-    # every state permutation, is refused rather than resumed in part
-    path = os.path.join(tmp_path, "level_01.txt")
-    with open(path, "w") as fh:
-        fh.write("# sfsyn-search level=1 n=4\n040100000102\n")
-    assert main(["search", "--n", "4", "--resume", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "level_01.txt" in err
-    assert "Traceback" not in err
-
-
-def test_search_resume_with_a_letter_outside_the_pool_is_a_usage_error(tmp_path, capsys):
-    # the semiconstant 3 1 2 3 is admissible but never a search letter
-    path = os.path.join(tmp_path, "level_01.txt")
-    with open(path, "w") as fh:
-        fh.write("# sfsyn-pointed-search level=1 n=4\n040103010203\n")
-    assert main(["search", "--n", "4", "--resume", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "not in the search pool" in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "body, message",
-    [("", "holds no semiautomata"), (bytes([12, 1, 2, *[11] * 11]).hex(), "mixes state counts")],
-    ids=["empty", "twelve-states"],
-)
-def test_search_resume_from_a_level_it_cannot_judge_is_a_usage_error(
-    tmp_path, capsys, body, message
-):
-    # an empty level would confirm uniqueness without judging anything
-    path = os.path.join(tmp_path, "level_01.txt")
-    with open(path, "w") as fh:
-        fh.write(f"# sfsyn-pointed-search level=1 n=5\n{body}\n")
-    assert main(["search", "--n", "5", "--resume", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ")
-    assert message in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("index, letters", [("-3", 1), ("1", 2)])
-def test_search_resume_from_a_mislabelled_level_is_a_usage_error(tmp_path, capsys, index, letters):
-    # a level header disagreeing with its fingerprints' letter count
-    search_max(4, target=3, prune=False, max_letters=2, checkpoint_dir=str(tmp_path))
-    with open(os.path.join(tmp_path, f"level_{letters:02d}.txt")) as fh:
-        fingerprints = fh.read().splitlines()[1:]
-    path = os.path.join(tmp_path, "relabelled.txt")
-    with open(path, "w") as fh:
-        fh.write("\n".join([f"# sfsyn-pointed-search level={index} n=4", *fingerprints]) + "\n")
-    assert main(["search", "--n", "4", "--max-letters", "2", "--resume", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ")
-    assert "relabelled.txt" in err
-    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["phi", "suffix-free"])

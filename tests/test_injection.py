@@ -42,7 +42,7 @@ from sfsyn.semigroup import (
     vsf_generators,
     wsf_bound,
 )
-from sfsyn.transform import Transformation, cycles, format_transformation, in_degree, zero_path
+from sfsyn.transform import Transformation, cycles, format_transformation, zero_path
 from test_acceptance import draw_seven_state_dfas
 
 
@@ -481,6 +481,10 @@ def test_strict_bound_witness_outside_wsf_is_a_case_exhaustion(v7, monkeypatch):
 # from the module (_interior, _eligible_movers, _interior_fixed,
 # _zero_chain, _rebuild_chain, _restore, _invert_with_cycles) are
 # unchanged since.
+
+
+def in_degree(t: Sequence[int], q: int) -> int:
+    return list(t).count(q)
 
 
 def collapses(images):

@@ -19,6 +19,7 @@ from sfsyn.semigroup import (
     enumerate_bsf,
     enumerate_wsf,
     in_bsf,
+    irreducible_raw,
     is_irreducibly_generated,
     raw_table,
     semiconstant_family,
@@ -38,6 +39,7 @@ from sfsyn.search import (
     _confirmed_extremes,
     _context,
     _decode_fp,
+    _expand_one,
     _fingerprint,
     _leaf_verdict,
     _LetterForms,
@@ -48,9 +50,6 @@ from sfsyn.search import (
     SemigroupRecord,
     canonicalize,
     initial_level,
-    load_checkpoint,
-    parse_fingerprint,
-    save_checkpoint,
     search_max,
 )
 
@@ -226,22 +225,9 @@ def test_letter_forms_of_drawn_maps(data, n):
 
 def test_fingerprint_roundtrip():
     sa = canonicalize(witness(5).delta)
-    back = parse_fingerprint(sa.fingerprint)
-    assert back == sa
-
-
-def test_parse_fingerprint_rejects_bad_bytes():
-    with pytest.raises(ValueError):
-        parse_fingerprint(b"\x05")
-    with pytest.raises(ValueError):
-        parse_fingerprint(bytes([4, 2, 1, 3, 3, 3]))  # body shorter than 2 letters
-    with pytest.raises(ValueError):
-        parse_fingerprint(bytes([4, 1, 1, 3, 9, 3]))  # state out of range
-    sa = canonicalize([Transformation((1, 3, 3, 3)), Transformation((3, 1, 2, 3))])
-    a, b = sa.letters
-    swapped = bytes([4, 2]) + bytes(b.images) + bytes(a.images)
-    with pytest.raises(ValueError):
-        parse_fingerprint(swapped)  # letters out of order: not canonical
+    letters = tuple(bytes(t.images) for t in sa.letters)
+    assert _fingerprint(letters, 5) == sa.fingerprint
+    assert _decode_fp(sa.fingerprint) == (5, letters)
 
 
 # ------------------------------------------------ exact-additions oracle
@@ -566,21 +552,26 @@ def test_initial_level_covers_exactly_the_pool_classes():
     assert pool_fps == level_fps
 
 
-def four_state_level_two(tmp_path):
-    search_max(4, target=3, prune=False, max_letters=2, checkpoint_dir=str(tmp_path))
-    n, index, level = load_checkpoint(os.path.join(tmp_path, "level_02.txt"))
-    assert (n, index) == (4, 2)
-    return level
+def four_state_level_two():
+    # level 2 of search_max(4, target=3, prune=False): the extensions of
+    # every level-1 branch, kept when irreducible, as the level loop does
+    forms, rows = _LetterForms(), _ProductRows(_context(4))
+    fps = set()
+    for fp in initial_level(4):
+        fps.update(_expand_one((fp, 4, 3, False, False), forms, rows)["extensions"])
+    return tuple(fp for fp in sorted(fps) if irreducible_raw(_decode_fp(fp)[1]))
 
 
-def test_search_level_two_grows_canonically_and_irreducibly(tmp_path):
-    level2 = four_state_level_two(tmp_path)
+def test_search_level_two_grows_canonically_and_irreducibly():
+    level2 = four_state_level_two()
     assert len(level2) == 25
     assert list(level2) == sorted(level2)
     for fp in level2:
-        sa = parse_fingerprint(fp)  # refuses a non-canonical fingerprint
-        assert len(sa.letters) == 2
-        assert is_irreducibly_generated(sa.letters)
+        n, letters = _decode_fp(fp)
+        assert n == 4
+        assert _canonical_letters(letters) == letters
+        assert len(letters) == 2
+        assert is_irreducibly_generated([Transformation(tuple(t)) for t in letters])
 
 
 # ------------------------------------------------------- candidate filter
@@ -644,10 +635,10 @@ def filter_census(level, ctx):
     return branches, additions, kept_total
 
 
-def test_filter_keeps_every_exact_addition_at_four_states(tmp_path):
+def test_filter_keeps_every_exact_addition_at_four_states():
     ctx = _context(4)
     assert filter_census(initial_level(4), ctx) == (6, 45, 45)
-    assert filter_census(four_state_level_two(tmp_path), ctx) == (25, 127, 127)
+    assert filter_census(four_state_level_two(), ctx) == (25, 127, 127)
 
 
 def test_filter_keeps_every_exact_addition_at_five_states():
@@ -1112,128 +1103,16 @@ def test_letter_cap_disables_the_uniqueness_claim():
         search_max(4, max_letters=0)
 
 
-def test_resuming_past_the_letter_cap_explores_nothing(tmp_path):
-    level2 = four_state_level_two(tmp_path)
-    r = search_max(
-        4, target=3, prune=False, max_letters=1, resume_from=os.path.join(tmp_path, "level_02.txt")
-    )
-    assert len(level2) == 25
-    assert r.stats.capped
-    assert r.stats.visited == 0
-    assert r.stats.level_sizes == ()
-    assert not r.uniqueness_confirmed
+# the level-1 branch on 6 states whose extensions include semigroups of
+# 545 maps; search_max(6, 500, max_letters=2) finds them among all 70
+FIVE_FORTY_FIVE_BRANCH = bytes.fromhex("0601050101020305")
 
 
-def test_checkpoint_roundtrip(tmp_path):
-    level = initial_level(4)
-    path = os.path.join(tmp_path, "level_01.txt")
-    save_checkpoint(path, 1, 4, level)
-    n, idx, fps = load_checkpoint(path)
-    assert (n, idx) == (4, 1)
-    assert sorted(fps) == sorted(level)
-
-
-@pytest.mark.parametrize("index", [0, -3])
-def test_checkpoint_refuses_a_level_below_one(tmp_path, index):
-    path = os.path.join(tmp_path, "level_01.txt")
-    fps = "\n".join(fp.hex() for fp in initial_level(4))
-    with open(path, "w") as fh:
-        fh.write(f"# sfsyn-pointed-search level={index} n=4\n{fps}\n")
-    with pytest.raises(ValueError, match="at least 1"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_refuses_letter_counts_other_than_its_level(tmp_path):
-    # level k holds k-letter semiautomata; a relabelled level would
-    # resume past the letter cap or record others at the wrong level
-    level2 = four_state_level_two(tmp_path)
-    for index, level in ((1, level2), (2, initial_level(4)), (3, level2)):
-        path = os.path.join(tmp_path, f"level_{index:02d}.txt")
-        save_checkpoint(path, index, 4, level)
-        with pytest.raises(ValueError, match=f"level {index} holds a semiautomaton with"):
-            load_checkpoint(path)
-
-
-def test_checkpoint_rejects_foreign_files(tmp_path):
-    path = os.path.join(tmp_path, "stray.txt")
-    for text in (
-        "not a checkpoint\n",
-        "# sfsyn-pointed-search level=1\n",
-        "# sfsyn-pointed-search n=4\n",
-        "# sfsyn-pointed-search level=one n=4\n",
-        "# sfsyn-pointed-search level n=4\n",
-        "# sfsyn-pointed-search level=1 n=8\n",
-    ):
-        with open(path, "w") as fh:
-            fh.write(text)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-
-def test_checkpoint_without_fingerprints_is_refused(tmp_path):
-    # the search never writes an empty level, and resuming one would
-    # judge nothing yet confirm uniqueness
-    path = os.path.join(tmp_path, "level_01.txt")
-    with open(path, "w") as fh:
-        fh.write("# sfsyn-pointed-search level=1 n=5\n")
-    with pytest.raises(ValueError, match="level_01.txt: checkpoint holds no semiautomata"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_checks_state_counts_before_canonical_form(tmp_path):
-    # a 12-state letter, not in canonical form, in a 5-state level is
-    # refused for its state count before any letter form is computed
-    path = os.path.join(tmp_path, "level_01.txt")
-    fp = bytes([12, 1, 2, *[11] * 11]).hex()
-    with open(path, "w") as fh:
-        fh.write(f"# sfsyn-pointed-search level=1 n=5\n{fp}\n")
-    with pytest.raises(ValueError, match="mixes state counts: 12 vs 5"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_of_full_permutation_classes_is_refused(tmp_path):
-    # a level of the earlier search, which took letters up to every
-    # state permutation, must not resume as a partial pointed level
-    path = os.path.join(tmp_path, "level_01.txt")
-    fps = "\n".join(fp.hex() for fp in initial_level(4))
-    with open(path, "w") as fh:
-        fh.write(f"# sfsyn-search level=1 n=4\n{fps}\n")
-    with pytest.raises(ValueError, match="level_01.txt"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize(
-    "letter",
-    [(3, 1, 2, 3), (3, 3, 3, 3), (0, 1, 2, 3), (1, 2, 0, 3)],
-    ids=["semiconstant", "constant", "identity", "not-admissible"],
-)
-def test_checkpoint_rejects_letters_outside_the_pool(tmp_path, letter):
-    path = os.path.join(tmp_path, "level_01.txt")
-    fp = canonicalize([Transformation(letter)]).fingerprint.hex()
-    with open(path, "w") as fh:
-        fh.write(f"# sfsyn-pointed-search level=1 n=4\n{fp}\n")
-    with pytest.raises(ValueError, match="not in the search pool"):
-        load_checkpoint(path)
-
-
-def test_search_writes_and_resumes_checkpoints(tmp_path):
-    fresh = search_max(5, checkpoint_dir=str(tmp_path))
-    written = sorted(os.listdir(tmp_path))
-    assert written == ["level_01.txt"]
-    resumed = search_max(5, resume_from=os.path.join(tmp_path, "level_01.txt"))
-    assert resumed.to_json(include_timing=False) == fresh.to_json(include_timing=False)
-
-
-# one of the twelve level-2 semiautomata on 6 states whose closure holds
-# 545 maps, found by search_max(6, 500, max_letters=2)
-FIVE_FORTY_FIVE = "0602050101020305050204010305"
-
-
-def test_an_other_of_more_than_255_members_is_reported(tmp_path):
+def test_an_other_of_more_than_255_members_is_reported(monkeypatch):
     # a report key with its size in one byte overflowed past 255 members
-    path = tmp_path / "level_02.txt"
-    path.write_text(f"# sfsyn-pointed-search level=2 n=6\n{FIVE_FORTY_FIVE}\n")
-    r = search_max(6, 500, max_letters=2, resume_from=str(path))
+    monkeypatch.setattr(search_module, "initial_level", lambda n: (FIVE_FORTY_FIVE_BRANCH,))
+    r = search_max(6, 545, max_letters=2)
+    assert r.stats.level_sizes == (1, 572)
     assert [(o.kind, o.size, o.level) for o in r.others] == [("other", 545, 2)]
     assert r.max_size_found == 629
     assert not r.uniqueness_confirmed
