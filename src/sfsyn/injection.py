@@ -14,13 +14,15 @@ The embedding is what bounds the semigroup size by
 semigroup has a colliding pair at all.
 
 One implementation works on image sequences (tuples or raw byte maps)
-and names cases by label; verify_injective runs it on raw maps, and
-phi, classify and phi_inverse wrap it for Transformation objects.
-Case 1, where phi is the identity, is one w_sf test on the raw map
-(in_wsf_images); only a map outside w_sf runs the b_sf guard and has
-its in-degrees and interior fixed points read, once.  A semigroup
-with no colliding pair focuses nothing onto one, so under its empty
-collision context the inverse returns its input at once.
+and names cases by label; phi, classify and phi_inverse wrap it for
+Transformation objects.  Case 1, where phi is the identity, is one w_sf
+test on the raw map (in_wsf_images); only a map outside w_sf runs the
+b_sf guard and has its in-degrees and interior fixed points read, once.
+A semigroup with no colliding pair focuses nothing onto one, so under
+its empty collision context the inverse returns its input at once.
+
+verify_injective decides case 1 in its own loop, where the embedding
+would return the map itself, and sends only the other maps through it.
 """
 from __future__ import annotations
 
@@ -538,8 +540,17 @@ class InjectivityReport:
 def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     """Run the embedding over a whole semigroup's raw maps and check all
     of its promises: images collapse, no duplicates, round-trips, size
-    bound."""
+    bound.
+
+    A map in w_sf that focuses no colliding pair is decided in the loop:
+    _phi would call it case 1, send it to itself and, as no focused pair
+    of it collides, get it back from the inverse, so neither the
+    embedding nor a second w_sf test runs on it.  Every other map goes
+    through _phi, a w_sf map that focuses a colliding pair included."""
     ctx = PhiContext.from_semigroup(sg)
+    if ctx.n < 7:  # _case checks it too, but case-1 maps never reach _case
+        raise ValueError("the embedding needs n >= 7")
+    colliding = ctx.colliding
     counts: dict[str, int] = {}
     # each image unequal to its own map, and the first map sent to it;
     # an image equal to its map needs no entry, as the maps are distinct
@@ -549,6 +560,13 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     round_trips = True
     counterexample = None
     for i, t in enumerate(sg.raw):
+        if in_wsf_images(t) and not (
+            colliding and any((x, y) in colliding for x, y, _ in focused_triples(t))
+        ):
+            counts["1"] = counts.get("1", 0) + 1
+            if duplicate is None and t in moved:  # t is sent to itself
+                duplicate = _shared_image(moved[t], t, t)
+            continue
         try:
             case, image = _phi(t, ctx)
         except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
@@ -574,10 +592,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
                     )
                     earlier = image if fixed_before else None
             if earlier is not None:
-                duplicate = (
-                    f"{format_transformation(earlier)} and {format_transformation(t)} "
-                    f"share the image {format_transformation(image)}"
-                )
+                duplicate = _shared_image(earlier, t, image)
         if not in_wsf_images(image):
             all_wsf = False
             counterexample = (
@@ -594,6 +609,13 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
         round_trips=round_trips,
         within_bound=sg.size <= wsf_bound(sg.n),
         counterexample=counterexample or duplicate,
+    )
+
+
+def _shared_image(earlier: RawMap, t: RawMap, image: RawMap) -> str:
+    return (
+        f"{format_transformation(earlier)} and {format_transformation(t)} "
+        f"share the image {format_transformation(image)}"
     )
 
 

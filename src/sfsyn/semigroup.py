@@ -61,10 +61,6 @@ class TransitionSemigroup:
         return tuple(Transformation(tuple(t)) for t in self.raw)
 
     @cached_property
-    def element_set(self) -> frozenset[Transformation]:
-        return frozenset(self.elements)
-
-    @cached_property
     def pair_scan(self) -> "PairScan":
         """The one pair scan (collisions.scan_pairs), run on first access."""
         from .collisions import scan_pairs  # collisions imports this module
@@ -118,9 +114,7 @@ def close_raw(
                 return None
             seen.add(s)
             order.append(s)
-    i = 0
-    while i < len(order):
-        x = order[i]
+    for x in order:  # the list grows while it is walked
         for tb in tables:
             y = x.translate(tb)
             if y not in seen:
@@ -128,7 +122,6 @@ def close_raw(
                     return None
                 seen.add(y)
                 order.append(y)
-        i += 1
     return order
 
 

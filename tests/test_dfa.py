@@ -132,8 +132,8 @@ def test_witness_semigroup_sizes():
 def test_witness_semigroup_is_exactly_the_collapsing_family():
     for n in (4, 5, 6, 7):
         assert (
-            transition_semigroup(witness(n)).element_set
-            == enumerate_wsf(n).element_set
+            transition_semigroup(witness(n)).raw_set
+            == enumerate_wsf(n).raw_set
         )
 
 

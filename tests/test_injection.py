@@ -12,6 +12,7 @@ from sfsyn.collisions import focused_triples, pair_statuses, verify_suffix_free_
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.injection import (
     CaseExhaustionError,
+    InjectivityReport,
     NotInImageError,
     PhiCase,
     PhiContext,
@@ -23,6 +24,7 @@ from sfsyn.injection import (
     _interior_fixed,
     _inverse,
     _invert_with_cycles,
+    _phi,
     _rebuild_chain,
     _restore,
     _zero_chain,
@@ -33,12 +35,14 @@ from sfsyn.injection import (
     verify_injective,
 )
 from sfsyn.semigroup import (
+    TransitionSemigroup,
     closure,
     enumerate_bsf,
     enumerate_wsf,
     in_bsf,
     in_bsf_images,
     in_wsf,
+    in_wsf_images,
     vsf_generators,
     wsf_bound,
 )
@@ -71,6 +75,11 @@ def v7():
 @pytest.fixture(scope="module")
 def v7_ctx(v7):
     return PhiContext.from_semigroup(v7)
+
+
+@pytest.fixture(scope="module")
+def criterion_five_semigroups():
+    return [transition_semigroup(d) for d in draw_seven_state_dfas()]
 
 
 # ------------------------------------------------------------ guard rails
@@ -277,59 +286,72 @@ def test_raw_hot_path_leaves_elements_unbuilt():
     assert not any(s.colliding for s in pair_statuses(sg))
     assert strict_bound_witness(sg) is None
     assert "elements" not in vars(sg)
-    assert "element_set" not in vars(sg)
+
+
+def test_embedding_refuses_fewer_than_seven_states():
+    # every element of witness(6) lies in w_sf, so no map reaches _phi
+    with pytest.raises(ValueError, match="needs n >= 7"):
+        verify_injective(transition_semigroup(witness(6)))
 
 
 def rewired(sg, monkeypatch, targets):
-    # a broken forward map sending element i to element targets[i]
+    # a broken forward map sending element i to the image the real one
+    # gives element targets[i].  Only maps outside case 1 reach _phi, so
+    # every rewired element must be one of them
     real = injection._phi
     index = {t: i for i, t in enumerate(sg.raw)}
+    reached = set()
 
     def phi(t, ctx):
         case, image = real(t, ctx)
         i = index[t]
-        return case, sg.raw[targets[i]] if i in targets else image
+        reached.add(i)
+        return case, real(sg.raw[targets[i]], ctx)[1] if i in targets else image
 
     monkeypatch.setattr(injection, "_phi", phi)
-    return verify_injective(sg)
+    report = verify_injective(sg)
+    assert reached >= targets.keys()
+    return report
 
 
-def test_duplicate_images_are_reported(monkeypatch):
+def test_duplicate_images_are_reported(v7, monkeypatch):
     # a broken forward map sending two elements onto a third one's
-    # image: the report names the first element whose image repeats
-    sg = transition_semigroup(witness(7))
-    report = rewired(sg, monkeypatch, {5: 3, 9: 3})
+    # image, that of an earlier case-1 element: the report names the
+    # first element whose image repeats
+    report = rewired(v7, monkeypatch, {4: 1, 6: 1})
     assert not report.images_distinct and report.all_images_collapsing and report.round_trips
     assert report.counterexample == (
-        "6 6 2 3 4 5 6 and 6 3 4 5 1 2 6 share the image 6 6 2 3 4 5 6"
+        "6 2 1 3 4 5 6 and 3 1 2 6 4 5 6 share the image 6 2 1 3 4 5 6"
     )
 
 
 @pytest.mark.parametrize(
     "targets, first, second, image",
     [
-        # 3 and 5 both move onto element 20, which itself moves onto 3:
-        # two moved images repeat, none equal to its own map
-        ({3: 20, 5: 20, 20: 3}, 3, 5, 20),
-        # 3 moves onto element 9, which comes later and keeps its image
+        # 3 and 5 both move onto the image of element 20, which comes
+        # later: two moved images repeat, none equal to its own map
+        ({3: 20, 5: 20}, 3, 5, 20),
+        # 3 moves onto element 9, a later case-1 element, which keeps
+        # its image
         ({3: 9}, 3, 9, 9),
     ],
 )
-def test_rewired_elements_sharing_an_image_are_reported(monkeypatch, targets, first, second, image):
-    sg = transition_semigroup(witness(7))
-    report = rewired(sg, monkeypatch, targets)
+def test_rewired_elements_sharing_an_image_are_reported(
+    v7, monkeypatch, targets, first, second, image
+):
+    # element 20 and element 9 are case 1, so each is its own image
+    report = rewired(v7, monkeypatch, targets)
     assert not report.images_distinct and report.all_images_collapsing and report.round_trips
     assert report.counterexample == (
-        f"{format_transformation(sg.raw[first])} and {format_transformation(sg.raw[second])} "
-        f"share the image {format_transformation(sg.raw[image])}"
+        f"{format_transformation(v7.raw[first])} and {format_transformation(v7.raw[second])} "
+        f"share the image {format_transformation(v7.raw[image])}"
     )
 
 
-def test_rewired_elements_in_a_cycle_stay_distinct(monkeypatch):
-    # moving 3 -> 5 -> 9 -> 3 permutes the images: no repeat, even
+def test_rewired_elements_in_a_cycle_stay_distinct(v7, monkeypatch):
+    # moving 3 -> 5 -> 21 -> 3 permutes the images: no repeat, even
     # though each moved image is another element's
-    sg = transition_semigroup(witness(7))
-    report = rewired(sg, monkeypatch, {3: 5, 5: 9, 9: 3})
+    report = rewired(v7, monkeypatch, {3: 5, 5: 21, 21: 3})
     assert report.passed and report.counterexample is None
 
 
@@ -774,7 +796,102 @@ def test_kernel_matches_oracle_on_vsf_seven(v7, v7_ctx):
         assert outcome(_inverse, s, v7_ctx) == outcome(old_inverse, s, v7_ctx), s
 
 
-def test_kernel_matches_oracle_on_criterion_five_samples():
-    for d in draw_seven_state_dfas():
-        sg = transition_semigroup(d)
+def test_kernel_matches_oracle_on_criterion_five_samples(criterion_five_semigroups):
+    for sg in criterion_five_semigroups:
         assert_kernel_matches_oracle(sg.raw, PhiContext.from_semigroup(sg))
+
+
+# ------------------------------- the semigroup loop against its oracle
+#
+# verify_injective as it stood before it decided case 1 itself: every
+# map goes through _phi, and every image gets its own w_sf test.
+
+
+def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
+    ctx = PhiContext.from_semigroup(sg)
+    counts: dict[str, int] = {}
+    moved: dict[bytes, bytes] = {}
+    duplicate = None
+    all_wsf = True
+    round_trips = True
+    counterexample = None
+    for i, t in enumerate(sg.raw):
+        try:
+            case, image = _phi(t, ctx)
+        except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
+            counterexample = f"{format_transformation(t)}: {e}"
+            round_trips = False
+            break
+        counts[case] = counts.get(case, 0) + 1
+        if duplicate is None:
+            if image == t:
+                earlier = moved.get(t)
+            else:
+                earlier = moved.setdefault(image, t)
+                if earlier == t:
+                    fixed_before = (
+                        image in sg.raw_set
+                        and sg.raw.index(image) < i
+                        and _phi(image, ctx)[1] == image
+                    )
+                    earlier = image if fixed_before else None
+            if earlier is not None:
+                duplicate = (
+                    f"{format_transformation(earlier)} and {format_transformation(t)} "
+                    f"share the image {format_transformation(image)}"
+                )
+        if not in_wsf_images(image):
+            all_wsf = False
+            counterexample = (
+                f"{format_transformation(t)} maps to "
+                f"{format_transformation(image)}, which does not collapse"
+            )
+    return InjectivityReport(
+        n=sg.n,
+        size=sg.size,
+        bound=wsf_bound(sg.n),
+        case_counts=counts,
+        all_images_collapsing=all_wsf,
+        images_distinct=duplicate is None,
+        round_trips=round_trips,
+        within_bound=sg.size <= wsf_bound(sg.n),
+        counterexample=counterexample or duplicate,
+    )
+
+
+def assert_loop_matches_oracle(sg: TransitionSemigroup) -> InjectivityReport:
+    # every report byte, and the census in insertion order
+    report, expected = verify_injective(sg), old_verify_injective(sg)
+    assert report.to_json() == expected.to_json()
+    assert list(report.case_counts.items()) == list(expected.case_counts.items())
+    return report
+
+
+def test_loop_matches_oracle_on_witness_vsf_and_wsf_seven(v7):
+    assert assert_loop_matches_oracle(transition_semigroup(witness(7))).passed
+    assert assert_loop_matches_oracle(v7).passed
+    assert assert_loop_matches_oracle(enumerate_wsf(7)).passed
+
+
+def test_loop_matches_oracle_on_criterion_five_samples(criterion_five_semigroups):
+    for sg in criterion_five_semigroups:
+        assert_loop_matches_oracle(sg)
+
+
+def test_loop_matches_oracle_when_a_wsf_map_focuses_a_colliding_pair():
+    # an inconsistent hand-built semigroup: (1 2 6 6 6 6 6) collides the
+    # pair {1, 2}, which the w_sf map (6 3 3 6 6 6 6) focuses onto 3.
+    # The constant map is case 1 under a non-empty collision context;
+    # the focusing map goes through _phi and fails its round trip
+    raw = tuple(bytes(t) for t in ((6,) * 7, (1, 2, 6, 6, 6, 6, 6), (6, 3, 3, 6, 6, 6, 6)))
+    sg = TransitionSemigroup(
+        n=7, raw=raw, generators=tuple(Transformation(tuple(t)) for t in raw), raw_set=frozenset(raw)
+    )
+    assert PhiContext.from_semigroup(sg).colliding == {(1, 2)}
+    report = assert_loop_matches_oracle(sg)
+    assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
+    assert not report.round_trips
+    assert report.counterexample == (
+        "6 3 3 6 6 6 6: round trip failed for 6 3 3 6 6 6 6 (case 1): "
+        "reconstructed 1 6 6 2 6 6 6"
+    )

@@ -118,8 +118,8 @@ def test_closure_matches_set_fixpoint():
         Transformation((4, 4, 2, 3, 4)),
     ]
     sg = closure(gens)
-    assert sg.element_set == frozenset(naive_closure(gens))
-    assert sg.size == len(sg.elements) == len(sg.element_set)
+    assert frozenset(sg.elements) == frozenset(naive_closure(gens))
+    assert sg.size == len(sg.elements) == len(frozenset(sg.elements))
 
 
 def test_closure_input_validation():
@@ -311,7 +311,7 @@ def test_wsf_enumeration_matches_bound_and_letter_closure():
         assert wsf.size == wsf_bound(n)
         assert all(in_wsf(t) for t in wsf.elements)
         _, letters = witness_letters(n)
-        assert closure(list(letters)).element_set == wsf.element_set
+        assert closure(list(letters)).raw_set == wsf.raw_set
 
 
 def test_wsf_bound_values_frozen():
