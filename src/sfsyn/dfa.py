@@ -176,15 +176,24 @@ def suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
     (r, initial) for every state r reachable by a non-empty word.
     Both searches are breadth-first, so the witness words are shortest.
 
+    A pair is tested for "both final" when it is first reached, not
+    when it is taken from the queue: the seeds in seed order (one can
+    be both final only when the initial state is), then each pair as it
+    is appended.  The queue is walked in append order and a pair's
+    parent link is written once, when it is appended, so the first
+    both-final pair appended is the one a test at removal would find
+    first, with the same parent chain and the same witness.
+
     The DFA is not trimmed first: both searches start at the initial
     state, so they meet reachable states only, and the order in which
     they find states and pairs depends on the letter order alone, never
     on state names.  The witness is the one the trimmed DFA gives.  The
-    searches read each letter's image row directly; a pair (p, q) is
-    the code p*n + q into flat lists of n*n entries.
+    searches read each letter's image row directly; the parent link of
+    a pair (p, q) sits at p*n + q in a flat list of n*n entries.
     """
     n = dfa.n
     ini = dfa.initial
+    finals = dfa.finals
     names = dfa.letters
     rows = [t.images for t in dfa.delta]
     # shortest non-empty word to each state, as a parent state (-1 for
@@ -208,35 +217,40 @@ def suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
     # synchronized pair search; step[c] is -1 for an unseen pair, -2
     # for a seed, else the code of the pair it came from times the
     # number of letters, plus the letter
-    final = [False] * n
-    for f in dfa.finals:
-        final[f] = True
-    both_final = [a and b for a in final for b in final]
     width = len(rows)
-    letter_rows = list(enumerate(zip([[r * n for r in row] for row in rows], rows)))
     step = [-1] * (n * n)
-    pairs = [r * n + ini for r in found]
-    for c in pairs:
-        step[c] = -2
-    for c in pairs:  # the list grows while it is walked
-        if both_final[c]:
-            v = ""
-            while step[c] != -2:
-                c, k = divmod(step[c], width)
-                v = names[k] + v
-            w = ""
-            r = c // n
-            while r != -1:
-                w = names[letter[r]] + w
-                r = parent[r]
-            return w, v
-        p, q = divmod(c, n)
-        base = c * width
-        for k, (row_n, row) in letter_rows:
-            d = row_n[p] + row[q]
+
+    def words(c: int) -> tuple[str, str]:
+        v = ""
+        while step[c] != -2:
+            c, k = divmod(step[c], width)
+            v = names[k] + v
+        w = ""
+        r = c // n
+        while r != -1:
+            w = names[letter[r]] + w
+            r = parent[r]
+        return w, v
+
+    for r in found:
+        step[r * n + ini] = -2
+    if ini in finals:
+        for r in found:
+            if r in finals:
+                return words(r * n + ini)
+    letter_rows = list(enumerate(rows))
+    pairs = [(r, ini) for r in found]
+    for p, q in pairs:  # the list grows while it is walked
+        base = (p * n + q) * width
+        for k, row in letter_rows:
+            a = row[p]
+            b = row[q]
+            d = a * n + b
             if step[d] == -1:
                 step[d] = base + k
-                pairs.append(d)
+                if a in finals and b in finals:
+                    return words(d)
+                pairs.append((a, b))
     return None
 
 

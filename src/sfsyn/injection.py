@@ -23,6 +23,11 @@ its empty collision context the inverse returns its input at once.
 
 verify_injective decides case 1 in its own loop, where the embedding
 would return the map itself, and sends only the other maps through it.
+Whether a w_sf map can focus a colliding pair is decided once per
+semigroup, from the pair scan's focused pairs: when none of them
+collides, case 1 in the loop is the w_sf test alone.  The scan stops
+recording focused pairs early only once every pair is focused, and then
+any colliding pair is among them, so no focus is missed.
 """
 from __future__ import annotations
 
@@ -546,11 +551,18 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     _phi would call it case 1, send it to itself and, as no focused pair
     of it collides, get it back from the inverse, so neither the
     embedding nor a second w_sf test runs on it.  Every other map goes
-    through _phi, a w_sf map that focuses a colliding pair included."""
+    through _phi, a w_sf map that focuses a colliding pair included.
+
+    Each map's focused pairs are read only when the semigroup has a
+    pair both colliding and focused, which is decided once, before the
+    loop: the pair scan records every focused pair unless it stopped
+    early, and it stops only once every pair is focused, when a
+    non-empty colliding set meets the focused ones."""
     ctx = PhiContext.from_semigroup(sg)
     if ctx.n < 7:  # _case checks it too, but case-1 maps never reach _case
         raise ValueError("the embedding needs n >= 7")
     colliding = ctx.colliding
+    focus_free = colliding.isdisjoint(sg.pair_scan.focused_by)
     counts: dict[str, int] = {}
     # each image unequal to its own map, and the first map sent to it;
     # an image equal to its map needs no entry, as the maps are distinct
@@ -560,8 +572,8 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     round_trips = True
     counterexample = None
     for i, t in enumerate(sg.raw):
-        if in_wsf_images(t) and not (
-            colliding and any((x, y) in colliding for x, y, _ in focused_triples(t))
+        if in_wsf_images(t) and (
+            focus_free or not any((x, y) in colliding for x, y, _ in focused_triples(t))
         ):
             counts["1"] = counts.get("1", 0) + 1
             if duplicate is None and t in moved:  # t is sent to itself

@@ -87,48 +87,29 @@ def cycles(t: Transformation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """All cycles of length >= 2, rotated to start at their least state.
 
     Fixed points are not returned.  The cycles are ordered by their
-    least state.
+    least state.  One pass finds them: a walk starts at each state no
+    earlier walk reached and stops at the first state already reached;
+    when that state is on the walk's own path, the path from it on is a
+    new cycle.
     """
     images = _images(t)
-    cyc_states = _cyclic_states(images)
-    seen: set[int] = set()
+    walk = [-1] * len(images)  # the start of the walk that reached each state
     out: list[tuple[int, ...]] = []
-    for q in sorted(cyc_states):
-        if q in seen:
-            continue
-        cyc = [q]
-        cur = images[q]
-        while cur != q:
-            cyc.append(cur)
-            cur = images[cur]
-        seen.update(cyc)
-        if len(cyc) >= 2:
-            out.append(tuple(cyc))
-    return tuple(out)
-
-
-def _cyclic_states(images: Sequence[int]) -> set[int]:
-    # A state is cyclic iff repeated application of t returns to it.
-    # Walk each tail once, marking the states on the terminal loop.
-    n = len(images)
-    color = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    cyclic: set[int] = set()
-    for start in range(n):
-        if color[start]:
+    for start in range(len(images)):
+        if walk[start] != -1:
             continue
         path = []
-        cur = start
-        while color[cur] == 0:
-            color[cur] = 1
-            path.append(cur)
-            cur = images[cur]
-        if color[cur] == 1:
-            # found a new loop; everything from cur onwards in path is cyclic
-            idx = path.index(cur)
-            cyclic.update(path[idx:])
-        for q in path:
-            color[q] = 2
-    return cyclic
+        q = start
+        while walk[q] == -1:
+            walk[q] = start
+            path.append(q)
+            q = images[q]
+        if walk[q] == start and images[q] != q:
+            cyc = path[path.index(q) :]
+            i = cyc.index(min(cyc))
+            out.append(tuple(cyc[i:] + cyc[:i]))
+    out.sort()
+    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

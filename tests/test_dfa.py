@@ -6,6 +6,7 @@ relations on small machines, and an exact pair-reachability product
 for language equivalence.
 """
 import itertools
+import random
 from collections import deque
 
 import pytest
@@ -30,7 +31,7 @@ from sfsyn.dfa import (
     trim,
     witness,
 )
-from sfsyn.semigroup import enumerate_wsf, wsf_bound
+from sfsyn.semigroup import enumerate_bsf, enumerate_wsf, wsf_bound
 
 
 def ab_star() -> Dfa:
@@ -335,6 +336,42 @@ def test_suffix_free_violation_matches_trimmed_oracle_exhaustively():
 @given(random_dfas())
 def test_suffix_free_violation_matches_trimmed_oracle(d):
     assert suffix_free_violation(d) == trimmed_suffix_free_violation(d)
+
+
+def test_suffix_free_violation_matches_trimmed_oracle_on_one_letter_four_states():
+    # every one-letter DFA on 4 states, every initial state and every
+    # final set: the initial state is final in half of them, where a
+    # seed pair can be the witness
+    checked = violations = 0
+    for images in itertools.product(range(4), repeat=4):
+        delta = (Transformation(images),)
+        for initial in range(4):
+            for mask in range(16):
+                finals = frozenset(q for q in range(4) if mask >> q & 1)
+                d = Dfa(4, ("a",), delta, initial, finals)
+                got = suffix_free_violation(d)
+                assert got == trimmed_suffix_free_violation(d), d
+                checked += 1
+                violations += got is not None
+    assert (checked, violations) == (16384, 10640)
+
+
+def test_suffix_free_violation_matches_trimmed_oracle_on_seven_state_stream():
+    # 7-state DFAs as the embed benchmark draws them, none rejected: 2 to
+    # 4 letters from b_sf(7), 1 or 2 interior finals.  Most violate
+    # suffix-freeness, after a search of a few dozen pairs
+    pool = enumerate_bsf(7)
+    rng = random.Random(60817)
+    violations = 0
+    for _ in range(2000):
+        k = rng.randint(2, 4)
+        delta = tuple(rng.choice(pool) for _ in range(k))
+        finals = frozenset(rng.sample(range(1, 6), rng.randint(1, 2)))
+        d = Dfa(7, tuple("abcd"[:k]), delta, 0, finals)
+        got = suffix_free_violation(d)
+        assert got == trimmed_suffix_free_violation(d), d
+        violations += got is not None
+    assert violations == 1219
 
 
 # ------------------------------------------------------------ empty state

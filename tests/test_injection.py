@@ -895,3 +895,36 @@ def test_loop_matches_oracle_when_a_wsf_map_focuses_a_colliding_pair():
         "6 3 3 6 6 6 6: round trip failed for 6 3 3 6 6 6 6 (case 1): "
         "reconstructed 1 6 6 2 6 6 6"
     )
+
+
+def test_loop_matches_oracle_when_the_focus_scan_stops_early():
+    # an inconsistent hand-built semigroup whose pair scan stops its
+    # focus part at the third map: (6 1 1 1 1 1 6) focuses all ten
+    # interior pairs onto 1, so the scan never reads (6 3 3 6 6 6 6),
+    # which focuses the colliding pair {1, 2} onto 3.  The focus test
+    # must still run on each w_sf map: the constant map is case 1, and
+    # (6 1 1 1 1 1 6), which focuses {1, 2} too, goes through _phi and
+    # fails its round trip
+    raw = tuple(
+        bytes(t)
+        for t in (
+            (6,) * 7,
+            (1, 2, 6, 6, 6, 6, 6),
+            (6, 1, 1, 1, 1, 1, 6),
+            (6, 3, 3, 6, 6, 6, 6),
+        )
+    )
+    sg = TransitionSemigroup(
+        n=7, raw=raw, generators=tuple(Transformation(tuple(t)) for t in raw), raw_set=frozenset(raw)
+    )
+    assert PhiContext.from_semigroup(sg).colliding == {(1, 2)}
+    assert sg.pair_scan.focused_by == {
+        pair: (raw[2], 1) for pair in itertools.combinations(range(1, 6), 2)
+    }
+    report = assert_loop_matches_oracle(sg)
+    assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
+    assert not report.round_trips
+    assert report.counterexample == (
+        "6 1 1 1 1 1 6: round trip failed for 6 1 1 1 1 1 6 (case 1): "
+        "reconstructed 2 1 6 1 1 1 6"
+    )

@@ -146,6 +146,58 @@ def test_cycles_against_walk_oracle_exhaustive_n4():
         assert list(got) == sorted(got, key=lambda c: c[0])
 
 
+def old_cycles(images) -> tuple[tuple[int, ...], ...]:
+    # cycles as it stood with a separate pass for the cyclic states:
+    # the oracle for the one-pass walk
+    cyc_states = old_cyclic_states(images)
+    seen: set[int] = set()
+    out: list[tuple[int, ...]] = []
+    for q in sorted(cyc_states):
+        if q in seen:
+            continue
+        cyc = [q]
+        cur = images[q]
+        while cur != q:
+            cyc.append(cur)
+            cur = images[cur]
+        seen.update(cyc)
+        if len(cyc) >= 2:
+            out.append(tuple(cyc))
+    return tuple(out)
+
+
+def old_cyclic_states(images) -> set[int]:
+    n = len(images)
+    color = [0] * n  # 0 unvisited, 1 in progress, 2 done
+    cyclic: set[int] = set()
+    for start in range(n):
+        if color[start]:
+            continue
+        path = []
+        cur = start
+        while color[cur] == 0:
+            color[cur] = 1
+            path.append(cur)
+            cur = images[cur]
+        if color[cur] == 1:
+            idx = path.index(cur)
+            cyclic.update(path[idx:])
+        for q in path:
+            color[q] = 2
+    return cyclic
+
+
+def test_cycles_match_two_pass_oracle_exhaustive_to_n6():
+    # every map on 1 to 6 states, as a Transformation, a tuple and a
+    # raw byte map
+    for n in range(1, 7):
+        for imgs in itertools.product(range(n), repeat=n):
+            expected = old_cycles(imgs)
+            assert cycles(Transformation(imgs)) == expected, imgs
+            assert cycles(imgs) == expected, imgs
+            assert cycles(bytes(imgs)) == expected, imgs
+
+
 def test_cycles_frozen_examples():
     assert cycles(Transformation((4, 2, 3, 1, 4))) == ((1, 2, 3),)
     assert cycles(Transformation((1, 0, 3, 2, 4))) == ((0, 1), (2, 3))
