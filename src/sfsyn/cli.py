@@ -101,7 +101,7 @@ class VerificationReport:
             lines.append(f"note {key}: {value}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         for key, value in self.timings.items():
-            lines.append(f"# timing {key}: {value:.3f}s")
+            lines.append(f"# timing {key}: {value:.6f}s")
         return "\n".join(lines) + "\n"
 
 
@@ -144,6 +144,18 @@ def _load_dfa(path: str) -> Dfa:
 def _word(w: str) -> str:
     # empty words print as the conventional epsilon name
     return w if w else "(empty)"
+
+
+def _not_suffix_free(name: str, violation: tuple[str, str]) -> Assertion:
+    # the failed assertion for an accepted word w + v whose suffix v is
+    # accepted too
+    w, v = violation
+    return Assertion(
+        name,
+        "no accepted word is a proper suffix of another",
+        f"both {_word(w + v)} and its suffix {_word(v)} are accepted",
+        False,
+    )
 
 
 # ----------------------------------------------------------- subcommands
@@ -214,15 +226,7 @@ def cmd_phi(args) -> int:
     report = VerificationReport(command="phi", inputs={"dfa": args.dfa, "n": d.n})
     violation = suffix_free_violation(d)
     if violation is not None:
-        w, v = violation
-        report.assertions.append(
-            Assertion(
-                "input language is suffix-free",
-                "no accepted word is a proper suffix of another",
-                f"both {_word(w + v)} and its suffix {_word(v)} are accepted",
-                False,
-            )
-        )
+        report.assertions.append(_not_suffix_free("input language is suffix-free", violation))
         report.timings["total"] = time.perf_counter() - started
         return _emit(report, args.json)
     report.assertions.append(
@@ -276,9 +280,7 @@ def cmd_phi(args) -> int:
 
 def cmd_search(args) -> int:
     try:
-        result = search_max(
-            args.n, args.target, max_letters=args.max_letters, threads=args.threads
-        )
+        result = search_max(args.n, args.target, max_letters=args.max_letters)
     except ValueError as e:
         raise UsageError(str(e)) from None
     print(json.dumps(result.to_json(), indent=2))
@@ -315,15 +317,7 @@ def cmd_suffix_free(args) -> int:
     if violation is None:
         report.assertions.append(same("language is suffix-free", True, True))
     else:
-        w, v = violation
-        report.assertions.append(
-            Assertion(
-                "language is suffix-free",
-                "no accepted word is a proper suffix of another",
-                f"both {_word(w + v)} and its suffix {_word(v)} are accepted",
-                False,
-            )
-        )
+        report.assertions.append(_not_suffix_free("language is suffix-free", violation))
     report.timings["total"] = time.perf_counter() - started
     return _emit(report, args.json)
 
@@ -337,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="suffix-free syntactic complexity toolkit",
     )
     parser.add_argument("--json", action="store_true", help="emit reports as JSON")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
     levels = ("debug", "info", "warning", "error")
     parser.add_argument("--log-level", choices=levels, default="warning", help="stderr log threshold")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -75,13 +75,12 @@ square row) and x focuses when z = t x.  The focusing side is the
 mirror image.  Dropping both rules changes the survivors.
 
 A row depends on x alone, so it is built the first time some branch
-holds x and serves every later branch of the same search_max call; with
-worker processes each chunk of a level builds its own.  The memo is
-dropped when the call returns.  Rows grow with every member map the
-search meets, up to one per admissible map, each 21 ints of 14,929 bits
-at n = 7, and a memo that outlived the call would make a second search
-in one process cheaper than the first, which is all a command-line run
-ever gets.
+holds x and serves every later branch of the same search_max call.  The
+memo is dropped when the call returns.  Rows grow with every member map
+the search meets, up to one per admissible map, each 21 ints of 14,929
+bits at n = 7, and a memo that outlived the call would make a second
+search in one process cheaper than the first, which is all a
+command-line run ever gets.
 
 Pointed classes are told apart by a canonical form: the
 lexicographically least sorted tuple of letter conjugates over every
@@ -93,8 +92,7 @@ states.  The sorted tuple must start with the least of those
 one-letter forms, so only labellings giving some letter that form are
 tried on the whole tuple.  One search_max call keeps a memo of the
 one-letter results, shared by all of its canonicalizations and dropped
-when it returns; canonicalize and each chunk of work in a worker
-process start with an empty one.
+when it returns; canonicalize starts with an empty one.
 
 An open branch's extensions are canonicalized together, and the work
 done on the branch serves all of them.  The least one-letter form of
@@ -155,9 +153,8 @@ finished level logs its size, its extension candidates (the survivors
 summed over its open branches), its census of rejected, pruned,
 terminal and open semiautomata, its wall time, and the seconds its
 semiautomata spent being judged (closure through filter) and
-canonicalizing their extensions, summed over worker processes; none of
-that enters the report.  The letter-cap warning gives the capped
-level's candidates.
+canonicalizing their extensions; none of that enters the report.  The
+letter-cap warning gives the capped level's candidates.
 
 Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -174,16 +171,14 @@ under w'^j, and w' lies in the letters' closure, inside b_sf.  If w'
 is empty, 0 w = n-1 and nothing merges.  So w is in b_sf.
 
 Everything here is deterministic: pools, levels, and level merges
-are ordered, so two runs (any thread count) produce the same result.
+are ordered, so two runs produce the same result.
 """
 from __future__ import annotations
 
 import logging
-import os
 import time
 from bisect import bisect_left
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, compress, permutations
@@ -380,7 +375,6 @@ def _bits(positions: Iterable[int], size: int) -> int:
 class _Context:
     n: int
     pair_bit: dict[tuple[int, int], int]
-    all_pairs: int
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
     bsf_set: frozenset[RawMap]
@@ -423,7 +417,6 @@ def _context(n: int) -> _Context:
     return _Context(
         n=n,
         pair_bit=pair_bit,
-        all_pairs=(1 << len(pair_bit)) - 1,
         pool=pool,
         semiconstants=tuple(sorted(semi)),
         bsf_set=bsf,
@@ -732,7 +725,7 @@ class SearchResult:
 
 
 def _expand_one(
-    args: tuple[bytes, int, int, bool, bool], forms: _LetterForms, rows: _ProductRows
+    fp: bytes, target: int, prune: bool, at_cap: bool, forms: _LetterForms, rows: _ProductRows
 ) -> dict:
     """Judge one canonical semiautomaton, given by its fingerprint, with
     initial state 0 and empty state n-1.  Its outcome is "rejected" when
@@ -740,15 +733,13 @@ def _expand_one(
     when the count bound or the case analysis ends the branch, and
     "open" otherwise.  survivors is an open branch's filtered candidate
     set, 0 for any other; below the letter cap they turn into canonical
-    extensions, on the capped level into none.  Takes and returns plain
-    picklable data, as it also runs in worker processes, where each
-    chunk of work shares one letter-form memo and one product-row memo
-    (see _expand_chunk).  judge_s and canon_s are the seconds spent
-    judging and canonicalizing extensions."""
+    extensions, on the capped level into none.  other holds the letters
+    and members of a closure reaching the target, None otherwise.
+    judge_s and canon_s are the seconds spent judging and
+    canonicalizing extensions."""
     started = time.perf_counter()
-    fp, n, target, prune, at_cap = args
-    ctx = _context(n)
-    _, letters = _decode_fp(fp)
+    ctx = rows.ctx
+    n, letters = _decode_fp(fp)
     # the one closure of the branch; by the semiconstant lemma in the
     # module docstring a refusal here means the letters alone already
     # leave the admissible family
@@ -766,9 +757,7 @@ def _expand_one(
         }
     members, coll, foc = closed
     assert not coll & foc, "pair both colliding and focused survived the closure"
-    other = None
-    if len(members) >= target:
-        other = {"size": len(members), "letters": list(letters), "members": sorted(members)}
+    other = (letters, members) if len(members) >= target else None
     cand = _candidate_bits(members, coll, foc, ctx)
     if prune and len(members) + cand.bit_count() < target:
         outcome = "pruned"
@@ -790,15 +779,6 @@ def _expand_one(
         "judge_s": judged - started,
         "canon_s": time.perf_counter() - judged,
     }
-
-
-def _expand_chunk(work: Sequence[tuple[bytes, int, int, bool, bool]]) -> list[dict]:
-    """_expand_one over a chunk of one level in a worker process, with a
-    letter-form memo and a product-row memo shared by the chunk only."""
-    n = work[0][1]
-    forms = _LetterForms()
-    rows = _ProductRows(_context(n))
-    return [_expand_one(item, forms, rows) for item in work]
 
 
 def _some_irreducible(level: Sequence[bytes], results: Sequence[dict], ctx: _Context) -> bool:
@@ -853,7 +833,6 @@ def search_max(
     target: int | None = None,
     *,
     max_letters: int = DEFAULT_MAX_LETTERS,
-    threads: int = 1,
     prune: bool = True,
 ) -> SearchResult:
     """Search every suffix-free DFA shape on n states for transition
@@ -871,9 +850,7 @@ def search_max(
     search reports any semigroup at or above the target that is neither
     of them.  With prune=False no branch is cut for its count, only by
     the family cutoff, and the admissible space is walked in full,
-    which is only tractable for n=4.  threads worker processes judge
-    each level; more than os.cpu_count() are refused before any starts,
-    as the pool forks every worker at once.
+    which is only tractable for n=4.
     """
     if not 4 <= n <= 7:
         raise ValueError(f"the exhaustive search supports 4 <= n <= 7, got {n}")
@@ -881,11 +858,6 @@ def search_max(
         raise ValueError("target must be positive")
     if max_letters < 1:
         raise ValueError("max_letters must be positive")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    cpus = os.cpu_count() or 1
-    if threads > cpus:
-        raise ValueError(f"threads must be at most the CPU count {cpus}, got {threads}")
     ctx = _context(n)
     if target is None:
         target = max(len(ctx.vsf_elements), wsf_bound(n))
@@ -918,14 +890,7 @@ def search_max(
         level_started = time.perf_counter()
         level_sizes.append(len(level))
         at_cap = level_index == max_letters
-        work = [(fp, n, target, prune, at_cap) for fp in level]
-        if threads > 1:
-            size = max(1, len(work) // (threads * 4))
-            chunks = [work[i : i + size] for i in range(0, len(work), size)]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = [res for part in pool.map(_expand_chunk, chunks) for res in part]
-        else:
-            results = [_expand_one(item, forms, rows) for item in work]
+        results = [_expand_one(fp, target, prune, at_cap, forms, rows) for fp in level]
 
         census = Counter(res["outcome"] for res in results)
         outcomes.update(census)
@@ -934,19 +899,19 @@ def search_max(
         next_fps: dict[bytes, None] = {}
         for res in results:
             visited += 1
-            record = res["other"]
-            if res["outcome"] != "open" and record is None:
+            other = res["other"]
+            if res["outcome"] != "open" and other is None:
                 pruned += 1
             for fp in res["extensions"]:
                 next_fps.setdefault(fp, None)
-            if record is None:
+            if other is None:
                 continue
-            members = frozenset(record["members"])
+            raw_letters, members = other
             if _classify_other(members, ctx) != "other":
                 continue  # the known families are confirmed separately
             key = (len(members), _canonical_letters(sorted(members), forms))
             if key not in others:
-                letters = tuple(Transformation(tuple(t)) for t in record["letters"])
+                letters = tuple(Transformation(tuple(t)) for t in raw_letters)
                 sg = closure(
                     list(letters)
                     + [Transformation(tuple(s)) for s in ctx.semiconstants]
@@ -954,7 +919,7 @@ def search_max(
                 if not verify_suffix_free_consistency(sg):
                     raise RuntimeError("search admitted an inconsistent semigroup")
                 others[key] = SemigroupRecord(
-                    kind="other", size=record["size"], letters=letters, level=level_index
+                    kind="other", size=len(members), letters=letters, level=level_index
                 )
         logger.info(
             "level %d: %d semiautomata, %d extension candidates"

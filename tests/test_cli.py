@@ -256,6 +256,17 @@ def test_suffix_free_pass_and_fail(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+def test_suffix_free_times_to_the_microsecond(tmp_path, capsys):
+    # a check this small takes well under a millisecond, which three
+    # decimals would print as 0.000s
+    path = os.path.join(tmp_path, "abstar.dfa")
+    with open(path, "w") as fh:
+        fh.write(AB_STAR)
+    assert main(["suffix-free", path]) == 0
+    timing = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"# timing total: \d+\.\d{6}s", timing)
+
+
 def test_search_four_emits_json_and_succeeds(capsys):
     code = main(["search", "--n", "4"])
     out, _ = capsys.readouterr()
@@ -298,12 +309,18 @@ def test_search_has_no_resume_option(capsys):
     assert "Traceback" not in err
 
 
-def test_search_with_more_threads_than_cpus_is_a_usage_error(capsys):
-    threads = (os.cpu_count() or 1) + 1
-    assert main(["--threads", str(threads), "search", "--n", "4"]) == 2
+def test_search_has_no_threads_option(capsys):
+    # --threads is no option of sfsyn, so argparse reports a usage error,
+    # not a traceback; unknown, the flag leaves its value to be read as
+    # the command
+    with pytest.raises(SystemExit) as raised:
+        main(["--threads", "2", "search", "--n", "4"])
+    assert raised.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: threads must be at most the CPU count")
+    assert err.startswith("usage: sfsyn")
+    assert "invalid choice: '2'" in err
+    assert "Traceback" not in err
 
 
 def test_search_target_below_one_is_a_usage_error(capsys):

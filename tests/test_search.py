@@ -6,6 +6,8 @@ import itertools
 import json
 import logging
 import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
@@ -277,10 +279,11 @@ def allowed_additions(sg):
         coll |= c
         foc |= f
     gen_tables = [raw_table(bytes(g.images)) for g in sg.generators]
+    all_pairs = (1 << len(ctx.pair_bit)) - 1
     return frozenset(
         Transformation(tuple(t))
         for t, (c2, f2) in exact_additions(members, coll, foc, gen_tables, ctx).items()
-        if c2 != ctx.all_pairs and f2 != ctx.all_pairs
+        if c2 != all_pairs and f2 != all_pairs
     )
 
 
@@ -441,9 +444,9 @@ def test_extensions_match_the_per_extension_oracle_on_every_open_branch(
     judged = []
     expand_one, one_step_filter = search_module._expand_one, search_module._one_step_filter
 
-    def expanding(item, forms, rows):
-        judged.append((_decode_fp(item[0])[1], forms))
-        return expand_one(item, forms, rows)
+    def expanding(fp, target, prune, at_cap, forms, rows):
+        judged.append((_decode_fp(fp)[1], forms))
+        return expand_one(fp, target, prune, at_cap, forms, rows)
 
     def filtered(cand, members, coll, foc, rows):
         survivors = one_step_filter(cand, members, coll, foc, rows)
@@ -558,7 +561,7 @@ def four_state_level_two():
     forms, rows = _LetterForms(), _ProductRows(_context(4))
     fps = set()
     for fp in initial_level(4):
-        fps.update(_expand_one((fp, 4, 3, False, False), forms, rows)["extensions"])
+        fps.update(_expand_one(fp, 3, False, False, forms, rows)["extensions"])
     return tuple(fp for fp in sorted(fps) if irreducible_raw(_decode_fp(fp)[1]))
 
 
@@ -1064,30 +1067,22 @@ def test_search_result_json_shape():
     assert "wall_time_s" in json.dumps(timed)
 
 
-def test_search_threads_match_single_thread():
-    solo = search_max(5, threads=1).to_json(include_timing=False)
-    duo = search_max(5, threads=2).to_json(include_timing=False)
-    assert solo == duo
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
-def test_search_threads_match_single_thread_through_the_filter():
-    # level 1 leaves branches open, so each worker chunk filters them
-    # through a row memo of its own
-    solo = search_max(5, 72, max_letters=2, threads=1).to_json(include_timing=False)
-    duo = search_max(5, 72, max_letters=2, threads=2).to_json(include_timing=False)
-    assert solo == duo
-
-
-def test_search_refuses_more_threads_than_cpus(monkeypatch):
-    # a process pool forks every worker at once, so the count is checked
-    # before any pool exists
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(search_module, "ProcessPoolExecutor", no_pool)
-    with pytest.raises(ValueError, match="threads must be at most the CPU count"):
-        search_max(4, threads=(os.cpu_count() or 1) + 1)
+def test_importing_the_package_loads_no_process_pool():
+    # the search runs in the calling process, so a fresh interpreter
+    # importing sfsyn pulls in neither multiprocessing nor
+    # concurrent.futures
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, sfsyn; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_letter_cap_disables_the_uniqueness_claim():
