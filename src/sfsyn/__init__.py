@@ -2,17 +2,12 @@
 
 from .transform import (
     Transformation,
-    compose,
-    power,
-    identity,
-    parse_transformation,
     format_transformation,
     zero_path,
 )
 from .semigroup import (
     TransitionSemigroup,
     closure,
-    in_bsf,
     in_wsf,
     enumerate_bsf,
     enumerate_wsf,
@@ -20,18 +15,14 @@ from .semigroup import (
     wsf_bound,
     semiconstant_family,
     witness_letters,
-    is_irreducibly_generated,
 )
 from .dfa import (
     Dfa,
     witness,
     transition_semigroup,
-    minimize,
     is_minimal,
     is_suffix_free,
     suffix_free_violation,
-    empty_state,
-    check_zero_path_structure,
     format_dfa,
     parse_dfa,
     to_dot,
@@ -43,10 +34,6 @@ from .collisions import (
 )
 from .injection import (
     PhiContext,
-    PhiOutcome,
-    classify,
-    phi,
-    phi_inverse,
     verify_injective,
     strict_bound_witness,
 )
@@ -58,15 +45,10 @@ from .search import (
 
 __all__ = [
     "Transformation",
-    "compose",
-    "power",
-    "identity",
-    "parse_transformation",
     "format_transformation",
     "zero_path",
     "TransitionSemigroup",
     "closure",
-    "in_bsf",
     "in_wsf",
     "enumerate_bsf",
     "enumerate_wsf",
@@ -74,16 +56,12 @@ __all__ = [
     "wsf_bound",
     "semiconstant_family",
     "witness_letters",
-    "is_irreducibly_generated",
     "Dfa",
     "witness",
     "transition_semigroup",
-    "minimize",
     "is_minimal",
     "is_suffix_free",
     "suffix_free_violation",
-    "empty_state",
-    "check_zero_path_structure",
     "format_dfa",
     "parse_dfa",
     "to_dot",
@@ -91,10 +69,6 @@ __all__ = [
     "pair_statuses",
     "verify_suffix_free_consistency",
     "PhiContext",
-    "PhiOutcome",
-    "classify",
-    "phi",
-    "phi_inverse",
     "verify_injective",
     "strict_bound_witness",
     "SearchResult",

@@ -325,14 +325,23 @@ def cmd_suffix_free(args) -> int:
 # ------------------------------------------------------------- the parser
 
 
+def _global_options() -> argparse.ArgumentParser:
+    # the options ahead of the subcommand, on a parser of their own so
+    # that _parse can look up an option they do not include
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--json", action="store_true", help="emit reports as JSON")
+    levels = ("debug", "info", "warning", "error")
+    parser.add_argument("--log-level", choices=levels, default="warning", help="stderr log threshold")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfsyn",
         description="suffix-free syntactic complexity toolkit",
+        parents=[_global_options()],
+        exit_on_error=False,
     )
-    parser.add_argument("--json", action="store_true", help="emit reports as JSON")
-    levels = ("debug", "info", "warning", "error")
-    parser.add_argument("--log-level", choices=levels, default="warning", help="stderr log threshold")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("witness", help="emit the five-letter witness DFA")
@@ -368,9 +377,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    # argparse's own usage errors, except that an unknown option ahead
+    # of the subcommand, whose value argparse would report as a bad
+    # subcommand, is named itself
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as e:
+        if e.argument_name == "command":
+            try:
+                _, rest = _global_options().parse_known_args(argv)
+            except argparse.ArgumentError:
+                rest = []
+            if rest and rest[0].startswith("-"):
+                parser.error(f"unrecognized arguments: {rest[0]}")
+        parser.error(str(e))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(parser, argv)
     # one handler on the package logger, replacing any a previous main()
     # attached; bare messages, as Python's last-resort handler wrote them
     logger = logging.getLogger("sfsyn")

@@ -1,6 +1,7 @@
 """Complete DFAs over named letters, with the decision procedures the
-rest of the package leans on: minimization, suffix-freeness, empty
-state location, and the structural zero-path report.
+rest of the package leans on: reachability, minimality, suffix-freeness
+and empty state location, plus relabeling and the text and Graphviz
+forms.
 
 State 0 is the initial state by convention and, in the suffix-free
 setting, the empty state sits at n-1 after renumber_initial_empty.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .semigroup import TransitionSemigroup, closure, witness_letters
-from .transform import Transformation, format_transformation, zero_path
+from .transform import Transformation
 
 
 @dataclass(frozen=True)
@@ -96,27 +97,7 @@ def reachable_states(dfa: Dfa) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _renumber_by(dfa: Dfa, order: Sequence[int]) -> Dfa:
-    # keep only the listed states, renamed to their position in order
-    index = {q: i for i, q in enumerate(order)}
-    delta = tuple(
-        Transformation(tuple(index[t[q]] for q in order)) for t in dfa.delta
-    )
-    return Dfa(
-        n=len(order),
-        letters=dfa.letters,
-        delta=delta,
-        initial=index[dfa.initial],
-        finals=frozenset(index[f] for f in dfa.finals if f in index),
-    )
-
-
-def trim(dfa: Dfa) -> Dfa:
-    """Drop unreachable states, renumbering in breadth-first order."""
-    return _renumber_by(dfa, reachable_states(dfa))
-
-
-# ------------------------------------------------------------ minimization
+# -------------------------------------------------------------- minimality
 
 
 def _moore_blocks(dfa: Dfa) -> list[int]:
@@ -131,30 +112,6 @@ def _moore_blocks(dfa: Dfa) -> list[int]:
         if new == block:
             return block
         block = new
-
-
-def minimize(dfa: Dfa) -> Dfa:
-    """The quotient of the reachable part, states renumbered by
-    breadth-first order from the initial state (letter order breaks
-    ties)."""
-    d = trim(dfa)
-    block = _moore_blocks(d)
-    pos: dict[int, int] = {}
-    reps: list[int] = []
-    for q in range(d.n):
-        if block[q] not in pos:
-            pos[block[q]] = len(reps)
-            reps.append(q)
-    quotient = Dfa(
-        n=len(reps),
-        letters=d.letters,
-        delta=tuple(
-            Transformation(tuple(pos[block[t[r]]] for r in reps)) for t in d.delta
-        ),
-        initial=pos[block[d.initial]],
-        finals=frozenset(pos[block[f]] for f in d.finals),
-    )
-    return trim(quotient)  # breadth-first renumbering
 
 
 def is_minimal(dfa: Dfa) -> bool:
@@ -275,79 +232,6 @@ def empty_state(dfa: Dfa) -> int | None:
     return None
 
 
-# ------------------------------------------------- structural zero paths
-
-
-@dataclass(frozen=True)
-class ZeroPathReport:
-    """Structural facts of a minimal suffix-free DFA: it has an empty
-    state, and every transition-semigroup element walks the initial
-    state down an aperiodic path that ends in the empty state."""
-
-    applicable: bool
-    minimized_input: bool
-    suffix_free: bool
-    empty_state: int | None
-    all_paths_aperiodic: bool
-    all_paths_end_at_empty: bool
-    failures: tuple[str, ...]
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.applicable
-            and self.empty_state is not None
-            and self.all_paths_aperiodic
-            and self.all_paths_end_at_empty
-        )
-
-
-def check_zero_path_structure(dfa: Dfa) -> ZeroPathReport:
-    """Verify the zero-path structure on the minimal quotient.
-
-    Non-minimal input is minimized first and the report says so; a DFA
-    that is not suffix-free makes the report inapplicable.
-    """
-    minimized_input = not is_minimal(dfa)
-    d = minimize(dfa) if minimized_input else dfa
-    if not is_suffix_free(d):
-        return ZeroPathReport(
-            applicable=False,
-            minimized_input=minimized_input,
-            suffix_free=False,
-            empty_state=empty_state(d),
-            all_paths_aperiodic=False,
-            all_paths_end_at_empty=False,
-            failures=("not suffix-free",),
-        )
-    sink = empty_state(d)
-    failures = []
-    aperiodic = True
-    ends_at_sink = True
-    if sink is None:
-        failures.append("no empty state")
-    else:
-        for t in transition_semigroup(d).raw:
-            zp = zero_path(t)
-            if not zp.is_aperiodic:
-                aperiodic = False
-                failures.append(f"{format_transformation(t)}: zero path loops")
-            elif zp.states[-1] != sink:
-                ends_at_sink = False
-                failures.append(
-                    f"{format_transformation(t)}: zero path ends at {zp.states[-1]}"
-                )
-    return ZeroPathReport(
-        applicable=True,
-        minimized_input=minimized_input,
-        suffix_free=True,
-        empty_state=sink,
-        all_paths_aperiodic=aperiodic,
-        all_paths_end_at_empty=ends_at_sink and sink is not None,
-        failures=tuple(failures),
-    )
-
-
 # -------------------------------------------------------------- relabeling
 
 
@@ -420,11 +304,16 @@ def parse_dfa(text: str) -> Dfa:
     except ValueError:
         raise ValueError("header counts must be integers") from None
     letters = tuple(fields["letters"].split(",")) if fields["letters"] else ()
-    finals = (
-        frozenset(int(f) for f in fields["finals"].split(","))
-        if fields["finals"]
-        else frozenset()
-    )
+    try:
+        finals = (
+            frozenset(int(f) for f in fields["finals"].split(","))
+            if fields["finals"]
+            else frozenset()
+        )
+    except ValueError:
+        raise ValueError(
+            f"header finals must be comma-separated integers, got {fields['finals']!r}"
+        ) from None
     if len(lines) != 1 + len(letters):
         raise ValueError(
             f"expected {len(letters)} transition rows, found {len(lines) - 1}"

@@ -13,11 +13,12 @@ The embedding is what bounds the semigroup size by
 (n-1)^(n-2) + n - 2; a strict-inequality witness exists whenever the
 semigroup has a colliding pair at all.
 
-One implementation works on image sequences (tuples or raw byte maps)
-and names cases by label; phi, classify and phi_inverse wrap it for
-Transformation objects.  Case 1, where phi is the identity, is one w_sf
-test on the raw map (in_wsf_images); only a map outside w_sf runs the
-b_sf guard and has its in-degrees and interior fixed points read, once.
+The embedding works on image sequences (tuples or raw byte maps) and
+names cases by label: _case picks the case, _phi builds the image and
+checks its round trip, and _inverse undoes it.  Case 1, where the
+embedding is the identity, is one w_sf test on the raw map
+(in_wsf_images); only a map outside w_sf runs the b_sf guard and has
+its in-degrees and interior fixed points read, once.
 A semigroup with no colliding pair focuses nothing onto one, so under
 its empty collision context the inverse returns its input at once.
 
@@ -63,26 +64,6 @@ class PhiContext:
     @classmethod
     def from_semigroup(cls, sg: TransitionSemigroup) -> "PhiContext":
         return cls(n=sg.n, colliding=frozenset(sg.pair_scan.colliding_by))
-
-
-@dataclass(frozen=True)
-class PhiCase:
-    case_number: int
-    sub_case: str | None = None
-
-    @property
-    def label(self) -> str:
-        if self.sub_case is None:
-            return str(self.case_number)
-        return f"{self.case_number}({self.sub_case})"
-
-
-@dataclass(frozen=True)
-class PhiOutcome:
-    t: Transformation
-    case: PhiCase
-    image: Transformation
-    reconstruction: Transformation
 
 
 # ---------------------------------------------------------------- helpers
@@ -131,21 +112,12 @@ def _interior_fixed(t: Sequence[int]) -> list[int]:
     return [q for q in _interior(len(t)) if t[q] == q]
 
 
-def _as_case(label: str) -> PhiCase:
-    number, _, sub = label.partition("(")
-    return PhiCase(int(number), sub.rstrip(")") or None)
-
-
-def classify(t: Transformation, ctx: PhiContext) -> PhiCase:
-    """First matching case in order; the final case is the fall-through
-    and anything outside it is a hard structural error."""
-    return _as_case(_case(t.images, ctx))
-
-
 def _case(t: Sequence[int], ctx: PhiContext) -> str:
-    # classify on an image sequence, by label.  Case 1 is w_sf itself,
-    # one test on the raw map; only a map outside it runs the b_sf
-    # guard and has its in-degrees and interior fixed points read, once
+    # the label of the first matching case, tried in order; the final
+    # case is the fall-through and anything outside it is a hard
+    # structural error.  Case 1 is w_sf itself, one test on the raw
+    # map; only a map outside it runs the b_sf guard and has its
+    # in-degrees and interior fixed points read, once
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
     n = len(t)
@@ -286,14 +258,9 @@ def _build(t: Sequence[int], case: str) -> Sequence[int]:
     return type(t)(imgs)
 
 
-def phi(t: Transformation, ctx: PhiContext) -> PhiOutcome:
-    """Embed t and immediately undo the embedding as a self-check."""
-    case, image = _phi(t.images, ctx)
-    return PhiOutcome(t=t, case=_as_case(case), image=Transformation(image), reconstruction=t)
-
-
 def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
-    # phi on an image sequence: the case label and the image
+    # the case label and the image of t, after the inverse has sent
+    # the image back to t
     case = _case(t, ctx)
     image = _build(t, case)
     back = _inverse(image, ctx)
@@ -354,18 +321,12 @@ def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
     return type(s)(imgs)
 
 
-def phi_inverse(s: Transformation, ctx: PhiContext) -> Transformation:
-    """The unique t with phi(t) = s, recovered from the image signature.
-
-    Raises NotInImageError when s cannot be the image of any t, which
-    is exactly what proves the bound strict for colliding semigroups.
-    """
-    return Transformation(_inverse(s.images, ctx))
-
-
 def _inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
-    # phi_inverse on an image sequence.  With no colliding pair in the
-    # context no focused pair of s is colliding, so s reads as case 1
+    # the unique t whose image is s, recovered from the image
+    # signature; NotInImageError when s is the image of no map, which is
+    # exactly what proves the bound strict for colliding semigroups.
+    # With no colliding pair in the context no focused pair of s is
+    # colliding, so s reads as case 1
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
     n = len(s)

@@ -47,13 +47,12 @@ MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
 
 @dataclass(frozen=True)
 class TransitionSemigroup:
-    """A finite transformation semigroup with a distinguished generator
-    list, its elements kept as raw maps in breadth-first discovery order.
-    Transformation objects are built on first access."""
+    """A finite transformation semigroup, its elements kept as raw maps
+    in breadth-first discovery order.  Transformation objects are built
+    on first access."""
 
     n: int
     raw: tuple[RawMap, ...]
-    generators: tuple[Transformation, ...]
     raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
 
     @cached_property
@@ -73,9 +72,6 @@ class TransitionSemigroup:
 
     def __len__(self) -> int:
         return len(self.raw)
-
-    def __contains__(self, t: Transformation) -> bool:
-        return t.n == self.n and bytes(t.images) in self.raw_set
 
 
 _IDENTITY_256 = bytes(range(256))
@@ -150,36 +146,28 @@ def irreducible_raw(letters: Sequence[RawMap]) -> bool:
     return True
 
 
-def _raw_generators(generators: Sequence[Transformation], what: str) -> list[RawMap]:
+def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
+    """Close a non-empty generator list under composition."""
     if not generators:
-        raise ValueError(f"{what} needs at least one generator")
+        raise ValueError("closure needs at least one generator")
     n = generators[0].n
     if n > MAX_STATES:
-        raise ValueError(f"{what} works on at most {MAX_STATES} states, got {n}")
+        raise ValueError(f"closure works on at most {MAX_STATES} states, got {n}")
     for g in generators:
         if g.n != n:
             raise ValueError(f"mixed state counts in generators: {g.n} vs {n}")
-    return [bytes(g.images) for g in generators]
-
-
-def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
-    """Close a non-empty generator list under composition."""
-    raws = _raw_generators(generators, "closure")
+    raws = [bytes(g.images) for g in generators]
     members: set[RawMap] = set()
-    tables = [raw_table(g) for g in raws]
-    order = close_raw(raws, tables, seen=members)
-    return TransitionSemigroup(
-        n=generators[0].n,
-        raw=tuple(order),
-        generators=tuple(generators),
-        raw_set=members,
-    )
+    order = close_raw(raws, [raw_table(g) for g in raws], seen=members)
+    return TransitionSemigroup(n=n, raw=tuple(order), raw_set=members)
 
 
 def in_bsf_images(images: Sequence[int]) -> bool:
     """b_sf membership of an image sequence (a tuple or a raw byte map):
-    w = 0t^j and S = (interior)t^j move one power at a time until w is
-    n-1 (accept) or in S (reject).  No set is built when 0t = n-1."""
+    no preimage of 0, n-1 fixed, and for every j >= 1 either 0 t^j = n-1
+    or 0 t^j differs from q t^j for all interior q.  w = 0t^j and
+    S = (interior)t^j move one power at a time until w is n-1 (accept)
+    or in S (reject).  No set is built when 0t = n-1."""
     last = len(images) - 1
     if images[last] != last or 0 in images:
         return False
@@ -211,19 +199,6 @@ def in_wsf_images(images: Sequence[int]) -> bool:
         and 0 not in images
         and (images[0] == last or images.count(last) == last)
     )
-
-
-def in_bsf(t: Transformation) -> bool:
-    """Membership in b_sf(n): no preimage of 0, n-1 fixed, and for every
-    j >= 1 either 0 t^j = n-1 or 0 t^j differs from q t^j for all
-    interior q.  The walk of 0 decides it within n-1 steps: n-1 is
-    fixed, so once reached every later power passes; a walk entering an
-    interior loop at power k meets, at every power from k on, the walk
-    of the loop state q = 0 t^m with m >= k a multiple of the loop
-    length (q is interior, as 0 has no preimage)."""
-    if t.n < 2:
-        raise ValueError("b_sf membership needs n >= 2")
-    return in_bsf_images(t.images)
 
 
 def in_wsf(t: Transformation) -> bool:
@@ -317,8 +292,7 @@ def enumerate_wsf(n: int) -> TransitionSemigroup:
     last = n - 1
     raw = [bytes((last, *mid, last)) for mid in product(range(1, n), repeat=n - 2)]
     raw += [bytes((p,) + (last,) * last) for p in range(1, last)]
-    _, gens = witness_letters(n)
-    return TransitionSemigroup(n=n, raw=tuple(raw), generators=gens, raw_set=frozenset(raw))
+    return TransitionSemigroup(n=n, raw=tuple(raw), raw_set=frozenset(raw))
 
 
 def semiconstant_family(n: int) -> tuple[Transformation, ...]:
@@ -337,10 +311,3 @@ def semiconstant_family(n: int) -> tuple[Transformation, ...]:
         out.append(Transformation(tuple(t)))
     return tuple(out)
 
-
-def is_irreducibly_generated(generators: Sequence[Transformation]) -> bool:
-    """True iff no generator lies in the closure of the others.
-
-    A list with a duplicated generator is never irreducible.
-    """
-    return irreducible_raw(_raw_generators(generators, "irreducibility"))

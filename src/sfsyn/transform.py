@@ -1,9 +1,10 @@
 """Transformations of a finite state set Q = {0, ..., n-1}.
 
 A transformation is a total map t: Q -> Q stored as a dense tuple of
-images, so ``t[q]`` is the image of state q.  Composition is read left
-to right: ``q (s * t) = (q s) t``, matching the way a word uv acts on a
-DFA state (first u, then v).
+images, so ``t[q]`` is the image of state q.  This module holds the
+type and what the other modules read off a single map: its text form,
+its cycles and the walk of state 0.  Products of maps are formed in
+semigroup, left to right, as stated on Transformation.
 
 format_transformation, cycles and zero_path also take a bare image
 sequence: a tuple, or a raw byte map.
@@ -20,7 +21,11 @@ from typing import Sequence
 
 @dataclass(frozen=True, slots=True)
 class Transformation:
-    """A total map on {0, ..., n-1}, stored as the tuple of images."""
+    """A total map on {0, ..., n-1}, stored as the tuple of images.
+
+    Maps compose left to right: the product s t sends q to t[s[q]], so
+    ``q (s t) = (q s) t``, matching the way a word uv acts on a DFA
+    state (first u, then v)."""
 
     images: tuple[int, ...]
 
@@ -41,38 +46,6 @@ class Transformation:
 
     def __repr__(self) -> str:
         return f"Transformation({' '.join(str(i) for i in self.images)})"
-
-
-def identity(n: int) -> Transformation:
-    return Transformation(tuple(range(n)))
-
-
-def compose(s: Transformation, t: Transformation) -> Transformation:
-    """Left-to-right composition: state q goes to t[s[q]]."""
-    if s.n != t.n:
-        raise ValueError(f"cannot compose maps on {s.n} and {t.n} states")
-    return Transformation(tuple(t.images[x] for x in s.images))
-
-
-def power(t: Transformation, k: int) -> Transformation:
-    if k < 0:
-        raise ValueError("negative powers are not defined for transformations")
-    acc = identity(t.n)
-    for _ in range(k):
-        acc = compose(acc, t)
-    return acc
-
-
-def parse_transformation(text: str) -> Transformation:
-    """Parse the whitespace-separated image list, e.g. "4 2 3 1 4"."""
-    parts = text.split()
-    if not parts:
-        raise ValueError("empty transformation text")
-    try:
-        images = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ValueError(f"bad transformation text {text!r}") from exc
-    return Transformation(images)
 
 
 def _images(t: Transformation | Sequence[int]) -> Sequence[int]:

@@ -15,24 +15,25 @@ import pytest
 from sfsyn.collisions import pair_statuses
 from sfsyn.dfa import (
     Dfa,
-    check_zero_path_structure,
+    empty_state,
     is_minimal,
     is_suffix_free,
     transition_semigroup,
     witness,
 )
-from sfsyn.injection import PhiContext, phi, strict_bound_witness, verify_injective
+from sfsyn.injection import PhiContext, _phi, strict_bound_witness, verify_injective
 from sfsyn.search import search_max
 from sfsyn.semigroup import (
     closure,
     enumerate_wsf,
-    in_bsf,
+    in_bsf_images,
     in_wsf,
     vsf_generators,
     witness_letters,
     wsf_bound,
 )
-from sfsyn.transform import Transformation
+from sfsyn.transform import Transformation, zero_path
+from test_dfa import minimize
 
 # sizes of the witness semigroups: (n-1)^(n-2) + n - 2
 WITNESS_SIZES = {4: 11, 5: 67, 6: 629, 7: 7781, 8: 117655}
@@ -74,9 +75,9 @@ def _verdict(num: int, label: str):
 
 def _random_candidate_letter(rng: random.Random, n: int = 7) -> Transformation:
     while True:
-        t = Transformation(tuple(rng.randint(1, n - 1) for _ in range(n - 1)) + (n - 1,))
-        if in_bsf(t):
-            return t
+        images = tuple(rng.randint(1, n - 1) for _ in range(n - 1)) + (n - 1,)
+        if in_bsf_images(images):
+            return Transformation(images)
 
 
 @pytest.fixture(scope="module")
@@ -175,7 +176,7 @@ def test_criterion_03_candidate_map_census():
             count = sum(
                 1
                 for imgs in itertools.product(range(n), repeat=n)
-                if in_bsf(Transformation(imgs))
+                if in_bsf_images(imgs)
             )
             assert count == expected, f"n={n}: {count} != {expected}"
         assert time.perf_counter() - start < CENSUS_S
@@ -214,8 +215,8 @@ def test_criterion_06_strict_gap_for_colliding_semigroups(sampled_semigroups):
             assert gap is not None
             assert in_wsf(gap)
             ctx = PhiContext.from_semigroup(sg)
-            images = {phi(t, ctx).image for t in sg.elements}
-            assert gap not in images
+            images = {_phi(t, ctx)[1] for t in sg.raw}
+            assert bytes(gap.images) not in images
             assert sg.size < wsf_bound(7)
         assert colliding_seen >= SEVEN_SAMPLE_COUNT
 
@@ -279,8 +280,14 @@ def test_criterion_10_empty_state_and_zero_paths(seven_state_dfas, small_corpus)
         corpus.append(_ab_star())
         checked = 0
         for d in corpus:
-            report = check_zero_path_structure(d)
-            assert report.passed, (d, report.failures)
-            assert report.empty_state is not None
+            # on the minimal quotient: an empty state exists, and the walk
+            # of state 0 under every element is aperiodic and ends there
+            m = minimize(d)
+            sink = empty_state(m)
+            assert sink is not None, d
+            for t in transition_semigroup(m).raw:
+                zp = zero_path(t)
+                assert zp.is_aperiodic, (d, t)
+                assert zp.states[-1] == sink, (d, t)
             checked += 1
         assert checked >= SEVEN_SAMPLE_COUNT + 6

@@ -1,9 +1,12 @@
 """The benchmark reaches the library only through the names its
 workloads call on the ``sf`` module and the search statistics it reads;
 each must exist, so that removing one fails here rather than in a
-benchmark run."""
+benchmark run.  The other way round, every function the package exports
+must be run by the CLI, the benchmark or another package module, not by
+the tests alone."""
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import sfsyn
@@ -38,3 +41,36 @@ def test_every_search_statistic_the_benchmark_reads_exists():
     assert {"visited", "selections", "rejected_selections", "capped"} <= names
     fields = {f.name for f in dataclasses.fields(SearchStats)}
     assert sorted(names - fields) == []
+
+
+SRC = Path(sfsyn.__file__).resolve().parent
+
+
+def names_used(source: str) -> set[str]:
+    # names read in a module body, imports aside
+    return {
+        node.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # a function in sfsyn.__all__ is called by the CLI, read as sf.<name>
+    # by the benchmark, or used by a package module other than its own;
+    # classes are exempt
+    bench = attributes_of(WORKLOADS.read_text(encoding="utf-8"), "sf")
+    used_in = {
+        f"sfsyn.{path.stem}": names_used(path.read_text(encoding="utf-8"))
+        for path in SRC.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    uncalled = []
+    for name in sfsyn.__all__:
+        obj = getattr(sfsyn, name)
+        if inspect.isclass(obj):
+            continue
+        callers = [m for m, used in used_in.items() if m != obj.__module__ and name in used]
+        if name not in bench and not callers:
+            uncalled.append(name)
+    assert uncalled == []

@@ -311,15 +311,14 @@ def test_search_has_no_resume_option(capsys):
 
 def test_search_has_no_threads_option(capsys):
     # --threads is no option of sfsyn, so argparse reports a usage error,
-    # not a traceback; unknown, the flag leaves its value to be read as
-    # the command
+    # not a traceback, and names the flag rather than its value
     with pytest.raises(SystemExit) as raised:
         main(["--threads", "2", "search", "--n", "4"])
     assert raised.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage: sfsyn")
-    assert "invalid choice: '2'" in err
+    assert "--threads" in err
     assert "Traceback" not in err
 
 
@@ -467,6 +466,18 @@ def test_undecodable_dfa_file_is_a_usage_error(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {path}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["phi", "suffix-free"])
+def test_bad_finals_field_is_a_usage_error(tmp_path, capsys, command):
+    path = os.path.join(tmp_path, "finals.dfa")
+    with open(path, "w") as fh:
+        fh.write("n=3 letters=a initial=0 finals=1,,2\na: 1 2 2\n")
+    assert main([command, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: header finals must be comma-separated integers, got '1,,2'\n"
     assert "Traceback" not in err
 
 

@@ -3,7 +3,9 @@ empty state, relabeling, text round-trips.
 
 Language-level oracles: exhaustive word enumeration for suffix
 relations on small machines, and an exact pair-reachability product
-for language equivalence.
+for language equivalence.  trim and minimize, which the oracles and
+acceptance criterion 10 build on, are test helpers over the package's
+reachability and Moore refinement.
 """
 import itertools
 import random
@@ -15,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 from sfsyn.transform import Transformation
 from sfsyn.dfa import (
     Dfa,
-    check_zero_path_structure,
+    _moore_blocks,
     empty_state,
     format_dfa,
     is_minimal,
     is_suffix_free,
-    minimize,
     parse_dfa,
     reachable_states,
     relabel,
@@ -28,10 +29,39 @@ from sfsyn.dfa import (
     suffix_free_violation,
     to_dot,
     transition_semigroup,
-    trim,
     witness,
 )
 from sfsyn.semigroup import enumerate_bsf, enumerate_wsf, wsf_bound
+
+
+def quotient(dfa: Dfa, block) -> Dfa:
+    # the reachable states merged by block id, numbered in breadth-first
+    # order; the finals of a block are those of its first state
+    index: dict[int, int] = {}
+    reps = []
+    for q in reachable_states(dfa):
+        if block[q] not in index:
+            index[block[q]] = len(reps)
+            reps.append(q)
+    return Dfa(
+        n=len(reps),
+        letters=dfa.letters,
+        delta=tuple(
+            Transformation(tuple(index[block[t[r]]] for r in reps)) for t in dfa.delta
+        ),
+        initial=0,
+        finals=frozenset(i for i, r in enumerate(reps) if r in dfa.finals),
+    )
+
+
+def trim(dfa: Dfa) -> Dfa:
+    """The reachable part, renumbered in breadth-first order."""
+    return quotient(dfa, range(dfa.n))
+
+
+def minimize(dfa: Dfa) -> Dfa:
+    """The minimal quotient, renumbered in breadth-first order."""
+    return quotient(dfa, _moore_blocks(dfa))
 
 
 def ab_star() -> Dfa:
@@ -384,36 +414,6 @@ def test_empty_state_examples():
     sigma_star = Dfa(1, ("a", "b"), (Transformation((0,)),) * 2, 0, frozenset({0}))
     assert empty_state(sigma_star) is None
     assert not is_suffix_free(sigma_star)
-
-
-def test_zero_path_report_witness():
-    rep = check_zero_path_structure(witness(5))
-    assert rep.passed
-    assert rep.applicable and rep.suffix_free
-    assert rep.empty_state == 4
-    assert not rep.minimized_input
-    assert rep.failures == ()
-
-
-def test_zero_path_report_not_suffix_free():
-    rep = check_zero_path_structure(a_star())
-    assert not rep.applicable
-    assert not rep.passed
-    assert "not suffix-free" in rep.failures
-
-
-def test_zero_path_report_minimizes_first():
-    d = Dfa(
-        4,
-        ("a", "b"),
-        (Transformation((1, 3, 3, 3)), Transformation((3, 1, 3, 3))),
-        0,
-        frozenset({1}),
-    )
-    # state 2 unreachable: report runs on the quotient and says so
-    rep = check_zero_path_structure(d)
-    assert rep.minimized_input
-    assert rep.passed
 
 
 # -------------------------------------------------------------- relabeling

@@ -14,7 +14,6 @@ from sfsyn.injection import (
     CaseExhaustionError,
     InjectivityReport,
     NotInImageError,
-    PhiCase,
     PhiContext,
     PreconditionError,
     _build,
@@ -28,9 +27,6 @@ from sfsyn.injection import (
     _rebuild_chain,
     _restore,
     _zero_chain,
-    classify,
-    phi,
-    phi_inverse,
     strict_bound_witness,
     verify_injective,
 )
@@ -39,7 +35,6 @@ from sfsyn.semigroup import (
     closure,
     enumerate_bsf,
     enumerate_wsf,
-    in_bsf,
     in_bsf_images,
     in_wsf,
     in_wsf_images,
@@ -88,59 +83,53 @@ def criterion_five_semigroups():
 def test_small_n_rejected():
     ctx = PhiContext(n=4, colliding=frozenset())
     with pytest.raises(ValueError):
-        classify(T(3, 1, 2, 3), ctx)
+        _case((3, 1, 2, 3), ctx)
     with pytest.raises(ValueError):
-        phi_inverse(T(3, 1, 2, 3), ctx)
+        _inverse((3, 1, 2, 3), ctx)
 
 
 def test_walk_into_cycle_rejected(v7_ctx):
     with pytest.raises(PreconditionError):
-        classify(T(1, 2, 3, 1, 6, 6, 6), v7_ctx)
+        _case((1, 2, 3, 1, 6, 6, 6), v7_ctx)
 
 
 def test_unfixed_sink_rejected(v7_ctx):
     with pytest.raises(PreconditionError):
-        classify(T(1, 6, 6, 6, 6, 6, 5), v7_ctx)
+        _case((1, 6, 6, 6, 6, 6, 5), v7_ctx)
 
 
 def test_size_mismatch_rejected(v7_ctx):
     with pytest.raises(ValueError):
-        classify(T(1, 2, 3, 4, 5, 6, 7, 7), v7_ctx)
+        _case((1, 2, 3, 4, 5, 6, 7, 7), v7_ctx)
 
 
-# ------------------------------------------------- pinned classify results
+# ---------------------------------------------------- pinned case labels
 
 
 def test_collapsing_elements_are_case_1(v7_ctx):
-    assert classify(T(6, 2, 3, 4, 5, 1, 6), v7_ctx) == PhiCase(1)
-    assert classify(T(1, 6, 6, 6, 6, 6, 6), v7_ctx) == PhiCase(1)
+    assert _case((6, 2, 3, 4, 5, 1, 6), v7_ctx) == "1"
+    assert _case((1, 6, 6, 6, 6, 6, 6), v7_ctx) == "1"
 
 
 def test_classify_signature_of_each_case(v7_ctx):
     cases = {
-        T(1, 6, 3, 4, 3, 6, 6): PhiCase(2),
-        T(1, 2, 6, 6, 6, 6, 6): PhiCase(3),
-        T(1, 6, 3, 3, 6, 6, 6): PhiCase(4),
-        T(1, 6, 3, 6, 2, 6, 6): PhiCase(5),
-        T(1, 6, 4, 4, 6, 6, 6): PhiCase(6, "p<r"),
-        T(5, 6, 6, 2, 2, 6, 6): PhiCase(6, "p>r"),
-        T(1, 6, 3, 6, 5, 6, 6): PhiCase(7, "i"),
-        T(4, 2, 6, 5, 6, 6, 6): PhiCase(7, "ii"),
-        T(1, 6, 2, 3, 6, 6, 6): PhiCase(8),
-        T(1, 6, 3, 6, 4, 6, 6): PhiCase(9),
-        T(4, 2, 6, 3, 6, 6, 6): PhiCase(10),
-        T(1, 6, 3, 6, 6, 6, 6): PhiCase(11, "i"),
-        T(4, 2, 6, 6, 6, 6, 6): PhiCase(11, "ii"),
-        T(1, 6, 2, 6, 6, 6, 6): PhiCase(12),
+        T(1, 6, 3, 4, 3, 6, 6): "2",
+        T(1, 2, 6, 6, 6, 6, 6): "3",
+        T(1, 6, 3, 3, 6, 6, 6): "4",
+        T(1, 6, 3, 6, 2, 6, 6): "5",
+        T(1, 6, 4, 4, 6, 6, 6): "6(p<r)",
+        T(5, 6, 6, 2, 2, 6, 6): "6(p>r)",
+        T(1, 6, 3, 6, 5, 6, 6): "7(i)",
+        T(4, 2, 6, 5, 6, 6, 6): "7(ii)",
+        T(1, 6, 2, 3, 6, 6, 6): "8",
+        T(1, 6, 3, 6, 4, 6, 6): "9",
+        T(4, 2, 6, 3, 6, 6, 6): "10",
+        T(1, 6, 3, 6, 6, 6, 6): "11(i)",
+        T(4, 2, 6, 6, 6, 6, 6): "11(ii)",
+        T(1, 6, 2, 6, 6, 6, 6): "12",
     }
     for t, expected in cases.items():
-        assert classify(t, own_ctx(t)) == expected, t
-
-
-def test_case_labels():
-    assert PhiCase(3).label == "3"
-    assert PhiCase(7, "ii").label == "7(ii)"
-    assert PhiCase(6, "p<r").label == "6(p<r)"
+        assert _case(t.images, own_ctx(t)) == expected, t
 
 
 # --------------------------------------------------- pinned forward images
@@ -148,29 +137,28 @@ def test_case_labels():
 
 def test_forward_image_shared_preimage_chain(v7_ctx):
     # the walk of 0 is reversed and its start becomes a fixed point
-    out = phi(T(1, 2, 6, 6, 6, 6, 6), v7_ctx)
-    assert out.case == PhiCase(3)
-    assert out.image == T(6, 1, 1, 6, 6, 6, 6)
-    assert out.reconstruction == out.t
+    t = (1, 2, 6, 6, 6, 6, 6)
+    case, image = _phi(t, v7_ctx)
+    assert case == "3"
+    assert image == (6, 1, 1, 6, 6, 6, 6)
+    assert _inverse(image, v7_ctx) == t
 
 
 def test_forward_image_two_fixed_points(v7_ctx):
     # the two isolated fixed points start swapping
-    out = phi(T(1, 6, 2, 3, 6, 6, 6), v7_ctx)
-    assert out.case == PhiCase(8)
-    assert out.image == T(6, 3, 3, 2, 6, 6, 6)
+    case, image = _phi((1, 6, 2, 3, 6, 6, 6), v7_ctx)
+    assert case == "8"
+    assert image == (6, 3, 3, 2, 6, 6, 6)
 
 
 def test_inverse_of_pinned_images(v7_ctx):
-    assert phi_inverse(T(6, 1, 1, 6, 6, 6, 6), v7_ctx) == T(1, 2, 6, 6, 6, 6, 6)
-    assert phi_inverse(T(6, 3, 3, 2, 6, 6, 6), v7_ctx) == T(1, 6, 2, 3, 6, 6, 6)
+    assert _inverse((6, 1, 1, 6, 6, 6, 6), v7_ctx) == (1, 2, 6, 6, 6, 6, 6)
+    assert _inverse((6, 3, 3, 2, 6, 6, 6), v7_ctx) == (1, 6, 2, 3, 6, 6, 6)
 
 
 def test_collapsing_input_is_its_own_image(v7_ctx):
-    t = T(6, 2, 3, 4, 5, 1, 6)
-    out = phi(t, v7_ctx)
-    assert out.case == PhiCase(1)
-    assert out.image == t
+    t = (6, 2, 3, 4, 5, 1, 6)
+    assert _phi(t, v7_ctx) == ("1", t)
 
 
 # ------------------------------------------------- round trips, case by case
@@ -198,17 +186,18 @@ ROUND_TRIP_EXAMPLES = [
 
 @pytest.mark.parametrize("t", ROUND_TRIP_EXAMPLES, ids=str)
 def test_round_trip_and_collapsing_image(t):
-    out = phi(t, own_ctx(t))
-    assert out.reconstruction == t
-    assert in_wsf(out.image)
-    if out.case.case_number > 1:
-        assert out.image != t
+    ctx = own_ctx(t)
+    case, image = _phi(t.images, ctx)
+    assert _inverse(image, ctx) == t.images
+    assert in_wsf_images(image)
+    if case != "1":
+        assert image != t.images
 
 
 def test_every_case_number_is_exercised():
-    seen = {phi(t, own_ctx(t)).case.case_number for t in ROUND_TRIP_EXAMPLES}
-    seen.add(1)
-    assert seen == set(range(1, 13))
+    seen = {_phi(t.images, own_ctx(t))[0].partition("(")[0] for t in ROUND_TRIP_EXAMPLES}
+    seen.add("1")
+    assert seen == {str(k) for k in range(1, 13)}
 
 
 def test_random_walk_inputs_round_trip():
@@ -216,16 +205,16 @@ def test_random_walk_inputs_round_trip():
     seen = 0
     while seen < 200:
         images = tuple(rng.randint(1, 6) for _ in range(6)) + (6,)
-        t = Transformation(images)
-        if not in_bsf(t):
+        if not in_bsf_images(images):
             continue
-        sg = closure([t])
+        sg = closure([Transformation(images)])
         if not verify_suffix_free_consistency(sg):
             continue
         seen += 1
-        out = phi(t, PhiContext.from_semigroup(sg))
-        assert out.reconstruction == t
-        assert in_wsf(out.image)
+        ctx = PhiContext.from_semigroup(sg)
+        _, image = _phi(images, ctx)
+        assert _inverse(image, ctx) == images
+        assert in_wsf_images(image)
 
 
 # ------------------------------------------------- whole-semigroup checks
@@ -366,14 +355,14 @@ def test_non_collapsing_images_are_reported(v7, monkeypatch):
 
 
 def test_forward_map_over_all_of_bsf_seven():
-    # classify and _build over every b_sf map on 7 states: no case runs
-    # out and every image collapses
+    # _case and _build over every b_sf map on 7 states: no case runs out
+    # and every image collapses
     ctx = PhiContext(7, frozenset())
     counts: dict[str, int] = {}
     for t in enumerate_bsf(7):
-        case = classify(t, ctx)
-        assert in_wsf(Transformation(_build(t.images, case.label))), t
-        counts[case.label] = counts.get(case.label, 0) + 1
+        case = _case(t.images, ctx)
+        assert in_wsf_images(_build(t.images, case)), t
+        counts[case] = counts.get(case, 0) + 1
     assert counts == {
         "1": 7781,
         "2": 1365,
@@ -398,7 +387,7 @@ def test_in_degree_two_letters_round_trip():
     # injective-off-sink semigroup never reaches
     sg = closure([T(1, 6, 3, 3, 6, 6, 6), T(1, 6, 4, 4, 6, 6, 6)])
     assert verify_suffix_free_consistency(sg)
-    assert all(in_bsf(t) for t in sg.elements)
+    assert all(in_bsf_images(t) for t in sg.raw)
     report = verify_injective(sg)
     assert report.passed
     assert "4" in report.case_counts
@@ -415,9 +404,9 @@ def test_cycle_attachment_sharing_traffic_round_trips():
     t = T(3, 5, 6, 6, 1, 1, 6)
     assert t in sg.elements
     ctx = PhiContext.from_semigroup(sg)
-    outcome = phi(t, ctx)
-    assert outcome.case.case_number == 2
-    assert phi_inverse(outcome.image, ctx) == t
+    case, image = _phi(t.images, ctx)
+    assert case == "2"
+    assert _inverse(image, ctx) == t.images
     report = verify_injective(sg)
     assert report.passed, report.counterexample
 
@@ -439,13 +428,13 @@ def test_strict_bound_witness_exists_for_colliding_semigroup(v7, v7_ctx):
     assert w == T(6, 2, 2, 4, 5, 3, 6)
     assert in_wsf(w)
     with pytest.raises(NotInImageError):
-        phi_inverse(w, v7_ctx)
+        _inverse(w.images, v7_ctx)
 
 
 def test_strict_bound_witness_misses_every_image(v7, v7_ctx):
     w = strict_bound_witness(v7)
-    images = {phi(t, v7_ctx).image for t in v7.elements}
-    assert w not in images
+    images = {_phi(t, v7_ctx)[1] for t in v7.raw}
+    assert bytes(w.images) not in images
     assert len(images) == v7.size < wsf_bound(7)
 
 
@@ -466,9 +455,8 @@ def test_witness_needs_seven_states():
 def _random_bsf(rng, n=7):
     while True:
         images = tuple(rng.randint(1, n - 1) for _ in range(n - 1)) + (n - 1,)
-        t = Transformation(images)
-        if in_bsf(t):
-            return t
+        if in_bsf_images(images):
+            return Transformation(images)
 
 
 def test_sampled_consistent_semigroups_embed():
@@ -477,7 +465,7 @@ def test_sampled_consistent_semigroups_embed():
     while checked < 25:
         gens = [_random_bsf(rng) for _ in range(rng.randint(1, 3))]
         sg = closure(gens)
-        if not all(in_bsf(t) for t in sg.elements):
+        if not all(in_bsf_images(t) for t in sg.raw):
             continue
         if not verify_suffix_free_consistency(sg):
             continue
@@ -539,8 +527,8 @@ def old_guard(t: Sequence[int], ctx: PhiContext) -> None:
 
 
 def old_case(t: Sequence[int], ctx: PhiContext) -> str:
-    # classify on an image sequence, by label; the guard has checked
-    # b_sf, so case 1 (w_sf) is the collapse condition alone
+    # the case label of an image sequence; the guard has checked b_sf,
+    # so case 1 (w_sf) is the collapse condition alone
     old_guard(t, ctx)
     n = len(t)
     if collapses(t):
@@ -685,7 +673,7 @@ def old_focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple
 
 
 def old_inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
-    # phi_inverse on an image sequence
+    # the inverse on an image sequence
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
     n = len(s)
@@ -884,9 +872,7 @@ def test_loop_matches_oracle_when_a_wsf_map_focuses_a_colliding_pair():
     # The constant map is case 1 under a non-empty collision context;
     # the focusing map goes through _phi and fails its round trip
     raw = tuple(bytes(t) for t in ((6,) * 7, (1, 2, 6, 6, 6, 6, 6), (6, 3, 3, 6, 6, 6, 6)))
-    sg = TransitionSemigroup(
-        n=7, raw=raw, generators=tuple(Transformation(tuple(t)) for t in raw), raw_set=frozenset(raw)
-    )
+    sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
     assert PhiContext.from_semigroup(sg).colliding == {(1, 2)}
     report = assert_loop_matches_oracle(sg)
     assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
@@ -914,9 +900,7 @@ def test_loop_matches_oracle_when_the_focus_scan_stops_early():
             (6, 3, 3, 6, 6, 6, 6),
         )
     )
-    sg = TransitionSemigroup(
-        n=7, raw=raw, generators=tuple(Transformation(tuple(t)) for t in raw), raw_set=frozenset(raw)
-    )
+    sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
     assert PhiContext.from_semigroup(sg).colliding == {(1, 2)}
     assert sg.pair_scan.focused_by == {
         pair: (raw[2], 1) for pair in itertools.combinations(range(1, 6), 2)
