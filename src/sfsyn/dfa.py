@@ -31,6 +31,8 @@ class Dfa:
             raise ValueError("a DFA needs at least one state")
         if not self.letters:
             raise ValueError("a DFA needs at least one letter")
+        if "" in self.letters:
+            raise ValueError(f"empty letter name in {','.join(self.letters)!r}")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("duplicate letter names")
         if len(self.delta) != len(self.letters):
@@ -289,14 +291,18 @@ def parse_dfa(text: str) -> Dfa:
     if not lines:
         raise ValueError("empty DFA text")
     head = lines[0].split()
-    fields = {}
+    fields: dict[str, str | None] = dict.fromkeys(("n", "letters", "initial", "finals"))
     for part in head:
         if "=" not in part:
             raise ValueError(f"bad header field {part!r}")
         key, _, value = part.partition("=")
-        fields[key] = value
-    for key in ("n", "letters", "initial", "finals"):
         if key not in fields:
+            raise ValueError(f"unknown header field {key!r}")
+        if fields[key] is not None:
+            raise ValueError(f"repeated header field {key!r}")
+        fields[key] = value
+    for key, value in fields.items():
+        if value is None:
             raise ValueError(f"header is missing {key}")
     try:
         n = int(fields["n"])

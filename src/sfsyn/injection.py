@@ -14,28 +14,33 @@ The embedding is what bounds the semigroup size by
 semigroup has a colliding pair at all.
 
 The embedding works on image sequences (tuples or raw byte maps) and
-names cases by label: _case picks the case, _phi builds the image and
-checks its round trip, and _inverse undoes it.  Case 1, where the
+names cases by label: _forward walks the case ladder once and returns
+the label of the first matching case with its rewired image, _phi
+checks the round trip, and _inverse undoes it.  Case 1, where the
 embedding is the identity, is one w_sf test on the raw map
 (in_wsf_images); only a map outside w_sf runs the b_sf guard and has
-its in-degrees and interior fixed points read, once.
-A semigroup with no colliding pair focuses nothing onto one, so under
-its empty collision context the inverse returns its input at once.
+its cycles, in-degrees, interior fixed points and movers read, once.
+Collision data is a mask over collisions.pair_index(n), and a pair is
+looked up in its table; pairs are tuples only where the inverse reads
+the shape around their two states.  A semigroup with no colliding pair
+focuses nothing onto one, so under its empty collision context the
+inverse returns its input at once.
 
 verify_injective decides case 1 in its own loop, where the embedding
 would return the map itself, and sends only the other maps through it.
 Whether a w_sf map can focus a colliding pair is decided once per
-semigroup, from the pair scan's focused pairs: when none of them
-collides, case 1 in the loop is the w_sf test alone.  The scan stops
-recording focused pairs early only once every pair is focused, and then
-any colliding pair is among them, so no focus is missed.
+semigroup, by one AND of the pair scan's colliding and focused masks:
+when no focused pair collides, case 1 in the loop is the w_sf test
+alone.  The scan stops recording focused pairs early only once every
+pair is focused, and then any colliding pair is among them, so no focus
+is missed.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .collisions import focused_triples, pair_statuses
+from .collisions import focused_triples, pair_index, pair_masks, pair_statuses
 from .semigroup import RawMap, TransitionSemigroup, in_bsf_images, in_wsf_images, wsf_bound
 from .transform import Transformation, cycles, format_transformation, zero_path
 
@@ -56,14 +61,15 @@ class CaseExhaustionError(RuntimeError):
 @dataclass(frozen=True)
 class PhiContext:
     """Collision data of the ambient semigroup: the embedding of an
-    element depends on which interior pairs collide somewhere in T."""
+    element depends on which interior pairs collide somewhere in T,
+    given as a mask over collisions.pair_index(n)."""
 
     n: int
-    colliding: frozenset[tuple[int, int]]
+    colliding: int
 
     @classmethod
     def from_semigroup(cls, sg: TransitionSemigroup) -> "PhiContext":
-        return cls(n=sg.n, colliding=frozenset(sg.pair_scan.colliding_by))
+        return cls(n=sg.n, colliding=sg.pair_scan.colliding)
 
 
 # ---------------------------------------------------------------- helpers
@@ -112,47 +118,73 @@ def _interior_fixed(t: Sequence[int]) -> list[int]:
     return [q for q in _interior(len(t)) if t[q] == q]
 
 
-def _case(t: Sequence[int], ctx: PhiContext) -> str:
-    # the label of the first matching case, tried in order; the final
+def _zero_chain(t: Sequence[int]) -> list[int]:
+    # p, pt, ..., pt^k: the interior stretch of the walk of 0
+    return list(zero_path(t).states[1:-1])
+
+
+def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
+    # the label of the first matching case, tried in order, and the
+    # image of t under it, of the same sequence type as t; the final
     # case is the fall-through and anything outside it is a hard
-    # structural error.  Case 1 is w_sf itself, one test on the raw
-    # map; only a map outside it runs the b_sf guard and has its
-    # in-degrees and interior fixed points read, once
+    # structural error.  Case 1 is w_sf itself, one test on the raw map;
+    # only a map outside it runs the b_sf guard and has its cycles,
+    # in-degrees, interior fixed points and movers read, once each
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
     n = len(t)
     if n != ctx.n:
         raise ValueError(f"transformation on {n} states, context has {ctx.n}")
     if in_wsf_images(t):
-        return "1"
+        return "1", t
     _guard(t)
     p = t[0]
-    if cycles(t):
-        return "2"
-    if t[p] != n - 1:
-        return "3"
+    interior = _interior(n)
+    cycs = cycles(t)
     deg = _in_degrees(t)
     fixed = _interior_fixed(t)
-    if any(deg[r] >= 2 for r in fixed):
-        return "4"
-    if any(deg[r] and t[r] != r and t[r] != n - 1 for r in _interior(n)):
-        return "5"
-    heavy = [r for r in _interior(n) if deg[r] >= 2]
-    if heavy:
+    movers = _eligible_movers(t)
+    imgs = list(t)
+    imgs[0] = n - 1
+    if cycs or t[p] != n - 1:
+        # reverse the walk of 0; p goes to the least cycle state or stays
+        case = "2" if cycs else "3"
+        chain = _zero_chain(t)
+        imgs[p] = cycs[0][0] if cycs else p
+        for i in range(1, len(chain)):
+            imgs[chain[i]] = chain[i - 1]
+    elif heavy_fixed := [r for r in fixed if deg[r] >= 2]:
+        case = "4"
+        imgs[p] = heavy_fixed[0]
+    elif entered := [r for r in interior if deg[r] and t[r] != r and t[r] != n - 1]:
+        case = "5"
+        imgs[p] = t[min(q for q in entered if t[t[q]] == n - 1)]
+    elif heavy := [r for r in interior if deg[r] >= 2]:
         r = heavy[0]
         if r == p:
             raise CaseExhaustionError(
                 f"{format_transformation(t)}: state {p} reached from 0 has "
                 "in-degree >= 2, impossible under suffix-freeness"
             )
-        return "6(p<r)" if p < r else "6(p>r)"
-    movers = _eligible_movers(t)
-    if len(movers) >= 2:
-        r1 = t[movers[0]]
-        return "7(i)" if p < r1 else "7(ii)"
-    if sum(deg[r] == 1 for r in fixed) >= 2:
-        return "8"
-    if len(movers) == 1:
+        case = "6(p<r)" if p < r else "6(p>r)"
+        q1, q2 = [q for q in range(n) if t[q] == r][:2]
+        if p > r:
+            q1, q2 = q2, q1
+        imgs[p] = imgs[r] = q1
+        imgs[q1] = q2
+        imgs[q2] = n - 1
+    elif len(movers) >= 2:
+        q1, q2 = movers[:2]
+        r1 = t[q1]
+        case = "7(i)" if p < r1 else "7(ii)"
+        imgs[p] = imgs[r1] = q1
+        imgs[q1] = n - 1 if p < r1 else q2
+    elif len(isolated := [r for r in fixed if deg[r] == 1]) >= 2:
+        case = "8"
+        r1, r2 = isolated[:2]
+        imgs[p] = imgs[r1] = r2
+        imgs[r2] = r1
+    elif len(movers) == 1:
         q = movers[0]
         r = t[q]
         if r == p:
@@ -160,109 +192,39 @@ def _case(t: Sequence[int], ctx: PhiContext) -> str:
                 f"{format_transformation(t)}: the moving state {q} maps to "
                 f"{p}, which only 0 may reach under suffix-freeness"
             )
-        if fixed:
-            return "9" if p < r else "10"
-        return "11(i)" if p < r else "11(ii)"
-    # fall-through: exactly one isolated fixed point, all else collapsed
-    # (case 3 has taken every map with t[p] != n-1)
-    collapsed = all(
-        t[q] == n - 1 for q in _interior(n) if q not in fixed and q != p
-    )
-    if len(fixed) != 1 or not collapsed:
-        raise CaseExhaustionError(
-            f"{format_transformation(t)} matches no structural case; "
-            f"fixed interior states {fixed}, walk target {t[p]}"
-        )
-    return "12"
-
-
-# ----------------------------------------------------------- the forward map
-
-
-def _zero_chain(t: Sequence[int]) -> list[int]:
-    # p, pt, ..., pt^k: the interior stretch of the walk of 0
-    return list(zero_path(t).states[1:-1])
-
-
-def _build(t: Sequence[int], case: str) -> Sequence[int]:
-    # the image of t under its case, of the same sequence type as t
-    if case == "1":
-        return t
-    n = len(t)
-    p = t[0]
-    deg = _in_degrees(t)
-    fixed = _interior_fixed(t)
-    imgs = list(t)
-    imgs[0] = n - 1
-    if case in ("2", "3"):
-        # reverse the walk of 0; p goes to the least cycle state or stays
-        chain = _zero_chain(t)
-        imgs[p] = cycles(t)[0][0] if case == "2" else p
-        for i in range(1, len(chain)):
-            imgs[chain[i]] = chain[i - 1]
-    elif case == "4":
-        imgs[p] = min(q for q in fixed if deg[q] >= 2)
-    elif case == "5":
-        r = min(
-            q
-            for q in _interior(n)
-            if deg[q] and t[q] != q and t[q] != n - 1 and t[t[q]] == n - 1
-        )
-        imgs[p] = t[r]
-    elif case.startswith("6"):
-        r = min(q for q in _interior(n) if deg[q] >= 2)
-        pre = [q for q in range(n) if t[q] == r]
-        if case == "6(p<r)":
-            q1, q2 = pre[0], pre[1]
+        if fixed and p < r:
+            case = "9"
+            imgs[p] = r
+            imgs[r] = q
+            imgs[q] = p
+            imgs[fixed[0]] = r
         else:
-            q1, q2 = pre[1], pre[0]
-        imgs[p] = q1
-        imgs[r] = q1
-        imgs[q1] = q2
-        imgs[q2] = n - 1
-    elif case.startswith("7"):
-        q1, q2 = _eligible_movers(t)[:2]
-        r1 = t[q1]
-        imgs[p] = q1
-        imgs[r1] = q1
-        imgs[q1] = n - 1 if case == "7(i)" else q2
-    elif case == "8":
-        r1, r2 = [r for r in fixed if deg[r] == 1][:2]
-        imgs[p] = r2
-        imgs[r1] = r2
-        imgs[r2] = r1
-    elif case == "9":
-        q = _eligible_movers(t)[0]
-        r = t[q]
-        f = fixed[0]
-        imgs[p] = r
-        imgs[r] = q
-        imgs[q] = p
-        imgs[f] = r
-    elif case in ("10", "11(i)", "11(ii)"):
-        q = _eligible_movers(t)[0]
-        r = t[q]
-        imgs[p] = q
-        imgs[r] = q
-        imgs[q] = n - 1
-        if case == "11(ii)":
-            r1, r2 = sorted(set(_interior(n)) - {p, q, r})[:2]
-            imgs[r1] = r2
-            imgs[r2] = r1
-    else:  # case 12
-        f = fixed[0]
-        imgs[p] = f
-        r1, r2 = sorted(set(_interior(n)) - {p, f})[:2]
-        imgs[r1] = r2
-        imgs[r2] = r1
-    return type(t)(imgs)
+            case = "10" if fixed else "11(i)" if p < r else "11(ii)"
+            imgs[p] = imgs[r] = q
+            imgs[q] = n - 1
+            if case == "11(ii)":
+                r1, r2 = sorted(set(interior) - {p, q, r})[:2]
+                imgs[r1], imgs[r2] = r2, r1
+    else:
+        # exactly one isolated fixed point, all else collapsed (case 3
+        # has taken every map with t[p] != n-1)
+        collapsed = all(t[q] == n - 1 for q in interior if q not in fixed and q != p)
+        if len(fixed) != 1 or not collapsed:
+            raise CaseExhaustionError(
+                f"{format_transformation(t)} matches no structural case; "
+                f"fixed interior states {fixed}, walk target {t[p]}"
+            )
+        case = "12"
+        imgs[p] = fixed[0]
+        r1, r2 = sorted(set(interior) - {p, fixed[0]})[:2]
+        imgs[r1], imgs[r2] = r2, r1
+    return case, type(t)(imgs)
 
 
 def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
     # the case label and the image of t, after the inverse has sent
     # the image back to t
-    case = _case(t, ctx)
-    image = _build(t, case)
+    case, image = _forward(t, ctx)
     back = _inverse(image, ctx)
     if back != t:
         raise CaseExhaustionError(
@@ -276,10 +238,12 @@ def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
 
 
 def _focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
+    n = len(s)
+    bit = pair_index(n).bit
     return [
         ((x, y), z)
         for x, y, z in sorted(focused_triples(s))
-        if (x, y) in ctx.colliding
+        if bit[x * n + y] & ctx.colliding
     ]
 
 
@@ -291,6 +255,7 @@ def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
     the state two steps back.
     """
     n = len(s)
+    bit = pair_index(n).bit
     chain = [p]
     pre = [w for w in range(n) if w != p and s[w] == p]
     if len(pre) > 1:
@@ -302,9 +267,7 @@ def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
             cands = [
                 w
                 for w in range(n)
-                if s[w] == cur
-                and w != cur
-                and (min(w, back), max(w, back)) in ctx.colliding
+                if s[w] == cur and w != cur and bit[w * n + back] & ctx.colliding
             ]
             if len(cands) > 1:
                 raise NotInImageError("chain step is not unique")
@@ -520,10 +483,10 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     early, and it stops only once every pair is focused, when a
     non-empty colliding set meets the focused ones."""
     ctx = PhiContext.from_semigroup(sg)
-    if ctx.n < 7:  # _case checks it too, but case-1 maps never reach _case
+    if ctx.n < 7:  # _forward checks it too, but case-1 maps never reach it
         raise ValueError("the embedding needs n >= 7")
     colliding = ctx.colliding
-    focus_free = colliding.isdisjoint(sg.pair_scan.focused_by)
+    focus_free = not colliding & sg.pair_scan.focused
     counts: dict[str, int] = {}
     # each image unequal to its own map, and the first map sent to it;
     # an image equal to its map needs no entry, as the maps are distinct
@@ -533,9 +496,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     round_trips = True
     counterexample = None
     for i, t in enumerate(sg.raw):
-        if in_wsf_images(t) and (
-            focus_free or not any((x, y) in colliding for x, y, _ in focused_triples(t))
-        ):
+        if in_wsf_images(t) and (focus_free or not pair_masks(t)[1] & colliding):
             counts["1"] = counts.get("1", 0) + 1
             if duplicate is None and t in moved:  # t is sent to itself
                 duplicate = _shared_image(moved[t], t, t)

@@ -13,15 +13,17 @@ folded into the generated semigroup X.  Stage one then keeps the pool
 maps outside X whose colliding and focused pair masks clash with none
 of X's, and the branch ends when |X| plus their number cannot reach
 the target.  Candidate sets are ints over pool positions, bit i for
-the i-th pool map.  Neither X's masks nor a pool map's own masks
-clash: a map t colliding {p, q} (0t = p, rt = q for an interior r) and
-focusing it (pt = qt interior) merges 0 and r at an interior state
-under t t, so it is not admissible.  A pool map t therefore passes
-exactly when no pair t collides is focused in X and no pair t focuses
-collides in X.  The context holds, for each interior pair, the pool
-maps colliding it and the pool maps focusing it, so stage one is a few
-big-int operations: the pool minus X, minus the colliders of X's
-focused pairs, minus the focusers of X's colliding pairs.
+the i-th pool map, and pair masks ints over the interior pairs of
+collisions.pair_index(n), each map's from collisions.pair_masks.
+Neither X's masks nor a pool map's own masks clash: a map t colliding
+{p, q} (0t = p, rt = q for an interior r) and focusing it (pt = qt
+interior) merges 0 and r at an interior state under t t, so it is not
+admissible.  A pool map t therefore passes exactly when no pair t
+collides is focused in X and no pair t focuses collides in X.  The
+context holds, for each interior pair, the pool maps colliding it and
+the pool maps focusing it, so stage one is a few big-int operations:
+the pool minus X, minus the colliders of X's focused pairs, minus the
+focusers of X's colliding pairs.
 
 Branches are also closed off by a per-pair case analysis.  A consistent
 semigroup must, for every interior pair, avoid all of the pair's
@@ -181,11 +183,11 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, compress, permutations
+from itertools import compress, permutations
 from operator import itemgetter, or_
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
-from .collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
+from .collisions import pair_index, pair_masks, verify_suffix_free_consistency
 from .dfa import Dfa, is_suffix_free
 from .semigroup import (
     RawMap,
@@ -340,24 +342,6 @@ def _decode_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
     return n, tuple(fp[i : i + n] for i in range(2, 2 + n * count, n))
 
 
-# ------------------------------------------------------------ pair machinery
-
-
-def _pair_bits(n: int) -> dict[tuple[int, int], int]:
-    return {pair: 1 << i for i, pair in enumerate(combinations(range(1, n - 1), 2))}
-
-
-def _masks_of(t: Sequence[int], pair_bit: dict[tuple[int, int], int]) -> tuple[int, int]:
-    # the collisions module's pair rules as bitmasks over the interior pairs
-    coll = 0
-    for pair in colliding_pairs(t):
-        coll |= pair_bit[pair]
-    foc = 0
-    for p, q, _ in focused_triples(t):
-        foc |= pair_bit[(p, q)]
-    return coll, foc
-
-
 # ------------------------------------------------------------ shared context
 
 
@@ -374,7 +358,6 @@ def _bits(positions: Iterable[int], size: int) -> int:
 @dataclass(frozen=True)
 class _Context:
     n: int
-    pair_bit: dict[tuple[int, int], int]
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
     bsf_set: frozenset[RawMap]
@@ -400,23 +383,21 @@ class _Context:
 
 @lru_cache(maxsize=4)
 def _context(n: int) -> _Context:
-    pair_bit = _pair_bits(n)
     bsf = frozenset(bytes(t.images) for t in enumerate_bsf(n))
     semi = frozenset(bytes(t.images) for t in semiconstant_family(n))
     pool = tuple(sorted(bsf - semi))
-    masks = {t: _masks_of(t, pair_bit) for t in bsf}
+    masks = {t: pair_masks(t) for t in bsf}
     vsf = closure(list(vsf_generators(n))).raw_set
     wsf = enumerate_wsf(n).raw_set
     size = len(pool)
     # every pool map's own masks, one set-bit pass over the pool
-    columns = _product_row((masks[t] for t in pool), size, len(pair_bit))
+    columns = _product_row((masks[t] for t in pool), size, len(pair_index(n).pairs))
 
     def where(test) -> int:
         return _bits((i for i, t in enumerate(pool) if test(t)), size)
 
     return _Context(
         n=n,
-        pair_bit=pair_bit,
         pool=pool,
         semiconstants=tuple(sorted(semi)),
         bsf_set=bsf,
@@ -528,7 +509,7 @@ class _ProductRows(dict):
     def _row(self, products) -> _ProductRow:
         # products: pool map -> the union masks of its products, or None
         ctx = self.ctx
-        return _product_row(map(products, ctx.pool), len(ctx.pool), len(ctx.pair_bit))
+        return _product_row(map(products, ctx.pool), len(ctx.pool), len(ctx.coll_by_bit))
 
     def __missing__(self, x: RawMap) -> _ProductRow:
         masks, tables = self.ctx.masks, self.ctx.tables

@@ -3,7 +3,8 @@ workloads call on the ``sf`` module and the search statistics it reads;
 each must exist, so that removing one fails here rather than in a
 benchmark run.  The other way round, every function the package exports
 must be run by the CLI, the benchmark or another package module, not by
-the tests alone."""
+the tests alone.  And the interior pairs have one encoding, the
+collisions module's pair_index, so no other module orders them itself."""
 import ast
 import dataclasses
 import inspect
@@ -74,3 +75,44 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
         if name not in bench and not callers:
             uncalled.append(name)
     assert uncalled == []
+
+
+def pair_order_builders(source: str) -> list[int]:
+    # lines that reach itertools.combinations, by import or attribute, or
+    # that loop over range(x + 1, ...), the hand-written pair order
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            if any(alias.name in ("combinations", "*") for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "combinations":
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "range"
+            and node.args
+            and isinstance(start := node.args[0], ast.BinOp)
+            and isinstance(start.op, ast.Add)
+            and isinstance(start.left, ast.Name)
+            and isinstance(start.right, ast.Constant)
+            and start.right.value == 1
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_collisions_orders_the_interior_pairs():
+    builders = {
+        path.name: lines
+        for path in sorted(SRC.glob("*.py"))
+        if (lines := pair_order_builders(path.read_text(encoding="utf-8")))
+    }
+    assert list(builders) == ["collisions.py"]
+
+
+def test_the_pair_order_guard_sees_each_form():
+    assert pair_order_builders("from itertools import combinations") == [1]
+    assert pair_order_builders("import itertools\nitertools.combinations(r, 2)") == [2]
+    assert pair_order_builders("[(p, q) for p in r for q in range(p + 1, n)]") == [1]
+    assert pair_order_builders("from itertools import compress, permutations") == []

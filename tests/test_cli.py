@@ -481,6 +481,26 @@ def test_bad_finals_field_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=3 letters=,b initial=0 finals=1\n: 1 1 2\nb: 2 1 2\n", "empty letter name in ',b'"),
+        ("n=3 letters=a initial=0 finals=1 finals=0\na: 1 2 2\n", "repeated header field 'finals'"),
+        ("n=3 letters=a initial=0 finals=1 final=0\na: 1 2 2\n", "unknown header field 'final'"),
+    ],
+)
+def test_malformed_dfa_header_is_a_usage_error(tmp_path, capsys, text, message):
+    # each was accepted silently before: the empty letter made the empty
+    # word a violation, and the repeated finals field kept its last value
+    path = os.path.join(tmp_path, "header.dfa")
+    with open(path, "w") as fh:
+        fh.write(text)
+    assert main(["suffix-free", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 def test_missing_file_is_a_usage_error(tmp_path, capsys):
     path = os.path.join(tmp_path, "nope.dfa")
     assert main(["phi", path]) == 2

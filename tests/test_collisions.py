@@ -2,15 +2,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from itertools import combinations
+from itertools import combinations, product
 
 from sfsyn.transform import Transformation
 from sfsyn.semigroup import closure, enumerate_wsf, in_wsf, vsf_generators, wsf_bound
 from sfsyn.dfa import witness, transition_semigroup
 from sfsyn.collisions import (
     StructureError,
-    colliding_pairs,
     focused_triples,
+    pair_index,
+    pair_masks,
     pair_statuses,
     verify_suffix_free_consistency,
 )
@@ -21,6 +22,23 @@ def fixing_last(n: int):
     return st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1).map(
         lambda xs: Transformation(tuple(xs) + (n - 1,))
     )
+
+
+def colliding_pairs(images):
+    # the colliding-pair rule on pair tuples, which the masks over
+    # pair_index replaced, kept as their oracle: {0t, rt} for every
+    # interior r whose image is interior and differs from the interior
+    # image of 0, repeated when two such r share an image
+    n = len(images)
+    p = images[0]
+    if not 0 < p < n - 1:
+        return []
+    out = []
+    for r in range(1, n - 1):
+        q = images[r]
+        if 0 < q < n - 1 and q != p:
+            out.append((p, q) if p < q else (q, p))
+    return out
 
 
 def full_pair_statuses(sg):
@@ -48,6 +66,10 @@ def assert_scan_matches_oracle(sg):
         assert s.colliding_by == collider, pair
         assert s.focused == bool(focusers), pair
         assert s.focused_by == focusers[:1], pair
+    # the scan's masks: bit i for the i-th pair of the oracle's order
+    scan = sg.pair_scan
+    assert scan.colliding == sum(1 << i for i, (_, c, _) in enumerate(oracle) if c is not None)
+    assert scan.focused == sum(1 << i for i, (_, _, f) in enumerate(oracle) if f)
 
 
 # ----------------------------------------------------- per-element facts
@@ -61,6 +83,39 @@ def test_colliding_pairs_of_examples():
     assert colliding_pairs(Transformation((4, 2, 3, 1, 4)).images) == []
     # images of interior states at 0t itself do not pair with themselves
     assert colliding_pairs(Transformation((2, 2, 2, 2, 4)).images) == []
+
+
+def tuple_rule_masks(images):
+    # the tuple rules mapped through combinations order
+    order = list(combinations(range(1, len(images) - 1), 2))
+    coll = foc = 0
+    for pair in colliding_pairs(images):
+        coll |= 1 << order.index(pair)
+    for p, q, _ in focused_triples(images):
+        foc |= 1 << order.index((p, q))
+    return coll, foc
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_pair_masks_follow_the_tuple_rules_on_every_map(n):
+    for images in product(range(n), repeat=n):
+        masks = tuple_rule_masks(images)
+        assert pair_masks(images) == masks, images
+        assert pair_masks(bytes(images)) == masks, images
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_pair_index_is_symmetric_and_zero_off_interior_pairs(n):
+    index = pair_index(n)
+    assert index.pairs == tuple(combinations(range(1, n - 1), 2))
+    assert len(index.bit) == n * n
+    for p, q in product(range(n), repeat=2):
+        b = index.bit[p * n + q]
+        assert b == index.bit[q * n + p], (p, q)
+        if p == q or {p, q} & {0, n - 1}:
+            assert b == 0, (p, q)
+        else:
+            assert b == 1 << index.pairs.index((min(p, q), max(p, q))), (p, q)
 
 
 def test_focused_pairs_of_examples():

@@ -133,6 +133,8 @@ def test_dfa_validation():
         Dfa(2, ("a",), (Transformation((0, 1)),), 0, frozenset({7}))
     with pytest.raises(ValueError):
         Dfa(2, (), (), 0, frozenset())
+    with pytest.raises(ValueError, match="empty letter name"):
+        Dfa(2, ("",), (Transformation((0, 1)),), 0, frozenset())
 
 
 def test_witness_images_frozen_n5():
@@ -489,6 +491,12 @@ def test_parse_rejects_malformed_input():
         parse_dfa("\n".join([lines[0], lines[2], lines[1]]) + "\n")
     with pytest.raises(ValueError):
         parse_dfa(good.replace(" initial=0", ""))
+    with pytest.raises(ValueError, match="empty letter name in ',b'"):
+        parse_dfa(good.replace("letters=a,b", "letters=,b").replace("a: ", ": "))
+    with pytest.raises(ValueError, match="repeated header field 'finals'"):
+        parse_dfa(good.replace("finals=1", "finals=1 finals=0"))
+    with pytest.raises(ValueError, match="unknown header field 'final'"):
+        parse_dfa(good.replace("finals=1", "finals=1 final=0"))
 
 
 def test_parse_empty_finals():

@@ -16,9 +16,8 @@ from sfsyn.injection import (
     NotInImageError,
     PhiContext,
     PreconditionError,
-    _build,
-    _case,
     _eligible_movers,
+    _forward,
     _interior,
     _interior_fixed,
     _inverse,
@@ -81,34 +80,34 @@ def criterion_five_semigroups():
 
 
 def test_small_n_rejected():
-    ctx = PhiContext(n=4, colliding=frozenset())
+    ctx = PhiContext(n=4, colliding=0)
     with pytest.raises(ValueError):
-        _case((3, 1, 2, 3), ctx)
+        _forward((3, 1, 2, 3), ctx)
     with pytest.raises(ValueError):
         _inverse((3, 1, 2, 3), ctx)
 
 
 def test_walk_into_cycle_rejected(v7_ctx):
     with pytest.raises(PreconditionError):
-        _case((1, 2, 3, 1, 6, 6, 6), v7_ctx)
+        _forward((1, 2, 3, 1, 6, 6, 6), v7_ctx)
 
 
 def test_unfixed_sink_rejected(v7_ctx):
     with pytest.raises(PreconditionError):
-        _case((1, 6, 6, 6, 6, 6, 5), v7_ctx)
+        _forward((1, 6, 6, 6, 6, 6, 5), v7_ctx)
 
 
 def test_size_mismatch_rejected(v7_ctx):
     with pytest.raises(ValueError):
-        _case((1, 2, 3, 4, 5, 6, 7, 7), v7_ctx)
+        _forward((1, 2, 3, 4, 5, 6, 7, 7), v7_ctx)
 
 
 # ---------------------------------------------------- pinned case labels
 
 
 def test_collapsing_elements_are_case_1(v7_ctx):
-    assert _case((6, 2, 3, 4, 5, 1, 6), v7_ctx) == "1"
-    assert _case((1, 6, 6, 6, 6, 6, 6), v7_ctx) == "1"
+    assert _forward((6, 2, 3, 4, 5, 1, 6), v7_ctx)[0] == "1"
+    assert _forward((1, 6, 6, 6, 6, 6, 6), v7_ctx)[0] == "1"
 
 
 def test_classify_signature_of_each_case(v7_ctx):
@@ -129,7 +128,7 @@ def test_classify_signature_of_each_case(v7_ctx):
         T(1, 6, 2, 6, 6, 6, 6): "12",
     }
     for t, expected in cases.items():
-        assert _case(t.images, own_ctx(t)) == expected, t
+        assert _forward(t.images, own_ctx(t))[0] == expected, t
 
 
 # --------------------------------------------------- pinned forward images
@@ -260,7 +259,7 @@ def test_collapsing_family_maps_to_itself():
     assert report.case_counts == {"1": 7781}
     assert report.size == wsf_bound(7)
     # no colliding pair, so the inverse takes the empty-context path
-    assert PhiContext.from_semigroup(sg).colliding == frozenset()
+    assert PhiContext.from_semigroup(sg).colliding == 0
     assert (
         report_digest(report.to_json())
         == "6e875ab0efb1e888605367ccbf8802ce64c69182bdd76770718acd2544592f02"
@@ -355,13 +354,13 @@ def test_non_collapsing_images_are_reported(v7, monkeypatch):
 
 
 def test_forward_map_over_all_of_bsf_seven():
-    # _case and _build over every b_sf map on 7 states: no case runs out
+    # _forward over every b_sf map on 7 states: no case runs out
     # and every image collapses
-    ctx = PhiContext(7, frozenset())
+    ctx = PhiContext(7, 0)
     counts: dict[str, int] = {}
     for t in enumerate_bsf(7):
-        case = _case(t.images, ctx)
-        assert in_wsf_images(_build(t.images, case)), t
+        case, image = _forward(t.images, ctx)
+        assert in_wsf_images(image), t
         counts[case] = counts.get(case, 0) + 1
     assert counts == {
         "1": 7781,
@@ -486,11 +485,14 @@ def test_strict_bound_witness_outside_wsf_is_a_case_exhaustion(v7, monkeypatch):
 #
 # The kernel as it stood before case 1 became one w_sf test on the raw
 # map: the b_sf guard first, then the collapse condition, in_degree
-# counts per state and test, and an inverse that scans the focused
-# pairs even under an empty collision context.  The helpers it calls
-# from the module (_interior, _eligible_movers, _interior_fixed,
-# _zero_chain, _rebuild_chain, _restore, _invert_with_cycles) are
-# unchanged since.
+# counts per state and test, a case ladder walked twice (old_case
+# picks the label, old_build re-derives what it needs for the image),
+# and an inverse that scans the focused pairs even under an empty
+# collision context.  The helpers it calls from the module (_interior,
+# _eligible_movers, _interior_fixed, _zero_chain, _rebuild_chain,
+# _restore, _invert_with_cycles) are unchanged since, except that
+# _rebuild_chain looks pairs up in the context's mask rather than in a
+# set of pair tuples.
 
 
 def in_degree(t: Sequence[int], q: int) -> int:
@@ -662,13 +664,21 @@ def old_build(t: Sequence[int], case: str) -> Sequence[int]:
     return type(t)(imgs)
 
 
+def colliding_pairs_of(ctx: PhiContext) -> set[tuple[int, int]]:
+    # the context's mask read back as pairs, bit i the i-th pair in
+    # combinations order
+    pairs = itertools.combinations(range(1, ctx.n - 1), 2)
+    return {pair for i, pair in enumerate(pairs) if ctx.colliding >> i & 1}
+
+
 def old_focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
     if not ctx.colliding:
         return []  # only colliding pairs are kept
+    colliding = colliding_pairs_of(ctx)
     return [
         ((x, y), z)
         for x, y, z in sorted(focused_triples(s))
-        if (x, y) in ctx.colliding
+        if (x, y) in colliding
     ]
 
 
@@ -753,14 +763,18 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
+def old_forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
+    case = old_case(t, ctx)
+    return case, old_build(t, case)
+
+
 def assert_kernel_matches_oracle(maps, ctx):
     # label, image and inverse of each map, or the same exception
     for t in maps:
-        case = outcome(_case, t, ctx)
-        assert case == outcome(old_case, t, ctx), t
-        if isinstance(case, str):
-            image = _build(t, case)
-            assert image == old_build(t, case), t
+        forward = outcome(_forward, t, ctx)
+        assert forward == outcome(old_forward, t, ctx), t
+        if isinstance(forward[0], str):
+            image = forward[1]
             assert outcome(_inverse, image, ctx) == outcome(old_inverse, image, ctx), t
 
 
@@ -768,7 +782,7 @@ def test_kernel_matches_oracle_on_bsf_seven_and_near_wsf_maps():
     # every b_sf map, then every map with n-1 fixed that sends 0 or all
     # interior states to n-1: those with 0 among their images fail the
     # guard, and a w_sf test that forgot 0 would call them case 1
-    ctx = PhiContext(7, frozenset())
+    ctx = PhiContext(7, 0)
     assert_kernel_matches_oracle([t.images for t in enumerate_bsf(7)], ctx)
     near = [(6, *mid, 6) for mid in itertools.product(range(7), repeat=5)]
     near += [(p, 6, 6, 6, 6, 6, 6) for p in range(6)]
@@ -873,7 +887,7 @@ def test_loop_matches_oracle_when_a_wsf_map_focuses_a_colliding_pair():
     # the focusing map goes through _phi and fails its round trip
     raw = tuple(bytes(t) for t in ((6,) * 7, (1, 2, 6, 6, 6, 6, 6), (6, 3, 3, 6, 6, 6, 6)))
     sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
-    assert PhiContext.from_semigroup(sg).colliding == {(1, 2)}
+    assert PhiContext.from_semigroup(sg).colliding == 1  # the bit of {1, 2}
     report = assert_loop_matches_oracle(sg)
     assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
     assert not report.round_trips
@@ -901,10 +915,8 @@ def test_loop_matches_oracle_when_the_focus_scan_stops_early():
         )
     )
     sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
-    assert PhiContext.from_semigroup(sg).colliding == {(1, 2)}
-    assert sg.pair_scan.focused_by == {
-        pair: (raw[2], 1) for pair in itertools.combinations(range(1, 6), 2)
-    }
+    assert PhiContext.from_semigroup(sg).colliding == 1  # the bit of {1, 2}
+    assert sg.pair_scan.focused_by == {1 << i: (raw[2], 1) for i in range(10)}
     report = assert_loop_matches_oracle(sg)
     assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
     assert not report.round_trips

@@ -28,7 +28,7 @@ from sfsyn.semigroup import (
     witness_letters,
     wsf_bound,
 )
-from sfsyn.collisions import colliding_pairs, focused_triples, verify_suffix_free_consistency
+from sfsyn.collisions import focused_triples, pair_index, pair_masks, verify_suffix_free_consistency
 from sfsyn.dfa import witness
 import sfsyn.search as search_module
 from sfsyn.search import (
@@ -44,7 +44,6 @@ from sfsyn.search import (
     _fingerprint,
     _leaf_verdict,
     _LetterForms,
-    _masks_of,
     _one_step_filter,
     _pool_maps,
     _ProductRows,
@@ -53,6 +52,7 @@ from sfsyn.search import (
     initial_level,
     search_max,
 )
+from test_collisions import colliding_pairs
 
 
 def conjugate_raw(t: bytes, perm) -> bytes:
@@ -274,11 +274,11 @@ def allowed_additions(sg, gens):
     members = frozenset(bytes(e.images) for e in sg.elements)
     coll = foc = 0
     for e in members:
-        c, f = _masks_of(e, ctx.pair_bit)
+        c, f = pair_masks(e)
         coll |= c
         foc |= f
     gen_tables = [raw_table(bytes(g.images)) for g in gens]
-    all_pairs = (1 << len(ctx.pair_bit)) - 1
+    all_pairs = (1 << len(pair_index(sg.n).pairs)) - 1
     return frozenset(
         Transformation(tuple(t))
         for t, (c2, f2) in exact_additions(members, coll, foc, gen_tables, ctx).items()
@@ -557,17 +557,32 @@ def test_initial_level_covers_exactly_the_pool_classes():
     assert pool_fps == level_fps
 
 
-def four_state_level_two():
-    # level 2 of search_max(4, target=3, prune=False): the extensions of
-    # every level-1 branch, kept when irreducible, as the level loop does
+def four_state_extensions():
+    # the extensions of every level-1 branch of search_max(4, target=3,
+    # prune=False), sorted, before the irreducibility filter
     forms, rows = _LetterForms(), _ProductRows(_context(4))
     fps = set()
     for fp in initial_level(4):
         fps.update(_expand_one(fp, 3, False, False, forms, rows)["extensions"])
-    return tuple(fp for fp in sorted(fps) if irreducible_raw(_decode_fp(fp)[1]))
+    return tuple(sorted(fps))
+
+
+def four_state_level_two():
+    # level 2 of that search: the extensions kept when irreducible, as
+    # the level loop does
+    return tuple(fp for fp in four_state_extensions() if irreducible_raw(_decode_fp(fp)[1]))
+
+
+def has_redundant_letter(letters):
+    # some letter lies in the closure of the others, each closed in full
+    return any(
+        g in closure([Transformation(tuple(x)) for x in letters[:i] + letters[i + 1 :]]).raw_set
+        for i, g in enumerate(letters)
+    )
 
 
 def test_search_level_two_grows_canonically_and_irreducibly():
+    extensions = four_state_extensions()
     level2 = four_state_level_two()
     assert len(level2) == 25
     assert list(level2) == sorted(level2)
@@ -576,7 +591,11 @@ def test_search_level_two_grows_canonically_and_irreducibly():
         assert n == 4
         assert _canonical_letters(letters) == letters
         assert len(letters) == 2
-        assert irreducible_raw(letters)
+        assert not has_redundant_letter(letters)
+    # the filter drops exactly the one reducible extension
+    dropped = sorted(set(extensions) - set(level2))
+    assert len(extensions) == 26 and len(dropped) == 1
+    assert all(has_redundant_letter(_decode_fp(fp)[1]) for fp in dropped)
 
 
 # ------------------------------------------------------- candidate filter
@@ -769,7 +788,7 @@ def reference_verdict(candidates, members, target, use_count, ctx):
         members <= vsf,
         members <= wsf,
         sigs,
-        len(ctx.pair_bit),
+        len(pair_index(ctx.n).pairs),
         target,
         target >= len(vsf),
         target >= len(wsf),
@@ -784,7 +803,7 @@ def test_mask_columns_match_a_scan_per_pair(n):
     def where(test):
         return _bits((i for i, t in enumerate(ctx.pool) if test(t)), len(ctx.pool))
 
-    pairs = range(len(ctx.pair_bit))
+    pairs = range(len(pair_index(n).pairs))
     assert ctx.coll_by_bit == tuple(where(lambda t: ctx.masks[t][0] >> b & 1) for b in pairs)
     assert ctx.foc_by_bit == tuple(where(lambda t: ctx.masks[t][1] >> b & 1) for b in pairs)
 
