@@ -158,27 +158,34 @@ def scan_pairs(raw: Sequence[RawMap], n: int) -> PairScan:
     return PairScan(colliding, focused, colliders, focusers, unfixed)
 
 
-def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
-    """Status of every unordered interior pair, in lexicographic order,
-    each relation with its first witness in discovery order."""
-    n = sg.n
-    if n < 4:
+def checked_scan(sg: TransitionSemigroup) -> PairScan:
+    """The semigroup's pair scan, once n >= 4 and every element fixes
+    n-1."""
+    if sg.n < 4:
         raise ValueError("pair analysis needs n >= 4")
     scan = sg.pair_scan
     if scan.unfixed is not None:
         raise StructureError(
-            f"element {format_transformation(scan.unfixed)} does not fix state {n - 1}"
+            f"element {format_transformation(scan.unfixed)} does not fix state {sg.n - 1}"
         )
+    return scan
+
+
+def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
+    """Status of every unordered interior pair, in lexicographic order,
+    each relation with its first witness in discovery order."""
+    scan = checked_scan(sg)
     return tuple(
         PairStatus(
             pair=pair,
             colliding_by=Transformation(tuple(x)) if (x := scan.colliding_by.get(1 << i)) else None,
             focused_by=((Transformation(tuple(f[0])), f[1]),) if (f := scan.focused_by.get(1 << i)) else (),
         )
-        for i, pair in enumerate(pair_index(n).pairs)
+        for i, pair in enumerate(pair_index(sg.n).pairs)
     )
 
 
 def verify_suffix_free_consistency(sg: TransitionSemigroup) -> bool:
     """True iff no interior pair is both colliding and focused."""
-    return all(not (s.colliding and s.focused) for s in pair_statuses(sg))
+    scan = checked_scan(sg)
+    return not scan.colliding & scan.focused

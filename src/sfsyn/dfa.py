@@ -33,6 +33,11 @@ class Dfa:
             raise ValueError("a DFA needs at least one letter")
         if "" in self.letters:
             raise ValueError(f"empty letter name in {','.join(self.letters)!r}")
+        for name in self.letters:
+            # the text format separates names by commas, rows by colons
+            # and fields by whitespace
+            if "," in name or ":" in name or any(c.isspace() for c in name):
+                raise ValueError(f"letter name {name!r} contains a comma, a colon or whitespace")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("duplicate letter names")
         if len(self.delta) != len(self.letters):

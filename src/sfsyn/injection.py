@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .collisions import focused_triples, pair_index, pair_masks, pair_statuses
+from .collisions import checked_scan, focused_triples, pair_index, pair_masks
 from .semigroup import RawMap, TransitionSemigroup, in_bsf_images, in_wsf_images, wsf_bound
 from .transform import Transformation, cycles, format_transformation, zero_path
 
@@ -555,25 +555,25 @@ def _shared_image(earlier: RawMap, t: RawMap, image: RawMap) -> str:
 
 def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
     """A transformation in w_sf(n) that no element embeds to, built on
-    the first colliding pair: the pair is focused onto its larger state
-    and three spare states form a 3-cycle, a shape no case produces.
-    Returns None when the semigroup has no colliding pair."""
+    the first colliding pair, the least bit of the scan's colliding
+    mask: the pair is focused onto its larger state and three spare
+    states form a 3-cycle, a shape no case produces.  Returns None when
+    the semigroup has no colliding pair."""
     if sg.n < 7:
         raise ValueError("the strict-bound witness needs n >= 7")
     n = sg.n
-    for status in pair_statuses(sg):
-        if status.colliding:
-            p, r = status.pair
-            spares = sorted(set(_interior(n)) - {p, r})[:3]
-            imgs = [n - 1] * n
-            imgs[p] = r
-            imgs[r] = r
-            r1, r2, r3 = spares
-            imgs[r1], imgs[r2], imgs[r3] = r2, r3, r1
-            if not in_wsf_images(imgs):
-                raise CaseExhaustionError(
-                    f"strict-bound witness {format_transformation(imgs)} "
-                    f"is not in w_sf({n})"
-                )
-            return Transformation(tuple(imgs))
-    return None
+    colliding = checked_scan(sg).colliding
+    if not colliding:
+        return None
+    p, r = pair_index(n).pairs[(colliding & -colliding).bit_length() - 1]
+    spares = sorted(set(_interior(n)) - {p, r})[:3]
+    imgs = [n - 1] * n
+    imgs[p] = r
+    imgs[r] = r
+    r1, r2, r3 = spares
+    imgs[r1], imgs[r2], imgs[r3] = r2, r3, r1
+    if not in_wsf_images(imgs):
+        raise CaseExhaustionError(
+            f"strict-bound witness {format_transformation(imgs)} is not in w_sf({n})"
+        )
+    return Transformation(tuple(imgs))

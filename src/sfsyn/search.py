@@ -128,17 +128,13 @@ irreducible.  A survivor lies outside the branch, so it repeats no
 letter, and a canonical form only relabels and reorders the same
 letters, which keeps irreducibility.
 
-A class travels as its fingerprint: the bytes of n, the letter count
-and the canonical letters' images.  A level is the sorted tuple of its
-fingerprints from initial_level through the level loop.  Every
-fingerprint the search decodes is one it made itself, so decoding only
-slices it.  Only canonicalize builds CanonicalSemiautomaton objects,
-with Transformation letters.
+A class travels as its canonical letters, a sorted tuple of raw maps,
+and a level is the sorted tuple of those tuples, from initial_level
+through the level loop.  Only canonicalize builds
+CanonicalSemiautomaton objects, with Transformation letters.
 
 Reported semigroups are told apart by their size and the same form of
-their members, not by a fingerprint, whose count byte cannot hold a
-semigroup of 256 or more members; below that size the pair sorts as
-the fingerprint does.  There pointed and full isomorphism agree.  Such
+their members.  There pointed and full isomorphism agree.  Such
 a semigroup holds every semiconstant.  State 0 is the only state
 outside every image: no admissible map has 0 in its image, while the
 semiconstant sending only 0 to n-1 has every other state in its image.
@@ -147,10 +143,11 @@ map in it, since every admissible map fixes n-1.  A state permutation
 conjugating one such semigroup onto another keeps the states outside
 every image and sends constants to constants, so it fixes 0 and n-1.
 
-The statistics count per semiautomaton: selections equals visited,
-rejected_selections counts closures refused for leaving the admissible
-family, and terminal_selections and pruned_selections count branches
-the case analysis or the count bound ended.  At info level each
+The statistics count per semiautomaton and are read off the level
+sizes: visited and selections are their sum, extensions their sum past
+level 1.  rejected_selections counts closures refused for leaving the
+admissible family, and terminal_selections and pruned_selections count
+branches the case analysis or the count bound ended.  At info level each
 finished level logs its size, its extension candidates (the survivors
 summed over its open branches), its census of rejected, pruned,
 terminal and open semiautomata, its wall time, and the seconds its
@@ -173,7 +170,9 @@ under w'^j, and w' lies in the letters' closure, inside b_sf.  If w'
 is empty, 0 w = n-1 and nothing merges.  So w is in b_sf.
 
 Everything here is deterministic: pools, levels, and level merges
-are ordered, so two runs produce the same result.
+are ordered, so two runs produce the same result.  Every tuple in a
+level has the same letter count and every letter n bytes, so sorting
+the tuples orders them as sorting their concatenated bytes would.
 """
 from __future__ import annotations
 
@@ -218,11 +217,10 @@ class CanonicalSemiautomaton:
     lexicographically least over every permutation of the interior
     states 1..n-2 combined with every letter reordering.  Two
     semiautomata are isomorphic by a relabelling fixing 0 and n-1 iff
-    their fingerprints are equal."""
+    their letters are equal."""
 
     n: int
     letters: tuple[Transformation, ...]
-    fingerprint: bytes
 
 
 def _conjugator(perm: Sequence[int]) -> tuple[bytes, itemgetter]:
@@ -312,10 +310,6 @@ def _canonical_letters(
     return next(_canonical_extensions(letters[:-1], letters[-1:], forms))
 
 
-def _fingerprint(letters: Sequence[RawMap], n: int) -> bytes:
-    return bytes([n, len(letters)]) + b"".join(letters)
-
-
 def canonicalize(letters: Sequence[Transformation]) -> CanonicalSemiautomaton:
     """Canonical form of a letter list under permutation of the interior
     states, which keeps 0 and n-1 in place, and letter reordering.
@@ -329,17 +323,7 @@ def canonicalize(letters: Sequence[Transformation]) -> CanonicalSemiautomaton:
         if t.n != n:
             raise ValueError(f"mixed state counts: {t.n} vs {n}")
     canon = _canonical_letters([bytes(t.images) for t in delta])
-    return CanonicalSemiautomaton(
-        n=n,
-        letters=tuple(Transformation(tuple(t)) for t in canon),
-        fingerprint=_fingerprint(canon, n),
-    )
-
-
-def _decode_fp(fp: bytes) -> tuple[int, tuple[RawMap, ...]]:
-    # the inverse of _fingerprint, the only source of the bytes it reads
-    n, count = fp[0], fp[1]
-    return n, tuple(fp[i : i + n] for i in range(2, 2 + n * count, n))
+    return CanonicalSemiautomaton(n=n, letters=tuple(Transformation(tuple(t)) for t in canon))
 
 
 # ------------------------------------------------------------ shared context
@@ -360,7 +344,7 @@ class _Context:
     n: int
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
-    bsf_set: frozenset[RawMap]
+    # keyed by the admissible maps, so its keys are b_sf
     masks: dict[RawMap, tuple[int, int]]
     tables: dict[RawMap, bytes]
     vsf_elements: AbstractSet[RawMap]
@@ -400,7 +384,6 @@ def _context(n: int) -> _Context:
         n=n,
         pool=pool,
         semiconstants=tuple(sorted(semi)),
-        bsf_set=bsf,
         masks=masks,
         tables={t: raw_table(t) for t in bsf},
         vsf_elements=vsf,
@@ -423,7 +406,7 @@ def _close_all_admissible(
     """Close the seeds under the tables, refusing the moment an element
     leaves the admissible sink family.  Returns the elements plus the
     union colliding and focused pair masks, or None on refusal."""
-    found = close_raw(seeds, tables, within=ctx.bsf_set)
+    found = close_raw(seeds, tables, within=ctx.masks)
     if found is None:
         return None
     coll = foc = 0
@@ -605,8 +588,8 @@ def _leaf_verdict(
 # ------------------------------------------------------------ level expansion
 
 
-def initial_level(n: int) -> tuple[bytes, ...]:
-    """A1: the sorted fingerprints of the single-letter semiautomata,
+def initial_level(n: int) -> tuple[tuple[RawMap, ...], ...]:
+    """A1: the sorted canonical letters of the single-letter semiautomata,
     one per class of the non-semiconstant admissible transformations
     under permutation of the interior states.  One pass over the sorted
     pool lists them an orbit at a time, conjugating by the whole
@@ -618,7 +601,7 @@ def initial_level(n: int) -> tuple[bytes, ...]:
     level = []
     for t in _context(n).pool:
         if t not in seen:
-            level.append(_fingerprint((t,), n))
+            level.append((t,))
             seen.update(bytes(read(t.translate(table))) for table, read in moves)
     return tuple(level)
 
@@ -706,9 +689,14 @@ class SearchResult:
 
 
 def _expand_one(
-    fp: bytes, target: int, prune: bool, at_cap: bool, forms: _LetterForms, rows: _ProductRows
+    letters: tuple[RawMap, ...],
+    target: int,
+    prune: bool,
+    at_cap: bool,
+    forms: _LetterForms,
+    rows: _ProductRows,
 ) -> dict:
-    """Judge one canonical semiautomaton, given by its fingerprint, with
+    """Judge one semiautomaton, given by its canonical letters, with
     initial state 0 and empty state n-1.  Its outcome is "rejected" when
     its closure leaves the admissible family, "pruned" or "terminal"
     when the count bound or the case analysis ends the branch, and
@@ -720,7 +708,6 @@ def _expand_one(
     canonicalizing extensions."""
     started = time.perf_counter()
     ctx = rows.ctx
-    n, letters = _decode_fp(fp)
     # the one closure of the branch; by the semiconstant lemma in the
     # module docstring a refusal here means the letters alone already
     # leave the admissible family
@@ -746,29 +733,29 @@ def _expand_one(
         outcome = _leaf_verdict(cand, members, target, prune, ctx) or "open"
     survivors = _one_step_filter(cand, members, coll, foc, rows) if outcome == "open" else 0
     judged = time.perf_counter()
-    extensions: dict[bytes, None] = {}
+    extensions = []
     # a branch closed without survivors costs nothing, not even its
     # letters' forms
     if survivors and not at_cap:
-        for canon in _canonical_extensions(letters, _pool_maps(survivors, ctx), forms):
-            extensions.setdefault(_fingerprint(canon, n), None)
+        extensions = list(_canonical_extensions(letters, _pool_maps(survivors, ctx), forms))
     return {
         "outcome": outcome,
         "survivors": survivors,
-        "extensions": list(extensions),
+        "extensions": extensions,
         "other": other,
         "judge_s": judged - started,
         "canon_s": time.perf_counter() - judged,
     }
 
 
-def _some_irreducible(level: Sequence[bytes], results: Sequence[dict], ctx: _Context) -> bool:
+def _some_irreducible(
+    level: Sequence[tuple[RawMap, ...]], results: Sequence[dict], ctx: _Context
+) -> bool:
     """Whether some open branch of the level plus one of its survivors is
     irreducible, tried in level order and pool order until one is; no
     canonical form is needed (see the module docstring)."""
-    for fp, res in zip(level, results):
+    for letters, res in zip(level, results):
         if res["survivors"]:
-            letters = _decode_fp(fp)[1]
             for g in _pool_maps(res["survivors"], ctx):
                 if irreducible_raw((*letters, g)):
                     return True
@@ -801,14 +788,6 @@ def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
     return tuple(out)
 
 
-def _classify_other(members: frozenset[RawMap], ctx: _Context) -> str:
-    if members == ctx.vsf_elements:
-        return "vsf"
-    if members == ctx.wsf_elements:
-        return "wsf"
-    return "other"
-
-
 def search_max(
     n: int,
     target: int | None = None,
@@ -821,7 +800,7 @@ def search_max(
 
     Levels of canonical semiautomata, with initial state 0 and empty
     state n-1, grow one letter at a time; a level is the sorted tuple of
-    their fingerprints.  Each semiautomaton is judged once; each one
+    their canonical letters.  Each semiautomaton is judged once; each one
     left open contributes the candidates passing the one-step product
     filter, a superset of its exact additions, as the next level.  The
     level at max_letters is judged and filtered but not expanded: the
@@ -852,13 +831,10 @@ def search_max(
         time.perf_counter() - started,
     )
 
-    visited = 0
     pruned = 0
     outcomes: Counter = Counter()
-    extensions_total = 0
     level_sizes: list[int] = []
-    # keyed by size and the members' canonical tuple, not a fingerprint,
-    # whose count byte stops at 255 members
+    # keyed by size and the members' canonical tuple
     others: dict[tuple[int, tuple[RawMap, ...]], SemigroupRecord] = {}
     unexplored = 0
     # letter forms shared by every canonicalization of this call, and
@@ -871,24 +847,22 @@ def search_max(
         level_started = time.perf_counter()
         level_sizes.append(len(level))
         at_cap = level_index == max_letters
-        results = [_expand_one(fp, target, prune, at_cap, forms, rows) for fp in level]
+        results = [_expand_one(letters, target, prune, at_cap, forms, rows) for letters in level]
 
         census = Counter(res["outcome"] for res in results)
         outcomes.update(census)
         # the filtered (branch, letter) pairs, before canonical forms merge them
         candidates = sum(res["survivors"].bit_count() for res in results)
-        next_fps: dict[bytes, None] = {}
+        next_level: set[tuple[RawMap, ...]] = set()
         for res in results:
-            visited += 1
             other = res["other"]
             if res["outcome"] != "open" and other is None:
                 pruned += 1
-            for fp in res["extensions"]:
-                next_fps.setdefault(fp, None)
+            next_level.update(res["extensions"])
             if other is None:
                 continue
             raw_letters, members = other
-            if _classify_other(members, ctx) != "other":
+            if members in (ctx.vsf_elements, ctx.wsf_elements):
                 continue  # the known families are confirmed separately
             key = (len(members), _canonical_letters(sorted(members), forms))
             if key not in others:
@@ -923,8 +897,7 @@ def search_max(
             if _some_irreducible(level, results, ctx):
                 unexplored = candidates
             break
-        level = tuple(fp for fp in sorted(next_fps) if irreducible_raw(_decode_fp(fp)[1]))
-        extensions_total += len(level)
+        level = tuple(letters for letters in sorted(next_level) if irreducible_raw(letters))
         level_index += 1
 
     capped = unexplored > 0
@@ -945,13 +918,13 @@ def search_max(
         others=other_records,
         confirmations=confirmations,
         stats=SearchStats(
-            visited=visited,
+            visited=sum(level_sizes),
             pruned=pruned,
-            selections=visited,
+            selections=sum(level_sizes),
             rejected_selections=outcomes["rejected"],
             terminal_selections=outcomes["terminal"],
             pruned_selections=outcomes["pruned"],
-            extensions=extensions_total,
+            extensions=sum(level_sizes[1:]),
             level_sizes=tuple(level_sizes),
             capped=capped,
             wall_time_s=time.perf_counter() - started,

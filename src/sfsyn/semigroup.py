@@ -25,9 +25,8 @@ right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
 given set, and can hand back the set of finds it built.  A
-TransitionSemigroup holds raw maps in discovery order, builds
-Transformation objects only on first access, and caches its one pair
-scan.
+TransitionSemigroup holds raw maps in discovery order and caches its
+one pair scan.
 """
 from __future__ import annotations
 
@@ -48,16 +47,11 @@ MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
 @dataclass(frozen=True)
 class TransitionSemigroup:
     """A finite transformation semigroup, its elements kept as raw maps
-    in breadth-first discovery order.  Transformation objects are built
-    on first access."""
+    in breadth-first discovery order."""
 
     n: int
     raw: tuple[RawMap, ...]
     raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
-
-    @cached_property
-    def elements(self) -> tuple[Transformation, ...]:
-        return tuple(Transformation(tuple(t)) for t in self.raw)
 
     @cached_property
     def pair_scan(self) -> "PairScan":

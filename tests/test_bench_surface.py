@@ -7,13 +7,16 @@ the tests alone.  And the interior pairs have one encoding, the
 collisions module's pair_index, so no other module orders them itself."""
 import ast
 import dataclasses
+import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import sfsyn
 from sfsyn.search import SearchStats
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+WORKLOADS = BENCH / "workloads.py"
 
 
 def attributes_of(source: str, owner_name: str) -> set[str]:
@@ -35,6 +38,30 @@ def test_every_name_the_benchmark_calls_exists():
     assert {"search_max", "verify_injective", "canonicalize"} <= names
     missing = sorted(name for name in names if not hasattr(sfsyn, name))
     assert missing == []
+
+
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_workload_passes_a_smoke_pass():
+    # one untraced smoke-size pass of each workload BENCHMARK.json names,
+    # its probe included, checked by the workload's own gates
+    workloads = load_bench_module("workloads")
+    tracer = load_bench_module("tracer").NullTracer()
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
+    assert sorted(names) == sorted(workloads.WORKLOADS)
+    for name in names:
+        tally = workloads.Tally()
+        workload = workloads.WORKLOADS[name](sfsyn, 1, True)
+        workload.check(workload.run_pass(tracer, tally), tally)
+        workload.probe(tracer)
+        assert tally.attempted >= 1, name
+        assert (tally.failed, tally.problems) == (0, []), name
 
 
 def test_every_search_statistic_the_benchmark_reads_exists():

@@ -282,7 +282,7 @@ def test_search_four_emits_json_and_succeeds(capsys):
 def test_search_reporting_an_other_past_255_members_exits_one(monkeypatch, capsys):
     # the level-1 branch of --n 6 --target 500 --max-letters 2 whose
     # extensions close to 545 maps, searched alone instead of all 70
-    branch = bytes.fromhex("0601050101020305")
+    branch = (bytes.fromhex("050101020305"),)
     monkeypatch.setattr(search_module, "initial_level", lambda n: (branch,))
     argv = ["search", "--n", "6", "--target", "545", "--max-letters", "2"]
     assert main(argv) == 1

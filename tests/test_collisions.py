@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations, product
 
 from sfsyn.transform import Transformation
-from sfsyn.semigroup import closure, enumerate_wsf, in_wsf, vsf_generators, wsf_bound
+from sfsyn.semigroup import closure, enumerate_wsf, in_wsf_images, vsf_generators, wsf_bound
 from sfsyn.dfa import witness, transition_semigroup
 from sfsyn.collisions import (
     StructureError,
@@ -47,7 +47,7 @@ def full_pair_statuses(sg):
     # all in discovery order
     n = sg.n
     colliders, focusers = {}, {}
-    for t in sg.elements:
+    for t in (Transformation(tuple(x)) for x in sg.raw):
         for pair in colliding_pairs(t.images):
             colliders.setdefault(pair, t)
         for p, q, r in focused_triples(t.images):
@@ -235,7 +235,7 @@ def assert_collision_free_bound(sg):
     # collapsing family, so every element is in w_sf(n) and its size is
     # at most (n-1)^(n-2) + n - 2
     assert not any(s.colliding for s in pair_statuses(sg))
-    assert all(in_wsf(t) for t in sg.elements)
+    assert all(in_wsf_images(t) for t in sg.raw)
     assert sg.size <= wsf_bound(sg.n)
 
 
@@ -255,4 +255,4 @@ def test_bound_report_letter_subsemigroup():
 def test_bound_report_inapplicable_with_collisions():
     sg = closure(list(vsf_generators(4)))
     assert any(s.colliding for s in pair_statuses(sg))
-    assert not all(in_wsf(t) for t in sg.elements)
+    assert not all(in_wsf_images(t) for t in sg.raw)

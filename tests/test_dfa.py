@@ -9,6 +9,7 @@ reachability and Moore refinement.
 """
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -497,6 +498,33 @@ def test_parse_rejects_malformed_input():
         parse_dfa(good.replace("finals=1", "finals=1 finals=0"))
     with pytest.raises(ValueError, match="unknown header field 'final'"):
         parse_dfa(good.replace("finals=1", "finals=1 final=0"))
+    # names the text format cannot carry are refused when the DFA is built
+    for name in ("a,b", "a b", "a\tb", "a:", "a:b"):
+        with pytest.raises(ValueError, match=re.escape(f"letter name {name!r}")):
+            Dfa(2, (name,), (Transformation((1, 1)),), 0, frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.text(st.one_of(st.sampled_from(",:= #ab\t\n\x0b\x1c\x85\u2028"), st.characters()), max_size=4),
+        min_size=1,
+        max_size=3,
+        unique=True,
+    )
+)
+def test_every_accepted_letter_name_round_trips(names):
+    # Dfa refuses exactly the names that are empty or hold a comma, a
+    # colon or whitespace; every name it accepts survives the text format
+    delta = (Transformation((1, 1)),) * len(names)
+    unwritable = [x for x in names if not x or any(c in ",:" or c.isspace() for c in x)]
+    try:
+        d = Dfa(2, tuple(names), delta, 0, frozenset({1}))
+    except ValueError:
+        assert unwritable
+        return
+    assert not unwritable
+    assert parse_dfa(format_dfa(d)) == d
 
 
 def test_parse_empty_finals():

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,9 +40,7 @@ from sfsyn.search import (
     _close_all_admissible,
     _confirmed_extremes,
     _context,
-    _decode_fp,
     _expand_one,
-    _fingerprint,
     _leaf_verdict,
     _LetterForms,
     _one_step_filter,
@@ -68,6 +67,12 @@ def conjugated(t: Transformation, perm) -> Transformation:
     for q in range(t.n):
         out[perm[q]] = perm[t.images[q]]
     return Transformation(out)
+
+
+@lru_cache(maxsize=None)
+def bsf_raw(n):
+    # b_sf from its own enumeration, independent of the search context
+    return frozenset(bytes(t.images) for t in enumerate_bsf(n))
 
 
 def raw_maps(n):
@@ -111,7 +116,6 @@ def test_canonicalize_idempotent():
     sa = canonicalize([Transformation((1, 3, 3, 3)), Transformation((3, 1, 2, 3))])
     again = canonicalize(sa.letters)
     assert again == sa
-    assert again.fingerprint == sa.fingerprint
 
 
 def test_canonical_letters_are_sorted():
@@ -128,7 +132,7 @@ def test_canonicalize_invariant_under_relabeling(data, n):
     perm = pointed(data.draw(st.permutations(range(1, n - 1))), n)
     direct = canonicalize(letters)
     relabeled = canonicalize([conjugated(t, perm) for t in reversed(letters)])
-    assert relabeled.fingerprint == direct.fingerprint
+    assert relabeled.letters == direct.letters
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -173,15 +177,15 @@ def test_single_letter_classes_on_three_states():
     # three states leave one interior state, so each of the 27 maps is
     # a class of its own; on four states swapping 1 and 2 fixes 16 of
     # the 256 maps, which leaves (256 + 16) / 2 = 136 classes
-    fps = {
-        canonicalize([Transformation((a, b, c))]).fingerprint
+    forms = {
+        canonicalize([Transformation((a, b, c))]).letters
         for a in range(3)
         for b in range(3)
         for c in range(3)
     }
-    assert len(fps) == 27
-    fps = {canonicalize([Transformation(t)]).fingerprint for t in itertools.product(range(4), repeat=4)}
-    assert len(fps) == 136
+    assert len(forms) == 27
+    forms = {canonicalize([Transformation(t)]).letters for t in itertools.product(range(4), repeat=4)}
+    assert len(forms) == 136
 
 
 def test_canonicalize_rejects_empty_and_mixed():
@@ -224,11 +228,12 @@ def test_letter_forms_of_drawn_maps(data, n):
     assert_letter_form_is_the_least_conjugate(data.draw(raw_maps(n)), _LetterForms())
 
 
-def test_fingerprint_roundtrip():
-    sa = canonicalize(witness(5).delta)
+def test_canonicalize_returns_the_raw_canonical_letters():
+    delta = witness(5).delta
+    sa = canonicalize(delta)
+    assert sa.n == 5
     letters = tuple(bytes(t.images) for t in sa.letters)
-    assert _fingerprint(letters, 5) == sa.fingerprint
-    assert _decode_fp(sa.fingerprint) == (5, letters)
+    assert letters == _canonical_letters([bytes(t.images) for t in delta])
 
 
 # ------------------------------------------------ exact-additions oracle
@@ -242,7 +247,7 @@ def extend_closure(base, coll, foc, t, gen_tables, ctx):
     the seeds are t and x then t for every x in base."""
     t_table = ctx.tables[t]
     seeds = [t, *(x.translate(t_table) for x in base)]
-    fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base), within=ctx.bsf_set)
+    fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base), within=bsf_raw(ctx.n))
     if fresh is None:
         return None
     for y in fresh:
@@ -257,7 +262,7 @@ def exact_additions(members, coll, foc, gen_tables, ctx):
     the branch stays admissible with no pair both colliding and
     focused, mapped to the grown colliding and focused masks."""
     out = {}
-    for t in sorted(ctx.bsf_set - members):
+    for t in sorted(bsf_raw(ctx.n) - members):
         grown = extend_closure(members, coll, foc, t, gen_tables, ctx)
         if grown is not None and not grown[1] & grown[2]:
             out[t] = grown[1:]
@@ -271,7 +276,7 @@ def allowed_additions(sg, gens):
     pair free of collisions and at least one free of focusing.  The two
     excluded extremes pin the semigroup inside a known maximal family."""
     ctx = _context(sg.n)
-    members = frozenset(bytes(e.images) for e in sg.elements)
+    members = frozenset(sg.raw)
     coll = foc = 0
     for e in members:
         c, f = pair_masks(e)
@@ -319,9 +324,9 @@ def oracle_additions(sg, gens):
         if not verify_suffix_free_consistency(grown):
             continue
         colliding, focused = set(), set()
-        for e in grown.elements:
-            colliding.update(colliding_pairs(e.images))
-            focused.update((p, q) for p, q, _ in focused_triples(e.images))
+        for e in grown.raw:
+            colliding.update(colliding_pairs(e))
+            focused.update((p, q) for p, q, _ in focused_triples(e))
         if colliding == every or focused == every:
             continue
         out.add(t)
@@ -339,7 +344,7 @@ def test_allowed_additions_against_brute_force():
 
 
 def closes_admissibly(letters, ctx) -> bool:
-    return close_raw(letters, [raw_table(g) for g in letters], within=ctx.bsf_set) is not None
+    return close_raw(letters, [raw_table(g) for g in letters], within=bsf_raw(ctx.n)) is not None
 
 
 @pytest.mark.parametrize("n, size, admissible", [(4, 2, 112), (5, 2, 5308), (6, 1, 1169)])
@@ -350,7 +355,7 @@ def test_semiconstants_never_decide_admissibility(n, size, admissible):
     ctx = _context(n)
     semis = list(ctx.semiconstants)
     closing = 0
-    for letters in itertools.combinations_with_replacement(sorted(ctx.bsf_set), size):
+    for letters in itertools.combinations_with_replacement(sorted(bsf_raw(n)), size):
         alone = closes_admissibly(list(letters), ctx)
         assert closes_admissibly(list(letters) + semis, ctx) == alone, letters
         closing += alone
@@ -446,9 +451,9 @@ def test_extensions_match_the_per_extension_oracle_on_every_open_branch(
     judged = []
     expand_one, one_step_filter = search_module._expand_one, search_module._one_step_filter
 
-    def expanding(fp, target, prune, at_cap, forms, rows):
-        judged.append((_decode_fp(fp)[1], forms))
-        return expand_one(fp, target, prune, at_cap, forms, rows)
+    def expanding(letters, target, prune, at_cap, forms, rows):
+        judged.append((letters, forms))
+        return expand_one(letters, target, prune, at_cap, forms, rows)
 
     def filtered(cand, members, coll, foc, rows):
         survivors = one_step_filter(cand, members, coll, foc, rows)
@@ -487,8 +492,8 @@ def test_extensions_match_the_oracle_on_every_five_state_letter_and_pool_map():
     # each level-1 class as a branch, the whole pool as its additions
     sides = Counter()
     pool = _context(5).pool
-    for fp in initial_level(5):
-        sides.update(assert_extensions_match_the_oracle(_decode_fp(fp)[1], pool, _LetterForms()))
+    for letters in initial_level(5):
+        sides.update(assert_extensions_match_the_oracle(letters, pool, _LetterForms()))
     assert set(sides) == {"below", "tie", "above"}
 
 
@@ -512,7 +517,7 @@ def test_extensions_match_the_oracle_on_drawn_branches(data, n):
 def per_letter_initial_level(n):
     # reference: canonicalize every pool letter on its own and keep the
     # distinct forms
-    return tuple(sorted({_fingerprint(_canonical_letters([g]), n) for g in _context(n).pool}))
+    return tuple(sorted({_canonical_letters([g]) for g in _context(n).pool}))
 
 
 def test_initial_level_counts():
@@ -552,25 +557,24 @@ def test_initial_level_covers_exactly_the_pool_classes():
     # level, and each level entry is hit by at least one of them
     semi = set(semiconstant_family(4))
     pool = [t for t in enumerate_bsf(4) if t not in semi]
-    level_fps = set(initial_level(4))
-    pool_fps = {canonicalize([t]).fingerprint for t in pool}
-    assert pool_fps == level_fps
+    level = {tuple(Transformation(tuple(t)) for t in letters) for letters in initial_level(4)}
+    assert {canonicalize([t]).letters for t in pool} == level
 
 
 def four_state_extensions():
     # the extensions of every level-1 branch of search_max(4, target=3,
     # prune=False), sorted, before the irreducibility filter
     forms, rows = _LetterForms(), _ProductRows(_context(4))
-    fps = set()
-    for fp in initial_level(4):
-        fps.update(_expand_one(fp, 3, False, False, forms, rows)["extensions"])
-    return tuple(sorted(fps))
+    extensions = set()
+    for letters in initial_level(4):
+        extensions.update(_expand_one(letters, 3, False, False, forms, rows)["extensions"])
+    return tuple(sorted(extensions))
 
 
 def four_state_level_two():
     # level 2 of that search: the extensions kept when irreducible, as
     # the level loop does
-    return tuple(fp for fp in four_state_extensions() if irreducible_raw(_decode_fp(fp)[1]))
+    return tuple(letters for letters in four_state_extensions() if irreducible_raw(letters))
 
 
 def has_redundant_letter(letters):
@@ -581,21 +585,89 @@ def has_redundant_letter(letters):
     )
 
 
+def level_digest(level):
+    return hashlib.sha256(b"".join(b"".join(letters) for letters in level)).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (4, "254e64622db15244949f0142243ec1850f5188f75ce32aaea5cb9382347cfd89"),
+        (5, "8d6b2445f839f1dceb6863989e1f91e1e6ec660cc97e8b205ee1eeeb25f905b0"),
+        (6, "0206b6b405afa07e172d4968995ee7b922fee9506414299655cb599772abe37a"),
+        (7, "6acbfc9c37cbabe7e60e959b9eb3dc13e612a2f1026cfb9fd25309cd5c877386"),
+    ],
+)
+def test_initial_level_contents_are_pinned(n, digest):
+    assert level_digest(initial_level(n)) == digest
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, levels",
+    [
+        (
+            (5, 72),
+            {"max_letters": 2},
+            [(633, "842425f5ca50e416a0ecf8893f790d827c5e5682823a229d7ada4eabcb12e50f")],
+        ),
+        (
+            (5, 60),
+            {"max_letters": 3},
+            [
+                (741, "0d0313d43df2793086774e88df7fc15e085d96084d13b7a3b28931975a8c9b4d"),
+                (13305, "f778e0b1d1bef12a4514623e78794dd5709e92b5af377ef069679e26892a7a8b"),
+            ],
+        ),
+        (
+            (4, 1),
+            {},
+            [
+                (25, "959c8d2a2736ab34b0aed1d48d1d3f3edce6bcc9f3495c7863eed05bd9e7ad0a"),
+                (28, "b6b662a697ac4304cdf4e32274a37b630cef80f3e65686c80ce3a99b24c2d654"),
+                (9, "f94e9e6447c4f423b52779c10ca10cf958d46f80b65efecd50379e1dfe11703b"),
+            ],
+        ),
+    ],
+    ids=["n5-t72", "n5-t60-three-letters", "n4-t1"],
+)
+def test_search_level_contents_are_pinned(monkeypatch, args, kwargs, levels):
+    # each level past the first as the search judges it, split by the
+    # reported level sizes: sorted, k letters at level k, and pinned
+    judged = []
+    expand_one = search_module._expand_one
+
+    def recording(letters, *rest):
+        judged.append(letters)
+        return expand_one(letters, *rest)
+
+    monkeypatch.setattr(search_module, "_expand_one", recording)
+    r = search_max(*args, **kwargs)
+    assert sum(r.stats.level_sizes) == len(judged)
+    found, start = [], 0
+    for k, size in enumerate(r.stats.level_sizes, start=1):
+        level = tuple(judged[start : start + size])
+        start += size
+        assert list(level) == sorted(level)
+        assert all(len(letters) == k for letters in level)
+        found.append(level)
+    assert found[0] == initial_level(args[0])
+    assert [(len(level), level_digest(level)) for level in found[1:]] == levels
+
+
 def test_search_level_two_grows_canonically_and_irreducibly():
     extensions = four_state_extensions()
     level2 = four_state_level_two()
     assert len(level2) == 25
     assert list(level2) == sorted(level2)
-    for fp in level2:
-        n, letters = _decode_fp(fp)
-        assert n == 4
+    for letters in level2:
+        assert all(len(t) == 4 for t in letters)
         assert _canonical_letters(letters) == letters
         assert len(letters) == 2
         assert not has_redundant_letter(letters)
     # the filter drops exactly the one reducible extension
     dropped = sorted(set(extensions) - set(level2))
     assert len(extensions) == 26 and len(dropped) == 1
-    assert all(has_redundant_letter(_decode_fp(fp)[1]) for fp in dropped)
+    assert all(has_redundant_letter(letters) for letters in dropped)
 
 
 # ------------------------------------------------------- candidate filter
@@ -604,8 +676,8 @@ def test_search_level_two_grows_canonically_and_irreducibly():
 def admissible_branches(level, ctx):
     # every semiautomaton of the level whose letters close admissibly
     # with the semiconstants: its tables and that closure
-    for fp in level:
-        gens = _decode_fp(fp)[1] + ctx.semiconstants
+    for letters in level:
+        gens = letters + ctx.semiconstants
         tables = [ctx.tables[g] for g in gens]
         closed = _close_all_admissible(gens, tables, ctx)
         if closed is not None:
@@ -1121,7 +1193,7 @@ def test_letter_cap_disables_the_uniqueness_claim():
 
 # the level-1 branch on 6 states whose extensions include semigroups of
 # 545 maps; search_max(6, 500, max_letters=2) finds them among all 70
-FIVE_FORTY_FIVE_BRANCH = bytes.fromhex("0601050101020305")
+FIVE_FORTY_FIVE_BRANCH = (bytes.fromhex("050101020305"),)
 
 
 def test_an_other_of_more_than_255_members_is_reported(monkeypatch):
@@ -1185,17 +1257,14 @@ def test_search_enumeration_matches_brute_force():
     ctx = _context(n)
     pool = [Transformation(tuple(t)) for t in ctx.pool]
     semis = [Transformation(tuple(t)) for t in ctx.semiconstants]
-    admissible = {Transformation(tuple(t)) for t in ctx.bsf_set}
-
     def canon_key(sg):
-        members = sorted(bytes(e.images) for e in sg.elements)
-        return _fingerprint(_canonical_letters(members), n)
+        return _canonical_letters(sorted(sg.raw))
 
     expected = {}
     for k in range(1, len(pool) + 1):
         for combo in itertools.combinations(pool, k):
             sg = closure(list(combo) + semis)
-            if not set(sg.elements) <= admissible:
+            if not sg.raw_set <= bsf_raw(n):
                 continue
             if not verify_suffix_free_consistency(sg):
                 continue

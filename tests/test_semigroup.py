@@ -65,7 +65,7 @@ def close_tuples(gens):
 
 def assert_closure_matches_tuple_oracle(gens):
     sg = closure(gens)
-    assert [e.images for e in sg.elements] == close_tuples([g.images for g in gens])
+    assert [tuple(e) for e in sg.raw] == close_tuples([g.images for g in gens])
 
 
 def in_vsf(t: Transformation) -> bool:
@@ -122,8 +122,8 @@ def test_closure_matches_set_fixpoint():
         Transformation((4, 4, 2, 3, 4)),
     ]
     sg = closure(gens)
-    assert frozenset(sg.elements) == frozenset(naive_closure(gens))
-    assert sg.size == len(sg.elements) == len(frozenset(sg.elements))
+    assert frozenset(Transformation(tuple(e)) for e in sg.raw) == frozenset(naive_closure(gens))
+    assert sg.size == len(sg.raw) == len(sg.raw_set)
 
 
 def test_closure_input_validation():
@@ -180,12 +180,10 @@ def test_witness_eight_raw_elements_pinned():
     )
 
 
-def test_elements_and_words_are_built_on_first_access():
+def test_raw_maps_and_their_set_agree():
     sg = closure(list(witness_letters(5)[1]))
-    assert "elements" not in vars(sg)
-    assert [bytes(e.images) for e in sg.elements] == list(sg.raw)
-    assert sg.elements is sg.elements
-    assert enumerate_wsf(5).raw_set == sg.raw_set
+    assert len(set(sg.raw)) == len(sg.raw)
+    assert set(sg.raw) == sg.raw_set == enumerate_wsf(5).raw_set
 
 
 # ------------------------------------------------------------ families
@@ -302,14 +300,14 @@ def test_vsf_closure_sizes_frozen():
 
 def test_vsf_closure_members_all_vsf():
     sg = closure(list(vsf_generators(5)))
-    assert all(in_vsf(t) for t in sg.elements)
+    assert all(in_vsf(Transformation(tuple(t))) for t in sg.raw)
 
 
 def test_wsf_enumeration_matches_bound_and_letter_closure():
     for n in (4, 5, 6):
         wsf = enumerate_wsf(n)
         assert wsf.size == wsf_bound(n)
-        assert all(in_wsf(t) for t in wsf.elements)
+        assert all(in_wsf_images(t) for t in wsf.raw)
         _, letters = witness_letters(n)
         assert closure(list(letters)).raw_set == wsf.raw_set
 
