@@ -366,6 +366,7 @@ def to_dot(dfa: Dfa) -> str:
         for q in range(dfa.n):
             edges.setdefault((q, t[q]), []).append(name)
     for (q, r), names in sorted(edges.items()):
-        out.append(f'  {q} -> {r} [label="{",".join(names)}"];')
+        label = ",".join(names).replace("\\", "\\\\").replace('"', '\\"')
+        out.append(f'  {q} -> {r} [label="{label}"];')
     out.append("}")
     return "\n".join(out) + "\n"

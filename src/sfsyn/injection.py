@@ -22,25 +22,23 @@ embedding is the identity, is one w_sf test on the raw map
 its cycles, in-degrees, interior fixed points and movers read, once.
 Collision data is a mask over collisions.pair_index(n), and a pair is
 looked up in its table; pairs are tuples only where the inverse reads
-the shape around their two states.  A semigroup with no colliding pair
-focuses nothing onto one, so under its empty collision context the
-inverse returns its input at once.
+the shape around their two states.
 
-verify_injective decides case 1 in its own loop, where the embedding
-would return the map itself, and sends only the other maps through it.
-Whether a w_sf map can focus a colliding pair is decided once per
-semigroup, by one AND of the pair scan's colliding and focused masks:
-when no focused pair collides, case 1 in the loop is the w_sf test
-alone.  The scan stops recording focused pairs early only once every
-pair is focused, and then any colliding pair is among them, so no focus
-is missed.
+verify_injective takes a consistent semigroup only: every element fixes
+n-1, and no interior pair is both colliding and focused, as in the
+transition semigroup of a minimal suffix-free DFA; anything else raises
+StructureError, from the one checked pair scan.  A w_sf map of such a
+semigroup focuses no colliding pair, so the inverse reads it as case 1,
+and the loop decides case 1 by the w_sf test alone; only the other maps
+go through the embedding, and each of their images sends 0 to n-1, so
+none is its own map.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .collisions import checked_scan, focused_triples, pair_index, pair_masks
+from .collisions import StructureError, checked_scan, focused_triples, pair_index
 from .semigroup import RawMap, TransitionSemigroup, in_bsf_images, in_wsf_images, wsf_bound
 from .transform import Transformation, cycles, format_transformation, zero_path
 
@@ -66,10 +64,6 @@ class PhiContext:
 
     n: int
     colliding: int
-
-    @classmethod
-    def from_semigroup(cls, sg: TransitionSemigroup) -> "PhiContext":
-        return cls(n=sg.n, colliding=sg.pair_scan.colliding)
 
 
 # ---------------------------------------------------------------- helpers
@@ -287,16 +281,12 @@ def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
 def _inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
     # the unique t whose image is s, recovered from the image
     # signature; NotInImageError when s is the image of no map, which is
-    # exactly what proves the bound strict for colliding semigroups.
-    # With no colliding pair in the context no focused pair of s is
-    # colliding, so s reads as case 1
+    # exactly what proves the bound strict for colliding semigroups
     if ctx.n < 7:
         raise ValueError("the embedding needs n >= 7")
     n = len(s)
     if n != ctx.n:
         raise ValueError(f"transformation on {n} states, context has {ctx.n}")
-    if not ctx.colliding:
-        return s
     fc = _focused_colliding(s, ctx)
     if not fc:
         return s  # case 1
@@ -471,32 +461,35 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     of its promises: images collapse, no duplicates, round-trips, size
     bound.
 
-    A map in w_sf that focuses no colliding pair is decided in the loop:
-    _phi would call it case 1, send it to itself and, as no focused pair
-    of it collides, get it back from the inverse, so neither the
-    embedding nor a second w_sf test runs on it.  Every other map goes
-    through _phi, a w_sf map that focuses a colliding pair included.
-
-    Each map's focused pairs are read only when the semigroup has a
-    pair both colliding and focused, which is decided once, before the
-    loop: the pair scan records every focused pair unless it stopped
-    early, and it stops only once every pair is focused, when a
-    non-empty colliding set meets the focused ones."""
-    ctx = PhiContext.from_semigroup(sg)
-    if ctx.n < 7:  # _forward checks it too, but case-1 maps never reach it
+    The semigroup must be consistent: StructureError names an element
+    that moves n-1, or else the least pair both colliding and focused
+    with its first colliding and first focusing map from the pair scan.
+    A map in w_sf is then case 1, decided in the loop: _phi would send
+    it to itself and, as it focuses no colliding pair, get it back from
+    the inverse.  Every other map goes through _phi."""
+    if sg.n < 7:  # _forward checks it too, but case-1 maps never reach it
         raise ValueError("the embedding needs n >= 7")
-    colliding = ctx.colliding
-    focus_free = not colliding & sg.pair_scan.focused
+    scan = checked_scan(sg)
+    if both := scan.colliding & scan.focused:
+        low = both & -both
+        p, q = pair_index(sg.n).pairs[low.bit_length() - 1]
+        focuser, r = scan.focused_by[low]
+        raise StructureError(
+            f"pair {{{p}, {q}}} is colliding, first by "
+            f"{format_transformation(scan.colliding_by[low])}, and focused onto "
+            f"{r}, first by {format_transformation(focuser)}"
+        )
+    ctx = PhiContext(sg.n, scan.colliding)
     counts: dict[str, int] = {}
-    # each image unequal to its own map, and the first map sent to it;
-    # an image equal to its map needs no entry, as the maps are distinct
+    # the image of each map outside w_sf, which sends 0 to n-1 and so
+    # is never the map itself, and the first map sent to it
     moved: dict[RawMap, RawMap] = {}
     duplicate = None
     all_wsf = True
     round_trips = True
     counterexample = None
     for i, t in enumerate(sg.raw):
-        if in_wsf_images(t) and (focus_free or not pair_masks(t)[1] & colliding):
+        if in_wsf_images(t):
             counts["1"] = counts.get("1", 0) + 1
             if duplicate is None and t in moved:  # t is sent to itself
                 duplicate = _shared_image(moved[t], t, t)
@@ -509,22 +502,18 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
             break
         counts[case] = counts.get(case, 0) + 1
         if duplicate is None:  # no two maps before t share an image
-            if image == t:
-                earlier = moved.get(t)  # no other map is sent to itself
-            else:
-                earlier = moved.setdefault(image, t)
-                if earlier == t:
-                    # the one other candidate is the map equal to image,
-                    # if it came before t and was sent to itself.  A
-                    # working embedding sends no map onto another element
-                    # (that element collapses, so is sent to itself), so
-                    # only a broken one scans for the position
-                    fixed_before = (
-                        image in sg.raw_set
-                        and sg.raw.index(image) < i
-                        and _phi(image, ctx)[1] == image
-                    )
-                    earlier = image if fixed_before else None
+            earlier = moved.setdefault(image, t)
+            if earlier == t:
+                # the one other candidate is the map equal to image, if
+                # it came before t and, in w_sf, was sent to itself; a
+                # working embedding sends no map onto an element, so only
+                # a broken one scans for the position
+                fixed_before = (
+                    image in sg.raw_set
+                    and in_wsf_images(image)
+                    and sg.raw.index(image) < i
+                )
+                earlier = image if fixed_before else None
             if earlier is not None:
                 duplicate = _shared_image(earlier, t, image)
         if not in_wsf_images(image):

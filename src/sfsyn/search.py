@@ -130,8 +130,8 @@ letters, which keeps irreducibility.
 
 A class travels as its canonical letters, a sorted tuple of raw maps,
 and a level is the sorted tuple of those tuples, from initial_level
-through the level loop.  Only canonicalize builds
-CanonicalSemiautomaton objects, with Transformation letters.
+through the level loop.  Only canonicalize returns Transformation
+letters.
 
 Reported semigroups are told apart by their size and the same form of
 their members.  There pointed and full isomorphism agree.  Such
@@ -209,18 +209,6 @@ DEFAULT_MAX_LETTERS = 10
 
 
 # ------------------------------------------------------------ canonical form
-
-
-@dataclass(frozen=True)
-class CanonicalSemiautomaton:
-    """A semiautomaton in canonical form: the letter list that is
-    lexicographically least over every permutation of the interior
-    states 1..n-2 combined with every letter reordering.  Two
-    semiautomata are isomorphic by a relabelling fixing 0 and n-1 iff
-    their letters are equal."""
-
-    n: int
-    letters: tuple[Transformation, ...]
 
 
 def _conjugator(perm: Sequence[int]) -> tuple[bytes, itemgetter]:
@@ -310,11 +298,11 @@ def _canonical_letters(
     return next(_canonical_extensions(letters[:-1], letters[-1:], forms))
 
 
-def canonicalize(letters: Sequence[Transformation]) -> CanonicalSemiautomaton:
-    """Canonical form of a letter list under permutation of the interior
-    states, which keeps 0 and n-1 in place, and letter reordering.
-    Idempotent, and invariant under relabeling of the interior states.
-    """
+def canonicalize(letters: Sequence[Transformation]) -> tuple[Transformation, ...]:
+    """Canonical letters of a letter list: sorted, and least over every
+    permutation of the interior states, which keeps 0 and n-1 in place,
+    and every letter reordering.  Two lists are isomorphic by such a
+    relabelling iff their forms are equal.  Idempotent."""
     delta = tuple(letters)
     if not delta:
         raise ValueError("canonicalization needs at least one letter")
@@ -323,7 +311,7 @@ def canonicalize(letters: Sequence[Transformation]) -> CanonicalSemiautomaton:
         if t.n != n:
             raise ValueError(f"mixed state counts: {t.n} vs {n}")
     canon = _canonical_letters([bytes(t.images) for t in delta])
-    return CanonicalSemiautomaton(n=n, letters=tuple(Transformation(tuple(t)) for t in canon))
+    return tuple(Transformation(tuple(t)) for t in canon)
 
 
 # ------------------------------------------------------------ shared context

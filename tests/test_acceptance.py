@@ -214,7 +214,7 @@ def test_criterion_06_strict_gap_for_colliding_semigroups(sampled_semigroups):
             gap = strict_bound_witness(sg)
             assert gap is not None
             assert in_wsf(gap)
-            ctx = PhiContext.from_semigroup(sg)
+            ctx = PhiContext(sg.n, sg.pair_scan.colliding)
             images = {_phi(t, ctx)[1] for t in sg.raw}
             assert bytes(gap.images) not in images
             assert sg.size < wsf_bound(7)

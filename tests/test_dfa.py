@@ -540,3 +540,20 @@ def test_dot_marks_structure():
     assert "start -> 0" in dot
     # parallel edges merged onto one label
     assert 'label="d,e"' in dot or 'label="e,d"' in dot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    # Dfa accepts both characters in a letter name; a DOT quoted string
+    # needs each written with a backslash before it
+    d = Dfa(2, ('a"b', "c\\"), (Transformation((1, 1)), Transformation((0, 1))), 0, frozenset({1}))
+    edges = [line for line in to_dot(d).splitlines() if "->" in line and "start" not in line]
+    assert edges == [
+        '  0 -> 0 [label="c\\\\"];',
+        '  0 -> 1 [label="a\\"b"];',
+        '  1 -> 1 [label="a\\"b,c\\\\"];',
+    ]
+    # each quoted string closes where its label ends and unescapes to
+    # the letter names
+    quoted = re.compile(r'  \d+ -> \d+ \[label="((?:[^"\\]|\\.)*)"\];')
+    labels = [re.sub(r"\\(.)", r"\1", quoted.fullmatch(line).group(1)) for line in edges]
+    assert labels == ["c\\", 'a"b', 'a"b,c\\']

@@ -8,7 +8,7 @@ from typing import Sequence
 import pytest
 
 from sfsyn import injection
-from sfsyn.collisions import focused_triples, pair_statuses, verify_suffix_free_consistency
+from sfsyn.collisions import StructureError, focused_triples, pair_statuses, verify_suffix_free_consistency
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.injection import (
     CaseExhaustionError,
@@ -58,7 +58,7 @@ def own_ctx(t: Transformation) -> PhiContext:
     inverse uses to stitch the walk back together."""
     sg = closure([t])
     assert verify_suffix_free_consistency(sg), t
-    return PhiContext.from_semigroup(sg)
+    return PhiContext(sg.n, sg.pair_scan.colliding)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def v7():
 
 @pytest.fixture(scope="module")
 def v7_ctx(v7):
-    return PhiContext.from_semigroup(v7)
+    return PhiContext(v7.n, v7.pair_scan.colliding)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ def test_random_walk_inputs_round_trip():
         if not verify_suffix_free_consistency(sg):
             continue
         seen += 1
-        ctx = PhiContext.from_semigroup(sg)
+        ctx = PhiContext(sg.n, sg.pair_scan.colliding)
         _, image = _phi(images, ctx)
         assert _inverse(image, ctx) == images
         assert in_wsf_images(image)
@@ -258,8 +258,7 @@ def test_collapsing_family_maps_to_itself():
     assert report.passed
     assert report.case_counts == {"1": 7781}
     assert report.size == wsf_bound(7)
-    # no colliding pair, so the inverse takes the empty-context path
-    assert PhiContext.from_semigroup(sg).colliding == 0
+    assert sg.pair_scan.colliding == 0  # no colliding pair
     assert (
         report_digest(report.to_json())
         == "6e875ab0efb1e888605367ccbf8802ce64c69182bdd76770718acd2544592f02"
@@ -401,7 +400,7 @@ def test_cycle_attachment_sharing_traffic_round_trips():
     assert verify_suffix_free_consistency(sg)
     t = T(3, 5, 6, 6, 1, 1, 6)
     assert bytes(t.images) in sg.raw_set
-    ctx = PhiContext.from_semigroup(sg)
+    ctx = PhiContext(sg.n, sg.pair_scan.colliding)
     case, image = _phi(t.images, ctx)
     assert case == "2"
     assert _inverse(image, ctx) == t.images
@@ -799,7 +798,7 @@ def test_kernel_matches_oracle_on_vsf_seven(v7, v7_ctx):
 
 def test_kernel_matches_oracle_on_criterion_five_samples(criterion_five_semigroups):
     for sg in criterion_five_semigroups:
-        assert_kernel_matches_oracle(sg.raw, PhiContext.from_semigroup(sg))
+        assert_kernel_matches_oracle(sg.raw, PhiContext(sg.n, sg.pair_scan.colliding))
 
 
 # ------------------------------- the semigroup loop against its oracle
@@ -809,7 +808,7 @@ def test_kernel_matches_oracle_on_criterion_five_samples(criterion_five_semigrou
 
 
 def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
-    ctx = PhiContext.from_semigroup(sg)
+    ctx = PhiContext(sg.n, sg.pair_scan.colliding)
     counts: dict[str, int] = {}
     moved: dict[bytes, bytes] = {}
     duplicate = None
@@ -879,31 +878,26 @@ def test_loop_matches_oracle_on_criterion_five_samples(criterion_five_semigroups
         assert_loop_matches_oracle(sg)
 
 
-def test_loop_matches_oracle_when_a_wsf_map_focuses_a_colliding_pair():
+def test_a_wsf_map_focusing_a_colliding_pair_is_a_structure_error():
     # an inconsistent hand-built semigroup: (1 2 6 6 6 6 6) collides the
-    # pair {1, 2}, which the w_sf map (6 3 3 6 6 6 6) focuses onto 3.
-    # The constant map is case 1 under a non-empty collision context;
-    # the focusing map goes through _phi and fails its round trip
+    # pair {1, 2}, which the w_sf map (6 3 3 6 6 6 6) focuses onto 3
     raw = tuple(bytes(t) for t in ((6,) * 7, (1, 2, 6, 6, 6, 6, 6), (6, 3, 3, 6, 6, 6, 6)))
     sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
-    assert PhiContext.from_semigroup(sg).colliding == 1  # the bit of {1, 2}
-    report = assert_loop_matches_oracle(sg)
-    assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
-    assert not report.round_trips
-    assert report.counterexample == (
-        "6 3 3 6 6 6 6: round trip failed for 6 3 3 6 6 6 6 (case 1): "
-        "reconstructed 1 6 6 2 6 6 6"
+    assert sg.pair_scan.colliding == 1  # the bit of {1, 2}
+    with pytest.raises(StructureError) as e:
+        verify_injective(sg)
+    assert str(e.value) == (
+        "pair {1, 2} is colliding, first by 1 2 6 6 6 6 6, "
+        "and focused onto 3, first by 6 3 3 6 6 6 6"
     )
 
 
-def test_loop_matches_oracle_when_the_focus_scan_stops_early():
+def test_a_focus_scan_stopped_early_still_finds_the_inconsistency():
     # an inconsistent hand-built semigroup whose pair scan stops its
     # focus part at the third map: (6 1 1 1 1 1 6) focuses all ten
-    # interior pairs onto 1, so the scan never reads (6 3 3 6 6 6 6),
-    # which focuses the colliding pair {1, 2} onto 3.  The focus test
-    # must still run on each w_sf map: the constant map is case 1, and
-    # (6 1 1 1 1 1 6), which focuses {1, 2} too, goes through _phi and
-    # fails its round trip
+    # interior pairs onto 1, so the scan never reads (6 3 3 6 6 6 6).
+    # Every pair is focused by then, the colliding pair {1, 2} too, and
+    # the message names its first focusing map
     raw = tuple(
         bytes(t)
         for t in (
@@ -914,12 +908,20 @@ def test_loop_matches_oracle_when_the_focus_scan_stops_early():
         )
     )
     sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
-    assert PhiContext.from_semigroup(sg).colliding == 1  # the bit of {1, 2}
+    assert sg.pair_scan.colliding == 1  # the bit of {1, 2}
     assert sg.pair_scan.focused_by == {1 << i: (raw[2], 1) for i in range(10)}
-    report = assert_loop_matches_oracle(sg)
-    assert list(report.case_counts.items()) == [("1", 1), ("3", 1)]
-    assert not report.round_trips
-    assert report.counterexample == (
-        "6 1 1 1 1 1 6: round trip failed for 6 1 1 1 1 1 6 (case 1): "
-        "reconstructed 2 1 6 1 1 1 6"
+    with pytest.raises(StructureError) as e:
+        verify_injective(sg)
+    assert str(e.value) == (
+        "pair {1, 2} is colliding, first by 1 2 6 6 6 6 6, "
+        "and focused onto 1, first by 6 1 1 1 1 1 6"
     )
+
+
+def test_an_element_moving_the_empty_state_is_a_structure_error():
+    # (6 6 6 6 6 6 5) sends n-1 to 5: the checked scan refuses it before
+    # any map is embedded
+    raw = tuple(bytes(t) for t in ((6,) * 7, (6, 6, 6, 6, 6, 6, 5)))
+    sg = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
+    with pytest.raises(StructureError, match="element 6 6 6 6 6 6 5 does not fix state 6"):
+        verify_injective(sg)

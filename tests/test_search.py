@@ -113,14 +113,13 @@ def full_class(members, n):
 
 
 def test_canonicalize_idempotent():
-    sa = canonicalize([Transformation((1, 3, 3, 3)), Transformation((3, 1, 2, 3))])
-    again = canonicalize(sa.letters)
-    assert again == sa
+    letters = canonicalize([Transformation((1, 3, 3, 3)), Transformation((3, 1, 2, 3))])
+    assert canonicalize(letters) == letters
 
 
 def test_canonical_letters_are_sorted():
-    sa = canonicalize([Transformation((3, 1, 2, 3)), Transformation((1, 3, 3, 3))])
-    images = [t.images for t in sa.letters]
+    letters = canonicalize([Transformation((3, 1, 2, 3)), Transformation((1, 3, 3, 3))])
+    images = [t.images for t in letters]
     assert images == sorted(images)
 
 
@@ -132,7 +131,7 @@ def test_canonicalize_invariant_under_relabeling(data, n):
     perm = pointed(data.draw(st.permutations(range(1, n - 1))), n)
     direct = canonicalize(letters)
     relabeled = canonicalize([conjugated(t, perm) for t in reversed(letters)])
-    assert relabeled.letters == direct.letters
+    assert relabeled == direct
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -178,13 +177,13 @@ def test_single_letter_classes_on_three_states():
     # a class of its own; on four states swapping 1 and 2 fixes 16 of
     # the 256 maps, which leaves (256 + 16) / 2 = 136 classes
     forms = {
-        canonicalize([Transformation((a, b, c))]).letters
+        canonicalize([Transformation((a, b, c))])
         for a in range(3)
         for b in range(3)
         for c in range(3)
     }
     assert len(forms) == 27
-    forms = {canonicalize([Transformation(t)]).letters for t in itertools.product(range(4), repeat=4)}
+    forms = {canonicalize([Transformation(t)]) for t in itertools.product(range(4), repeat=4)}
     assert len(forms) == 136
 
 
@@ -230,9 +229,7 @@ def test_letter_forms_of_drawn_maps(data, n):
 
 def test_canonicalize_returns_the_raw_canonical_letters():
     delta = witness(5).delta
-    sa = canonicalize(delta)
-    assert sa.n == 5
-    letters = tuple(bytes(t.images) for t in sa.letters)
+    letters = tuple(bytes(t.images) for t in canonicalize(delta))
     assert letters == _canonical_letters([bytes(t.images) for t in delta])
 
 
@@ -558,7 +555,7 @@ def test_initial_level_covers_exactly_the_pool_classes():
     semi = set(semiconstant_family(4))
     pool = [t for t in enumerate_bsf(4) if t not in semi]
     level = {tuple(Transformation(tuple(t)) for t in letters) for letters in initial_level(4)}
-    assert {canonicalize([t]).letters for t in pool} == level
+    assert {canonicalize([t]) for t in pool} == level
 
 
 def four_state_extensions():
