@@ -21,7 +21,6 @@ from .dfa import (
     witness,
     transition_semigroup,
     is_minimal,
-    is_suffix_free,
     suffix_free_violation,
     format_dfa,
     parse_dfa,
@@ -30,7 +29,6 @@ from .dfa import (
 from .collisions import (
     PairStatus,
     pair_statuses,
-    verify_suffix_free_consistency,
 )
 from .injection import (
     PhiContext,
@@ -60,14 +58,12 @@ __all__ = [
     "witness",
     "transition_semigroup",
     "is_minimal",
-    "is_suffix_free",
     "suffix_free_violation",
     "format_dfa",
     "parse_dfa",
     "to_dot",
     "PairStatus",
     "pair_statuses",
-    "verify_suffix_free_consistency",
     "PhiContext",
     "verify_injective",
     "strict_bound_witness",

@@ -183,9 +183,3 @@ def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
         )
         for i, pair in enumerate(pair_index(sg.n).pairs)
     )
-
-
-def verify_suffix_free_consistency(sg: TransitionSemigroup) -> bool:
-    """True iff no interior pair is both colliding and focused."""
-    scan = checked_scan(sg)
-    return not scan.colliding & scan.focused

@@ -51,22 +51,16 @@ class Dfa:
             if not 0 <= f < self.n:
                 raise ValueError(f"final state {f} out of range")
 
-    def letter_index(self, name: str) -> int:
-        try:
-            return self.letters.index(name)
-        except ValueError:
-            raise ValueError(f"unknown letter {name!r}") from None
-
-    def transformation(self, name: str) -> Transformation:
-        return self.delta[self.letter_index(name)]
-
-    def step(self, q: int, name: str) -> int:
-        return self.transformation(name)[q]
-
     def run(self, word: Iterable[str], start: int | None = None) -> int:
+        """The state the word leads to from start, the initial state by
+        default."""
         q = self.initial if start is None else start
         for name in word:
-            q = self.step(q, name)
+            try:
+                i = self.letters.index(name)
+            except ValueError:
+                raise ValueError(f"unknown letter {name!r}") from None
+            q = self.delta[i][q]
         return q
 
     def accepts(self, word: Iterable[str]) -> bool:
@@ -216,13 +210,6 @@ def suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
                     return words(d)
                 pairs.append((a, b))
     return None
-
-
-def is_suffix_free(dfa: Dfa) -> bool:
-    """True iff no accepted word is a proper suffix of another accepted
-    word; equivalently the language L satisfies L with any non-empty
-    prefix stripped never meets L."""
-    return suffix_free_violation(dfa) is None
 
 
 # ------------------------------------------------------------ empty state

@@ -34,8 +34,8 @@ pair.  Only pairs that some candidate collides and some candidate
 focuses offer a real choice.  A choice whose survivors sit, together
 with the branch, inside the injective-off-sink family or the
 collapsing family (no survivor among the pool maps outside it) can only
-produce that family itself, which is confirmed directly from its known
-generators; a choice whose survivor count cannot reach the target is
+produce that family itself, which the report lists from the context as a
+confirmation; a choice whose survivor count cannot reach the target is
 dead.  When every choice falls to one of the two, the branch ends.
 The family cutoff applies only while the target is at least the
 containing family's size, so a search for smaller semigroups still
@@ -130,8 +130,9 @@ letters, which keeps irreducibility.
 
 A class travels as its canonical letters, a sorted tuple of raw maps,
 and a level is the sorted tuple of those tuples, from initial_level
-through the level loop.  Only canonicalize returns Transformation
-letters.
+through the level loop.  Letters become Transformation tuples only
+where they leave the search: in canonicalize and in the reported
+SemigroupRecord letters.
 
 Reported semigroups are told apart by their size and the same form of
 their members.  There pointed and full isomorphism agree.  Such
@@ -143,15 +144,11 @@ map in it, since every admissible map fixes n-1.  A state permutation
 conjugating one such semigroup onto another keeps the states outside
 every image and sends constants to constants, so it fixes 0 and n-1.
 
-The statistics count per semiautomaton and are read off the level
-sizes: visited and selections are their sum, extensions their sum past
-level 1.  rejected_selections counts closures refused for leaving the
-admissible family, and terminal_selections and pruned_selections count
-branches the case analysis or the count bound ended.  At info level each
-finished level logs its size, its extension candidates (the survivors
-summed over its open branches), its census of rejected, pruned,
-terminal and open semiautomata, its wall time, and the seconds its
-semiautomata spent being judged (closure through filter) and
+The statistics count per semiautomaton (see SearchStats).  At info
+level each finished level logs its size, its extension candidates (the
+survivors summed over its open branches), its census of rejected,
+pruned, terminal and open semiautomata, its wall time, and the seconds
+its semiautomata spent being judged (closure through filter) and
 canonicalizing their extensions; none of that enters the report.  The
 letter-cap warning gives the capped level's candidates.
 
@@ -186,8 +183,7 @@ from itertools import compress, permutations
 from operator import itemgetter, or_
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
-from .collisions import pair_index, pair_masks, verify_suffix_free_consistency
-from .dfa import Dfa, is_suffix_free
+from .collisions import pair_index, pair_masks
 from .semigroup import (
     RawMap,
     close_raw,
@@ -546,7 +542,7 @@ def _leaf_verdict(
     omits, for each pair, all of its colliders or all of its focusers,
     so every branch outcome lives inside one of the side-choices.  cand
     is the branch's candidate set.  Returns "terminal" when every choice
-    is confined to a directly confirmed family or (with use_count)
+    is confined to one of the two known families or (with use_count)
     cannot reach the target, "pruned" when the count alone closes every
     choice, and None when some choice stays open."""
     # a branch confined to one of the two families is only allowed to
@@ -605,11 +601,35 @@ class SemigroupRecord:
     kind: str  # "vsf", "wsf", or "other"
     size: int
     letters: tuple[Transformation, ...]
-    level: int | None = None  # None when confirmed directly, not found by descent
+    level: int | None = None  # None for a confirmation, not found by descent
 
 
 @dataclass(frozen=True)
 class SearchStats:
+    """The counts of one search, each per semiautomaton judged.
+
+    visited: the semiautomata judged, the sum of level_sizes.
+    pruned: the semiautomata closed (rejected, pruned or terminal) whose
+    closure did not reach the target, so that reported no other.
+    selections: always equals visited, as each semiautomaton is its own
+    one selection (see the module docstring).
+    rejected_selections: the semiautomata whose closure left the
+    admissible family; 0 on every search known so far.
+    terminal_selections: the branches the case analysis ended with some
+    side choice confined to one of the two known families.
+    pruned_selections: the branches the count bound or the case
+    analysis ended on counts alone.
+    extensions: the semiautomata past level 1.
+    level_sizes: the number of semiautomata on each level, from level 1.
+    capped: whether the letter cap stopped the search with some open
+    branch plus one of its candidates irreducible.
+    wall_time_s: the seconds of the call after the per-n context is
+    built; the one timing field, left out by to_json(include_timing=False).
+
+    selections and rejected_selections carry no information of their
+    own; they are kept because the benchmark reads them.
+    """
+
     visited: int
     pruned: int
     selections: int
@@ -750,32 +770,6 @@ def _some_irreducible(
     return False
 
 
-def _confirmed_extremes(n: int, target: int) -> tuple[SemigroupRecord, ...]:
-    # the two known maximal families, realized by explicit DFAs and each
-    # closed once, for its size and its consistency; only the ones
-    # actually reaching the target belong in the report.  The context
-    # already holds v_sf, so its size alone rules it out below the target
-    out = []
-    vsf_gens = vsf_generators(n)
-    names, wit = witness_letters(n)
-    for kind, letters, letter_names in (
-        ("vsf", vsf_gens, tuple(f"g{i}" for i in range(len(vsf_gens)))),
-        ("wsf", wit, names),
-    ):
-        if kind == "vsf" and len(_context(n).vsf_elements) < target:
-            continue
-        sg = closure(list(letters))
-        if sg.size < target:
-            continue
-        dfa = Dfa(n=n, letters=letter_names, delta=letters, initial=0, finals=frozenset({1}))
-        if not is_suffix_free(dfa):
-            raise RuntimeError(f"confirmation DFA for {kind} is not suffix-free")
-        if not verify_suffix_free_consistency(sg):
-            raise RuntimeError(f"confirmation semigroup for {kind} is inconsistent")
-        out.append(SemigroupRecord(kind=kind, size=sg.size, letters=tuple(letters), level=None))
-    return tuple(out)
-
-
 def search_max(
     n: int,
     target: int | None = None,
@@ -794,9 +788,10 @@ def search_max(
     level at max_letters is judged and filtered but not expanded: the
     search stops there, capped when some open branch plus one of its
     candidates is irreducible.  The two
-    known maximal families are confirmed from their generators and the
-    search reports any semigroup at or above the target that is neither
-    of them.  With prune=False no branch is cut for its count, only by
+    known maximal families reaching the target are reported as
+    confirmations, read off the context's family sets, and the search
+    reports any semigroup at or above the target that is neither of
+    them.  With prune=False no branch is cut for its count, only by
     the family cutoff, and the admissible space is walked in full,
     which is only tractable for n=4.
     """
@@ -851,16 +846,10 @@ def search_max(
                 continue
             raw_letters, members = other
             if members in (ctx.vsf_elements, ctx.wsf_elements):
-                continue  # the known families are confirmed separately
+                continue  # the known families are the confirmations
             key = (len(members), _canonical_letters(sorted(members), forms))
             if key not in others:
                 letters = tuple(Transformation(tuple(t)) for t in raw_letters)
-                sg = closure(
-                    list(letters)
-                    + [Transformation(tuple(s)) for s in ctx.semiconstants]
-                )
-                if not verify_suffix_free_consistency(sg):
-                    raise RuntimeError("search admitted an inconsistent semigroup")
                 others[key] = SemigroupRecord(
                     kind="other", size=len(members), letters=letters, level=level_index
                 )
@@ -896,7 +885,16 @@ def search_max(
             max_letters,
             unexplored,
         )
-    confirmations = _confirmed_extremes(n, target)
+    # the known maximal families as the context holds them; the test
+    # suite checks that these letters close to exactly those sets
+    confirmations = tuple(
+        SemigroupRecord(kind=kind, size=len(family), letters=letters)
+        for kind, family, letters in (
+            ("vsf", ctx.vsf_elements, vsf_generators(n)),
+            ("wsf", ctx.wsf_elements, witness_letters(n)[1]),
+        )
+        if len(family) >= target
+    )
     other_records = tuple(others[k] for k in sorted(others))
     sizes = [r.size for r in confirmations] + [r.size for r in other_records]
     return SearchResult(

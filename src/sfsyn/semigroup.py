@@ -64,9 +64,6 @@ class TransitionSemigroup:
     def size(self) -> int:
         return len(self.raw)
 
-    def __len__(self) -> int:
-        return len(self.raw)
-
 
 _IDENTITY_256 = bytes(range(256))
 

@@ -17,7 +17,7 @@ from sfsyn.dfa import (
     Dfa,
     empty_state,
     is_minimal,
-    is_suffix_free,
+    suffix_free_violation,
     transition_semigroup,
     witness,
 )
@@ -95,7 +95,7 @@ def draw_seven_state_dfas() -> list[Dfa]:
         delta = tuple(_random_candidate_letter(rng) for _ in range(k))
         finals = frozenset(rng.sample(range(1, 6), rng.randint(1, 2)))
         d = Dfa(7, tuple("abcd"[:k]), delta, 0, finals)
-        if is_suffix_free(d) and is_minimal(d):
+        if suffix_free_violation(d) is None and is_minimal(d):
             kept.append(d)
     return kept
 
@@ -229,9 +229,9 @@ def test_criterion_07_suffix_freeness_oracle(small_corpus):
             naive = not any(
                 w[i:] in accepted for w in accepted for i in range(1, len(w) + 1)
             )
-            assert is_suffix_free(d) == naive, d
-        assert is_suffix_free(_ab_star()) is True
-        assert is_suffix_free(_a_star()) is False
+            assert (suffix_free_violation(d) is None) == naive, d
+        assert suffix_free_violation(_ab_star()) is None
+        assert suffix_free_violation(_a_star()) is not None
 
 
 def test_criterion_08_maximality_search():
@@ -276,7 +276,7 @@ def test_criterion_10_empty_state_and_zero_paths(seven_state_dfas, small_corpus)
     with _verdict(10, "suffix-free corpus: empty state, aperiodic walks into it"):
         corpus = [witness(n) for n in (4, 5, 6, 7, 8)]
         corpus += seven_state_dfas
-        corpus += [d for d in small_corpus if is_suffix_free(d)]
+        corpus += [d for d in small_corpus if suffix_free_violation(d) is None]
         corpus.append(_ab_star())
         checked = 0
         for d in corpus:

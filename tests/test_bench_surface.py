@@ -4,7 +4,9 @@ each must exist, so that removing one fails here rather than in a
 benchmark run.  The other way round, every function the package exports
 must be run by the CLI, the benchmark or another package module, not by
 the tests alone.  And the interior pairs have one encoding, the
-collisions module's pair_index, so no other module orders them itself."""
+collisions module's pair_index, so no other module orders them itself.
+The search reports from its own closures: it builds no DFA and re-checks
+no reported semigroup's consistency."""
 import ast
 import dataclasses
 import importlib.util
@@ -143,3 +145,42 @@ def test_the_pair_order_guard_sees_each_form():
     assert pair_order_builders("import itertools\nitertools.combinations(r, 2)") == [2]
     assert pair_order_builders("[(p, q) for p in r for q in range(p + 1, n)]") == [1]
     assert pair_order_builders("from itertools import compress, permutations") == []
+
+
+def dfa_and_recheck_uses(source: str) -> list[int]:
+    # lines that import from sfsyn.dfa, relatively or not, or that name
+    # verify_suffix_free_consistency
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module in ("dfa", "sfsyn.dfa") or (
+                module in ("", "sfsyn") and any(alias.name == "dfa" for alias in node.names)
+            ):
+                lines.append(node.lineno)
+            elif any(alias.name == "verify_suffix_free_consistency" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "sfsyn.dfa" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "verify_suffix_free_consistency":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "verify_suffix_free_consistency":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_search_imports_nothing_from_dfa():
+    source = (SRC / "search.py").read_text(encoding="utf-8")
+    assert dfa_and_recheck_uses(source) == []
+
+
+def test_the_dfa_import_guard_sees_each_form():
+    assert dfa_and_recheck_uses("from .dfa import Dfa") == [1]
+    assert dfa_and_recheck_uses("from sfsyn.dfa import Dfa") == [1]
+    assert dfa_and_recheck_uses("from . import dfa") == [1]
+    assert dfa_and_recheck_uses("import sfsyn.dfa") == [1]
+    assert dfa_and_recheck_uses("from .collisions import verify_suffix_free_consistency") == [1]
+    assert dfa_and_recheck_uses("x\nverify_suffix_free_consistency(sg)") == [2]
+    assert dfa_and_recheck_uses("collisions.verify_suffix_free_consistency(sg)") == [1]
+    assert dfa_and_recheck_uses("from .collisions import pair_index, pair_masks") == []

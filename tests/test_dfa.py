@@ -22,7 +22,6 @@ from sfsyn.dfa import (
     empty_state,
     format_dfa,
     is_minimal,
-    is_suffix_free,
     parse_dfa,
     reachable_states,
     relabel,
@@ -175,7 +174,7 @@ def test_witness_minimal_and_suffix_free():
     for n in (4, 5, 6, 7, 8):
         w = witness(n)
         assert is_minimal(w)
-        assert is_suffix_free(w)
+        assert suffix_free_violation(w) is None
 
 
 def test_one_letter_identity_semigroup():
@@ -193,8 +192,10 @@ def test_run_and_accept():
     assert w.run("e") == 1
     assert w.accepts("e")
     assert not w.accepts("ee")
-    with pytest.raises(ValueError):
-        w.step(0, "z")
+    assert w.run("ea", start=0) == 2
+    assert w.run("a", start=3) == 1
+    with pytest.raises(ValueError, match="^unknown letter 'z'$"):
+        w.run("az")
 
 
 # ----------------------------------------------------------- minimization
@@ -255,23 +256,21 @@ def test_trim_drops_unreachable():
 
 
 def test_ab_star_is_suffix_free():
-    assert is_suffix_free(ab_star())
     assert suffix_free_violation(ab_star()) is None
 
 
 def test_a_star_violation_is_minimal_witness():
-    assert not is_suffix_free(a_star())
     assert suffix_free_violation(a_star()) == ("a", "")
 
 
 def test_epsilon_language_is_suffix_free():
     d = Dfa(2, ("a",), (Transformation((1, 1)),), 0, frozenset({0}))
-    assert is_suffix_free(d)
+    assert suffix_free_violation(d) is None
 
 
 def test_empty_language_is_suffix_free():
     d = Dfa(1, ("a",), (Transformation((0,)),), 0, frozenset())
-    assert is_suffix_free(d)
+    assert suffix_free_violation(d) is None
 
 
 def naive_suffix_free(d: Dfa, length: int) -> bool:
@@ -286,7 +285,7 @@ def naive_suffix_free(d: Dfa, length: int) -> bool:
 @settings(max_examples=200)
 @given(random_dfas())
 def test_suffix_freeness_matches_word_oracle(d):
-    got = is_suffix_free(d)
+    got = suffix_free_violation(d) is None
     # the pair search bounds witness length by n^2, so 2n+2 words can
     # disagree only in the free direction; verify any violation exactly
     if got:
@@ -416,7 +415,7 @@ def test_empty_state_examples():
     assert empty_state(a_star()) is None
     sigma_star = Dfa(1, ("a", "b"), (Transformation((0,)),) * 2, 0, frozenset({0}))
     assert empty_state(sigma_star) is None
-    assert not is_suffix_free(sigma_star)
+    assert suffix_free_violation(sigma_star) is not None
 
 
 # -------------------------------------------------------------- relabeling

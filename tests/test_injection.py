@@ -8,7 +8,7 @@ from typing import Sequence
 import pytest
 
 from sfsyn import injection
-from sfsyn.collisions import StructureError, focused_triples, pair_statuses, verify_suffix_free_consistency
+from sfsyn.collisions import StructureError, focused_triples, pair_statuses
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.injection import (
     CaseExhaustionError,
@@ -42,6 +42,7 @@ from sfsyn.semigroup import (
 )
 from sfsyn.transform import Transformation, cycles, format_transformation, zero_path
 from test_acceptance import draw_seven_state_dfas
+from test_collisions import consistent
 
 
 def T(*images):
@@ -57,7 +58,7 @@ def own_ctx(t: Transformation) -> PhiContext:
     of t are needed: they collide the pairs along the walk of 0 that the
     inverse uses to stitch the walk back together."""
     sg = closure([t])
-    assert verify_suffix_free_consistency(sg), t
+    assert consistent(sg), t
     return PhiContext(sg.n, sg.pair_scan.colliding)
 
 
@@ -207,7 +208,7 @@ def test_random_walk_inputs_round_trip():
         if not in_bsf_images(images):
             continue
         sg = closure([Transformation(images)])
-        if not verify_suffix_free_consistency(sg):
+        if not consistent(sg):
             continue
         seen += 1
         ctx = PhiContext(sg.n, sg.pair_scan.colliding)
@@ -383,7 +384,7 @@ def test_in_degree_two_letters_round_trip():
     # letters with shared preimages exercise the two cases the
     # injective-off-sink semigroup never reaches
     sg = closure([T(1, 6, 3, 3, 6, 6, 6), T(1, 6, 4, 4, 6, 6, 6)])
-    assert verify_suffix_free_consistency(sg)
+    assert consistent(sg)
     assert all(in_bsf_images(t) for t in sg.raw)
     report = verify_injective(sg)
     assert report.passed
@@ -397,7 +398,7 @@ def test_cycle_attachment_sharing_traffic_round_trips():
     # Two colliding pairs then focus on a cycle state; only the split
     # one, {3,5}, marks the chain attachment.
     sg = closure([T(1, 3, 6, 6, 4, 4, 6), T(6, 6, 5, 2, 5, 3, 6), T(6, 3, 6, 5, 1, 2, 6)])
-    assert verify_suffix_free_consistency(sg)
+    assert consistent(sg)
     t = T(3, 5, 6, 6, 1, 1, 6)
     assert bytes(t.images) in sg.raw_set
     ctx = PhiContext(sg.n, sg.pair_scan.colliding)
@@ -464,7 +465,7 @@ def test_sampled_consistent_semigroups_embed():
         sg = closure(gens)
         if not all(in_bsf_images(t) for t in sg.raw):
             continue
-        if not verify_suffix_free_consistency(sg):
+        if not consistent(sg):
             continue
         checked += 1
         report = verify_injective(sg)

@@ -29,8 +29,8 @@ from sfsyn.semigroup import (
     witness_letters,
     wsf_bound,
 )
-from sfsyn.collisions import focused_triples, pair_index, pair_masks, verify_suffix_free_consistency
-from sfsyn.dfa import witness
+from sfsyn.collisions import focused_triples, pair_index, pair_masks
+from sfsyn.dfa import Dfa, suffix_free_violation, witness
 import sfsyn.search as search_module
 from sfsyn.search import (
     _bits,
@@ -38,7 +38,6 @@ from sfsyn.search import (
     _canonical_extensions,
     _canonical_letters,
     _close_all_admissible,
-    _confirmed_extremes,
     _context,
     _expand_one,
     _leaf_verdict,
@@ -51,7 +50,7 @@ from sfsyn.search import (
     initial_level,
     search_max,
 )
-from test_collisions import colliding_pairs
+from test_collisions import colliding_pairs, consistent
 
 
 def conjugate_raw(t: bytes, perm) -> bytes:
@@ -318,7 +317,7 @@ def oracle_additions(sg, gens):
         grown = closure(list(gens) + [t])
         if not all(in_bsf_images(e) for e in grown.raw):
             continue
-        if not verify_suffix_free_consistency(grown):
+        if not consistent(grown):
             continue
         colliding, focused = set(), set()
         for e in grown.raw:
@@ -1061,9 +1060,52 @@ def closed_extremes(n, target):
 
 @pytest.mark.parametrize("target, kinds", [(72, ("vsf",)), (73, ("vsf",)), (74, ())])
 def test_confirmed_extremes_match_closing_both_families(target, kinds):
-    got = _confirmed_extremes(5, target)
+    got = search_max(5, target, max_letters=2).confirmations
     assert got == closed_extremes(5, target)
     assert tuple(r.kind for r in got) == kinds
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_confirmations_at_the_default_target_match_closing_both_families(n):
+    r = search_max(n)
+    assert r.confirmations == closed_extremes(n, r.target)
+
+
+@pytest.mark.parametrize(
+    "n, kind, size",
+    [
+        (4, "vsf", 13),
+        (4, "wsf", 11),
+        (5, "vsf", 73),
+        (5, "wsf", 67),
+        (6, "vsf", 501),
+        (6, "wsf", 629),
+        (7, "vsf", 4051),
+        (7, "wsf", 7781),
+    ],
+)
+def test_confirmation_letters_generate_their_family(n, kind, size):
+    # the search reports each family from the context's set with these
+    # letters: they must close to exactly that set, which is consistent,
+    # and realize it as a suffix-free DFA
+    ctx = _context(n)
+    if kind == "vsf":
+        letters = vsf_generators(n)
+        names = tuple(f"g{i}" for i in range(len(letters)))
+        family = ctx.vsf_elements
+        # v_sf by its definition: the b_sf maps injective off the sink
+        assert family == {
+            t for t in bsf_raw(n) if len(t) - t.count(n - 1) == len(set(t) - {n - 1})
+        }
+    else:
+        names, letters = witness_letters(n)
+        family = ctx.wsf_elements
+    sg = closure(list(letters))
+    assert sg.raw_set == family
+    assert sg.size == size
+    assert consistent(sg)
+    dfa = Dfa(n=n, letters=names, delta=letters, initial=0, finals=frozenset({1}))
+    assert suffix_free_violation(dfa) is None
 
 
 def test_search_five_state_below_target_pins_every_count():
@@ -1263,7 +1305,7 @@ def test_search_enumeration_matches_brute_force():
             sg = closure(list(combo) + semis)
             if not sg.raw_set <= bsf_raw(n):
                 continue
-            if not verify_suffix_free_consistency(sg):
+            if not consistent(sg):
                 continue
             if sg.size >= 3:
                 expected.setdefault(canon_key(sg), sg.size)
