@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import time
 from collections.abc import Iterator
@@ -119,11 +120,20 @@ def _plain(value):
     return str(value)
 
 
+def _write(text: str) -> None:
+    # a reader that closes the pipe early ends the output, not the
+    # command: stdout then points at os.devnull, as the Python docs on
+    # SIGPIPE advise, so the flush at exit cannot fail again, and the
+    # command still returns its verdict's exit code
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report: VerificationReport, as_json: bool) -> int:
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2))
-    else:
-        sys.stdout.write(report.render())
+    _write(json.dumps(report.to_json(), indent=2) + "\n" if as_json else report.render())
     return 0 if report.passed else 1
 
 
@@ -172,9 +182,8 @@ def cmd_witness(args) -> int:
             "inputs": {"n": args.n, "format": args.format},
             "dfa": text,
         }
-        print(json.dumps(doc, indent=2))
-    else:
-        sys.stdout.write(text)
+        text = json.dumps(doc, indent=2) + "\n"
+    _write(text)
     return 0
 
 
@@ -283,7 +292,14 @@ def cmd_search(args) -> int:
         result = search_max(args.n, args.target, max_letters=args.max_letters)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    print(json.dumps(result.to_json(), indent=2))
+    text = json.dumps(result.to_json(), indent=2) + "\n"
+    if not args.json:
+        # the per-level timings again, after the report as in the other
+        # commands; with --json they are in the statistics only
+        stats = result.stats
+        for k, (wall, judge) in enumerate(zip(stats.level_wall_s, stats.level_judge_s), start=1):
+            text += f"# timing level {k}: {wall:.6f}s, judging {judge:.6f}s\n"
+    _write(text)
     return 0 if result.uniqueness_confirmed else 1
 
 

@@ -149,8 +149,9 @@ level each finished level logs its size, its extension candidates (the
 survivors summed over its open branches), its census of rejected,
 pruned, terminal and open semiautomata, its wall time, and the seconds
 its semiautomata spent being judged (closure through filter) and
-canonicalizing their extensions; none of that enters the report.  The
-letter-cap warning gives the capped level's candidates.
+canonicalizing their extensions.  Of that, only the wall and judging
+times are kept, as SearchStats timing fields outside the deterministic
+report.  The letter-cap warning gives the capped level's candidates.
 
 Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -165,6 +166,20 @@ in its image, so w has no preimage of 0.  A merge of 0 with an
 interior q at an interior state under w^j is then already a merge
 under w'^j, and w' lies in the letters' closure, inside b_sf.  If w'
 is empty, 0 w = n-1 and nothing merges.  So w is in b_sf.
+
+That closure walks few elements and few tables.  The semiconstants
+form a semilattice S: with e_A the map sending A to n-1 and fixing the
+rest, e_A e_B = e_(A u B), so the n-1 maps e_{0} and e_{0, q}, q
+interior, generate all 2^(n-2) of them, and S is the same closed set on
+every branch.  So S is seen from the start and never walked, the seeds
+are the letters and every s t for s in S and each letter t, and the
+walk multiplies by the letters and the n-1 generators only.  Any
+element outside S is a product u t v with t its first letter and u in
+S or empty, so u t is a seed, and walking right from it along v reaches
+the element; where an intermediate product falls into S, the walk picks
+up again at the seed s t' of the next letter t'.  The closed set is the
+same as closing the letters with all of S, so is every refusal, and
+the pair masks are too, as no semiconstant collides or focuses a pair.
 
 Everything here is deterministic: pools, levels, and level merges
 are ordered, so two runs produce the same result.  Every tuple in a
@@ -328,6 +343,9 @@ class _Context:
     n: int
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
+    # the n-1 semiconstants sending 0 alone, or 0 and one interior
+    # state, to n-1; they generate every semiconstant
+    semiconstant_generators: tuple[RawMap, ...]
     # keyed by the admissible maps, so its keys are b_sf
     masks: dict[RawMap, tuple[int, int]]
     tables: dict[RawMap, bytes]
@@ -357,6 +375,7 @@ def _context(n: int) -> _Context:
     masks = {t: pair_masks(t) for t in bsf}
     vsf = closure(list(vsf_generators(n))).raw_set
     wsf = enumerate_wsf(n).raw_set
+    semiconstants = tuple(sorted(semi))
     size = len(pool)
     # every pool map's own masks, one set-bit pass over the pool
     columns = _product_row((masks[t] for t in pool), size, len(pair_index(n).pairs))
@@ -367,7 +386,8 @@ def _context(n: int) -> _Context:
     return _Context(
         n=n,
         pool=pool,
-        semiconstants=tuple(sorted(semi)),
+        semiconstants=semiconstants,
+        semiconstant_generators=tuple(t for t in semiconstants if t.count(n - 1) <= 3),
         masks=masks,
         tables={t: raw_table(t) for t in bsf},
         vsf_elements=vsf,
@@ -385,12 +405,21 @@ def _context(n: int) -> _Context:
 
 
 def _close_all_admissible(
-    seeds: Iterable[RawMap], tables: Sequence[bytes], ctx: _Context
+    letters: Sequence[RawMap], ctx: _Context
 ) -> tuple[frozenset[RawMap], int, int] | None:
-    """Close the seeds under the tables, refusing the moment an element
-    leaves the admissible sink family.  Returns the elements plus the
-    union colliding and focused pair masks, or None on refusal."""
-    found = close_raw(seeds, tables, within=ctx.masks)
+    """The one closure of a branch: its letters and every semiconstant,
+    refused the moment an element leaves the admissible sink family.
+    The semiconstants are seen from the start and never walked; the
+    seeds are the letters and each semiconstant times each letter, and
+    the walk multiplies by the letters and the n-1 semiconstant
+    generators (see the module docstring).  Returns the elements plus
+    the union colliding and focused pair masks, which no semiconstant
+    adds to, or None on refusal."""
+    seen = set(ctx.semiconstants)
+    letter_tables = [ctx.tables[t] for t in letters]
+    seeds = [*letters, *(s.translate(tb) for tb in letter_tables for s in ctx.semiconstants)]
+    tables = letter_tables + [ctx.tables[g] for g in ctx.semiconstant_generators]
+    found = close_raw(seeds, tables, seen=seen, within=ctx.masks)
     if found is None:
         return None
     coll = foc = 0
@@ -399,7 +428,7 @@ def _close_all_admissible(
         c, f = masks[y]
         coll |= c
         foc |= f
-    return frozenset(found), coll, foc
+    return frozenset(seen), coll, foc
 
 
 def _candidate_bits(members: AbstractSet[RawMap], coll: int, foc: int, ctx: _Context) -> int:
@@ -624,7 +653,12 @@ class SearchStats:
     capped: whether the letter cap stopped the search with some open
     branch plus one of its candidates irreducible.
     wall_time_s: the seconds of the call after the per-n context is
-    built; the one timing field, left out by to_json(include_timing=False).
+    built.
+    level_wall_s, level_judge_s: per level, from level 1, its wall time
+    and the seconds its semiautomata spent being judged (closure through
+    filter), as the info log gives them.
+
+    The three timing fields are left out by to_json(include_timing=False).
 
     selections and rejected_selections carry no information of their
     own; they are kept because the benchmark reads them.
@@ -640,6 +674,8 @@ class SearchStats:
     level_sizes: tuple[int, ...]
     capped: bool
     wall_time_s: float
+    level_wall_s: tuple[float, ...]
+    level_judge_s: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -685,6 +721,8 @@ class SearchResult:
         }
         if include_timing:
             stats["wall_time_s"] = self.stats.wall_time_s
+            stats["level_wall_s"] = list(self.stats.level_wall_s)
+            stats["level_judge_s"] = list(self.stats.level_judge_s)
         return {
             "n": self.n,
             "target": self.target,
@@ -719,8 +757,7 @@ def _expand_one(
     # the one closure of the branch; by the semiconstant lemma in the
     # module docstring a refusal here means the letters alone already
     # leave the admissible family
-    gens = letters + ctx.semiconstants
-    closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
+    closed = _close_all_admissible(letters, ctx)
     if closed is None:
         judge_s = time.perf_counter() - started
         return {
@@ -817,6 +854,8 @@ def search_max(
     pruned = 0
     outcomes: Counter = Counter()
     level_sizes: list[int] = []
+    level_wall_s: list[float] = []
+    level_judge_s: list[float] = []
     # keyed by size and the members' canonical tuple
     others: dict[tuple[int, tuple[RawMap, ...]], SemigroupRecord] = {}
     unexplored = 0
@@ -853,6 +892,8 @@ def search_max(
                 others[key] = SemigroupRecord(
                     kind="other", size=len(members), letters=letters, level=level_index
                 )
+        level_wall_s.append(time.perf_counter() - level_started)
+        level_judge_s.append(sum(res["judge_s"] for res in results))
         logger.info(
             "level %d: %d semiautomata, %d extension candidates"
             " (%d rejected, %d pruned, %d terminal, %d open) in %.3f s"
@@ -864,8 +905,8 @@ def search_max(
             census["pruned"],
             census["terminal"],
             census["open"],
-            time.perf_counter() - level_started,
-            sum(res["judge_s"] for res in results),
+            level_wall_s[-1],
+            level_judge_s[-1],
             sum(res["canon_s"] for res in results),
         )
         if at_cap:
@@ -914,5 +955,7 @@ def search_max(
             level_sizes=tuple(level_sizes),
             capped=capped,
             wall_time_s=time.perf_counter() - started,
+            level_wall_s=tuple(level_wall_s),
+            level_judge_s=tuple(level_judge_s),
         ),
     )

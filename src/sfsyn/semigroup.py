@@ -288,7 +288,10 @@ def enumerate_wsf(n: int) -> TransitionSemigroup:
 
 def semiconstant_family(n: int) -> tuple[Transformation, ...]:
     """All maps that send a set S with 0 in S to n-1 and fix the rest,
-    one per choice of interior part of S: 2^(n-2) maps in total."""
+    one per choice of interior part of S: 2^(n-2) maps in total.  They
+    form a semilattice, the product of the maps for S and S' being the
+    map for S u S', so the n-1 maps for S = {0} and S = {0, q}, q
+    interior, generate the whole family."""
     if n < 4:
         raise ValueError("the semiconstant family needs n >= 4")
     out = []

@@ -26,6 +26,25 @@ from sfsyn.transform import Transformation
 AB_STAR = "n=3 letters=a,b initial=0 finals=1\na: 1 2 2\nb: 2 1 2\n"
 A_STAR = "n=2 letters=a initial=0 finals=0\na: 0 1\n"
 
+# sfsyn search without --json: after the JSON report, one timing comment
+# per level with its wall time and the seconds spent judging
+TIMING_LINE = re.compile(r"# timing level (\d+): (\d+\.\d{6})s, judging (\d+\.\d{6})s")
+
+
+def search_timing(out: str) -> tuple[dict, list[tuple[float, float]]]:
+    # the report and its timing comments, numbered 1 up to its level count
+    head, _, tail = out.partition("\n# timing ")
+    doc = json.loads(head)
+    found = [TIMING_LINE.fullmatch(line) for line in ("# timing " + tail).splitlines()]
+    assert all(found), out
+    levels = len(doc["statistics"]["level_sizes"])
+    assert [int(m.group(1)) for m in found] == list(range(1, levels + 1))
+    return doc, [(float(m.group(2)), float(m.group(3))) for m in found]
+
+
+def search_doc(out: str) -> dict:
+    return search_timing(out)[0]
+
 
 def test_witness_output_parses_back(capsys):
     code = main(["witness", "--n", "5"])
@@ -271,12 +290,35 @@ def test_search_four_emits_json_and_succeeds(capsys):
     code = main(["search", "--n", "4"])
     out, _ = capsys.readouterr()
     assert code == 0
-    doc = json.loads(out)
+    doc = search_doc(out)
     assert doc["n"] == 4
     assert doc["target"] == 13
     assert doc["max_size_found"] == 13
     assert doc["uniqueness_confirmed"] is True
     assert doc["others"] == []
+
+
+def test_search_prints_one_timing_line_per_level(capsys):
+    # the comments after the report repeat the statistics' per-level
+    # timings, to the microsecond; judging happens inside the level's
+    # wall time, and the levels inside the call's
+    assert main(["search", "--n", "4", "--target", "1"]) == 1
+    doc, timings = search_timing(capsys.readouterr().out)
+    stats = doc["statistics"]
+    assert stats["level_sizes"] == [6, 25, 28, 9]
+    walls, judges = stats["level_wall_s"], stats["level_judge_s"]
+    assert timings == [(round(w, 6), round(j, 6)) for w, j in zip(walls, judges)]
+    assert all(j <= w for w, j in zip(walls, judges))
+    assert sum(walls) <= stats["wall_time_s"]
+    assert without_timing(doc) == search_max(4, 1).to_json(include_timing=False)
+
+
+def test_json_search_is_one_document_with_the_level_timings(capsys):
+    assert main(["--json", "search", "--n", "4", "--target", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    stats = doc["statistics"]
+    assert len(stats["level_wall_s"]) == len(stats["level_judge_s"]) == 4
+    assert without_timing(doc) == search_max(4, 1).to_json(include_timing=False)
 
 
 def test_search_reporting_an_other_past_255_members_exits_one(monkeypatch, capsys):
@@ -288,7 +330,7 @@ def test_search_reporting_an_other_past_255_members_exits_one(monkeypatch, capsy
     assert main(argv) == 1
     out, err = capsys.readouterr()
     assert not err.startswith("error: ")
-    others = json.loads(out)["others"]
+    others = search_doc(out)["others"]
     assert [(o["kind"], o["size"], o["level"]) for o in others] == [("other", 545, 2)]
 
 
@@ -356,7 +398,8 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
 
 
 def without_timing(doc: dict) -> dict:
-    del doc["statistics"]["wall_time_s"]
+    for key in ("wall_time_s", "level_wall_s", "level_judge_s"):
+        del doc["statistics"][key]
     return doc
 
 
@@ -391,8 +434,8 @@ def test_log_level_info_shows_the_search_progress():
     assert quiet.stderr == ""
     assert_four_state_progress(loud.stderr)
     expected = search_max(4).to_json(include_timing=False)
-    assert without_timing(json.loads(quiet.stdout)) == expected
-    assert without_timing(json.loads(loud.stdout)) == expected
+    assert without_timing(search_doc(quiet.stdout)) == expected
+    assert without_timing(search_doc(loud.stdout)) == expected
 
 
 def test_log_level_works_in_process(capfd):
@@ -404,7 +447,7 @@ def test_log_level_works_in_process(capfd):
         assert main(["--log-level", "info", "search", "--n", "4"]) == 0
         out, err = capfd.readouterr()
         assert_four_state_progress(err)
-        assert without_timing(json.loads(out)) == expected
+        assert without_timing(search_doc(out)) == expected
     assert main(["search", "--n", "4"]) == 0
     assert capfd.readouterr().err == ""
     assert [h.get_name() for h in logging.getLogger("sfsyn").handlers] == ["sfsyn.cli"]
@@ -419,8 +462,8 @@ def test_log_level_info_reports_each_level_census():
     loud = run_cli("--log-level", "info", *argv)
     assert quiet.returncode == loud.returncode == 1
     assert quiet.stderr == ""
-    doc = without_timing(json.loads(loud.stdout))
-    assert without_timing(json.loads(quiet.stdout)) == doc == search_max(4, 12).to_json(include_timing=False)
+    doc = without_timing(search_doc(loud.stdout))
+    assert without_timing(search_doc(quiet.stdout)) == doc == search_max(4, 12).to_json(include_timing=False)
     built, *rest = loud.stderr.splitlines()
     assert BUILT_LINE.fullmatch(built)
     lines = [LEVEL_LINE.fullmatch(line) for line in rest]
@@ -454,7 +497,46 @@ def test_default_log_level_writes_warnings_as_bare_messages():
     )
     quiet = run_cli("--log-level", "error", "search", "--n", "4", "--target", "5", "--max-letters", "1")
     assert quiet.stderr == ""
-    assert json.loads(quiet.stdout)["statistics"]["capped"] is True
+    assert search_doc(quiet.stdout)["statistics"]["capped"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, first, code",
+    [
+        # some 430 kB of dot, past a 64 KiB pipe buffer, so the command
+        # is still writing when the reader goes after one line
+        (("witness", "--n", "4000", "--format", "dot"), "digraph dfa {\n", 0),
+        # readers that go before the interpreter has even started up, so
+        # before any report is written, whatever the pipe's buffer; one
+        # verdict passes, one fails
+        (("--json", "verify-bound", "--n", "4"), None, 0),
+        (("--json", "suffix-free", "{a_star}"), None, 1),
+    ],
+    ids=["witness-after-one-line", "passed-verdict", "failed-verdict"],
+)
+def test_a_reader_closing_the_pipe_early_leaves_no_traceback(tmp_path, argv, first, code):
+    # the command stops quietly, with its verdict's exit code
+    path = os.path.join(tmp_path, "astar.dfa")
+    with open(path, "w") as fh:
+        fh.write(A_STAR)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [a.format(a_star=path) for a in argv]
+    with subprocess.Popen(
+        [sys.executable, "-m", "sfsyn.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    ) as child:
+        if first is not None:
+            assert child.stdout.readline() == first
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait() == code
+    assert "Traceback" not in err
+    assert err == ""
 
 
 @pytest.mark.parametrize("command", ["phi", "suffix-free"])

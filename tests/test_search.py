@@ -358,15 +358,99 @@ def test_semiconstants_never_decide_admissibility(n, size, admissible):
     assert closing == admissible
 
 
+def scratch_branch_closure(letters, ctx):
+    """Reference: the letters and all 2^(n-2) semiconstants as
+    generators, every element walked against every table, refused on
+    leaving b_sf; the members with their pair masks from pair_masks."""
+    gens = [*letters, *ctx.semiconstants]
+    found = close_raw(gens, [raw_table(g) for g in gens], within=bsf_raw(ctx.n))
+    if found is None:
+        return None
+    coll = foc = 0
+    for y in found:
+        c, f = pair_masks(y)
+        coll |= c
+        foc |= f
+    return frozenset(found), coll, foc
+
+
+def all_two_letter_branches(n):
+    # every two-letter semiautomaton up to relabelling, refusals included
+    ctx, forms = _context(n), _LetterForms()
+    return sorted(
+        {_canonical_letters([*letters, g], forms) for letters in initial_level(n) for g in ctx.pool if g not in letters}
+    )
+
+
+@pytest.mark.parametrize(
+    "n, levels, branches, refused",
+    [(4, 2, 36, 4), (5, 2, 1003, 229), (6, 1, 70, 0), (7, 1, 205, 0)],
+)
+def test_branch_closure_matches_closing_every_semiconstant(n, levels, branches, refused):
+    # seeded past the semiconstant semilattice and walked by the n-1
+    # generators, the branch closure has the same members, masks and
+    # refusals as closing the letters with the whole family
+    ctx = _context(n)
+    level = list(initial_level(n))
+    if levels == 2:
+        level += all_two_letter_branches(n)
+    got = [_close_all_admissible(letters, ctx) for letters in level]
+    assert got == [scratch_branch_closure(letters, ctx) for letters in level]
+    assert (len(level), got.count(None)) == (branches, refused)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_branch_closure_matches_closing_every_semiconstant_on_drawn_branches(data):
+    ctx = _context(6)
+    letters = data.draw(st.lists(st.sampled_from(ctx.pool), min_size=2, max_size=2, unique=True))
+    assert _close_all_admissible(letters, ctx) == scratch_branch_closure(letters, ctx)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkeypatch, n):
+    # S is seen before the walk, so the walk takes in no element of it;
+    # the tables are the letters' and the n-1 generators', sending 0
+    # alone, or 0 and one interior state, to n-1; no semiconstant adds
+    # a pair mask
+    ctx = _context(n)
+    semis = set(ctx.semiconstants)
+    last = n - 1
+    generators = {bytes((last, *range(1, n)))}
+    generators |= {bytes(last if p in (0, q) else p for p in range(n)) for q in range(1, last)}
+    assert set(ctx.semiconstant_generators) == generators
+    assert all(ctx.masks[s] == (0, 0) for s in semis)
+    calls = []
+
+    def recording(seeds, tables, *, seen, within):
+        before = set(seen)
+        found = close_raw(seeds, tables, seen=seen, within=within)
+        calls.append((found, list(tables), before))
+        return found
+
+    monkeypatch.setattr(search_module, "close_raw", recording)
+    letters = initial_level(n)[-1]
+    _close_all_admissible(letters, ctx)
+    (found, tables, seen), = calls
+    assert seen == semis
+    assert found and not semis & set(found)
+    assert tables == [ctx.tables[g] for g in (*letters, *ctx.semiconstant_generators)]
+    assert len(tables) == len(letters) + n - 1
+
+
+def branch_tables(letters, ctx):
+    # the tables of the letters and of every semiconstant, which the
+    # oracles walk, whatever generators the branch closure walks
+    return [ctx.tables[g] for g in (*letters, *ctx.semiconstants)]
+
+
 def assert_extension_matches_scratch(letters, t, ctx):
-    gens = list(letters) + list(ctx.semiconstants)
-    tables = [ctx.tables[g] for g in gens]
-    base = _close_all_admissible(gens, tables, ctx)
+    base = _close_all_admissible(letters, ctx)
     if base is None:
         return
     members, coll, foc = base
-    grown = extend_closure(members, coll, foc, t, tables, ctx)
-    scratch = _close_all_admissible(gens + [t], tables + [ctx.tables[t]], ctx)
+    grown = extend_closure(members, coll, foc, t, branch_tables(letters, ctx), ctx)
+    scratch = _close_all_admissible([*letters, t], ctx)
     assert grown == scratch
 
 
@@ -673,11 +757,9 @@ def admissible_branches(level, ctx):
     # every semiautomaton of the level whose letters close admissibly
     # with the semiconstants: its tables and that closure
     for letters in level:
-        gens = letters + ctx.semiconstants
-        tables = [ctx.tables[g] for g in gens]
-        closed = _close_all_admissible(gens, tables, ctx)
+        closed = _close_all_admissible(letters, ctx)
         if closed is not None:
-            yield tables, closed
+            yield branch_tables(letters, ctx), closed
 
 
 def one_step_filter(candidates, members, coll, foc, ctx):
@@ -776,8 +858,7 @@ def product_rows():
 def test_row_filter_matches_the_reference_on_drawn_branches(product_rows, data, n):
     ctx = _context(n)
     letters = data.draw(st.lists(st.sampled_from(ctx.pool), min_size=1, max_size=2, unique=True))
-    gens = tuple(letters) + ctx.semiconstants
-    closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
+    closed = _close_all_admissible(letters, ctx)
     if closed is None:
         return
     members, coll, foc = closed
@@ -937,8 +1018,7 @@ def test_bitsets_match_the_references_on_every_searched_branch(monkeypatch, args
 def test_bitsets_match_the_references_on_drawn_branches_and_targets(data, n, use_count):
     ctx = _context(n)
     letters = data.draw(st.lists(st.sampled_from(ctx.pool), min_size=1, max_size=2, unique=True))
-    gens = tuple(letters) + ctx.semiconstants
-    closed = _close_all_admissible(gens, [ctx.tables[g] for g in gens], ctx)
+    closed = _close_all_admissible(letters, ctx)
     if closed is None:
         return
     members, coll, foc = closed

@@ -351,6 +351,17 @@ def test_semiconstant_family_size_and_membership():
             assert all(t[q] == n - 1 for q in moved)
 
 
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
+def test_semiconstant_family_is_generated_by_its_n_minus_one_atoms(n):
+    # the maps sending {0} and each {0, q} to n-1 and fixing the rest
+    # close to exactly the family, none of them generated by the others
+    last = n - 1
+    gens = [Transformation(tuple(last if p in (0, q) else p for p in range(n))) for q in range(last)]
+    assert len(gens) == n - 1
+    assert closure(gens).raw_set == {bytes(t.images) for t in semiconstant_family(n)}
+    assert irreducible_raw([bytes(g.images) for g in gens])
+
+
 # ------------------------------------------------------- irreducibility
 
 
