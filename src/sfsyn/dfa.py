@@ -301,6 +301,8 @@ def parse_dfa(text: str) -> Dfa:
         initial = int(fields["initial"])
     except ValueError:
         raise ValueError("header counts must be integers") from None
+    if n < 1:
+        raise ValueError(f"header n must be at least 1, got {n}")
     letters = tuple(fields["letters"].split(",")) if fields["letters"] else ()
     try:
         finals = (

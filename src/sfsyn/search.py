@@ -42,18 +42,21 @@ containing family's size, so a search for smaller semigroups still
 walks those branches.  Only a branch left open turns its candidate set
 back into maps, in pool order.
 
-A branch left open passes its candidates through one filter, and each
-survivor, appended to the letters and canonicalized, joins the next
-level, unless the branch sits at the letter cap: t survives when its
-one-step products with the branch, t t and x t, t x for every x in X,
-stay admissible, and their masks together with t's and X's still clash
-nowhere.  Every such product lies in the closure of X plus t, so the
-survivors include every exact addition, every t whose closure with X
-stays admissible and consistent.  No closure per survivor is needed to
-make the level exact: a survivor that is no addition only adds a
-semiautomaton to the next level, which is judged afresh by its own
-closure, so no verdict changes.  On every search the test suite and the
-benchmark run, exact closures reject none of the survivors.
+A branch left open passes its candidates through one filter, whose
+survivors grow the next level: t survives when its one-step products
+with the branch, t t and x t, t x for every x in X, stay admissible,
+and their masks together with t's and X's still clash nowhere.  Every
+such product lies in the closure of X plus t, so the survivors include
+every exact addition, every t whose closure with X stays admissible
+and consistent.  No closure per survivor is needed to make the level
+exact: a survivor that is no addition only adds a semiautomaton to the
+next level, which is judged afresh by its own closure, so no verdict
+changes.  On every search the test suite and the benchmark run, exact
+closures reject none of the survivors.  Judging a branch ends with the
+filter.  Only once the whole level is judged does the level loop build
+the next one: each survivor, appended to its branch's letters and
+canonicalized, is kept when irreducible, unless the level sits at the
+letter cap.
 
 The filter reads product rows over pool positions, a product table in
 the sense of Froidure and Pin, "Algorithms for computing finite
@@ -65,16 +68,18 @@ with t's own masks ORed in.  A branch's survivors are its candidates
 ANDed with the admissible sets of the square row and of every member's
 row, minus, for each pair, the t that are both among its colliders and
 among its focusers, each ORed over those rows; the whole pool stands in
-for the colliders of a pair X collides and for the focusers of a pair X
-focuses.  That is the product-by-product test above, done a row at a
-time, so the survivors, and with them every exact addition, are the
-same.  Either whole-pool rule alone already gives those survivors.
-Say y in X collides {p, q} and a product z of t focuses it: for z = t
-or z = x t, y t or (y x) t merges 0 with an interior state; otherwise
-y t merges or collides {p t, q t}, which t focuses when z = t t (so t
-is among that pair's colliders in y's row and its focusers in the
-square row) and x focuses when z = t x.  The focusing side is the
-mirror image.  Dropping both rules changes the survivors.
+for the colliders of a pair X collides.  The product-by-product test
+above also kills each t with a product colliding a pair X focuses, the
+mirror rule, but given the rows either rule alone kills the same t as
+both.  Say y in X collides {p, q} and a product z of t focuses it: for
+z = t or z = x t, y t or (y x) t merges 0 with an interior state;
+otherwise y t merges or collides {p t, q t}, which t focuses when
+z = t t (so t is among that pair's colliders in y's row and its
+focusers in the square row) and x focuses when z = t x, a kill of the
+mirror rule.  The focusing side is the mirror image.  So the filter,
+done a row at a time with the one rule, keeps the same survivors as
+the test, and with them every exact addition.  Dropping both rules
+changes the survivors.
 
 A row depends on x alone, so it is built the first time some branch
 holds x and serves every later branch of the same search_max call.  The
@@ -147,11 +152,14 @@ every image and sends constants to constants, so it fixes 0 and n-1.
 The statistics count per semiautomaton (see SearchStats).  At info
 level each finished level logs its size, its extension candidates (the
 survivors summed over its open branches), its census of rejected,
-pruned, terminal and open semiautomata, its wall time, and the seconds
-its semiautomata spent being judged (closure through filter) and
-canonicalizing their extensions.  Of that, only the wall and judging
-times are kept, as SearchStats timing fields outside the deterministic
-report.  The letter-cap warning gives the capped level's candidates.
+pruned, terminal and open semiautomata, its wall time, and how that
+splits into judging its semiautomata (closure through filter) and
+building the next level (canonical forms, sort and irreducibility
+filter), or, at the letter cap, deciding whether the cap cut anything.
+The wall and judging times are kept as SearchStats timing fields
+outside the deterministic report; only the level-1 build falls outside
+every level's wall time.  The letter-cap warning gives the capped
+level's candidates.
 
 Each semiautomaton is closed once, letters and semiconstants together,
 and rejected when that closure leaves the admissible family.  Nothing
@@ -535,29 +543,26 @@ class _ProductRows(dict):
         return self._row(own)
 
 
-def _one_step_filter(
-    cand: int, members: AbstractSet[RawMap], coll: int, foc: int, rows: _ProductRows
-) -> int:
+def _one_step_filter(cand: int, members: AbstractSet[RawMap], coll: int, rows: _ProductRows) -> int:
     """The candidates t whose one-step products with the branch, t t
     and x t, t x for every member x, all stay admissible, with masks
     that together with t's and the branch's still clash nowhere.  Each
     product lies in the closure of the branch plus t, so every exact
     addition survives.  A pair the branch collides counts as collided by
-    every t, and one it focuses as focused by every t."""
+    every t; the mirror rule for the pairs it focuses would kill no
+    further t (see the module docstring), so it is left out."""
     square = rows.square
     member_rows = [rows[x] for x in members]
     ok = cand & square.ok
     for row in member_rows:
         ok &= row.ok
-    whole = rows.ctx.pool_bits
     killed = 0
     for b in range(len(square.coll)):
-        colliders = focusers = whole
-        if not coll >> b & 1:
-            colliders = reduce(or_, (r.coll[b] for r in member_rows), square.coll[b])
-        if not foc >> b & 1:
-            focusers = reduce(or_, (r.foc[b] for r in member_rows), square.foc[b])
-        killed |= colliders & focusers
+        focusers = reduce(or_, (r.foc[b] for r in member_rows), square.foc[b])
+        if coll >> b & 1:
+            killed |= focusers
+        else:
+            killed |= focusers & reduce(or_, (r.coll[b] for r in member_rows), square.coll[b])
     return ok & ~killed
 
 
@@ -572,8 +577,9 @@ def _leaf_verdict(
     so every branch outcome lives inside one of the side-choices.  cand
     is the branch's candidate set.  Returns "terminal" when every choice
     is confined to one of the two known families or (with use_count)
-    cannot reach the target, "pruned" when the count alone closes every
-    choice, and None when some choice stays open."""
+    cannot reach the target, and at least one is confined; "pruned" when
+    the count alone closes every choice; and None when some choice stays
+    open."""
     # a branch confined to one of the two families is only allowed to
     # end there when no proper subset of the family could still matter
     in_v = target >= len(ctx.vsf_elements) and members <= ctx.vsf_elements
@@ -655,8 +661,11 @@ class SearchStats:
     wall_time_s: the seconds of the call after the per-n context is
     built.
     level_wall_s, level_judge_s: per level, from level 1, its wall time
-    and the seconds its semiautomata spent being judged (closure through
-    filter), as the info log gives them.
+    and the part of it spent judging its semiautomata (closure through
+    filter), as the info log gives them.  The rest of a level's wall
+    time records its others and builds the next level, or at the letter
+    cap decides whether the cap cut anything, so the levels' wall times
+    cover the call but for the level-1 build.
 
     The three timing fields are left out by to_json(include_timing=False).
 
@@ -734,77 +743,33 @@ class SearchResult:
         }
 
 
-def _expand_one(
-    letters: tuple[RawMap, ...],
-    target: int,
-    prune: bool,
-    at_cap: bool,
-    forms: _LetterForms,
-    rows: _ProductRows,
-) -> dict:
+def _judge(
+    letters: tuple[RawMap, ...], target: int, prune: bool, rows: _ProductRows
+) -> tuple[str, int, frozenset[RawMap] | None]:
     """Judge one semiautomaton, given by its canonical letters, with
-    initial state 0 and empty state n-1.  Its outcome is "rejected" when
-    its closure leaves the admissible family, "pruned" or "terminal"
-    when the count bound or the case analysis ends the branch, and
-    "open" otherwise.  survivors is an open branch's filtered candidate
-    set, 0 for any other; below the letter cap they turn into canonical
-    extensions, on the capped level into none.  other holds the letters
-    and members of a closure reaching the target, None otherwise.
-    judge_s and canon_s are the seconds spent judging and
-    canonicalizing extensions."""
-    started = time.perf_counter()
+    initial state 0 and empty state n-1: its outcome, its survivors and
+    its members.  The outcome is "rejected" when its closure leaves the
+    admissible family, "pruned" or "terminal" when the count bound or
+    the case analysis ends the branch, and "open" otherwise.  survivors
+    is an open branch's filtered candidate set, 0 for any other.
+    members is the closure when it reaches the target, None otherwise."""
     ctx = rows.ctx
     # the one closure of the branch; by the semiconstant lemma in the
     # module docstring a refusal here means the letters alone already
     # leave the admissible family
     closed = _close_all_admissible(letters, ctx)
     if closed is None:
-        judge_s = time.perf_counter() - started
-        return {
-            "outcome": "rejected",
-            "survivors": 0,
-            "extensions": [],
-            "other": None,
-            "judge_s": judge_s,
-            "canon_s": 0.0,
-        }
+        return "rejected", 0, None
     members, coll, foc = closed
     assert not coll & foc, "pair both colliding and focused survived the closure"
-    other = (letters, members) if len(members) >= target else None
+    reached = members if len(members) >= target else None
     cand = _candidate_bits(members, coll, foc, ctx)
     if prune and len(members) + cand.bit_count() < target:
-        outcome = "pruned"
-    else:
-        outcome = _leaf_verdict(cand, members, target, prune, ctx) or "open"
-    survivors = _one_step_filter(cand, members, coll, foc, rows) if outcome == "open" else 0
-    judged = time.perf_counter()
-    extensions = []
-    # a branch closed without survivors costs nothing, not even its
-    # letters' forms
-    if survivors and not at_cap:
-        extensions = list(_canonical_extensions(letters, _pool_maps(survivors, ctx), forms))
-    return {
-        "outcome": outcome,
-        "survivors": survivors,
-        "extensions": extensions,
-        "other": other,
-        "judge_s": judged - started,
-        "canon_s": time.perf_counter() - judged,
-    }
-
-
-def _some_irreducible(
-    level: Sequence[tuple[RawMap, ...]], results: Sequence[dict], ctx: _Context
-) -> bool:
-    """Whether some open branch of the level plus one of its survivors is
-    irreducible, tried in level order and pool order until one is; no
-    canonical form is needed (see the module docstring)."""
-    for letters, res in zip(level, results):
-        if res["survivors"]:
-            for g in _pool_maps(res["survivors"], ctx):
-                if irreducible_raw((*letters, g)):
-                    return True
-    return False
+        return "pruned", 0, reached
+    outcome = _leaf_verdict(cand, members, target, prune, ctx)
+    if outcome is not None:
+        return outcome, 0, reached
+    return "open", _one_step_filter(cand, members, coll, rows), reached
 
 
 def search_max(
@@ -868,22 +833,18 @@ def search_max(
     while level:
         level_started = time.perf_counter()
         level_sizes.append(len(level))
-        at_cap = level_index == max_letters
-        results = [_expand_one(letters, target, prune, at_cap, forms, rows) for letters in level]
+        verdicts = [_judge(letters, target, prune, rows) for letters in level]
+        judged = time.perf_counter()
 
-        census = Counter(res["outcome"] for res in results)
+        census = Counter(outcome for outcome, _, _ in verdicts)
         outcomes.update(census)
         # the filtered (branch, letter) pairs, before canonical forms merge them
-        candidates = sum(res["survivors"].bit_count() for res in results)
-        next_level: set[tuple[RawMap, ...]] = set()
-        for res in results:
-            other = res["other"]
-            if res["outcome"] != "open" and other is None:
-                pruned += 1
-            next_level.update(res["extensions"])
-            if other is None:
+        candidates = sum(survivors.bit_count() for _, survivors, _ in verdicts)
+        for raw_letters, (outcome, _, members) in zip(level, verdicts):
+            if members is None:
+                if outcome != "open":
+                    pruned += 1
                 continue
-            raw_letters, members = other
             if members in (ctx.vsf_elements, ctx.wsf_elements):
                 continue  # the known families are the confirmations
             key = (len(members), _canonical_letters(sorted(members), forms))
@@ -892,14 +853,33 @@ def search_max(
                 others[key] = SemigroupRecord(
                     kind="other", size=len(members), letters=letters, level=level_index
                 )
+
+        # the open branches with their survivors, in level and pool order
+        branches = (
+            (letters, _pool_maps(survivors, ctx))
+            for letters, (_, survivors, _) in zip(level, verdicts)
+            if survivors
+        )
+        if level_index == max_letters:
+            # the level past the cap is not built: one irreducible
+            # candidate is enough to know it is not empty, and needs no
+            # canonical form (see the module docstring)
+            if any(irreducible_raw((*letters, g)) for letters, maps in branches for g in maps):
+                unexplored = candidates
+            level = ()
+        else:
+            next_level: set[tuple[RawMap, ...]] = set()
+            for letters, maps in branches:
+                next_level.update(_canonical_extensions(letters, maps, forms))
+            level = tuple(letters for letters in sorted(next_level) if irreducible_raw(letters))
         level_wall_s.append(time.perf_counter() - level_started)
-        level_judge_s.append(sum(res["judge_s"] for res in results))
+        level_judge_s.append(judged - level_started)
         logger.info(
             "level %d: %d semiautomata, %d extension candidates"
             " (%d rejected, %d pruned, %d terminal, %d open) in %.3f s"
-            " (judging %.3f s, canonical forms %.3f s)",
+            " (judging %.3f s, next level %.3f s)",
             level_index,
-            len(level),
+            level_sizes[-1],
             candidates,
             census["rejected"],
             census["pruned"],
@@ -907,15 +887,8 @@ def search_max(
             census["open"],
             level_wall_s[-1],
             level_judge_s[-1],
-            sum(res["canon_s"] for res in results),
+            level_wall_s[-1] - level_judge_s[-1],
         )
-        if at_cap:
-            # the level past the cap is not built: one irreducible
-            # candidate is enough to know it is not empty
-            if _some_irreducible(level, results, ctx):
-                unexplored = candidates
-            break
-        level = tuple(letters for letters in sorted(next_level) if irreducible_raw(letters))
         level_index += 1
 
     capped = unexplored > 0

@@ -497,6 +497,10 @@ def test_parse_rejects_malformed_input():
         parse_dfa(good.replace("finals=1", "finals=1 finals=0"))
     with pytest.raises(ValueError, match="unknown header field 'final'"):
         parse_dfa(good.replace("finals=1", "finals=1 final=0"))
+    # a state count below one is named as such, not by the rows it upsets
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^header n must be at least 1, got {n}$"):
+            parse_dfa(f"n={n} letters=a initial=0 finals=\na: 0\n")
     # names the text format cannot carry are refused when the DFA is built
     for name in ("a,b", "a b", "a\tb", "a:", "a:b"):
         with pytest.raises(ValueError, match=re.escape(f"letter name {name!r}")):

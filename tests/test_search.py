@@ -8,9 +8,11 @@ import logging
 import os
 import subprocess
 import sys
+import time
 import weakref
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,6 @@ from sfsyn.semigroup import (
     enumerate_bsf,
     enumerate_wsf,
     in_bsf_images,
-    irreducible_raw,
     raw_table,
     semiconstant_family,
     vsf_generators,
@@ -39,7 +40,7 @@ from sfsyn.search import (
     _canonical_letters,
     _close_all_admissible,
     _context,
-    _expand_one,
+    _judge,
     _leaf_verdict,
     _LetterForms,
     _one_step_filter,
@@ -529,22 +530,29 @@ def test_extensions_match_the_per_extension_oracle_on_every_open_branch(
     branches = []
     sides = Counter()
     judged = []
-    expand_one, one_step_filter = search_module._expand_one, search_module._one_step_filter
+    memos = []
+    judge, one_step_filter = search_module._judge, search_module._one_step_filter
 
-    def expanding(letters, target, prune, at_cap, forms, rows):
-        judged.append((letters, forms))
-        return expand_one(letters, target, prune, at_cap, forms, rows)
+    class RecordedForms(_LetterForms):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
 
-    def filtered(cand, members, coll, foc, rows):
-        survivors = one_step_filter(cand, members, coll, foc, rows)
+    def judging(letters, *rest):
+        judged.append(letters)
+        return judge(letters, *rest)
+
+    def filtered(cand, members, coll, rows):
+        survivors = one_step_filter(cand, members, coll, rows)
         if survivors:
-            letters, forms = judged[-1]
-            branches.append(letters)
+            (forms,) = memos
+            branches.append(judged[-1])
             additions = _pool_maps(survivors, rows.ctx)
-            sides.update(assert_extensions_match_the_oracle(letters, additions, forms))
+            sides.update(assert_extensions_match_the_oracle(judged[-1], additions, forms))
         return survivors
 
-    monkeypatch.setattr(search_module, "_expand_one", expanding)
+    monkeypatch.setattr(search_module, "_LetterForms", RecordedForms)
+    monkeypatch.setattr(search_module, "_judge", judging)
     monkeypatch.setattr(search_module, "_one_step_filter", filtered)
     search_max(*args, **kwargs)
     assert len(branches) == opened
@@ -566,6 +574,31 @@ def test_the_capped_level_builds_no_canonical_form(monkeypatch):
     r = search_max(5, 72, max_letters=2)
     assert r.stats.capped
     assert [len(letters) for letters in calls] == [1] * 14
+
+
+@pytest.mark.parametrize(
+    "args, kwargs", [((4, 1), {}), ((4, 5), {"max_letters": 1})], ids=["below-cap", "at-cap"]
+)
+def test_building_the_next_level_counts_in_its_level_wall_time(monkeypatch, args, kwargs):
+    # the first irreducibility test, slowed by 0.05 s, filters level 2
+    # below the cap and decides the cap at it; either way it is level
+    # 1's work outside judging, and the levels leave nothing of the call
+    # unattributed but the level-1 build
+    irreducible = search_module.irreducible_raw
+    calls = []
+
+    def slowed(letters):
+        if not calls:
+            time.sleep(0.05)
+        calls.append(letters)
+        return irreducible(letters)
+
+    monkeypatch.setattr(search_module, "irreducible_raw", slowed)
+    stats = search_max(*args, **kwargs).stats
+    assert calls
+    assert stats.capped == ("max_letters" in kwargs)
+    assert stats.level_wall_s[0] - stats.level_judge_s[0] >= 0.05
+    assert stats.wall_time_s - sum(stats.level_wall_s) < 0.05
 
 
 def test_extensions_match_the_oracle_on_every_five_state_letter_and_pool_map():
@@ -642,19 +675,40 @@ def test_initial_level_covers_exactly_the_pool_classes():
 
 
 def four_state_extensions():
-    # the extensions of every level-1 branch of search_max(4, target=3,
-    # prune=False), sorted, before the irreducibility filter
-    forms, rows = _LetterForms(), _ProductRows(_context(4))
+    # the canonical extensions of every level-1 branch of
+    # search_max(4, target=3, prune=False), sorted, before the
+    # irreducibility filter
+    ctx = _context(4)
+    forms, rows = _LetterForms(), _ProductRows(ctx)
     extensions = set()
     for letters in initial_level(4):
-        extensions.update(_expand_one(letters, 3, False, False, forms, rows)["extensions"])
+        _, survivors, _ = _judge(letters, 3, False, rows)
+        if survivors:
+            extensions.update(_canonical_extensions(letters, _pool_maps(survivors, ctx), forms))
     return tuple(sorted(extensions))
 
 
-def four_state_level_two():
-    # level 2 of that search: the extensions kept when irreducible, as
-    # the level loop does
-    return tuple(letters for letters in four_state_extensions() if irreducible_raw(letters))
+def judged_levels(monkeypatch, *args, **kwargs):
+    # each level of a search as the search itself judges it, split by
+    # the reported level sizes
+    judged = []
+    judge = search_module._judge
+
+    def recording(letters, *rest):
+        judged.append(letters)
+        return judge(letters, *rest)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(search_module, "_judge", recording)
+        sizes = search_max(*args, **kwargs).stats.level_sizes
+    assert sum(sizes) == len(judged)
+    starts = itertools.accumulate(sizes, initial=0)
+    return [tuple(judged[start : start + size]) for start, size in zip(starts, sizes)]
+
+
+def four_state_level_two(monkeypatch):
+    # level 2 of search_max(4, target=3, prune=False)
+    return judged_levels(monkeypatch, 4, 3, prune=False)[1]
 
 
 def has_redundant_letter(letters):
@@ -711,34 +765,24 @@ def test_initial_level_contents_are_pinned(n, digest):
     ids=["n5-t72", "n5-t60-three-letters", "n4-t1"],
 )
 def test_search_level_contents_are_pinned(monkeypatch, args, kwargs, levels):
-    # each level past the first as the search judges it, split by the
-    # reported level sizes: sorted, k letters at level k, and pinned
-    judged = []
-    expand_one = search_module._expand_one
-
-    def recording(letters, *rest):
-        judged.append(letters)
-        return expand_one(letters, *rest)
-
-    monkeypatch.setattr(search_module, "_expand_one", recording)
-    r = search_max(*args, **kwargs)
-    assert sum(r.stats.level_sizes) == len(judged)
-    found, start = [], 0
-    for k, size in enumerate(r.stats.level_sizes, start=1):
-        level = tuple(judged[start : start + size])
-        start += size
+    # each level past the first as the search judges it: sorted, k
+    # letters at level k, and pinned
+    found = judged_levels(monkeypatch, *args, **kwargs)
+    for k, level in enumerate(found, start=1):
         assert list(level) == sorted(level)
         assert all(len(letters) == k for letters in level)
-        found.append(level)
     assert found[0] == initial_level(args[0])
     assert [(len(level), level_digest(level)) for level in found[1:]] == levels
 
 
-def test_search_level_two_grows_canonically_and_irreducibly():
+def test_search_level_two_grows_canonically_and_irreducibly(monkeypatch):
+    # the search's own level 2 against the canonical extensions of level
+    # 1, each set told irreducible or not by closing its other letters
     extensions = four_state_extensions()
-    level2 = four_state_level_two()
+    level2 = four_state_level_two(monkeypatch)
     assert len(level2) == 25
     assert list(level2) == sorted(level2)
+    assert set(level2) <= set(extensions)
     for letters in level2:
         assert all(len(t) == 4 for t in letters)
         assert _canonical_letters(letters) == letters
@@ -800,7 +844,7 @@ def filter_census(level, ctx):
     branches = additions = kept_total = 0
     for tables, (members, coll, foc) in admissible_branches(level, ctx):
         cand = _candidate_bits(members, coll, foc, ctx)
-        kept = _pool_maps(_one_step_filter(cand, members, coll, foc, rows), ctx)
+        kept = _pool_maps(_one_step_filter(cand, members, coll, rows), ctx)
         exact = exact_additions(members, coll, foc, tables, ctx)
         assert exact.keys() <= set(kept), sorted(exact.keys() - set(kept))
         branches += 1
@@ -809,10 +853,10 @@ def filter_census(level, ctx):
     return branches, additions, kept_total
 
 
-def test_filter_keeps_every_exact_addition_at_four_states():
+def test_filter_keeps_every_exact_addition_at_four_states(monkeypatch):
     ctx = _context(4)
     assert filter_census(initial_level(4), ctx) == (6, 45, 45)
-    assert filter_census(four_state_level_two(), ctx) == (25, 127, 127)
+    assert filter_census(four_state_level_two(monkeypatch), ctx) == (25, 127, 127)
 
 
 def test_filter_keeps_every_exact_addition_at_five_states():
@@ -831,11 +875,14 @@ def test_filter_keeps_every_exact_addition_at_five_states():
     ids=["n5-t72", "n5-t68", "n5-t65", "n5-t60", "n6-t600"],
 )
 def test_row_filter_matches_the_reference_on_every_open_branch(monkeypatch, args, kwargs, opened):
-    # every branch the search leaves open, with the search's own row memo
+    # every branch the search leaves open, with the search's own row
+    # memo; the reference also reads the branch's focused pairs, ORed
+    # here from its members' masks
     calls = []
 
-    def checked(cand, members, coll, foc, rows):
-        got = _one_step_filter(cand, members, coll, foc, rows)
+    def checked(cand, members, coll, rows):
+        got = _one_step_filter(cand, members, coll, rows)
+        foc = reduce(or_, (rows.ctx.masks[x][1] for x in members))
         expected = one_step_filter(_pool_maps(cand, rows.ctx), members, coll, foc, rows.ctx)
         assert _pool_maps(got, rows.ctx) == expected
         calls.append(members)
@@ -867,13 +914,15 @@ def test_row_filter_matches_the_reference_on_drawn_branches(product_rows, data, 
     # where a clash with the branch's own masks must also kill
     outside = ctx.pool_bits & ~_bits((ctx.index[t] for t in members if t in ctx.index), len(ctx.pool))
     for cand in (_candidate_bits(members, coll, foc, ctx), outside):
-        got = _one_step_filter(cand, members, coll, foc, rows)
-        assert _pool_maps(got, ctx) == one_step_filter(_pool_maps(cand, ctx), members, coll, foc, ctx)
-        # the branch's masks enter only through the whole-pool rules, and
-        # either rule alone gives the same survivors (module docstring),
-        # so a filter dropping one of them is an equivalent mutant
-        assert _one_step_filter(cand, members, 0, foc, rows) == got
-        assert _one_step_filter(cand, members, coll, 0, rows) == got
+        maps = _pool_maps(cand, ctx)
+        expected = one_step_filter(maps, members, coll, foc, ctx)
+        assert _pool_maps(_one_step_filter(cand, members, coll, rows), ctx) == expected
+        # the branch's masks enter the reference through two whole-pool
+        # rules, and either rule alone gives the same survivors (module
+        # docstring), so the routine keeps only the one for the pairs
+        # the branch collides
+        assert one_step_filter(maps, members, 0, foc, ctx) == expected
+        assert one_step_filter(maps, members, coll, 0, ctx) == expected
 
 
 # ------------------------------------------- stage one and case analysis
