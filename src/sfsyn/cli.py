@@ -2,11 +2,11 @@
 embedding checker, the exhaustive search, letter-necessity evidence,
 and a bare suffix-freeness test.
 
-Every command is deterministic for fixed inputs and flags.  Reports
-consist of named assertions with expected and actual values; timing
-lines are emitted separately so byte comparison of the assertion
-section stays meaningful.  Exit codes: 0 all assertions pass, 1 some
-assertion failed, 2 usage error.
+Every command is deterministic for fixed inputs and flags.  The five
+report commands each return a report that _report writes: the body,
+then the timings (the command's phases and its total) as "# timing"
+lines after the text or one "timings" object in the JSON, so the body
+compares byte for byte.  Exit codes: 0 pass, 1 fail, 2 usage error.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .dfa import (
     witness,
 )
 from .injection import strict_bound_witness, verify_injective
-from .search import DEFAULT_MAX_LETTERS, search_max
+from .search import DEFAULT_MAX_LETTERS, SearchResult, search_max
 from .semigroup import MAX_STATES, closure, wsf_bound
 
 
@@ -86,7 +86,6 @@ class VerificationReport:
         }
         if self.details:
             doc["details"] = self.details
-        doc["timings"] = self.timings
         return doc
 
     def render(self) -> str:
@@ -101,8 +100,6 @@ class VerificationReport:
         for key, value in self.details.items():
             lines.append(f"note {key}: {value}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        for key, value in self.timings.items():
-            lines.append(f"# timing {key}: {value:.6f}s")
         return "\n".join(lines) + "\n"
 
 
@@ -132,8 +129,16 @@ def _write(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _emit(report: VerificationReport, as_json: bool) -> int:
-    _write(json.dumps(report.to_json(), indent=2) + "\n" if as_json else report.render())
+def _report(args) -> int:
+    # the one way a report command ends: its body, its phases' timings
+    # and the whole command's total, then its verdict's exit code
+    started = time.perf_counter()
+    report = args.report(args)
+    timings = {**report.timings, "total": time.perf_counter() - started}
+    if args.json:
+        _write(json.dumps({**report.to_json(), "timings": timings}, indent=2) + "\n")
+    else:
+        _write(report.render() + "".join(f"# timing {k}: {v:.6f}s\n" for k, v in timings.items()))
     return 0 if report.passed else 1
 
 
@@ -187,7 +192,7 @@ def cmd_witness(args) -> int:
     return 0
 
 
-def cmd_verify_bound(args) -> int:
+def cmd_verify_bound(args) -> VerificationReport:
     if args.n < 4:
         raise UsageError("the bound is defined from n=4 up")
     if args.n > MAX_STATES:
@@ -199,7 +204,6 @@ def cmd_verify_bound(args) -> int:
         )
     if args.n > 8:
         print(f"warning: n={args.n} may take a long time", file=sys.stderr)
-    started = time.perf_counter()
     report = VerificationReport(command="verify-bound", inputs={"n": args.n})
     d = witness(args.n)
     with _timed(report, "closure"):
@@ -221,31 +225,27 @@ def cmd_verify_bound(args) -> int:
             same("embedding is injective on the witness semigroup", True, inj.passed)
         )
         report.details["case_counts"] = dict(sorted(inj.case_counts.items()))
-    report.timings["total"] = time.perf_counter() - started
-    return _emit(report, args.json)
+    return report
 
 
-def cmd_phi(args) -> int:
+def cmd_phi(args) -> VerificationReport:
     d = _load_dfa(args.dfa)
     if d.n < 7:
         raise UsageError("the embedding needs at least 7 states")
     if d.n > MAX_STATES:
         raise UsageError(f"the embedding works on at most {MAX_STATES} states, got {d.n}")
-    started = time.perf_counter()
     report = VerificationReport(command="phi", inputs={"dfa": args.dfa, "n": d.n})
     violation = suffix_free_violation(d)
     if violation is not None:
         report.assertions.append(_not_suffix_free("input language is suffix-free", violation))
-        report.timings["total"] = time.perf_counter() - started
-        return _emit(report, args.json)
+        return report
     report.assertions.append(
         same("input language is suffix-free", True, True)
     )
     minimal = is_minimal(d)
     report.assertions.append(same("input automaton is minimal", True, minimal))
     if not minimal:
-        report.timings["total"] = time.perf_counter() - started
-        return _emit(report, args.json)
+        return report
     # the pair and embedding layers assume initial state 0 and empty
     # state n-1; renumbering leaves the language unchanged
     try:
@@ -283,30 +283,19 @@ def cmd_phi(args) -> int:
         )
         if gap is not None:
             report.details["gap_witness"] = str(gap.images)
-    report.timings["total"] = time.perf_counter() - started
-    return _emit(report, args.json)
+    return report
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> SearchResult:
     try:
-        result = search_max(args.n, args.target, max_letters=args.max_letters)
+        return search_max(args.n, args.target, max_letters=args.max_letters)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    text = json.dumps(result.to_json(), indent=2) + "\n"
-    if not args.json:
-        # the per-level timings again, after the report as in the other
-        # commands; with --json they are in the statistics only
-        stats = result.stats
-        for k, (wall, judge) in enumerate(zip(stats.level_wall_s, stats.level_judge_s), start=1):
-            text += f"# timing level {k}: {wall:.6f}s, judging {judge:.6f}s\n"
-    _write(text)
-    return 0 if result.uniqueness_confirmed else 1
 
 
-def cmd_letters(args) -> int:
+def cmd_letters(args) -> VerificationReport:
     if not 5 <= args.n <= 7:
         raise UsageError("letter-necessity evidence covers 5 <= n <= 7")
-    started = time.perf_counter()
     d = witness(args.n)
     bound = wsf_bound(args.n)
     report = VerificationReport(command="letters", inputs={"n": args.n})
@@ -321,21 +310,18 @@ def cmd_letters(args) -> int:
                 size < bound,
             )
         )
-    report.timings["total"] = time.perf_counter() - started
-    return _emit(report, args.json)
+    return report
 
 
-def cmd_suffix_free(args) -> int:
+def cmd_suffix_free(args) -> VerificationReport:
     d = _load_dfa(args.dfa)
-    started = time.perf_counter()
     report = VerificationReport(command="suffix-free", inputs={"dfa": args.dfa})
     violation = suffix_free_violation(d)
     if violation is None:
         report.assertions.append(same("language is suffix-free", True, True))
     else:
         report.assertions.append(_not_suffix_free("language is suffix-free", violation))
-    report.timings["total"] = time.perf_counter() - started
-    return _emit(report, args.json)
+    return report
 
 
 # ------------------------------------------------------------- the parser
@@ -370,25 +356,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--allow-slow", action="store_true", help="permit n beyond the default cap of 8"
     )
-    p.set_defaults(func=cmd_verify_bound)
+    p.set_defaults(func=_report, report=cmd_verify_bound)
 
     p = sub.add_parser("phi", help="run the embedding over a DFA's semigroup")
     p.add_argument("dfa", help="path to a DFA file")
-    p.set_defaults(func=cmd_phi)
+    p.set_defaults(func=_report, report=cmd_phi)
 
     p = sub.add_parser("search", help="exhaustive maximality search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--max-letters", type=int, default=DEFAULT_MAX_LETTERS)
-    p.set_defaults(func=cmd_search)
+    p.set_defaults(func=_report, report=cmd_search)
 
     p = sub.add_parser("letters", help="evidence that every witness letter is needed")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_letters)
+    p.set_defaults(func=_report, report=cmd_letters)
 
     p = sub.add_parser("suffix-free", help="test a DFA file for suffix-freeness")
     p.add_argument("dfa", help="path to a DFA file")
-    p.set_defaults(func=cmd_suffix_free)
+    p.set_defaults(func=_report, report=cmd_suffix_free)
 
     return parser
 

@@ -8,6 +8,7 @@ setting, the empty state sits at n-1 after renumber_initial_empty.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -278,6 +279,14 @@ def format_dfa(dfa: Dfa) -> str:
     return "\n".join([head] + rows) + "\n"
 
 
+def _integer(text: str) -> int:
+    # an optional minus sign and ASCII digits, as format_dfa writes
+    # them; int() alone also takes "+2", "0_1" and other scripts' digits
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(text)
+
+
 def parse_dfa(text: str) -> Dfa:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -297,8 +306,8 @@ def parse_dfa(text: str) -> Dfa:
         if value is None:
             raise ValueError(f"header is missing {key}")
     try:
-        n = int(fields["n"])
-        initial = int(fields["initial"])
+        n = _integer(fields["n"])
+        initial = _integer(fields["initial"])
     except ValueError:
         raise ValueError("header counts must be integers") from None
     if n < 1:
@@ -306,7 +315,7 @@ def parse_dfa(text: str) -> Dfa:
     letters = tuple(fields["letters"].split(",")) if fields["letters"] else ()
     try:
         finals = (
-            frozenset(int(f) for f in fields["finals"].split(","))
+            frozenset(_integer(f) for f in fields["finals"].split(","))
             if fields["finals"]
             else frozenset()
         )
@@ -327,7 +336,7 @@ def parse_dfa(text: str) -> Dfa:
                 f"found {row_name.strip()!r}"
             )
         try:
-            imgs = tuple(int(x) for x in images.split())
+            imgs = tuple(_integer(x) for x in images.split())
         except ValueError:
             raise ValueError(f"bad transition row for letter {name!r}") from None
         if len(imgs) != n:

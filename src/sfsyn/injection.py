@@ -547,7 +547,8 @@ def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
     the first colliding pair, the least bit of the scan's colliding
     mask: the pair is focused onto its larger state and three spare
     states form a 3-cycle, a shape no case produces.  Returns None when
-    the semigroup has no colliding pair."""
+    the semigroup has no colliding pair.  CaseExhaustionError when the
+    witness is not in w_sf, is an element, or has an inverse."""
     if sg.n < 7:
         raise ValueError("the strict-bound witness needs n >= 7")
     n = sg.n
@@ -565,4 +566,18 @@ def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
         raise CaseExhaustionError(
             f"strict-bound witness {format_transformation(imgs)} is not in w_sf({n})"
         )
-    return Transformation(tuple(imgs))
+    # no element is the witness, and the inverse refuses it; as
+    # verify_injective checks every element's round trip, no element
+    # maps to it either
+    gap = bytes(imgs)
+    if gap in sg.raw_set:
+        raise CaseExhaustionError(
+            f"strict-bound witness {format_transformation(imgs)} is an element"
+        )
+    try:
+        t = _inverse(gap, PhiContext(n, colliding))
+    except NotInImageError:
+        return Transformation(tuple(imgs))
+    raise CaseExhaustionError(
+        f"strict-bound witness {format_transformation(imgs)} inverts to {format_transformation(t)}"
+    )

@@ -196,6 +196,7 @@ the tuples orders them as sorting their concatenated bytes would.
 """
 from __future__ import annotations
 
+import json
 import logging
 import time
 from bisect import bisect_left
@@ -667,7 +668,7 @@ class SearchStats:
     cap decides whether the cap cut anything, so the levels' wall times
     cover the call but for the level-1 build.
 
-    The three timing fields are left out by to_json(include_timing=False).
+    The three timing fields are in SearchResult.timings, not to_json().
 
     selections and rejected_selections carry no information of their
     own; they are kept because the benchmark reads them.
@@ -708,7 +709,20 @@ class SearchResult:
     def uniqueness_confirmed(self) -> bool:
         return bool(self.confirmations) and not self.others and not self.stats.capped
 
-    def to_json(self, include_timing: bool = True) -> dict:
+    passed = uniqueness_confirmed  # the verdict, under a report's name
+
+    @property
+    def timings(self) -> dict[str, float]:
+        # each level's wall time and the part spent judging, then the call's
+        stats, timings = self.stats, {}
+        for k, (wall, judge) in enumerate(zip(stats.level_wall_s, stats.level_judge_s), start=1):
+            timings[f"level {k}"], timings[f"level {k} judging"] = wall, judge
+        return {**timings, "search": stats.wall_time_s}
+
+    def render(self) -> str:
+        return json.dumps(self.to_json(), indent=2) + "\n"
+
+    def to_json(self) -> dict:
         def record(r: SemigroupRecord) -> dict:
             return {
                 "kind": r.kind,
@@ -728,10 +742,6 @@ class SearchResult:
             "level_sizes": list(self.stats.level_sizes),
             "capped": self.stats.capped,
         }
-        if include_timing:
-            stats["wall_time_s"] = self.stats.wall_time_s
-            stats["level_wall_s"] = list(self.stats.level_wall_s)
-            stats["level_judge_s"] = list(self.stats.level_judge_s)
         return {
             "n": self.n,
             "target": self.target,

@@ -6,7 +6,8 @@ must be run by the CLI, the benchmark or another package module, not by
 the tests alone.  And the interior pairs have one encoding, the
 collisions module's pair_index, so no other module orders them itself.
 The search reports from its own closures: it builds no DFA and re-checks
-no reported semigroup's consistency."""
+no reported semigroup's consistency.  One function writes the CLI's
+timing lines, and no report takes a switch to include its timings."""
 import ast
 import dataclasses
 import importlib.util
@@ -184,3 +185,60 @@ def test_the_dfa_import_guard_sees_each_form():
     assert dfa_and_recheck_uses("x\nverify_suffix_free_consistency(sg)") == [2]
     assert dfa_and_recheck_uses("collisions.verify_suffix_free_consistency(sg)") == [1]
     assert dfa_and_recheck_uses("from .collisions import pair_index, pair_masks") == []
+
+
+def timing_writers(source: str) -> list[str]:
+    # the scopes, by qualified name ("" for the module body), holding a
+    # string other than a docstring with a "# timing" line in it
+    tree = ast.parse(source)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    writers = []
+
+    def visit(node, owner: str) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = getattr(node, "name", "<lambda>")
+            owner = f"{owner}.{name}" if owner else name
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "# timing" in node.value
+            and id(node) not in docstrings
+            and owner not in writers
+        ):
+            writers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "")
+    return writers
+
+
+def test_one_function_writes_the_timing_lines():
+    writers = {
+        (path.name, name)
+        for path in sorted(SRC.glob("*.py"))
+        for name in timing_writers(path.read_text(encoding="utf-8"))
+    }
+    assert writers == {("cli.py", "_report")}
+    switch = "include" + "_timing"
+    tests = Path(__file__).resolve().parent
+    holders = [
+        path.name
+        for folder in (SRC, tests)
+        for path in sorted(folder.glob("*.py"))
+        if switch in path.read_text(encoding="utf-8")
+    ]
+    assert holders == []
+
+
+def test_the_timing_guard_sees_each_form():
+    assert timing_writers('def f(k, v):\n    return f"# timing {k}: {v}s"') == ["f"]
+    assert timing_writers('def f():\n    def g():\n        return "# timing total"\n    return g') == ["f.g"]
+    assert timing_writers('class R:\n    def render(self):\n        return "x\\n# timing a"') == ["R.render"]
+    assert timing_writers('text = "# timing level 1"\nf = lambda: "# timing a"') == ["", "<lambda>"]
+    assert timing_writers('"""# timing lines"""\ndef f():\n    """# timing"""\n    return 1') == []

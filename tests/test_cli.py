@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import sfsyn.cli as cli_module
 from sfsyn.cli import main
 from sfsyn.dfa import (
     Dfa,
@@ -16,30 +17,40 @@ from sfsyn.dfa import (
     parse_dfa,
     relabel,
     suffix_free_violation,
+    transition_semigroup,
     witness,
 )
 import sfsyn.search as search_module
 from sfsyn.search import search_max
 from sfsyn.transform import Transformation
+from test_acceptance import draw_seven_state_dfas
 
 # ab* is suffix-free; a* accepts the empty word and everything above it
 AB_STAR = "n=3 letters=a,b initial=0 finals=1\na: 1 2 2\nb: 2 1 2\n"
 A_STAR = "n=2 letters=a initial=0 finals=0\na: 0 1\n"
 
 # sfsyn search without --json: after the JSON report, one timing comment
-# per level with its wall time and the seconds spent judging
-TIMING_LINE = re.compile(r"# timing level (\d+): (\d+\.\d{6})s, judging (\d+\.\d{6})s")
+# per key, in seconds to the microsecond
+TIMING_LINE = re.compile(r"# timing (.+): (\d+\.\d{6})s")
 
 
-def search_timing(out: str) -> tuple[dict, list[tuple[float, float]]]:
-    # the report and its timing comments, numbered 1 up to its level count
+def search_timing_keys(levels: int) -> list[str]:
+    # each level's wall time and the part spent judging, then the search
+    # call's and the whole command's
+    per_level = [key for k in range(1, levels + 1) for key in (f"level {k}", f"level {k} judging")]
+    return per_level + ["search", "total"]
+
+
+def search_timing(out: str) -> tuple[dict, dict[str, float]]:
+    # the report and its timing comments, levels numbered 1 up to its
+    # level count
     head, _, tail = out.partition("\n# timing ")
     doc = json.loads(head)
     found = [TIMING_LINE.fullmatch(line) for line in ("# timing " + tail).splitlines()]
     assert all(found), out
-    levels = len(doc["statistics"]["level_sizes"])
-    assert [int(m.group(1)) for m in found] == list(range(1, levels + 1))
-    return doc, [(float(m.group(2)), float(m.group(3))) for m in found]
+    timings = {m.group(1): float(m.group(2)) for m in found}
+    assert list(timings) == search_timing_keys(len(doc["statistics"]["level_sizes"]))
+    return doc, timings
 
 
 def search_doc(out: str) -> dict:
@@ -298,27 +309,49 @@ def test_search_four_emits_json_and_succeeds(capsys):
     assert doc["others"] == []
 
 
-def test_search_prints_one_timing_line_per_level(capsys):
-    # the comments after the report repeat the statistics' per-level
-    # timings, to the microsecond; judging happens inside the level's
-    # wall time, and the levels inside the call's
+def recorded_searches(monkeypatch) -> list:
+    # the results of the searches the CLI runs, for their timing fields
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(search_max(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli_module, "search_max", recording)
+    return results
+
+
+def test_search_prints_one_timing_line_per_level(monkeypatch, capsys):
+    # the comments after the report give the statistics' timing fields,
+    # to the microsecond, and the whole command's total; judging happens
+    # inside the level's wall time, the levels inside the call's and
+    # the call inside the command's
+    results = recorded_searches(monkeypatch)
     assert main(["search", "--n", "4", "--target", "1"]) == 1
     doc, timings = search_timing(capsys.readouterr().out)
-    stats = doc["statistics"]
-    assert stats["level_sizes"] == [6, 25, 28, 9]
-    walls, judges = stats["level_wall_s"], stats["level_judge_s"]
-    assert timings == [(round(w, 6), round(j, 6)) for w, j in zip(walls, judges)]
+    assert doc == search_max(4, 1).to_json()
+    assert doc["statistics"]["level_sizes"] == [6, 25, 28, 9]
+    [stats] = [r.stats for r in results]
+    walls, judges = stats.level_wall_s, stats.level_judge_s
+    assert [timings[f"level {k}"] for k in range(1, 5)] == [round(w, 6) for w in walls]
+    assert [timings[f"level {k} judging"] for k in range(1, 5)] == [round(j, 6) for j in judges]
+    assert timings["search"] == round(stats.wall_time_s, 6)
     assert all(j <= w for w, j in zip(walls, judges))
-    assert sum(walls) <= stats["wall_time_s"]
-    assert without_timing(doc) == search_max(4, 1).to_json(include_timing=False)
+    assert sum(walls) <= stats.wall_time_s <= timings["total"]
 
 
-def test_json_search_is_one_document_with_the_level_timings(capsys):
+def test_json_search_is_one_document_with_the_level_timings(monkeypatch, capsys):
+    # the report's timing fields and the command's total sit in one
+    # top-level timings object after the report, not in its statistics
+    results = recorded_searches(monkeypatch)
     assert main(["--json", "search", "--n", "4", "--target", "1"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    stats = doc["statistics"]
-    assert len(stats["level_wall_s"]) == len(stats["level_judge_s"]) == 4
-    assert without_timing(doc) == search_max(4, 1).to_json(include_timing=False)
+    timings = doc.pop("timings")
+    assert doc == search_max(4, 1).to_json()
+    assert list(timings) == search_timing_keys(4)
+    [result] = results
+    assert {key: timings[key] for key in result.timings} == result.timings
+    assert result.stats.wall_time_s <= timings["total"]
 
 
 def test_search_reporting_an_other_past_255_members_exits_one(monkeypatch, capsys):
@@ -397,12 +430,6 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
-def without_timing(doc: dict) -> dict:
-    for key in ("wall_time_s", "level_wall_s", "level_judge_s"):
-        del doc["statistics"][key]
-    return doc
-
-
 # one info line per level: its size, its open branches' filtered
 # (branch, letter) pairs, the outcome census, the level's wall time,
 # the time spent judging its semiautomata and the rest, spent building
@@ -433,21 +460,21 @@ def test_log_level_info_shows_the_search_progress():
     assert quiet.returncode == loud.returncode == 0
     assert quiet.stderr == ""
     assert_four_state_progress(loud.stderr)
-    expected = search_max(4).to_json(include_timing=False)
-    assert without_timing(search_doc(quiet.stdout)) == expected
-    assert without_timing(search_doc(loud.stdout)) == expected
+    expected = search_max(4).to_json()
+    assert search_doc(quiet.stdout) == expected
+    assert search_doc(loud.stdout) == expected
 
 
 def test_log_level_works_in_process(capfd):
     # the test runner's handlers sit on the root logger, where
     # logging.basicConfig would have done nothing; a second main()
     # replaces the handler rather than stacking another
-    expected = search_max(4).to_json(include_timing=False)
+    expected = search_max(4).to_json()
     for _ in range(2):
         assert main(["--log-level", "info", "search", "--n", "4"]) == 0
         out, err = capfd.readouterr()
         assert_four_state_progress(err)
-        assert without_timing(search_doc(out)) == expected
+        assert search_doc(out) == expected
     assert main(["search", "--n", "4"]) == 0
     assert capfd.readouterr().err == ""
     assert [h.get_name() for h in logging.getLogger("sfsyn").handlers] == ["sfsyn.cli"]
@@ -462,8 +489,8 @@ def test_log_level_info_reports_each_level_census():
     loud = run_cli("--log-level", "info", *argv)
     assert quiet.returncode == loud.returncode == 1
     assert quiet.stderr == ""
-    doc = without_timing(search_doc(loud.stdout))
-    assert without_timing(search_doc(quiet.stdout)) == doc == search_max(4, 12).to_json(include_timing=False)
+    doc = search_doc(loud.stdout)
+    assert search_doc(quiet.stdout) == doc == search_max(4, 12).to_json()
     built, *rest = loud.stderr.splitlines()
     assert BUILT_LINE.fullmatch(built)
     lines = [LEVEL_LINE.fullmatch(line) for line in rest]
@@ -571,13 +598,16 @@ def test_bad_finals_field_is_a_usage_error(tmp_path, capsys, command):
         ("n=3 letters=a initial=0 finals=1 final=0\na: 1 2 2\n", "unknown header field 'final'"),
         ("n=0 letters=a initial=0 finals=\na: \n", "header n must be at least 1, got 0"),
         ("n=-3 letters=a initial=0 finals=\na: 1 2 2\n", "header n must be at least 1, got -3"),
+        ("n=3 letters=a initial=+0 finals=0_1\na: 0_1 +2 2\n", "header counts must be integers"),
+        ("n=\u0663 letters=a initial=0 finals=1\na: 1 2 2\n", "header counts must be integers"),
     ],
 )
 def test_malformed_dfa_header_is_a_usage_error(tmp_path, capsys, text, message):
     # the first three were accepted silently before: the empty letter
     # made the empty word a violation, and the repeated finals field kept
     # its last value; a state count below one was reported by the row or
-    # map it upset
+    # map it upset; int() took a sign, an underscore and an Arabic-Indic
+    # digit, none of which format_dfa writes
     path = os.path.join(tmp_path, "header.dfa")
     with open(path, "w") as fh:
         fh.write(text)
@@ -595,12 +625,41 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_reports_are_deterministic(capsys):
-    def run() -> str:
-        main(["verify-bound", "--n", "5"])
-        out, _ = capsys.readouterr()
-        return "\n".join(
-            line for line in out.splitlines() if not line.startswith("# timing")
-        )
+def test_reports_are_deterministic(tmp_path, capsys):
+    # every command, in text and in JSON, writes the same bytes twice
+    # but for its timings: the "# timing" lines after a text report, the
+    # "timings" object of a JSON one
+    d = next(d for d in draw_seven_state_dfas() if transition_semigroup(d).pair_scan.colliding)
+    colliding = os.path.join(tmp_path, "colliding7.dfa")
+    ab_star = os.path.join(tmp_path, "abstar.dfa")
+    for path, text in ((colliding, format_dfa(d)), (ab_star, AB_STAR)):
+        with open(path, "w") as fh:
+            fh.write(text)
+    commands = [
+        (["witness", "--n", "5"], 0),
+        (["witness", "--n", "5", "--format", "dot"], 0),
+        (["verify-bound", "--n", "5"], 0),
+        (["verify-bound", "--n", "7"], 0),
+        (["phi", colliding], 0),
+        (["letters", "--n", "5"], 0),
+        (["suffix-free", ab_star], 0),
+        (["search", "--n", "4"], 0),
+        (["search", "--n", "4", "--target", "1"], 1),
+    ]
 
-    assert run() == run()
+    def run(argv: list[str], code: int) -> str:
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        if argv[0] != "--json":
+            return "".join(line for line in out.splitlines(True) if not line.startswith("# timing"))
+        doc = json.loads(out)
+        if argv[1] != "witness":
+            assert list(doc)[-1] == "timings"
+            del doc["timings"]
+        return json.dumps(doc, indent=2)
+
+    for argv, code in commands:
+        for args in (argv, ["--json", *argv]):
+            assert run(args, code) == run(args, code), args
+    assert main(["phi", colliding]) == 0
+    assert "PASS colliding pair forces a strict gap" in capsys.readouterr().out

@@ -501,6 +501,22 @@ def test_parse_rejects_malformed_input():
     for n in (0, -3):
         with pytest.raises(ValueError, match=f"^header n must be at least 1, got {n}$"):
             parse_dfa(f"n={n} letters=a initial=0 finals=\na: 0\n")
+    # numbers are an optional minus and ASCII digits, as format_dfa
+    # writes them: no sign, underscore or other script's digit
+    for bad in ("+3", "3_0", "\u0663", "\uff13"):
+        with pytest.raises(ValueError, match="^header counts must be integers$"):
+            parse_dfa(good.replace("n=3", f"n={bad}"))
+        with pytest.raises(ValueError, match="^header counts must be integers$"):
+            parse_dfa(good.replace("initial=0", f"initial={bad}"))
+        with pytest.raises(ValueError, match="^header finals must be comma-separated integers"):
+            parse_dfa(good.replace("finals=1", f"finals=1,{bad}"))
+        with pytest.raises(ValueError, match="^bad transition row for letter 'a'$"):
+            parse_dfa(good.replace("a: 1 2 2", f"a: 1 {bad} 2"))
+    # a minus sign still reaches the range checks
+    with pytest.raises(ValueError, match="^initial state -1 out of range$"):
+        parse_dfa(good.replace("initial=0", "initial=-1"))
+    with pytest.raises(ValueError, match="^image of state 1 is -2, not a state in 0..2$"):
+        parse_dfa(good.replace("a: 1 2 2", "a: 1 -2 2"))
     # names the text format cannot carry are refused when the DFA is built
     for name in ("a,b", "a b", "a\tb", "a:", "a:b"):
         with pytest.raises(ValueError, match=re.escape(f"letter name {name!r}")):

@@ -1,4 +1,5 @@
 """Tests for the case-by-case embedding and its inverse."""
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -477,6 +478,18 @@ def test_strict_bound_witness_outside_wsf_is_a_case_exhaustion(v7, monkeypatch):
     # the witness's w_sf check is explicit, so it also runs under -O
     monkeypatch.setattr(injection, "in_wsf_images", lambda images: False)
     with pytest.raises(CaseExhaustionError, match=r"6 2 2 4 5 3 6 is not in w_sf\(7\)"):
+        strict_bound_witness(v7)
+
+
+def test_strict_bound_witness_with_a_preimage_is_a_case_exhaustion(v7, monkeypatch):
+    # the gap is checked, not only argued: a witness that is an element,
+    # or that the inverse takes back to a map, is refused
+    w = bytes(strict_bound_witness(v7).images)
+    holding = dataclasses.replace(v7, raw_set=v7.raw_set | {w})
+    with pytest.raises(CaseExhaustionError, match=r"6 2 2 4 5 3 6 is an element"):
+        strict_bound_witness(holding)
+    monkeypatch.setattr(injection, "_inverse", lambda s, ctx: s)
+    with pytest.raises(CaseExhaustionError, match=r"6 2 2 4 5 3 6 inverts to 6 2 2 4 5 3 6$"):
         strict_bound_witness(v7)
 
 
