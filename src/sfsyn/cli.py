@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from .collisions import checked_scan
+from .collisions import StructureError, checked_scan
 from .dfa import (
     Dfa,
     format_dfa,
@@ -32,7 +32,7 @@ from .dfa import (
     transition_semigroup,
     witness,
 )
-from .injection import strict_bound_witness, verify_injective
+from .injection import CaseExhaustionError, strict_bound_witness, verify_injective
 from .search import DEFAULT_MAX_LETTERS, SearchResult, search_max
 from .semigroup import MAX_STATES, closure, wsf_bound
 
@@ -258,9 +258,20 @@ def cmd_phi(args) -> VerificationReport:
     # result, so that each phase's timing holds only its own work
     with _timed(report, "pairs"):
         colliding = bool(checked_scan(sg).colliding)
+    # a semigroup the embedding refuses, or a strict-gap witness that
+    # fails its own checks, is a failed assertion with the message under
+    # details, not a traceback
     with _timed(report, "embedding"):
-        inj = verify_injective(sg)
-        gap = strict_bound_witness(sg)
+        try:
+            inj = verify_injective(sg)
+        except StructureError as e:
+            report.assertions.append(same("semigroup is consistent", True, False))
+            report.details["structure_error"] = str(e)
+            return report
+        try:
+            gap, gap_error = strict_bound_witness(sg), None
+        except CaseExhaustionError as e:
+            gap, gap_error = None, str(e)
     report.assertions.append(
         same("every image collapses its interior", True, inj.all_images_collapsing)
     )
@@ -283,6 +294,8 @@ def cmd_phi(args) -> VerificationReport:
         )
         if gap is not None:
             report.details["gap_witness"] = str(gap.images)
+        else:
+            report.details["gap_error"] = gap_error
     return report
 
 

@@ -16,13 +16,18 @@ semigroup has a colliding pair at all.
 The embedding works on image sequences (tuples or raw byte maps) and
 names cases by label: _forward walks the case ladder once and returns
 the label of the first matching case with its rewired image, _phi
-checks the round trip, and _inverse undoes it.  Case 1, where the
-embedding is the identity, is one w_sf test on the raw map
-(in_wsf_images); only a map outside w_sf runs the b_sf guard and has
-its cycles, in-degrees, interior fixed points and movers read, once.
-Collision data is a mask over collisions.pair_index(n), and a pair is
-looked up in its table; pairs are tuples only where the inverse reads
-the shape around their two states.
+checks the round trip, and _inverse undoes it.  Each rung reads only
+what its case tests, in ladder order.  Case 1, where the embedding is
+the identity, is one w_sf test on the raw map (in_wsf_images).  A map
+outside w_sf runs the b_sf guard; then its cycle states, found by a
+bounded walk from each state (skipped when fewer than two interior
+states stay off n-1), and the walk of 0 decide cases 2 and 3; only a map
+past case 3 has its in-degrees, interior fixed points and movers read,
+in one pass.  The inverse reads the focused colliding pairs straight
+off the image under the context mask, and the image's cycle states by
+the same walk only when some pair is read.  Collision data is a mask
+over collisions.pair_index(n); pairs are tuples only where the inverse
+reads the shape around their two states.
 
 verify_injective takes a consistent semigroup only: every element fixes
 n-1, and no interior pair is both colliding and focused, as in the
@@ -31,16 +36,17 @@ StructureError, from the one checked pair scan.  A w_sf map of such a
 semigroup focuses no colliding pair, so the inverse reads it as case 1,
 and the loop decides case 1 by the w_sf test alone; only the other maps
 go through the embedding, and each of their images sends 0 to n-1, so
-none is its own map.
+none is its own map.  They reach it through _phi, which checks n and the
+length once for the forward map and its inverse together.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .collisions import StructureError, checked_scan, focused_triples, pair_index
+from .collisions import StructureError, checked_scan, pair_index
 from .semigroup import RawMap, TransitionSemigroup, in_bsf_images, in_wsf_images, wsf_bound
-from .transform import Transformation, cycles, format_transformation, zero_path
+from .transform import Transformation, format_transformation, zero_path
 
 
 class PreconditionError(ValueError):
@@ -94,66 +100,89 @@ def _guard(t: Sequence[int]) -> None:
         )
 
 
-def _in_degrees(t: Sequence[int]) -> list[int]:
-    # the in-degree of every state, in one pass over the images
-    deg = [0] * len(t)
-    for v in t:
-        deg[v] += 1
-    return deg
+def _check(n: int, ctx: PhiContext) -> None:
+    if ctx.n < 7:
+        raise ValueError("the embedding needs n >= 7")
+    if n != ctx.n:
+        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
 
 
-def _eligible_movers(t: Sequence[int]) -> list[int]:
-    # interior states that are not fixed and whose image is not n-1
-    n = len(t)
-    return [q for q in _interior(n) if t[q] != q and t[q] != n - 1]
+def _cycle_states(images: Sequence[int]) -> set[int]:
+    # the states on cycles of length >= 2.  A state sent to a fixed
+    # point is on none; from any other the walk stops back at its start,
+    # at a fixed point, or after n steps (one per image)
+    on: set[int] = set()
+    for q, w in enumerate(images):
+        if w == q or images[w] == w or q in on:
+            continue
+        for _ in images:
+            if w == q:
+                while w not in on:
+                    on.add(w)
+                    w = images[w]
+                break
+            v = images[w]
+            if v == w:
+                break
+            w = v
+    return on
 
 
-def _interior_fixed(t: Sequence[int]) -> list[int]:
-    return [q for q in _interior(len(t)) if t[q] == q]
-
-
-def _zero_chain(t: Sequence[int]) -> list[int]:
-    # p, pt, ..., pt^k: the interior stretch of the walk of 0
-    return list(zero_path(t).states[1:-1])
+def _spares(n: int, taken: tuple[int, ...]) -> list[int]:
+    # the two least interior states outside taken
+    return [q for q in _interior(n) if q not in taken][:2]
 
 
 def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
     # the label of the first matching case, tried in order, and the
-    # image of t under it, of the same sequence type as t; the final
-    # case is the fall-through and anything outside it is a hard
-    # structural error.  Case 1 is w_sf itself, one test on the raw map;
-    # only a map outside it runs the b_sf guard and has its cycles,
-    # in-degrees, interior fixed points and movers read, once each
-    if ctx.n < 7:
-        raise ValueError("the embedding needs n >= 7")
-    n = len(t)
-    if n != ctx.n:
-        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
+    # image of t under it, of the same sequence type as t.  Each step
+    # reads only what its cases test: case 1 is w_sf itself, one test
+    # on the raw map; then the b_sf guard; the cycle states and the walk
+    # of 0 (cases 2 and 3); in-degrees, interior fixed points and
+    # movers, in one pass (cases 4 to 12).  The final case is the
+    # fall-through and anything outside it is a hard structural error
+    _check(len(t), ctx)
     if in_wsf_images(t):
         return "1", t
     _guard(t)
+    n = len(t)
+    last = n - 1
     p = t[0]
-    interior = _interior(n)
-    cycs = cycles(t)
-    deg = _in_degrees(t)
-    fixed = _interior_fixed(t)
-    movers = _eligible_movers(t)
     imgs = list(t)
-    imgs[0] = n - 1
-    if cycs or t[p] != n - 1:
+    imgs[0] = last
+    # a cycle takes two interior states sent neither to n-1 nor to
+    # themselves, as the guard leaves 0 without a preimage and n-1 fixed
+    on_cycles = _cycle_states(t) if t.count(last) < n - 2 else ()
+    if on_cycles or t[p] != last:
         # reverse the walk of 0; p goes to the least cycle state or stays
-        case = "2" if cycs else "3"
-        chain = _zero_chain(t)
-        imgs[p] = cycs[0][0] if cycs else p
-        for i in range(1, len(chain)):
-            imgs[chain[i]] = chain[i - 1]
-    elif heavy_fixed := [r for r in fixed if deg[r] >= 2]:
+        case = "2" if on_cycles else "3"
+        imgs[p] = min(on_cycles) if on_cycles else p
+        back, q = p, t[p]
+        while q != last:
+            imgs[q] = back
+            back, q = q, t[q]
+        return case, type(t)(imgs)
+    deg = [0] * n
+    deg[p] = 1  # from 0
+    fixed = []
+    movers = []  # interior states neither fixed nor sent to n-1
+    for q in range(1, last):
+        r = t[q]
+        deg[r] += 1
+        if r == q:
+            fixed.append(q)
+        elif r != last:
+            movers.append(q)
+    if heavy_fixed := [r for r in fixed if deg[r] >= 2]:
         case = "4"
         imgs[p] = heavy_fixed[0]
-    elif entered := [r for r in interior if deg[r] and t[r] != r and t[r] != n - 1]:
+    elif entered := [q for q in movers if deg[q]]:
+        # the walk from an entered mover reaches n-1 through entered
+        # movers only (a fixed point at its end would be case 4), so
+        # one of them is sent next to n-1
         case = "5"
-        imgs[p] = t[min(q for q in entered if t[t[q]] == n - 1)]
-    elif heavy := [r for r in interior if deg[r] >= 2]:
+        imgs[p] = t[next(q for q in entered if t[t[q]] == last)]
+    elif heavy := [r for r in _interior(n) if deg[r] >= 2]:
         r = heavy[0]
         if r == p:
             raise CaseExhaustionError(
@@ -166,19 +195,19 @@ def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
             q1, q2 = q2, q1
         imgs[p] = imgs[r] = q1
         imgs[q1] = q2
-        imgs[q2] = n - 1
+        imgs[q2] = last
     elif len(movers) >= 2:
         q1, q2 = movers[:2]
         r1 = t[q1]
         case = "7(i)" if p < r1 else "7(ii)"
         imgs[p] = imgs[r1] = q1
-        imgs[q1] = n - 1 if p < r1 else q2
+        imgs[q1] = last if p < r1 else q2
     elif len(isolated := [r for r in fixed if deg[r] == 1]) >= 2:
         case = "8"
         r1, r2 = isolated[:2]
         imgs[p] = imgs[r1] = r2
         imgs[r2] = r1
-    elif len(movers) == 1:
+    elif movers:
         q = movers[0]
         r = t[q]
         if r == p:
@@ -195,22 +224,22 @@ def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
         else:
             case = "10" if fixed else "11(i)" if p < r else "11(ii)"
             imgs[p] = imgs[r] = q
-            imgs[q] = n - 1
+            imgs[q] = last
             if case == "11(ii)":
-                r1, r2 = sorted(set(interior) - {p, q, r})[:2]
+                r1, r2 = _spares(n, (p, q, r))
                 imgs[r1], imgs[r2] = r2, r1
     else:
-        # exactly one isolated fixed point, all else collapsed (case 3
-        # has taken every map with t[p] != n-1)
-        collapsed = all(t[q] == n - 1 for q in interior if q not in fixed and q != p)
-        if len(fixed) != 1 or not collapsed:
+        # no movers: every interior state but the fixed ones is sent to
+        # n-1, p too (case 3 has taken every map with t[p] != n-1), so
+        # exactly one isolated fixed point must be left
+        if len(fixed) != 1:
             raise CaseExhaustionError(
                 f"{format_transformation(t)} matches no structural case; "
                 f"fixed interior states {fixed}, walk target {t[p]}"
             )
         case = "12"
         imgs[p] = fixed[0]
-        r1, r2 = sorted(set(interior) - {p, fixed[0]})[:2]
+        r1, r2 = _spares(n, (p, fixed[0]))
         imgs[r1], imgs[r2] = r2, r1
     return case, type(t)(imgs)
 
@@ -219,7 +248,7 @@ def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
     # the case label and the image of t, after the inverse has sent
     # the image back to t
     case, image = _forward(t, ctx)
-    back = _inverse(image, ctx)
+    back = _undo(image, ctx)
     if back != t:
         raise CaseExhaustionError(
             f"round trip failed for {format_transformation(t)} "
@@ -229,16 +258,6 @@ def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
 
 
 # ----------------------------------------------------------- the inverse map
-
-
-def _focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
-    n = len(s)
-    bit = pair_index(n).bit
-    return [
-        ((x, y), z)
-        for x, y, z in sorted(focused_triples(s))
-        if bit[x * n + y] & ctx.colliding
-    ]
 
 
 def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
@@ -282,17 +301,27 @@ def _inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
     # the unique t whose image is s, recovered from the image
     # signature; NotInImageError when s is the image of no map, which is
     # exactly what proves the bound strict for colliding semigroups
-    if ctx.n < 7:
-        raise ValueError("the embedding needs n >= 7")
-    n = len(s)
-    if n != ctx.n:
-        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
-    fc = _focused_colliding(s, ctx)
+    _check(len(s), ctx)
+    return _undo(s, ctx)
+
+
+def _undo(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
+    # _inverse once n and the length are checked: the focused colliding
+    # pairs ((x, y), z), x < y, in order, read off s under the context
+    # mask, then the cycle states of s
+    colliding = ctx.colliding
+    if not colliding:
+        return s  # case 1: no pair collides, so none is focused
+    last = len(s) - 1
+    fc = [
+        (pair, z)
+        for i, pair in enumerate(pair_index(len(s)).pairs)
+        if 0 < (z := s[pair[0]]) == s[pair[1]] < last and colliding >> i & 1
+    ]
     if not fc:
         return s  # case 1
-    cycs = cycles(s)
-    if cycs:
-        return _invert_with_cycles(s, ctx, fc, cycs)
+    if on_cycles := _cycle_states(s):
+        return _invert_with_cycles(s, ctx, fc, on_cycles)
     return _invert_acyclic(s, ctx, fc)
 
 
@@ -305,14 +334,14 @@ def _restore(s: Sequence[int], p: int, moves: dict[int, int]) -> Sequence[int]:
     return type(s)(imgs)
 
 
-def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
+def _invert_with_cycles(s, ctx, fc, cyc_states) -> Sequence[int]:
     # the reversed walk of 0 may focus extra colliding pairs, because
     # its attachment state can take ordinary traffic too; the reliable
     # marker is the pair split by a cycle, one member on it and one
     # off.  Pairs the preimage already focused are never colliding, so
-    # a consistent semigroup keeps that marker unique.
+    # a consistent semigroup keeps that marker unique.  Two or three
+    # cycle states are one 2-cycle or one 3-cycle.
     n = len(s)
-    cyc_states = {q for c in cycs for q in c}
     split = [
         ((x, y), z)
         for (x, y), z in fc
@@ -326,13 +355,14 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
         if z == min(cyc_states):
             # case 2: the pair joins the chain start to the cycle
             return _rebuild_chain(s, x + y - on, ctx)
-        if len(cycs) == 1 and len(cycs[0]) == 2:
+        if len(cyc_states) == 2:
             # case 8: two former fixed points swapped
-            r1, r2 = cycs[0]
+            r1 = min(cyc_states)
+            r2 = s[r1]
             if z != r2 or r1 != on:
                 raise NotInImageError("2-cycle pair does not fit the swap shape")
             return _restore(s, x + y - r1, {r1: r1, r2: r2})
-        if len(cycs) == 1 and len(cycs[0]) == 3:
+        if len(cyc_states) == 3:
             # case 9: 3-cycle through the walk start
             p = on
             f = x + y - p
@@ -345,10 +375,10 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
     if any(z in cyc_states for _, z in fc):
         raise NotInImageError("cycle focus without a split pair")
     # cycles exist but no focus lands on them: cases 11(ii) and 12
-    if len(fc) != 1 or len(cycs) != 1 or len(cycs[0]) != 2:
+    if len(fc) != 1 or len(cyc_states) != 2:
         raise NotInImageError("cycle shape fits no case")
     (x, y), z = fc[0]
-    r1, r2 = cycs[0]
+    r1, r2 = cyc_states  # in either order: both go back to n-1
     if z in (x, y) and s[z] == z:
         # case 12: target is the surviving fixed point
         return _restore(s, x + y - z, {r1: n - 1, r2: n - 1})
@@ -407,7 +437,7 @@ def _invert_acyclic(s, ctx, fc) -> Sequence[int]:
     movers = [
         w for w in _interior(n) if w not in (x, y) and s[w] != w and s[w] != n - 1
     ]
-    if movers or not _interior_fixed(s):
+    if movers or not any(s[w] == w for w in _interior(n)):
         # cases 7(i) and 11(i)
         p, r = min(x, y), max(x, y)
     else:

@@ -51,7 +51,7 @@ SMALL_CORPUS_COUNT = 500
 SMALL_CLOSURE_S = 1.0
 LARGE_CLOSURE_S = 30.0
 CENSUS_S = 1.0
-SAMPLED_SUITE_S = 10.0  # 25x the slowest of three runs (0.31-0.39 s, 2-core Xeon)
+SAMPLED_SUITE_S = 4.3  # 25x the slowest of three runs (0.139-0.172 s, 2-core Xeon)
 SEARCH_SEVEN_S = 10.0
 # 25x the slowest of three fresh-process runs (2-core Xeon) is under 1 s
 # for these three, so they sit at 1 s, a floor for the machine's pauses

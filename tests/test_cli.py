@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import sfsyn.cli as cli_module
+import sfsyn.injection as injection_module
 from sfsyn.cli import main
 from sfsyn.dfa import (
     Dfa,
@@ -22,6 +23,7 @@ from sfsyn.dfa import (
 )
 import sfsyn.search as search_module
 from sfsyn.search import search_max
+from sfsyn.semigroup import TransitionSemigroup
 from sfsyn.transform import Transformation
 from test_acceptance import draw_seven_state_dfas
 
@@ -266,6 +268,65 @@ def test_phi_flags_a_suffix_violation_first(tmp_path, capsys):
     assert "overall: FAIL" in out
     # nothing after the gate runs
     assert "images" not in out
+
+
+def test_phi_reports_a_failed_strict_gap_check(tmp_path, capsys, monkeypatch):
+    # an inverse that takes every map back to itself makes the gap
+    # witness fail its own check: the strict-gap assertion fails with the
+    # message under details, in text and in JSON, and the command exits 1
+    d = next(d for d in draw_seven_state_dfas() if transition_semigroup(d).pair_scan.colliding)
+    path = os.path.join(tmp_path, "colliding7.dfa")
+    with open(path, "w") as fh:
+        fh.write(format_dfa(d))
+    monkeypatch.setattr(injection_module, "_inverse", lambda s, ctx: s)
+    message = re.compile(r"strict-bound witness ([0-6 ]+) inverts to \1")
+    assert main(["phi", path]) == 1
+    out = capsys.readouterr().out
+    assert (
+        "FAIL colliding pair forces a strict gap: expected a collapsing "
+        "transformation no element maps to, actual missing\n"
+    ) in out
+    assert message.fullmatch(re.search(r"^note gap_error: (.*)$", out, re.M).group(1))
+    assert "overall: FAIL" in out
+    assert main(["--json", "phi", path]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    gap = next(a for a in doc["assertions"] if a["name"] == "colliding pair forces a strict gap")
+    assert gap["pass"] is False and gap["actual"] == "missing"
+    assert message.fullmatch(doc["details"]["gap_error"])
+    assert "gap_witness" not in doc["details"]
+
+
+def test_phi_reports_an_inconsistent_semigroup(tmp_path, capsys, monkeypatch):
+    # a closure that came out inconsistent (the pair {1, 2} collided by
+    # one element and focused by another) fails the run with the
+    # embedding's message under details, in text and in JSON, exit 1
+    raw = tuple(bytes(t) for t in ((6,) * 7, (1, 2, 6, 6, 6, 6, 6), (6, 3, 3, 6, 6, 6, 6)))
+    inconsistent = TransitionSemigroup(n=7, raw=raw, raw_set=frozenset(raw))
+    monkeypatch.setattr(cli_module, "transition_semigroup", lambda d: inconsistent)
+    path = os.path.join(tmp_path, "w7.dfa")
+    with open(path, "w") as fh:
+        fh.write(format_dfa(witness(7)))
+    message = (
+        "pair {1, 2} is colliding, first by 1 2 6 6 6 6 6, "
+        "and focused onto 3, first by 6 3 3 6 6 6 6"
+    )
+    assert main(["phi", path]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL semigroup is consistent: expected True, actual False\n" in out
+    assert f"note structure_error: {message}\n" in out
+    assert "overall: FAIL" in out
+    assert main(["--json", "phi", path]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["passed"] is False
+    assert doc["assertions"][-1] == {
+        "name": "semigroup is consistent",
+        "expected": True,
+        "actual": False,
+        "pass": False,
+    }
+    assert doc["details"] == {"structure_error": message}
+    assert list(doc["timings"]) == ["closure", "pairs", "embedding", "total"]
 
 
 def test_suffix_free_pass_and_fail(tmp_path, capsys):

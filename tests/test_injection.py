@@ -17,16 +17,13 @@ from sfsyn.injection import (
     NotInImageError,
     PhiContext,
     PreconditionError,
-    _eligible_movers,
+    _cycle_states,
     _forward,
     _interior,
-    _interior_fixed,
     _inverse,
-    _invert_with_cycles,
     _phi,
     _rebuild_chain,
     _restore,
-    _zero_chain,
     strict_bound_witness,
     verify_injective,
 )
@@ -500,11 +497,83 @@ def test_strict_bound_witness_with_a_preimage_is_a_case_exhaustion(v7, monkeypat
 # counts per state and test, a case ladder walked twice (old_case
 # picks the label, old_build re-derives what it needs for the image),
 # and an inverse that scans the focused pairs even under an empty
-# collision context.  The helpers it calls from the module (_interior,
-# _eligible_movers, _interior_fixed, _zero_chain, _rebuild_chain,
-# _restore, _invert_with_cycles) are unchanged since, except that
-# _rebuild_chain looks pairs up in the context's mask rather than in a
-# set of pair tuples.
+# collision context.  The helpers it calls (_interior, _eligible_movers,
+# _interior_fixed, _zero_chain, _rebuild_chain, _restore,
+# _invert_with_cycles) are unchanged since, except that _rebuild_chain
+# looks pairs up in the context's mask rather than in a set of pair
+# tuples.  _interior, _rebuild_chain and _restore still come from the
+# module, and cycles from transform; the others left the module, or
+# came to take the set of cycle states, when its kernel came to read
+# only what each case tests, and stand here as they were.
+
+
+def _eligible_movers(t: Sequence[int]) -> list[int]:
+    # interior states that are not fixed and whose image is not n-1
+    n = len(t)
+    return [q for q in _interior(n) if t[q] != q and t[q] != n - 1]
+
+
+def _interior_fixed(t: Sequence[int]) -> list[int]:
+    return [q for q in _interior(len(t)) if t[q] == q]
+
+
+def _zero_chain(t: Sequence[int]) -> list[int]:
+    # p, pt, ..., pt^k: the interior stretch of the walk of 0
+    return list(zero_path(t).states[1:-1])
+
+
+def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
+    # the reversed walk of 0 may focus extra colliding pairs, because
+    # its attachment state can take ordinary traffic too; the reliable
+    # marker is the pair split by a cycle, one member on it and one
+    # off.  Pairs the preimage already focused are never colliding, so
+    # a consistent semigroup keeps that marker unique.
+    n = len(s)
+    cyc_states = {q for c in cycs for q in c}
+    split = [
+        ((x, y), z)
+        for (x, y), z in fc
+        if z in cyc_states and (x in cyc_states) != (y in cyc_states)
+    ]
+    if split:
+        if len(split) != 1:
+            raise NotInImageError("several focused colliding pairs split cycles")
+        (x, y), z = split[0]
+        on = x if x in cyc_states else y
+        if z == min(cyc_states):
+            # case 2: the pair joins the chain start to the cycle
+            return _rebuild_chain(s, x + y - on, ctx)
+        if len(cycs) == 1 and len(cycs[0]) == 2:
+            # case 8: two former fixed points swapped
+            r1, r2 = cycs[0]
+            if z != r2 or r1 != on:
+                raise NotInImageError("2-cycle pair does not fit the swap shape")
+            return _restore(s, x + y - r1, {r1: r1, r2: r2})
+        if len(cycs) == 1 and len(cycs[0]) == 3:
+            # case 9: 3-cycle through the walk start
+            p = on
+            f = x + y - p
+            r = z
+            q = s[r]
+            if s[p] != r or s[q] != p:
+                raise NotInImageError("3-cycle does not run start-target-carrier")
+            return _restore(s, p, {q: r, r: n - 1, f: f})
+        raise NotInImageError("focused pair targets an unexpected cycle")
+    if any(z in cyc_states for _, z in fc):
+        raise NotInImageError("cycle focus without a split pair")
+    # cycles exist but no focus lands on them: cases 11(ii) and 12
+    if len(fc) != 1 or len(cycs) != 1 or len(cycs[0]) != 2:
+        raise NotInImageError("cycle shape fits no case")
+    (x, y), z = fc[0]
+    r1, r2 = cycs[0]
+    if z in (x, y) and s[z] == z:
+        # case 12: target is the surviving fixed point
+        return _restore(s, x + y - z, {r1: n - 1, r2: n - 1})
+    if s[z] == n - 1:
+        # case 11(ii): the swap marks the larger walk start
+        r = min(x, y)
+        return _restore(s, max(x, y), {r: n - 1, z: r, r1: n - 1, r2: n - 1})
+    raise NotInImageError("focused pair beside a cycle fits no case")
 
 
 def in_degree(t: Sequence[int], q: int) -> int:
@@ -790,6 +859,14 @@ def assert_kernel_matches_oracle(maps, ctx):
             assert outcome(_inverse, image, ctx) == outcome(old_inverse, image, ctx), t
 
 
+def test_cycle_states_match_cycles_on_every_map_up_to_six_states():
+    # the kernel's cycle walk against transform.cycles on every map,
+    # 0 and n-1 on cycles or not
+    for n in range(1, 7):
+        for images in itertools.product(range(n), repeat=n):
+            assert _cycle_states(images) == {q for c in cycles(images) for q in c}, images
+
+
 def test_kernel_matches_oracle_on_bsf_seven_and_near_wsf_maps():
     # every b_sf map, then every map with n-1 fixed that sends 0 or all
     # interior states to n-1: those with 0 among their images fail the
@@ -801,6 +878,22 @@ def test_kernel_matches_oracle_on_bsf_seven_and_near_wsf_maps():
     assert sum(0 in t for t in near) > 0
     assert_kernel_matches_oracle(near, ctx)
     assert_kernel_matches_oracle([bytes(t) for t in near], ctx)
+
+
+def test_kernel_matches_oracle_on_bsf_seven_under_own_contexts():
+    # every b_sf map under the collision data of its own powers: under
+    # PhiContext(7, 0) the inverse returns each image unread, so only
+    # here does it walk its case ladder on every b_sf image, and every
+    # label occurs
+    labels = set()
+    for t in enumerate_bsf(7):
+        ctx = own_ctx(t)
+        assert_kernel_matches_oracle([t.images], ctx)
+        labels.add(_phi(t.images, ctx)[0])
+    assert labels == {
+        "1", "2", "3", "4", "5", "6(p<r)", "6(p>r)", "7(i)", "7(ii)",
+        "8", "9", "10", "11(i)", "11(ii)", "12",
+    }
 
 
 def test_kernel_matches_oracle_on_vsf_seven(v7, v7_ctx):

@@ -19,7 +19,6 @@ from sfsyn.transform import (
     format_transformation,
     zero_path,
 )
-from sfsyn.injection import _in_degrees
 from sfsyn.semigroup import raw_table
 
 
@@ -92,11 +91,6 @@ def test_parse_format_round_trip(t):
 
 
 # ------------------------------------------------- counting and cycles
-
-
-@given(sized_transformations())
-def test_in_degrees_sum_to_n(t):
-    assert sum(_in_degrees(t.images)) == t.n
 
 
 def _cyclic_oracle(t: Transformation) -> set[int]:
@@ -182,13 +176,6 @@ def test_cycles_frozen_examples():
     assert cycles(Transformation((4, 2, 3, 1, 4))) == ((1, 2, 3),)
     assert cycles(Transformation((1, 0, 3, 2, 4))) == ((0, 1), (2, 3))
     assert cycles(Transformation(tuple(range(5)))) == ()
-
-
-def test_in_degree_frozen_example():
-    a = Transformation((4, 2, 3, 1, 4))
-    deg = _in_degrees(a.images)
-    assert deg[4] == 2
-    assert deg[0] == 0
 
 
 # ---------------------------------------------------------- zero path
