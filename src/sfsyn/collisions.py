@@ -18,8 +18,12 @@ without testing its states first.  Pairs are tuples only in PairStatus.
 
 Each semigroup is scanned once, over its raw maps, and keeps the scan:
 the colliding and focused masks, and per pair bit the first witness of
-each relation in discovery order; the focus part stops once every pair
-has one, and only witnesses become Transformation objects.
+each relation in discovery order; only witnesses become Transformation
+objects.  The per-element tests come from the semigroup's byte flags
+(semigroup.element_flags): the first map moving n-1 is one find, and
+the colliding part reads only the maps sending 0 to an interior state,
+the only ones that collide a pair, in order.  The focus part walks
+every map in order and stops once every pair has a witness.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .semigroup import RawMap, TransitionSemigroup
+from .semigroup import ElementFlags, RawMap, TransitionSemigroup
 from .transform import Transformation, format_transformation
 
 
@@ -129,32 +133,38 @@ class PairScan:
     unfixed: RawMap | None
 
 
-def scan_pairs(raw: Sequence[RawMap], n: int) -> PairScan:
-    """The one pair scan, run once per semigroup by its pair_scan."""
-    last = n - 1
+def scan_pairs(raw: Sequence[RawMap], n: int, flags: ElementFlags) -> PairScan:
+    """The one pair scan, run once per semigroup by its pair_scan.  The
+    first map moving n-1 and the maps sending 0 to an interior state,
+    the only ones that collide a pair, come from the semigroup's byte
+    flags; the focus part walks every map in order until each pair is
+    focused."""
     index = pair_index(n)
     bit = index.bit
     every = (1 << len(index.pairs)) - 1
+    first = flags.unfixed.find(1)
+    unfixed = raw[first] if first >= 0 else None
     colliding = focused = 0
     colliders: dict[int, RawMap] = {}
     focusers: dict[int, tuple[RawMap, int]] = {}
-    unfixed = None
+    i = flags.zero_interior.find(1)
+    while i >= 0 and colliding != every:
+        x = raw[i]
+        new = colliding_bits(x) & ~colliding
+        colliding |= new
+        while new:  # one step per newly colliding pair
+            low = new & -new
+            colliders[low] = x
+            new ^= low
+        i = flags.zero_interior.find(1, i + 1)
     for x in raw:
-        if x[last] != last and unfixed is None:
-            unfixed = x
-        if 0 < x[0] < last:
-            new = colliding_bits(x) & ~colliding
-            colliding |= new
-            while new:  # one step per newly colliding pair
-                low = new & -new
-                colliders[low] = x
-                new ^= low
-        if focused != every:
-            for p, q, r in focused_triples(x):
-                b = bit[p * n + q]
-                if not focused & b:
-                    focused |= b
-                    focusers[b] = (x, r)
+        if focused == every:
+            break
+        for p, q, r in focused_triples(x):
+            b = bit[p * n + q]
+            if not focused & b:
+                focused |= b
+                focusers[b] = (x, r)
     return PairScan(colliding, focused, colliders, focusers, unfixed)
 
 

@@ -34,8 +34,9 @@ n-1, and no interior pair is both colliding and focused, as in the
 transition semigroup of a minimal suffix-free DFA; anything else raises
 StructureError, from the one checked pair scan.  A w_sf map of such a
 semigroup focuses no colliding pair, so the inverse reads it as case 1,
-and the loop decides case 1 by the w_sf test alone; only the other maps
-go through the embedding, and each of their images sends 0 to n-1, so
+and verify_injective counts case 1 off the semigroup's w_sf flags
+(semigroup.element_flags) with no step per map; only the other maps go
+through the embedding, and each of their images sends 0 to n-1, so
 none is its own map.  They reach it through _phi, which checks n and the
 length once for the forward map and its inverse together.
 """
@@ -494,9 +495,14 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     The semigroup must be consistent: StructureError names an element
     that moves n-1, or else the least pair both colliding and focused
     with its first colliding and first focusing map from the pair scan.
-    A map in w_sf is then case 1, decided in the loop: _phi would send
-    it to itself and, as it focuses no colliding pair, get it back from
-    the inverse.  Every other map goes through _phi."""
+    A map in w_sf is then case 1: _phi would send it to itself and, as
+    it focuses no colliding pair, get it back from the inverse.  So case
+    1 is counted off the semigroup's w_sf flags (sg.flags.wsf), and only
+    the other maps, found in order on the same flags, go through _phi.
+    The report is the one a loop over every map in order would give:
+    its census keys stand in the order of each case's first map, a
+    failed round trip ends the count there, and a shared image is named
+    where it first shows."""
     if sg.n < 7:  # _forward checks it too, but case-1 maps never reach it
         raise ValueError("the embedding needs n >= 7")
     scan = checked_scan(sg)
@@ -510,48 +516,59 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
             f"{r}, first by {format_transformation(focuser)}"
         )
     ctx = PhiContext(sg.n, scan.colliding)
+    raw = sg.raw
+    wsf = sg.flags.wsf
     counts: dict[str, int] = {}
+    # case 1 joins the census where its first map stands, so the keys
+    # keep the order of each case's first map; -1 once it has joined
+    first_wsf = wsf.find(1)
     # the image of each map outside w_sf, which sends 0 to n-1 and so
-    # is never the map itself, and the first map sent to it
-    moved: dict[RawMap, RawMap] = {}
+    # is never the map itself, and the index of the first map sent to it
+    moved: dict[RawMap, int] = {}
     duplicate = None
+    clash_at = len(raw)  # the index where duplicate shows
     all_wsf = True
     round_trips = True
     counterexample = None
-    for i, t in enumerate(sg.raw):
-        if in_wsf_images(t):
-            counts["1"] = counts.get("1", 0) + 1
-            if duplicate is None and t in moved:  # t is sent to itself
-                duplicate = _shared_image(moved[t], t, t)
-            continue
+    stop = len(raw)  # the index a failed round trip ends the count at
+    i = wsf.find(0)
+    while i >= 0:
+        if 0 <= first_wsf < i:
+            counts["1"] = 0  # counted once the loop ends
+            first_wsf = -1
+        t = raw[i]
         try:
             case, image = _phi(t, ctx)
         except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
             counterexample = f"{format_transformation(t)}: {e}"
             round_trips = False
+            stop = i
             break
         counts[case] = counts.get(case, 0) + 1
         if duplicate is None:  # no two maps before t share an image
-            earlier = moved.setdefault(image, t)
-            if earlier == t:
-                # the one other candidate is the map equal to image, if
-                # it came before t and, in w_sf, was sent to itself; a
-                # working embedding sends no map onto an element, so only
-                # a broken one scans for the position
-                fixed_before = (
-                    image in sg.raw_set
-                    and in_wsf_images(image)
-                    and sg.raw.index(image) < i
-                )
-                earlier = image if fixed_before else None
-            if earlier is not None:
-                duplicate = _shared_image(earlier, t, image)
+            earlier = moved.setdefault(image, i)
+            if earlier != i:
+                duplicate = _shared_image(raw[earlier], t, image)
+                clash_at = i
         if not in_wsf_images(image):
             all_wsf = False
             counterexample = (
                 f"{format_transformation(t)} maps to "
                 f"{format_transformation(image)}, which does not collapse"
             )
+        i = wsf.find(0, i + 1)
+    if ones := wsf.count(1, 0, stop):
+        counts["1"] = ones
+    # a map sent onto a w_sf element clashes with it, the element being
+    # its own image, where the later of the two stands; a working
+    # embedding sends no map onto an element, so only a broken one
+    # scans for the position
+    for image in moved.keys() & sg.raw_set:
+        if in_wsf_images(image):
+            j, k = raw.index(image), moved[image]
+            if max(j, k) < min(clash_at, stop):
+                clash_at = max(j, k)
+                duplicate = _shared_image(raw[min(j, k)], raw[clash_at], image)
     return InjectivityReport(
         n=sg.n,
         size=sg.size,

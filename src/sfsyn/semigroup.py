@@ -25,15 +25,18 @@ right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
 given set, and can hand back the set of finds it built.  A
-TransitionSemigroup holds raw maps in discovery order and caches its
-one pair scan.
+TransitionSemigroup holds raw maps in discovery order and caches two
+things read off them: its per-element byte flags (element_flags: in
+w_sf, moves n-1, sends 0 to an interior state), decided for every
+element at once in column passes over chunks of joined maps, and its
+one pair scan, which reads those flags.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, NamedTuple, Sequence
 
 from .transform import Transformation
 
@@ -42,6 +45,16 @@ if TYPE_CHECKING:
 
 RawMap = bytes  # a map as its image string: byte q is the image of q
 MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
+FLAGS_CHUNK = 4096  # maps joined per pass of element_flags
+
+
+class ElementFlags(NamedTuple):
+    """Per-element byte flags of a semigroup: byte i of each string is
+    1 when raw[i] has the property and 0 when it has not."""
+
+    wsf: bytes  # raw[i] is in w_sf (exactly in_wsf_images)
+    unfixed: bytes  # raw[i] moves n-1
+    zero_interior: bytes  # raw[i] sends 0 to an interior state
 
 
 @dataclass(frozen=True)
@@ -54,11 +67,17 @@ class TransitionSemigroup:
     raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
 
     @cached_property
+    def flags(self) -> ElementFlags:
+        """The per-element byte flags (element_flags), built on first
+        access."""
+        return element_flags(self.raw, self.n)
+
+    @cached_property
     def pair_scan(self) -> "PairScan":
         """The one pair scan (collisions.scan_pairs), run on first access."""
         from .collisions import scan_pairs  # collisions imports this module
 
-        return scan_pairs(self.raw, self.n)
+        return scan_pairs(self.raw, self.n, self.flags)
 
     @property
     def size(self) -> int:
@@ -165,14 +184,14 @@ def in_bsf_images(images: Sequence[int]) -> bool:
     w = images[0]
     if w == last:
         return True  # most of w_sf
-    reach: Iterable[int] = range(1, last)
-    for _ in range(last):
-        if w == last:
-            return True
-        reach = {images[q] for q in reach}
+    reach = set(images[1:last])  # the interior's images, one power on
+    for _ in range(last - 1):
         if w in reach:
             return False
         w = images[w]
+        if w == last:
+            return True
+        reach = {images[q] for q in reach}
     return False
 
 
@@ -190,6 +209,50 @@ def in_wsf_images(images: Sequence[int]) -> bool:
         and 0 not in images
         and (images[0] == last or images.count(last) == last)
     )
+
+
+_ONE = b"\x01"
+_ZEROS_256 = bytes(256)
+_NONZERO = bytes(1) + _ONE * 255  # translate table: v -> 1 when v != 0
+
+
+def _lane(column: bytes, table: bytes) -> int:
+    # a column's 0/1 bytes under table, as one int for lane-wise & and |
+    return int.from_bytes(column.translate(table), "little")
+
+
+def element_flags(raw: Sequence[RawMap], n: int) -> ElementFlags:
+    """The ElementFlags of a sequence of n-state raw maps, in column
+    passes.  FLAGS_CHUNK maps at a time are joined, so column j of the
+    chunk, the image of state j under each map, is one slice; a
+    256-byte table turns a column into one 0/1 byte per map.  The w_sf
+    lanes combine as big ints: n-1 fixed, no image 0, and 0 or every
+    interior state sent to n-1 (with n-1 fixed and 0 kept off n-1, that
+    is exactly n-1 images equal to n-1, as in_wsf_images asks).  The
+    join is chunked because it holds a buffer per map until it ends."""
+    last = n - 1
+    is_last = _ZEROS_256[:last] + _ONE + _ZEROS_256[n:]
+    not_last = _ONE * last + bytes(1) + _ONE * (255 - last)
+    interior = _NONZERO[:last] + _ZEROS_256[last:]
+    wsf = bytearray()
+    unfixed = bytearray()
+    zero_interior = bytearray()
+    for start in range(0, len(raw), FLAGS_CHUNK):
+        chunk = raw[start : start + FLAGS_CHUNK]
+        big = b"".join(chunk)
+        zero_column = big[::n]
+        last_column = big[last::n]
+        unfixed += last_column.translate(not_last)
+        zero_interior += zero_column.translate(interior)
+        no_zero = _lane(zero_column, _NONZERO)
+        interior_last = int.from_bytes(_ONE * len(chunk), "little")
+        for j in range(1, last):
+            column = big[j::n]
+            no_zero &= _lane(column, _NONZERO)
+            interior_last &= _lane(column, is_last)
+        lanes = _lane(last_column, is_last) & no_zero & (_lane(zero_column, is_last) | interior_last)
+        wsf += lanes.to_bytes(len(chunk), "little")
+    return ElementFlags(bytes(wsf), bytes(unfixed), bytes(zero_interior))
 
 
 def in_wsf(t: Transformation) -> bool:

@@ -2,12 +2,12 @@
 
 A transformation is a total map t: Q -> Q stored as a dense tuple of
 images, so ``t[q]`` is the image of state q.  This module holds the
-type and what the other modules read off a single map: its text form,
-its cycles and the walk of state 0.  Products of maps are formed in
-semigroup, left to right, as stated on Transformation.
+type and what the other modules read off a single map: its text form
+and the walk of state 0.  Products of maps are formed in semigroup, left
+to right, as stated on Transformation.
 
-format_transformation, cycles and zero_path also take a bare image
-sequence: a tuple, or a raw byte map.
+format_transformation and zero_path also take a bare image sequence: a
+tuple, or a raw byte map.
 
 Throughout the package state 0 is reserved for the initial state of a
 DFA and state n-1 for its empty (sink) state; several predicates in
@@ -54,35 +54,6 @@ def _images(t: Transformation | Sequence[int]) -> Sequence[int]:
 
 def format_transformation(t: Transformation | Sequence[int]) -> str:
     return " ".join(str(i) for i in _images(t))
-
-
-def cycles(t: Transformation | Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """All cycles of length >= 2, rotated to start at their least state.
-
-    Fixed points are not returned.  The cycles are ordered by their
-    least state.  One pass finds them: a walk starts at each state no
-    earlier walk reached and stops at the first state already reached;
-    when that state is on the walk's own path, the path from it on is a
-    new cycle.
-    """
-    images = _images(t)
-    walk = [-1] * len(images)  # the start of the walk that reached each state
-    out: list[tuple[int, ...]] = []
-    for start in range(len(images)):
-        if walk[start] != -1:
-            continue
-        path = []
-        q = start
-        while walk[q] == -1:
-            walk[q] = start
-            path.append(q)
-            q = images[q]
-        if walk[q] == start and images[q] != q:
-            cyc = path[path.index(q) :]
-            i = cyc.index(min(cyc))
-            out.append(tuple(cyc[i:] + cyc[:i]))
-    out.sort()
-    return tuple(out)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,7 +5,15 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations, product
 
 from sfsyn.transform import Transformation
-from sfsyn.semigroup import closure, enumerate_wsf, in_wsf_images, vsf_generators, wsf_bound
+from sfsyn.semigroup import (
+    FLAGS_CHUNK,
+    TransitionSemigroup,
+    closure,
+    enumerate_wsf,
+    in_wsf_images,
+    vsf_generators,
+    wsf_bound,
+)
 from sfsyn.dfa import witness, transition_semigroup
 from sfsyn.collisions import (
     StructureError,
@@ -60,6 +68,19 @@ def full_pair_statuses(sg):
 
 def assert_scan_matches_oracle(sg):
     oracle = full_pair_statuses(sg)
+    scan = sg.pair_scan
+    last = sg.n - 1
+    assert scan.unfixed == next((x for x in sg.raw if x[last] != last), None)
+    # each pair's first witnesses as raw maps, read off the scan itself,
+    # since pair_statuses refuses a semigroup with a map moving n-1
+    for i, (pair, collider, focusers) in enumerate(oracle):
+        assert scan.colliding_by.get(1 << i) == (collider and bytes(collider.images)), pair
+        first_focus = focusers and (bytes(focusers[0][0].images), focusers[0][1])
+        assert scan.focused_by.get(1 << i) == (first_focus or None), pair
+    if scan.unfixed is not None:
+        with pytest.raises(StructureError):
+            pair_statuses(sg)
+        return
     statuses = pair_statuses(sg)
     assert [s.pair for s in statuses] == [pair for pair, _, _ in oracle]
     for s, (pair, collider, focusers) in zip(statuses, oracle):
@@ -67,7 +88,6 @@ def assert_scan_matches_oracle(sg):
         assert s.focused == bool(focusers), pair
         assert s.focused_by == focusers[:1], pair
     # the scan's masks: bit i for the i-th pair of the oracle's order
-    scan = sg.pair_scan
     assert scan.colliding == sum(1 << i for i, (_, c, _) in enumerate(oracle) if c is not None)
     assert scan.focused == sum(1 << i for i, (_, _, f) in enumerate(oracle) if f)
 
@@ -191,6 +211,27 @@ def test_scan_matches_full_list_oracle_on_wsf(n):
 def test_scan_matches_full_list_oracle_on_random_closures(data, n):
     gens = data.draw(st.lists(fixing_last(n), min_size=1, max_size=3))
     assert_scan_matches_oracle(closure(gens))
+
+
+@pytest.mark.parametrize("mover", [False, True])
+def test_scan_matches_full_list_oracle_past_the_first_chunk(mover):
+    # the byte flags are built a chunk of maps at a time: here the
+    # first map sending 0 to an interior state, the first new colliding
+    # pair after it and, with mover, the first map moving n-1 all stand
+    # in the second chunk, behind maps that send 0 to n-1
+    filler = list(enumerate_wsf(8).raw[: FLAGS_CHUNK + 3])
+    colliders = [
+        bytes((1, 2, 3, 7, 7, 7, 7, 7)),  # collides {1, 2} and {1, 3}
+        bytes((1, 2, 4, 7, 7, 7, 7, 7)),  # adds {1, 4}
+        bytes((5, 7, 7, 7, 7, 6, 7, 7)),  # adds {5, 6}
+    ]
+    movers = [bytes((7,) * 7 + (1,)), bytes((7,) * 7 + (2,))] if mover else []
+    raw = filler[: FLAGS_CHUNK + 1] + colliders[:1] + movers + filler[FLAGS_CHUNK + 1 :] + colliders[1:]
+    sg = TransitionSemigroup(n=8, raw=tuple(raw), raw_set=frozenset(raw))
+    assert sg.flags.zero_interior.find(1) == FLAGS_CHUNK + 1
+    assert sg.flags.unfixed.find(1) == (FLAGS_CHUNK + 2 if mover else -1)
+    assert_scan_matches_oracle(sg)
+    assert sg.pair_scan.colliding_by[pair_index(8).bit[5 * 8 + 6]] == colliders[2]
 
 
 def test_pair_scan_runs_once_per_semigroup():

@@ -38,9 +38,10 @@ from sfsyn.semigroup import (
     vsf_generators,
     wsf_bound,
 )
-from sfsyn.transform import Transformation, cycles, format_transformation, zero_path
+from sfsyn.transform import Transformation, format_transformation, zero_path
 from test_acceptance import draw_seven_state_dfas
 from test_collisions import consistent
+from test_transform import cycles
 
 
 def T(*images):
@@ -281,8 +282,10 @@ def test_embedding_refuses_fewer_than_seven_states():
 
 def rewired(sg, monkeypatch, targets):
     # a broken forward map sending element i to the image the real one
-    # gives element targets[i].  Only maps outside case 1 reach _phi, so
-    # every rewired element must be one of them
+    # gives element targets[i], or failing its round trip when
+    # targets[i] is None.  Only maps outside case 1 reach _phi, so every
+    # rewired element must be one of them.  The report must be the
+    # oracle's, which sends every map through the same broken _phi
     real = injection._phi
     index = {t: i for i, t in enumerate(sg.raw)}
     reached = set()
@@ -291,11 +294,16 @@ def rewired(sg, monkeypatch, targets):
         case, image = real(t, ctx)
         i = index[t]
         reached.add(i)
-        return case, real(sg.raw[targets[i]], ctx)[1] if i in targets else image
+        if i not in targets:
+            return case, image
+        if targets[i] is None:
+            raise NotInImageError(f"element {i} rewired to fail")
+        return case, real(sg.raw[targets[i]], ctx)[1]
 
     monkeypatch.setattr(injection, "_phi", phi)
     report = verify_injective(sg)
     assert reached >= targets.keys()
+    assert_same_report(report, old_verify_injective(sg))
     return report
 
 
@@ -319,17 +327,28 @@ def test_duplicate_images_are_reported(v7, monkeypatch):
         # 3 moves onto element 9, a later case-1 element, which keeps
         # its image
         ({3: 9}, 3, 9, 9),
+        # 3 and 5 move onto the later case-1 elements 20 and 9: the
+        # clash at element 9 shows first
+        ({3: 20, 5: 9}, 5, 9, 9),
+        # 22 moves onto element 1, an earlier case-1 element, and 3 onto
+        # element 20: the clash at element 20 shows first
+        ({22: 1, 3: 20}, 3, 20, 20),
+        # 4 moves onto element 2's image, 2 being outside case 1: their
+        # clash shows before 3's with the case-1 element 31
+        ({3: 31, 4: 2}, 2, 4, None),
     ],
 )
 def test_rewired_elements_sharing_an_image_are_reported(
-    v7, monkeypatch, targets, first, second, image
+    v7, v7_ctx, monkeypatch, targets, first, second, image
 ):
-    # element 20 and element 9 are case 1, so each is its own image
+    # elements 1, 9, 20 and 31 are case 1, so each is its own image;
+    # element 2 is not
     report = rewired(v7, monkeypatch, targets)
     assert not report.images_distinct and report.all_images_collapsing and report.round_trips
+    shared = v7.raw[image] if image is not None else _phi(v7.raw[2], v7_ctx)[1]
     assert report.counterexample == (
         f"{format_transformation(v7.raw[first])} and {format_transformation(v7.raw[second])} "
-        f"share the image {format_transformation(v7.raw[image])}"
+        f"share the image {format_transformation(shared)}"
     )
 
 
@@ -340,6 +359,37 @@ def test_rewired_elements_in_a_cycle_stay_distinct(v7, monkeypatch):
     assert report.passed and report.counterexample is None
 
 
+def rewired_first(sg: TransitionSemigroup) -> TransitionSemigroup:
+    # sg with its first five maps outside w_sf moved to the front
+    front = [t for t in sg.raw if not in_wsf_images(t)][:5]
+    raw = (*front, *(t for t in sg.raw if t not in front))
+    return TransitionSemigroup(n=sg.n, raw=raw, raw_set=sg.raw_set)
+
+
+@pytest.mark.parametrize(
+    "front, targets",
+    [
+        (False, {2: None}),
+        (False, {30: None}),
+        (True, {0: None}),
+        (True, {25: None}),
+        # 4 clashes with the case-1 element 1 first: the failure is
+        # still what the report names
+        (False, {4: 1, 30: None}),
+    ],
+)
+def test_a_failed_round_trip_ends_the_count(v7, monkeypatch, front, targets):
+    # the round trip of element stop, outside case 1, fails: the census
+    # holds only the maps before it, case 1 included, in the order of
+    # each case's first map (rewired checks both against the oracle)
+    sg = rewired_first(v7) if front else v7
+    stop = next(i for i, target in targets.items() if target is None)
+    report = rewired(sg, monkeypatch, targets)
+    assert not report.round_trips and report.counterexample.endswith("rewired to fail")
+    assert report.case_counts.get("1", 0) == sum(map(in_wsf_images, sg.raw[:stop]))
+    assert sum(report.case_counts.values()) == stop
+
+
 def test_non_collapsing_images_are_reported(v7, monkeypatch):
     # a broken forward map keeping every element as its own image: the
     # v_sf elements outside w_sf are caught, the last one is reported
@@ -348,6 +398,7 @@ def test_non_collapsing_images_are_reported(v7, monkeypatch):
     report = verify_injective(v7)
     assert not report.all_images_collapsing and report.images_distinct
     assert report.counterexample == "1 6 6 5 3 4 6 maps to 1 6 6 5 3 4 6, which does not collapse"
+    assert_same_report(report, old_verify_injective(v7))
 
 
 def test_forward_map_over_all_of_bsf_seven():
@@ -502,9 +553,9 @@ def test_strict_bound_witness_with_a_preimage_is_a_case_exhaustion(v7, monkeypat
 # _invert_with_cycles) are unchanged since, except that _rebuild_chain
 # looks pairs up in the context's mask rather than in a set of pair
 # tuples.  _interior, _rebuild_chain and _restore still come from the
-# module, and cycles from transform; the others left the module, or
-# came to take the set of cycle states, when its kernel came to read
-# only what each case tests, and stand here as they were.
+# module, and cycles from test_transform.py; the others left the
+# module, or came to take the set of cycle states, when its kernel came
+# to read only what each case tests, and stand here as they were.
 
 
 def _eligible_movers(t: Sequence[int]) -> list[int]:
@@ -860,7 +911,7 @@ def assert_kernel_matches_oracle(maps, ctx):
 
 
 def test_cycle_states_match_cycles_on_every_map_up_to_six_states():
-    # the kernel's cycle walk against transform.cycles on every map,
+    # the kernel's cycle walk against the full cycles on every map,
     # 0 and n-1 on cycles or not
     for n in range(1, 7):
         for images in itertools.product(range(n), repeat=n):
@@ -915,6 +966,8 @@ def test_kernel_matches_oracle_on_criterion_five_samples(criterion_five_semigrou
 
 
 def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
+    # the module's _phi, so that a patched one is the oracle's too
+    _phi = injection._phi
     ctx = PhiContext(sg.n, sg.pair_scan.colliding)
     counts: dict[str, int] = {}
     moved: dict[bytes, bytes] = {}
@@ -966,18 +1019,27 @@ def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     )
 
 
-def assert_loop_matches_oracle(sg: TransitionSemigroup) -> InjectivityReport:
+def assert_same_report(report: InjectivityReport, expected: InjectivityReport) -> None:
     # every report byte, and the census in insertion order
-    report, expected = verify_injective(sg), old_verify_injective(sg)
     assert report.to_json() == expected.to_json()
     assert list(report.case_counts.items()) == list(expected.case_counts.items())
+
+
+def assert_loop_matches_oracle(sg: TransitionSemigroup) -> InjectivityReport:
+    report = verify_injective(sg)
+    assert_same_report(report, old_verify_injective(sg))
     return report
 
 
 def test_loop_matches_oracle_on_witness_vsf_and_wsf_seven(v7):
+    # witness(7) spans two chunks of the byte flags
     assert assert_loop_matches_oracle(transition_semigroup(witness(7))).passed
     assert assert_loop_matches_oracle(v7).passed
     assert assert_loop_matches_oracle(enumerate_wsf(7)).passed
+    # v_sf(7) with five maps outside case 1 moved to the front: the
+    # census starts with their cases
+    report = assert_loop_matches_oracle(rewired_first(v7))
+    assert report.passed and next(iter(report.case_counts)) != "1"
 
 
 def test_loop_matches_oracle_on_criterion_five_samples(criterion_five_semigroups):

@@ -7,6 +7,7 @@ membership.
 """
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,11 @@ from hypothesis import given, settings, strategies as st
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.transform import Transformation
 from sfsyn.semigroup import (
+    FLAGS_CHUNK,
+    ElementFlags,
+    TransitionSemigroup,
     closure,
+    element_flags,
     enumerate_bsf,
     enumerate_wsf,
     in_bsf_images,
@@ -249,6 +254,59 @@ def test_in_wsf_unchanged_on_bsf_seven():
         assert in_wsf(t) == expected, t
         kept += expected
     assert kept == wsf_bound(7)
+
+
+def flags_oracle(raw, n) -> ElementFlags:
+    # one map at a time: in_wsf_images and the two column rules
+    last = n - 1
+    return ElementFlags(
+        wsf=bytes(map(in_wsf_images, raw)),
+        unfixed=bytes(x[last] != last for x in raw),
+        zero_interior=bytes(0 < x[0] < last for x in raw),
+    )
+
+
+def flag_test_maps(n: int) -> list[bytes]:
+    # every b_sf(n) map, then as many drawn from all n^n maps, most of
+    # which move n-1 or send a state to 0
+    rng = random.Random(n)
+    bsf = [bytes(t.images) for t in enumerate_bsf(n)]
+    return bsf + [bytes(rng.randrange(n) for _ in range(n)) for _ in bsf]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_element_flags_match_the_per_map_tests(n):
+    raw = flag_test_maps(n)
+    assert element_flags(raw, n) == flags_oracle(raw, n)
+    assert any(x[n - 1] != n - 1 for x in raw) and any(0 in x for x in raw)
+
+
+def test_element_flags_match_the_per_map_tests_on_every_small_map():
+    for n in range(1, 6):
+        raw = [bytes(imgs) for imgs in itertools.product(range(n), repeat=n)]
+        assert element_flags(raw, n) == flags_oracle(raw, n), n
+
+
+@pytest.mark.parametrize("size", [0, 1, FLAGS_CHUNK - 1, FLAGS_CHUNK, FLAGS_CHUNK + 1])
+def test_semigroup_flags_across_the_chunk_boundary(size):
+    # the flags of a semigroup of each size around one chunk: b_sf(7)
+    # maps, then drawn ones (duplicates kept, as the flags never look)
+    maps = flag_test_maps(7)
+    raw = maps[len(maps) // 2 - size // 2 :][:size]
+    sg = TransitionSemigroup(n=7, raw=tuple(raw), raw_set=frozenset(raw))
+    expected = flags_oracle(raw, 7)
+    assert sg.flags == expected and len(sg.flags.wsf) == size
+    if size > 1:
+        assert all(1 in flag and 0 in flag for flag in expected)
+    assert sg.flags is sg.flags
+
+
+def test_semigroup_flags_of_wsf_eight():
+    sg = enumerate_wsf(8)
+    assert sg.flags == flags_oracle(sg.raw, 8)
+    assert sg.flags.wsf.count(1) == sg.size == wsf_bound(8)
+    assert sg.flags.unfixed.count(1) == 0
+    assert sg.flags.zero_interior.count(1) == 6  # 0 to p, all else to n-1
 
 
 def test_bsf_counts_frozen():

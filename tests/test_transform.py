@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from sfsyn.transform import (
     Transformation,
     ZeroPath,
-    cycles,
     format_transformation,
     zero_path,
 )
@@ -91,6 +90,35 @@ def test_parse_format_round_trip(t):
 
 
 # ------------------------------------------------- counting and cycles
+
+
+def cycles(t: Transformation | tuple[int, ...] | bytes) -> tuple[tuple[int, ...], ...]:
+    """All cycles of length >= 2 of a map (a Transformation, or an
+    image tuple or raw byte map), rotated to start at their least state
+    and ordered by it; fixed points are not returned.  The package reads
+    only cycle states (injection._cycle_states); this full form is the
+    kernel oracle's (test_injection.py).  One pass finds them: a walk
+    starts at each state no earlier walk reached and stops at the first
+    state already reached; when that state is on the walk's own path,
+    the path from it on is a new cycle."""
+    images = t.images if isinstance(t, Transformation) else t
+    walk = [-1] * len(images)  # the start of the walk that reached each state
+    out: list[tuple[int, ...]] = []
+    for start in range(len(images)):
+        if walk[start] != -1:
+            continue
+        path = []
+        q = start
+        while walk[q] == -1:
+            walk[q] = start
+            path.append(q)
+            q = images[q]
+        if walk[q] == start and images[q] != q:
+            cyc = path[path.index(q) :]
+            i = cyc.index(min(cyc))
+            out.append(tuple(cyc[i:] + cyc[:i]))
+    out.sort()
+    return tuple(out)
 
 
 def _cyclic_oracle(t: Transformation) -> set[int]:
