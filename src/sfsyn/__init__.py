@@ -31,7 +31,6 @@ from .collisions import (
     pair_statuses,
 )
 from .injection import (
-    PhiContext,
     verify_injective,
     strict_bound_witness,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "to_dot",
     "PairStatus",
     "pair_statuses",
-    "PhiContext",
     "verify_injective",
     "strict_bound_witness",
     "SearchResult",

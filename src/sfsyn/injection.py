@@ -14,20 +14,21 @@ The embedding is what bounds the semigroup size by
 semigroup has a colliding pair at all.
 
 The embedding works on image sequences (tuples or raw byte maps) and
-names cases by label: _forward walks the case ladder once and returns
-the label of the first matching case with its rewired image, _phi
-checks the round trip, and _inverse undoes it.  Each rung reads only
-what its case tests, in ladder order.  Case 1, where the embedding is
-the identity, is one w_sf test on the raw map (in_wsf_images).  A map
+names cases by label: _forward walks the case ladder once, reading the
+map alone, and returns the label of the first matching case with its
+rewired image; _undo inverts an image, reading the semigroup's colliding
+pairs too; _phi runs both and checks the round trip.  Each rung reads
+only what its case tests, in ladder order.  Case 1, where the embedding
+is the identity, is one w_sf test on the raw map (in_wsf_images).  A map
 outside w_sf runs the b_sf guard; then its cycle states, found by a
 bounded walk from each state (skipped when fewer than two interior
 states stay off n-1), and the walk of 0 decide cases 2 and 3; only a map
 past case 3 has its in-degrees, interior fixed points and movers read,
 in one pass.  The inverse reads the focused colliding pairs straight
-off the image under the context mask, and the image's cycle states by
-the same walk only when some pair is read.  Collision data is a mask
-over collisions.pair_index(n); pairs are tuples only where the inverse
-reads the shape around their two states.
+off the image under the colliding mask, and the image's cycle states by
+the same walk only when some pair is read.  The mask is the plain int
+checked_scan(sg).colliding, over collisions.pair_index(n); pairs are
+tuples only where the inverse reads the shape around their two states.
 
 verify_injective takes a consistent semigroup only: every element fixes
 n-1, and no interior pair is both colliding and focused, as in the
@@ -37,8 +38,9 @@ semigroup focuses no colliding pair, so the inverse reads it as case 1,
 and verify_injective counts case 1 off the semigroup's w_sf flags
 (semigroup.element_flags) with no step per map; only the other maps go
 through the embedding, and each of their images sends 0 to n-1, so
-none is its own map.  They reach it through _phi, which checks n and the
-length once for the forward map and its inverse together.
+none is its own map.  They reach it through _phi.  verify_injective and
+strict_bound_witness refuse n < 7 before any map reaches the kernel, and
+every map they pass has the semigroup's n, so the kernel checks neither.
 """
 from __future__ import annotations
 
@@ -61,16 +63,6 @@ class NotInImageError(ValueError):
 
 class CaseExhaustionError(RuntimeError):
     """A structural situation the case analysis claims impossible."""
-
-
-@dataclass(frozen=True)
-class PhiContext:
-    """Collision data of the ambient semigroup: the embedding of an
-    element depends on which interior pairs collide somewhere in T,
-    given as a mask over collisions.pair_index(n)."""
-
-    n: int
-    colliding: int
 
 
 # ---------------------------------------------------------------- helpers
@@ -101,13 +93,6 @@ def _guard(t: Sequence[int]) -> None:
         )
 
 
-def _check(n: int, ctx: PhiContext) -> None:
-    if ctx.n < 7:
-        raise ValueError("the embedding needs n >= 7")
-    if n != ctx.n:
-        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
-
-
 def _cycle_states(images: Sequence[int]) -> set[int]:
     # the states on cycles of length >= 2.  A state sent to a fixed
     # point is on none; from any other the walk stops back at its start,
@@ -134,7 +119,7 @@ def _spares(n: int, taken: tuple[int, ...]) -> list[int]:
     return [q for q in _interior(n) if q not in taken][:2]
 
 
-def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
+def _forward(t: Sequence[int]) -> tuple[str, Sequence[int]]:
     # the label of the first matching case, tried in order, and the
     # image of t under it, of the same sequence type as t.  Each step
     # reads only what its cases test: case 1 is w_sf itself, one test
@@ -142,7 +127,6 @@ def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
     # of 0 (cases 2 and 3); in-degrees, interior fixed points and
     # movers, in one pass (cases 4 to 12).  The final case is the
     # fall-through and anything outside it is a hard structural error
-    _check(len(t), ctx)
     if in_wsf_images(t):
         return "1", t
     _guard(t)
@@ -245,11 +229,11 @@ def _forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
     return case, type(t)(imgs)
 
 
-def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
+def _phi(t: Sequence[int], colliding: int) -> tuple[str, Sequence[int]]:
     # the case label and the image of t, after the inverse has sent
-    # the image back to t
-    case, image = _forward(t, ctx)
-    back = _undo(image, ctx)
+    # the image back to t under the colliding mask
+    case, image = _forward(t)
+    back = _undo(image, colliding)
     if back != t:
         raise CaseExhaustionError(
             f"round trip failed for {format_transformation(t)} "
@@ -261,7 +245,7 @@ def _phi(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
 # ----------------------------------------------------------- the inverse map
 
 
-def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
+def _rebuild_chain(s: Sequence[int], p: int, colliding: int) -> Sequence[int]:
     """Shared reconstruction of the walk of 0 for the two chain cases.
 
     The first chain state is the unique other preimage of p; each next
@@ -281,7 +265,7 @@ def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
             cands = [
                 w
                 for w in range(n)
-                if s[w] == cur and w != cur and bit[w * n + back] & ctx.colliding
+                if s[w] == cur and w != cur and bit[w * n + back] & colliding
             ]
             if len(cands) > 1:
                 raise NotInImageError("chain step is not unique")
@@ -298,19 +282,12 @@ def _rebuild_chain(s: Sequence[int], p: int, ctx: PhiContext) -> Sequence[int]:
     return type(s)(imgs)
 
 
-def _inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
+def _undo(s: Sequence[int], colliding: int) -> Sequence[int]:
     # the unique t whose image is s, recovered from the image
     # signature; NotInImageError when s is the image of no map, which is
-    # exactly what proves the bound strict for colliding semigroups
-    _check(len(s), ctx)
-    return _undo(s, ctx)
-
-
-def _undo(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
-    # _inverse once n and the length are checked: the focused colliding
-    # pairs ((x, y), z), x < y, in order, read off s under the context
-    # mask, then the cycle states of s
-    colliding = ctx.colliding
+    # exactly what proves the bound strict for colliding semigroups.
+    # Reads the focused colliding pairs ((x, y), z), x < y, in order, off
+    # s under the colliding mask, then the cycle states of s
     if not colliding:
         return s  # case 1: no pair collides, so none is focused
     last = len(s) - 1
@@ -322,8 +299,8 @@ def _undo(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
     if not fc:
         return s  # case 1
     if on_cycles := _cycle_states(s):
-        return _invert_with_cycles(s, ctx, fc, on_cycles)
-    return _invert_acyclic(s, ctx, fc)
+        return _invert_with_cycles(s, colliding, fc, on_cycles)
+    return _invert_acyclic(s, colliding, fc)
 
 
 def _restore(s: Sequence[int], p: int, moves: dict[int, int]) -> Sequence[int]:
@@ -335,7 +312,7 @@ def _restore(s: Sequence[int], p: int, moves: dict[int, int]) -> Sequence[int]:
     return type(s)(imgs)
 
 
-def _invert_with_cycles(s, ctx, fc, cyc_states) -> Sequence[int]:
+def _invert_with_cycles(s, colliding, fc, cyc_states) -> Sequence[int]:
     # the reversed walk of 0 may focus extra colliding pairs, because
     # its attachment state can take ordinary traffic too; the reliable
     # marker is the pair split by a cycle, one member on it and one
@@ -355,7 +332,7 @@ def _invert_with_cycles(s, ctx, fc, cyc_states) -> Sequence[int]:
         on = x if x in cyc_states else y
         if z == min(cyc_states):
             # case 2: the pair joins the chain start to the cycle
-            return _rebuild_chain(s, x + y - on, ctx)
+            return _rebuild_chain(s, x + y - on, colliding)
         if len(cyc_states) == 2:
             # case 8: two former fixed points swapped
             r1 = min(cyc_states)
@@ -390,7 +367,7 @@ def _invert_with_cycles(s, ctx, fc, cyc_states) -> Sequence[int]:
     raise NotInImageError("focused pair beside a cycle fits no case")
 
 
-def _invert_acyclic(s, ctx, fc) -> Sequence[int]:
+def _invert_acyclic(s, colliding, fc) -> Sequence[int]:
     n = len(s)
     on_fixed = [(pair, z) for pair, z in fc if z in pair and s[z] == z]
     if on_fixed:
@@ -400,7 +377,7 @@ def _invert_acyclic(s, ctx, fc) -> Sequence[int]:
         (x, y), z = on_fixed[0]
         deg = s.count(z)
         if deg == 2:
-            return _rebuild_chain(s, z, ctx)  # case 3
+            return _rebuild_chain(s, z, colliding)  # case 3
         if deg >= 3:
             return _restore(s, x + y - z, {})  # case 4
         raise NotInImageError("fixed focus target with in-degree 1")
@@ -495,7 +472,8 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     The semigroup must be consistent: StructureError names an element
     that moves n-1, or else the least pair both colliding and focused
     with its first colliding and first focusing map from the pair scan.
-    A map in w_sf is then case 1: _phi would send it to itself and, as
+    The forward map reads each map alone, and the inverse reads the
+    scan's colliding mask too.  A map in w_sf is then case 1: _phi would send it to itself and, as
     it focuses no colliding pair, get it back from the inverse.  So case
     1 is counted off the semigroup's w_sf flags (sg.flags.wsf), and only
     the other maps, found in order on the same flags, go through _phi.
@@ -503,7 +481,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     its census keys stand in the order of each case's first map, a
     failed round trip ends the count there, and a shared image is named
     where it first shows."""
-    if sg.n < 7:  # _forward checks it too, but case-1 maps never reach it
+    if sg.n < 7:  # the kernel's cases need it, and it checks no n itself
         raise ValueError("the embedding needs n >= 7")
     scan = checked_scan(sg)
     if both := scan.colliding & scan.focused:
@@ -515,7 +493,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
             f"{format_transformation(scan.colliding_by[low])}, and focused onto "
             f"{r}, first by {format_transformation(focuser)}"
         )
-    ctx = PhiContext(sg.n, scan.colliding)
+    colliding = scan.colliding
     raw = sg.raw
     wsf = sg.flags.wsf
     counts: dict[str, int] = {}
@@ -538,7 +516,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
             first_wsf = -1
         t = raw[i]
         try:
-            case, image = _phi(t, ctx)
+            case, image = _phi(t, colliding)
         except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
             counterexample = f"{format_transformation(t)}: {e}"
             round_trips = False
@@ -595,7 +573,8 @@ def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
     mask: the pair is focused onto its larger state and three spare
     states form a 3-cycle, a shape no case produces.  Returns None when
     the semigroup has no colliding pair.  CaseExhaustionError when the
-    witness is not in w_sf, is an element, or has an inverse."""
+    witness is not in w_sf, is an element, or has an inverse under the
+    scan's colliding mask, the one mask the inverse reads."""
     if sg.n < 7:
         raise ValueError("the strict-bound witness needs n >= 7")
     n = sg.n
@@ -622,7 +601,7 @@ def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
             f"strict-bound witness {format_transformation(imgs)} is an element"
         )
     try:
-        t = _inverse(gap, PhiContext(n, colliding))
+        t = _undo(gap, colliding)
     except NotInImageError:
         return Transformation(tuple(imgs))
     raise CaseExhaustionError(

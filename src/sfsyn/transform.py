@@ -6,8 +6,9 @@ type and what the other modules read off a single map: its text form
 and the walk of state 0.  Products of maps are formed in semigroup, left
 to right, as stated on Transformation.
 
-format_transformation and zero_path also take a bare image sequence: a
-tuple, or a raw byte map.
+format_transformation and zero_path only iterate and index their
+argument, so they take a Transformation, through its __getitem__, or a
+bare image sequence: a tuple, or a raw byte map.
 
 Throughout the package state 0 is reserved for the initial state of a
 DFA and state n-1 for its empty (sink) state; several predicates in
@@ -48,12 +49,8 @@ class Transformation:
         return f"Transformation({' '.join(str(i) for i in self.images)})"
 
 
-def _images(t: Transformation | Sequence[int]) -> Sequence[int]:
-    return t.images if isinstance(t, Transformation) else t
-
-
 def format_transformation(t: Transformation | Sequence[int]) -> str:
-    return " ".join(str(i) for i in _images(t))
+    return " ".join(str(i) for i in t)
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,12 +71,11 @@ class ZeroPath:
 
 
 def zero_path(t: Transformation | Sequence[int]) -> ZeroPath:
-    images = _images(t)
     seen: dict[int, int] = {}
     cur = 0
     path: list[int] = []
     while cur not in seen:
         seen[cur] = len(path)
         path.append(cur)
-        cur = images[cur]
+        cur = t[cur]
     return ZeroPath(states=tuple(path), period=len(path) - seen[cur])

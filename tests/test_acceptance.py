@@ -21,7 +21,7 @@ from sfsyn.dfa import (
     transition_semigroup,
     witness,
 )
-from sfsyn.injection import PhiContext, _phi, strict_bound_witness, verify_injective
+from sfsyn.injection import _phi, strict_bound_witness, verify_injective
 from sfsyn.search import search_max
 from sfsyn.semigroup import (
     closure,
@@ -214,8 +214,8 @@ def test_criterion_06_strict_gap_for_colliding_semigroups(sampled_semigroups):
             gap = strict_bound_witness(sg)
             assert gap is not None
             assert in_wsf(gap)
-            ctx = PhiContext(sg.n, sg.pair_scan.colliding)
-            images = {_phi(t, ctx)[1] for t in sg.raw}
+            colliding = sg.pair_scan.colliding
+            images = {_phi(t, colliding)[1] for t in sg.raw}
             assert bytes(gap.images) not in images
             assert sg.size < wsf_bound(7)
         assert colliding_seen >= SEVEN_SAMPLE_COUNT

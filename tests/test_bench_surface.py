@@ -7,12 +7,14 @@ the tests alone.  And the interior pairs have one encoding, the
 collisions module's pair_index, so no other module orders them itself.
 The search reports from its own closures: it builds no DFA and re-checks
 no reported semigroup's consistency.  One function writes the CLI's
-timing lines, and no report takes a switch to include its timings."""
+timing lines, and no report takes a switch to include its timings.  The
+package imports nothing outside the standard library."""
 import ast
 import dataclasses
 import importlib.util
 import inspect
 import json
+import sys
 from pathlib import Path
 
 import sfsyn
@@ -242,3 +244,35 @@ def test_the_timing_guard_sees_each_form():
     assert timing_writers('class R:\n    def render(self):\n        return "x\\n# timing a"') == ["R.render"]
     assert timing_writers('text = "# timing level 1"\nf = lambda: "# timing a"') == ["", "<lambda>"]
     assert timing_writers('"""# timing lines"""\ndef f():\n    """# timing"""\n    return 1') == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    # the top-level names of absolute imports outside the standard
+    # library; relative imports stay inside the package
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        names += [m for m in modules if m.partition(".")[0] not in sys.stdlib_module_names]
+    return names
+
+
+def test_the_package_imports_only_the_standard_library():
+    imports = {
+        path.name: names
+        for path in sorted(SRC.glob("*.py"))
+        if (names := non_stdlib_imports(path.read_text(encoding="utf-8")))
+    }
+    assert imports == {}
+
+
+def test_the_stdlib_guard_sees_each_form():
+    assert non_stdlib_imports("import numpy as np") == ["numpy"]
+    assert non_stdlib_imports("import os, numpy.linalg") == ["numpy.linalg"]
+    assert non_stdlib_imports("from pytest_benchmark import plugin") == ["pytest_benchmark"]
+    assert non_stdlib_imports("from __future__ import annotations\nimport xml.dom") == []
+    assert non_stdlib_imports("from . import dfa\nfrom .collisions import pair_index") == []

@@ -271,17 +271,24 @@ def test_phi_flags_a_suffix_violation_first(tmp_path, capsys):
 
 
 def test_phi_reports_a_failed_strict_gap_check(tmp_path, capsys, monkeypatch):
-    # an inverse that takes every map back to itself makes the gap
-    # witness fail its own check: the strict-gap assertion fails with the
-    # message under details, in text and in JSON, and the command exits 1
+    # an inverse that takes the gap witness back to itself, and every
+    # image back to its map as before, makes only the gap witness fail
+    # its own check: the strict-gap assertion fails with the message
+    # under details, in text and in JSON, and the command exits 1
     d = next(d for d in draw_seven_state_dfas() if transition_semigroup(d).pair_scan.colliding)
     path = os.path.join(tmp_path, "colliding7.dfa")
     with open(path, "w") as fh:
         fh.write(format_dfa(d))
-    monkeypatch.setattr(injection_module, "_inverse", lambda s, ctx: s)
+    gap = bytes(injection_module.strict_bound_witness(transition_semigroup(d)).images)
+    real = injection_module._undo
+    monkeypatch.setattr(
+        injection_module, "_undo", lambda s, colliding: s if s == gap else real(s, colliding)
+    )
     message = re.compile(r"strict-bound witness ([0-6 ]+) inverts to \1")
     assert main(["phi", path]) == 1
     out = capsys.readouterr().out
+    assert "PASS every image inverts back" in out
+    assert "PASS images are pairwise distinct" in out
     assert (
         "FAIL colliding pair forces a strict gap: expected a collapsing "
         "transformation no element maps to, actual missing\n"

@@ -15,15 +15,14 @@ from sfsyn.injection import (
     CaseExhaustionError,
     InjectivityReport,
     NotInImageError,
-    PhiContext,
     PreconditionError,
     _cycle_states,
     _forward,
     _interior,
-    _inverse,
     _phi,
     _rebuild_chain,
     _restore,
+    _undo,
     strict_bound_witness,
     verify_injective,
 )
@@ -52,13 +51,13 @@ def report_digest(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def own_ctx(t: Transformation) -> PhiContext:
-    """Collision data of the semigroup generated by t alone.  The powers
+def own_colliding(t: Transformation) -> int:
+    """The colliding mask of the semigroup generated by t alone.  The powers
     of t are needed: they collide the pairs along the walk of 0 that the
     inverse uses to stitch the walk back together."""
     sg = closure([t])
     assert consistent(sg), t
-    return PhiContext(sg.n, sg.pair_scan.colliding)
+    return sg.pair_scan.colliding
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +66,8 @@ def v7():
 
 
 @pytest.fixture(scope="module")
-def v7_ctx(v7):
-    return PhiContext(v7.n, v7.pair_scan.colliding)
+def v7_colliding(v7):
+    return v7.pair_scan.colliding
 
 
 @pytest.fixture(scope="module")
@@ -79,38 +78,25 @@ def criterion_five_semigroups():
 # ------------------------------------------------------------ guard rails
 
 
-def test_small_n_rejected():
-    ctx = PhiContext(n=4, colliding=0)
-    with pytest.raises(ValueError):
-        _forward((3, 1, 2, 3), ctx)
-    with pytest.raises(ValueError):
-        _inverse((3, 1, 2, 3), ctx)
-
-
-def test_walk_into_cycle_rejected(v7_ctx):
+def test_walk_into_cycle_rejected():
     with pytest.raises(PreconditionError):
-        _forward((1, 2, 3, 1, 6, 6, 6), v7_ctx)
+        _forward((1, 2, 3, 1, 6, 6, 6))
 
 
-def test_unfixed_sink_rejected(v7_ctx):
+def test_unfixed_sink_rejected():
     with pytest.raises(PreconditionError):
-        _forward((1, 6, 6, 6, 6, 6, 5), v7_ctx)
-
-
-def test_size_mismatch_rejected(v7_ctx):
-    with pytest.raises(ValueError):
-        _forward((1, 2, 3, 4, 5, 6, 7, 7), v7_ctx)
+        _forward((1, 6, 6, 6, 6, 6, 5))
 
 
 # ---------------------------------------------------- pinned case labels
 
 
-def test_collapsing_elements_are_case_1(v7_ctx):
-    assert _forward((6, 2, 3, 4, 5, 1, 6), v7_ctx)[0] == "1"
-    assert _forward((1, 6, 6, 6, 6, 6, 6), v7_ctx)[0] == "1"
+def test_collapsing_elements_are_case_1():
+    assert _forward((6, 2, 3, 4, 5, 1, 6))[0] == "1"
+    assert _forward((1, 6, 6, 6, 6, 6, 6))[0] == "1"
 
 
-def test_classify_signature_of_each_case(v7_ctx):
+def test_classify_signature_of_each_case():
     cases = {
         T(1, 6, 3, 4, 3, 6, 6): "2",
         T(1, 2, 6, 6, 6, 6, 6): "3",
@@ -128,36 +114,36 @@ def test_classify_signature_of_each_case(v7_ctx):
         T(1, 6, 2, 6, 6, 6, 6): "12",
     }
     for t, expected in cases.items():
-        assert _forward(t.images, own_ctx(t))[0] == expected, t
+        assert _forward(t.images)[0] == expected, t
 
 
 # --------------------------------------------------- pinned forward images
 
 
-def test_forward_image_shared_preimage_chain(v7_ctx):
+def test_forward_image_shared_preimage_chain(v7_colliding):
     # the walk of 0 is reversed and its start becomes a fixed point
     t = (1, 2, 6, 6, 6, 6, 6)
-    case, image = _phi(t, v7_ctx)
+    case, image = _phi(t, v7_colliding)
     assert case == "3"
     assert image == (6, 1, 1, 6, 6, 6, 6)
-    assert _inverse(image, v7_ctx) == t
+    assert _undo(image, v7_colliding) == t
 
 
-def test_forward_image_two_fixed_points(v7_ctx):
+def test_forward_image_two_fixed_points(v7_colliding):
     # the two isolated fixed points start swapping
-    case, image = _phi((1, 6, 2, 3, 6, 6, 6), v7_ctx)
+    case, image = _phi((1, 6, 2, 3, 6, 6, 6), v7_colliding)
     assert case == "8"
     assert image == (6, 3, 3, 2, 6, 6, 6)
 
 
-def test_inverse_of_pinned_images(v7_ctx):
-    assert _inverse((6, 1, 1, 6, 6, 6, 6), v7_ctx) == (1, 2, 6, 6, 6, 6, 6)
-    assert _inverse((6, 3, 3, 2, 6, 6, 6), v7_ctx) == (1, 6, 2, 3, 6, 6, 6)
+def test_inverse_of_pinned_images(v7_colliding):
+    assert _undo((6, 1, 1, 6, 6, 6, 6), v7_colliding) == (1, 2, 6, 6, 6, 6, 6)
+    assert _undo((6, 3, 3, 2, 6, 6, 6), v7_colliding) == (1, 6, 2, 3, 6, 6, 6)
 
 
-def test_collapsing_input_is_its_own_image(v7_ctx):
+def test_collapsing_input_is_its_own_image(v7_colliding):
     t = (6, 2, 3, 4, 5, 1, 6)
-    assert _phi(t, v7_ctx) == ("1", t)
+    assert _phi(t, v7_colliding) == ("1", t)
 
 
 # ------------------------------------------------- round trips, case by case
@@ -185,16 +171,16 @@ ROUND_TRIP_EXAMPLES = [
 
 @pytest.mark.parametrize("t", ROUND_TRIP_EXAMPLES, ids=str)
 def test_round_trip_and_collapsing_image(t):
-    ctx = own_ctx(t)
-    case, image = _phi(t.images, ctx)
-    assert _inverse(image, ctx) == t.images
+    colliding = own_colliding(t)
+    case, image = _phi(t.images, colliding)
+    assert _undo(image, colliding) == t.images
     assert in_wsf_images(image)
     if case != "1":
         assert image != t.images
 
 
 def test_every_case_number_is_exercised():
-    seen = {_phi(t.images, own_ctx(t))[0].partition("(")[0] for t in ROUND_TRIP_EXAMPLES}
+    seen = {_phi(t.images, own_colliding(t))[0].partition("(")[0] for t in ROUND_TRIP_EXAMPLES}
     seen.add("1")
     assert seen == {str(k) for k in range(1, 13)}
 
@@ -210,9 +196,9 @@ def test_random_walk_inputs_round_trip():
         if not consistent(sg):
             continue
         seen += 1
-        ctx = PhiContext(sg.n, sg.pair_scan.colliding)
-        _, image = _phi(images, ctx)
-        assert _inverse(image, ctx) == images
+        colliding = sg.pair_scan.colliding
+        _, image = _phi(images, colliding)
+        assert _undo(image, colliding) == images
         assert in_wsf_images(image)
 
 
@@ -275,9 +261,13 @@ def test_raw_hot_path_leaves_elements_unbuilt():
 
 
 def test_embedding_refuses_fewer_than_seven_states():
-    # every element of witness(6) lies in w_sf, so no map reaches _phi
+    # every element of witness(6) lies in w_sf, so no map reaches _phi;
+    # the kernel checks no n itself, so these two refusals are its guard
+    sg = transition_semigroup(witness(6))
     with pytest.raises(ValueError, match="needs n >= 7"):
-        verify_injective(transition_semigroup(witness(6)))
+        verify_injective(sg)
+    with pytest.raises(ValueError, match="needs n >= 7"):
+        strict_bound_witness(sg)
 
 
 def rewired(sg, monkeypatch, targets):
@@ -290,15 +280,15 @@ def rewired(sg, monkeypatch, targets):
     index = {t: i for i, t in enumerate(sg.raw)}
     reached = set()
 
-    def phi(t, ctx):
-        case, image = real(t, ctx)
+    def phi(t, colliding):
+        case, image = real(t, colliding)
         i = index[t]
         reached.add(i)
         if i not in targets:
             return case, image
         if targets[i] is None:
             raise NotInImageError(f"element {i} rewired to fail")
-        return case, real(sg.raw[targets[i]], ctx)[1]
+        return case, real(sg.raw[targets[i]], colliding)[1]
 
     monkeypatch.setattr(injection, "_phi", phi)
     report = verify_injective(sg)
@@ -339,13 +329,13 @@ def test_duplicate_images_are_reported(v7, monkeypatch):
     ],
 )
 def test_rewired_elements_sharing_an_image_are_reported(
-    v7, v7_ctx, monkeypatch, targets, first, second, image
+    v7, v7_colliding, monkeypatch, targets, first, second, image
 ):
     # elements 1, 9, 20 and 31 are case 1, so each is its own image;
     # element 2 is not
     report = rewired(v7, monkeypatch, targets)
     assert not report.images_distinct and report.all_images_collapsing and report.round_trips
-    shared = v7.raw[image] if image is not None else _phi(v7.raw[2], v7_ctx)[1]
+    shared = v7.raw[image] if image is not None else _phi(v7.raw[2], v7_colliding)[1]
     assert report.counterexample == (
         f"{format_transformation(v7.raw[first])} and {format_transformation(v7.raw[second])} "
         f"share the image {format_transformation(shared)}"
@@ -394,7 +384,7 @@ def test_non_collapsing_images_are_reported(v7, monkeypatch):
     # a broken forward map keeping every element as its own image: the
     # v_sf elements outside w_sf are caught, the last one is reported
     real = injection._phi
-    monkeypatch.setattr(injection, "_phi", lambda t, ctx: (real(t, ctx)[0], t))
+    monkeypatch.setattr(injection, "_phi", lambda t, colliding: (real(t, colliding)[0], t))
     report = verify_injective(v7)
     assert not report.all_images_collapsing and report.images_distinct
     assert report.counterexample == "1 6 6 5 3 4 6 maps to 1 6 6 5 3 4 6, which does not collapse"
@@ -404,10 +394,9 @@ def test_non_collapsing_images_are_reported(v7, monkeypatch):
 def test_forward_map_over_all_of_bsf_seven():
     # _forward over every b_sf map on 7 states: no case runs out
     # and every image collapses
-    ctx = PhiContext(7, 0)
     counts: dict[str, int] = {}
     for t in enumerate_bsf(7):
-        case, image = _forward(t.images, ctx)
+        case, image = _forward(t.images)
         assert in_wsf_images(image), t
         counts[case] = counts.get(case, 0) + 1
     assert counts == {
@@ -450,10 +439,10 @@ def test_cycle_attachment_sharing_traffic_round_trips():
     assert consistent(sg)
     t = T(3, 5, 6, 6, 1, 1, 6)
     assert bytes(t.images) in sg.raw_set
-    ctx = PhiContext(sg.n, sg.pair_scan.colliding)
-    case, image = _phi(t.images, ctx)
+    colliding = sg.pair_scan.colliding
+    case, image = _phi(t.images, colliding)
     assert case == "2"
-    assert _inverse(image, ctx) == t.images
+    assert _undo(image, colliding) == t.images
     report = verify_injective(sg)
     assert report.passed, report.counterexample
 
@@ -469,18 +458,18 @@ def test_report_json_shape(v7):
 # ------------------------------------------------------ strict inequality
 
 
-def test_strict_bound_witness_exists_for_colliding_semigroup(v7, v7_ctx):
+def test_strict_bound_witness_exists_for_colliding_semigroup(v7, v7_colliding):
     w = strict_bound_witness(v7)
     assert w is not None
     assert w == T(6, 2, 2, 4, 5, 3, 6)
     assert in_wsf(w)
     with pytest.raises(NotInImageError):
-        _inverse(w.images, v7_ctx)
+        _undo(w.images, v7_colliding)
 
 
-def test_strict_bound_witness_misses_every_image(v7, v7_ctx):
+def test_strict_bound_witness_misses_every_image(v7, v7_colliding):
     w = strict_bound_witness(v7)
-    images = {_phi(t, v7_ctx)[1] for t in v7.raw}
+    images = {_phi(t, v7_colliding)[1] for t in v7.raw}
     assert bytes(w.images) not in images
     assert len(images) == v7.size < wsf_bound(7)
 
@@ -536,7 +525,7 @@ def test_strict_bound_witness_with_a_preimage_is_a_case_exhaustion(v7, monkeypat
     holding = dataclasses.replace(v7, raw_set=v7.raw_set | {w})
     with pytest.raises(CaseExhaustionError, match=r"6 2 2 4 5 3 6 is an element"):
         strict_bound_witness(holding)
-    monkeypatch.setattr(injection, "_inverse", lambda s, ctx: s)
+    monkeypatch.setattr(injection, "_undo", lambda s, colliding: s)
     with pytest.raises(CaseExhaustionError, match=r"6 2 2 4 5 3 6 inverts to 6 2 2 4 5 3 6$"):
         strict_bound_witness(v7)
 
@@ -548,10 +537,10 @@ def test_strict_bound_witness_with_a_preimage_is_a_case_exhaustion(v7, monkeypat
 # counts per state and test, a case ladder walked twice (old_case
 # picks the label, old_build re-derives what it needs for the image),
 # and an inverse that scans the focused pairs even under an empty
-# collision context.  The helpers it calls (_interior, _eligible_movers,
+# colliding mask.  The helpers it calls (_interior, _eligible_movers,
 # _interior_fixed, _zero_chain, _rebuild_chain, _restore,
 # _invert_with_cycles) are unchanged since, except that _rebuild_chain
-# looks pairs up in the context's mask rather than in a set of pair
+# looks pairs up in the colliding mask rather than in a set of pair
 # tuples.  _interior, _rebuild_chain and _restore still come from the
 # module, and cycles from test_transform.py; the others left the
 # module, or came to take the set of cycle states, when its kernel came
@@ -573,7 +562,7 @@ def _zero_chain(t: Sequence[int]) -> list[int]:
     return list(zero_path(t).states[1:-1])
 
 
-def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
+def _invert_with_cycles(s, colliding, fc, cycs) -> Sequence[int]:
     # the reversed walk of 0 may focus extra colliding pairs, because
     # its attachment state can take ordinary traffic too; the reliable
     # marker is the pair split by a cycle, one member on it and one
@@ -593,7 +582,7 @@ def _invert_with_cycles(s, ctx, fc, cycs) -> Sequence[int]:
         on = x if x in cyc_states else y
         if z == min(cyc_states):
             # case 2: the pair joins the chain start to the cycle
-            return _rebuild_chain(s, x + y - on, ctx)
+            return _rebuild_chain(s, x + y - on, colliding)
         if len(cycs) == 1 and len(cycs[0]) == 2:
             # case 8: two former fixed points swapped
             r1, r2 = cycs[0]
@@ -636,12 +625,8 @@ def collapses(images):
     return images[0] == last or all(images[q] == last for q in range(1, last))
 
 
-def old_guard(t: Sequence[int], ctx: PhiContext) -> None:
-    if ctx.n < 7:
-        raise ValueError("the embedding needs n >= 7")
+def old_guard(t: Sequence[int]) -> None:
     n = len(t)
-    if n != ctx.n:
-        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
     if not in_bsf_images(t):
         zp = zero_path(t)
         if not zp.is_aperiodic:
@@ -660,10 +645,10 @@ def old_guard(t: Sequence[int], ctx: PhiContext) -> None:
         )
 
 
-def old_case(t: Sequence[int], ctx: PhiContext) -> str:
+def old_case(t: Sequence[int]) -> str:
     # the case label of an image sequence; the guard has checked b_sf,
     # so case 1 (w_sf) is the collapse condition alone
-    old_guard(t, ctx)
+    old_guard(t)
     n = len(t)
     if collapses(t):
         return "1"
@@ -796,17 +781,17 @@ def old_build(t: Sequence[int], case: str) -> Sequence[int]:
     return type(t)(imgs)
 
 
-def colliding_pairs_of(ctx: PhiContext) -> set[tuple[int, int]]:
-    # the context's mask read back as pairs, bit i the i-th pair in
+def colliding_pairs_of(n: int, mask: int) -> set[tuple[int, int]]:
+    # the colliding mask read back as pairs, bit i the i-th pair in
     # combinations order
-    pairs = itertools.combinations(range(1, ctx.n - 1), 2)
-    return {pair for i, pair in enumerate(pairs) if ctx.colliding >> i & 1}
+    pairs = itertools.combinations(range(1, n - 1), 2)
+    return {pair for i, pair in enumerate(pairs) if mask >> i & 1}
 
 
-def old_focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple[int, int], int]]:
-    if not ctx.colliding:
+def old_focused_colliding(s: Sequence[int], mask: int) -> list[tuple[tuple[int, int], int]]:
+    if not mask:
         return []  # only colliding pairs are kept
-    colliding = colliding_pairs_of(ctx)
+    colliding = colliding_pairs_of(len(s), mask)
     return [
         ((x, y), z)
         for x, y, z in sorted(focused_triples(s))
@@ -814,23 +799,18 @@ def old_focused_colliding(s: Sequence[int], ctx: PhiContext) -> list[tuple[tuple
     ]
 
 
-def old_inverse(s: Sequence[int], ctx: PhiContext) -> Sequence[int]:
+def old_inverse(s: Sequence[int], colliding: int) -> Sequence[int]:
     # the inverse on an image sequence
-    if ctx.n < 7:
-        raise ValueError("the embedding needs n >= 7")
-    n = len(s)
-    if n != ctx.n:
-        raise ValueError(f"transformation on {n} states, context has {ctx.n}")
-    fc = old_focused_colliding(s, ctx)
+    fc = old_focused_colliding(s, colliding)
     if not fc:
         return s  # case 1
     cycs = cycles(s)
     if cycs:
-        return _invert_with_cycles(s, ctx, fc, cycs)
-    return old_invert_acyclic(s, ctx, fc)
+        return _invert_with_cycles(s, colliding, fc, cycs)
+    return old_invert_acyclic(s, colliding, fc)
 
 
-def old_invert_acyclic(s, ctx, fc) -> Sequence[int]:
+def old_invert_acyclic(s, colliding, fc) -> Sequence[int]:
     n = len(s)
     on_fixed = [(pair, z) for pair, z in fc if z in pair and s[z] == z]
     if on_fixed:
@@ -840,7 +820,7 @@ def old_invert_acyclic(s, ctx, fc) -> Sequence[int]:
         (x, y), z = on_fixed[0]
         deg = in_degree(s, z)
         if deg == 2:
-            return _rebuild_chain(s, z, ctx)  # case 3
+            return _rebuild_chain(s, z, colliding)  # case 3
         if deg >= 3:
             return _restore(s, x + y - z, {})  # case 4
         raise NotInImageError("fixed focus target with in-degree 1")
@@ -895,19 +875,19 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-def old_forward(t: Sequence[int], ctx: PhiContext) -> tuple[str, Sequence[int]]:
-    case = old_case(t, ctx)
+def old_forward(t: Sequence[int]) -> tuple[str, Sequence[int]]:
+    case = old_case(t)
     return case, old_build(t, case)
 
 
-def assert_kernel_matches_oracle(maps, ctx):
+def assert_kernel_matches_oracle(maps, colliding):
     # label, image and inverse of each map, or the same exception
     for t in maps:
-        forward = outcome(_forward, t, ctx)
-        assert forward == outcome(old_forward, t, ctx), t
+        forward = outcome(_forward, t)
+        assert forward == outcome(old_forward, t), t
         if isinstance(forward[0], str):
             image = forward[1]
-            assert outcome(_inverse, image, ctx) == outcome(old_inverse, image, ctx), t
+            assert outcome(_undo, image, colliding) == outcome(old_inverse, image, colliding), t
 
 
 def test_cycle_states_match_cycles_on_every_map_up_to_six_states():
@@ -922,41 +902,40 @@ def test_kernel_matches_oracle_on_bsf_seven_and_near_wsf_maps():
     # every b_sf map, then every map with n-1 fixed that sends 0 or all
     # interior states to n-1: those with 0 among their images fail the
     # guard, and a w_sf test that forgot 0 would call them case 1
-    ctx = PhiContext(7, 0)
-    assert_kernel_matches_oracle([t.images for t in enumerate_bsf(7)], ctx)
+    assert_kernel_matches_oracle([t.images for t in enumerate_bsf(7)], 0)
     near = [(6, *mid, 6) for mid in itertools.product(range(7), repeat=5)]
     near += [(p, 6, 6, 6, 6, 6, 6) for p in range(6)]
     assert sum(0 in t for t in near) > 0
-    assert_kernel_matches_oracle(near, ctx)
-    assert_kernel_matches_oracle([bytes(t) for t in near], ctx)
+    assert_kernel_matches_oracle(near, 0)
+    assert_kernel_matches_oracle([bytes(t) for t in near], 0)
 
 
 def test_kernel_matches_oracle_on_bsf_seven_under_own_contexts():
     # every b_sf map under the collision data of its own powers: under
-    # PhiContext(7, 0) the inverse returns each image unread, so only
+    # an empty mask the inverse returns each image unread, so only
     # here does it walk its case ladder on every b_sf image, and every
     # label occurs
     labels = set()
     for t in enumerate_bsf(7):
-        ctx = own_ctx(t)
-        assert_kernel_matches_oracle([t.images], ctx)
-        labels.add(_phi(t.images, ctx)[0])
+        colliding = own_colliding(t)
+        assert_kernel_matches_oracle([t.images], colliding)
+        labels.add(_phi(t.images, colliding)[0])
     assert labels == {
         "1", "2", "3", "4", "5", "6(p<r)", "6(p>r)", "7(i)", "7(ii)",
         "8", "9", "10", "11(i)", "11(ii)", "12",
     }
 
 
-def test_kernel_matches_oracle_on_vsf_seven(v7, v7_ctx):
-    assert_kernel_matches_oracle(v7.raw, v7_ctx)
+def test_kernel_matches_oracle_on_vsf_seven(v7, v7_colliding):
+    assert_kernel_matches_oracle(v7.raw, v7_colliding)
     # every w_sf map through the inverse: most are no image at all
     for s in enumerate_wsf(7).raw:
-        assert outcome(_inverse, s, v7_ctx) == outcome(old_inverse, s, v7_ctx), s
+        assert outcome(_undo, s, v7_colliding) == outcome(old_inverse, s, v7_colliding), s
 
 
 def test_kernel_matches_oracle_on_criterion_five_samples(criterion_five_semigroups):
     for sg in criterion_five_semigroups:
-        assert_kernel_matches_oracle(sg.raw, PhiContext(sg.n, sg.pair_scan.colliding))
+        assert_kernel_matches_oracle(sg.raw, sg.pair_scan.colliding)
 
 
 # ------------------------------- the semigroup loop against its oracle
@@ -968,7 +947,7 @@ def test_kernel_matches_oracle_on_criterion_five_samples(criterion_five_semigrou
 def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     # the module's _phi, so that a patched one is the oracle's too
     _phi = injection._phi
-    ctx = PhiContext(sg.n, sg.pair_scan.colliding)
+    colliding = sg.pair_scan.colliding
     counts: dict[str, int] = {}
     moved: dict[bytes, bytes] = {}
     duplicate = None
@@ -977,7 +956,7 @@ def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     counterexample = None
     for i, t in enumerate(sg.raw):
         try:
-            case, image = _phi(t, ctx)
+            case, image = _phi(t, colliding)
         except (PreconditionError, CaseExhaustionError, NotInImageError) as e:
             counterexample = f"{format_transformation(t)}: {e}"
             round_trips = False
@@ -992,7 +971,7 @@ def old_verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
                     fixed_before = (
                         image in sg.raw_set
                         and sg.raw.index(image) < i
-                        and _phi(image, ctx)[1] == image
+                        and _phi(image, colliding)[1] == image
                     )
                     earlier = image if fixed_before else None
             if earlier is not None:
