@@ -19,21 +19,29 @@ without testing its states first.  Pairs are tuples only in PairStatus.
 Each semigroup is scanned once, over its raw maps, and keeps the scan:
 the colliding and focused masks, and per pair bit the first witness of
 each relation in discovery order; only witnesses become Transformation
-objects.  The per-element tests come from the semigroup's byte flags
-(semigroup.element_flags): the first map moving n-1 is one find, and
-the colliding part reads only the maps sending 0 to an interior state,
-the only ones that collide a pair, in order.  The focus part walks
-every map in order and stops once every pair has a witness.
+objects.  The scan takes no Python step per map: it translates columns
+of a chunk of joined maps into lanes, ints with one byte per map
+(semigroup.chunk_columns and lane, the idiom of element_flags), and
+decides each pair for the whole chunk with a few int operations; a
+first witness is the lowest non-zero byte of the pair's result.  The
+semigroup's byte flags give the first map moving n-1 in one find and
+say where the maps sending 0 to an interior state, the only ones that
+collide a pair, still lie.  colliding_bits and focused_triples are the
+same rules for one map, which pair_masks and the tests use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import NamedTuple, Sequence
 
-from .semigroup import ElementFlags, RawMap, TransitionSemigroup
+from .semigroup import FLAGS_CHUNK, ElementFlags, RawMap, TransitionSemigroup, chunk_columns, lane
 from .transform import Transformation, format_transformation
+
+
+SCAN_FIRST_CHUNK = 256  # maps in the pair scan's first chunk
 
 
 class StructureError(ValueError):
@@ -133,38 +141,87 @@ class PairScan:
     unfixed: RawMap | None
 
 
+@lru_cache(maxsize=None)
+def _target_tables(n: int) -> tuple[bytes, ...]:
+    """The pair scan's translate tables, built once per n, eight interior
+    targets to a table: table g sends r = 8g + b + 1 to the bit 1 << b
+    and every other byte to 0."""
+    tables = []
+    for low in range(1, n - 1, 8):
+        table = bytearray(256)
+        for r in range(low, min(low + 8, n - 1)):
+            table[r] = 1 << (r - low)
+        tables.append(bytes(table))
+    return tuple(tables)
+
+
+def _first_map(hits: int) -> int:
+    # the index in its chunk of a lane's lowest non-zero byte
+    return ((hits & -hits).bit_length() - 1) >> 3
+
+
 def scan_pairs(raw: Sequence[RawMap], n: int, flags: ElementFlags) -> PairScan:
-    """The one pair scan, run once per semigroup by its pair_scan.  The
-    first map moving n-1 and the maps sending 0 to an interior state,
-    the only ones that collide a pair, come from the semigroup's byte
-    flags; the focus part walks every map in order until each pair is
-    focused."""
-    index = pair_index(n)
-    bit = index.bit
-    every = (1 << len(index.pairs)) - 1
+    """The one pair scan, run once per semigroup by its pair_scan, in
+    lanes over chunks of maps (semigroup.chunk_columns), with no step
+    per map.  Lane (j, g) of a chunk has bit b of byte i set when its
+    map i sends j to the interior target 8g + b + 1 (_target_tables),
+    so {p, q} is focused by map i exactly where byte i of some lane
+    (p, g) & (q, g) is non-zero.  It is colliding where the maps sending
+    0 to p, read off the lanes of column 0, meet those sending some
+    interior state to q, or the same with p and q swapped.  A pair's
+    first witness is the lowest non-zero byte over its lanes, and a
+    focuser's target its image of p.
+
+    Chunks go in discovery order, the first SCAN_FIRST_CHUNK maps long
+    and each next one twice the last, up to FLAGS_CHUNK, so a semigroup
+    focusing every pair early stops early.  Only the maps sending 0 to
+    an interior state collide a pair: the semigroup's byte flags tell
+    whether one is left, and once every pair is focused the scan jumps
+    to the next one.  The first map moving n-1 is one find in the flags
+    too.  Both witness dicts are keyed by pair bit."""
+    pairs = pair_index(n).pairs
+    every = (1 << len(pairs)) - 1
     first = flags.unfixed.find(1)
     unfixed = raw[first] if first >= 0 else None
+    tables = _target_tables(n)
+    bits = [divmod(k, 8) for k in range(n - 2)]  # (g, b) of interior target k + 1
     colliding = focused = 0
     colliders: dict[int, RawMap] = {}
     focusers: dict[int, tuple[RawMap, int]] = {}
-    i = flags.zero_interior.find(1)
-    while i >= 0 and colliding != every:
-        x = raw[i]
-        new = colliding_bits(x) & ~colliding
-        colliding |= new
-        while new:  # one step per newly colliding pair
-            low = new & -new
-            colliders[low] = x
-            new ^= low
-        i = flags.zero_interior.find(1, i + 1)
-    for x in raw:
+    start, size = 0, SCAN_FIRST_CHUNK
+    while True:
+        collider = flags.zero_interior.find(1, start) if colliding != every else -1
         if focused == every:
+            if collider < 0:
+                break
+            start = collider  # only colliding pairs are left to find
+        if start >= len(raw):
             break
-        for p, q, r in focused_triples(x):
-            b = bit[p * n + q]
-            if not focused & b:
-                focused |= b
-                focusers[b] = (x, r)
+        end = start + size
+        chunk = raw[start:end]
+        lanes = [[lane(column, table) for table in tables] for column in chunk_columns(chunk, n)[:-1]]
+        if focused != every:
+            for i, (p, q) in enumerate(pairs):
+                if focused >> i & 1:
+                    continue
+                hits = reduce(or_, map(and_, lanes[p], lanes[q]))
+                if hits:
+                    x = chunk[_first_map(hits)]
+                    focused |= 1 << i
+                    focusers[1 << i] = (x, x[p])
+        if 0 <= collider < end:
+            ones = int.from_bytes(b"\x01" * len(chunk), "little")
+            reached = [reduce(or_, group) for group in zip(*lanes[1:])]
+            sends = [lanes[0][g] >> b & ones for g, b in bits]  # 0 to k + 1
+            reach = [reached[g] >> b & ones for g, b in bits]  # some interior state to k + 1
+            for i, (p, q) in enumerate(pairs):
+                if colliding >> i & 1:
+                    continue
+                hits = sends[p - 1] & reach[q - 1] | sends[q - 1] & reach[p - 1]
+                if hits:
+                    colliding |= 1 << i
+                    colliders[1 << i] = chunk[_first_map(hits)]
+        start, size = end, min(2 * size, FLAGS_CHUNK)
     return PairScan(colliding, focused, colliders, focusers, unfixed)
 
 

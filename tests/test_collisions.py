@@ -14,8 +14,11 @@ from sfsyn.semigroup import (
     vsf_generators,
     wsf_bound,
 )
+from sfsyn import collisions
 from sfsyn.dfa import witness, transition_semigroup
 from sfsyn.collisions import (
+    SCAN_FIRST_CHUNK,
+    PairScan,
     StructureError,
     checked_scan,
     focused_triples,
@@ -23,6 +26,7 @@ from sfsyn.collisions import (
     pair_masks,
     pair_statuses,
 )
+from test_acceptance import draw_seven_state_dfas
 
 
 def fixing_last(n: int):
@@ -196,9 +200,19 @@ def test_scan_matches_full_list_oracle_on_witness(n):
     assert_scan_matches_oracle(transition_semigroup(witness(n)))
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_scan_matches_full_list_oracle_on_vsf(n):
-    assert_scan_matches_oracle(closure(list(vsf_generators(n))))
+    sg = closure(list(vsf_generators(n)))
+    assert_scan_matches_oracle(sg)
+    # every pair collides and none is focused: the scan runs to the end
+    assert sg.pair_scan.colliding == (1 << len(pair_index(n).pairs)) - 1
+    assert sg.pair_scan.focused == 0
+
+
+def test_scan_matches_full_list_oracle_on_seven_state_dfas():
+    # consistent 7-state semigroups with colliding pairs, as phi sees them
+    for d in draw_seven_state_dfas():
+        assert_scan_matches_oracle(transition_semigroup(d))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -232,6 +246,111 @@ def test_scan_matches_full_list_oracle_past_the_first_chunk(mover):
     assert sg.flags.unfixed.find(1) == (FLAGS_CHUNK + 2 if mover else -1)
     assert_scan_matches_oracle(sg)
     assert sg.pair_scan.colliding_by[pair_index(8).bit[5 * 8 + 6]] == colliders[2]
+
+
+def raw_semigroup(n, raw):
+    return TransitionSemigroup(n=n, raw=tuple(raw), raw_set=frozenset(raw))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(10, 20))
+def test_scan_matches_full_list_oracle_past_eight_targets(data, n):
+    # the scan's lanes carry eight interior targets each: from n = 11
+    # on, a pair's images can meet in any of two or more lanes
+    maps = data.draw(st.lists(fixing_last(n), min_size=1, max_size=40))
+    assert_scan_matches_oracle(raw_semigroup(n, dict.fromkeys(bytes(t.images) for t in maps)))
+
+
+@pytest.mark.parametrize("n, targets", [(6, (4, 3)), (12, (10, 3))])
+def test_scan_reports_the_earlier_of_two_focusers_in_one_chunk(n, targets):
+    # both maps focus {1, 2}, the earlier onto the larger target (at
+    # n = 12 one that another lane of eight targets carries): the first
+    # witness is the earlier map, not the one on the first target
+    last = n - 1
+    earlier, later = (bytes((last, r, r) + (last,) * (n - 3)) for r in targets)
+    sg = raw_semigroup(n, [bytes((last, *range(1, n))), earlier, later])
+    assert_scan_matches_oracle(sg)
+    assert sg.pair_scan.focused_by[pair_index(n).bit[1 * n + 2]] == (earlier, targets[0])
+
+
+def quiet_maps(count):
+    # 8-state maps sending 0 to 7 that neither collide nor focus a pair:
+    # the interior goes to distinct interior states or to 7
+    out = []
+    for images in product(range(1, 8), repeat=6):
+        interior = [r for r in images if r != 7]
+        if len(set(interior)) == len(interior):
+            out.append(bytes((7, *images, 7)))
+            if len(out) == count:
+                return out
+    raise AssertionError("not enough quiet maps")
+
+
+def test_scan_finds_focusers_past_the_first_chunk_and_past_flags_chunk():
+    # the chunks double from SCAN_FIRST_CHUNK maps up to FLAGS_CHUNK
+    maps = quiet_maps(FLAGS_CHUNK + 200)
+    early = bytes((7, 3, 3, 7, 7, 7, 7, 7))  # focuses {1, 2} onto 3
+    late = bytes((7, 7, 7, 7, 6, 6, 7, 7))  # focuses {4, 5} onto 6
+    maps.insert(FLAGS_CHUNK + 100, late)
+    maps.insert(SCAN_FIRST_CHUNK + 44, early)
+    sg = raw_semigroup(8, maps)
+    assert_scan_matches_oracle(sg)
+    bit = pair_index(8).bit
+    assert sg.pair_scan.focused == bit[1 * 8 + 2] | bit[4 * 8 + 5]
+    assert sg.pair_scan.focused_by[bit[1 * 8 + 2]] == (early, 3)
+    assert sg.pair_scan.focused_by[bit[4 * 8 + 5]] == (late, 6)
+
+
+@pytest.mark.parametrize("before", [SCAN_FIRST_CHUNK - 1, 2 * FLAGS_CHUNK + 5])
+@pytest.mark.parametrize("focusing", [False, True])
+def test_scan_finds_a_lone_collider_in_the_last_chunk(focusing, before):
+    # the only map sending 0 to an interior state comes last, behind
+    # maps that focus every pair early (the scan then jumps to it) or
+    # none (the scan walks every chunk); with SCAN_FIRST_CHUNK - 1 maps
+    # before it, it is the first chunk's last map
+    if focusing:
+        maps = list(enumerate_wsf(8).raw[:before])
+    else:
+        maps = quiet_maps(before)
+    collider = bytes((1, 2, 3, 7, 7, 7, 7, 7))  # collides {1, 2} and {1, 3}
+    sg = raw_semigroup(8, maps + [collider])
+    assert sg.flags.zero_interior.find(1) == len(maps)
+    assert_scan_matches_oracle(sg)
+    bit = pair_index(8).bit
+    assert sg.pair_scan.colliding == bit[1 * 8 + 2] | bit[1 * 8 + 3]
+    assert set(sg.pair_scan.colliding_by.values()) == {collider}
+
+
+def test_scan_of_an_empty_semigroup_finds_nothing():
+    sg = TransitionSemigroup(n=6, raw=(), raw_set=frozenset())
+    assert sg.pair_scan == PairScan(0, 0, {}, {}, None)
+    assert_scan_matches_oracle(sg)
+
+
+def oracle_scan(sg):
+    # the PairScan of the per-map rules, map by map in discovery order
+    n = sg.n
+    bit = pair_index(n).bit
+    colliders, focusers = {}, {}
+    for x in sg.raw:
+        for p, q in colliding_pairs(x):
+            colliders.setdefault(bit[p * n + q], x)
+        for p, q, r in focused_triples(x):
+            focusers.setdefault(bit[p * n + q], (x, r))
+    unfixed = next((x for x in sg.raw if x[n - 1] != n - 1), None)
+    return PairScan(sum(colliders), sum(focusers), colliders, focusers, unfixed)
+
+
+def test_scan_never_runs_the_per_map_rules(monkeypatch):
+    semigroups = [closure(list(vsf_generators(7))), transition_semigroup(witness(8))]
+    expected = [oracle_scan(sg) for sg in semigroups]
+
+    def refuse(images):
+        raise AssertionError("the pair scan ran a per-map rule")
+
+    monkeypatch.setattr(collisions, "focused_triples", refuse)
+    monkeypatch.setattr(collisions, "colliding_bits", refuse)
+    assert [sg.pair_scan for sg in semigroups] == expected
 
 
 def test_pair_scan_runs_once_per_semigroup():
