@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -156,19 +156,23 @@ def _load_dfa(path: str) -> Dfa:
         raise UsageError(f"{path}: {e}") from None
 
 
-def _word(w: str) -> str:
-    # empty words print as the conventional epsilon name
-    return w if w else "(empty)"
+def _word(w: tuple[str, ...], letters: Sequence[str]) -> str:
+    # the letter names of a word, joined with nothing when every letter
+    # of the DFA has a one-character name and with single spaces
+    # otherwise; empty words print as the conventional epsilon name
+    if not w:
+        return "(empty)"
+    return ("" if all(len(a) == 1 for a in letters) else " ").join(w)
 
 
-def _not_suffix_free(name: str, violation: tuple[str, str]) -> Assertion:
+def _not_suffix_free(name: str, d: Dfa, violation: tuple[tuple[str, ...], ...]) -> Assertion:
     # the failed assertion for an accepted word w + v whose suffix v is
     # accepted too
     w, v = violation
     return Assertion(
         name,
         "no accepted word is a proper suffix of another",
-        f"both {_word(w + v)} and its suffix {_word(v)} are accepted",
+        f"both {_word(w + v, d.letters)} and its suffix {_word(v, d.letters)} are accepted",
         False,
     )
 
@@ -237,7 +241,7 @@ def cmd_phi(args) -> VerificationReport:
     report = VerificationReport(command="phi", inputs={"dfa": args.dfa, "n": d.n})
     violation = suffix_free_violation(d)
     if violation is not None:
-        report.assertions.append(_not_suffix_free("input language is suffix-free", violation))
+        report.assertions.append(_not_suffix_free("input language is suffix-free", d, violation))
         return report
     report.assertions.append(
         same("input language is suffix-free", True, True)
@@ -333,7 +337,7 @@ def cmd_suffix_free(args) -> VerificationReport:
     if violation is None:
         report.assertions.append(same("language is suffix-free", True, True))
     else:
-        report.assertions.append(_not_suffix_free("language is suffix-free", violation))
+        report.assertions.append(_not_suffix_free("language is suffix-free", d, violation))
     return report
 
 

@@ -16,18 +16,19 @@ flat n*n table gives the bit of {p, q} at p*n + q and q*n + p, 0 on the
 diagonal and on every pair touching 0 or n-1, so a rule looks a pair up
 without testing its states first.  Pairs are tuples only in PairStatus.
 
-Each semigroup is scanned once, over its raw maps, and keeps the scan:
-the colliding and focused masks, and per pair bit the first witness of
-each relation in discovery order; only witnesses become Transformation
-objects.  The scan takes no Python step per map: it translates columns
-of a chunk of joined maps into lanes, ints with one byte per map
-(semigroup.chunk_columns and lane, the idiom of element_flags), and
-decides each pair for the whole chunk with a few int operations; a
-first witness is the lowest non-zero byte of the pair's result.  The
-semigroup's byte flags give the first map moving n-1 in one find and
-say where the maps sending 0 to an interior state, the only ones that
-collide a pair, still lie.  colliding_bits and focused_triples are the
-same rules for one map, which pair_masks and the tests use.
+Each semigroup is read once, by one column pass over its raw maps
+(scan_columns), and keeps what it found: its w_sf bytes, the colliding
+and focused masks, per pair bit the first witness of each relation in
+discovery order, and the first map moving n-1; only witnesses become
+Transformation objects.  The pass takes no Python step per map.  It
+joins FLAGS_CHUNK maps at a time, so that the images of one state under
+every map of the chunk are one slice, a column, and translates columns
+into lanes: ints with one byte per map, which combine with & and | for
+every map of the chunk at once.  One code table ANDed over the interior
+columns gives the w_sf bytes; lanes with a bit per interior target
+decide each pair, and a first witness is the lowest non-zero byte of
+the pair's result.  colliding_bits and focused_triples are the same
+pair rules for one map, which pair_masks and the tests use.
 """
 from __future__ import annotations
 
@@ -37,11 +38,11 @@ from itertools import combinations
 from operator import and_, or_
 from typing import NamedTuple, Sequence
 
-from .semigroup import FLAGS_CHUNK, ElementFlags, RawMap, TransitionSemigroup, chunk_columns, lane
+from .semigroup import RawMap, TransitionSemigroup
 from .transform import Transformation, format_transformation
 
 
-SCAN_FIRST_CHUNK = 256  # maps in the pair scan's first chunk
+FLAGS_CHUNK = 4096  # maps joined per chunk of the column pass
 
 
 class StructureError(ValueError):
@@ -130,29 +131,50 @@ def pair_masks(images: Sequence[int]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PairScan:
-    """The pairs some map collides and some map focuses, as masks; per
-    pair bit the first colliding and the first focusing map (with its
-    target) in discovery order; and the first map moving n-1, if any."""
+    """What the column pass reads off a semigroup: the pairs some map
+    collides and some map focuses, as masks; per pair bit the first
+    colliding and the first focusing map (with its target) in discovery
+    order; the first map moving n-1, if any; and the w_sf bytes, byte i
+    1 when map i is in w_sf (exactly in_wsf_images) and 0 when not."""
 
     colliding: int
     focused: int
     colliding_by: dict[int, RawMap]
     focused_by: dict[int, tuple[RawMap, int]]
     unfixed: RawMap | None
+    wsf: bytes
+
+
+class _Tables(NamedTuple):
+    # the column pass's translate tables for n states
+    is_last: bytes  # n-1 to 1, every other byte to 0
+    code: bytes  # bit 0 set when the byte is not 0, bit 1 when it is n-1
+    interior: bytes  # an interior state to 1, every other byte to 0
+    targets: tuple[bytes, ...]  # eight interior targets to a table
 
 
 @lru_cache(maxsize=None)
-def _target_tables(n: int) -> tuple[bytes, ...]:
-    """The pair scan's translate tables, built once per n, eight interior
-    targets to a table: table g sends r = 8g + b + 1 to the bit 1 << b
-    and every other byte to 0."""
-    tables = []
-    for low in range(1, n - 1, 8):
+def _tables(n: int) -> _Tables:
+    """The column pass's tables, built once per n.  Target table g sends
+    r = 8g + b + 1 to the bit 1 << b and every other byte to 0."""
+    last = n - 1
+    targets = []
+    for low in range(1, last, 8):
         table = bytearray(256)
-        for r in range(low, min(low + 8, n - 1)):
+        for r in range(low, min(low + 8, last)):
             table[r] = 1 << (r - low)
-        tables.append(bytes(table))
-    return tuple(tables)
+        targets.append(bytes(table))
+    return _Tables(
+        is_last=bytes(v == last for v in range(256)),
+        code=bytes((v != 0) | (v == last) << 1 for v in range(256)),
+        interior=bytes(0 < v < last for v in range(256)),
+        targets=tuple(targets),
+    )
+
+
+def _lane(column: bytes, table: bytes) -> int:
+    # a column under a translate table, as one little-endian int
+    return int.from_bytes(column.translate(table), "little")
 
 
 def _first_map(hits: int) -> int:
@@ -160,46 +182,62 @@ def _first_map(hits: int) -> int:
     return ((hits & -hits).bit_length() - 1) >> 3
 
 
-def scan_pairs(raw: Sequence[RawMap], n: int, flags: ElementFlags) -> PairScan:
-    """The one pair scan, run once per semigroup by its pair_scan, in
-    lanes over chunks of maps (semigroup.chunk_columns), with no step
-    per map.  Lane (j, g) of a chunk has bit b of byte i set when its
-    map i sends j to the interior target 8g + b + 1 (_target_tables),
-    so {p, q} is focused by map i exactly where byte i of some lane
-    (p, g) & (q, g) is non-zero.  It is colliding where the maps sending
-    0 to p, read off the lanes of column 0, meet those sending some
-    interior state to q, or the same with p and q swapped.  A pair's
-    first witness is the lowest non-zero byte over its lanes, and a
-    focuser's target its image of p.
+def scan_columns(raw: Sequence[RawMap], n: int) -> PairScan:
+    """The one column pass over a sequence of n-state raw maps, run once
+    per semigroup by its pair_scan.  Each chunk of FLAGS_CHUNK maps is
+    joined once (the join is chunked because it holds a buffer per map
+    until it ends) and sliced into columns: byte i of column j is the
+    image of j under map i of the chunk.
 
-    Chunks go in discovery order, the first SCAN_FIRST_CHUNK maps long
-    and each next one twice the last, up to FLAGS_CHUNK, so a semigroup
-    focusing every pair early stops early.  Only the maps sending 0 to
-    an interior state collide a pair: the semigroup's byte flags tell
-    whether one is left, and once every pair is focused the scan jumps
-    to the next one.  The first map moving n-1 is one find in the flags
-    too.  Both witness dicts are keyed by pair bit."""
+    The w_sf bytes take one code table per interior column: bit 0 of an
+    image's code is set when it is not 0 and bit 1 when it is n-1.  The
+    codes of the interior columns are ANDed, so bit 0 says no interior
+    state goes to 0 and bit 1 that every one goes to n-1.  w_sf is then
+    n-1 fixed, no image 0, and 0 or every interior state sent to n-1
+    (with n-1 fixed and 0 kept off n-1, that is exactly n-1 images equal
+    to n-1, as in_wsf_images asks).  The first map moving n-1 is the
+    first 0 of column n-1 under the is_last table.
+
+    Lane (j, g) of a chunk has bit b of byte i set when its map i sends
+    j to the interior target 8g + b + 1, so {p, q} is focused by map i
+    exactly where byte i of some lane (p, g) & (q, g) is non-zero.  It
+    is colliding where the maps sending 0 to p, read off the lanes of
+    column 0, meet those sending some interior state to q, or the same
+    with p and q swapped.  A pair's first witness is the lowest non-zero
+    byte over its lanes, and a focuser's target its image of p.  The
+    lanes are built only while some pair is not yet focused, or not yet
+    colliding in a chunk holding a map that sends 0 to an interior
+    state, the only maps that collide a pair.  Both witness dicts are
+    keyed by pair bit."""
     pairs = pair_index(n).pairs
     every = (1 << len(pairs)) - 1
-    first = flags.unfixed.find(1)
-    unfixed = raw[first] if first >= 0 else None
-    tables = _target_tables(n)
+    last = n - 1
+    is_last, code, interior, targets = _tables(n)
     bits = [divmod(k, 8) for k in range(n - 2)]  # (g, b) of interior target k + 1
+    wsf = bytearray()
+    unfixed = None
     colliding = focused = 0
     colliders: dict[int, RawMap] = {}
     focusers: dict[int, tuple[RawMap, int]] = {}
-    start, size = 0, SCAN_FIRST_CHUNK
-    while True:
-        collider = flags.zero_interior.find(1, start) if colliding != every else -1
-        if focused == every:
-            if collider < 0:
-                break
-            start = collider  # only colliding pairs are left to find
-        if start >= len(raw):
-            break
-        end = start + size
-        chunk = raw[start:end]
-        lanes = [[lane(column, table) for table in tables] for column in chunk_columns(chunk, n)[:-1]]
+    for start in range(0, len(raw), FLAGS_CHUNK):
+        chunk = raw[start : start + FLAGS_CHUNK]
+        big = b"".join(chunk)
+        columns = [big[j::n] for j in range(n)]
+        zero_column = columns[0]
+        fixed = columns[last].translate(is_last)
+        codes = int.from_bytes(b"\x03" * len(chunk), "little")
+        for column in columns[1:last]:
+            codes &= _lane(column, code)
+        zero = _lane(zero_column, code)
+        # the first lane keeps bit 0 of each byte; the shift brings bit 1 there
+        in_wsf = int.from_bytes(fixed, "little") & zero & codes & (zero | codes) >> 1
+        wsf += in_wsf.to_bytes(len(chunk), "little")
+        if unfixed is None and (i := fixed.find(0)) >= 0:
+            unfixed = chunk[i]
+        collide = colliding != every and 1 in zero_column.translate(interior)
+        if focused == every and not collide:
+            continue
+        lanes = [[_lane(column, table) for table in targets] for column in columns[:last]]
         if focused != every:
             for i, (p, q) in enumerate(pairs):
                 if focused >> i & 1:
@@ -209,7 +247,7 @@ def scan_pairs(raw: Sequence[RawMap], n: int, flags: ElementFlags) -> PairScan:
                     x = chunk[_first_map(hits)]
                     focused |= 1 << i
                     focusers[1 << i] = (x, x[p])
-        if 0 <= collider < end:
+        if collide:
             ones = int.from_bytes(b"\x01" * len(chunk), "little")
             reached = [reduce(or_, group) for group in zip(*lanes[1:])]
             sends = [lanes[0][g] >> b & ones for g, b in bits]  # 0 to k + 1
@@ -221,8 +259,7 @@ def scan_pairs(raw: Sequence[RawMap], n: int, flags: ElementFlags) -> PairScan:
                 if hits:
                     colliding |= 1 << i
                     colliders[1 << i] = chunk[_first_map(hits)]
-        start, size = end, min(2 * size, FLAGS_CHUNK)
-    return PairScan(colliding, focused, colliders, focusers, unfixed)
+    return PairScan(colliding, focused, colliders, focusers, unfixed, bytes(wsf))
 
 
 def checked_scan(sg: TransitionSemigroup) -> PairScan:

@@ -125,9 +125,10 @@ def is_minimal(dfa: Dfa) -> bool:
 # --------------------------------------------------------- suffix-freeness
 
 
-def suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
+def suffix_free_violation(dfa: Dfa) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """A pair (w, v) with w non-empty and both wv and v accepted, if one
-    exists; None when the language is suffix-free.
+    exists; None when the language is suffix-free.  Each word is a tuple
+    of letter names, so it runs through accepts whatever the names.
 
     Runs the synchronized product of the DFA with itself: one track
     reads wv from the initial state, the other reads the suffix v.  The
@@ -179,17 +180,17 @@ def suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
     width = len(rows)
     step = [-1] * (n * n)
 
-    def words(c: int) -> tuple[str, str]:
-        v = ""
+    def words(c: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        v = []
         while step[c] != -2:
             c, k = divmod(step[c], width)
-            v = names[k] + v
-        w = ""
+            v.append(names[k])
+        w = []
         r = c // n
         while r != -1:
-            w = names[letter[r]] + w
+            w.append(names[letter[r]])
             r = parent[r]
-        return w, v
+        return tuple(reversed(w)), tuple(reversed(v))
 
     for r in found:
         step[r * n + ini] = -2

@@ -35,8 +35,8 @@ n-1, and no interior pair is both colliding and focused, as in the
 transition semigroup of a minimal suffix-free DFA; anything else raises
 StructureError, from the one checked pair scan.  A w_sf map of such a
 semigroup focuses no colliding pair, so the inverse reads it as case 1,
-and verify_injective counts case 1 off the semigroup's w_sf flags
-(semigroup.element_flags) with no step per map; only the other maps go
+and verify_injective counts case 1 off the w_sf bytes of the same pass
+(collisions.scan_columns) with no step per map; only the other maps go
 through the embedding, and each of their images sends 0 to n-1, so
 none is its own map.  They reach it through _phi.  verify_injective and
 strict_bound_witness refuse n < 7 before any map reaches the kernel, and
@@ -475,8 +475,8 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     The forward map reads each map alone, and the inverse reads the
     scan's colliding mask too.  A map in w_sf is then case 1: _phi would send it to itself and, as
     it focuses no colliding pair, get it back from the inverse.  So case
-    1 is counted off the semigroup's w_sf flags (sg.flags.wsf), and only
-    the other maps, found in order on the same flags, go through _phi.
+    1 is counted off the scan's w_sf bytes (scan.wsf), and only the
+    other maps, found in order on the same bytes, go through _phi.
     The report is the one a loop over every map in order would give:
     its census keys stand in the order of each case's first map, a
     failed round trip ends the count there, and a shared image is named
@@ -495,7 +495,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
         )
     colliding = scan.colliding
     raw = sg.raw
-    wsf = sg.flags.wsf
+    wsf = scan.wsf
     counts: dict[str, int] = {}
     # case 1 joins the census where its first map stands, so the keys
     # keep the order of each case's first map; -1 once it has joined

@@ -25,21 +25,16 @@ right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
 given set, and can hand back the set of finds it built.  A
-TransitionSemigroup holds raw maps in discovery order and caches two
-things read off them: its per-element byte flags (element_flags: in
-w_sf, moves n-1, sends 0 to an interior state) and its one pair scan
-(collisions.scan_pairs), which reads those flags.  Both work in column
-passes: chunk_columns joins a chunk of maps so that the images of one
-state under every map are one slice, and lane translates such a column
-into an int with one byte per map, so one int operation tests every
-map of the chunk.
+TransitionSemigroup holds raw maps in discovery order and caches the
+one pass over them (collisions.scan_columns): its w_sf bytes and its
+colliding and focused pairs, read off columns of the joined maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, Sequence
 
 from .transform import Transformation
 
@@ -48,39 +43,25 @@ if TYPE_CHECKING:
 
 RawMap = bytes  # a map as its image string: byte q is the image of q
 MAX_STATES = 256  # the most states a RawMap can carry, one byte per image
-FLAGS_CHUNK = 4096  # maps joined per pass of element_flags, and at most per pass of the pair scan
-
-
-class ElementFlags(NamedTuple):
-    """Per-element byte flags of a semigroup: byte i of each string is
-    1 when raw[i] has the property and 0 when it has not."""
-
-    wsf: bytes  # raw[i] is in w_sf (exactly in_wsf_images)
-    unfixed: bytes  # raw[i] moves n-1
-    zero_interior: bytes  # raw[i] sends 0 to an interior state
 
 
 @dataclass(frozen=True)
 class TransitionSemigroup:
     """A finite transformation semigroup, its elements kept as raw maps
-    in breadth-first discovery order."""
+    in breadth-first discovery order, and the one column pass over them
+    (pair_scan), run once and kept."""
 
     n: int
     raw: tuple[RawMap, ...]
     raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
 
     @cached_property
-    def flags(self) -> ElementFlags:
-        """The per-element byte flags (element_flags), built on first
-        access."""
-        return element_flags(self.raw, self.n)
-
-    @cached_property
     def pair_scan(self) -> "PairScan":
-        """The one pair scan (collisions.scan_pairs), run on first access."""
-        from .collisions import scan_pairs  # collisions imports this module
+        """The one column pass (collisions.scan_columns): the w_sf bytes
+        and the pair scan, run on first access."""
+        from .collisions import scan_columns  # collisions imports this module
 
-        return scan_pairs(self.raw, self.n, self.flags)
+        return scan_columns(self.raw, self.n)
 
     @property
     def size(self) -> int:
@@ -212,62 +193,6 @@ def in_wsf_images(images: Sequence[int]) -> bool:
         and 0 not in images
         and (images[0] == last or images.count(last) == last)
     )
-
-
-_ONE = b"\x01"
-_ZEROS_256 = bytes(256)
-_NONZERO = bytes(1) + _ONE * 255  # translate table: v -> 1 when v != 0
-
-
-def chunk_columns(chunk: Sequence[RawMap], n: int) -> list[bytes]:
-    """The columns of a chunk of n-state raw maps: byte i of column j is
-    the image of j under chunk[i].  The maps are joined once, so each
-    column is one slice."""
-    big = b"".join(chunk)
-    return [big[j::n] for j in range(n)]
-
-
-def lane(column: bytes, table: bytes) -> int:
-    """A column under a translate table, as one little-endian int: byte
-    i is the table's value at byte i of the column, so lanes combine
-    with & and | for every map of the chunk at once."""
-    return int.from_bytes(column.translate(table), "little")
-
-
-def element_flags(raw: Sequence[RawMap], n: int) -> ElementFlags:
-    """The ElementFlags of a sequence of n-state raw maps, in column
-    passes over FLAGS_CHUNK maps at a time (chunk_columns; the join is
-    chunked because it holds a buffer per map until it ends).  One code
-    table reads each interior column once: bit 0 of an image's code is set when
-    it is not 0 and bit 1 when it is n-1.  The codes of the interior
-    columns are ANDed, so bit 0 says no interior state goes to 0 and
-    bit 1 that every one goes to n-1.  w_sf is then n-1 fixed, no image
-    0, and 0 or every interior state sent to n-1 (with n-1 fixed and 0
-    kept off n-1, that is exactly n-1 images equal to n-1, as
-    in_wsf_images asks)."""
-    last = n - 1
-    is_last = _ZEROS_256[:last] + _ONE + _ZEROS_256[n:]
-    not_last = _ONE * last + bytes(1) + _ONE * (255 - last)
-    interior = _NONZERO[:last] + _ZEROS_256[last:]
-    code = bytearray(_NONZERO)  # bit 0: the image is not 0
-    code[last] |= 2  # bit 1: the image is n-1
-    wsf = bytearray()
-    unfixed = bytearray()
-    zero_interior = bytearray()
-    for start in range(0, len(raw), FLAGS_CHUNK):
-        chunk = raw[start : start + FLAGS_CHUNK]
-        columns = chunk_columns(chunk, n)
-        zero_column, last_column = columns[0], columns[last]
-        unfixed += last_column.translate(not_last)
-        zero_interior += zero_column.translate(interior)
-        codes = int.from_bytes(b"\x03" * len(chunk), "little")
-        for column in columns[1:last]:
-            codes &= lane(column, code)
-        zero = lane(zero_column, code)
-        # the first lane keeps bit 0 of each byte; the shift brings bit 1 there
-        lanes = lane(last_column, is_last) & zero & codes & (zero | codes) >> 1
-        wsf += lanes.to_bytes(len(chunk), "little")
-    return ElementFlags(bytes(wsf), bytes(unfixed), bytes(zero_interior))
 
 
 def in_wsf(t: Transformation) -> bool:

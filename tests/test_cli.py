@@ -354,6 +354,17 @@ def test_suffix_free_pass_and_fail(tmp_path, capsys):
     assert "overall: FAIL" in out
 
 
+def test_suffix_free_spaces_multi_character_letter_names(tmp_path, capsys):
+    # with a letter name longer than one character, the words print
+    # their letters apart: "ab ab", not the ambiguous "abab"
+    path = os.path.join(tmp_path, "multi.dfa")
+    with open(path, "w") as fh:
+        fh.write("n=3 letters=ab,c initial=0 finals=1,2\nab: 1 2 2\nc: 2 2 2\n")
+    assert main(["suffix-free", path]) == 1
+    out, _ = capsys.readouterr()
+    assert "both ab ab and its suffix ab are accepted" in out
+
+
 def test_suffix_free_times_to_the_microsecond(tmp_path, capsys):
     # a check this small takes well under a millisecond, which three
     # decimals would print as 0.000s

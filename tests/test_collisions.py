@@ -6,7 +6,6 @@ from itertools import combinations, product
 
 from sfsyn.transform import Transformation
 from sfsyn.semigroup import (
-    FLAGS_CHUNK,
     TransitionSemigroup,
     closure,
     enumerate_wsf,
@@ -16,8 +15,9 @@ from sfsyn.semigroup import (
 )
 from sfsyn import collisions
 from sfsyn.dfa import witness, transition_semigroup
+from sfsyn.injection import strict_bound_witness, verify_injective
 from sfsyn.collisions import (
-    SCAN_FIRST_CHUNK,
+    FLAGS_CHUNK,
     PairScan,
     StructureError,
     checked_scan,
@@ -25,8 +25,10 @@ from sfsyn.collisions import (
     pair_index,
     pair_masks,
     pair_statuses,
+    scan_columns,
 )
 from test_acceptance import draw_seven_state_dfas
+from test_semigroup import flag_test_maps, flags_oracle
 
 
 def fixing_last(n: int):
@@ -75,6 +77,7 @@ def assert_scan_matches_oracle(sg):
     scan = sg.pair_scan
     last = sg.n - 1
     assert scan.unfixed == next((x for x in sg.raw if x[last] != last), None)
+    assert scan.wsf == flags_oracle(sg.raw)
     # each pair's first witnesses as raw maps, read off the scan itself,
     # since pair_statuses refuses a semigroup with a map moving n-1
     for i, (pair, collider, focusers) in enumerate(oracle):
@@ -229,10 +232,10 @@ def test_scan_matches_full_list_oracle_on_random_closures(data, n):
 
 @pytest.mark.parametrize("mover", [False, True])
 def test_scan_matches_full_list_oracle_past_the_first_chunk(mover):
-    # the byte flags are built a chunk of maps at a time: here the
-    # first map sending 0 to an interior state, the first new colliding
-    # pair after it and, with mover, the first map moving n-1 all stand
-    # in the second chunk, behind maps that send 0 to n-1
+    # the column pass reads a chunk of maps at a time: here the first
+    # map sending 0 to an interior state, the first new colliding pair
+    # after it and, with mover, the first map moving n-1 all stand in
+    # the second chunk, behind maps that send 0 to n-1
     filler = list(enumerate_wsf(8).raw[: FLAGS_CHUNK + 3])
     colliders = [
         bytes((1, 2, 3, 7, 7, 7, 7, 7)),  # collides {1, 2} and {1, 3}
@@ -242,8 +245,8 @@ def test_scan_matches_full_list_oracle_past_the_first_chunk(mover):
     movers = [bytes((7,) * 7 + (1,)), bytes((7,) * 7 + (2,))] if mover else []
     raw = filler[: FLAGS_CHUNK + 1] + colliders[:1] + movers + filler[FLAGS_CHUNK + 1 :] + colliders[1:]
     sg = TransitionSemigroup(n=8, raw=tuple(raw), raw_set=frozenset(raw))
-    assert sg.flags.zero_interior.find(1) == FLAGS_CHUNK + 1
-    assert sg.flags.unfixed.find(1) == (FLAGS_CHUNK + 2 if mover else -1)
+    assert raw.index(colliders[0]) == FLAGS_CHUNK + 1
+    assert sg.pair_scan.unfixed == (movers[0] if mover else None)
     assert_scan_matches_oracle(sg)
     assert sg.pair_scan.colliding_by[pair_index(8).bit[5 * 8 + 6]] == colliders[2]
 
@@ -287,12 +290,13 @@ def quiet_maps(count):
 
 
 def test_scan_finds_focusers_past_the_first_chunk_and_past_flags_chunk():
-    # the chunks double from SCAN_FIRST_CHUNK maps up to FLAGS_CHUNK
-    maps = quiet_maps(FLAGS_CHUNK + 200)
+    # one focuser in the second chunk and one in the third, behind
+    # quiet maps: the pass keeps building lanes while a pair is left
+    maps = quiet_maps(2 * FLAGS_CHUNK + 200)
     early = bytes((7, 3, 3, 7, 7, 7, 7, 7))  # focuses {1, 2} onto 3
     late = bytes((7, 7, 7, 7, 6, 6, 7, 7))  # focuses {4, 5} onto 6
-    maps.insert(FLAGS_CHUNK + 100, late)
-    maps.insert(SCAN_FIRST_CHUNK + 44, early)
+    maps.insert(2 * FLAGS_CHUNK + 100, late)
+    maps.insert(FLAGS_CHUNK + 44, early)
     sg = raw_semigroup(8, maps)
     assert_scan_matches_oracle(sg)
     bit = pair_index(8).bit
@@ -301,29 +305,56 @@ def test_scan_finds_focusers_past_the_first_chunk_and_past_flags_chunk():
     assert sg.pair_scan.focused_by[bit[4 * 8 + 5]] == (late, 6)
 
 
-@pytest.mark.parametrize("before", [SCAN_FIRST_CHUNK - 1, 2 * FLAGS_CHUNK + 5])
+@pytest.mark.parametrize("before", [FLAGS_CHUNK - 1, 2 * FLAGS_CHUNK + 5])
 @pytest.mark.parametrize("focusing", [False, True])
 def test_scan_finds_a_lone_collider_in_the_last_chunk(focusing, before):
     # the only map sending 0 to an interior state comes last, behind
-    # maps that focus every pair early (the scan then jumps to it) or
-    # none (the scan walks every chunk); with SCAN_FIRST_CHUNK - 1 maps
-    # before it, it is the first chunk's last map
+    # maps that focus every pair in the first chunk (the pass then
+    # builds no lanes until the collider's chunk) or none (it builds
+    # them in every chunk); with FLAGS_CHUNK - 1 maps before it, it is
+    # the first chunk's last map, else the third chunk's
     if focusing:
         maps = list(enumerate_wsf(8).raw[:before])
     else:
         maps = quiet_maps(before)
     collider = bytes((1, 2, 3, 7, 7, 7, 7, 7))  # collides {1, 2} and {1, 3}
+    assert not any(0 < x[0] < 7 for x in maps)
     sg = raw_semigroup(8, maps + [collider])
-    assert sg.flags.zero_interior.find(1) == len(maps)
     assert_scan_matches_oracle(sg)
     bit = pair_index(8).bit
     assert sg.pair_scan.colliding == bit[1 * 8 + 2] | bit[1 * 8 + 3]
     assert set(sg.pair_scan.colliding_by.values()) == {collider}
+    if focusing:
+        assert sg.pair_scan.focused == (1 << len(pair_index(8).pairs)) - 1
+        assert max(maps.index(x) for x, _ in sg.pair_scan.focused_by.values()) < FLAGS_CHUNK
+
+
+@pytest.mark.parametrize(
+    "size", [FLAGS_CHUNK - 1, FLAGS_CHUNK, FLAGS_CHUNK + 1, 2 * FLAGS_CHUNK + 1]
+)
+def test_scan_matches_both_oracles_at_the_chunk_boundaries(size):
+    # the semigroup's last map, the only one outside w_sf, the only one
+    # sending 0 to an interior state and the only focuser, ends the
+    # first chunk or opens the second or third
+    last_map = bytes((1, 2, 3, 3, 7, 7, 7, 7))  # collides {1, 2}, {1, 3}; focuses {2, 3}
+    sg = raw_semigroup(8, quiet_maps(size - 1) + [last_map])
+    assert_scan_matches_oracle(sg)
+    assert sg.pair_scan.wsf == b"\x01" * (size - 1) + b"\x00"
+    bit = pair_index(8).bit
+    assert sg.pair_scan.colliding_by == {bit[1 * 8 + 2]: last_map, bit[1 * 8 + 3]: last_map}
+    assert sg.pair_scan.focused_by == {bit[2 * 8 + 3]: (last_map, 3)}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_scan_matches_full_list_oracle_on_the_flag_test_maps(n):
+    # every b_sf(n) map and as many drawn ones, many moving n-1
+    raw = flag_test_maps(n)
+    assert_scan_matches_oracle(raw_semigroup(n, raw))
 
 
 def test_scan_of_an_empty_semigroup_finds_nothing():
     sg = TransitionSemigroup(n=6, raw=(), raw_set=frozenset())
-    assert sg.pair_scan == PairScan(0, 0, {}, {}, None)
+    assert sg.pair_scan == PairScan(0, 0, {}, {}, None, b"")
     assert_scan_matches_oracle(sg)
 
 
@@ -338,7 +369,7 @@ def oracle_scan(sg):
         for p, q, r in focused_triples(x):
             focusers.setdefault(bit[p * n + q], (x, r))
     unfixed = next((x for x in sg.raw if x[n - 1] != n - 1), None)
-    return PairScan(sum(colliders), sum(focusers), colliders, focusers, unfixed)
+    return PairScan(sum(colliders), sum(focusers), colliders, focusers, unfixed, flags_oracle(sg.raw))
 
 
 def test_scan_never_runs_the_per_map_rules(monkeypatch):
@@ -353,11 +384,24 @@ def test_scan_never_runs_the_per_map_rules(monkeypatch):
     assert [sg.pair_scan for sg in semigroups] == expected
 
 
-def test_pair_scan_runs_once_per_semigroup():
-    sg = closure(list(vsf_generators(5)))
-    scan = sg.pair_scan
+def test_pair_scan_runs_once_per_semigroup(monkeypatch):
+    # the pair report, the embedding and the strict-gap witness all read
+    # the one column pass over the semigroup
+    calls = []
+
+    def counted(raw, n):
+        calls.append(n)
+        return scan_columns(raw, n)
+
+    monkeypatch.setattr(collisions, "scan_columns", counted)
+    sg = closure(list(vsf_generators(7)))
+    scan = checked_scan(sg)
+    assert verify_injective(sg).passed
+    assert strict_bound_witness(sg) is not None
     assert pair_statuses(sg) == pair_statuses(sg)
+    assert all(s.colliding for s in pair_statuses(sg))
     assert sg.pair_scan is scan
+    assert calls == [7]
 
 
 # ------------------------------------------------------------ consistency

@@ -260,7 +260,17 @@ def test_ab_star_is_suffix_free():
 
 
 def test_a_star_violation_is_minimal_witness():
-    assert suffix_free_violation(a_star()) == ("a", "")
+    assert suffix_free_violation(a_star()) == (("a",), ())
+
+
+def test_a_violation_with_multi_character_letter_names_reruns():
+    # each word is a tuple of letter names: joined into "abab" it would
+    # read as four one-letter steps through letters that do not exist
+    delta = (Transformation((1, 2, 2)), Transformation((2, 2, 2)))
+    d = Dfa(3, ("ab", "c"), delta, 0, frozenset({1, 2}))
+    w, v = suffix_free_violation(d)
+    assert (w, v) == (("ab",), ("ab",))
+    assert d.accepts(w + v) and d.accepts(v)
 
 
 def test_epsilon_language_is_suffix_free():
@@ -296,26 +306,26 @@ def test_suffix_freeness_matches_word_oracle(d):
         assert d.accepts(w + v) and d.accepts(v)
 
 
-def trimmed_suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
+def trimmed_suffix_free_violation(dfa: Dfa) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
     """The product search as it ran on the trimmed DFA, through
     Transformation lookups and tuple-keyed pairs: the oracle for the
     image-row search, which must return the same (w, v) or None."""
     d = trim(dfa)
     ini = d.initial
     # shortest non-empty word to each state
-    word_to: dict[int, str] = {}
+    word_to: dict[int, tuple[str, ...]] = {}
     frontier = deque()
     for name, t in zip(d.letters, d.delta):
         r = t[ini]
         if r not in word_to:
-            word_to[r] = name
+            word_to[r] = (name,)
             frontier.append(r)
     while frontier:
         q = frontier.popleft()
         for name, t in zip(d.letters, d.delta):
             r = t[q]
             if r not in word_to:
-                word_to[r] = word_to[q] + name
+                word_to[r] = word_to[q] + (name,)
                 frontier.append(r)
     # synchronized pair search
     parent: dict[tuple[int, int], tuple[tuple[int, int], str] | None] = {}
@@ -329,11 +339,11 @@ def trimmed_suffix_free_violation(dfa: Dfa) -> tuple[str, str] | None:
         pair = pairs.popleft()
         p, q = pair
         if p in d.finals and q in d.finals:
-            v = ""
+            v: tuple[str, ...] = ()
             node: tuple[int, int] = pair
             while parent[node] is not None:
                 node, name = parent[node]
-                v = name + v
+                v = (name,) + v
             return word_to[node[0]], v
         for name, t in zip(d.letters, d.delta):
             nxt = (t[p], t[q])

@@ -1011,7 +1011,7 @@ def assert_loop_matches_oracle(sg: TransitionSemigroup) -> InjectivityReport:
 
 
 def test_loop_matches_oracle_on_witness_vsf_and_wsf_seven(v7):
-    # witness(7) spans two chunks of the byte flags
+    # witness(7) spans two chunks of the column pass
     assert assert_loop_matches_oracle(transition_semigroup(witness(7))).passed
     assert assert_loop_matches_oracle(v7).passed
     assert assert_loop_matches_oracle(enumerate_wsf(7)).passed

@@ -1163,6 +1163,29 @@ def test_count_prunes_change_no_three_letter_verdict(target, others):
     assert on.stats.capped and off.stats.capped
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_count_prune_never_cuts_a_level_one_branch_inside_the_maximal_family(n):
+    """At the paper's target, no level-1 branch judged "pruned" closes
+    inside the maximal family M: v_sf for n <= 5, w_sf from n = 6 on.
+    M is closed and consistent, so for a branch closure X inside M, M \\ X
+    lies among the branch's candidates, and |X| + |cand| >= |M| = target.
+    The check has power because the count rule does cut branches here
+    (1, 4, 16 and 61 for n = 4 to 7): with < turned into <= in _judge's
+    count rule it fails.  The same mutant in _leaf_verdict leaves every
+    level-1 outcome unchanged at these targets, so this check cannot see
+    that one."""
+    ctx = _context(n)
+    family = ctx.vsf_elements if n <= 5 else ctx.wsf_elements
+    target = max(len(ctx.vsf_elements), wsf_bound(n))
+    assert len(family) == target
+    rows = _ProductRows(ctx)
+    pruned = [letters for letters in initial_level(n) if _judge(letters, target, True, rows)[0] == "pruned"]
+    assert pruned
+    for letters in pruned:
+        members, _, _ = _close_all_admissible(letters, ctx)
+        assert not members <= family, letters
+
+
 def test_search_five_state_maximum_is_the_injective_family():
     r = search_max(5)
     assert r.target == 73

@@ -14,12 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.transform import Transformation
+from sfsyn.collisions import FLAGS_CHUNK, scan_columns
 from sfsyn.semigroup import (
-    FLAGS_CHUNK,
-    ElementFlags,
     TransitionSemigroup,
     closure,
-    element_flags,
     enumerate_bsf,
     enumerate_wsf,
     in_bsf_images,
@@ -256,14 +254,14 @@ def test_in_wsf_unchanged_on_bsf_seven():
     assert kept == wsf_bound(7)
 
 
-def flags_oracle(raw, n) -> ElementFlags:
-    # one map at a time: in_wsf_images and the two column rules
-    last = n - 1
-    return ElementFlags(
-        wsf=bytes(map(in_wsf_images, raw)),
-        unfixed=bytes(x[last] != last for x in raw),
-        zero_interior=bytes(0 < x[0] < last for x in raw),
-    )
+def flags_oracle(raw) -> bytes:
+    # the w_sf bytes one map at a time, through in_wsf_images
+    return bytes(map(in_wsf_images, raw))
+
+
+def first_unfixed(raw, n):
+    # the first map moving n-1, or None
+    return next((x for x in raw if x[n - 1] != n - 1), None)
 
 
 def flag_test_maps(n: int) -> list[bytes]:
@@ -276,37 +274,50 @@ def flag_test_maps(n: int) -> list[bytes]:
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_element_flags_match_the_per_map_tests(n):
+    # the column pass's w_sf bytes and first map moving n-1; its pairs
+    # on the same maps are checked in test_collisions
     raw = flag_test_maps(n)
-    assert element_flags(raw, n) == flags_oracle(raw, n)
-    assert any(x[n - 1] != n - 1 for x in raw) and any(0 in x for x in raw)
+    scan = scan_columns(raw, n)
+    assert scan.wsf == flags_oracle(raw)
+    assert scan.unfixed == first_unfixed(raw, n)
+    assert scan.unfixed is not None and any(0 in x for x in raw)
 
 
 def test_element_flags_match_the_per_map_tests_on_every_small_map():
     for n in range(1, 6):
         raw = [bytes(imgs) for imgs in itertools.product(range(n), repeat=n)]
-        assert element_flags(raw, n) == flags_oracle(raw, n), n
+        scan = scan_columns(raw, n)
+        assert scan.wsf == flags_oracle(raw), n
+        assert scan.unfixed == first_unfixed(raw, n), n
 
 
-@pytest.mark.parametrize("size", [0, 1, FLAGS_CHUNK - 1, FLAGS_CHUNK, FLAGS_CHUNK + 1])
+@pytest.mark.parametrize(
+    "size", [0, 1, FLAGS_CHUNK - 1, FLAGS_CHUNK, FLAGS_CHUNK + 1, 2 * FLAGS_CHUNK + 1]
+)
 def test_semigroup_flags_across_the_chunk_boundary(size):
-    # the flags of a semigroup of each size around one chunk: b_sf(7)
-    # maps, then drawn ones (duplicates kept, as the flags never look)
+    # the w_sf bytes of a semigroup of each size around the column
+    # pass's chunks: b_sf(7) maps, then drawn ones (duplicates kept, as
+    # the pass never looks)
     maps = flag_test_maps(7)
     raw = maps[len(maps) // 2 - size // 2 :][:size]
     sg = TransitionSemigroup(n=7, raw=tuple(raw), raw_set=frozenset(raw))
-    expected = flags_oracle(raw, 7)
-    assert sg.flags == expected and len(sg.flags.wsf) == size
+    expected = flags_oracle(raw)
+    assert sg.pair_scan.wsf == expected and len(expected) == size
+    assert sg.pair_scan.unfixed == first_unfixed(raw, 7)
     if size > 1:
-        assert all(1 in flag and 0 in flag for flag in expected)
-    assert sg.flags is sg.flags
+        assert 1 in expected and 0 in expected
+    assert sg.pair_scan is sg.pair_scan
 
 
 def test_semigroup_flags_of_wsf_eight():
     sg = enumerate_wsf(8)
-    assert sg.flags == flags_oracle(sg.raw, 8)
-    assert sg.flags.wsf.count(1) == sg.size == wsf_bound(8)
-    assert sg.flags.unfixed.count(1) == 0
-    assert sg.flags.zero_interior.count(1) == 6  # 0 to p, all else to n-1
+    assert sg.pair_scan.wsf == flags_oracle(sg.raw)
+    assert sg.pair_scan.wsf.count(1) == sg.size == wsf_bound(8)
+    assert sg.pair_scan.unfixed is None
+    # the six maps sending 0 to an interior state send all else to n-1,
+    # so they collide no pair
+    assert sum(0 < x[0] < 7 for x in sg.raw) == 6
+    assert sg.pair_scan.colliding == 0
 
 
 def test_bsf_counts_frozen():
