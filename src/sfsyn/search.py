@@ -95,9 +95,12 @@ permutation of the interior states.  Each letter's least conjugate,
 with every labelling that reaches it, comes from a scan of all (n-2)!
 labellings: one table per n holds the conjugator of each, constant
 data built once and kept, like the context, for letters on 2 to 8
-states.  The sorted tuple must start with the least of those
-one-letter forms, so only labellings giving some letter that form are
-tried on the whole tuple.  One search_max call keeps a memo of the
+states.  A conjugator is two byte strings, the labelling's translate
+table and its inverse, so a conjugate is two C-level translates: the
+inverse read through the letter's table, then renamed by the
+labelling's, with no tuple of ints in between.  The sorted tuple must
+start with the least of those one-letter forms, so only labellings
+giving some letter that form are tried on the whole tuple.  One search_max call keeps a memo of the
 one-letter results, shared by all of its canonicalizations and dropped
 when it returns; canonicalize starts with an empty one.
 
@@ -121,7 +124,9 @@ interior permutations (admissibility and being semiconstant are both
 kept by a relabelling fixing 0 and n-1).  So in one pass over the
 sorted pool the first map not yet seen is the least of its orbit, that
 is its own form; its conjugates under the table's (n-2)! labellings
-are marked seen and no later map of the orbit is looked at again.
+are marked seen, by translates mapped over the table so that no Python
+frame runs per conjugate, and no later map of the orbit is looked at
+again.
 Each orbit is listed once and no element's form is computed, as in
 McKay, "Isomorph-free exhaustive generation" (1998), and the level is
 the same sorted tuple the per-letter forms give.  It is rebuilt on
@@ -181,13 +186,18 @@ rest, e_A e_B = e_(A u B), so the n-1 maps e_{0} and e_{0, q}, q
 interior, generate all 2^(n-2) of them, and S is the same closed set on
 every branch.  So S is seen from the start and never walked, the seeds
 are the letters and every s t for s in S and each letter t, and the
-walk multiplies by the letters and the n-1 generators only.  Any
+walk multiplies by the letters and the generators only.  Any
 element outside S is a product u t v with t its first letter and u in
 S or empty, so u t is a seed, and walking right from it along v reaches
 the element; where an intermediate product falls into S, the walk picks
-up again at the seed s t' of the next letter t'.  The closed set is the
-same as closing the letters with all of S, so is every refusal, and
-the pair masks are too, as no semiconstant collides or focuses a pair.
+up again at the seed s t' of the next letter t'.  Of the generators,
+e_{0} is not walked either: it moves only 0, and no admissible map has
+0 as an image, so x e_{0} = x for every x the walk meets.  Each product
+by it was already seen, so leaving its table out changes neither the
+closed set nor the discovery order, and the walk multiplies by the
+letters and the n-2 maps e_{0, q}.  The closed set is the same as
+closing the letters with all of S, so is every refusal, and the pair
+masks are too, as no semiconstant collides or focuses a pair.
 
 Everything here is deterministic: pools, levels, and level merges
 are ordered, so two runs produce the same result.  Every tuple in a
@@ -203,8 +213,8 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import compress, permutations
-from operator import itemgetter, or_
+from itertools import chain, compress, permutations, repeat
+from operator import or_
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .collisions import pair_index, pair_masks
@@ -231,17 +241,19 @@ DEFAULT_MAX_LETTERS = 10
 # ------------------------------------------------------------ canonical form
 
 
-def _conjugator(perm: Sequence[int]) -> tuple[bytes, itemgetter]:
+def _conjugator(perm: Sequence[int]) -> tuple[bytes, bytes]:
     """The pair conjugating a map t by perm, a state permutation sending
-    q to perm[q]: bytes(read(t.translate(table))) maps perm[q] to
-    perm[q t].  Translating by the table renames the images; the reader
-    then takes position k from the state perm sends to k."""
+    q to perm[q]: inverse.translate(raw_table(t)).translate(table) maps
+    perm[q] to perm[q t].  The inverse lists, for each k, the state perm
+    sends to k, so translating it by t's table reads t at that state;
+    translating by the table then renames the images.  Both steps are
+    C-level translates, with no tuple of ints in between."""
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    return raw_table(bytes(perm)), itemgetter(*inverse)
+    return raw_table(bytes(perm)), bytes(inverse)
 
 
 @lru_cache(maxsize=None)
-def _conjugators(n: int) -> dict[tuple[int, ...], tuple[bytes, itemgetter]]:
+def _conjugators(n: int) -> dict[tuple[int, ...], tuple[bytes, bytes]]:
     """_conjugator of every relabelling fixing 0 and n-1, keyed by the
     perm, in the order of permutations of the interior states; constant
     per-n data, built once and kept, like the search context."""
@@ -259,7 +271,8 @@ class _LetterForms(dict):
 
     def __missing__(self, t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
         conjugators = _conjugators(len(t))
-        images = [bytes(read(t.translate(table))) for table, read in conjugators.values()]
+        t_table = raw_table(t)
+        images = [inv.translate(t_table).translate(table) for table, inv in conjugators.values()]
         least = min(images)
         form = self[t] = least, tuple(compress(conjugators, map(least.__eq__, images)))
         return form
@@ -277,6 +290,7 @@ def _canonical_extensions(
     branch is sorted once per labelling, and each g inserts its one
     conjugate into it."""
     conjugators = _conjugators(len(additions[0]))
+    letter_tables = [raw_table(u) for u in letters]
     bases: dict[tuple[int, ...], tuple[RawMap, ...]] = {}
     shared: tuple[tuple[int, ...], ...] = ()
     least = None
@@ -295,12 +309,15 @@ def _canonical_extensions(
         else:
             perms = shared
         best = None
+        g_table = raw_table(g)
         for perm in perms:
-            table, read = conjugators[perm]
+            table, inverse = conjugators[perm]
             base = bases.get(perm)
             if base is None:
-                base = bases[perm] = tuple(sorted(bytes(read(u.translate(table))) for u in letters))
-            x = bytes(read(g.translate(table)))
+                base = bases[perm] = tuple(
+                    sorted(inverse.translate(u_table).translate(table) for u_table in letter_tables)
+                )
+            x = inverse.translate(g_table).translate(table)
             i = bisect_left(base, x)
             cand = base[:i] + (x,) + base[i:]
             if best is None or cand < best:
@@ -352,8 +369,10 @@ class _Context:
     n: int
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
-    # the n-1 semiconstants sending 0 alone, or 0 and one interior
-    # state, to n-1; they generate every semiconstant
+    # the n-2 semiconstants sending 0 and one interior state to n-1;
+    # with the one sending 0 alone to n-1 they generate every
+    # semiconstant, but that one is never walked: no admissible map has
+    # 0 as an image, so right multiplication by it fixes every map
     semiconstant_generators: tuple[RawMap, ...]
     # keyed by the admissible maps, so its keys are b_sf
     masks: dict[RawMap, tuple[int, int]]
@@ -396,7 +415,7 @@ def _context(n: int) -> _Context:
         n=n,
         pool=pool,
         semiconstants=semiconstants,
-        semiconstant_generators=tuple(t for t in semiconstants if t.count(n - 1) <= 3),
+        semiconstant_generators=tuple(t for t in semiconstants if t.count(n - 1) == 3),
         masks=masks,
         tables={t: raw_table(t) for t in bsf},
         vsf_elements=vsf,
@@ -420,13 +439,15 @@ def _close_all_admissible(
     refused the moment an element leaves the admissible sink family.
     The semiconstants are seen from the start and never walked; the
     seeds are the letters and each semiconstant times each letter, and
-    the walk multiplies by the letters and the n-1 semiconstant
+    the walk multiplies by the letters and the n-2 semiconstant
     generators (see the module docstring).  Returns the elements plus
     the union colliding and focused pair masks, which no semiconstant
     adds to, or None on refusal."""
-    seen = set(ctx.semiconstants)
+    semis = ctx.semiconstants
+    seen = set(semis)
     letter_tables = [ctx.tables[t] for t in letters]
-    seeds = [*letters, *(s.translate(tb) for tb in letter_tables for s in ctx.semiconstants)]
+    products = (map(bytes.translate, semis, repeat(tb)) for tb in letter_tables)
+    seeds = [*letters, *chain.from_iterable(products)]
     tables = letter_tables + [ctx.tables[g] for g in ctx.semiconstant_generators]
     found = close_raw(seeds, tables, seen=seen, within=ctx.masks)
     if found is None:
@@ -449,8 +470,13 @@ def _candidate_bits(members: AbstractSet[RawMap], coll: int, foc: int, ctx: _Con
             killed |= colliders
         if (coll >> b) & 1:
             killed |= focusers
+    # a branch's members are few next to the pool (at most 156 against
+    # 14,929 pool maps on level 1 at n = 7), so a bit each costs less
+    # than a pool-wide digit string
     index = ctx.index
-    killed |= _bits((index[t] for t in members if t in index), len(ctx.pool))
+    for t in members:
+        if t in index:
+            killed |= 1 << index[t]
     return ctx.pool_bits & ~killed
 
 
@@ -616,13 +642,15 @@ def initial_level(n: int) -> tuple[tuple[RawMap, ...], ...]:
     conjugator table: the pool is closed under those relabellings, so
     the first map not yet seen is its orbit's least, its canonical form
     (see the module docstring)."""
-    moves = _conjugators(n).values()
+    tables, inverses = zip(*_conjugators(n).values())
     seen: set[RawMap] = set()
     level = []
     for t in _context(n).pool:
         if t not in seen:
             level.append((t,))
-            seen.update(bytes(read(t.translate(table))) for table, read in moves)
+            # t read at each labelling's inverse, then renamed
+            reads = map(bytes.translate, inverses, repeat(raw_table(t)))
+            seen.update(map(bytes.translate, reads, tables))
     return tuple(level)
 
 

@@ -495,13 +495,13 @@ def restore_package_logger():
     logger.setLevel(level)
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
+def run_cli(*argv: str, module: str = "sfsyn.cli") -> subprocess.CompletedProcess:
     # a fresh interpreter, as the command is run from a shell
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "sfsyn.cli", *argv],
+        [sys.executable, "-m", module, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -542,6 +542,15 @@ def test_log_level_info_shows_the_search_progress():
     expected = search_max(4).to_json()
     assert search_doc(quiet.stdout) == expected
     assert search_doc(loud.stdout) == expected
+
+
+def test_the_package_runs_as_a_module(capsys):
+    # python -m sfsyn, from a checkout with src on the path and no install
+    assert run_cli("--help", module="sfsyn").returncode == 0
+    ran = run_cli("search", "--n", "4", module="sfsyn")
+    assert ran.returncode == main(["search", "--n", "4"]) == 0
+    body = capsys.readouterr().out.partition("\n# timing ")[0]
+    assert ran.stdout.partition("\n# timing ")[0] == body
 
 
 def test_log_level_works_in_process(capfd):

@@ -409,16 +409,27 @@ def test_branch_closure_matches_closing_every_semiconstant_on_drawn_branches(dat
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_the_semiconstant_sending_zero_alone_to_the_sink_fixes_every_admissible_map(n):
+    # why the branch closure never walks it: no admissible map has 0 as
+    # an image, and it moves only 0, so right multiplication by it is
+    # the identity on every map of b_sf
+    ctx = _context(n)
+    zero = bytes((n - 1, *range(1, n)))
+    assert zero in ctx.semiconstants and zero not in ctx.semiconstant_generators
+    assert all(x.translate(raw_table(zero)) == x for x in ctx.masks)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkeypatch, n):
     # S is seen before the walk, so the walk takes in no element of it;
-    # the tables are the letters' and the n-1 generators', sending 0
-    # alone, or 0 and one interior state, to n-1; no semiconstant adds
-    # a pair mask
+    # the tables are the letters' and the n-2 generators', sending 0 and
+    # one interior state to n-1 (the one sending 0 alone to n-1 fixes
+    # every admissible map, see the test above); no semiconstant adds a
+    # pair mask
     ctx = _context(n)
     semis = set(ctx.semiconstants)
     last = n - 1
-    generators = {bytes((last, *range(1, n)))}
-    generators |= {bytes(last if p in (0, q) else p for p in range(n)) for q in range(1, last)}
+    generators = {bytes(last if p in (0, q) else p for p in range(n)) for q in range(1, last)}
     assert set(ctx.semiconstant_generators) == generators
     assert all(ctx.masks[s] == (0, 0) for s in semis)
     calls = []
@@ -436,7 +447,7 @@ def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkey
     assert seen == semis
     assert found and not semis & set(found)
     assert tables == [ctx.tables[g] for g in (*letters, *ctx.semiconstant_generators)]
-    assert len(tables) == len(letters) + n - 1
+    assert len(tables) == len(letters) + n - 2
 
 
 def branch_tables(letters, ctx):
@@ -1031,9 +1042,11 @@ def assert_branch_matches_references(members, coll, foc, target, use_count, ctx)
         ((4,), {}, {"terminal": 5}),
         ((5,), {}, {"terminal": 18, "pruned": 2}),
         ((6,), {}, {"terminal": 54, "pruned": 11}),
+        # the largest pool, 14,929 maps, for stage one's bit per member
+        ((7,), {}, {"terminal": 144, "pruned": 29}),
         ((5, 72), {"max_letters": 2}, {"terminal": 94, "pruned": 79, None: 374}),
     ],
-    ids=["n4", "n5", "n6", "n5-t72-l2"],
+    ids=["n4", "n5", "n6", "n7", "n5-t72-l2"],
 )
 def test_bitsets_match_the_references_on_every_searched_branch(monkeypatch, args, kwargs, census):
     # every branch the search judges, with the search's own target and
@@ -1060,6 +1073,23 @@ def test_bitsets_match_the_references_on_every_searched_branch(monkeypatch, args
     assert len(stage_ones) == r.stats.visited - r.stats.rejected_selections
     # branches the count prune ends never reach the case analysis
     assert verdicts == census
+
+
+def test_case_analysis_keeps_a_side_choice_with_exactly_the_needed_survivors():
+    """The case analysis's count rule kills a side choice only when it
+    keeps fewer candidates than the branch still needs.  On the level-1
+    branch of the letter 1 2 3 5 2 5 at n = 6, 33 members with 610
+    candidates and no family cutoff below 501, the verdict is open at
+    target 487 and pruned at 488: some choice keeps exactly the 454
+    candidates that 487 needs and none keeps more.  Turning < into <= in
+    _leaf_verdict's count rule prunes at 487 as well, and fails here."""
+    ctx = _context(6)
+    letters = (bytes((1, 2, 3, 5, 2, 5)),)
+    assert letters in initial_level(6)
+    members, coll, foc = _close_all_admissible(letters, ctx)
+    assert (len(members), _candidate_bits(members, coll, foc, ctx).bit_count()) == (33, 610)
+    assert assert_branch_matches_references(members, coll, foc, 487, True, ctx) is None
+    assert assert_branch_matches_references(members, coll, foc, 488, True, ctx) == "pruned"
 
 
 @settings(deadline=None, max_examples=120)
@@ -1173,7 +1203,8 @@ def test_count_prune_never_cuts_a_level_one_branch_inside_the_maximal_family(n):
     (1, 4, 16 and 61 for n = 4 to 7): with < turned into <= in _judge's
     count rule it fails.  The same mutant in _leaf_verdict leaves every
     level-1 outcome unchanged at these targets, so this check cannot see
-    that one."""
+    that one; the test of a side choice with exactly the needed
+    survivors does."""
     ctx = _context(n)
     family = ctx.vsf_elements if n <= 5 else ctx.wsf_elements
     target = max(len(ctx.vsf_elements), wsf_bound(n))
