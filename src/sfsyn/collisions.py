@@ -19,16 +19,17 @@ without testing its states first.  Pairs are tuples only in PairStatus.
 Each semigroup is read once, by one column pass over its raw maps
 (scan_columns), and keeps what it found: its w_sf bytes, the colliding
 and focused masks, per pair bit the first witness of each relation in
-discovery order, and the first map moving n-1; only witnesses become
-Transformation objects.  The pass takes no Python step per map.  It
-joins FLAGS_CHUNK maps at a time, so that the images of one state under
-every map of the chunk are one slice, a column, and translates columns
-into lanes: ints with one byte per map, which combine with & and | for
-every map of the chunk at once.  One code table ANDed over the interior
-columns gives the w_sf bytes; lanes with a bit per interior target
-decide each pair, and a first witness is the lowest non-zero byte of
-the pair's result.  colliding_bits and focused_triples are the same
-pair rules for one map, which pair_masks and the tests use.
+discovery order, and the first map moving n-1.  Witnesses stay raw maps,
+in the per-pair report (pair_statuses) too.  The pass takes no Python
+step per map.  It joins FLAGS_CHUNK maps at a time, so that the images
+of one state under every map of the chunk are one slice, a column, and
+translates columns into lanes: ints with one byte per map, which combine
+with & and | for every map of the chunk at once.  One code table ANDed
+over the interior columns gives the w_sf bytes; lanes with a bit per
+interior target decide each pair, and a first witness is the lowest
+non-zero byte of the pair's result.  pair_masks is the same pair rule
+for one map, both masks in one pass over its interior states; the search
+reads it.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from operator import and_, or_
 from typing import NamedTuple, Sequence
 
 from .semigroup import RawMap, TransitionSemigroup
-from .transform import Transformation, format_transformation
+from .transform import format_transformation
 
 
 FLAGS_CHUNK = 4096  # maps joined per chunk of the column pass
@@ -51,21 +52,17 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class PairStatus:
-    """One interior pair with the first element in discovery order that
-    makes it colliding, and the first that focuses it (with its target):
-    focused_by holds at most one entry."""
+    """One interior pair with its first witnesses in discovery order, as
+    the pair scan keeps them: the first raw map colliding it, and the
+    first focusing it with its target; None where there is none."""
 
     pair: tuple[int, int]  # p < q, both interior
-    colliding_by: Transformation | None
-    focused_by: tuple[tuple[Transformation, int], ...]
+    colliding_by: RawMap | None
+    focused_by: tuple[RawMap, int] | None
 
     @property
     def colliding(self) -> bool:
         return self.colliding_by is not None
-
-    @property
-    def focused(self) -> bool:
-        return bool(self.focused_by)
 
 
 class PairIndex(NamedTuple):
@@ -86,47 +83,29 @@ def pair_index(n: int) -> PairIndex:
     return PairIndex(pairs, tuple(bit))
 
 
-def colliding_bits(images: Sequence[int]) -> int:
-    """The one colliding-pair rule, on an image sequence (a tuple or a
-    raw byte map), as a mask: the pair {0t, rt} for every interior r
-    whose image is interior and differs from the interior image of 0.
-    The index's zeros drop every other pair, and all of them when 0t is
-    not interior."""
+def pair_masks(images: Sequence[int]) -> tuple[int, int]:
+    """The one per-map pair rule, on an image sequence (a tuple or a raw
+    byte map): its colliding and its focused pairs, as masks over
+    pair_index.  It collides {0t, qt} for every interior q whose image
+    is interior and differs from the interior image of 0; the index's
+    zeros drop every other pair, and all of them when 0t is not
+    interior.  It focuses {p, q} for interior p < q both sent to one
+    interior state, so three or more sources of one image give every
+    pair among them."""
     n = len(images)
+    last = n - 1
     bit = pair_index(n).bit
     row = images[0] * n
-    mask = 0
-    for q in images[1 : n - 1]:
-        mask |= bit[row + q]
-    return mask
-
-
-def focused_triples(images: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The one focused-pair rule, on an image sequence: (p, q, r) for
-    interior p < q both sent to the interior state r.  Three or more
-    sources of one image give every pair among them."""
-    n = len(images)
-    sources: dict[int, list[int]] = {}
-    out = []
-    for q in range(1, n - 1):
-        r = images[q]
-        if 0 < r < n - 1:
+    colliding = focused = 0
+    sources: dict[int, list[int]] = {}  # interior target to p * n of its earlier sources
+    for q, r in enumerate(images[1:last], 1):
+        colliding |= bit[row + r]
+        if 0 < r < last:
             earlier = sources.setdefault(r, [])
             for p in earlier:
-                out.append((p, q, r))
-            earlier.append(q)
-    return out
-
-
-def pair_masks(images: Sequence[int]) -> tuple[int, int]:
-    """The colliding and the focused pairs of an image sequence, as
-    masks over pair_index."""
-    n = len(images)
-    bit = pair_index(n).bit
-    focused = 0
-    for p, q, _ in focused_triples(images):
-        focused |= bit[p * n + q]
-    return colliding_bits(images), focused
+                focused |= bit[p + q]
+            earlier.append(q * n)
+    return colliding, focused
 
 
 @dataclass(frozen=True)
@@ -279,11 +258,8 @@ def pair_statuses(sg: TransitionSemigroup) -> tuple[PairStatus, ...]:
     """Status of every unordered interior pair, in lexicographic order,
     each relation with its first witness in discovery order."""
     scan = checked_scan(sg)
+    colliders, focusers = scan.colliding_by, scan.focused_by
     return tuple(
-        PairStatus(
-            pair=pair,
-            colliding_by=Transformation(tuple(x)) if (x := scan.colliding_by.get(1 << i)) else None,
-            focused_by=((Transformation(tuple(f[0])), f[1]),) if (f := scan.focused_by.get(1 << i)) else (),
-        )
+        PairStatus(pair, colliders.get(1 << i), focusers.get(1 << i))
         for i, pair in enumerate(pair_index(sg.n).pairs)
     )

@@ -30,24 +30,25 @@ the same walk only when some pair is read.  The mask is the plain int
 checked_scan(sg).colliding, over collisions.pair_index(n); pairs are
 tuples only where the inverse reads the shape around their two states.
 
-verify_injective takes a consistent semigroup only: every element fixes
-n-1, and no interior pair is both colliding and focused, as in the
-transition semigroup of a minimal suffix-free DFA; anything else raises
-StructureError, from the one checked pair scan.  A w_sf map of such a
-semigroup focuses no colliding pair, so the inverse reads it as case 1,
-and verify_injective counts case 1 off the w_sf bytes of the same pass
-(collisions.scan_columns) with no step per map; only the other maps go
-through the embedding, and each of their images sends 0 to n-1, so
-none is its own map.  They reach it through _phi.  verify_injective and
-strict_bound_witness refuse n < 7 before any map reaches the kernel, and
-every map they pass has the semigroup's n, so the kernel checks neither.
+verify_injective and strict_bound_witness take a consistent semigroup
+only: every element fixes n-1, and no interior pair is both colliding
+and focused, as in the transition semigroup of a minimal suffix-free
+DFA; anything else raises StructureError, from the one checked pair scan
+(_consistent_scan).  A w_sf map of such a semigroup focuses no colliding
+pair, so the inverse reads it as case 1, and verify_injective counts
+case 1 off the w_sf bytes of the same pass (collisions.scan_columns)
+with no step per map; only the other maps go through the embedding, and
+each of their images sends 0 to n-1, so none is its own map.  They reach
+it through _phi.  verify_injective and strict_bound_witness refuse n < 7
+before any map reaches the kernel, and every map they pass has the
+semigroup's n, so the kernel checks neither.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-from .collisions import StructureError, checked_scan, pair_index
+from .collisions import PairScan, StructureError, checked_scan, pair_index
 from .semigroup import RawMap, TransitionSemigroup, in_bsf_images, in_wsf_images, wsf_bound
 from .transform import Transformation, format_transformation, zero_path
 
@@ -449,19 +450,22 @@ class InjectivityReport:
             and self.counterexample is None
         )
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "size": self.size,
-            "bound": self.bound,
-            "case_counts": dict(sorted(self.case_counts.items())),
-            "all_images_collapsing": self.all_images_collapsing,
-            "images_distinct": self.images_distinct,
-            "round_trips": self.round_trips,
-            "within_bound": self.within_bound,
-            "counterexample": self.counterexample,
-            "passed": self.passed,
-        }
+
+def _consistent_scan(sg: TransitionSemigroup) -> PairScan:
+    """The semigroup's checked pair scan, once no interior pair is both
+    colliding and focused: StructureError names the least such pair
+    with its first colliding and first focusing map."""
+    scan = checked_scan(sg)
+    if both := scan.colliding & scan.focused:
+        low = both & -both
+        p, q = pair_index(sg.n).pairs[low.bit_length() - 1]
+        focuser, r = scan.focused_by[low]
+        raise StructureError(
+            f"pair {{{p}, {q}}} is colliding, first by "
+            f"{format_transformation(scan.colliding_by[low])}, and focused onto "
+            f"{r}, first by {format_transformation(focuser)}"
+        )
+    return scan
 
 
 def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
@@ -483,16 +487,7 @@ def verify_injective(sg: TransitionSemigroup) -> InjectivityReport:
     where it first shows."""
     if sg.n < 7:  # the kernel's cases need it, and it checks no n itself
         raise ValueError("the embedding needs n >= 7")
-    scan = checked_scan(sg)
-    if both := scan.colliding & scan.focused:
-        low = both & -both
-        p, q = pair_index(sg.n).pairs[low.bit_length() - 1]
-        focuser, r = scan.focused_by[low]
-        raise StructureError(
-            f"pair {{{p}, {q}}} is colliding, first by "
-            f"{format_transformation(scan.colliding_by[low])}, and focused onto "
-            f"{r}, first by {format_transformation(focuser)}"
-        )
+    scan = _consistent_scan(sg)
     colliding = scan.colliding
     raw = sg.raw
     wsf = scan.wsf
@@ -572,13 +567,15 @@ def strict_bound_witness(sg: TransitionSemigroup) -> Transformation | None:
     the first colliding pair, the least bit of the scan's colliding
     mask: the pair is focused onto its larger state and three spare
     states form a 3-cycle, a shape no case produces.  Returns None when
-    the semigroup has no colliding pair.  CaseExhaustionError when the
-    witness is not in w_sf, is an element, or has an inverse under the
-    scan's colliding mask, the one mask the inverse reads."""
+    the semigroup has no colliding pair.  The semigroup must be
+    consistent, as for verify_injective: StructureError otherwise.
+    CaseExhaustionError when the witness is not in w_sf, is an element,
+    or has an inverse under the scan's colliding mask, the one mask the
+    inverse reads."""
     if sg.n < 7:
         raise ValueError("the strict-bound witness needs n >= 7")
     n = sg.n
-    colliding = checked_scan(sg).colliding
+    colliding = _consistent_scan(sg).colliding
     if not colliding:
         return None
     p, r = pair_index(n).pairs[(colliding & -colliding).bit_length() - 1]

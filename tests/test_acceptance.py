@@ -1,4 +1,4 @@
-"""Acceptance gate: ten frozen criteria, one verdict line each.
+"""Acceptance gate: eleven frozen criteria, one verdict line each.
 
 Each criterion owns one test and prints a single PASS/FAIL line, so a
 verbose run reads as a checklist.  Expected numbers are pinned here as
@@ -25,6 +25,7 @@ from sfsyn.injection import _phi, strict_bound_witness, verify_injective
 from sfsyn.search import search_max
 from sfsyn.semigroup import (
     closure,
+    enumerate_bsf,
     enumerate_wsf,
     in_bsf_images,
     in_wsf,
@@ -58,6 +59,10 @@ SEARCH_SEVEN_S = 10.0
 SEARCH_SMALL_S = 1.0  # runs 0.0017-0.0024 s
 SEARCH_SIX_S = 1.0  # runs 0.0084-0.0153 s
 LETTER_DROPS_S = 1.0  # runs 0.0135-0.0218 s
+PREMISE_SWEEP_S = 11.3  # 25x the slowest of three runs (0.41-0.45 s, 2-core Xeon)
+# the four-state premise sweep: DFAs swept, minimal suffix-free ones
+# among them, and the size of b_sf(4), which their semigroups meet
+PREMISE_DFAS, PREMISE_MINIMAL, BSF_FOUR = 46800, 328, 15
 
 
 @contextmanager
@@ -190,7 +195,7 @@ def test_criterion_04_collision_dichotomy():
         for n in (4, 5):
             statuses = pair_statuses(closure(vsf_generators(n)))
             assert all(s.colliding for s in statuses), f"n={n}"
-            assert not any(s.focused for s in statuses), f"n={n}"
+            assert all(s.focused_by is None for s in statuses), f"n={n}"
 
 
 def test_criterion_05_embedding_over_sampled_semigroups(sampled_semigroups):
@@ -291,3 +296,37 @@ def test_criterion_10_empty_state_and_zero_paths(seven_state_dfas, small_corpus)
                 assert zp.states[-1] == sink, (d, t)
             checked += 1
         assert checked >= SEVEN_SAMPLE_COUNT + 6
+
+
+def test_criterion_11_bsf_premise_on_four_states():
+    """The premise behind the candidate maps: every element of the
+    transition semigroup of a minimal suffix-free DFA is in b_sf.  The
+    sweep takes every DFA on 4 states with three distinct letters that
+    fix 3 and send no state to 0, under all 16 final sets.  Restricting
+    the letters so assumes the premise's first two facts, an empty
+    state (here 3) and no state mapping to the initial state 0, which
+    only a sweep over unrestricted letters would check; the rest of the
+    premise is checked on every semigroup the sweep meets."""
+    with _verdict(11, "minimal suffix-free DFAs on 4 states stay in b_sf and meet all of it"):
+        start = time.perf_counter()
+        letters = [Transformation(images + (3,)) for images in itertools.product((1, 2, 3), repeat=3)]
+        finals_sets = [
+            frozenset(finals) for k in range(5) for finals in itertools.combinations(range(4), k)
+        ]
+        swept = kept = outside = 0
+        met = set()
+        for delta in itertools.combinations(letters, 3):
+            for finals in finals_sets:
+                d = Dfa(4, ("a", "b", "c"), delta, 0, finals)
+                swept += 1
+                if suffix_free_violation(d) is None and is_minimal(d):
+                    kept += 1
+                    for x in transition_semigroup(d).raw:
+                        if in_bsf_images(x):
+                            met.add(x)
+                        else:
+                            outside += 1
+        assert (swept, kept, outside) == (PREMISE_DFAS, PREMISE_MINIMAL, 0)
+        assert met == {bytes(t.images) for t in enumerate_bsf(4)}
+        assert len(met) == BSF_FOUR
+        assert time.perf_counter() - start < PREMISE_SWEEP_S

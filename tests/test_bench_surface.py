@@ -4,7 +4,9 @@ each must exist, so that removing one fails here rather than in a
 benchmark run.  The other way round, every function the package exports
 must be run by the CLI, the benchmark or another package module, not by
 the tests alone.  And the interior pairs have one encoding, the
-collisions module's pair_index, so no other module orders them itself.
+collisions module's pair_index, so no other module orders them itself,
+and the collisions module keeps its witnesses as raw maps: it never
+names Transformation.
 The search reports from its own closures: it builds no DFA and re-checks
 no reported semigroup's consistency.  One function writes the CLI's
 timing lines, and no report takes a switch to include its timings.  The
@@ -148,6 +150,34 @@ def test_the_pair_order_guard_sees_each_form():
     assert pair_order_builders("import itertools\nitertools.combinations(r, 2)") == [2]
     assert pair_order_builders("[(p, q) for p in r for q in range(p + 1, n)]") == [1]
     assert pair_order_builders("from itertools import compress, permutations") == []
+
+
+def transformation_uses(source: str) -> list[int]:
+    # lines that import, read as an attribute or otherwise name
+    # Transformation
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "Transformation" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "Transformation":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "Transformation":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_pair_layer_never_names_transformation():
+    source = (SRC / "collisions.py").read_text(encoding="utf-8")
+    assert transformation_uses(source) == []
+
+
+def test_the_transformation_guard_sees_each_form():
+    assert transformation_uses("from .transform import Transformation, format_transformation") == [1]
+    assert transformation_uses("from . import transform\nx = transform.Transformation") == [2]
+    assert transformation_uses("x\ny\nt = Transformation(tuple(x))") == [3]
+    assert transformation_uses("def f(x) -> Transformation | None:\n    return x") == [1]
+    assert transformation_uses("from .transform import format_transformation\nformat_transformation(x)") == []
 
 
 def dfa_and_recheck_uses(source: str) -> list[int]:

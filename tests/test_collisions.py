@@ -21,7 +21,6 @@ from sfsyn.collisions import (
     PairScan,
     StructureError,
     checked_scan,
-    focused_triples,
     pair_index,
     pair_masks,
     pair_statuses,
@@ -55,17 +54,28 @@ def colliding_pairs(images):
     return out
 
 
+def focusing_triples(images):
+    # the focused-pair rule by brute force over every interior pair:
+    # (p, q, r) for interior p < q both sent to the interior state r
+    n = len(images)
+    return [
+        (p, q, images[p])
+        for p, q in combinations(range(1, n - 1), 2)
+        if images[p] == images[q] and 0 < images[p] < n - 1
+    ]
+
+
 def full_pair_statuses(sg):
     # the full-list scan the one-pass scan replaced, kept as its oracle:
     # (pair, first collider, every focuser with its target) per pair,
-    # all in discovery order
+    # all raw maps in discovery order
     n = sg.n
     colliders, focusers = {}, {}
-    for t in (Transformation(tuple(x)) for x in sg.raw):
-        for pair in colliding_pairs(t.images):
-            colliders.setdefault(pair, t)
-        for p, q, r in focused_triples(t.images):
-            focusers.setdefault((p, q), []).append((t, r))
+    for x in sg.raw:
+        for pair in colliding_pairs(x):
+            colliders.setdefault(pair, x)
+        for p, q, r in focusing_triples(x):
+            focusers.setdefault((p, q), []).append((x, r))
     return [
         (pair, colliders.get(pair), tuple(focusers.get(pair, ())))
         for pair in combinations(range(1, n - 1), 2)
@@ -81,19 +91,18 @@ def assert_scan_matches_oracle(sg):
     # each pair's first witnesses as raw maps, read off the scan itself,
     # since pair_statuses refuses a semigroup with a map moving n-1
     for i, (pair, collider, focusers) in enumerate(oracle):
-        assert scan.colliding_by.get(1 << i) == (collider and bytes(collider.images)), pair
-        first_focus = focusers and (bytes(focusers[0][0].images), focusers[0][1])
-        assert scan.focused_by.get(1 << i) == (first_focus or None), pair
+        assert scan.colliding_by.get(1 << i) == collider, pair
+        assert scan.focused_by.get(1 << i) == (focusers[0] if focusers else None), pair
     if scan.unfixed is not None:
         with pytest.raises(StructureError):
             pair_statuses(sg)
         return
     statuses = pair_statuses(sg)
     assert [s.pair for s in statuses] == [pair for pair, _, _ in oracle]
-    for s, (pair, collider, focusers) in zip(statuses, oracle):
-        assert s.colliding_by == collider, pair
-        assert s.focused == bool(focusers), pair
-        assert s.focused_by == focusers[:1], pair
+    # the report holds the scan's own witnesses, unconverted
+    for i, s in enumerate(statuses):
+        assert s.colliding_by is scan.colliding_by.get(1 << i), s.pair
+        assert s.focused_by is scan.focused_by.get(1 << i), s.pair
     # the scan's masks: bit i for the i-th pair of the oracle's order
     assert scan.colliding == sum(1 << i for i, (_, c, _) in enumerate(oracle) if c is not None)
     assert scan.focused == sum(1 << i for i, (_, _, f) in enumerate(oracle) if f)
@@ -118,7 +127,7 @@ def tuple_rule_masks(images):
     coll = foc = 0
     for pair in colliding_pairs(images):
         coll |= 1 << order.index(pair)
-    for p, q, _ in focused_triples(images):
+    for p, q, _ in focusing_triples(images):
         foc |= 1 << order.index((p, q))
     return coll, foc
 
@@ -146,10 +155,15 @@ def test_pair_index_is_symmetric_and_zero_off_interior_pairs(n):
 
 
 def test_focused_pairs_of_examples():
-    # 1 and 2 both land on 2: focused triple (1, 2, 2)
-    assert focused_triples(Transformation((1, 2, 2, 3, 4)).images) == [(1, 2, 2)]
+    # 1 and 2 both land on 2: focused triple (1, 2, 2), the bit of {1, 2}
+    assert focusing_triples((1, 2, 2, 3, 4)) == [(1, 2, 2)]
+    assert pair_masks((1, 2, 2, 3, 4))[1] == pair_index(5).bit[1 * 5 + 2]
     # landing together on n-1 is not a focus
-    assert focused_triples(Transformation((1, 4, 4, 4, 4)).images) == []
+    assert focusing_triples((1, 4, 4, 4, 4)) == []
+    assert pair_masks((1, 4, 4, 4, 4))[1] == 0
+    # three sources of one image focus every pair among them
+    assert focusing_triples((5, 1, 1, 1, 2, 5)) == [(1, 2, 1), (1, 3, 1), (2, 3, 1)]
+    assert pair_masks(bytes((5, 1, 1, 1, 2, 5)))[1] == 0b1011  # {1, 2}, {1, 3}, {2, 3}
 
 
 # ----------------------------------------------------------- pair status
@@ -167,7 +181,7 @@ def test_injective_family_all_pairs_colliding_never_focused():
         statuses = pair_statuses(sg)
         assert len(statuses) == (n - 2) * (n - 3) // 2
         assert all(s.colliding for s in statuses)
-        assert all(not s.focused for s in statuses)
+        assert all(s.focused_by is None for s in statuses)
 
 
 def test_vsf5_pairs_enumerated():
@@ -178,7 +192,7 @@ def test_vsf5_pairs_enumerated():
 def test_identity_semigroup_all_quiet():
     sg = closure([Transformation(tuple(range(5)))])
     for s in pair_statuses(sg):
-        assert not s.colliding and not s.focused
+        assert s.colliding_by is None and s.focused_by is None
 
 
 def test_colliding_witness_is_first_in_discovery_order():
@@ -187,7 +201,7 @@ def test_colliding_witness_is_first_in_discovery_order():
     assert status.pair == (1, 2)
     # generators a and b coincide at n=4 and collide nothing; the first
     # collider discovered is the 0->1 generator
-    assert status.colliding_by.images == (1, 3, 2, 3)
+    assert status.colliding_by == bytes((1, 3, 2, 3))
 
 
 def test_structure_error_when_last_state_moves():
@@ -366,7 +380,7 @@ def oracle_scan(sg):
     for x in sg.raw:
         for p, q in colliding_pairs(x):
             colliders.setdefault(bit[p * n + q], x)
-        for p, q, r in focused_triples(x):
+        for p, q, r in focusing_triples(x):
             focusers.setdefault(bit[p * n + q], (x, r))
     unfixed = next((x for x in sg.raw if x[n - 1] != n - 1), None)
     return PairScan(sum(colliders), sum(focusers), colliders, focusers, unfixed, flags_oracle(sg.raw))
@@ -379,8 +393,7 @@ def test_scan_never_runs_the_per_map_rules(monkeypatch):
     def refuse(images):
         raise AssertionError("the pair scan ran a per-map rule")
 
-    monkeypatch.setattr(collisions, "focused_triples", refuse)
-    monkeypatch.setattr(collisions, "colliding_bits", refuse)
+    monkeypatch.setattr(collisions, "pair_masks", refuse)
     assert [sg.pair_scan for sg in semigroups] == expected
 
 

@@ -30,7 +30,7 @@ from sfsyn.semigroup import (
     witness_letters,
     wsf_bound,
 )
-from sfsyn.collisions import focused_triples, pair_index, pair_masks
+from sfsyn.collisions import pair_index, pair_masks
 from sfsyn.dfa import Dfa, suffix_free_violation, witness
 import sfsyn.search as search_module
 from sfsyn.search import (
@@ -51,7 +51,7 @@ from sfsyn.search import (
     initial_level,
     search_max,
 )
-from test_collisions import colliding_pairs, consistent
+from test_collisions import colliding_pairs, consistent, focusing_triples
 
 
 def conjugate_raw(t: bytes, perm) -> bytes:
@@ -323,7 +323,7 @@ def oracle_additions(sg, gens):
         colliding, focused = set(), set()
         for e in grown.raw:
             colliding.update(colliding_pairs(e))
-            focused.update((p, q) for p, q, _ in focused_triples(e))
+            focused.update((p, q) for p, q, _ in focusing_triples(e))
         if colliding == every or focused == every:
             continue
         out.add(t)
