@@ -50,11 +50,11 @@ class StructureError(ValueError):
     """The semigroup violates a structural precondition."""
 
 
-@dataclass(frozen=True)
-class PairStatus:
+class PairStatus(NamedTuple):
     """One interior pair with its first witnesses in discovery order, as
     the pair scan keeps them: the first raw map colliding it, and the
-    first focusing it with its target; None where there is none."""
+    first focusing it with its target; None where there is none.  A
+    NamedTuple, as one is built per pair on every pair_statuses call."""
 
     pair: tuple[int, int]  # p < q, both interior
     colliding_by: RawMap | None

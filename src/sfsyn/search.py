@@ -56,7 +56,12 @@ closures reject none of the survivors.  Judging a branch ends with the
 filter.  Only once the whole level is judged does the level loop build
 the next one: each survivor, appended to its branch's letters and
 canonicalized, is kept when irreducible, unless the level sits at the
-letter cap.
+letter cap.  Irreducible means that no letter lies in the closure of the
+others, each closed in full (semigroup.irreducible_raw).
+
+Levels past the first serve only searches below the known maximum, as
+sfsyn search --target and the search-deep benchmark run them; at the
+paper's targets every search at n = 4..7 closes at level 1.
 
 The filter reads product rows over pool positions, a product table in
 the sense of Froidure and Pin, "Algorithms for computing finite
@@ -211,7 +216,7 @@ import logging
 import time
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, compress, permutations, repeat
 from operator import or_
@@ -716,6 +721,14 @@ class SearchStats:
     level_judge_s: tuple[float, ...]
 
 
+_TIMING_FIELDS = ("wall_time_s", "level_wall_s", "level_judge_s")  # kept out of to_json
+
+
+def _field_values(obj) -> dict:
+    # a dataclass's fields by name, in declaration order
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """Outcome of one bounded search run.
@@ -752,24 +765,10 @@ class SearchResult:
 
     def to_json(self) -> dict:
         def record(r: SemigroupRecord) -> dict:
-            return {
-                "kind": r.kind,
-                "size": r.size,
-                "letters": [list(t.images) for t in r.letters],
-                "level": r.level,
-            }
+            return {**_field_values(r), "letters": [list(t.images) for t in r.letters]}
 
-        stats = {
-            "visited": self.stats.visited,
-            "pruned": self.stats.pruned,
-            "selections": self.stats.selections,
-            "rejected_selections": self.stats.rejected_selections,
-            "terminal_selections": self.stats.terminal_selections,
-            "pruned_selections": self.stats.pruned_selections,
-            "extensions": self.stats.extensions,
-            "level_sizes": list(self.stats.level_sizes),
-            "capped": self.stats.capped,
-        }
+        stats = {k: v for k, v in _field_values(self.stats).items() if k not in _TIMING_FIELDS}
+        stats["level_sizes"] = list(stats["level_sizes"])
         return {
             "n": self.n,
             "target": self.target,

@@ -24,7 +24,8 @@ runs through one kernel, close_raw: a breadth-first pass that
 right-multiplies a queue of raw maps by a list of tables until nothing
 new appears (Froidure and Pin's right Cayley graph walk).  It returns
 the finds in discovery order, can refuse the moment a find leaves a
-given set, and can hand back the set of finds it built.  A
+given set (the search's admissibility test), and can hand back the set
+of finds it built.  A
 TransitionSemigroup holds raw maps in discovery order and caches the
 one pass over them (collisions.scan_columns): its w_sf bytes and its
 colliding and focused pairs, read off columns of the joined maps.
@@ -94,7 +95,8 @@ def close_raw(
     given, every find is added to that set, so the caller keeps the set
     of the closure without building another; a map already in it counts
     as found and is never walked.  With within given, the pass stops
-    and returns None the moment a seed or a find is not in it."""
+    and returns None the moment a seed or a find is not in it: the
+    search's refusal of a branch that leaves the admissible family."""
     if seen is None:
         seen = set()
     order: list[RawMap] = []
@@ -115,29 +117,15 @@ def close_raw(
     return order
 
 
-class _AllBut:
-    # every map but one: makes close_raw stop the moment it appears
-    __slots__ = ("g",)
-
-    def __init__(self, g: RawMap) -> None:
-        self.g = g
-
-    def __contains__(self, y: object) -> bool:
-        return y != self.g
-
-
 def irreducible_raw(letters: Sequence[RawMap]) -> bool:
-    """True iff no letter lies in the closure of the others; a repeated
-    letter is never irreducible.  Each closure stops as soon as the
-    letter left out shows up."""
+    """True iff no letter lies in the closure of the others, each closed
+    in full by close_raw.  A repeated letter lies in its twin's closure,
+    and a lone letter is not in the empty one."""
     tables = [raw_table(g) for g in letters]
-    for i, g in enumerate(letters):
-        rest = [*letters[:i], *letters[i + 1 :]]
-        if not rest:
-            continue  # a single letter is never redundant
-        if close_raw(rest, tables[:i] + tables[i + 1 :], within=_AllBut(g)) is None:
-            return False
-    return True
+    return not any(
+        g in close_raw([*letters[:i], *letters[i + 1 :]], tables[:i] + tables[i + 1 :])
+        for i, g in enumerate(letters)
+    )
 
 
 def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:

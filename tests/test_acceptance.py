@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven frozen criteria, one verdict line each.
+"""Acceptance gate: twelve frozen criteria, one verdict line each.
 
 Each criterion owns one test and prints a single PASS/FAIL line, so a
 verbose run reads as a checklist.  Expected numbers are pinned here as
@@ -60,9 +60,12 @@ SEARCH_SMALL_S = 1.0  # runs 0.0017-0.0024 s
 SEARCH_SIX_S = 1.0  # runs 0.0084-0.0153 s
 LETTER_DROPS_S = 1.0  # runs 0.0135-0.0218 s
 PREMISE_SWEEP_S = 11.3  # 25x the slowest of three runs (0.41-0.45 s, 2-core Xeon)
+PREMISE_FIVE_S = 48.3  # 25x the slowest of three runs (1.89-1.93 s, 2-core Xeon)
 # the four-state premise sweep: DFAs swept, minimal suffix-free ones
 # among them, and the size of b_sf(4), which their semigroups meet
 PREMISE_DFAS, PREMISE_MINIMAL, BSF_FOUR = 46800, 328, 15
+# the five-state premise sweep, likewise, with the size of b_sf(5)
+PREMISE_FIVE_DFAS, PREMISE_FIVE_MINIMAL, BSF_FIVE = 228480, 1908, 115
 
 
 @contextmanager
@@ -298,6 +301,28 @@ def test_criterion_10_empty_state_and_zero_paths(seven_state_dfas, small_corpus)
         assert checked >= SEVEN_SAMPLE_COUNT + 6
 
 
+def _premise_sweep(n, deltas, finals_sets):
+    """Every DFA on n states with initial state 0, one per letter tuple
+    of deltas and final set: how many were swept, how many are minimal
+    and suffix-free, how many elements of their semigroups lie outside
+    b_sf, and the raw maps met inside it."""
+    swept = kept = outside = 0
+    met = set()
+    for delta in deltas:
+        names = tuple("abcdefgh"[: len(delta)])
+        for finals in finals_sets:
+            d = Dfa(n, names, delta, 0, finals)
+            swept += 1
+            if suffix_free_violation(d) is None and is_minimal(d):
+                kept += 1
+                for x in transition_semigroup(d).raw:
+                    if in_bsf_images(x):
+                        met.add(x)
+                    else:
+                        outside += 1
+    return swept, kept, outside, met
+
+
 def test_criterion_11_bsf_premise_on_four_states():
     """The premise behind the candidate maps: every element of the
     transition semigroup of a minimal suffix-free DFA is in b_sf.  The
@@ -313,20 +338,32 @@ def test_criterion_11_bsf_premise_on_four_states():
         finals_sets = [
             frozenset(finals) for k in range(5) for finals in itertools.combinations(range(4), k)
         ]
-        swept = kept = outside = 0
-        met = set()
-        for delta in itertools.combinations(letters, 3):
-            for finals in finals_sets:
-                d = Dfa(4, ("a", "b", "c"), delta, 0, finals)
-                swept += 1
-                if suffix_free_violation(d) is None and is_minimal(d):
-                    kept += 1
-                    for x in transition_semigroup(d).raw:
-                        if in_bsf_images(x):
-                            met.add(x)
-                        else:
-                            outside += 1
+        swept, kept, outside, met = _premise_sweep(4, itertools.combinations(letters, 3), finals_sets)
         assert (swept, kept, outside) == (PREMISE_DFAS, PREMISE_MINIMAL, 0)
         assert met == {bytes(t.images) for t in enumerate_bsf(4)}
         assert len(met) == BSF_FOUR
         assert time.perf_counter() - start < PREMISE_SWEEP_S
+
+
+def test_criterion_12_bsf_premise_on_five_states():
+    """The premise of criterion 11 at five states: every DFA on 5 states
+    with two distinct letters that fix 4 and send no state to 0, under
+    each of the 7 non-empty final sets inside {1, 2, 3}.  No other final
+    set gives a minimal suffix-free DFA on 5 states: a final 0 accepts
+    the empty word, a suffix of every word, so only the language {e},
+    whose minimal DFA has 2 states; a final 4, fixed by every letter,
+    accepts u and uu for any word u reaching it, or is unreachable; no
+    final state at all gives the empty language, on 1 state.  The
+    restricted letters assume the premise's first two facts, as in
+    criterion 11."""
+    with _verdict(12, "minimal suffix-free DFAs on 5 states stay in b_sf and meet all of it"):
+        start = time.perf_counter()
+        letters = [Transformation(images + (4,)) for images in itertools.product((1, 2, 3, 4), repeat=4)]
+        finals_sets = [
+            frozenset(finals) for k in range(1, 4) for finals in itertools.combinations((1, 2, 3), k)
+        ]
+        swept, kept, outside, met = _premise_sweep(5, itertools.combinations(letters, 2), finals_sets)
+        assert (swept, kept, outside) == (PREMISE_FIVE_DFAS, PREMISE_FIVE_MINIMAL, 0)
+        assert met == {bytes(t.images) for t in enumerate_bsf(5)}
+        assert len(met) == BSF_FIVE
+        assert time.perf_counter() - start < PREMISE_FIVE_S

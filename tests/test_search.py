@@ -1331,6 +1331,76 @@ def test_search_five_state_low_targets_pin_the_count_check(target, visited, dige
     assert report_digest(r) == digest
 
 
+def consistent_members(members) -> bool:
+    # no interior pair both colliding and focused, by the brute-force rules
+    coll = {pair for x in members for pair in colliding_pairs(x)}
+    foc = {(p, q) for x in members for p, q, _ in focusing_triples(x)}
+    return not coll & foc
+
+
+@lru_cache(maxsize=None)
+def five_state_two_letter_oracle():
+    """Per level-1 class a of n = 5, the (size, canonical members) of
+    every closure of a alone or of a with one pool map g, each with all
+    semiconstants, that stays in b_sf, is consistent and is neither
+    v_sf(5) nor w_sf(5): the others a two-letter search may report."""
+    n = 5
+    ctx = _context(n)
+    families = (ctx.vsf_elements, ctx.wsf_elements)
+    oracle = {}
+    for branch in initial_level(n):
+        keys = set()
+        for letters in [branch, *((*branch, g) for g in ctx.pool)]:
+            closed = scratch_branch_closure(letters, ctx)
+            if closed is None:
+                continue  # left b_sf
+            members = closed[0]
+            if members in families or not consistent_members(members):
+                continue
+            keys.add((len(members), brute_canonical_letters(members, n)))
+        oracle[branch] = frozenset(keys)
+    return oracle
+
+
+def test_below_target_searches_match_the_two_letter_oracle_at_every_target(monkeypatch):
+    """Below the maximum, at every target from 1 to 74, a five-state
+    two-letter search reports exactly the oracle's others at or above
+    the target, and no level-1 branch it closes as pruned or terminal
+    has an oracle extension at or above the target."""
+    oracle = five_state_two_letter_oracle()
+    classes = frozenset().union(*oracle.values())
+    assert len(oracle) == 22 and len(classes) == 606
+    judge = search_module._judge
+
+    @lru_cache(maxsize=None)  # the same others recur from target to target
+    def reclosed(letters):
+        members, _, _ = scratch_branch_closure([bytes(t.images) for t in letters], _context(5))
+        return len(members), brute_canonical_letters(members, 5)
+
+    closed_total = 0
+    for target in range(1, 75):
+        level_one = {}
+
+        def recording(letters, *rest):
+            verdict = judge(letters, *rest)
+            if len(letters) == 1:
+                level_one[letters] = verdict[0]
+            return verdict
+
+        with monkeypatch.context() as patched:
+            patched.setattr(search_module, "_judge", recording)
+            r = search_max(5, target, max_letters=2)
+        reported = {reclosed(rec.letters) for rec in r.others}
+        assert len(reported) == len(r.others), target
+        assert reported == {key for key in classes if key[0] >= target}, target
+        assert level_one.keys() == oracle.keys()
+        closed = [a for a, outcome in level_one.items() if outcome in ("pruned", "terminal")]
+        for branch in closed:
+            assert all(size < target for size, _ in oracle[branch]), (target, branch)
+        closed_total += len(closed)
+    assert closed_total == 80
+
+
 def test_no_letter_form_memo_survives_a_search(monkeypatch):
     created = []
 

@@ -8,6 +8,7 @@ membership.
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,3 +452,29 @@ def test_duplicate_generator_not_irreducible():
 
 def test_single_generator_is_irreducible():
     assert irreducible_raw([bytes((0, 1, 2))])
+
+
+def irreducible_by_definition(letters):
+    # no letter lies in the public closure of the others; a lone letter
+    # has no others, so nothing generates it
+    for i, g in enumerate(letters):
+        rest = letters[:i] + letters[i + 1 :]
+        if rest and bytes(g.images) in closure(rest).raw_set:
+            return False
+    return True
+
+
+def test_irreducible_raw_matches_its_definition_on_every_small_multiset():
+    # every multiset of 1, 2 and 3 letters of b_sf(4), repeats included,
+    # with the verdicts counted per size
+    bsf = enumerate_bsf(4)
+    tuples = [
+        letters for k in (1, 2, 3) for letters in itertools.combinations_with_replacement(bsf, k)
+    ]
+    assert len(tuples) == 815
+    verdicts = Counter()
+    for letters in tuples:
+        got = irreducible_raw([bytes(t.images) for t in letters])
+        assert got == irreducible_by_definition(list(letters)), letters
+        verdicts[len(letters), got] += 1
+    assert verdicts == {(1, True): 15, (2, True): 94, (2, False): 26, (3, True): 237, (3, False): 443}
