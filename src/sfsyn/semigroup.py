@@ -20,22 +20,27 @@ For the fixed conventions (initial state 0, empty state n-1):
 Inside the package a map on at most 256 states also travels as a
 RawMap: the bytes of its images, so byte q is the image of q.  With
 raw_table(g) the product x * g is one x.translate call.  Every closure
-runs through one kernel, close_raw: a breadth-first pass that
-right-multiplies a queue of raw maps by a list of tables until nothing
-new appears (Froidure and Pin's right Cayley graph walk).  It returns
-the finds in discovery order, can refuse the moment a find leaves a
-given set (the search's admissibility test), and can hand back the set
-of finds it built.  A
-TransitionSemigroup holds raw maps in discovery order and caches the
-one pass over them (collisions.scan_columns): its w_sf bytes and its
-colliding and focused pairs, read off columns of the joined maps.
+is Froidure and Pin's right Cayley graph walk: a breadth-first pass
+that right-multiplies a queue of raw maps by a list of tables until
+nothing new appears, returning the finds in discovery order.  Two
+kernels walk it.  close_generators closes a generator list under its
+own tables and skips each product whose word it proves not reduced;
+closure(), and so every transition semigroup, runs through it.
+close_raw multiplies every map by every table.  It serves the walks
+the rule does not fit: the search's admissible walk, whose seeds are
+not its generators and which can refuse the moment a find leaves a
+given set, and irreducible_raw, whose closures are too small to gain
+from the rule.  A TransitionSemigroup holds raw maps in discovery
+order and caches the one pass over them (collisions.scan_columns): its
+w_sf bytes and its colliding and focused pairs, read off columns of
+the joined maps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, Sequence
+from itertools import islice, product
+from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, Iterator, Sequence
 
 from .transform import Transformation
 
@@ -96,7 +101,15 @@ def close_raw(
     of the closure without building another; a map already in it counts
     as found and is never walked.  With within given, the pass stops
     and returns None the moment a seed or a find is not in it: the
-    search's refusal of a branch that leaves the admissible family."""
+    search's refusal of a branch that leaves the admissible family.
+
+    closure() walks with close_generators, which skips the products its
+    reduced-word rule proves duplicates.  The rule needs the seeds to be
+    exactly the generators, so the search's admissible walk stays here:
+    it starts with the semiconstants already seen and seeds products of
+    them.  irreducible_raw stays here too: its closures are small, and
+    routed through the rule they left the below-target search no
+    faster."""
     if seen is None:
         seen = set()
     order: list[RawMap] = []
@@ -128,6 +141,118 @@ def irreducible_raw(letters: Sequence[RawMap]) -> bool:
     )
 
 
+# _WINDOWS[k], for k generators: the most letters m <= 8 with k^m <= 256,
+# so that the last m letters of a word, in base k, fit in one byte (one
+# letter from k = 17 on); no window for one generator, whose closure is
+# a chain
+_WINDOWS = (0, 0) + tuple(max(m for m in range(1, 9) if k**m <= 256) for k in range(2, 17))
+_WINDOWS += (1,) * (257 - len(_WINDOWS))
+
+
+def close_generators(generators: Sequence[RawMap]) -> tuple[list[RawMap], set[RawMap]]:
+    """The closure of generators under their own tables, in close_raw's
+    discovery order, with the set of its maps, skipping each product
+    whose word is proved not reduced.
+
+    The walk finds maps in shortlex order of their first words over the
+    generator list, so a product x * g whose word (x's first word, then
+    g's letter) is not reduced, that is not the shortlex-least word of
+    its map, gives a map found earlier.  A word with a factor that is
+    not reduced is not reduced itself (Froidure and Pin).  The factor
+    checked is a window: the last m letters of x's first word, coded in
+    base k in one byte per map, then g's letter; m is _WINDOWS[k].
+    Which (m+1)-letter words are reduced is read off the maps whose
+    first words have m letters: such a map times a letter is new exactly
+    when the word is reduced.
+
+    The walk starts plain and looks every 2k^m maps walked, a count past
+    every map whose first word has m letters or fewer (at most k^d have
+    d).  Once more than k^m maps found are still unwalked, it replays
+    the walk so far for the codes and takes up the rule
+    (_close_by_rule).  A closure that never has that many pays one
+    islice step per map for the rule.  One generator, or more than 256,
+    gets no window and a plain close_raw walk."""
+    k = len(generators)
+    tables = [raw_table(g) for g in generators]
+    seen: set[RawMap] = set()
+    m = _WINDOWS[k] if k <= 256 else 0
+    if not m:
+        return close_raw(generators, tables, seen=seen), seen
+    size = k**m
+    order: list[RawMap] = []
+    for g in generators:
+        if g not in seen:
+            seen.add(g)
+            order.append(g)
+    walk = iter(order)  # the list grows while it is walked
+    walked = 0
+    while True:
+        for x in islice(walk, 2 * size):
+            for tb in tables:
+                y = x.translate(tb)
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        walked += 2 * size
+        if walked >= len(order):
+            return order, seen
+        if len(order) - walked > size:
+            return _close_by_rule(order, seen, walk, generators, tables, m, walked), seen
+
+
+def _close_by_rule(
+    order: list[RawMap],
+    seen: set[RawMap],
+    walk: Iterator[RawMap],
+    generators: Sequence[RawMap],
+    tables: list[bytes],
+    m: int,
+    walked: int,
+) -> list[RawMap]:
+    """close_generators past its switch: the maps order[:walked] are
+    walked plain, and walk, an iterator over order, is past them."""
+    k = len(generators)
+    size = k**m
+    # each map's code by a replay: a seed's is its letter, the first of
+    # its copies, and a replayed product is new exactly when it equals
+    # the next map found
+    codes = bytearray()
+    for b, g in enumerate(generators):
+        if order[len(codes)] == g:
+            codes.append(b)
+    found = iter(order[len(codes) :])
+    want = next(found, None)
+    # rule[c]: for the reduced m-letter word coded c, the table and the
+    # new code of each letter that extends it to a reduced word
+    rule: list[tuple[tuple[bytes, int], ...]] = [()] * size
+    lo, depth = 0, 1  # order[lo:len(codes)] is layer depth
+    while lo < walked:
+        hi = min(len(codes), walked)
+        for i in range(lo, hi):
+            x, base = order[i], codes[i] * k % size
+            new = []
+            for b, tb in enumerate(tables):
+                if x.translate(tb) == want:
+                    codes.append(base + b)
+                    want = next(found, None)
+                    new.append((tb, base + b))
+            if depth == m:
+                rule[codes[i]] = tuple(new)
+        lo, depth = hi, depth + 1
+    unread = iter(codes)  # the bytearray grows while it is read
+    for _ in islice(unread, walked):
+        pass
+    push = codes.append
+    for x, c in zip(walk, unread):
+        for tb, code in rule[c]:
+            y = x.translate(tb)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                push(code)
+    return order
+
+
 def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     """Close a non-empty generator list under composition."""
     if not generators:
@@ -138,9 +263,7 @@ def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
     for g in generators:
         if g.n != n:
             raise ValueError(f"mixed state counts in generators: {g.n} vs {n}")
-    raws = [bytes(g.images) for g in generators]
-    members: set[RawMap] = set()
-    order = close_raw(raws, [raw_table(g) for g in raws], seen=members)
+    order, members = close_generators([bytes(g.images) for g in generators])
     return TransitionSemigroup(n=n, raw=tuple(order), raw_set=members)
 
 

@@ -16,8 +16,11 @@ from hypothesis import given, settings, strategies as st
 from sfsyn.dfa import transition_semigroup, witness
 from sfsyn.transform import Transformation
 from sfsyn.collisions import FLAGS_CHUNK, scan_columns
+from sfsyn import semigroup
 from sfsyn.semigroup import (
     TransitionSemigroup,
+    close_generators,
+    close_raw,
     closure,
     enumerate_bsf,
     enumerate_wsf,
@@ -25,6 +28,7 @@ from sfsyn.semigroup import (
     in_wsf,
     in_wsf_images,
     irreducible_raw,
+    raw_table,
     semiconstant_family,
     vsf_generators,
     wsf_bound,
@@ -188,6 +192,76 @@ def test_raw_maps_and_their_set_agree():
     sg = closure(list(witness_letters(5)[1]))
     assert len(set(sg.raw)) == len(sg.raw)
     assert set(sg.raw) == sg.raw_set == enumerate_wsf(5).raw_set
+
+
+@pytest.fixture
+def switches(monkeypatch) -> list:
+    # one entry per closure that took up the reduced-word rule: the
+    # number of maps it walked plain
+    calls = []
+    rule = semigroup._close_by_rule
+
+    def spy(*args):
+        calls.append(args[-1])
+        return rule(*args)
+
+    monkeypatch.setattr(semigroup, "_close_by_rule", spy)
+    return calls
+
+
+def assert_same_walk_as_close_raw(raws):
+    # close_raw multiplies every map by every table: the oracle for the
+    # maps, their order and their set
+    order, members = close_generators(raws)
+    assert order == close_raw(raws, [raw_table(g) for g in raws])
+    assert members == set(order)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
+def test_close_generators_walks_as_close_raw_on_witness_and_vsf(n, switches):
+    for gens in (witness_letters(n)[1], vsf_generators(n)):
+        assert_same_walk_as_close_raw([bytes(g.images) for g in gens])
+    # at n = 6 only the witness closure grows past its switch
+    assert len(switches) == {4: 0, 5: 0, 6: 1, 7: 2, 8: 2}[n]
+
+
+def random_generators(rng, n, k):
+    # k letters drawn with repeats from a pool of arbitrary maps on n
+    # states (b_sf or not), now and then with a product of two of them
+    pool = [bytes(rng.randrange(n) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.5:
+        pool.append(rng.choice(pool).translate(raw_table(rng.choice(pool))))
+    return [rng.choice(pool) for _ in range(k)]
+
+
+def test_close_generators_walks_as_close_raw_on_random_lists(switches):
+    rng = random.Random(37)
+    for _ in range(2000):
+        n = rng.randint(3, 6)
+        assert_same_walk_as_close_raw(random_generators(rng, n, rng.randint(1, 8)))
+    # lists that end before the switch and lists that cross it
+    assert 100 < len(switches) < 1900
+
+
+@pytest.mark.parametrize("k, n", [(1, 5), (2, 6), (255, 5), (256, 5), (257, 5), (300, 4), (300, 5)])
+def test_close_generators_at_the_window_edges(k, n, switches):
+    # a random permutation and k-1 random maps.  One letter has no
+    # window (its closure is a chain); two letters have the widest, of
+    # eight letters, and cross the switch now and then on 6 states; 255
+    # and 256 letters have a window of one letter and close all 3,125
+    # maps on 5 states, crossing it at once; past 256 letters a window
+    # would not fit a byte, and the same closures are walked plain
+    rng = random.Random(k * 10 + n)
+    draws = 24 if k <= 2 else 3
+    for _ in range(draws):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        gens = [bytes(perm)] + [bytes(rng.randrange(n) for _ in range(n)) for _ in range(k - 1)]
+        assert_same_walk_as_close_raw(gens)
+    if k == 2:
+        assert 0 < len(switches) < draws
+    else:
+        assert len(switches) == (draws if k in (255, 256) else 0)
 
 
 # ------------------------------------------------------------ families
