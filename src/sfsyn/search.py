@@ -92,7 +92,9 @@ memo is dropped when the call returns.  Rows grow with every member map
 the search meets, up to one per admissible map, each 21 ints of 14,929
 bits at n = 7, and a memo that outlived the call would make a second
 search in one process cheaper than the first, which is all a
-command-line run ever gets.
+command-line run ever gets.  The pool maps' translate tables are built
+with the first row and go with the memo, so a search leaving no branch
+open, as at every paper target, builds none.
 
 Pointed classes are told apart by a canonical form: the
 lexicographically least sorted tuple of letter conjugates over every
@@ -100,12 +102,13 @@ permutation of the interior states.  Each letter's least conjugate,
 with every labelling that reaches it, comes from a scan of all (n-2)!
 labellings: one table per n holds the conjugator of each, constant
 data built once and kept, like the context, for letters on 2 to 8
-states.  A conjugator is two byte strings, the labelling's translate
-table and its inverse, so a conjugate is two C-level translates: the
-inverse read through the letter's table, then renamed by the
-labelling's, with no tuple of ints in between.  The sorted tuple must
-start with the least of those one-letter forms, so only labellings
-giving some letter that form are tried on the whole tuple.  One search_max call keeps a memo of the
+states; a labelling is named by its position there.  A conjugator is
+two byte strings, the labelling's translate table and its inverse, so
+one routine conjugates a letter by every labelling with two translates
+mapped over the table, with no tuple of ints in between, for the letter
+forms and level 1 alike.  The sorted tuple must start with the least of
+those one-letter forms, so only labellings giving some letter that form
+are tried on the whole tuple.  One search_max call keeps a memo of the
 one-letter results, shared by all of its canonicalizations and dropped
 when it returns; canonicalize starts with an empty one.
 
@@ -129,12 +132,10 @@ interior permutations (admissibility and being semiconstant are both
 kept by a relabelling fixing 0 and n-1).  So in one pass over the
 sorted pool the first map not yet seen is the least of its orbit, that
 is its own form; its conjugates under the table's (n-2)! labellings
-are marked seen, by translates mapped over the table so that no Python
-frame runs per conjugate, and no later map of the orbit is looked at
-again.
-Each orbit is listed once and no element's form is computed, as in
-McKay, "Isomorph-free exhaustive generation" (1998), and the level is
-the same sorted tuple the per-letter forms give.  It is rebuilt on
+are marked seen, by that routine, and no later map of the orbit is
+looked at again.  Each orbit is listed once and no element's form is
+computed, as in McKay, "Isomorph-free exhaustive generation" (1998),
+and the level is the same sorted tuple the per-letter forms give.  It is rebuilt on
 every search_max call and logged at info level once built.
 
 The level at the letter cap needs none either: its survivors are never
@@ -202,7 +203,8 @@ by it was already seen, so leaving its table out changes neither the
 closed set nor the discovery order, and the walk multiplies by the
 letters and the n-2 maps e_{0, q}.  The closed set is the same as
 closing the letters with all of S, so is every refusal, and the pair
-masks are too, as no semiconstant collides or focuses a pair.
+masks are too, as no semiconstant collides or focuses a pair.  The
+context keeps the n-2 generators' tables; the closure builds the letters'.
 
 Everything here is deterministic: pools, levels, and level merges
 are ordered, so two runs produce the same result.  Every tuple in a
@@ -246,40 +248,38 @@ DEFAULT_MAX_LETTERS = 10
 # ------------------------------------------------------------ canonical form
 
 
-def _conjugator(perm: Sequence[int]) -> tuple[bytes, bytes]:
-    """The pair conjugating a map t by perm, a state permutation sending
-    q to perm[q]: inverse.translate(raw_table(t)).translate(table) maps
-    perm[q] to perm[q t].  The inverse lists, for each k, the state perm
-    sends to k, so translating it by t's table reads t at that state;
-    translating by the table then renames the images.  Both steps are
-    C-level translates, with no tuple of ints in between."""
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    return raw_table(bytes(perm)), bytes(inverse)
-
-
 @lru_cache(maxsize=None)
-def _conjugators(n: int) -> dict[tuple[int, ...], tuple[bytes, bytes]]:
-    """_conjugator of every relabelling fixing 0 and n-1, keyed by the
-    perm, in the order of permutations of the interior states; constant
+def _conjugators(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The translate tables of every relabelling fixing 0 and n-1, in
+    the order of permutations of the interior states, and their
+    inverses, each listing for every k the state sent to k.  Constant
     per-n data, built once and kept, like the search context."""
     if not 2 <= n <= 8:
         raise ValueError(f"canonical forms need letters on 2 to 8 states, got {n}")
-    perms = ((0, *interior, n - 1) for interior in permutations(range(1, n - 1)))
-    return {perm: _conjugator(perm) for perm in perms}
+    perms = [(0, *interior, n - 1) for interior in permutations(range(1, n - 1))]
+    tables = tuple(raw_table(bytes(perm)) for perm in perms)
+    inverses = tuple(bytes(sorted(range(n), key=perm.__getitem__)) for perm in perms)
+    return tables, inverses
+
+
+def _conjugates(t: RawMap) -> list[RawMap]:
+    """t conjugated by every labelling, in the conjugators' order: by
+    perm, perm[q] goes to perm[q t], as perm's inverse read through t's
+    table and renamed by perm's; no Python frame runs per conjugate."""
+    tables, inverses = _conjugators(len(t))
+    return list(map(bytes.translate, map(bytes.translate, inverses, repeat(raw_table(t))), tables))
 
 
 class _LetterForms(dict):
     """Memo, by letter, of its least conjugate under the relabellings
-    that fix 0 and n-1 and of every perm producing it, found by scanning
-    the conjugator table; filled on demand, and lives only as long as
-    the call that creates it."""
+    that fix 0 and n-1 and of the position, in the conjugators' order,
+    of every labelling producing it; filled on demand, and lives only as
+    long as the call that creates it."""
 
-    def __missing__(self, t: RawMap) -> tuple[RawMap, tuple[tuple[int, ...], ...]]:
-        conjugators = _conjugators(len(t))
-        t_table = raw_table(t)
-        images = [inv.translate(t_table).translate(table) for table, inv in conjugators.values()]
+    def __missing__(self, t: RawMap) -> tuple[RawMap, tuple[int, ...]]:
+        images = _conjugates(t)
         least = min(images)
-        form = self[t] = least, tuple(compress(conjugators, map(least.__eq__, images)))
+        form = self[t] = least, tuple(compress(range(len(images)), map(least.__eq__, images)))
         return form
 
 
@@ -290,41 +290,41 @@ def _canonical_extensions(
     turn; additions must not be empty.  The branch's least letter form
     and the labellings reaching it are found once; each g then tries the
     branch's labellings when its own form is above that least form, its
-    own when below, and both on a tie.  A labelling conjugates by its
-    entry in the per-n table the letter forms scan; the conjugated
-    branch is sorted once per labelling, and each g inserts its one
-    conjugate into it."""
-    conjugators = _conjugators(len(additions[0]))
+    own when below, and both on a tie.  A labelling is its position in
+    the per-n conjugators the letter forms scan; the conjugated branch
+    is sorted once per labelling, and each g inserts its one conjugate
+    into it."""
+    tables, inverses = _conjugators(len(additions[0]))
     letter_tables = [raw_table(u) for u in letters]
-    bases: dict[tuple[int, ...], tuple[RawMap, ...]] = {}
-    shared: tuple[tuple[int, ...], ...] = ()
+    bases: dict[int, tuple[RawMap, ...]] = {}
+    shared: tuple[int, ...] = ()
     least = None
     if letters:
         least = min(forms[t][0] for t in letters)
         # distinct letters reach a form by disjoint labellings
         shared = tuple(
-            perm for t in dict.fromkeys(letters) if forms[t][0] == least for perm in forms[t][1]
+            i for t in dict.fromkeys(letters) if forms[t][0] == least for i in forms[t][1]
         )
     for g in additions:
         form, own = forms[g]
         if least is None or form < least:
-            perms = own
+            labellings = own
         elif form == least:
-            perms = shared + own
+            labellings = shared + own
         else:
-            perms = shared
+            labellings = shared
         best = None
         g_table = raw_table(g)
-        for perm in perms:
-            table, inverse = conjugators[perm]
-            base = bases.get(perm)
+        for i in labellings:
+            table, inverse = tables[i], inverses[i]
+            base = bases.get(i)
             if base is None:
-                base = bases[perm] = tuple(
+                base = bases[i] = tuple(
                     sorted(inverse.translate(u_table).translate(table) for u_table in letter_tables)
                 )
             x = inverse.translate(g_table).translate(table)
-            i = bisect_left(base, x)
-            cand = base[:i] + (x,) + base[i:]
+            at = bisect_left(base, x)
+            cand = base[:at] + (x,) + base[at:]
             if best is None or cand < best:
                 best = cand
         assert best is not None
@@ -374,14 +374,13 @@ class _Context:
     n: int
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
-    # the n-2 semiconstants sending 0 and one interior state to n-1;
-    # with the one sending 0 alone to n-1 they generate every
-    # semiconstant, but that one is never walked: no admissible map has
-    # 0 as an image, so right multiplication by it fixes every map
-    semiconstant_generators: tuple[RawMap, ...]
+    # the tables of the n-2 semiconstants sending 0 and one interior
+    # state to n-1; with the one sending 0 alone to n-1 they generate
+    # every semiconstant, but that one is never walked: no admissible map
+    # has 0 as an image, so right multiplication by it fixes every map
+    generator_tables: tuple[bytes, ...]
     # keyed by the admissible maps, so its keys are b_sf
     masks: dict[RawMap, tuple[int, int]]
-    tables: dict[RawMap, bytes]
     vsf_elements: AbstractSet[RawMap]
     wsf_elements: AbstractSet[RawMap]
     # candidate sets are ints over pool positions: bit index[t] stands
@@ -420,9 +419,8 @@ def _context(n: int) -> _Context:
         n=n,
         pool=pool,
         semiconstants=semiconstants,
-        semiconstant_generators=tuple(t for t in semiconstants if t.count(n - 1) == 3),
+        generator_tables=tuple(raw_table(t) for t in semiconstants if t.count(n - 1) == 3),
         masks=masks,
-        tables={t: raw_table(t) for t in bsf},
         vsf_elements=vsf,
         wsf_elements=wsf,
         index={t: i for i, t in enumerate(pool)},
@@ -450,11 +448,10 @@ def _close_all_admissible(
     adds to, or None on refusal."""
     semis = ctx.semiconstants
     seen = set(semis)
-    letter_tables = [ctx.tables[t] for t in letters]
+    letter_tables = [raw_table(t) for t in letters]
     products = (map(bytes.translate, semis, repeat(tb)) for tb in letter_tables)
     seeds = [*letters, *chain.from_iterable(products)]
-    tables = letter_tables + [ctx.tables[g] for g in ctx.semiconstant_generators]
-    found = close_raw(seeds, tables, seen=seen, within=ctx.masks)
+    found = close_raw(seeds, [*letter_tables, *ctx.generator_tables], seen=seen, within=ctx.masks)
     if found is None:
         return None
     coll = foc = 0
@@ -535,24 +532,30 @@ def _product_row(
 class _ProductRows(dict):
     """Memo of the one-step product rows of one search_max call: by
     member map x, the products x t and t x with every pool map t, filled
-    on demand; and the square row, t t with t's own masks ORed in.  Lives
-    only as long as the call that creates it."""
+    on demand; and the square row, t t with t's own masks ORed in.  The
+    pool maps' translate tables are built with the first row and kept
+    with the rows.  Lives only as long as the call that creates it."""
 
     def __init__(self, ctx: _Context) -> None:
         super().__init__()
         self.ctx = ctx
 
+    @cached_property
+    def pool_tables(self) -> tuple[bytes, ...]:
+        return tuple(map(raw_table, self.ctx.pool))
+
     def _row(self, products) -> _ProductRow:
-        # products: pool map -> the union masks of its products, or None
+        # products: (pool map, its table) -> its products' union masks, or None
         ctx = self.ctx
-        return _product_row(map(products, ctx.pool), len(ctx.pool), len(ctx.coll_by_bit))
+        found = map(products, ctx.pool, self.pool_tables)
+        return _product_row(found, len(ctx.pool), len(ctx.coll_by_bit))
 
     def __missing__(self, x: RawMap) -> _ProductRow:
-        masks, tables = self.ctx.masks, self.ctx.tables
-        x_table = tables[x]
+        masks = self.ctx.masks
+        x_table = raw_table(x)
 
-        def both(t: RawMap) -> tuple[int, int] | None:
-            left = masks.get(x.translate(tables[t]))  # keyed by the admissible maps
+        def both(t: RawMap, t_table: bytes) -> tuple[int, int] | None:
+            left = masks.get(x.translate(t_table))  # keyed by the admissible maps
             right = masks.get(t.translate(x_table))
             if left is None or right is None:
                 return None
@@ -563,10 +566,10 @@ class _ProductRows(dict):
 
     @cached_property
     def square(self) -> _ProductRow:
-        masks, tables = self.ctx.masks, self.ctx.tables
+        masks = self.ctx.masks
 
-        def own(t: RawMap) -> tuple[int, int] | None:
-            m = masks.get(t.translate(tables[t]))
+        def own(t: RawMap, t_table: bytes) -> tuple[int, int] | None:
+            m = masks.get(t.translate(t_table))
             if m is None:
                 return None
             c, f = masks[t]
@@ -647,15 +650,12 @@ def initial_level(n: int) -> tuple[tuple[RawMap, ...], ...]:
     conjugator table: the pool is closed under those relabellings, so
     the first map not yet seen is its orbit's least, its canonical form
     (see the module docstring)."""
-    tables, inverses = zip(*_conjugators(n).values())
     seen: set[RawMap] = set()
     level = []
     for t in _context(n).pool:
         if t not in seen:
             level.append((t,))
-            # t read at each labelling's inverse, then renamed
-            reads = map(bytes.translate, inverses, repeat(raw_table(t)))
-            seen.update(map(bytes.translate, reads, tables))
+            seen.update(_conjugates(t))
     return tuple(level)
 
 

@@ -58,7 +58,7 @@ class TransitionSemigroup:
     (pair_scan), run once and kept."""
 
     n: int
-    raw: tuple[RawMap, ...]
+    raw: Sequence[RawMap]  # closure()'s own list, never mutated: a copy raised its peak
     raw_set: AbstractSet[RawMap]  # the raw maps as a set, never mutated
 
     @cached_property
@@ -264,7 +264,7 @@ def closure(generators: Sequence[Transformation]) -> TransitionSemigroup:
         if g.n != n:
             raise ValueError(f"mixed state counts in generators: {g.n} vs {n}")
     order, members = close_generators([bytes(g.images) for g in generators])
-    return TransitionSemigroup(n=n, raw=tuple(order), raw_set=members)
+    return TransitionSemigroup(n=n, raw=order, raw_set=members)
 
 
 def in_bsf_images(images: Sequence[int]) -> bool:

@@ -9,9 +9,10 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from collections import Counter
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import or_
 
 import pytest
@@ -88,6 +89,13 @@ def pointed(interior, n):
     # the state permutation fixing 0 and n-1 that moves the interior
     # states as the given permutation of 1..n-2 does
     return (0, *interior, n - 1)
+
+
+@lru_cache(maxsize=None)
+def pointed_perms(n):
+    # every pointed relabelling in permutation order, the order in which
+    # letter forms name them by position
+    return tuple(pointed(interior, n) for interior in itertools.permutations(range(1, n - 1)))
 
 
 def brute_canonical_letters(letters, n):
@@ -200,17 +208,15 @@ def test_canonicalize_rejects_empty_and_mixed():
 
 def assert_letter_form_is_the_least_conjugate(t, forms):
     # the least conjugate over every pointed relabelling, each applied
-    # one state at a time, and exactly the relabellings reaching it
-    n = len(t)
-    images = {
-        perm: conjugate_raw(t, perm)
-        for perm in (pointed(interior, n) for interior in itertools.permutations(range(1, n - 1)))
-    }
+    # one state at a time, and exactly the relabellings reaching it; the
+    # forms name a relabelling by its position in permutation order
+    perms = pointed_perms(len(t))
+    images = {perm: conjugate_raw(t, perm) for perm in perms}
     least = min(images.values())
     form, labellings = forms[t]
     assert form == least
     assert len(set(labellings)) == len(labellings)
-    assert set(labellings) == {perm for perm, image in images.items() if image == least}
+    assert {perms[i] for i in labellings} == {perm for perm, image in images.items() if image == least}
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
@@ -242,7 +248,7 @@ def extend_closure(base, coll, foc, t, gen_tables, ctx):
     gen_tables; None once an element leaves the admissible family.
     Every new element is a product u t v with u in base or empty, so
     the seeds are t and x then t for every x in base."""
-    t_table = ctx.tables[t]
+    t_table = raw_table(t)
     seeds = [t, *(x.translate(t_table) for x in base)]
     fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base), within=bsf_raw(ctx.n))
     if fresh is None:
@@ -408,6 +414,21 @@ def test_branch_closure_matches_closing_every_semiconstant_on_drawn_branches(dat
     assert _close_all_admissible(letters, ctx) == scratch_branch_closure(letters, ctx)
 
 
+def test_the_context_holds_no_translate_table_per_map():
+    # a table per b_sf map took 4.7 of the 9.2 MiB a fresh _context(7)
+    # held; the walks now build the tables they read.  The cached
+    # context warms the caches it reads, and the fresh one bypasses it
+    _context(7)
+    tracemalloc.start()
+    try:
+        ctx = _context.__wrapped__(7)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ctx.masks) == 14_961
+    assert held <= 6 * 2**20, held
+
+
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_the_semiconstant_sending_zero_alone_to_the_sink_fixes_every_admissible_map(n):
     # why the branch closure never walks it: no admissible map has 0 as
@@ -415,7 +436,7 @@ def test_the_semiconstant_sending_zero_alone_to_the_sink_fixes_every_admissible_
     # the identity on every map of b_sf
     ctx = _context(n)
     zero = bytes((n - 1, *range(1, n)))
-    assert zero in ctx.semiconstants and zero not in ctx.semiconstant_generators
+    assert zero in ctx.semiconstants and raw_table(zero) not in ctx.generator_tables
     assert all(x.translate(raw_table(zero)) == x for x in ctx.masks)
 
 
@@ -430,7 +451,7 @@ def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkey
     semis = set(ctx.semiconstants)
     last = n - 1
     generators = {bytes(last if p in (0, q) else p for p in range(n)) for q in range(1, last)}
-    assert set(ctx.semiconstant_generators) == generators
+    assert ctx.generator_tables == tuple(raw_table(g) for g in sorted(generators))
     assert all(ctx.masks[s] == (0, 0) for s in semis)
     calls = []
 
@@ -446,14 +467,14 @@ def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkey
     (found, tables, seen), = calls
     assert seen == semis
     assert found and not semis & set(found)
-    assert tables == [ctx.tables[g] for g in (*letters, *ctx.semiconstant_generators)]
+    assert tables == [*map(raw_table, letters), *ctx.generator_tables]
     assert len(tables) == len(letters) + n - 2
 
 
 def branch_tables(letters, ctx):
     # the tables of the letters and of every semiconstant, which the
     # oracles walk, whatever generators the branch closure walks
-    return [ctx.tables[g] for g in (*letters, *ctx.semiconstants)]
+    return [raw_table(g) for g in (*letters, *ctx.semiconstants)]
 
 
 def assert_extension_matches_scratch(letters, t, ctx):
@@ -490,13 +511,14 @@ def per_extension_canonical_letters(letters, forms):
     labelling that gives some letter the least one-letter form tried on
     the whole tuple, each letter conjugated one state at a time."""
     least = min(forms[t][0] for t in letters)
+    perms = pointed_perms(len(least))
     best = None
     for t in dict.fromkeys(letters):
         form, labellings = forms[t]
         if form != least:
             continue
-        for perm in labellings:
-            cand = sorted(conjugate_raw(u, perm) for u in letters)
+        for i in labellings:
+            cand = sorted(conjugate_raw(u, perms[i]) for u in letters)
             if best is None or cand < best:
                 best = cand
     return tuple(best)
@@ -823,8 +845,7 @@ def one_step_filter(candidates, members, coll, foc, ctx):
     product is admissible and their masks, t's and the branch's clash
     nowhere."""
     masks = ctx.masks
-    tables = ctx.tables
-    mem = [(x, tables[x]) for x in members]
+    mem = [(x, raw_table(x)) for x in members]
 
     def products(t, t_table):
         yield t.translate(t_table)
@@ -835,7 +856,7 @@ def one_step_filter(candidates, members, coll, foc, ctx):
     out = []
     for t in candidates:
         c, f = masks[t]
-        for y in products(t, tables[t]):
+        for y in products(t, raw_table(t)):
             m = masks.get(y)  # keyed by the admissible maps
             if m is None:
                 break
@@ -1418,9 +1439,11 @@ def test_no_letter_form_memo_survives_a_search(monkeypatch):
     assert all(ref() is None for ref in created)
 
 
-def test_no_product_row_memo_survives_a_search(monkeypatch):
-    created = []
-    filled = []
+def track_product_rows(monkeypatch):
+    # the product-row memos one search creates, the maps whose rows it
+    # fills, and the length of each pool-table build
+    created, filled, builds = [], [], []
+    build = search_module._ProductRows.pool_tables.func
 
     class Tracked(search_module._ProductRows):
         def __init__(self, ctx):
@@ -1431,13 +1454,34 @@ def test_no_product_row_memo_survives_a_search(monkeypatch):
             filled.append(x)
             return super().__missing__(x)
 
+        @cached_property
+        def pool_tables(self):
+            tables = build(self)
+            builds.append(len(tables))
+            return tables
+
     monkeypatch.setattr(search_module, "_ProductRows", Tracked)
-    # level 1 leaves branches open, so the filter fills the memo
+    return created, filled, builds
+
+
+def test_no_product_row_memo_survives_a_search(monkeypatch):
+    created, filled, builds = track_product_rows(monkeypatch)
+    # level 1 leaves branches open, so the filter fills the memo, and
+    # the pool's tables are built once, with its first row
     r = search_max(4, target=3, prune=False, max_letters=2)
     assert r.stats.level_sizes[1:]
+    assert builds == [len(_context(4).pool)]
     gc.collect()
     assert created and filled
+    # the tables are held by the memo alone, so they go with it
     assert all(ref() is None for ref in created)
+
+
+def test_a_search_that_leaves_no_branch_open_builds_no_pool_table(monkeypatch):
+    created, filled, builds = track_product_rows(monkeypatch)
+    r = search_max(6)
+    assert r.stats.level_sizes == (70,)
+    assert len(created) == 1 and not filled and not builds
 
 
 def test_search_result_json_shape():
