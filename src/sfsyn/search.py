@@ -197,14 +197,21 @@ element outside S is a product u t v with t its first letter and u in
 S or empty, so u t is a seed, and walking right from it along v reaches
 the element; where an intermediate product falls into S, the walk picks
 up again at the seed s t' of the next letter t'.  Of the generators,
-e_{0} is not walked either: it moves only 0, and no admissible map has
-0 as an image, so x e_{0} = x for every x the walk meets.  Each product
+e_{0} is not walked either: it moves only 0, and no map walked has 0
+as an image, so x e_{0} = x for every x the walk meets.  Each product
 by it was already seen, so leaving its table out changes neither the
 closed set nor the discovery order, and the walk multiplies by the
 letters and the n-2 maps e_{0, q}.  The closed set is the same as
 closing the letters with all of S, so is every refusal, and the pair
 masks are too, as no semiconstant collides or focuses a pair.  The
 context keeps the n-2 generators' tables; the closure builds the letters'.
+
+A walk leaving the admissible family is not cut short; the pass over
+its finds reads the refusal.  It stays among the (n-1)^(n-1) maps that
+fix n-1 and have no preimage of 0, and no level-1 branch leaves, as a
+pool map's powers are admissible.  No find is a semiconstant, so an
+admitted branch's finds are pool maps, which alone tell whether the
+branch lies in a known family: both hold every semiconstant.
 
 Everything here is deterministic: pools, levels, and level merges
 are ordered, so two runs produce the same result.  Every tuple in a
@@ -376,15 +383,15 @@ class _Context:
     semiconstants: tuple[RawMap, ...]
     # the tables of the n-2 semiconstants sending 0 and one interior
     # state to n-1; with the one sending 0 alone to n-1 they generate
-    # every semiconstant, but that one is never walked: no admissible map
-    # has 0 as an image, so right multiplication by it fixes every map
+    # every semiconstant, but that one is never walked: no map walked has
+    # 0 as an image, so right multiplication by it fixes every one
     generator_tables: tuple[bytes, ...]
     # keyed by the admissible maps, so its keys are b_sf
     masks: dict[RawMap, tuple[int, int]]
     vsf_elements: AbstractSet[RawMap]
     wsf_elements: AbstractSet[RawMap]
     # candidate sets are ints over pool positions: bit index[t] stands
-    # for the pool map t
+    # for the pool map t; every find of an admitted branch walk has one
     index: dict[RawMap, int]
     # per interior pair bit b: the pool maps whose colliding mask has b,
     # and the pool maps whose focused mask has b
@@ -437,48 +444,43 @@ def _context(n: int) -> _Context:
 
 def _close_all_admissible(
     letters: Sequence[RawMap], ctx: _Context
-) -> tuple[frozenset[RawMap], int, int] | None:
-    """The one closure of a branch: its letters and every semiconstant,
-    refused the moment an element leaves the admissible sink family.
+) -> tuple[set[RawMap], int, int, int] | None:
+    """The one closure of a branch: its letters and every semiconstant.
     The semiconstants are seen from the start and never walked; the
     seeds are the letters and each semiconstant times each letter, and
     the walk multiplies by the letters and the n-2 semiconstant
-    generators (see the module docstring).  Returns the elements plus
-    the union colliding and focused pair masks, which no semiconstant
-    adds to, or None on refusal."""
+    generators (see the module docstring, also for why the walk is
+    bounded).  One pass over the finds, once it ends, returns None, the
+    refusal, if one is not admissible, and otherwise the elements, the
+    finds' pool positions and the union colliding and focused pair
+    masks, which no semiconstant adds to."""
     semis = ctx.semiconstants
     seen = set(semis)
     letter_tables = [raw_table(t) for t in letters]
     products = (map(bytes.translate, semis, repeat(tb)) for tb in letter_tables)
     seeds = [*letters, *chain.from_iterable(products)]
-    found = close_raw(seeds, [*letter_tables, *ctx.generator_tables], seen=seen, within=ctx.masks)
-    if found is None:
-        return None
-    coll = foc = 0
-    masks = ctx.masks
+    found = close_raw(seeds, [*letter_tables, *ctx.generator_tables], seen=seen)
+    own = coll = foc = 0
+    masks, index = ctx.masks, ctx.index
     for y in found:
-        c, f = masks[y]
-        coll |= c
-        foc |= f
-    return frozenset(seen), coll, foc
+        m = masks.get(y)  # keyed by the admissible maps
+        if m is None:
+            return None
+        coll |= m[0]
+        foc |= m[1]
+        own |= 1 << index[y]
+    return seen, own, coll, foc
 
 
-def _candidate_bits(members: AbstractSet[RawMap], coll: int, foc: int, ctx: _Context) -> int:
+def _candidate_bits(own: int, coll: int, foc: int, ctx: _Context) -> int:
     """Stage one as a set of pool positions: the pool maps outside the
-    branch whose own pair masks clash with none of the branch's."""
-    killed = 0
+    branch (own) whose pair masks clash with none of the branch's."""
+    killed = own
     for b, (colliders, focusers) in enumerate(zip(ctx.coll_by_bit, ctx.foc_by_bit)):
         if (foc >> b) & 1:
             killed |= colliders
         if (coll >> b) & 1:
             killed |= focusers
-    # a branch's members are few next to the pool (at most 156 against
-    # 14,929 pool maps on level 1 at n = 7), so a bit each costs less
-    # than a pool-wide digit string
-    index = ctx.index
-    for t in members:
-        if t in index:
-            killed |= 1 << index[t]
     return ctx.pool_bits & ~killed
 
 
@@ -605,21 +607,22 @@ def _one_step_filter(cand: int, members: AbstractSet[RawMap], coll: int, rows: _
 
 
 def _leaf_verdict(
-    cand: int, members: AbstractSet[RawMap], target: int, use_count: bool, ctx: _Context
+    cand: int, own: int, size: int, target: int, use_count: bool, ctx: _Context
 ) -> str | None:
     """Case analysis over the interior pairs: a consistent semigroup
     omits, for each pair, all of its colliders or all of its focusers,
     so every branch outcome lives inside one of the side-choices.  cand
-    is the branch's candidate set.  Returns "terminal" when every choice
-    is confined to one of the two known families or (with use_count)
-    cannot reach the target, and at least one is confined; "pruned" when
-    the count alone closes every choice; and None when some choice stays
-    open."""
+    is the branch's candidate set, own its pool maps and size its member
+    count.  Returns "terminal" when every choice is confined to one of
+    the two known families or (with use_count) cannot reach the target,
+    and at least one is confined; "pruned" when the count alone closes
+    every choice; and None when some choice stays open."""
     # a branch confined to one of the two families is only allowed to
-    # end there when no proper subset of the family could still matter
-    in_v = target >= len(ctx.vsf_elements) and members <= ctx.vsf_elements
-    in_w = target >= len(ctx.wsf_elements) and members <= ctx.wsf_elements
-    need = target - len(members)
+    # end there when no proper subset of the family could still matter;
+    # every semiconstant lies in both, so its pool maps decide
+    in_v = target >= len(ctx.vsf_elements) and not own & ctx.not_v
+    in_w = target >= len(ctx.wsf_elements) and not own & ctx.not_w
+    need = target - size
     # the survivors of every side choice; a pair that no candidate
     # collides, or that none focuses, offers no choice
     survivors = [cand]
@@ -683,7 +686,8 @@ class SearchStats:
     selections: always equals visited, as each semiautomaton is its own
     one selection (see the module docstring).
     rejected_selections: the semiautomata whose closure left the
-    admissible family; 0 on every search known so far.
+    admissible family, read once the walk ends; never a level-1 branch,
+    but 4 and 229 in the tests' two-letter sweeps at n = 4 and 5.
     terminal_selections: the branches the case analysis ended with some
     side choice confined to one of the two known families.
     pruned_selections: the branches the count bound or the case
@@ -703,8 +707,8 @@ class SearchStats:
 
     The three timing fields are in SearchResult.timings, not to_json().
 
-    selections and rejected_selections carry no information of their
-    own; they are kept because the benchmark reads them.
+    selections carries no information of its own; it is kept because
+    the benchmark reads it.
     """
 
     visited: int
@@ -782,7 +786,7 @@ class SearchResult:
 
 def _judge(
     letters: tuple[RawMap, ...], target: int, prune: bool, rows: _ProductRows
-) -> tuple[str, int, frozenset[RawMap] | None]:
+) -> tuple[str, int, set[RawMap] | None]:
     """Judge one semiautomaton, given by its canonical letters, with
     initial state 0 and empty state n-1: its outcome, its survivors and
     its members.  The outcome is "rejected" when its closure leaves the
@@ -797,13 +801,13 @@ def _judge(
     closed = _close_all_admissible(letters, ctx)
     if closed is None:
         return "rejected", 0, None
-    members, coll, foc = closed
+    members, own, coll, foc = closed
     assert not coll & foc, "pair both colliding and focused survived the closure"
     reached = members if len(members) >= target else None
-    cand = _candidate_bits(members, coll, foc, ctx)
+    cand = _candidate_bits(own, coll, foc, ctx)
     if prune and len(members) + cand.bit_count() < target:
         return "pruned", 0, reached
-    outcome = _leaf_verdict(cand, members, target, prune, ctx)
+    outcome = _leaf_verdict(cand, own, len(members), target, prune, ctx)
     if outcome is not None:
         return outcome, 0, reached
     return "open", _one_step_filter(cand, members, coll, rows), reached

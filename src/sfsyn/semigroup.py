@@ -26,10 +26,10 @@ nothing new appears, returning the finds in discovery order.  Two
 kernels walk it.  close_generators closes a generator list under its
 own tables and skips each product whose word it proves not reduced;
 closure(), and so every transition semigroup, runs through it.
-close_raw multiplies every map by every table.  It serves the walks
-the rule does not fit: the search's admissible walk, whose seeds are
-not its generators and which can refuse the moment a find leaves a
-given set, and irreducible_raw, whose closures are too small to gain
+close_raw multiplies every map by every table and closes in full.  It
+serves the walks the rule does not fit: the search's branch walk, whose
+seeds are not its generators and whose refusal the search reads off
+the finds, and irreducible_raw, whose closures are too small to gain
 from the rule.  A TransitionSemigroup holds raw maps in discovery
 order and caches the one pass over them (collisions.scan_columns): its
 w_sf bytes and its colliding and focused pairs, read off columns of
@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from typing import TYPE_CHECKING, AbstractSet, Container, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Iterator, Sequence
 
 from .transform import Transformation
 
@@ -89,8 +89,7 @@ def close_raw(
     tables: Sequence[bytes],
     *,
     seen: set[RawMap] | None = None,
-    within: Container[RawMap] | None = None,
-) -> list[RawMap] | None:
+) -> list[RawMap]:
     """The closure kernel: every map reachable from the seeds by right
     multiplication with the tables.
 
@@ -99,32 +98,28 @@ def close_raw(
     the list returned is the breadth-first discovery order.  With seen
     given, every find is added to that set, so the caller keeps the set
     of the closure without building another; a map already in it counts
-    as found and is never walked.  With within given, the pass stops
-    and returns None the moment a seed or a find is not in it: the
-    search's refusal of a branch that leaves the admissible family.
+    as found and is never walked.
 
     closure() walks with close_generators, which skips the products its
     reduced-word rule proves duplicates.  The rule needs the seeds to be
-    exactly the generators, so the search's admissible walk stays here:
-    it starts with the semiconstants already seen and seeds products of
-    them.  irreducible_raw stays here too: its closures are small, and
-    routed through the rule they left the below-target search no
-    faster."""
+    exactly the generators, so the search's branch walk stays here: it
+    starts with the semiconstants already seen and seeds products of
+    them, and runs to the end on a branch leaving the admissible family,
+    among the maps that fix n-1 and have no preimage of 0, as its seeds
+    and tables do.  irreducible_raw stays here too: its closures are
+    small, and routed through the rule they left the below-target search
+    no faster."""
     if seen is None:
         seen = set()
     order: list[RawMap] = []
     for s in seeds:
         if s not in seen:
-            if within is not None and s not in within:
-                return None
             seen.add(s)
             order.append(s)
     for x in order:  # the list grows while it is walked
         for tb in tables:
             y = x.translate(tb)
             if y not in seen:
-                if within is not None and y not in within:
-                    return None
                 seen.add(y)
                 order.append(y)
     return order

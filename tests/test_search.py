@@ -245,13 +245,13 @@ def test_canonicalize_returns_the_raw_canonical_letters():
 def extend_closure(base, coll, foc, t, gen_tables, ctx):
     """Closure of base plus the admissible t, with its pair masks, where
     base (masks coll, foc) is already closed under the generators behind
-    gen_tables; None once an element leaves the admissible family.
+    gen_tables; None when an element leaves the admissible family.
     Every new element is a product u t v with u in base or empty, so
     the seeds are t and x then t for every x in base."""
     t_table = raw_table(t)
     seeds = [t, *(x.translate(t_table) for x in base)]
-    fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base), within=bsf_raw(ctx.n))
-    if fresh is None:
+    fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base))
+    if not set(fresh) <= bsf_raw(ctx.n):
         return None
     for y in fresh:
         c, f = ctx.masks[y]
@@ -347,7 +347,7 @@ def test_allowed_additions_against_brute_force():
 
 
 def closes_admissibly(letters, ctx) -> bool:
-    return close_raw(letters, [raw_table(g) for g in letters], within=bsf_raw(ctx.n)) is not None
+    return set(close_raw(letters, [raw_table(g) for g in letters])) <= bsf_raw(ctx.n)
 
 
 @pytest.mark.parametrize("n, size, admissible", [(4, 2, 112), (5, 2, 5308), (6, 1, 1169)])
@@ -365,20 +365,27 @@ def test_semiconstants_never_decide_admissibility(n, size, admissible):
     assert closing == admissible
 
 
+def pool_positions(members, ctx):
+    # reference: the pool positions of the members, by a membership
+    # test per member
+    return _bits((ctx.index[t] for t in members if t in ctx.index), len(ctx.pool))
+
+
 def scratch_branch_closure(letters, ctx):
     """Reference: the letters and all 2^(n-2) semiconstants as
-    generators, every element walked against every table, refused on
-    leaving b_sf; the members with their pair masks from pair_masks."""
+    generators, every element walked against every table, refused when
+    some element lies outside b_sf; the members with their pool
+    positions and their pair masks from pair_masks."""
     gens = [*letters, *ctx.semiconstants]
-    found = close_raw(gens, [raw_table(g) for g in gens], within=bsf_raw(ctx.n))
-    if found is None:
+    found = close_raw(gens, [raw_table(g) for g in gens])
+    if not set(found) <= bsf_raw(ctx.n):
         return None
     coll = foc = 0
     for y in found:
         c, f = pair_masks(y)
         coll |= c
         foc |= f
-    return frozenset(found), coll, foc
+    return frozenset(found), pool_positions(found, ctx), coll, foc
 
 
 def all_two_letter_branches(n):
@@ -455,9 +462,9 @@ def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkey
     assert all(ctx.masks[s] == (0, 0) for s in semis)
     calls = []
 
-    def recording(seeds, tables, *, seen, within):
+    def recording(seeds, tables, *, seen):
         before = set(seen)
-        found = close_raw(seeds, tables, seen=seen, within=within)
+        found = close_raw(seeds, tables, seen=seen)
         calls.append((found, list(tables), before))
         return found
 
@@ -471,6 +478,73 @@ def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkey
     assert len(tables) == len(letters) + n - 2
 
 
+def recorded_branch_walks(monkeypatch, levels, n):
+    # every branch of level 1, and with levels == 2 every two-letter
+    # branch, with its branch closure and the finds of its one walk
+    ctx = _context(n)
+    level = list(initial_level(n))
+    if levels == 2:
+        level += all_two_letter_branches(n)
+    walks = []
+
+    def recording(seeds, tables, *, seen):
+        found = close_raw(seeds, tables, seen=seen)
+        walks.append(found)
+        return found
+
+    monkeypatch.setattr(search_module, "close_raw", recording)
+    out = []
+    for letters in level:
+        closed = _close_all_admissible(letters, ctx)
+        (found,) = walks
+        walks.clear()
+        out.append((letters, closed, found))
+    return out
+
+
+@pytest.mark.parametrize("n, levels", [(4, 2), (5, 2), (6, 1), (7, 1)])
+def test_one_pass_over_the_finds_reads_the_branch(monkeypatch, n, levels):
+    # the branch closure reads a branch's pool positions and its family
+    # membership off the finds alone: every semiconstant lies in both
+    # known families, every find of an admitted branch is a pool map, and
+    # the pool-position test of lying in a family is the members' subset
+    # test
+    ctx = _context(n)
+    vsf, wsf = ctx.vsf_elements, ctx.wsf_elements
+    assert set(ctx.semiconstants) <= vsf & wsf
+    admitted = 0
+    for letters, closed, found in recorded_branch_walks(monkeypatch, levels, n):
+        if closed is None:
+            continue
+        admitted += 1
+        members, own, _, _ = closed
+        assert set(found) <= ctx.index.keys(), letters
+        assert own == pool_positions(found, ctx) == pool_positions(members, ctx)
+        assert (not own & ctx.not_v) == (members <= vsf)
+        assert (not own & ctx.not_w) == (members <= wsf)
+    assert admitted == {4: 32, 5: 774, 6: 70, 7: 205}[n]
+
+
+@pytest.mark.parametrize("n, levels, refused", [(4, 2, 4), (5, 2, 229), (6, 1, 0), (7, 1, 0)])
+def test_a_refused_branch_walk_stays_among_the_maps_fixing_the_sink_off_zero(
+    monkeypatch, n, levels, refused
+):
+    # the branch walk runs to its end when it leaves b_sf, and that end
+    # is near: no level-1 branch is refused (a pool map's powers are
+    # admissible), and a refused two-letter branch closes among the
+    # (n-1)^(n-1) maps that fix n-1 and have no preimage of 0, as its
+    # letters and the semiconstants do
+    last = n - 1
+    walks = recorded_branch_walks(monkeypatch, levels, n)
+    assert all(closed is not None for letters, closed, _ in walks if len(letters) == 1)
+    refusals = [found for _, closed, found in walks if closed is None]
+    assert len(refusals) == refused
+    for found in refusals:
+        assert not set(found) <= bsf_raw(n)
+        assert all(y[last] == last and 0 not in y for y in found)
+        assert len(found) + len(_context(n).semiconstants) <= last**last
+
+
 def branch_tables(letters, ctx):
     # the tables of the letters and of every semiconstant, which the
     # oracles walk, whatever generators the branch closure walks
@@ -481,10 +555,14 @@ def assert_extension_matches_scratch(letters, t, ctx):
     base = _close_all_admissible(letters, ctx)
     if base is None:
         return
-    members, coll, foc = base
+    members, _, coll, foc = base
     grown = extend_closure(members, coll, foc, t, branch_tables(letters, ctx), ctx)
     scratch = _close_all_admissible([*letters, t], ctx)
-    assert grown == scratch
+    if scratch is None:
+        assert grown is None
+    else:
+        members, _, coll, foc = scratch
+        assert grown == (members, coll, foc)
 
 
 def test_extend_closure_matches_scratch_closure_on_every_four_state_branch():
@@ -874,8 +952,8 @@ def filter_census(level, ctx):
     # memo, as in a search
     rows = _ProductRows(ctx)
     branches = additions = kept_total = 0
-    for tables, (members, coll, foc) in admissible_branches(level, ctx):
-        cand = _candidate_bits(members, coll, foc, ctx)
+    for tables, (members, own, coll, foc) in admissible_branches(level, ctx):
+        cand = _candidate_bits(own, coll, foc, ctx)
         kept = _pool_maps(_one_step_filter(cand, members, coll, rows), ctx)
         exact = exact_additions(members, coll, foc, tables, ctx)
         assert exact.keys() <= set(kept), sorted(exact.keys() - set(kept))
@@ -940,12 +1018,12 @@ def test_row_filter_matches_the_reference_on_drawn_branches(product_rows, data, 
     closed = _close_all_admissible(letters, ctx)
     if closed is None:
         return
-    members, coll, foc = closed
+    members, own, coll, foc = closed
     rows = product_rows[n]
     # the stage-one candidates, and every pool map outside the branch,
     # where a clash with the branch's own masks must also kill
-    outside = ctx.pool_bits & ~_bits((ctx.index[t] for t in members if t in ctx.index), len(ctx.pool))
-    for cand in (_candidate_bits(members, coll, foc, ctx), outside):
+    outside = ctx.pool_bits & ~pool_positions(members, ctx)
+    for cand in (_candidate_bits(own, coll, foc, ctx), outside):
         maps = _pool_maps(cand, ctx)
         expected = one_step_filter(maps, members, coll, foc, ctx)
         assert _pool_maps(_one_step_filter(cand, members, coll, rows), ctx) == expected
@@ -1047,12 +1125,13 @@ def test_no_pool_map_both_collides_and_focuses_a_pair(n):
     assert ctx.pool_bits.bit_count() == len(ctx.pool)
 
 
-def assert_branch_matches_references(members, coll, foc, target, use_count, ctx):
-    bits = _candidate_bits(members, coll, foc, ctx)
+def assert_branch_matches_references(closed, target, use_count, ctx):
+    members, own, coll, foc = closed
+    bits = _candidate_bits(own, coll, foc, ctx)
     candidates = mask_candidates(members, coll, foc, ctx)
     assert _pool_maps(bits, ctx) == candidates
     assert bits.bit_count() == len(candidates)
-    got = _leaf_verdict(bits, members, target, use_count, ctx)
+    got = _leaf_verdict(bits, own, len(members), target, use_count, ctx)
     assert got == reference_verdict(candidates, members, target, use_count, ctx)
     return got
 
@@ -1072,22 +1151,34 @@ def assert_branch_matches_references(members, coll, foc, target, use_count, ctx)
 def test_bitsets_match_the_references_on_every_searched_branch(monkeypatch, args, kwargs, census):
     # every branch the search judges, with the search's own target and
     # pruning flag: the bitset stage one must decode to the reference
-    # list, in pool order, and the bitset verdict must be the reference's
+    # list, in pool order, and the bitset verdict must be the reference's;
+    # both references read the members of the branch's closure
+    closures = []
     stage_ones = []
     verdicts = Counter()
 
-    def stage_one(members, coll, foc, ctx):
+    def closing(letters, ctx):
+        closed = _close_all_admissible(letters, ctx)
+        closures.append(closed)
+        return closed
+
+    def stage_one(own, coll, foc, ctx):
+        members, branch_own, _, _ = closures[-1]
+        assert own == branch_own
         stage_ones.append(members)
-        bits = _candidate_bits(members, coll, foc, ctx)
+        bits = _candidate_bits(own, coll, foc, ctx)
         assert _pool_maps(bits, ctx) == mask_candidates(members, coll, foc, ctx)
         return bits
 
-    def verdict(cand, members, target, use_count, ctx):
-        got = _leaf_verdict(cand, members, target, use_count, ctx)
+    def verdict(cand, own, size, target, use_count, ctx):
+        members, branch_own, _, _ = closures[-1]
+        assert (own, size) == (branch_own, len(members))
+        got = _leaf_verdict(cand, own, size, target, use_count, ctx)
         assert got == reference_verdict(_pool_maps(cand, ctx), members, target, use_count, ctx)
         verdicts[got] += 1
         return got
 
+    monkeypatch.setattr(search_module, "_close_all_admissible", closing)
     monkeypatch.setattr(search_module, "_candidate_bits", stage_one)
     monkeypatch.setattr(search_module, "_leaf_verdict", verdict)
     r = search_max(*args, **kwargs)
@@ -1107,10 +1198,11 @@ def test_case_analysis_keeps_a_side_choice_with_exactly_the_needed_survivors():
     ctx = _context(6)
     letters = (bytes((1, 2, 3, 5, 2, 5)),)
     assert letters in initial_level(6)
-    members, coll, foc = _close_all_admissible(letters, ctx)
-    assert (len(members), _candidate_bits(members, coll, foc, ctx).bit_count()) == (33, 610)
-    assert assert_branch_matches_references(members, coll, foc, 487, True, ctx) is None
-    assert assert_branch_matches_references(members, coll, foc, 488, True, ctx) == "pruned"
+    closed = _close_all_admissible(letters, ctx)
+    members, own, coll, foc = closed
+    assert (len(members), _candidate_bits(own, coll, foc, ctx).bit_count()) == (33, 610)
+    assert assert_branch_matches_references(closed, 487, True, ctx) is None
+    assert assert_branch_matches_references(closed, 488, True, ctx) == "pruned"
 
 
 @settings(deadline=None, max_examples=120)
@@ -1121,10 +1213,9 @@ def test_bitsets_match_the_references_on_drawn_branches_and_targets(data, n, use
     closed = _close_all_admissible(letters, ctx)
     if closed is None:
         return
-    members, coll, foc = closed
     # targets on both sides of the family sizes, where the cutoff turns on
     target = data.draw(st.integers(1, max(len(ctx.vsf_elements), len(ctx.wsf_elements)) + 5))
-    assert_branch_matches_references(members, coll, foc, target, use_count, ctx)
+    assert_branch_matches_references(closed, target, use_count, ctx)
 
 
 # ------------------------------------------------------------ the search
@@ -1234,7 +1325,7 @@ def test_count_prune_never_cuts_a_level_one_branch_inside_the_maximal_family(n):
     pruned = [letters for letters in initial_level(n) if _judge(letters, target, True, rows)[0] == "pruned"]
     assert pruned
     for letters in pruned:
-        members, _, _ = _close_all_admissible(letters, ctx)
+        members, _, _, _ = _close_all_admissible(letters, ctx)
         assert not members <= family, letters
 
 
@@ -1395,7 +1486,7 @@ def test_below_target_searches_match_the_two_letter_oracle_at_every_target(monke
 
     @lru_cache(maxsize=None)  # the same others recur from target to target
     def reclosed(letters):
-        members, _, _ = scratch_branch_closure([bytes(t.images) for t in letters], _context(5))
+        members, _, _, _ = scratch_branch_closure([bytes(t.images) for t in letters], _context(5))
         return len(members), brute_canonical_letters(members, 5)
 
     closed_total = 0
