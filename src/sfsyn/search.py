@@ -20,16 +20,16 @@ Neither X's masks nor a pool map's own masks clash: a map t colliding
 interior) merges 0 and r at an interior state under t t, so it is not
 admissible.  A pool map t therefore passes exactly when no pair t
 collides is focused in X and no pair t focuses collides in X.  The
-context holds, for each interior pair, the pool maps colliding it and
-the pool maps focusing it, so stage one is a few big-int operations:
-the pool minus X, minus the colliders of X's focused pairs, minus the
-focusers of X's colliding pairs.
+context holds, for each interior pair, its two keep sets: the pool maps
+not colliding it and the pool maps not focusing it.  So stage one is a
+few big-int ANDs: the pool minus X, with the first keep set of each
+pair X focuses and the second of each pair X collides.
 
 Branches are also closed off by a per-pair case analysis.  A consistent
 semigroup must, for every interior pair, avoid all of the pair's
 colliders or all of its focusers, so each way of choosing sides caps
 any extension of the branch by the candidates surviving that choice:
-the candidate set minus the chosen colliders and focusers, one AND per
+the candidate set ANDed with the chosen side's keep set, one AND per
 pair.  Only pairs that some candidate collides and some candidate
 focuses offer a real choice.  A choice whose survivors sit, together
 with the branch, inside the injective-off-sink family or the
@@ -39,7 +39,10 @@ confirmation; a choice whose survivor count cannot reach the target is
 dead.  When every choice falls to one of the two, the branch ends.
 The family cutoff applies only while the target is at least the
 containing family's size, so a search for smaller semigroups still
-walks those branches.  Only a branch left open turns its candidate set
+walks those branches.  The choices are walked depth first, a pair at a
+time: both tests are kept by subsets, so a node that is dead or
+confined closes its whole subtree, and the walk stops at the first
+choice left open.  Only a branch left open turns its candidate set
 back into maps, in pool order.
 
 A branch left open passes its candidates through one filter, whose
@@ -61,7 +64,7 @@ others, each closed in full (semigroup.irreducible_raw).
 
 Levels past the first serve only searches below the known maximum, as
 sfsyn search --target and the search-deep benchmark run them; at the
-paper's targets every search at n = 4..7 closes at level 1.
+paper's targets every search at n = 4..8 closes at level 1.
 
 The filter reads product rows over pool positions, a product table in
 the sense of Froidure and Pin, "Algorithms for computing finite
@@ -393,10 +396,10 @@ class _Context:
     # candidate sets are ints over pool positions: bit index[t] stands
     # for the pool map t; every find of an admitted branch walk has one
     index: dict[RawMap, int]
-    # per interior pair bit b: the pool maps whose colliding mask has b,
-    # and the pool maps whose focused mask has b
-    coll_by_bit: tuple[int, ...]
-    foc_by_bit: tuple[int, ...]
+    # per interior pair bit b, the pool maps a semigroup may keep on each
+    # side of the pair: those whose colliding mask lacks b, and those
+    # whose focused mask lacks b
+    keep_by_bit: tuple[tuple[int, int], ...]
     # every pool position; no pool map's own masks clash (see the module
     # docstring), so any of them may be a candidate
     pool_bits: int
@@ -416,6 +419,7 @@ def _context(n: int) -> _Context:
     wsf = enumerate_wsf(n).raw_set
     semiconstants = tuple(sorted(semi))
     size = len(pool)
+    pool_bits = (1 << size) - 1
     # every pool map's own masks, one set-bit pass over the pool
     columns = _product_row((masks[t] for t in pool), size, len(pair_index(n).pairs))
 
@@ -431,9 +435,11 @@ def _context(n: int) -> _Context:
         vsf_elements=vsf,
         wsf_elements=wsf,
         index={t: i for i, t in enumerate(pool)},
-        coll_by_bit=columns.coll,
-        foc_by_bit=columns.foc,
-        pool_bits=(1 << size) - 1,
+        keep_by_bit=tuple(
+            (pool_bits & ~colliders, pool_bits & ~focusers)
+            for colliders, focusers in zip(columns.coll, columns.foc)
+        ),
+        pool_bits=pool_bits,
         not_v=where(lambda t: t not in vsf),
         not_w=where(lambda t: t not in wsf),
     )
@@ -474,14 +480,16 @@ def _close_all_admissible(
 
 def _candidate_bits(own: int, coll: int, foc: int, ctx: _Context) -> int:
     """Stage one as a set of pool positions: the pool maps outside the
-    branch (own) whose pair masks clash with none of the branch's."""
-    killed = own
-    for b, (colliders, focusers) in enumerate(zip(ctx.coll_by_bit, ctx.foc_by_bit)):
+    branch (own) whose pair masks clash with none of the branch's: the
+    pool maps not colliding any pair the branch focuses and not
+    focusing any pair it collides."""
+    cand = ctx.pool_bits & ~own
+    for b, (no_colliders, no_focusers) in enumerate(ctx.keep_by_bit):
         if (foc >> b) & 1:
-            killed |= colliders
+            cand &= no_colliders
         if (coll >> b) & 1:
-            killed |= focusers
-    return ctx.pool_bits & ~killed
+            cand &= no_focusers
+    return cand
 
 
 def _pool_maps(bits: int, ctx: _Context) -> list[RawMap]:
@@ -506,7 +514,8 @@ def _product_row(
     """A row from the union pair masks of each pool map's products, in
     pool order (size maps, pair_count interior pairs), None where some
     product is not admissible.  Fed the pool maps' own masks, it gives
-    the context's per-pair columns."""
+    the per-pair columns whose complements are the context's keep
+    sets."""
     pairs = range(pair_count)
     ok: list[int] = []
     coll: list[list[int]] = [[] for _ in pairs]
@@ -550,7 +559,7 @@ class _ProductRows(dict):
         # products: (pool map, its table) -> its products' union masks, or None
         ctx = self.ctx
         found = map(products, ctx.pool, self.pool_tables)
-        return _product_row(found, len(ctx.pool), len(ctx.coll_by_bit))
+        return _product_row(found, len(ctx.pool), len(ctx.keep_by_bit))
 
     def __missing__(self, x: RawMap) -> _ProductRow:
         masks = self.ctx.masks
@@ -611,35 +620,64 @@ def _leaf_verdict(
 ) -> str | None:
     """Case analysis over the interior pairs: a consistent semigroup
     omits, for each pair, all of its colliders or all of its focusers,
-    so every branch outcome lives inside one of the side-choices.  cand
+    so every branch outcome lives inside one of the side choices.  cand
     is the branch's candidate set, own its pool maps and size its member
     count.  Returns "terminal" when every choice is confined to one of
     the two known families or (with use_count) cannot reach the target,
     and at least one is confined; "pruned" when the count alone closes
-    every choice; and None when some choice stays open."""
+    every choice; and None when some choice stays open.
+
+    The choices are walked depth first, a pair at a time, and a node
+    that is count-dead or confined closes its whole subtree: a subset of
+    a count-dead or confined set is one too.  So the walk returns None
+    at the first open choice.  A count-dead node says nothing about
+    confinement below it, so it is set aside while no confined node has
+    been seen, and searched for one only if the walk finds none."""
     # a branch confined to one of the two families is only allowed to
     # end there when no proper subset of the family could still matter;
     # every semiconstant lies in both, so its pool maps decide
-    in_v = target >= len(ctx.vsf_elements) and not own & ctx.not_v
-    in_w = target >= len(ctx.wsf_elements) and not own & ctx.not_w
-    need = target - size
-    # the survivors of every side choice; a pair that no candidate
-    # collides, or that none focuses, offers no choice
-    survivors = [cand]
-    for colliders, focusers in zip(ctx.coll_by_bit, ctx.foc_by_bit):
-        if cand & colliders and cand & focusers:
-            no_colliders = cand & ~colliders
-            no_focusers = cand & ~focusers
-            survivors = [s & keep for s in survivors for keep in (no_colliders, no_focusers)]
+    not_v, not_w = ctx.not_v, ctx.not_w
+    in_v = target >= len(ctx.vsf_elements) and not own & not_v
+    in_w = target >= len(ctx.wsf_elements) and not own & not_w
+    need = target - size if use_count else 0
+    # the two sides of each pair; a pair that no candidate collides, or
+    # that none focuses, offers no choice
+    choices = [
+        (no_c, no_f)
+        for keep_c, keep_f in ctx.keep_by_bit
+        if (no_c := cand & keep_c) != cand and (no_f := cand & keep_f) != cand
+    ]
+    depth = len(choices)
     saw_family = False
-    for surv in survivors:
-        if (in_v and not surv & ctx.not_v) or (in_w and not surv & ctx.not_w):
+    dead: list[tuple[int, int]] = []  # count-dead nodes, set aside
+    stack = [(cand, 0)]
+    while stack:
+        s, k = stack.pop()
+        if s.bit_count() < need:
+            if not saw_family:
+                dead.append((s, k))
+            continue
+        if (in_v and not s & not_v) or (in_w and not s & not_w):
             saw_family = True
+            dead.clear()
             continue
-        if use_count and surv.bit_count() < need:
-            continue
-        return None
-    return "terminal" if saw_family else "pruned"
+        if k == depth:
+            return None
+        no_c, no_f = choices[k]
+        stack += (s & no_f, k + 1), (s & no_c, k + 1)
+    if saw_family:
+        return "terminal"
+    # every choice is count-dead; one confined below a count-dead node
+    # still makes the branch terminal
+    stack = dead if in_v or in_w else []
+    while stack:
+        s, k = stack.pop()
+        if (in_v and not s & not_v) or (in_w and not s & not_w):
+            return "terminal"
+        if k < depth:
+            no_c, no_f = choices[k]
+            stack += (s & no_f, k + 1), (s & no_c, k + 1)
+    return "pruned"
 
 
 # ------------------------------------------------------------ level expansion
@@ -836,10 +874,11 @@ def search_max(
     reports any semigroup at or above the target that is neither of
     them.  With prune=False no branch is cut for its count, only by
     the family cutoff, and the admissible space is walked in full,
-    which is only tractable for n=4.
+    which is only tractable for n=4.  n runs from 4 to 8; at n = 8
+    building the per-n context takes a few seconds and about 111 MB.
     """
-    if not 4 <= n <= 7:
-        raise ValueError(f"the exhaustive search supports 4 <= n <= 7, got {n}")
+    if not 4 <= n <= 8:
+        raise ValueError(f"the exhaustive search supports 4 <= n <= 8, got {n}")
     if target is not None and target < 1:
         raise ValueError("target must be positive")
     if max_letters < 1:

@@ -447,9 +447,19 @@ def test_search_reporting_an_other_past_255_members_exits_one(monkeypatch, capsy
 
 
 def test_search_range_is_a_usage_error(capsys):
-    assert main(["search", "--n", "3"]) == 2
-    _, err = capsys.readouterr()
-    assert "4 <= n <= 7" in err
+    for n in ("3", "9"):
+        assert main(["search", "--n", n]) == 2
+        _, err = capsys.readouterr()
+        assert "4 <= n <= 8" in err
+
+
+def test_search_eight_finds_the_witness_family_alone(capsys):
+    assert main(["search", "--n", "8"]) == 0
+    doc = search_doc(capsys.readouterr().out)
+    assert (doc["n"], doc["target"], doc["max_size_found"]) == (8, 117655, 117655)
+    assert doc["uniqueness_confirmed"] is True
+    assert doc["others"] == []
+    assert [(c["kind"], c["size"]) for c in doc["confirmations"]] == [("wsf", 117655)]
 
 
 def test_search_has_no_resume_option(capsys):

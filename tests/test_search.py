@@ -1104,16 +1104,53 @@ def reference_verdict(candidates, members, target, use_count, ctx):
     )
 
 
-@pytest.mark.parametrize("n", (4, 5, 6))
-def test_mask_columns_match_a_scan_per_pair(n):
+@lru_cache(maxsize=None)
+def pair_columns(n):
+    """Per interior pair bit, the pool maps colliding it and the pool
+    maps focusing it, each from its own scan of the pool's masks."""
     ctx = _context(n)
 
     def where(test):
         return _bits((i for i, t in enumerate(ctx.pool) if test(t)), len(ctx.pool))
 
     pairs = range(len(pair_index(n).pairs))
-    assert ctx.coll_by_bit == tuple(where(lambda t: ctx.masks[t][0] >> b & 1) for b in pairs)
-    assert ctx.foc_by_bit == tuple(where(lambda t: ctx.masks[t][1] >> b & 1) for b in pairs)
+    colliders = tuple(where(lambda t: ctx.masks[t][0] >> b & 1) for b in pairs)
+    focusers = tuple(where(lambda t: ctx.masks[t][1] >> b & 1) for b in pairs)
+    return colliders, focusers
+
+
+def breadth_first_verdict(cand, own, size, target, use_count, ctx):
+    """Reference case analysis, breadth first: build the survivor set of
+    every side choice from the per-pair scans, then read each one,
+    confinement first."""
+    in_v = target >= len(ctx.vsf_elements) and not own & ctx.not_v
+    in_w = target >= len(ctx.wsf_elements) and not own & ctx.not_w
+    need = target - size
+    survivors = [cand]
+    for colliders, focusers in zip(*pair_columns(ctx.n)):
+        if cand & colliders and cand & focusers:
+            no_colliders = cand & ~colliders
+            no_focusers = cand & ~focusers
+            survivors = [s & keep for s in survivors for keep in (no_colliders, no_focusers)]
+    saw_family = False
+    for surv in survivors:
+        if (in_v and not surv & ctx.not_v) or (in_w and not surv & ctx.not_w):
+            saw_family = True
+            continue
+        if use_count and surv.bit_count() < need:
+            continue
+        return None
+    return "terminal" if saw_family else "pruned"
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_mask_columns_match_a_scan_per_pair(n):
+    # the keep sets are the complements, within the pool, of the scans
+    ctx = _context(n)
+    colliders, focusers = pair_columns(n)
+    assert ctx.keep_by_bit == tuple(
+        (ctx.pool_bits & ~c, ctx.pool_bits & ~f) for c, f in zip(colliders, focusers)
+    )
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
@@ -1133,6 +1170,7 @@ def assert_branch_matches_references(closed, target, use_count, ctx):
     assert bits.bit_count() == len(candidates)
     got = _leaf_verdict(bits, own, len(members), target, use_count, ctx)
     assert got == reference_verdict(candidates, members, target, use_count, ctx)
+    assert got == breadth_first_verdict(bits, own, len(members), target, use_count, ctx)
     return got
 
 
@@ -1205,6 +1243,41 @@ def test_case_analysis_keeps_a_side_choice_with_exactly_the_needed_survivors():
     assert assert_branch_matches_references(closed, 488, True, ctx) == "pruned"
 
 
+def test_set_aside_count_dead_choices_are_searched_for_a_confined_one():
+    """The depth-first case analysis sets a count-dead node aside and
+    reads confinement below it only when the walk meets no confined
+    node.  On the level-1 branch of the letter 1 2 3 5 5 5 at n = 6, 27
+    members with 744 candidates at the paper's target 629, every
+    confined side choice lies under a count-dead node, so only that
+    search makes the branch terminal: a walk that skips it says
+    "pruned"."""
+    ctx = _context(6)
+    letters = (bytes((1, 2, 3, 5, 5, 5)),)
+    assert letters in initial_level(6)
+    closed = _close_all_admissible(letters, ctx)
+    members, own, coll, foc = closed
+    cand = _candidate_bits(own, coll, foc, ctx)
+    assert (len(members), cand.bit_count()) == (27, 744)
+    # the family cutoff applies to the injective-off-sink family alone
+    assert 629 >= len(ctx.vsf_elements) and not own & ctx.not_v and own & ctx.not_w
+    need = 629 - len(members)
+    colliders, focusers = pair_columns(6)
+    sides = [(~c, ~f) for c, f in zip(colliders, focusers) if cand & c and cand & f]
+    # every node of the choice tree, with whether an ancestor or itself
+    # is count-dead
+    confined = []
+    nodes = [(cand, 0, False)]
+    while nodes:
+        s, k, dead = nodes.pop()
+        dead = dead or s.bit_count() < need
+        if not s & ctx.not_v:
+            confined.append(dead)
+        if k < len(sides):
+            nodes += [(s & keep, k + 1, dead) for keep in sides[k]]
+    assert confined and all(confined)
+    assert assert_branch_matches_references(closed, 629, True, ctx) == "terminal"
+
+
 @settings(deadline=None, max_examples=120)
 @given(data=st.data(), n=st.sampled_from((4, 5, 6)), use_count=st.booleans())
 def test_bitsets_match_the_references_on_drawn_branches_and_targets(data, n, use_count):
@@ -1218,14 +1291,88 @@ def test_bitsets_match_the_references_on_drawn_branches_and_targets(data, n, use
     assert_branch_matches_references(closed, target, use_count, ctx)
 
 
+ORACLE_SEARCHES = [
+    ((4,), {}),
+    ((5,), {}),
+    ((6,), {}),
+    ((7,), {}),
+    ((5, 72), {"max_letters": 2}),
+    ((5, 65), {"max_letters": 2}),
+    ((5, 60), {"max_letters": 3}),
+    ((6, 500), {"max_letters": 2}),
+    ((4, 3), {"prune": False}),
+]
+
+
+def judged_labels(monkeypatch, searches):
+    # the case analysis of every branch the searches judge, checked
+    # against the breadth-first oracle: the labels it gave
+    labels = Counter()
+
+    def verdict(cand, own, size, target, use_count, ctx):
+        got = _leaf_verdict(cand, own, size, target, use_count, ctx)
+        assert got == breadth_first_verdict(cand, own, size, target, use_count, ctx)
+        labels[got] += 1
+        return got
+
+    monkeypatch.setattr(search_module, "_leaf_verdict", verdict)
+    for args, kwargs in searches:
+        search_max(*args, **kwargs)
+    return labels
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    ORACLE_SEARCHES,
+    ids=["n4", "n5", "n6", "n7", "n5-t72-l2", "n5-t65-l2", "n5-t60-l3", "n6-t500-l2", "n4-t3-off"],
+)
+def test_depth_first_case_analysis_matches_the_breadth_first_oracle(monkeypatch, args, kwargs):
+    assert judged_labels(monkeypatch, [(args, kwargs)])
+
+
+def test_depth_first_case_analysis_matches_the_breadth_first_oracle_at_every_four_state_target(
+    monkeypatch,
+):
+    searches = [((4, t), {"prune": prune}) for t in range(1, 14) for prune in (True, False)]
+    labels = judged_labels(monkeypatch, searches)
+    # no four-state branch ends on counts alone in the case analysis
+    assert labels == {None: 1540, "terminal": 74}
+
+
+@pytest.mark.parametrize(
+    "n, census",
+    [
+        (5, {None: 198, "terminal": 60, "pruned": 6}),
+        (6, {None: 595, "terminal": 185, "pruned": 60}),
+        (7, {None: 1755, "terminal": 445, "pruned": 260}),
+    ],
+)
+def test_depth_first_case_analysis_matches_the_breadth_first_oracle_on_level_one(n, census):
+    # every level-1 branch, at targets around the paper's and far below
+    # it, with and without the count rule
+    ctx = _context(n)
+    paper = max(len(ctx.vsf_elements), wsf_bound(n))
+    labels = Counter()
+    for letters in initial_level(n):
+        members, own, coll, foc = _close_all_admissible(letters, ctx)
+        cand = _candidate_bits(own, coll, foc, ctx)
+        for target in (paper, paper - 1, paper - 5, paper - 50, paper + 1, 10):
+            for use_count in (True, False):
+                args = (cand, own, len(members), target, use_count, ctx)
+                got = _leaf_verdict(*args)
+                assert got == breadth_first_verdict(*args), (letters, target, use_count)
+                labels[got] += 1
+    assert labels == census
+
+
 # ------------------------------------------------------------ the search
 
 
 def test_search_rejects_out_of_range_sizes():
     with pytest.raises(ValueError):
         search_max(3)
-    with pytest.raises(ValueError):
-        search_max(8)
+    with pytest.raises(ValueError, match="4 <= n <= 8"):
+        search_max(9)
 
 
 @pytest.mark.parametrize("target", [0, -1])
