@@ -12,18 +12,22 @@ inside the admissible sink family, and the full semiconstant family is
 folded into the generated semigroup X.  Stage one then keeps the pool
 maps outside X whose colliding and focused pair masks clash with none
 of X's, and the branch ends when |X| plus their number cannot reach
-the target.  Candidate sets are ints over pool positions, bit i for
-the i-th pool map, and pair masks ints over the interior pairs of
-collisions.pair_index(n), each map's from collisions.pair_masks.
+the target.  The context is built from one scan of b_sf(n) as raw
+maps (semigroup.bsf_images), in sorted order, and keeps one table keyed
+by them: each map's colliding and focused pair masks, ints over the
+interior pairs of collisions.pair_index(n) from collisions.pair_masks,
+and its pool position, None for a semiconstant.  A map missing from the
+table is not admissible.  Candidate sets are ints over pool positions,
+bit i for the i-th pool map.
 Neither X's masks nor a pool map's own masks clash: a map t colliding
 {p, q} (0t = p, rt = q for an interior r) and focusing it (pt = qt
 interior) merges 0 and r at an interior state under t t, so it is not
 admissible.  A pool map t therefore passes exactly when no pair t
-collides is focused in X and no pair t focuses collides in X.  The
-context holds, for each interior pair, its two keep sets: the pool maps
-not colliding it and the pool maps not focusing it.  So stage one is a
-few big-int ANDs: the pool minus X, with the first keep set of each
-pair X focuses and the second of each pair X collides.
+collides is focused in X and no pair t focuses collides in X.  Beside
+the table the context holds, for each interior pair, its two keep sets:
+the pool maps not colliding it and the pool maps not focusing it.  So
+stage one is a few big-int ANDs: the pool minus X, with the first keep
+set of each pair X focuses and the second of each pair X collides.
 
 Branches are also closed off by a per-pair case analysis.  A consistent
 semigroup must, for every interior pair, avoid all of the pair's
@@ -138,8 +142,9 @@ is its own form; its conjugates under the table's (n-2)! labellings
 are marked seen, by that routine, and no later map of the orbit is
 looked at again.  Each orbit is listed once and no element's form is
 computed, as in McKay, "Isomorph-free exhaustive generation" (1998),
-and the level is the same sorted tuple the per-letter forms give.  It is rebuilt on
-every search_max call and logged at info level once built.
+and the level is the same sorted tuple the per-letter forms give.  It
+is rebuilt on every search_max call and logged at info level once
+built.
 
 The level at the letter cap needs none either: its survivors are never
 expanded, only asked whether some open branch plus one of them is
@@ -237,9 +242,9 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 from .collisions import pair_index, pair_masks
 from .semigroup import (
     RawMap,
+    bsf_images,
     close_raw,
     closure,
-    enumerate_bsf,
     enumerate_wsf,
     irreducible_raw,
     raw_table,
@@ -382,6 +387,8 @@ def _bits(positions: Iterable[int], size: int) -> int:
 @dataclass(frozen=True)
 class _Context:
     n: int
+    # the admissible maps other than the semiconstants, in scan order,
+    # which is sorted order
     pool: tuple[RawMap, ...]
     semiconstants: tuple[RawMap, ...]
     # the tables of the n-2 semiconstants sending 0 and one interior
@@ -389,13 +396,14 @@ class _Context:
     # every semiconstant, but that one is never walked: no map walked has
     # 0 as an image, so right multiplication by it fixes every one
     generator_tables: tuple[bytes, ...]
-    # keyed by the admissible maps, so its keys are b_sf
-    masks: dict[RawMap, tuple[int, int]]
+    # keyed by the admissible maps, so its keys are b_sf, in scan order:
+    # each map's colliding and focused pair masks and its pool position,
+    # None for a semiconstant.  Candidate sets are ints over pool
+    # positions, bit i for the pool map at position i; every find of an
+    # admitted branch walk is a pool map
+    bsf: dict[RawMap, tuple[int, int, int | None]]
     vsf_elements: AbstractSet[RawMap]
     wsf_elements: AbstractSet[RawMap]
-    # candidate sets are ints over pool positions: bit index[t] stands
-    # for the pool map t; every find of an admitted branch walk has one
-    index: dict[RawMap, int]
     # per interior pair bit b, the pool maps a semigroup may keep on each
     # side of the pair: those whose colliding mask lacks b, and those
     # whose focused mask lacks b
@@ -411,30 +419,38 @@ class _Context:
 
 @lru_cache(maxsize=4)
 def _context(n: int) -> _Context:
-    bsf = frozenset(bytes(t.images) for t in enumerate_bsf(n))
+    # one b_sf scan, in sorted order, gives the pool and the semiconstants
+    # in sorted order too
     semi = frozenset(bytes(t.images) for t in semiconstant_family(n))
-    pool = tuple(sorted(bsf - semi))
-    masks = {t: pair_masks(t) for t in bsf}
+    bsf: dict[RawMap, tuple[int, int, int | None]] = {}
+    pool: list[RawMap] = []
+    semiconstants: list[RawMap] = []
+    for t in map(bytes, bsf_images(n)):
+        coll, foc = pair_masks(t)
+        if t in semi:
+            bsf[t] = coll, foc, None
+            semiconstants.append(t)
+        else:
+            bsf[t] = coll, foc, len(pool)
+            pool.append(t)
     vsf = closure(list(vsf_generators(n))).raw_set
     wsf = enumerate_wsf(n).raw_set
-    semiconstants = tuple(sorted(semi))
     size = len(pool)
     pool_bits = (1 << size) - 1
     # every pool map's own masks, one set-bit pass over the pool
-    columns = _product_row((masks[t] for t in pool), size, len(pair_index(n).pairs))
+    columns = _product_row((bsf[t][:2] for t in pool), size, len(pair_index(n).pairs))
 
     def where(test) -> int:
         return _bits((i for i, t in enumerate(pool) if test(t)), size)
 
     return _Context(
         n=n,
-        pool=pool,
-        semiconstants=semiconstants,
+        pool=tuple(pool),
+        semiconstants=tuple(semiconstants),
         generator_tables=tuple(raw_table(t) for t in semiconstants if t.count(n - 1) == 3),
-        masks=masks,
+        bsf=bsf,
         vsf_elements=vsf,
         wsf_elements=wsf,
-        index={t: i for i, t in enumerate(pool)},
         keep_by_bit=tuple(
             (pool_bits & ~colliders, pool_bits & ~focusers)
             for colliders, focusers in zip(columns.coll, columns.foc)
@@ -467,14 +483,15 @@ def _close_all_admissible(
     seeds = [*letters, *chain.from_iterable(products)]
     found = close_raw(seeds, [*letter_tables, *ctx.generator_tables], seen=seen)
     own = coll = foc = 0
-    masks, index = ctx.masks, ctx.index
+    bsf = ctx.bsf
     for y in found:
-        m = masks.get(y)  # keyed by the admissible maps
-        if m is None:
+        entry = bsf.get(y)  # keyed by the admissible maps
+        if entry is None:
             return None
-        coll |= m[0]
-        foc |= m[1]
-        own |= 1 << index[y]
+        c, f, i = entry  # no find is a semiconstant, so i is a pool position
+        coll |= c
+        foc |= f
+        own |= 1 << i
     return seen, own, coll, foc
 
 
@@ -562,12 +579,12 @@ class _ProductRows(dict):
         return _product_row(found, len(ctx.pool), len(ctx.keep_by_bit))
 
     def __missing__(self, x: RawMap) -> _ProductRow:
-        masks = self.ctx.masks
+        bsf = self.ctx.bsf
         x_table = raw_table(x)
 
         def both(t: RawMap, t_table: bytes) -> tuple[int, int] | None:
-            left = masks.get(x.translate(t_table))  # keyed by the admissible maps
-            right = masks.get(t.translate(x_table))
+            left = bsf.get(x.translate(t_table))  # keyed by the admissible maps
+            right = bsf.get(t.translate(x_table))
             if left is None or right is None:
                 return None
             return left[0] | right[0], left[1] | right[1]
@@ -577,13 +594,13 @@ class _ProductRows(dict):
 
     @cached_property
     def square(self) -> _ProductRow:
-        masks = self.ctx.masks
+        bsf = self.ctx.bsf
 
         def own(t: RawMap, t_table: bytes) -> tuple[int, int] | None:
-            m = masks.get(t.translate(t_table))
+            m = bsf.get(t.translate(t_table))
             if m is None:
                 return None
-            c, f = masks[t]
+            c, f, _ = bsf[t]
             return c | m[0], f | m[1]
 
         return self._row(own)
@@ -875,7 +892,7 @@ def search_max(
     them.  With prune=False no branch is cut for its count, only by
     the family cutoff, and the admissible space is walked in full,
     which is only tractable for n=4.  n runs from 4 to 8; at n = 8
-    building the per-n context takes a few seconds and about 111 MB.
+    building the per-n context takes a few seconds and about 96 MB.
     """
     if not 4 <= n <= 8:
         raise ValueError(f"the exhaustive search supports 4 <= n <= 8, got {n}")

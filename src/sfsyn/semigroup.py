@@ -309,20 +309,23 @@ def in_wsf(t: Transformation) -> bool:
     return in_wsf_images(t.images)
 
 
-def enumerate_bsf(n: int) -> tuple[Transformation, ...]:
-    """All of b_sf(n) by direct scan, in lexicographic image order.
+def bsf_images(n: int) -> Iterator[tuple[int, ...]]:
+    """All of b_sf(n) as image tuples, by one direct scan in strictly
+    increasing lexicographic order, yielded as found.
 
     Only images with t[n-1] = n-1 and 0 outside the range are scanned,
     which keeps the scan at (n-1)^(n-1) candidates.
     """
     if n < 2:
         raise ValueError("enumeration needs n >= 2")
-    out = []
-    for prefix in product(range(1, n), repeat=n - 1):
-        t = prefix + (n - 1,)
-        if in_bsf_images(t):
-            out.append(Transformation(t))
-    return tuple(out)
+    last = (n - 1,)
+    return filter(in_bsf_images, (prefix + last for prefix in product(range(1, n), repeat=n - 1)))
+
+
+def enumerate_bsf(n: int) -> tuple[Transformation, ...]:
+    """All of b_sf(n) in lexicographic image order: bsf_images' scan,
+    each map a Transformation."""
+    return tuple(map(Transformation, bsf_images(n)))
 
 
 def _cycle_and_swap(n: int) -> tuple[Transformation, Transformation]:

@@ -219,6 +219,35 @@ def test_the_dfa_import_guard_sees_each_form():
     assert dfa_and_recheck_uses("from .collisions import pair_index, pair_masks") == []
 
 
+def enumerate_bsf_uses(source: str) -> list[int]:
+    # lines that import, read as an attribute or otherwise name
+    # enumerate_bsf, the scan wrapped as Transformation objects
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "enumerate_bsf" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "enumerate_bsf":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "enumerate_bsf":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_the_search_never_names_enumerate_bsf():
+    # the search context reads b_sf as raw maps off bsf_images' scan
+    source = (SRC / "search.py").read_text(encoding="utf-8")
+    assert enumerate_bsf_uses(source) == []
+
+
+def test_the_enumerate_bsf_guard_sees_each_form():
+    assert enumerate_bsf_uses("from .semigroup import RawMap, enumerate_bsf") == [1]
+    assert enumerate_bsf_uses("from . import semigroup\nx = semigroup.enumerate_bsf(n)") == [2]
+    assert enumerate_bsf_uses("x\ny\npool = enumerate_bsf(7)") == [3]
+    assert enumerate_bsf_uses("f = enumerate_bsf") == [1]
+    assert enumerate_bsf_uses("from .semigroup import bsf_images\nbsf_images(n)") == []
+
+
 def timing_writers(source: str) -> list[str]:
     # the scopes, by qualified name ("" for the module body), holding a
     # string other than a docstring with a "# timing" line in it

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from sfsyn.transform import Transformation
 from sfsyn.semigroup import (
+    bsf_images,
     close_raw,
     closure,
     enumerate_bsf,
@@ -74,6 +75,13 @@ def conjugated(t: Transformation, perm) -> Transformation:
 def bsf_raw(n):
     # b_sf from its own enumeration, independent of the search context
     return frozenset(bytes(t.images) for t in enumerate_bsf(n))
+
+
+@lru_cache(maxsize=None)
+def bsf_masks(n):
+    # each b_sf map's colliding and focused masks from pair_masks,
+    # independent of the search context's table
+    return {t: pair_masks(t) for t in bsf_raw(n)}
 
 
 def raw_maps(n):
@@ -253,8 +261,9 @@ def extend_closure(base, coll, foc, t, gen_tables, ctx):
     fresh = close_raw(seeds, [*gen_tables, t_table], seen=set(base))
     if not set(fresh) <= bsf_raw(ctx.n):
         return None
+    masks = bsf_masks(ctx.n)
     for y in fresh:
-        c, f = ctx.masks[y]
+        c, f = masks[y]
         coll |= c
         foc |= f
     return base.union(fresh), coll, foc
@@ -365,10 +374,17 @@ def test_semiconstants_never_decide_admissibility(n, size, admissible):
     assert closing == admissible
 
 
+@lru_cache(maxsize=None)
+def pool_position(n):
+    # each pool map's position, read off the pool, not the context's table
+    return {t: i for i, t in enumerate(_context(n).pool)}
+
+
 def pool_positions(members, ctx):
     # reference: the pool positions of the members, by a membership
     # test per member
-    return _bits((ctx.index[t] for t in members if t in ctx.index), len(ctx.pool))
+    position = pool_position(ctx.n)
+    return _bits((position[t] for t in members if t in position), len(ctx.pool))
 
 
 def scratch_branch_closure(letters, ctx):
@@ -421,19 +437,45 @@ def test_branch_closure_matches_closing_every_semiconstant_on_drawn_branches(dat
     assert _close_all_admissible(letters, ctx) == scratch_branch_closure(letters, ctx)
 
 
-def test_the_context_holds_no_translate_table_per_map():
+def test_the_context_holds_no_translate_table_per_map(monkeypatch):
     # a table per b_sf map took 4.7 of the 9.2 MiB a fresh _context(7)
-    # held; the walks now build the tables they read.  The cached
-    # context warms the caches it reads, and the fresh one bypasses it
+    # held; the walks now build the tables they read.  One table keyed
+    # by b_sf, read off the raw scan, holds about 3.8 MiB where a
+    # Transformation per map, a set of b_sf and a second map-keyed dict
+    # held 4.5.  The cached context warms the caches it reads, and the
+    # fresh one bypasses it
     _context(7)
+    built = []  # one None per Transformation constructed
+    post_init = Transformation.__post_init__
+
+    def counting(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(Transformation, "__post_init__", counting)
     tracemalloc.start()
     try:
         ctx = _context.__wrapped__(7)
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ctx.masks) == 14_961
-    assert held <= 6 * 2**20, held
+    assert len(ctx.bsf) == 14_961
+    assert held <= 4.2 * 2**20, held
+    # the 32 semiconstants and the 7 v_sf generators, no b_sf map
+    assert len(built) <= 32 + 7, len(built)
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_the_context_table_follows_the_bsf_scan(n):
+    # no sort builds the context: its table's keys are the scan's maps
+    # in scan order, and the pool and the semiconstants come out sorted
+    ctx = _context(n)
+    assert list(ctx.bsf) == [bytes(t) for t in bsf_images(n)]
+    assert list(ctx.pool) == sorted(ctx.pool) and len(set(ctx.pool)) == len(ctx.pool)
+    assert list(ctx.semiconstants) == sorted(ctx.semiconstants)
+    assert set(ctx.semiconstants) == {bytes(t.images) for t in semiconstant_family(n)}
+    position, masks = pool_position(n), bsf_masks(n)
+    assert ctx.bsf == {t: (*masks[t], position.get(t)) for t in ctx.bsf}
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
@@ -444,7 +486,7 @@ def test_the_semiconstant_sending_zero_alone_to_the_sink_fixes_every_admissible_
     ctx = _context(n)
     zero = bytes((n - 1, *range(1, n)))
     assert zero in ctx.semiconstants and raw_table(zero) not in ctx.generator_tables
-    assert all(x.translate(raw_table(zero)) == x for x in ctx.masks)
+    assert all(x.translate(raw_table(zero)) == x for x in ctx.bsf)
 
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
@@ -459,7 +501,7 @@ def test_branch_closure_walks_the_letters_and_the_semiconstant_generators(monkey
     last = n - 1
     generators = {bytes(last if p in (0, q) else p for p in range(n)) for q in range(1, last)}
     assert ctx.generator_tables == tuple(raw_table(g) for g in sorted(generators))
-    assert all(ctx.masks[s] == (0, 0) for s in semis)
+    assert all(ctx.bsf[s] == (0, 0, None) for s in semis)
     calls = []
 
     def recording(seeds, tables, *, seen):
@@ -518,7 +560,7 @@ def test_one_pass_over_the_finds_reads_the_branch(monkeypatch, n, levels):
             continue
         admitted += 1
         members, own, _, _ = closed
-        assert set(found) <= ctx.index.keys(), letters
+        assert set(found) <= set(ctx.pool), letters
         assert own == pool_positions(found, ctx) == pool_positions(members, ctx)
         assert (not own & ctx.not_v) == (members <= vsf)
         assert (not own & ctx.not_w) == (members <= wsf)
@@ -922,7 +964,7 @@ def one_step_filter(candidates, members, coll, foc, ctx):
     member on both sides, one product at a time, and keep t when every
     product is admissible and their masks, t's and the branch's clash
     nowhere."""
-    masks = ctx.masks
+    masks = bsf_masks(ctx.n)
     mem = [(x, raw_table(x)) for x in members]
 
     def products(t, t_table):
@@ -992,7 +1034,8 @@ def test_row_filter_matches_the_reference_on_every_open_branch(monkeypatch, args
 
     def checked(cand, members, coll, rows):
         got = _one_step_filter(cand, members, coll, rows)
-        foc = reduce(or_, (rows.ctx.masks[x][1] for x in members))
+        masks = bsf_masks(rows.ctx.n)
+        foc = reduce(or_, (masks[x][1] for x in members))
         expected = one_step_filter(_pool_maps(cand, rows.ctx), members, coll, foc, rows.ctx)
         assert _pool_maps(got, rows.ctx) == expected
         calls.append(members)
@@ -1041,11 +1084,12 @@ def test_row_filter_matches_the_reference_on_drawn_branches(product_rows, data, 
 def mask_candidates(members, coll, foc, ctx):
     """Reference stage one: walk the pool and keep each map outside the
     branch whose masks clash with none of the branch's."""
+    masks = bsf_masks(ctx.n)
     out = []
     for t in ctx.pool:
         if t in members:
             continue
-        tc, tf = ctx.masks[t]
+        tc, tf = masks[t]
         if not (coll | tc) & (foc | tf):
             out.append(t)
     return out
@@ -1090,7 +1134,8 @@ def leaf_verdict(x_size, x_in_vsf, x_in_wsf, sigs, n_bits, target, vsf_closed, w
 
 def reference_verdict(candidates, members, target, use_count, ctx):
     vsf, wsf = ctx.vsf_elements, ctx.wsf_elements
-    sigs = Counter((*ctx.masks[t], t in vsf, t in wsf) for t in candidates)
+    masks = bsf_masks(ctx.n)
+    sigs = Counter((*masks[t], t in vsf, t in wsf) for t in candidates)
     return leaf_verdict(
         len(members),
         members <= vsf,
@@ -1114,8 +1159,9 @@ def pair_columns(n):
         return _bits((i for i, t in enumerate(ctx.pool) if test(t)), len(ctx.pool))
 
     pairs = range(len(pair_index(n).pairs))
-    colliders = tuple(where(lambda t: ctx.masks[t][0] >> b & 1) for b in pairs)
-    focusers = tuple(where(lambda t: ctx.masks[t][1] >> b & 1) for b in pairs)
+    masks = bsf_masks(n)
+    colliders = tuple(where(lambda t: masks[t][0] >> b & 1) for b in pairs)
+    focusers = tuple(where(lambda t: masks[t][1] >> b & 1) for b in pairs)
     return colliders, focusers
 
 
@@ -1158,7 +1204,7 @@ def test_no_pool_map_both_collides_and_focuses_a_pair(n):
     # stage one relies on it: only the branch's masks can clash with a
     # candidate's
     ctx = _context(n)
-    assert not any(ctx.masks[t][0] & ctx.masks[t][1] for t in ctx.pool)
+    assert not any(ctx.bsf[t][0] & ctx.bsf[t][1] for t in ctx.pool)
     assert ctx.pool_bits.bit_count() == len(ctx.pool)
 
 

@@ -19,6 +19,7 @@ from sfsyn.collisions import FLAGS_CHUNK, scan_columns
 from sfsyn import semigroup
 from sfsyn.semigroup import (
     TransitionSemigroup,
+    bsf_images,
     close_generators,
     close_raw,
     closure,
@@ -397,6 +398,14 @@ def test_semigroup_flags_of_wsf_eight():
 
 def test_bsf_counts_frozen():
     assert [len(enumerate_bsf(n)) for n in (2, 3, 4, 5, 6, 7)] == [1, 3, 15, 115, 1169, 14961]
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_the_bsf_scan_is_strictly_increasing_and_wrapped_as_is(n):
+    # the search context takes the scan's order as sorted order
+    scan = list(bsf_images(n))
+    assert scan == [t.images for t in enumerate_bsf(n)]
+    assert all(a < b for a, b in zip(scan, scan[1:]))
 
 
 def test_bsf_members_and_non_members():
